@@ -9,185 +9,31 @@ a handful of exactly specified routes, each of which is implemented twice
 or checked against a closed form wherever the mathematics allows it.
 """
 
-from .errors import (
-    BadExponent,
-    ConfigError,
-    DegreeTooSmall,
-    DivergentPairing,
-    InfiniteDegree,
-    NegativeCoefficient,
-    NonPositiveCoefficient,
-    NotNormalized,
-    NotNullRecurrent,
-    NotPositiveRecurrent,
-    OutOfDomain,
-    PeriodicSupport,
-    PreconditionError,
-    PreconditionViolated,
-    RenewalLabError,
-    SingularPoint,
-    SymbolCapExceeded,
-    TruncationError,
-    TruncationTooSmall,
-    ZeroLeadingCoefficient,
-    ZeroProbabilityBranch,
-    ZeroValueInWindow,
-)
-from .series import (
-    TruncatedSeries,
-    convolve,
-    convolution_power_probe,
-    divide,
-    kaluza_check,
-    partial_sums,
-    reciprocal,
-    tail_sums,
-    zero_diagnostic,
-)
-from .measures import (
-    Observable,
-    SignedDistribution,
-    TailDecl,
-    from_weights,
-    indicator,
-    ones,
-    point_mass,
-    stationary,
-)
-from .chain import (
-    CodivergenceProbe,
-    CustomLaw,
-    FiniteLaw,
-    FirstPassageLaw,
-    GeometricLaw,
-    MomentValue,
-    POrder,
-    RenewalChain,
-    ZetaTailLaw,
-    build_chain,
-    codivergence_probe,
-    ergodic_degree,
-    first_passage,
-    moment,
-    p_order,
-    second_moment_identity,
-)
-from .maps import (
-    EntranceReport,
-    FrequencyReport,
-    IntermittentMap,
-    KacReport,
-    McEstimate,
-    TransferReport,
-    build_map,
-    encode,
-    entrance_tail,
-    invariant_density,
-    kac_check,
-    map_states,
-    markov_frequency_check,
-    mc_correlation,
-    orbit_symbols,
-    pf_check,
-    sample_states,
-)
-from .maps import apply as apply_map
-from .spectral import (
-    SpectralProbe,
-    TruncatedOperator,
-    disk_scan,
-    eigen_from_gf,
-    factorization_residual,
-    gf_evaluate,
-    jump_operator,
-    partial_norm_scan,
-    shift_operator,
-    transition_operator,
-)
-from .evolve import (
-    RateCurve,
-    RateFit,
-    correlation_constant,
-    correlation_curve,
-    deviation_tail_ratio,
-    distance_curve,
-    log_grid,
-    nonuniformity_probe,
-    null_recurrent_ratio,
-    rate_fit,
-    renewal_sequence,
-    step,
-)
+from . import chain, errors, evolve, maps, measures, series, spectral
+from .errors import *
+from .series import *
+from .measures import *
+from .chain import *
+from .maps import *
+from .spectral import *
+from .evolve import *
+
+# the package spells the one-step map ``apply_map``
+apply_map = apply
+del apply
 
 __version__ = "0.1.0"
 
+#: Every public name of the submodules: the exception classes and each
+#: module's own ``__all__``.
 __all__ = [
-    "TruncatedSeries",
-    "convolve",
-    "reciprocal",
-    "divide",
-    "tail_sums",
-    "partial_sums",
-    "kaluza_check",
-    "convolution_power_probe",
-    "zero_diagnostic",
-    "RenewalLabError",
-    "ConfigError",
-    "PreconditionError",
-    "TruncationError",
-    "ZeroLeadingCoefficient",
-    "NegativeCoefficient",
-    "NonPositiveCoefficient",
-    "BadExponent",
-    "OutOfDomain",
-    "PeriodicSupport",
-    "NotNormalized",
-    "DegreeTooSmall",
-    "InfiniteDegree",
-    "TruncationTooSmall",
-    "ZeroValueInWindow",
-    "PreconditionViolated",
-    "NotNullRecurrent",
-    "NotPositiveRecurrent",
-    "DivergentPairing",
-    "SingularPoint",
-    "ZeroProbabilityBranch",
-    "SymbolCapExceeded",
-    "TailDecl",
-    "SignedDistribution",
-    "Observable",
-    "point_mass",
-    "from_weights",
-    "stationary",
-    "indicator",
-    "ones",
-    "GeometricLaw",
-    "ZetaTailLaw",
-    "FiniteLaw",
-    "CustomLaw",
-    "RenewalChain",
-    "FirstPassageLaw",
-    "MomentValue",
-    "POrder",
-    "CodivergenceProbe",
-    "build_chain",
-    "ergodic_degree",
-    "first_passage",
-    "moment",
-    "second_moment_identity",
-    "p_order",
-    "codivergence_probe",
-    "RateCurve",
-    "RateFit",
-    "step",
-    "renewal_sequence",
-    "distance_curve",
-    "correlation_curve",
-    "deviation_tail_ratio",
-    "rate_fit",
-    "correlation_constant",
-    "null_recurrent_ratio",
-    "nonuniformity_probe",
-    "log_grid",
+    *(name for name in vars(errors) if not name.startswith("_")),
+    *series.__all__,
+    *measures.__all__,
+    *chain.__all__,
+    *(name for name in maps.__all__ if name != "apply"),
+    "apply_map",
+    *spectral.__all__,
+    *evolve.__all__,
     "__version__",
 ]

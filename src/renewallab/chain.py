@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc
 
@@ -49,7 +48,6 @@ __all__ = [
     "POrder",
     "CodivergenceProbe",
     "build_chain",
-    "ergodic_degree",
     "first_passage",
     "moment",
     "second_moment_identity",
@@ -78,6 +76,8 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
     """
     if beta == 0.0:
         return a ** (1.0 - s) / (s - 1.0)
+    from scipy.integrate import quad  # slow to import; only log-power tails need it
+
     y = (s - 1.0) * math.log(a)
     main = (s - 1.0) ** (-(beta + 1.0)) * gammaincc(beta + 1.0, y) * _gamma_fn(beta + 1.0)
 
@@ -386,6 +386,9 @@ class RenewalChain:
         Mean return time (``inf`` when null recurrent).
     pi : ndarray or None
         Stationary prefix ``pi[j] = pi1 * d[j-1]``; None when null recurrent.
+    ergodic_degree : float
+        Polynomial moment degree of the return law: the supremum of ``g``
+        with ``sum n^(g+1) p_n`` finite.  ``inf`` for geometric or finite laws.
     """
 
     law: object
@@ -480,12 +483,6 @@ def build_chain(law, truncation: int) -> RenewalChain:
         classification=classification,
         ergodic_degree=float(law.degree()),
     )
-
-
-def ergodic_degree(chain: RenewalChain) -> float:
-    """Polynomial moment degree of the return law: the supremum of ``g``
-    with ``sum n^(g+1) p_n`` finite.  ``inf`` for geometric or finite laws."""
-    return chain.ergodic_degree
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .config import (
     load_config,
     measure_from_config,
     observable_from_config,
+    optional,
     require,
 )
 from .errors import ConfigError, PreconditionError, TruncationError
@@ -51,13 +52,14 @@ from .evolve import (
     rate_fit,
 )
 from .maps import (
+    BURN_IN,
+    SAMPLER,
     build_map,
+    coded_states,
     entrance_tail,
     kac_check,
-    map_states,
     markov_frequency_check,
     mc_correlation,
-    sample_states,
 )
 from .series import convolution_power_probe, kaluza_check, zero_diagnostic
 from .spectral import disk_scan, factorization_residual, gf_evaluate
@@ -185,13 +187,19 @@ def _complex_points(cfg: dict, key: str):
     return out
 
 
-def _window(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
-        return None
-    raw = cfg[key]
-    if not (isinstance(raw, list) and len(raw) == 2 and raw[0] < raw[1]):
+def _interval(cfg: dict, key: str, kind: type, default=None):
+    """An optional ``[lo, hi]`` pair with ``lo < hi``, converted to ``kind``;
+    ``default`` when the key is absent or null."""
+    raw = cfg.get(key)
+    if raw is None:
+        return default
+    if not (
+        isinstance(raw, list) and len(raw) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
+        and raw[0] < raw[1]
+    ):
         raise ConfigError(f"config key {key!r} must be [lo, hi] with lo < hi")
-    return (int(raw[0]), int(raw[1]))
+    return (kind(raw[0]), kind(raw[1]))
 
 
 def _fit_dict(fit):
@@ -205,11 +213,9 @@ def _fit_dict(fit):
     }
 
 
-def _choice(cfg: dict, key: str, default: str, allowed) -> str:
-    value = cfg.get(key, default)
-    if value not in allowed:
-        raise ConfigError(f"config key {key!r} must be one of {sorted(allowed)}")
-    return value
+def _orbit_options(cfg: dict):
+    """The ``burn_in`` and ``sampler`` keys shared by the orbit commands."""
+    return optional(cfg, "burn_in", int, BURN_IN), optional(cfg, "sampler", str, SAMPLER)
 
 
 # ----------------------------------------------------------------------
@@ -227,23 +233,25 @@ def cmd_chain_info(ctx: Ctx) -> dict:
     return info
 
 
+def _fitted_curve(ctx: Ctx, what: str, curve) -> dict:
+    """Writes ``rates_<what>.csv`` and fits it over the optional
+    ``fit_window``."""
+    ctx.write_curve(f"rates_{what}.csv", curve)
+    window = _interval(ctx.cfg, "fit_window", int)
+    results = {
+        "final_n": int(curve.n_grid[-1]),
+        "final_value": float(curve.values[-1]),
+        "fit": _fit_dict(None if window is None else rate_fit(curve, window)),
+    }
+    ctx.say(f"{what} at n={results['final_n']}: {results['final_value']!r}")
+    return results
+
+
 def cmd_rates_distance(ctx: Ctx) -> dict:
     chain = ctx.chain()
     nu = measure_from_config(require(ctx.cfg, "nu", dict), chain, chain.truncation)
     grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    curve = distance_curve(chain, nu, grid)
-    ctx.write_curve("rates_distance.csv", curve)
-    fit = None
-    window = _window(ctx.cfg, "fit_window")
-    if window is not None:
-        fit = rate_fit(curve, window)
-    results = {
-        "final_n": int(curve.n_grid[-1]),
-        "final_value": float(curve.values[-1]),
-        "fit": _fit_dict(fit),
-    }
-    ctx.say(f"distance at n={results['final_n']}: {results['final_value']!r}")
-    return results
+    return _fitted_curve(ctx, "distance", distance_curve(chain, nu, grid))
 
 
 def cmd_rates_correlation(ctx: Ctx) -> dict:
@@ -251,35 +259,21 @@ def cmd_rates_correlation(ctx: Ctx) -> dict:
     nu = measure_from_config(require(ctx.cfg, "nu", dict), chain, chain.truncation)
     u = observable_from_config(require(ctx.cfg, "u", dict), "u")
     grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    curve = correlation_curve(chain, nu, u, grid)
-    ctx.write_curve("rates_correlation.csv", curve)
-    fit = None
-    window = _window(ctx.cfg, "fit_window")
-    if window is not None:
-        fit = rate_fit(curve, window)
-    results = {
-        "final_n": int(curve.n_grid[-1]),
-        "final_value": float(curve.values[-1]),
-        "fit": _fit_dict(fit),
-    }
-    ctx.say(f"correlation at n={results['final_n']}: {results['final_value']!r}")
-    return results
+    return _fitted_curve(ctx, "correlation", correlation_curve(chain, nu, u, grid))
 
 
 def cmd_rates_lemma2(ctx: Ctx) -> dict:
     chain = ctx.chain()
     grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    band = ctx.cfg.get("band", [0.9, 1.1])
-    if not (isinstance(band, list) and len(band) == 2 and band[0] < band[1]):
-        raise ConfigError("config key 'band' must be [lo, hi] with lo < hi")
+    lo, hi = _interval(ctx.cfg, "band", float, (0.9, 1.1))
     curve = deviation_tail_ratio(chain, grid)
     ctx.write_curve("rates_lemma2.csv", curve)
     final = float(curve.values[-1])
     results = {
         "final_n": int(curve.n_grid[-1]),
         "final_ratio": final,
-        "band": [float(band[0]), float(band[1])],
-        "within_band": bool(band[0] <= final <= band[1]),
+        "band": [lo, hi],
+        "within_band": bool(lo <= final <= hi),
     }
     ctx.say(f"deviation/tail ratio at n={results['final_n']}: {final!r}")
     return results
@@ -290,7 +284,7 @@ def cmd_rates_constant(ctx: Ctx) -> dict:
     nu = measure_from_config(require(ctx.cfg, "nu", dict), chain, chain.truncation)
     u = observable_from_config(require(ctx.cfg, "u", dict), "u")
     grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    rel_tol = float(ctx.cfg.get("rel_tolerance", 0.2))
+    rel_tol = optional(ctx.cfg, "rel_tolerance", float, 0.2)
     curve, predicted = correlation_constant(chain, nu, u, grid)
     ctx.write_curve("rates_constant.csv", curve)
     final = float(curve.values[-1])
@@ -325,8 +319,8 @@ def cmd_rates_null(ctx: Ctx) -> dict:
 
 def cmd_spectral_factorize(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    dimension = int(ctx.cfg.get("dimension", 200))
-    tolerance = float(ctx.cfg.get("tolerance", 1e-12))
+    dimension = optional(ctx.cfg, "dimension", int, 200)
+    tolerance = optional(ctx.cfg, "tolerance", float, 1e-12)
     points = _complex_points(ctx.cfg, "z_points")
     rows = []
     worst = 0.0
@@ -347,7 +341,7 @@ def cmd_spectral_factorize(ctx: Ctx) -> dict:
 
 def cmd_spectral_eigen(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    dimension = int(ctx.cfg.get("dimension", 400))
+    dimension = optional(ctx.cfg, "dimension", int, 400)
     lams = _complex_points(ctx.cfg, "lambdas")
     rows = disk_scan(chain, lams, dimension)
     ctx.write_table(
@@ -363,8 +357,8 @@ def cmd_spectral_eigen(ctx: Ctx) -> dict:
 
 def cmd_spectral_gf(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    i = int(ctx.cfg.get("i", 1))
-    j = int(ctx.cfg.get("j", 1))
+    i = optional(ctx.cfg, "i", int, 1)
+    j = optional(ctx.cfg, "j", int, 1)
     points = _complex_points(ctx.cfg, "z_points")
     rows = []
     for z in points:
@@ -381,19 +375,12 @@ def cmd_spectral_gf(ctx: Ctx) -> dict:
     return {"i": i, "j": j, "points": len(rows)}
 
 
-def _states_for(ctx: Ctx, chain, length: int, burn_in: int, sampler: str):
-    if sampler == "chain":
-        return sample_states(chain, length, ctx.seed, burn_in)
-    return map_states(build_map(chain), length, ctx.seed, burn_in)
-
-
 def cmd_map_simulate(ctx: Ctx) -> dict:
     chain = ctx.chain()
     length = require(ctx.cfg, "length", int)
-    burn_in = int(ctx.cfg.get("burn_in", 10_000))
-    sampler = _choice(ctx.cfg, "sampler", "chain", ("chain", "float"))
-    i_max = int(ctx.cfg.get("i_max", 10))
-    states, censored = _states_for(ctx, chain, length, burn_in, sampler)
+    burn_in, sampler = _orbit_options(ctx.cfg)
+    i_max = optional(ctx.cfg, "i_max", int, 10)
+    states, censored = coded_states(chain, sampler, length, ctx.seed, burn_in)
     valid = int(np.count_nonzero(states > 0))
     counts = np.bincount(
         states[(states > 0) & (states <= i_max)], minlength=i_max + 1
@@ -428,9 +415,8 @@ def cmd_map_correlate(ctx: Ctx) -> dict:
     v = observable_from_config(require(ctx.cfg, "v", dict), "v")
     lags = grid_from_config(require(ctx.cfg, "lags", dict), "lags")
     orbit_length = require(ctx.cfg, "orbit_length", int)
-    burn_in = int(ctx.cfg.get("burn_in", 10_000))
-    sampler = _choice(ctx.cfg, "sampler", "chain", ("chain", "float"))
-    streams = int(ctx.cfg.get("streams", 1))
+    burn_in, sampler = _orbit_options(ctx.cfg)
+    streams = optional(ctx.cfg, "streams", int, 1)
     estimates = mc_correlation(
         build_map(chain), u, v, lags, orbit_length, ctx.seed,
         burn_in=burn_in, sampler=sampler, streams=streams,
@@ -464,7 +450,7 @@ def cmd_map_entrance(ctx: Ctx) -> dict:
     a = float(require(ctx.cfg, "a", (int, float)))
     n_max = require(ctx.cfg, "n_max", int)
     samples = require(ctx.cfg, "samples", int)
-    window = _window(ctx.cfg, "fit_window")
+    window = _interval(ctx.cfg, "fit_window", int)
     report = entrance_tail(build_map(chain), a, n_max, samples, ctx.seed,
                            fit_window=window)
     ctx.write_curve("map_entrance.csv", report.curve)
@@ -482,10 +468,9 @@ def cmd_map_entrance(ctx: Ctx) -> dict:
 def cmd_map_kac(ctx: Ctx) -> dict:
     chain = ctx.chain()
     orbit_length = require(ctx.cfg, "orbit_length", int)
-    burn_in = int(ctx.cfg.get("burn_in", 10_000))
-    sampler = _choice(ctx.cfg, "sampler", "chain", ("chain", "float"))
-    tolerance = float(ctx.cfg.get("tolerance", 0.01))
-    hist_max = int(ctx.cfg.get("histogram_max", 30))
+    burn_in, sampler = _orbit_options(ctx.cfg)
+    tolerance = optional(ctx.cfg, "tolerance", float, 0.01)
+    hist_max = optional(ctx.cfg, "histogram_max", int, 30)
     report = kac_check(build_map(chain), orbit_length, ctx.seed,
                        burn_in=burn_in, sampler=sampler)
     top = min(report.histogram.size - 1, hist_max)
@@ -509,10 +494,9 @@ def cmd_map_kac(ctx: Ctx) -> dict:
 def cmd_map_frequency(ctx: Ctx) -> dict:
     chain = ctx.chain()
     orbit_length = require(ctx.cfg, "orbit_length", int)
-    i_max = int(ctx.cfg.get("i_max", 10))
-    burn_in = int(ctx.cfg.get("burn_in", 10_000))
-    sampler = _choice(ctx.cfg, "sampler", "chain", ("chain", "float"))
-    sigma = float(ctx.cfg.get("sigma", 3.0))
+    i_max = optional(ctx.cfg, "i_max", int, 10)
+    burn_in, sampler = _orbit_options(ctx.cfg)
+    sigma = optional(ctx.cfg, "sigma", float, 3.0)
     rep = markov_frequency_check(build_map(chain), orbit_length, ctx.seed,
                                  i_max=i_max, burn_in=burn_in, sampler=sampler)
     t_rows = []
@@ -567,8 +551,9 @@ PROBE_KEYS = {
 
 
 def cmd_series_probe(ctx: Ctx) -> dict:
-    require(ctx.cfg, "probe", str)
-    probe = _choice(ctx.cfg, "probe", None, tuple(PROBE_KEYS))
+    probe = require(ctx.cfg, "probe", str)
+    if probe not in PROBE_KEYS:
+        raise ConfigError(f"config key 'probe' must be one of {sorted(PROBE_KEYS)}")
     extra = set(ctx.cfg) - PROBE_KEYS[probe]
     if extra:
         raise ConfigError(
@@ -589,7 +574,7 @@ def cmd_series_probe(ctx: Ctx) -> dict:
         ok = kaluza_check(chain.p[1:])
         ctx.say(f"kaluza (decreasing, log-convex): {ok}")
         return {"kaluza": bool(ok), "law": chain.law.describe()}
-    prefix = int(ctx.cfg.get("prefix", min(chain.truncation, 2000)))
+    prefix = optional(ctx.cfg, "prefix", int, min(chain.truncation, 2000))
     if not 2 <= prefix <= chain.truncation:
         raise ConfigError("'prefix' must lie within the stored prefix")
     den = np.zeros(prefix + 1)
@@ -599,130 +584,81 @@ def cmd_series_probe(ctx: Ctx) -> dict:
     diag = zero_diagnostic(
         den,
         radii=None if radii is None else [float(r) for r in radii],
-        points=int(ctx.cfg.get("points", 720)),
+        points=optional(ctx.cfg, "points", int, 720),
     )
     ctx.say(f"min |1 - F(z)| sampled: {diag['min_abs']!r}")
     return diag
 
 
 # ----------------------------------------------------------------------
-# Registry, parser, entry point
+# Command table, parser, entry point
 # ----------------------------------------------------------------------
 
-_CHAIN = {"chain": dict(CHAIN_KEYS)}
-_GRID = dict(GRID_KEYS)
+def _keys(*leaves, **blocks) -> dict:
+    """Allowed top-level config keys: the shared chain block, ``leaves``
+    validated by the handler, and nested ``blocks`` with their own keys."""
+    return {"chain": CHAIN_KEYS, **dict.fromkeys(leaves), **blocks}
 
-#: command -> (handler, allowed top-level config keys)
-REGISTRY = {
-    "chain info": (cmd_chain_info, {**_CHAIN}),
-    "rates distance": (
-        cmd_rates_distance,
-        {**_CHAIN, "nu": None, "grid": _GRID, "fit_window": None},
-    ),
+
+_ORBIT = ("burn_in", "sampler", "seed")
+
+#: "group sub" -> (handler, allowed top-level config keys)
+COMMANDS = {
+    "chain info": (cmd_chain_info, _keys()),
+    "rates distance": (cmd_rates_distance, _keys("nu", "fit_window", grid=GRID_KEYS)),
     "rates correlation": (
-        cmd_rates_correlation,
-        {**_CHAIN, "nu": None, "u": None, "grid": _GRID, "fit_window": None},
-    ),
-    "rates lemma2": (
-        cmd_rates_lemma2,
-        {**_CHAIN, "grid": _GRID, "band": None},
-    ),
+        cmd_rates_correlation, _keys("nu", "u", "fit_window", grid=GRID_KEYS)),
+    "rates lemma2": (cmd_rates_lemma2, _keys("band", grid=GRID_KEYS)),
     "rates constant": (
-        cmd_rates_constant,
-        {**_CHAIN, "nu": None, "u": None, "grid": _GRID, "rel_tolerance": None},
-    ),
-    "rates null": (
-        cmd_rates_null,
-        {**_CHAIN, "nu": None, "u": None, "grid": _GRID},
-    ),
+        cmd_rates_constant, _keys("nu", "u", "rel_tolerance", grid=GRID_KEYS)),
+    "rates null": (cmd_rates_null, _keys("nu", "u", grid=GRID_KEYS)),
     "spectral factorize": (
-        cmd_spectral_factorize,
-        {**_CHAIN, "dimension": None, "z_points": None, "tolerance": None},
-    ),
-    "spectral eigen": (
-        cmd_spectral_eigen,
-        {**_CHAIN, "dimension": None, "lambdas": None},
-    ),
-    "spectral gf": (
-        cmd_spectral_gf,
-        {**_CHAIN, "i": None, "j": None, "z_points": None},
-    ),
-    "map simulate": (
-        cmd_map_simulate,
-        {**_CHAIN, "length": None, "burn_in": None, "sampler": None,
-         "i_max": None, "seed": None},
-    ),
+        cmd_spectral_factorize, _keys("dimension", "z_points", "tolerance")),
+    "spectral eigen": (cmd_spectral_eigen, _keys("dimension", "lambdas")),
+    "spectral gf": (cmd_spectral_gf, _keys("i", "j", "z_points")),
+    "map simulate": (cmd_map_simulate, _keys("length", "i_max", *_ORBIT)),
     "map correlate": (
         cmd_map_correlate,
-        {**_CHAIN, "u": None, "v": None, "lags": _GRID,
-         "orbit_length": None, "burn_in": None, "sampler": None,
-         "streams": None, "seed": None},
-    ),
+        _keys("u", "v", "orbit_length", "streams", *_ORBIT, lags=GRID_KEYS)),
     "map entrance": (
-        cmd_map_entrance,
-        {**_CHAIN, "a": None, "n_max": None, "samples": None,
-         "fit_window": None, "seed": None},
-    ),
+        cmd_map_entrance, _keys("a", "n_max", "samples", "fit_window", "seed")),
     "map kac": (
-        cmd_map_kac,
-        {**_CHAIN, "orbit_length": None, "burn_in": None, "sampler": None,
-         "tolerance": None, "histogram_max": None, "seed": None},
-    ),
+        cmd_map_kac, _keys("orbit_length", "tolerance", "histogram_max", *_ORBIT)),
     "map frequency": (
-        cmd_map_frequency,
-        {**_CHAIN, "orbit_length": None, "i_max": None, "burn_in": None,
-         "sampler": None, "sigma": None, "seed": None},
-    ),
+        cmd_map_frequency, _keys("orbit_length", "i_max", "sigma", *_ORBIT)),
     "series probe": (
-        cmd_series_probe,
-        {"probe": None, "gamma": None, "n_list": None, "chain": dict(CHAIN_KEYS),
-         "radii": None, "points": None, "prefix": None},
-    ),
-}
-
-_SUBCOMMANDS = {
-    "chain": ("info",),
-    "rates": ("distance", "correlation", "lemma2", "constant", "null"),
-    "spectral": ("factorize", "eigen", "gf"),
-    "map": ("simulate", "correlate", "entrance", "kac", "frequency"),
-    "series": ("probe",),
+        cmd_series_probe, _keys("probe", "gamma", "n_list", "radii", "points", "prefix")),
 }
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True,
-                        help="path to the JSON descriptor")
-    common.add_argument("--out", default=".",
-                        help="output directory (default: current)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (unsigned 64-bit)")
-    common.add_argument("--truncation", type=int, default=None,
-                        help="override the chain prefix length")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress progress lines on stdout")
-
     parser = argparse.ArgumentParser(
         prog="renewallab",
         description="Convergence-rate experiments for renewal chains",
+        epilog="commands: " + ", ".join(COMMANDS),
     )
-    groups = parser.add_subparsers(dest="group", required=True)
-    for group, subs in _SUBCOMMANDS.items():
-        gp = groups.add_parser(group)
-        sp = gp.add_subparsers(dest="sub", required=True)
-        for sub in subs:
-            sp.add_parser(sub, parents=[common])
+    parser.add_argument("group", help="command group, for example 'rates'")
+    parser.add_argument("sub", help="command within the group, for example 'distance'")
+    parser.add_argument("--config", required=True,
+                        help="path to the JSON descriptor")
+    parser.add_argument("--out", default=".",
+                        help="output directory (default: current)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed (unsigned 64-bit)")
+    parser.add_argument("--truncation", type=int, default=None,
+                        help="override the chain prefix length")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress progress lines on stdout")
     return parser
 
 
-def _run(args) -> int:
-    command = f"{args.group} {args.sub}"
-    handler, schema = REGISTRY[command]
+def _run(command: str, args) -> int:
+    handler, schema = COMMANDS[command]
     cfg = load_config(args.config)
     check_keys(cfg, schema)
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-        raise ConfigError("--seed must be an unsigned 64-bit integer")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else optional(cfg, "seed", int, 0)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
     os.makedirs(args.out, exist_ok=True)
     ctx = Ctx(command, cfg, args.out, seed, args.truncation, args.quiet)
     results = handler(ctx)
@@ -741,9 +677,14 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    command = f"{args.group} {args.sub}"
+    if command not in COMMANDS:
+        parser.error(f"unknown command {command!r}; valid commands: "
+                     + ", ".join(COMMANDS))
     try:
-        return _run(args)
+        return _run(command, args)
     except ConfigError as exc:
         print(f"config error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

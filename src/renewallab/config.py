@@ -40,6 +40,7 @@ __all__ = [
     "observable_from_config",
     "grid_from_config",
     "require",
+    "optional",
 ]
 
 
@@ -74,14 +75,25 @@ def check_keys(d: dict, allowed, path: str = "") -> None:
 
 
 def require(cfg: dict, key: str, kind=None, path: str = ""):
+    """Value of a required key, checked against ``kind`` (a type or tuple
+    of types).  JSON ``true``/``false`` never pass as numbers."""
     here = f"{path}.{key}" if path else key
     if key not in cfg:
         raise ConfigError(f"missing required config key {here!r}")
     value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         names = kind if isinstance(kind, type) else kind[0]
         raise ConfigError(f"config key {here!r} must be of type {names.__name__}")
     return value
+
+
+def optional(cfg: dict, key: str, kind: type, default, path: str = ""):
+    """Value of an optional key: ``default`` when absent, otherwise checked
+    as by :func:`require` and converted to ``kind``; a ``float`` key also
+    takes integers."""
+    if key not in cfg:
+        return default
+    return kind(require(cfg, key, (float, int) if kind is float else kind, path))
 
 
 def config_hash(cfg: dict) -> str:
@@ -119,15 +131,17 @@ def chain_from_config(cfg: dict, truncation_override=None):
     elif kind == "zeta":
         law = ZetaTailLaw(
             require(law_cfg, "degree", (int, float), "chain.law"),
-            float(law_cfg.get("log_power", 0.0)),
+            optional(law_cfg, "log_power", float, 0.0, "chain.law"),
         )
     elif kind == "finite":
         law = FiniteLaw(require(law_cfg, "probs", list, "chain.law"))
     else:
         law = CustomLaw(
             require(law_cfg, "probs", list, "chain.law"),
-            tail_exponent=float(law_cfg.get("tail_exponent", float("inf"))),
-            tail_log_power=float(law_cfg.get("tail_log_power", 0.0)),
+            tail_exponent=optional(law_cfg, "tail_exponent", float, float("inf"),
+                                   "chain.law"),
+            tail_log_power=optional(law_cfg, "tail_log_power", float, 0.0,
+                                    "chain.law"),
         )
     truncation = require(block, "truncation", int, "chain")
     if truncation_override is not None:
@@ -154,9 +168,9 @@ def measure_from_config(cfg: dict, chain, size: int, path: str = "nu"):
     if kind == "point":
         return point_mass(require(cfg, "state", int, path), size=size)
     if kind == "stationary":
-        return stationary(chain, size=int(cfg.get("size", size)))
+        return stationary(chain, size=optional(cfg, "size", int, size, path))
     weights = [float(x) for x in require(cfg, "weights", list, path)]
-    return from_weights(weights, tail_mass=float(cfg.get("tail_mass", 0.0)))
+    return from_weights(weights, tail_mass=optional(cfg, "tail_mass", float, 0.0, path))
 
 
 OBSERVABLE_KEYS = {
@@ -182,7 +196,7 @@ def observable_from_config(cfg: dict, path: str = "u") -> Observable:
     if kind == "ones":
         return ones(require(cfg, "size", int, path))
     values = [0.0] + [float(x) for x in require(cfg, "values", list, path)]
-    return Observable(values, limit=float(cfg.get("limit", 0.0)))
+    return Observable(values, limit=optional(cfg, "limit", float, 0.0, path))
 
 
 GRID_KEYS = {"lo": None, "hi": None, "count": None, "points": None}
@@ -205,5 +219,5 @@ def grid_from_config(cfg: dict, path: str = "grid"):
         return pts
     lo = require(cfg, "lo", int, path)
     hi = require(cfg, "hi", int, path)
-    count = int(cfg.get("count", 30))
+    count = optional(cfg, "count", int, 30, path)
     return [int(v) for v in log_grid(lo, hi, count)]

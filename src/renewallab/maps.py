@@ -6,9 +6,10 @@ deeper branch carries [d_i, d_{i-1}) onto [d_{i-1}, d_{i-2}).  Coding a
 point by the partition cell it visits turns orbits into paths of the chain,
 so every chain statistic has a map-side Monte Carlo counterpart.
 
-Two samplers produce coded orbits.  The default draws excursion lengths
-straight from the return law, which is exact: no float orbit is involved,
-so there is no rounding question to argue about.  The float-orbit sampler
+Two samplers produce coded orbits (:func:`coded_states` selects one by
+name).  The default, ``"chain"``, draws excursion lengths straight from the
+return law, which is exact: no float orbit is involved, so there is no
+rounding question to argue about.  The float-orbit sampler, ``"float"``,
 iterates the map itself; near 0 the cells shrink below double resolution
 (and for dyadic slopes the mantissa drains in about fifty steps), so when
 an orbit crosses the resolvable depth it is censored, counted, and the
@@ -16,10 +17,11 @@ stream restarts from a fresh invariant-density sample.  Estimators skip
 pairs that straddle a censored step.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
-a run with seed ``seed`` uses key ``seed + s``, so streams are disjoint and
-every estimate is reproducible from its reported seed.  Estimators burn in
-10^4 steps by default and report batch-mean standard errors over 100
-batches.
+a run with the unsigned 64-bit seed ``seed`` uses the two-word key
+``seed | (s << 64)`` (Salmon et al., SC 2011), so no two (seed, stream)
+pairs share a key and every estimate is reproducible from its reported
+seed.  Estimators burn in 10^4 steps by default and report batch-mean
+standard errors over 100 batches.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NotPositiveRecurrent,
     PreconditionViolated,
     SymbolCapExceeded,
@@ -52,6 +55,7 @@ __all__ = [
     "orbit_symbols",
     "sample_states",
     "map_states",
+    "coded_states",
     "mc_correlation",
     "kac_check",
     "entrance_tail",
@@ -69,9 +73,14 @@ BURN_IN = 10_000
 #: Default number of batches for batch-mean standard errors.
 BATCHES = 100
 
+#: Default coded-orbit sampler; :func:`coded_states` lists them all.
+SAMPLER = "chain"
+
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) + int(stream)))
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
+    return np.random.Generator(np.random.Philox(key=int(seed) | (int(stream) << 64)))
 
 
 def _support_length(chain) -> int:
@@ -171,7 +180,11 @@ def apply(m: IntermittentMap, x: float) -> float:
     """
     if x == 0.0 and not m.terminal:
         return 0.0
-    i = encode(m, x)
+    return _image(m, x, encode(m, x))
+
+
+def _image(m: IntermittentMap, x: float, i: int) -> float:
+    """Image of ``x`` under branch ``i``, the cell that :func:`encode` gave."""
     bp = m.breakpoints
     if i == 1:
         y = (x - bp[1]) / m.slopes[1]
@@ -194,7 +207,7 @@ def orbit_symbols(m: IntermittentMap, x0: float, n: int) -> np.ndarray:
     x = float(x0)
     out[0] = encode(m, x)
     for t in range(1, n + 1):
-        x = apply(m, x)
+        x = _image(m, x, out[t - 1])
         out[t] = encode(m, x)
     return out
 
@@ -258,23 +271,34 @@ def map_states(m: IntermittentMap, length: int, seed: int,
     censored = 0
     for t in range(total):
         try:
-            out[t] = encode(m, x)
-            x = apply(m, x)
+            sym = encode(m, x)
         except SymbolCapExceeded:
             out[t] = -1
             censored += 1
             x = _density_start(m, rng, pi_cdf)
+            continue
+        out[t] = sym
+        x = _image(m, x, sym)
     out = out[burn_in:]
     return out, int(np.count_nonzero(out == -1))
 
 
-def _state_stream(m: IntermittentMap, sampler: str, length, seed, burn_in,
-                  stream=0):
+def coded_states(source, sampler: str, length: int, seed: int,
+                 burn_in: int = BURN_IN, stream: int = 0):
+    """Coded orbit from the sampler named ``sampler``: ``"chain"`` is
+    :func:`sample_states`, ``"float"`` is :func:`map_states`.
+
+    ``source`` is a chain or its :class:`IntermittentMap`; the map is built
+    from a chain only when the float sampler needs it.  Returns
+    ``(states, censored)``.
+    """
     if sampler == "chain":
-        return sample_states(m.chain, length, seed, burn_in, stream)
-    if sampler == "map":
+        chain = source.chain if isinstance(source, IntermittentMap) else source
+        return sample_states(chain, length, seed, burn_in, stream)
+    if sampler == "float":
+        m = source if isinstance(source, IntermittentMap) else build_map(source)
         return map_states(m, length, seed, burn_in, stream)
-    raise PreconditionViolated(f"unknown sampler {sampler!r}")
+    raise ConfigError(f"unknown sampler {sampler!r}; known: 'chain', 'float'")
 
 
 def _observe(obs, states: np.ndarray) -> np.ndarray:
@@ -322,7 +346,7 @@ def _batch_stderr(y: np.ndarray, batches: int = BATCHES) -> float:
 
 
 def mc_correlation(m: IntermittentMap, u, v, n_list, orbit_length: int,
-                   seed: int, burn_in: int = BURN_IN, sampler: str = "chain",
+                   seed: int, burn_in: int = BURN_IN, sampler: str = SAMPLER,
                    streams: int = 1) -> dict:
     """Time-average estimates of the lag-n covariance of two cell
     observables along a coded orbit.
@@ -340,7 +364,7 @@ def mc_correlation(m: IntermittentMap, u, v, n_list, orbit_length: int,
         raise PreconditionViolated("largest lag must be well inside the orbit length")
     per_stream = []
     for s in range(int(streams)):
-        states, _ = _state_stream(m, sampler, orbit_length, seed, burn_in, s)
+        states, _ = coded_states(m, sampler, orbit_length, seed, burn_in, s)
         uu = _observe(u, states)
         vv = _observe(v, states)
         u_mean = np.nanmean(uu)
@@ -391,10 +415,10 @@ class KacReport:
 
 
 def kac_check(m: IntermittentMap, orbit_length: int, seed: int,
-              burn_in: int = BURN_IN, sampler: str = "chain") -> KacReport:
+              burn_in: int = BURN_IN, sampler: str = SAMPLER) -> KacReport:
     """Empirical occupation of the top cell times the empirical mean
     return, with the return-length histogram for comparison with the law."""
-    states, censored = _state_stream(m, sampler, orbit_length, seed, burn_in)
+    states, censored = coded_states(m, sampler, orbit_length, seed, burn_in)
     valid = states > 0
     rho_e = float(np.count_nonzero(states == 1) / np.count_nonzero(valid))
     ones = np.flatnonzero(states == 1)
@@ -441,13 +465,13 @@ class FrequencyReport:
 
 def markov_frequency_check(m: IntermittentMap, orbit_length: int, seed: int,
                            i_max: int = 10, burn_in: int = BURN_IN,
-                           sampler: str = "chain") -> FrequencyReport:
+                           sampler: str = SAMPLER) -> FrequencyReport:
     """Tabulate empirical transition frequencies and occupation of the
     first ``i_max`` cells against the exact chain entries."""
     chain = m.chain
     if i_max < 2 or i_max > chain.truncation - 1:
         raise PreconditionViolated("i_max must fit inside the stored prefix")
-    states, censored = _state_stream(m, sampler, orbit_length, seed, burn_in)
+    states, censored = coded_states(m, sampler, orbit_length, seed, burn_in)
 
     a, b = states[:-1], states[1:]
     # normalize by every resolved exit from the row, not only exits landing

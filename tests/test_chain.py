@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,3 +319,9 @@ def test_second_moment_identity_exact_for_finite_laws(law, i):
     assume(ch.pi[i] > 0.0)
     _, _, gap = second_moment_identity(ch, i)
     assert gap < 1e-10
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only log-power tails need quadrature, and scipy.integrate is slow to load
+    code = "import sys, renewallab.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

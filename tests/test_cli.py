@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from renewallab.cli import main
+from renewallab.cli import COMMANDS, main
 
 GEO = {"chain": {"law": {"type": "geometric", "q": 0.5}, "truncation": 2000}}
 ZETA = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 20000}}
@@ -45,10 +45,35 @@ def test_chain_info_reports_invariants(tmp_path):
     assert res["classification"] == "positive-recurrent"
 
 
-def test_unknown_config_key_exits_2(tmp_path, capsys):
-    code, _ = run(tmp_path, ["chain", "info"], {**GEO, "typo_key": 1})
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.replace(" ", "-"))
+def test_unknown_config_key_exits_2(tmp_path, capsys, command):
+    code, _ = run(tmp_path, command.split(), {**GEO, "typo_key": 1})
     assert code == 2
     assert "typo_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("map kac", {**GEO, "orbit_length": 1000, "seed": -1}),
+    ("map kac", {**GEO, "orbit_length": 1000, "seed": 2 ** 64}),
+    ("chain info", {"chain": {**GEO["chain"], "truncation": True}}),
+    ("spectral factorize", {**GEO, "z_points": [0.5], "dimension": "big"}),
+    ("map kac", {**GEO, "orbit_length": 1000, "burn_in": [1]}),
+], ids=["negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
+        "list-burn-in"])
+def test_malformed_value_exits_2(tmp_path, capsys, command, payload):
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error")
+
+
+def test_unknown_command_exits_2_listing_commands(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GEO)
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "bogus", "--config", cfg])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'rates bogus'" in err and all(c in err for c in COMMANDS)
 
 
 def test_nested_unknown_key_exits_2(tmp_path):
@@ -238,3 +263,21 @@ def test_map_simulate_occupation_table(tmp_path, sampler):
     top = lines[1].split(",")
     assert float(top[3]) == 0.5
     assert abs(float(top[2]) - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("map kac", {}),
+    ("map frequency", {"i_max": 4}),
+    ("map correlate", {"u": {"kind": "indicator", "states": [1], "size": 20},
+                       "v": {"kind": "indicator", "states": [1], "size": 20},
+                       "lags": {"points": [1, 2]}}),
+], ids=["kac", "frequency", "correlate"])
+def test_float_sampler_runs_every_map_command(tmp_path, command, keys):
+    payload = {**GEO, "orbit_length": 20_000, "burn_in": 1000, "seed": 3,
+               "sampler": "float", **keys}
+    code, out = run(tmp_path, command.split(), payload)
+    assert code == 0
+    res = summary(out)["results"]
+    # the float doubling map drains its mantissa, so its orbits censor
+    censored = res["censored"] if "censored" in res else res["estimates"]["1"]["censored"]
+    assert censored > 0

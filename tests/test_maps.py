@@ -11,7 +11,9 @@ from renewallab import (
     ZetaTailLaw,
     build_chain,
 )
+from renewallab import maps
 from renewallab.errors import (
+    ConfigError,
     NotPositiveRecurrent,
     PreconditionViolated,
     SymbolCapExceeded,
@@ -22,6 +24,7 @@ from renewallab.maps import (
     McEstimate,
     apply,
     build_map,
+    coded_states,
     encode,
     entrance_tail,
     invariant_density,
@@ -177,6 +180,48 @@ def test_chain_sampler_is_reproducible_and_stationary(geo):
     assert abs(s1.mean() - 2.0) < 0.02
 
 
+def test_streams_are_disjoint_across_seeds(geo):
+    # stream 1 of seed 7 was stream 0 of seed 8 when keys were seed + stream
+    s71, _ = sample_states(geo, 10_000, seed=7, stream=1)
+    s80, _ = sample_states(geo, 10_000, seed=8)
+    assert not np.array_equal(s71, s80)
+    # stream 0 is keyed by the seed alone
+    direct = np.random.Generator(np.random.Philox(key=7)).random(8)
+    assert np.array_equal(maps._rng(7).random(8), direct)
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ConfigError):
+            sample_states(geo, 10, seed=bad)
+
+
+def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
+    chain_states, _ = coded_states(geo_map, "chain", 5000, seed=4)
+    assert np.array_equal(chain_states, sample_states(geo, 5000, seed=4)[0])
+    from_map, c1 = coded_states(geo_map, "float", 5000, seed=4)
+    from_chain, c2 = coded_states(geo, "float", 5000, seed=4)
+    assert np.array_equal(from_map, map_states(geo_map, 5000, seed=4)[0])
+    assert np.array_equal(from_map, from_chain) and c1 == c2 > 0
+    with pytest.raises(ConfigError, match="unknown sampler"):
+        coded_states(geo_map, "map", 10, seed=4)
+
+
+def test_float_orbit_steps_match_encode_then_apply(geo_map, zeta_map):
+    # reference: the float-orbit loop that encodes, then applies the map
+    for m in (geo_map, zeta_map):
+        rng = maps._rng(11)
+        pi_cdf = np.cumsum(m.chain.pi[1:])
+        x = maps._density_start(m, rng, pi_cdf)
+        want = []
+        for _ in range(3000):
+            try:
+                want.append(encode(m, x))
+                x = apply(m, x)
+            except SymbolCapExceeded:
+                want.append(-1)
+                x = maps._density_start(m, rng, pi_cdf)
+        states, _ = map_states(m, 3000, seed=11, burn_in=0)
+        assert np.array_equal(states, want)
+
+
 def test_map_sampler_censors_mantissa_drain(geo_map):
     # the float doubling map sheds one mantissa bit per step, so roughly
     # every 53 steps the orbit bottoms out and restarts
@@ -220,7 +265,7 @@ def test_doubling_map_correlation_vanishes_at_small_lags(geo, geo_map):
 def test_float_orbit_and_chain_sampler_agree(geo, geo_map):
     u = centered_top_indicator(geo)
     a = mc_correlation(geo_map, u, u, [1], 300_000, seed=9)[1]
-    b = mc_correlation(geo_map, u, u, [1], 300_000, seed=9, sampler="map")[1]
+    b = mc_correlation(geo_map, u, u, [1], 300_000, seed=9, sampler="float")[1]
     assert b.censored > 0
     assert abs(a.mean - b.mean) < 3.0 * math.hypot(a.stderr, b.stderr)
 
@@ -392,3 +437,9 @@ def test_transfer_matrix_size_limits(geo):
     assert small.dimension == 3
     with pytest.raises(PreconditionViolated):
         pf_check(geo, 1500)
+
+
+def test_star_import_exports_maps_and_spectral_names():
+    ns = {}
+    exec("from renewallab import *", ns)
+    assert {"build_map", "coded_states", "apply_map", "disk_scan"} <= set(ns)
