@@ -33,7 +33,7 @@ def main():
     for n in (10, 100, 1000, 10000):
         k = int(np.flatnonzero(curve.n_grid == n)[0])
         print(f"  n={n:6d}: distance {curve.values[k]:.3e}"
-              f"  (truncation bound {curve.bounds[k]:.1e})")
+              f"  (tail + rounding bound {curve.bounds[k]:.1e})")
     fit = rate_fit(curve, (1000, 10000))
     print(f"  log-log slope over [1e3, 1e4]: {fit.exponent:.3f}"
           f"  (tail degree 1.5)")

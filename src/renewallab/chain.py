@@ -27,6 +27,7 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc
 
 from .errors import (
+    ConfigError,
     DegreeTooSmall,
     NotNormalized,
     PeriodicSupport,
@@ -57,6 +58,10 @@ __all__ = [
 
 #: Mass tolerance for "the return law is a probability law".
 NORMALIZATION_TOL = 1e-10
+
+#: Largest stored prefix :func:`build_chain` accepts: about 80 MB per
+#: stored array, checked before anything is allocated.
+MAX_TRUNCATION = 10_000_000
 
 #: Length of the direct partial sums backing zeta-family constants.
 _ZETA_PARTIAL_TERMS = 100_000
@@ -442,6 +447,8 @@ def build_chain(law, truncation: int) -> RenewalChain:
 
     Raises
     ------
+    ConfigError
+        If ``truncation`` exceeds :data:`MAX_TRUNCATION`.
     NotNormalized
         If the law's mass differs from one beyond tolerance.
     PeriodicSupport
@@ -450,6 +457,8 @@ def build_chain(law, truncation: int) -> RenewalChain:
     n = int(truncation)
     if n < 2:
         raise TruncationTooSmall("truncation must be at least 2")
+    if n > MAX_TRUNCATION:
+        raise ConfigError(f"truncation {n} exceeds the cap of {MAX_TRUNCATION} states")
     p = law.prefix(n)
     d = law.survival(n)
     total = float(p[1:].sum() + law.tail_beyond(n))

@@ -38,6 +38,7 @@ from .config import (
     grid_from_config,
     load_config,
     measure_from_config,
+    numbers,
     observable_from_config,
     optional,
     require,
@@ -176,14 +177,12 @@ def _complex_points(cfg: dict, key: str):
         raise ConfigError(f"config key {key!r} must be a nonempty list")
     out = []
     for k, item in enumerate(raw):
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            out.append(complex(float(item[0]), float(item[1])))
-        else:
+        pair = item if isinstance(item, list) and len(item) == 2 else [item, 0.0]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
             raise ConfigError(
                 f"{key}[{k}] must be a real number or an [re, im] pair"
             )
+        out.append(complex(float(pair[0]), float(pair[1])))
     return out
 
 
@@ -561,7 +560,7 @@ def cmd_series_probe(ctx: Ctx) -> dict:
         )
     if probe == "convolution":
         gamma = float(require(ctx.cfg, "gamma", (int, float)))
-        n_list = [int(n) for n in require(ctx.cfg, "n_list", list)]
+        n_list = numbers(ctx.cfg, "n_list", int)
         values = {}
         regime = None
         for n in n_list:
@@ -580,10 +579,9 @@ def cmd_series_probe(ctx: Ctx) -> dict:
     den = np.zeros(prefix + 1)
     den[0] = 1.0
     den[1:] = -chain.p[1 : prefix + 1]
-    radii = ctx.cfg.get("radii")
     diag = zero_diagnostic(
         den,
-        radii=None if radii is None else [float(r) for r in radii],
+        radii=None if ctx.cfg.get("radii") is None else numbers(ctx.cfg, "radii"),
         points=optional(ctx.cfg, "points", int, 720),
     )
     ctx.say(f"min |1 - F(z)| sampled: {diag['min_abs']!r}")

@@ -41,6 +41,7 @@ __all__ = [
     "grid_from_config",
     "require",
     "optional",
+    "numbers",
 ]
 
 
@@ -96,6 +97,19 @@ def optional(cfg: dict, key: str, kind: type, default, path: str = ""):
     return kind(require(cfg, key, (float, int) if kind is float else kind, path))
 
 
+def numbers(cfg: dict, key: str, kind: type = float, path: str = "") -> list:
+    """Elements of a required list key, each a JSON number (an integer when
+    ``kind`` is ``int``) converted to ``kind``; booleans never pass."""
+    raw = require(cfg, key, list, path)
+    here = f"{path}.{key}" if path else key
+    allowed = int if kind is int else (int, float)
+    for k, v in enumerate(raw):
+        if isinstance(v, bool) or not isinstance(v, allowed):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"config key {f'{here}[{k}]'!r} must be {what}")
+    return [kind(v) for v in raw]
+
+
 def config_hash(cfg: dict) -> str:
     """Stable short hash of a descriptor, for output sidecars."""
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
@@ -134,10 +148,10 @@ def chain_from_config(cfg: dict, truncation_override=None):
             optional(law_cfg, "log_power", float, 0.0, "chain.law"),
         )
     elif kind == "finite":
-        law = FiniteLaw(require(law_cfg, "probs", list, "chain.law"))
+        law = FiniteLaw(numbers(law_cfg, "probs", float, "chain.law"))
     else:
         law = CustomLaw(
-            require(law_cfg, "probs", list, "chain.law"),
+            numbers(law_cfg, "probs", float, "chain.law"),
             tail_exponent=optional(law_cfg, "tail_exponent", float, float("inf"),
                                    "chain.law"),
             tail_log_power=optional(law_cfg, "tail_log_power", float, 0.0,
@@ -169,7 +183,7 @@ def measure_from_config(cfg: dict, chain, size: int, path: str = "nu"):
         return point_mass(require(cfg, "state", int, path), size=size)
     if kind == "stationary":
         return stationary(chain, size=optional(cfg, "size", int, size, path))
-    weights = [float(x) for x in require(cfg, "weights", list, path)]
+    weights = numbers(cfg, "weights", float, path)
     return from_weights(weights, tail_mass=optional(cfg, "tail_mass", float, 0.0, path))
 
 
@@ -191,11 +205,11 @@ def observable_from_config(cfg: dict, path: str = "u") -> Observable:
         raise UnknownConfigKey(f"unknown keys {sorted(extra)} at {path!r}")
     if kind == "indicator":
         return indicator(
-            require(cfg, "states", list, path), require(cfg, "size", int, path)
+            numbers(cfg, "states", int, path), require(cfg, "size", int, path)
         )
     if kind == "ones":
         return ones(require(cfg, "size", int, path))
-    values = [0.0] + [float(x) for x in require(cfg, "values", list, path)]
+    values = [0.0] + numbers(cfg, "values", float, path)
     return Observable(values, limit=optional(cfg, "limit", float, 0.0, path))
 
 
@@ -213,7 +227,7 @@ def grid_from_config(cfg: dict, path: str = "grid"):
     if "points" in cfg:
         if set(cfg) != {"points"}:
             raise ConfigError(f"{path!r} takes either points or lo/hi/count")
-        pts = [int(v) for v in cfg["points"]]
+        pts = numbers(cfg, "points", int, path)
         if any(b <= a for a, b in zip(pts, pts[1:])) or not pts:
             raise ConfigError(f"{path}.points must be strictly increasing")
         return pts

@@ -1,11 +1,21 @@
 """Distribution evolution and convergence-rate measurement.
 
 The transition matrix never exists here.  One evolution step is the exact
-two-term recurrence (nu P)_j = nu_1 p_j + nu_{j+1}; everything else in the
-module is bookkeeping around iterating it: mass that would land beyond the
-stored prefix is moved into a conservative ``tail_mass`` term that is
-carried through subsequent steps and reported as the uncertainty of every
-curve value.
+two-term recurrence (nu P)_j = nu_1 p_j + nu_{j+1}; :func:`step` applies it
+and stays as the reference for everything else.  The curves do not iterate
+it.  They use its renewal structure: the law at time n is the descent of
+nu plus the return law convolved with ``a_m``, the mass at state 1 at time
+m, and ``a = nu * e`` with ``e`` the renewal sequence.  Written against the
+stationary law, ``a_m - pi_1 (mass reached) = nu * (e - pi_1)``, whose
+deviation sequence comes from the cancellation-free quotient
+``E(z) / (m1 D(z))``.  Correlations are then one dot product per grid
+point, distances one convolution over the prefix (direct or blocked FFT).
+
+Mass that would land beyond the stored prefix is a conservative
+``tail_mass`` term, exactly as iterated steps would carry it, and is
+reported as the truncation uncertainty of every curve value.  Reported
+bounds add a rounding term for the sums behind each value; a value that
+its rounding term could account for raises instead of being returned.
 
 Rate curves pair a strictly increasing integer grid with values (and,
 where truncation matters, with reported bounds).  Fits are ordinary least
@@ -50,8 +60,9 @@ __all__ = [
 class RateCurve:
     """Values a_n on a strictly increasing integer grid.
 
-    ``bounds`` reports the truncation uncertainty of each value where the
-    producing operation tracks one, and is None for exact curves.
+    ``bounds`` reports the truncation uncertainty of each value, plus the
+    rounding term of its sums, where the producing operation tracks one,
+    and is None for exact curves.
     """
 
     n_grid: np.ndarray
@@ -106,7 +117,7 @@ def log_grid(lo: int, hi: int, count: int = 30) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the elementary step and its iteration
+# the elementary step
 # ----------------------------------------------------------------------
 
 def _require_positive_recurrent(chain):
@@ -171,20 +182,6 @@ def step(chain, nu: SignedDistribution) -> SignedDistribution:
     return SignedDistribution(out, tail_mass=tail, tail=nu.tail)
 
 
-def _evolved_snapshots(chain, nu: SignedDistribution, n_grid: np.ndarray):
-    """Iterate the step, yielding (n, weights, tail_mass) at each grid n."""
-    w = _padded_weights(chain, nu)
-    buf = np.empty_like(w)
-    tail = nu.tail_mass
-    current = 0
-    for n in n_grid:
-        while current < n:
-            tail = _step_inplace(chain, w, buf, tail)
-            w, buf = buf, w
-            current += 1
-        yield n, w, tail
-
-
 # ----------------------------------------------------------------------
 # renewal recursion
 # ----------------------------------------------------------------------
@@ -210,6 +207,311 @@ def renewal_sequence(chain, n_max: int) -> RateCurve:
     return RateCurve(np.arange(n_max + 1), e)
 
 
+def _deviation(chain, n_max: int) -> np.ndarray:
+    """``e_n - pi_1`` for n = 0..n_max without cancellation.
+
+    The generating function of the deviation is ``E(z) / (m1 D(z))`` with
+    ``D`` the survival series (``d_0 = 1``) and ``E_n = d_tail[n]``, so
+    ``dev_n = E_n / m1 - sum_{k=1..n} d_k dev_{n-k}``: every term is of the
+    size of the result.  Null-recurrent chains have ``pi_1 = 0`` and get
+    ``e_n`` itself.
+    """
+    if n_max > chain.truncation:
+        raise TruncationTooSmall(
+            f"recursion to {n_max} needs return probabilities past the stored prefix"
+        )
+    if not chain.positive_recurrent:
+        return renewal_sequence(chain, max(n_max, 1)).values[: n_max + 1]
+    d = chain.d
+    dev = chain.d_tail[: n_max + 1] / chain.m1
+    for n in range(1, n_max + 1):
+        dev[n] -= np.dot(d[1 : n + 1], dev[n - 1 :: -1])
+    return dev
+
+
+# ----------------------------------------------------------------------
+# the renewal engine: nu P^n without iterating the step
+# ----------------------------------------------------------------------
+
+#: Spacing of doubles at one; twice the unit roundoff.
+EPS = float(np.finfo(float).eps)
+
+#: A distance grid point ``n`` on an ``N``-state prefix is a direct
+#: convolution while ``n * N`` stays at or below this, an FFT beyond it.
+DIRECT_WORK = 1 << 24
+
+#: Block length of the FFT convolution: transforms have twice this length,
+#: whatever the prefix, which keeps their memory and their error small.
+FFT_BLOCK = 8192
+
+
+def _gamma(k: int) -> float:
+    """Rounding factor of a sum of ``k`` rounded products.
+
+    Higham's ``gamma_j = j eps / (1 - j eps)`` (*Accuracy and Stability of
+    Numerical Algorithms*, ch. 3-4) over the ``j = k - 1`` additions.  As
+    ``eps`` is twice the unit roundoff this covers the products too when
+    ``k >= 2``; a single product is rounded like the value itself and
+    adds nothing.
+    """
+    j = max(int(k) - 1, 0)
+    return j * EPS / (1.0 - j * EPS)
+
+
+def _fft_gamma(size: int) -> float:
+    """Entrywise error factor of a convolution through power-of-two FFTs
+    of ``size`` points: ``|error| <= factor * ||x||_2 ||y||_2`` (Percival,
+    *Math. Comp.* 72, 2003, with unit roundoff eps/2 and twiddle factors
+    good to eps)."""
+    k = size.bit_length() - 1
+    u = EPS / 2.0
+    return math.expm1(3 * k * math.log1p(u) + (3 * k + 1) * math.log1p(u * math.sqrt(5.0))
+                      + 3 * k * math.log1p(EPS))
+
+
+@dataclass(frozen=True)
+class _Renewal:
+    """``nu P^n`` on the stored prefix in renewal form, for ``n`` on a grid.
+
+    With ``a_m`` the mass at state 1 at time ``m`` and ``p~`` the return
+    law cut at the prefix,
+
+        (nu P^n)_j = nu_{j+n} + sum_{m<n} a_m p~_{j+n-1-m},
+        tail_n     = nu.tail_mass + d_N sum_{m<n} a_m,
+
+    which is what iterating :func:`step` computes, lost mass included.
+    ``a = nu * e`` splits as ``a_m = pi_1 S_m + b_m`` with
+    ``S_m = sum_{i<=m+1} nu_i`` and ``b = nu * (e - pi_1)``, so the curves
+    subtract no two nearly equal numbers (``pi_1 = 0`` and ``b = a`` on
+    null-recurrent chains).  A start at the stationary law itself moves
+    only by the defect at the prefix edge and is kept in that closed form.
+    """
+
+    nu: np.ndarray  # nu_0..nu_s, cut after the last nonzero weight
+    b: np.ndarray  # b_m, m < n_max
+    b_abs: np.ndarray  # b_m summed over absolute values, for rounding terms
+    s_less_1: np.ndarray  # sum_{i<=n} nu_i - 1 on the grid
+    tail: np.ndarray  # tail_n on the grid
+    excess: float  # total mass minus one, correctly rounded
+    pi1: float
+    stationary: bool
+
+
+def _renewal(chain, nu: SignedDistribution, g: np.ndarray, dev=None) -> _Renewal:
+    """The renewal form of ``nu`` for the grid ``g``; ``dev`` may pass in
+    ``_deviation(chain, g[-1] - 1)`` when several measures share it."""
+    if nu.size > chain.truncation:
+        raise TruncationTooSmall(
+            f"measure stores {nu.size} states, chain only {chain.truncation}"
+        )
+    n_max = int(g[-1])
+    nz = np.flatnonzero(nu.weights)
+    w = nu.weights[: (nz[-1] if nz.size else 0) + 1]
+    s = w.size - 1
+    pi1 = chain.pi1 if chain.positive_recurrent else 0.0
+    stationary = chain.positive_recurrent and np.array_equal(nu.weights, chain.pi)
+    head = w[1 : min(s, n_max) + 1]
+    if stationary or head.size == 0:
+        b = b_abs = np.zeros(n_max)
+        lead = g * (pi1 if stationary else 0.0)
+    else:
+        if dev is None:
+            dev = _deviation(chain, n_max - 1)
+        b = np.convolve(head, dev)[:n_max]
+        b_abs = b if np.all(head >= 0.0) and np.all(dev >= 0.0) else \
+            np.convolve(np.abs(head), np.abs(dev))[:n_max]
+        # sum_{m<n} a_m = sum_{m<n} b_m + pi_1 sum_{m<n} S_m
+        mass = np.cumsum(head)
+        h = np.minimum(g, head.size)
+        lead = np.concatenate(([0.0], np.cumsum(b)))[g] + pi1 * (
+            np.concatenate(([0.0], np.cumsum(mass)))[h] + (g - h) * mass[-1])
+    rest = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)  # sum_{i>n} nu_i, n <= s
+    excess = math.fsum(np.append(w[1:], (nu.tail_mass, -1.0)))
+    return _Renewal(
+        nu=w, b=b, b_abs=b_abs,
+        s_less_1=excess - (nu.tail_mass + rest[np.minimum(g, s)]),
+        tail=nu.tail_mass + chain.d[chain.truncation] * lead,
+        excess=excess, pi1=pi1, stationary=stationary,
+    )
+
+
+def _padded(x: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    k = min(x.size, size)
+    out[:k] = x[:k]
+    return out
+
+
+def _paired(chain, ev: _Renewal, ut: np.ndarray, g: np.ndarray):
+    """``sum_j ut_j ((nu P^n)_j - pi_j)`` on the grid, with rounding terms
+    and the number of terms each rounding term counts.
+
+    ``ut`` is an observable minus its limit, zero past its support ``K``
+    (``pi = 0`` on null-recurrent chains).  With ``q_k = sum_j ut_j p~_{j+k}``
+    and ``r_k = sum_j ut_j d~_{j+k}`` (one correlation each) a grid value is
+    the pairing ``sum_{m<n} b_m q_{n-1-m}`` plus terms in ``d``.
+    """
+    values = np.zeros(g.size)
+    rounding = np.zeros(g.size)
+    counts = np.ones(g.size, dtype=int)
+    nz = np.flatnonzero(ut)
+    if nz.size == 0:
+        return values, rounding, counts
+    K = int(nz[-1])
+    uk = ut[1 : K + 1]
+    N = chain.truncation
+    d_n = float(chain.d[N])
+    pi1 = ev.pi1
+    if ev.stationary:
+        # pi_1 d_N has left each of the top n states
+        top = np.concatenate(([0.0], np.cumsum(ut[:0:-1])))
+        values[:] = -pi1 * d_n * top[g]
+        return values, rounding, counts
+    n_max = int(g[-1])
+    s = ev.nu.size - 1
+    uk_abs = np.abs(uk)
+    signed = not np.all(uk >= 0.0)
+    pt = _padded(chain.p, K + n_max)[1:]
+    q = np.correlate(pt, uk, "valid")
+    q_abs = np.correlate(pt, uk_abs, "valid") if signed else q
+    if pi1:
+        # d~_l = sum_{l < i <= N} p_i, the survival of p~
+        dt = _padded(np.cumsum(chain.p[:0:-1])[::-1], K + n_max)[1:]
+        r = np.correlate(dt, uk, "valid")
+        r_abs = np.correlate(dt, uk_abs, "valid") if signed else r
+        ud = float(np.dot(uk, chain.d[:K]))
+        u_sum = float(uk.sum())
+    nu_abs = np.abs(ev.nu)
+    for k, n in enumerate(g):
+        shifted = _padded(ev.nu[n + 1 :], K)
+        value = np.dot(uk, shifted) + np.dot(ev.b[:n], q[:n][::-1])
+        size = np.dot(uk_abs, np.abs(shifted)) + np.dot(ev.b_abs[:n], q_abs[:n][::-1])
+        if pi1:
+            i = min(n, s)
+            terms = (
+                -pi1 * np.dot(ev.nu[1 : i + 1], r[n - i : n][::-1]),
+                pi1 * ev.s_less_1[k] * ud,
+                -pi1 * d_n * u_sum * (1.0 + ev.s_less_1[k]),
+            )
+            value += sum(terms)
+            size += pi1 * np.dot(nu_abs[1 : i + 1], r_abs[n - i : n][::-1]) \
+                + abs(terms[1]) + abs(terms[2])
+        values[k] = value
+        counts[k] = n + s + K + 4
+        rounding[k] = _gamma(counts[k]) * size
+    return values, rounding, counts
+
+
+def _block_spectra(x: np.ndarray):
+    """``rfft`` of each ``FFT_BLOCK`` slice of ``x`` at twice that length,
+    and the slices' 2-norms."""
+    blocks = [x[c : c + FFT_BLOCK] for c in range(0, x.size, FFT_BLOCK)]
+    spectra = np.empty((len(blocks), FFT_BLOCK + 1), dtype=complex)
+    for c, block in enumerate(blocks):
+        np.fft.rfft(block, 2 * FFT_BLOCK, out=spectra[c])
+    return spectra, np.array([np.linalg.norm(block) for block in blocks])
+
+
+def _convolution_window(x: np.ndarray, y_spectra, lo: int, size: int):
+    """Entries ``lo .. lo+size-1`` of the convolution ``x * y``, with ``y``
+    given by :func:`_block_spectra`, and a bound on their summed error.
+
+    Block pairs whose products land on the same output block share one
+    inverse transform.  Each output entry comes from at most two output
+    blocks, so the summed error is at most ``2 B`` entries times the FFT
+    bound of every block pair (``B = FFT_BLOCK``); blocks far down a
+    decaying sequence count with their own small norms.
+    """
+    b2 = 2 * FFT_BLOCK
+    x_spectra, x_norms = _block_spectra(x)
+    y_spectra, y_norms = y_spectra
+    out = np.zeros(size)
+    acc = np.empty(FFT_BLOCK + 1, dtype=complex)
+    last = x_spectra.shape[0] + y_spectra.shape[0] - 2
+    for t in range(max(lo // FFT_BLOCK - 1, 0), min((lo + size - 1) // FFT_BLOCK, last) + 1):
+        acc[:] = 0.0
+        for i in range(max(0, t - y_spectra.shape[0] + 1), min(t, x_spectra.shape[0] - 1) + 1):
+            acc += x_spectra[i] * y_spectra[t - i]
+        start = t * FFT_BLOCK
+        a, e = max(start, lo), min(start + b2, lo + size)
+        if a < e:
+            out[a - lo : e - lo] += np.fft.irfft(acc, b2)[a - start : e - start]
+    return out, b2 * _fft_gamma(b2) * float(x_norms.sum() * y_norms.sum())
+
+
+def _l1_gaps(chain, ev: _Renewal, g: np.ndarray):
+    """``sum_j |(nu P^n)_j - pi_j|`` over the prefix, with rounding terms
+    and the number of terms each direct rounding term counts.
+
+    Entry ``j`` is ``nu_{j+n} + x_j - pi_1 y_j + pi_1 d_{j-1} (S - 1)
+    - pi_1 d_N S`` with ``x_j = sum_{m<n} b_m p~_{j+n-1-m}``,
+    ``y_j = sum_{i<=n} nu_i d~_{j+n-i}`` and ``S = sum_{i<=n} nu_i``.  The
+    correlation ``x`` is direct while ``n N <= DIRECT_WORK`` and a blocked
+    FFT beyond (the block spectra of ``p~`` are taken once per call); its
+    rounding term is the dot bound summed over the prefix, or the FFT
+    bound of :func:`_convolution_window`.  The last few roundings of each
+    entry and of the sum are relative to the value and are not counted.
+    """
+    N = chain.truncation
+    pi1, d = ev.pi1, chain.d
+    d_n = float(d[N])
+    s = ev.nu.size - 1
+    pt = chain.p[1:]
+    spectra = None
+    gaps = np.zeros(g.size)
+    rounding = np.zeros(g.size)
+    counts = g + s - 1
+    for k, n in enumerate(g):
+        if n == 0:
+            z = np.zeros(N)
+        elif n * N <= DIRECT_WORK:
+            z = np.convolve(ev.b[:n], pt)[n - 1 : n - 1 + N]
+            # summed over j, |b_m| p~_{j+n-1-m} gives |b_m| d~_{n-1-m} <= |b_m| d_{n-1-m}
+            rounding[k] = _gamma(counts[k]) * np.dot(ev.b_abs[:n], d[:n][::-1])
+        else:
+            if spectra is None:
+                spectra = _block_spectra(pt)
+            z, rounding[k] = _convolution_window(ev.b[:n], spectra, n - 1, N)
+            rounding[k] += _gamma(s) * np.dot(ev.b_abs[:n], d[:n][::-1])
+        i = min(n, s)
+        if i:
+            # d~_l = d_l - d_N below the prefix edge, zero from it on
+            y = np.convolve(ev.nu[1 : i + 1], d[n - i + 1 : N] - d_n)[i - 1 : i - 1 + N]
+            y *= pi1
+            z[: y.size] -= y
+            # summed over j, each d~_{j+n-i'} is at most sum_{n-i < l < N} d_l
+            rounding[k] += pi1 * _gamma(i) * np.abs(ev.nu[1 : i + 1]).sum() \
+                * d[n - i + 1 : N].sum()
+        shifted = ev.nu[n + 1 : n + 1 + N]
+        z[: shifted.size] += shifted
+        if ev.s_less_1[k]:
+            z += (pi1 * ev.s_less_1[k]) * d[:N]
+        z -= pi1 * d_n * (1.0 + ev.s_less_1[k])
+        gaps[k] = np.abs(z, out=z).sum()
+    return gaps, rounding, counts
+
+
+def _resolved(g: np.ndarray, values: np.ndarray, bounds: np.ndarray,
+              rounding: np.ndarray, counts: np.ndarray, scale: float = 1.0) -> RateCurve:
+    """The curve, unless rounding alone could account for one of its values.
+
+    A value is refused when its rounding term exceeds it and also exceeds
+    ``gamma(count) * scale``, the rounding of a sum of ``count`` terms of
+    the size of a unit mass paired with an observable of sup norm
+    ``scale``.  Below that level the value is zero within its bound (a
+    chain that is stationary after finitely many steps), not cancellation.
+    """
+    floor = scale * np.array([_gamma(c) for c in counts])
+    lost = rounding > np.maximum(np.abs(values), floor)
+    if np.any(lost):
+        k = int(np.argmax(lost))
+        raise TruncationTooSmall(
+            f"at n = {int(g[k])} the rounding bound {rounding[k]:.3g} exceeds the "
+            f"value {values[k]:.3g}: no digit of it is reliable"
+        )
+    return RateCurve(g, values, bounds)
+
+
 # ----------------------------------------------------------------------
 # distance and correlation curves
 # ----------------------------------------------------------------------
@@ -224,22 +526,28 @@ def _as_grid(n_grid) -> np.ndarray:
 def distance_curve(chain, nu: SignedDistribution, n_grid) -> RateCurve:
     """Total-variation-style l1 distance ``||nu P^n - pi||_1`` on a grid.
 
-    The value sums the stored prefix exactly and adds the analytic
-    stationary mass beyond the prefix; the reported bound is the evolved
-    measure's unaccounted tail mass, a rigorous two-sided error on the
-    value.
+    The value sums the stored prefix and adds the analytic stationary mass
+    beyond it.  The reported bound is the evolved measure's unaccounted
+    tail mass, a rigorous two-sided truncation error, plus the rounding
+    term of the convolution behind each value.
+
+    Raises
+    ------
+    TruncationTooSmall
+        If the horizon needs a longer prefix, or if the rounding term
+        exceeds a value.
     """
     _require_positive_recurrent(chain)
     g = _as_grid(n_grid)
     _check_horizon(chain, nu, int(g[-1]))
+    ev = _renewal(chain, nu, g)
     n = chain.truncation
-    pi_tail = chain.stationary_mass_beyond(n)
-    values = np.empty(g.size)
-    bounds = np.empty(g.size)
-    for k, (m, w, tail) in enumerate(_evolved_snapshots(chain, nu, g)):
-        values[k] = np.abs(w[1:] - chain.pi[1:]).sum() + pi_tail
-        bounds[k] = abs(tail)
-    return RateCurve(g, values, bounds)
+    if ev.stationary:
+        gaps, rounding, counts = g * (ev.pi1 * chain.d[n]), np.zeros(g.size), g
+    else:
+        gaps, rounding, counts = _l1_gaps(chain, ev, g)
+    values = gaps + chain.stationary_mass_beyond(n)
+    return _resolved(g, values, np.abs(ev.tail) + rounding, rounding, counts)
 
 
 def _padded_observable(chain, u: Observable) -> np.ndarray:
@@ -255,27 +563,35 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
     """Pairing ``(nu P^n - pi) . u`` on a grid.
 
     Exact on the prefix; the constant continuation of ``u`` lets the two
-    tail masses pair exactly, so the reported bound is the tail mass times
-    the oscillation of ``u`` past the point lost mass can reach.
+    tail masses pair exactly, so the truncation bound is the tail mass
+    times the oscillation of ``u`` past the point lost mass can reach.  The
+    reported bound adds the rounding term ``gamma * sum |terms|`` of the
+    pairing.
+
+    Raises
+    ------
+    TruncationTooSmall
+        If the horizon needs a longer prefix, or if the rounding term
+        exceeds a value.
     """
     _require_positive_recurrent(chain)
     g = _as_grid(n_grid)
     _check_horizon(chain, nu, int(g[-1]))
     n = chain.truncation
     uvals = _padded_observable(chain, u)
-    pi_tail = chain.stationary_mass_beyond(n)
     # mass lost at step k can descend to state N - (n_max - k) at worst,
     # so only oscillation of u beyond that point contributes uncertainty
     reach = n - int(g[-1])
     osc = float(np.max(np.abs(uvals[max(reach, 1) :] - u.limit), initial=0.0))
-    values = np.empty(g.size)
-    bounds = np.empty(g.size)
-    for k, (m, w, tail) in enumerate(_evolved_snapshots(chain, nu, g)):
-        values[k] = float(np.dot(w[1:] - chain.pi[1:], uvals[1:])) + u.limit * (
-            tail - pi_tail
-        )
-        bounds[k] = abs(tail) * osc
-    return RateCurve(g, values, bounds)
+    ev = _renewal(chain, nu, g)
+    centered = uvals - u.limit
+    centered[0] = 0.0
+    values, rounding, counts = _paired(chain, ev, centered, g)
+    # the total masses of nu P^n and pi pair with the constant u_inf
+    values += u.limit * ev.excess
+    rounding += EPS * abs(u.limit * ev.excess)
+    return _resolved(g, values, np.abs(ev.tail) * osc + rounding, rounding, counts,
+                     float(np.max(np.abs(uvals))))
 
 
 # ----------------------------------------------------------------------
@@ -301,13 +617,8 @@ def deviation_tail_ratio(chain, n_grid) -> RateCurve:
     g = _as_grid(n_grid)
     if g[0] < 1:
         raise PreconditionViolated("ratio is defined for n >= 1")
-    e = renewal_sequence(chain, int(g[-1]))
-    ratios = (
-        chain.m1 ** 2
-        * (e.values[g] - chain.pi1)
-        / chain.d_tail[g]
-    )
-    return RateCurve(g, ratios)
+    dev = _deviation(chain, int(g[-1]))
+    return RateCurve(g, chain.m1 ** 2 * dev[g] / chain.d_tail[g])
 
 
 def rate_fit(curve: RateCurve, window) -> RateFit:
@@ -422,18 +733,16 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
             "u must vanish at infinity"
         )
     g = _as_grid(n_grid)
-    _check_horizon(chain, nu, int(g[-1]))
+    n_max = int(g[-1])
+    _check_horizon(chain, nu, n_max)
     uvals = _padded_observable(chain, u)
     u_dot_v = float(np.dot(uvals[1:], chain.d[:-1]))
     scale = nu.total_mass * u_dot_v
     if scale == 0.0:
         raise DivergentPairing("(nu . 1)(u . v) vanishes; ratio undefined")
-    numer = np.empty(g.size)
-    for k, (m, w, tail) in enumerate(_evolved_snapshots(chain, nu, g)):
-        numer[k] = np.dot(w[1:], uvals[1:])
-    denom = np.empty(g.size)
-    for k, (m, w, tail) in enumerate(_evolved_snapshots(chain, point_mass(1), g)):
-        denom[k] = np.dot(w[1:], uvals[1:])
+    e = _deviation(chain, n_max - 1) if n_max else None
+    numer = _paired(chain, _renewal(chain, nu, g, e), uvals, g)[0]
+    denom = _paired(chain, _renewal(chain, point_mass(1), g, e), uvals, g)[0]
     return RateCurve(g, numer / (scale * denom))
 
 

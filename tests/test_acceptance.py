@@ -25,6 +25,7 @@ from renewallab import (
     build_chain,
     build_map,
     correlation_constant,
+    correlation_curve,
     deviation_tail_ratio,
     distance_curve,
     eigen_from_gf,
@@ -236,3 +237,47 @@ def test_criterion_12_entrance_time_tail(zeta_one):
     slope = rep.fit.exponent
     ok = -1.2 <= slope <= -0.8 and sw.elapsed < 120.0
     report(12, ok, f"entrance survival slope {slope:.3f} ({sw.elapsed:.2f}s)")
+
+
+# ----------------------------------------------------------------------
+# the sharp claims at higher degrees, where e_n - pi_1 is far below pi_1
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[3.0, 4.0], ids=["d3", "d4"])
+def high_degree(request):
+    return request.param, build_chain(ZetaTailLaw(request.param), 20001)
+
+
+def test_criterion_13_lemma2_ratio_at_high_degree(high_degree):
+    d, chain = high_degree
+    with stopwatch() as sw:
+        curve = deviation_tail_ratio(chain, [1000, 3000, 10000])
+    worst = float(np.abs(curve.values - 1.0).max())
+    ok = worst <= 0.1 and sw.elapsed < 30.0
+    report(13, ok, f"d={d}: Lemma-2 ratios {np.round(curve.values, 5).tolist()} "
+                   f"({sw.elapsed:.2f}s)")
+
+
+def test_criterion_14_sharp_constant_at_high_degree(high_degree):
+    d, chain = high_degree
+    with stopwatch() as sw:
+        curve, predicted = correlation_constant(
+            chain, point_mass(1), indicator(1, 1), [1000, 3000, 10000]
+        )
+    gap = abs(float(curve.values[-1]) - predicted) / predicted
+    ok = gap <= 0.1 and sw.elapsed < 30.0
+    report(14, ok, f"d={d}: C_n {curve.values[-1]:.6g} vs predicted "
+                   f"{predicted:.6g} (gap {100 * gap:.2f}%, {sw.elapsed:.2f}s)")
+
+
+def test_criterion_15_correlation_is_the_deviation(high_degree):
+    d, chain = high_degree
+    grid = [10, 100, 1000, 3000, 10000]
+    corr = correlation_curve(chain, point_mass(1), indicator(1, 1), grid)
+    ratio = deviation_tail_ratio(chain, grid)
+    dev = ratio.values * chain.d_tail[grid] / chain.m1 ** 2
+    worst = float(np.max(np.abs(corr.values - dev) / np.abs(dev)))
+    covered = bool(np.all(corr.bounds < 1e-10 * np.abs(corr.values)))
+    ok = worst <= 1e-12 and covered
+    report(15, ok, f"d={d}: correlation vs e_n - pi_1 relative gap {worst:.1e}, "
+                   f"bound/value {float(np.max(corr.bounds / corr.values)):.1e}")

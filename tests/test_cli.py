@@ -58,8 +58,27 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
     ("chain info", {"chain": {**GEO["chain"], "truncation": True}}),
     ("spectral factorize", {**GEO, "z_points": [0.5], "dimension": "big"}),
     ("map kac", {**GEO, "orbit_length": 1000, "burn_in": [1]}),
+    ("series probe", {"probe": "convolution", "gamma": 2.0, "n_list": ["a"]}),
+    ("series probe", {"probe": "convolution", "gamma": 2.0, "n_list": [True]}),
+    ("rates distance", {**GEO, "nu": {"kind": "point", "state": 1},
+                        "grid": {"points": ["a"]}}),
+    ("series probe", {**GEO, "probe": "zeros", "radii": ["a"]}),
+    ("chain info", {"chain": {"law": {"type": "finite", "probs": ["a", 0.5]},
+                              "truncation": 20}}),
+    ("chain info", {"chain": {"law": {"type": "finite", "probs": [True, False]},
+                              "truncation": 20}}),
+    ("spectral gf", {**GEO, "z_points": [["a", 0.1]]}),
+    ("spectral gf", {**GEO, "z_points": [[True, 0.1]]}),
+    ("spectral gf", {**GEO, "z_points": [True]}),
+    ("rates correlation", {**GEO, "nu": {"kind": "weights", "weights": ["a"]},
+                           "u": {"kind": "indicator", "states": ["a"], "size": 3},
+                           "grid": {"points": [1]}}),
+    ("chain info", {"chain": {**GEO["chain"], "truncation": 10 ** 12}}),
 ], ids=["negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
-        "list-burn-in"])
+        "list-burn-in", "string-n-list", "bool-n-list", "string-grid-point",
+        "string-radius", "string-probability", "bool-probabilities",
+        "string-pair", "bool-pair", "bool-point", "string-weights",
+        "huge-truncation"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, payload):
     code, _ = run(tmp_path, command.split(), payload)
     assert code == 2

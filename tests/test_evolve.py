@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renewallab as rl
 from renewallab import (
@@ -341,6 +343,119 @@ def test_null_ratio_delta_two_shift():
     expected = e[np.array(grid) - 1] / e[np.array(grid)]
     assert np.allclose(r.values, expected, rtol=1e-12)
     assert abs(r.values[-1] - 1.0) < 0.05
+
+
+# ----------------------------------------------------------------------
+# the renewal engine against iterated steps
+# ----------------------------------------------------------------------
+
+ORACLE_LAWS = [ZetaTailLaw(1.0), ZetaTailLaw(3.0), FiniteLaw((0.3, 0.3, 0.4)),
+               GeometricLaw(0.6)]
+
+
+def iterated(chain, nu, grid):
+    """The oracle: ``step`` applied n times, one measure per grid point."""
+    out, n = [], 0
+    for m in grid:
+        while n < m:
+            nu = step(chain, nu)
+            n += 1
+        out.append(nu)
+    return out
+
+
+def oracle_curves(chain, states, u, grid):
+    """Distance and correlation values, tail masses and the oscillation of
+    ``u`` that bounds them, as the stepwise route defines them, read off
+    the iterated measures."""
+    n = chain.truncation
+    pi_tail = chain.stationary_mass_beyond(n)
+    uvals = np.full(n + 1, u.limit)
+    uvals[: min(u.size, n) + 1] = u.values[: min(u.size, n) + 1]
+    uvals[0] = 0.0
+    reach = max(n - int(grid[-1]), 1)
+    osc = float(np.max(np.abs(uvals[reach:] - u.limit), initial=0.0))
+    gaps = [np.pad(s.weights, (0, n + 1 - s.weights.size))[1:] - chain.pi[1:]
+            for s in states]
+    dist = [np.abs(gap).sum() + pi_tail for gap in gaps]
+    corr = [np.dot(gap, uvals[1:]) + u.limit * (s.tail_mass - pi_tail)
+            for gap, s in zip(gaps, states)]
+    tails = np.abs([s.tail_mass for s in states])
+    return np.array(dist), np.array(corr), tails, osc
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=st.sampled_from(ORACLE_LAWS), n=st.integers(40, 300), data=st.data())
+def test_engine_matches_iterated_step(law, n, data):
+    from renewallab.evolve import _renewal
+
+    chain = build_chain(law, n)
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    sign = st.sampled_from([-1.0, 1.0])
+    w = np.array(data.draw(st.lists(unit, min_size=1, max_size=8)))
+    tail_mass = data.draw(st.floats(0.05, 0.5)) * data.draw(sign)
+    w[0] += (1.0 - tail_mass) - w.sum()
+    nu = from_weights(w, tail_mass=tail_mass, probability=False)
+    vals = data.draw(st.lists(unit, min_size=1, max_size=n))
+    u = Observable([0.0] + vals, limit=data.draw(st.floats(0.25, 2.0)) * data.draw(sign))
+    top = data.draw(st.integers(1, n // 2))
+    grid = sorted(set(data.draw(st.lists(st.integers(0, top), max_size=5))) | {top})
+
+    dist, corr, oracle_tails, osc = oracle_curves(
+        chain, iterated(chain, nu, grid), u, grid)
+    # bounds are built from the tail mass, which matches the stepwise one,
+    # plus a rounding term
+    tails = np.abs(_renewal(chain, nu, np.array(grid)).tail)
+    assert np.allclose(tails, oracle_tails, rtol=1e-12, atol=0.0)
+    engine_dist = distance_curve(chain, nu, grid)
+    assert np.max(np.abs(engine_dist.values - dist)) <= 1e-12
+    extra = engine_dist.bounds - tails
+    assert np.all(extra >= 0.0) and np.all(extra <= 1e-10)
+    try:
+        engine_corr = correlation_curve(chain, nu, u, grid)
+    except TruncationTooSmall:
+        # refused only where rounding could account for the whole value
+        assert np.min(np.abs(corr)) <= 1e-10
+        return
+    assert np.max(np.abs(engine_corr.values - corr)) <= 1e-12
+    extra = engine_corr.bounds - tails * osc
+    assert np.all(extra >= 0.0) and np.all(extra <= 1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(degree=st.floats(-0.9, 0.0), n=st.integers(20, 300), data=st.data())
+def test_null_ratio_delta_one_is_exactly_one_everywhere(degree, n, data):
+    chain = build_chain(ZetaTailLaw(degree), n)
+    grid = sorted(set(data.draw(st.lists(st.integers(1, (n - 1) // 2), min_size=1,
+                                         max_size=8))))
+    r = null_recurrent_ratio(chain, point_mass(1), indicator(1, 1), grid)
+    assert np.all(r.values == 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(law=st.sampled_from(ORACLE_LAWS), n=st.integers(40, 300), data=st.data())
+def test_nonuniformity_probe_matches_iterated_step(law, n, data):
+    chain = build_chain(law, n)
+    steps = data.draw(st.integers(0, n // 3))  # evolved starts need N >= 2 n + i
+    states = sorted(set(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))))
+    probe = nonuniformity_probe(chain, states, steps)
+    for i in states:
+        if i > steps or steps == 0:
+            continue  # pure descent, in closed form on both routes
+        (last,) = iterated(chain, point_mass(i), [steps])
+        expected = np.abs(last.weights[1:] - chain.pi[1:]).sum() \
+            + chain.stationary_mass_beyond(n)
+        # the stepwise oracle subtracts O(1) numbers: agreement is absolute
+        assert probe[i] == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+def test_distance_refuses_values_below_its_fft_rounding():
+    # from delta_1 a geometric chain is stationary after one step, so the
+    # distance is zero; the FFT route cannot resolve that and says so
+    ch = build_chain(GeometricLaw(0.5), 40000)
+    assert distance_curve(ch, point_mass(1), [10]).values[0] < 1e-300
+    with pytest.raises(TruncationTooSmall, match="rounding"):
+        distance_curve(ch, point_mass(1), [10, 1000])
 
 
 # ----------------------------------------------------------------------
