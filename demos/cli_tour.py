@@ -23,7 +23,11 @@ def cli(*args):
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="renewallab-tour-"))
+    with tempfile.TemporaryDirectory(prefix="renewallab-tour-") as tmp:
+        tour(Path(tmp))
+
+
+def tour(root):
     print(f"working under {root}")
     print()
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc
+from scipy.special import gammaincc, zeta
 
 from .errors import (
     ConfigError,
@@ -36,7 +36,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .measures import SignedDistribution, TailDecl
-from .series import TruncatedSeries, divide
+from .series import TruncatedSeries, _quotient
 
 __all__ = [
     "GeometricLaw",
@@ -63,24 +63,24 @@ NORMALIZATION_TOL = 1e-10
 #: stored array, checked before anything is allocated.
 MAX_TRUNCATION = 10_000_000
 
-#: Length of the direct partial sums backing zeta-family constants.
+#: Length of the direct partial sums backing log-corrected zeta constants.
 _ZETA_PARTIAL_TERMS = 100_000
 
 
 # ----------------------------------------------------------------------
-# zeta-family constants: direct partial sums plus Euler-Maclaurin tails
+# zeta-family constants: Hurwitz zeta, or (with a log power) direct
+# partial sums plus Euler-Maclaurin tails
 # ----------------------------------------------------------------------
 
 def _tail_integral(s: float, beta: float, a: float) -> float:
-    """``int_a^inf x^-s log(x+1)^beta dx`` to near machine precision.
+    """``int_a^inf x^-s log(x+1)^beta dx`` for ``beta > 0``, to near machine
+    precision.
 
     The ``log(x)`` part is an upper incomplete gamma after ``t = log x``;
     the ``log(x+1) - log(x)`` remainder is a smooth finite-interval
     integral after ``u = a/x``, written through expm1/log1p so no
     cancellation occurs for large ``x``.
     """
-    if beta == 0.0:
-        return a ** (1.0 - s) / (s - 1.0)
     from scipy.integrate import quad  # slow to import; only log-power tails need it
 
     y = (s - 1.0) * math.log(a)
@@ -96,7 +96,8 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
 
 
 def _weight_tail(s: float, beta: float, m: int) -> float:
-    """``sum_{n > m} n^-s log(n+1)^beta`` via integral plus endpoint terms.
+    """``sum_{n > m} n^-s log(n+1)^beta`` for ``beta > 0`` via integral plus
+    endpoint terms.
 
     Euler-Maclaurin with corrections through the third-derivative term; the
     neglected term is O(g^(5)(m)), negligible once the expansion point is
@@ -106,9 +107,7 @@ def _weight_tail(s: float, beta: float, m: int) -> float:
         return math.inf
     if m < 64:
         n = np.arange(m + 1, 65, dtype=float)
-        block = n ** -s
-        if beta != 0.0:
-            block *= np.log(n + 1.0) ** beta
+        block = n ** -s * np.log(n + 1.0) ** beta
         return float(block.sum()) + _weight_tail(s, beta, 64)
     a = float(m + 1)
 
@@ -119,26 +118,24 @@ def _weight_tail(s: float, beta: float, m: int) -> float:
         lg = math.log(x + 1.0)
         return x ** (-s - 1.0) * lg ** beta * (-s + beta * x / ((x + 1.0) * lg))
 
-    if beta == 0.0:
-        g3 = -s * (s + 1.0) * (s + 2.0) * a ** (-s - 3.0)
-    else:
-        # third derivative from a centered stencil; the /720 weight makes
-        # its modest relative accuracy irrelevant
-        h = a / 50.0
-        g3 = (-g(a - 2 * h) + 2 * g(a - h) - 2 * g(a + h) + g(a + 2 * h)) / (2 * h ** 3)
+    # third derivative from a centered stencil; the /720 weight makes its
+    # modest relative accuracy irrelevant
+    h = a / 50.0
+    g3 = (-g(a - 2 * h) + 2 * g(a - h) - 2 * g(a + h) + g(a + 2 * h)) / (2 * h ** 3)
     return _tail_integral(s, beta, a) + 0.5 * g(a) - gprime(a) / 12.0 + g3 / 720.0
 
 
 @lru_cache(maxsize=None)
 def _weight_sum(s: float, beta: float) -> float:
-    """``sum_{n >= 1} n^-s log(n+1)^beta`` by direct summation of the first
-    block of terms plus the analytic tail.  Cached per (s, beta)."""
+    """``sum_{n >= 1} n^-s log(n+1)^beta``: the Riemann zeta function without
+    a log power, otherwise direct summation of the first block of terms plus
+    the analytic tail.  Cached per (s, beta)."""
     if s <= 1.0:
         return math.inf
+    if beta == 0.0:
+        return float(zeta(s))
     n = np.arange(1, _ZETA_PARTIAL_TERMS + 1, dtype=float)
-    w = n ** -s
-    if beta != 0.0:
-        w *= np.log(n + 1.0) ** beta
+    w = n ** -s * np.log(n + 1.0) ** beta
     return float(np.sum(w)) + _weight_tail(s, beta, _ZETA_PARTIAL_TERMS)
 
 
@@ -168,11 +165,6 @@ class GeometricLaw:
         p[1:] = (1.0 - self.q) * self.q ** np.arange(0.0, n)
         return p
 
-    def survival(self, n: int) -> np.ndarray:
-        # telescoping from the analytic tail rather than the closed form
-        # q^k keeps d[k] == d[k+1] + p[k+1] exact in floats for every q
-        return _survival_by_telescoping(self.prefix(n), self.tail_beyond(n))
-
     def tail_beyond(self, n: int) -> float:
         return self.q ** n
 
@@ -197,9 +189,11 @@ class ZetaTailLaw:
     """``p_n`` proportional to ``n^-(degree+2) log(n+1)^log_power``.
 
     ``degree`` is the polynomial ergodic degree of the resulting chain;
-    values in (-1, 0] give a normalizable but null-recurrent law.  The
-    normalization constant and mean come from direct partial sums of 1e5
-    terms plus analytic tail integrals, cached per parameter pair.
+    values in (-1, 0] give a normalizable but null-recurrent law.  Without
+    a log power the normalization, mean and tails are Riemann and Hurwitz
+    zeta values (``scipy.special.zeta``).  With one they come from direct
+    partial sums of 1e5 terms plus analytic tail integrals, cached per
+    parameter pair.
     """
 
     degree_: float = field(metadata={"doc": "polynomial degree d"})
@@ -230,17 +224,20 @@ class ZetaTailLaw:
         p[1:] = w / self.normalization
         return p
 
-    def survival(self, n: int) -> np.ndarray:
-        return _survival_by_telescoping(self.prefix(n), self.tail_beyond(n))
+    def _tail_sum(self, s: float, n: int) -> float:
+        """``sum_{k > n} k^-s log(k+1)^log_power``."""
+        if self.log_power == 0.0:
+            return float(zeta(s, n + 1.0))
+        return _weight_tail(s, self.log_power, n)
 
     def tail_beyond(self, n: int) -> float:
-        return _weight_tail(self.s, self.log_power, n) / self.normalization
+        return self._tail_sum(self.s, n) / self.normalization
 
     def second_tail_beyond(self, n: int) -> float:
         if self.degree_ <= 0.0:
             return math.inf
-        first = _weight_tail(self.s - 1.0, self.log_power, n + 1)
-        zeroth = _weight_tail(self.s, self.log_power, n + 1)
+        first = self._tail_sum(self.s - 1.0, n + 1)
+        zeroth = self._tail_sum(self.s, n + 1)
         return (first - (n + 1) * zeroth) / self.normalization
 
     def mean_return(self) -> float:
@@ -263,40 +260,47 @@ class ZetaTailLaw:
         return {"type": "zeta", "degree": self.degree_, "log_power": self.log_power}
 
 
-def _validate_prob_prefix(probs) -> np.ndarray:
-    arr = np.asarray(probs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise NotNormalized("probability prefix must be a nonempty vector")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise NotNormalized("probabilities must be finite and nonnegative")
-    support = np.nonzero(arr)[0] + 1
-    if support.size == 0:
-        raise ZeroProbabilityBranch("law has empty support")
-    if np.gcd.reduce(support) != 1:
-        raise PeriodicSupport(f"support gcd is {np.gcd.reduce(support)}, chain would be periodic")
-    return arr
-
-
 @dataclass(frozen=True)
 class FiniteLaw:
-    """Explicit finitely supported return law ``p_1 .. p_K``."""
+    """Explicit return-law prefix ``p_1 .. p_K``, optionally with a declared
+    asymptotic tail family.
+
+    The stored prefix must itself be normalized (any mass beyond it would be
+    numerically invisible).  Without ``tail_exponent`` the law is finitely
+    supported; a declared exponent ``t`` records how the law would continue,
+    ``p_n ~ n^-t log(n)^tail_log_power`` (ergodic degree ``t - 2``), and
+    drives every finiteness flag.  :class:`CustomLaw` is the same class.
+    """
 
     probs: tuple
+    tail_exponent: float = math.inf
+    tail_log_power: float = 0.0
 
-    def __init__(self, probs):
-        arr = _validate_prob_prefix(probs)
+    def __init__(self, probs, tail_exponent=math.inf, tail_log_power=0.0):
+        arr = np.asarray(probs, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise NotNormalized("probability prefix must be a nonempty vector")
+        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+            raise NotNormalized("probabilities must be finite and nonnegative")
+        support = np.nonzero(arr)[0] + 1
+        if support.size == 0:
+            raise ZeroProbabilityBranch("law has empty support")
+        if np.gcd.reduce(support) != 1:
+            raise PeriodicSupport(
+                f"support gcd is {np.gcd.reduce(support)}, chain would be periodic")
         if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(f"probabilities sum to {arr.sum()!r}, not 1")
+        if not tail_exponent > 1.0:
+            raise NotNormalized(f"declared tail exponent must exceed 1, got {tail_exponent!r}")
         object.__setattr__(self, "probs", tuple(float(x) for x in arr))
+        object.__setattr__(self, "tail_exponent", float(tail_exponent))
+        object.__setattr__(self, "tail_log_power", float(tail_log_power))
 
     def prefix(self, n: int) -> np.ndarray:
         p = np.zeros(n + 1)
         k = min(n, len(self.probs))
         p[1 : k + 1] = self.probs[:k]
         return p
-
-    def survival(self, n: int) -> np.ndarray:
-        return _survival_by_telescoping(self.prefix(n), self.tail_beyond(n))
 
     def tail_beyond(self, n: int) -> float:
         return float(sum(self.probs[n:])) if n < len(self.probs) else 0.0
@@ -310,46 +314,6 @@ class FiniteLaw:
         return float(sum(k * pk for k, pk in enumerate(self.probs, start=1)))
 
     def degree(self) -> float:
-        return math.inf
-
-    def tail_family(self) -> TailDecl:
-        return TailDecl("finite")
-
-    def describe(self) -> dict:
-        return {"type": "finite", "probs": list(self.probs)}
-
-
-@dataclass(frozen=True)
-class CustomLaw:
-    """Explicit prefix with a declared asymptotic tail family.
-
-    The stored prefix must itself be normalized (any mass beyond it would be
-    numerically invisible); the declared ``tail_exponent`` records how the
-    law would continue and drives every finiteness flag.  A declared
-    exponent ``t`` means ``p_n ~ n^-t``, i.e. ergodic degree ``t - 2``.
-    """
-
-    probs: tuple
-    tail_exponent: float = math.inf
-    tail_log_power: float = 0.0
-
-    def __init__(self, probs, tail_exponent=math.inf, tail_log_power=0.0):
-        arr = _validate_prob_prefix(probs)
-        if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(f"probabilities sum to {arr.sum()!r}, not 1")
-        if not tail_exponent > 1.0:
-            raise NotNormalized(f"declared tail exponent must exceed 1, got {tail_exponent!r}")
-        object.__setattr__(self, "probs", tuple(float(x) for x in arr))
-        object.__setattr__(self, "tail_exponent", float(tail_exponent))
-        object.__setattr__(self, "tail_log_power", float(tail_log_power))
-
-    prefix = FiniteLaw.prefix
-    survival = FiniteLaw.survival
-    tail_beyond = FiniteLaw.tail_beyond
-    second_tail_beyond = FiniteLaw.second_tail_beyond
-    mean_return = FiniteLaw.mean_return
-
-    def degree(self) -> float:
         return self.tail_exponent - 2.0
 
     def tail_family(self) -> TailDecl:
@@ -358,12 +322,15 @@ class CustomLaw:
         return TailDecl("power", exponent=self.tail_exponent, log_power=self.tail_log_power)
 
     def describe(self) -> dict:
-        return {
-            "type": "custom",
-            "probs": list(self.probs),
-            "tail_exponent": self.tail_exponent,
-            "tail_log_power": self.tail_log_power,
-        }
+        out = {"type": "finite", "probs": list(self.probs)}
+        if math.isinf(self.tail_exponent):
+            return out
+        return {**out, "type": "custom", "tail_exponent": self.tail_exponent,
+                "tail_log_power": self.tail_log_power}
+
+
+#: The explicit-prefix law under the name the ``"custom"`` config type uses.
+CustomLaw = FiniteLaw
 
 
 # ----------------------------------------------------------------------
@@ -460,13 +427,11 @@ def build_chain(law, truncation: int) -> RenewalChain:
     if n > MAX_TRUNCATION:
         raise ConfigError(f"truncation {n} exceeds the cap of {MAX_TRUNCATION} states")
     p = law.prefix(n)
-    d = law.survival(n)
-    total = float(p[1:].sum() + law.tail_beyond(n))
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(f"prefix plus tail sums to {total!r}, not 1")
+    # telescoping from the analytic tail rather than a closed form (q^k for
+    # a geometric law) keeps d[k] == d[k+1] + p[k+1] exact in floats
+    d = _survival_by_telescoping(p, law.tail_beyond(n)).copy()
     if abs(d[0] - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(f"survival prefix starts at {d[0]!r}, not 1")
-    d = d.copy()
+        raise NotNormalized(f"prefix plus tail sums to {d[0]!r}, not 1")
     d[0] = 1.0
 
     m1 = law.mean_return()
@@ -556,10 +521,8 @@ def first_passage(chain, i: int, j: int, trunc: int | None = None,
     num[i:] = chain.p[j : j + (n - i) + 1]
     den = np.zeros(n + 1)
     den[0] = 1.0
-    upper = min(j - 1, n)
-    if upper >= 1:
-        den[1 : upper + 1] = -chain.p[1 : upper + 1]
-    f = divide(num, den)
+    den[1 : min(j, n + 1)] = -chain.p[1 : min(j, n + 1)]
+    f = TruncatedSeries(_quotient(num, den))
     mass = float(f.coeffs.sum())
     if mass < 1.0 - mass_tol:
         raise TruncationTooSmall(

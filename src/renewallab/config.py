@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .chain import CustomLaw, FiniteLaw, GeometricLaw, ZetaTailLaw, build_chain
+from .chain import FiniteLaw, GeometricLaw, ZetaTailLaw, build_chain
 from .errors import ConfigError, UnknownConfigKey
 from .measures import from_weights, indicator, ones, point_mass, stationary
 from .measures import Observable
@@ -147,10 +147,8 @@ def chain_from_config(cfg: dict, truncation_override=None):
             require(law_cfg, "degree", (int, float), "chain.law"),
             optional(law_cfg, "log_power", float, 0.0, "chain.law"),
         )
-    elif kind == "finite":
-        law = FiniteLaw(numbers(law_cfg, "probs", float, "chain.law"))
     else:
-        law = CustomLaw(
+        law = FiniteLaw(
             numbers(law_cfg, "probs", float, "chain.law"),
             tail_exponent=optional(law_cfg, "tail_exponent", float, float("inf"),
                                    "chain.law"),

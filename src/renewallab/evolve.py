@@ -39,6 +39,7 @@ from .errors import (
     ZeroValueInWindow,
 )
 from .measures import Observable, SignedDistribution, point_mass
+from .series import _quotient
 
 __all__ = [
     "RateCurve",
@@ -189,8 +190,9 @@ def step(chain, nu: SignedDistribution) -> SignedDistribution:
 def renewal_sequence(chain, n_max: int) -> RateCurve:
     """The return-probability sequence e_n starting from e_0 = 1.
 
-    Exact quadratic-time recursion e_n = sum_{k<=n} p_k e_{n-k}.  For
-    positive-recurrent chains e_n approaches 1/m1.
+    Exact quadratic-time quotient ``1 / (1 - P(z))``, that is the recursion
+    e_n = sum_{k<=n} p_k e_{n-k}.  For positive-recurrent chains e_n
+    approaches 1/m1.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -199,12 +201,10 @@ def renewal_sequence(chain, n_max: int) -> RateCurve:
         raise TruncationTooSmall(
             f"recursion to {n_max} needs return probabilities past the stored prefix"
         )
-    e = np.empty(n_max + 1)
-    e[0] = 1.0
-    p = chain.p
-    for n in range(1, n_max + 1):
-        e[n] = np.dot(p[1 : n + 1], e[n - 1 :: -1])
-    return RateCurve(np.arange(n_max + 1), e)
+    unit = np.zeros(n_max + 1)
+    unit[0] = 1.0
+    one_less_p = np.r_[1.0, -chain.p[1 : n_max + 1]]
+    return RateCurve(np.arange(n_max + 1), _quotient(unit, one_less_p))
 
 
 def _deviation(chain, n_max: int) -> np.ndarray:
@@ -222,11 +222,7 @@ def _deviation(chain, n_max: int) -> np.ndarray:
         )
     if not chain.positive_recurrent:
         return renewal_sequence(chain, max(n_max, 1)).values[: n_max + 1]
-    d = chain.d
-    dev = chain.d_tail[: n_max + 1] / chain.m1
-    for n in range(1, n_max + 1):
-        dev[n] -= np.dot(d[1 : n + 1], dev[n - 1 :: -1])
-    return dev
+    return _quotient(chain.d_tail[: n_max + 1] / chain.m1, chain.d[: n_max + 1])
 
 
 # ----------------------------------------------------------------------

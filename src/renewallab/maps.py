@@ -76,6 +76,11 @@ BATCHES = 100
 #: Default coded-orbit sampler; :func:`coded_states` lists them all.
 SAMPLER = "chain"
 
+#: Most orbit steps (burn-in included, summed over streams) or entrance
+#: samples one call accepts: 10^8 int64 states take 800 MB.  Checked before
+#: anything is allocated.
+MAX_ORBIT = 100_000_000
+
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     if not 0 <= int(seed) < 2 ** 64:
@@ -83,16 +88,25 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) | (int(stream) << 64)))
 
 
+def _check_orbit(length: int, burn_in: int = 0, streams: int = 1) -> None:
+    """Refuse an empty orbit (or sample), a negative burn-in, no streams, or
+    more than :data:`MAX_ORBIT` steps in all."""
+    if min(length, streams) < 1 or burn_in < 0:
+        raise ConfigError(f"orbit sizes must be positive and burn_in nonnegative, got length "
+                          f"{length}, burn_in {burn_in}, streams {streams}")
+    if streams * (burn_in + length) > MAX_ORBIT:
+        raise ConfigError(
+            f"{streams} x ({burn_in} + {length}) orbit steps exceed the cap of {MAX_ORBIT}")
+
+
 def _support_length(chain) -> int:
     """Length of the initial segment where the return law is positive."""
-    k = 0
-    while k + 1 <= chain.truncation and chain.p[k + 1] > 0.0:
-        k += 1
-    if np.any(chain.p[k + 1 :] > 0.0):
+    positive = np.flatnonzero(chain.p[1:] > 0.0)
+    if positive.size and positive[-1] != positive.size - 1:
         raise ZeroProbabilityBranch(
             "return law has a zero inside its support; the branch map is not defined"
         )
-    return k
+    return int(positive.size)
 
 
 @dataclass(frozen=True)
@@ -290,8 +304,10 @@ def coded_states(source, sampler: str, length: int, seed: int,
 
     ``source`` is a chain or its :class:`IntermittentMap`; the map is built
     from a chain only when the float sampler needs it.  Returns
-    ``(states, censored)``.
+    ``(states, censored)``.  Sizes are checked before anything is drawn:
+    ``length >= 1``, ``burn_in >= 0`` and at most :data:`MAX_ORBIT` steps.
     """
+    _check_orbit(int(length), int(burn_in))
     if sampler == "chain":
         chain = source.chain if isinstance(source, IntermittentMap) else source
         return sample_states(chain, length, seed, burn_in, stream)
@@ -357,6 +373,7 @@ def mc_correlation(m: IntermittentMap, u, v, n_list, orbit_length: int,
     merge by inverse-variance-free weighted average (weights = sample
     counts).  Returns ``{n: McEstimate}``.
     """
+    _check_orbit(int(orbit_length), int(burn_in), int(streams))
     n_list = [int(n) for n in n_list]
     if not n_list or min(n_list) < 0:
         raise PreconditionViolated("need nonnegative lags")
@@ -544,6 +561,9 @@ def entrance_tail(m: IntermittentMap, a: float, n_max: int, samples: int,
     is attached when the window's values are positive.
     """
     chain = m.chain
+    _check_orbit(int(samples))
+    if int(n_max) < 1:
+        raise ConfigError(f"n_max must be positive, got {n_max}")
     if not 0.0 < a <= chain.d[1]:
         raise PreconditionViolated(
             "threshold must lie in (0, d_1]: entrances inside the top cell "

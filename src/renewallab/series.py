@@ -3,9 +3,12 @@
 A :class:`TruncatedSeries` stores the finite prefix ``c_0 .. c_N`` of a formal
 power series together with its truncation order ``N``.  All binary operations
 truncate to the shortest operand; nothing is ever zero-extended silently.
-Convolutions accumulate with compensated (Kahan) summation; the reciprocal
-uses the direct O(N^2) recursion.  No FFT and no symbolic algebra are used
-anywhere, so every coefficient is reproducible to the last rounding.
+Convolutions accumulate with compensated (Kahan) summation.  Every series
+quotient in the package -- :func:`reciprocal`, the renewal sequence, the
+renewal deviation and the first-passage laws -- runs the one direct
+recursion of :func:`_quotient`; :func:`divide` is that reciprocal followed
+by a convolution.  No FFT and no symbolic algebra are used anywhere, so
+every coefficient is reproducible to the last rounding.
 
 Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
@@ -149,10 +152,30 @@ def convolve(a, b) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def _quotient(e, d) -> np.ndarray:
+    """Coefficients of ``E(z)/D(z)`` on the shorter of the two prefixes.
+
+    The direct recursion ``h_n = (e_n - sum_{k=1..min(n,K)} d_k h_{n-k}) / d_0``
+    with ``K`` the last nonzero index of ``d``, so trailing zeros of ``d``
+    cost nothing.  Each coefficient is one dot product, and the division is
+    a product with ``1/d_0``; the caller checks ``d_0``.
+    """
+    n = min(len(e), len(d))
+    dk = np.trim_zeros(d[1:n], "b")
+    k = dk.size
+    inv0 = 1.0 / d[0]
+    h = np.empty(n)
+    rev = h[::-1]  # rev[n - i : n - i + k] is h_{i-1}, h_{i-2}, ... h_{max(i-k, 0)}
+    e = e[:n].tolist()  # list items index faster than array items
+    for i in range(n):
+        h[i] = inv0 * (e[i] - np.dot(dk[:i], rev[n - i : n - i + k]))
+    return h
+
+
 def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
     """Coefficients of ``1/D(z)`` on the stored prefix.
 
-    Uses the direct recursion ``c_0 = 1/d_0``,
+    The quotient recursion with a unit numerator: ``c_0 = 1/d_0``,
     ``c_n = -(1/d_0) * sum_{k=1..n} d_k c_{n-k}``.
 
     Parameters
@@ -162,19 +185,14 @@ def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
     floor : float, optional
         Magnitude below which the leading coefficient counts as zero.
     """
-    d = _as_series(d)
-    dc = d.coeffs
+    dc = _as_series(d).coeffs
     if abs(dc[0]) <= floor:
         raise ZeroLeadingCoefficient(
             f"|d_0| = {abs(dc[0]):.3g} is at or below the floor {floor:.3g}"
         )
-    n = len(dc)
-    c = np.empty(n)
-    inv0 = 1.0 / dc[0]
-    c[0] = inv0
-    for k in range(1, n):
-        c[k] = -inv0 * np.dot(dc[1 : k + 1], c[k - 1 :: -1])
-    return TruncatedSeries(c)
+    unit = np.zeros(dc.size)
+    unit[0] = 1.0
+    return TruncatedSeries(_quotient(unit, dc))
 
 
 def divide(e, d, floor: float = LEADING_FLOOR) -> TruncatedSeries:

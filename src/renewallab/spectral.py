@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated, SingularPoint, TruncationTooSmall
-from .series import TruncatedSeries, convolve, reciprocal
+from .series import divide
 
 __all__ = [
     "TruncatedOperator",
@@ -279,10 +279,7 @@ def _series_check(chain, i: int, j: int, z: complex, p_ij: complex):
     fjj = fp.series.coeffs if i == j else first_passage(
         chain, j, j, trunc=n, mass_tol=math.inf
     ).series.coeffs
-    den = np.zeros(n + 1)
-    den[0] = 1.0
-    den[1:] -= fjj[1:]
-    series = convolve(fp.series, reciprocal(TruncatedSeries(den)))
+    series = divide(fp.series, np.r_[1.0, -fjj[1:]])
     val = complex(series.evaluate(z))
     if i == j:
         val += 1.0

@@ -90,6 +90,15 @@ def test_analytic_tail_agrees_with_brute_force_partial_sums(degree, beta):
     assert law.tail_beyond(n0) - law.tail_beyond(n0 + k) == pytest.approx(block, rel=1e-11)
 
 
+@pytest.mark.parametrize("degree,m", [(6.0, 64), (3.0, 70)])
+def test_steep_zeta_tail_matches_brute_force_sum(degree, m):
+    # 2e6 terms leave a remainder below 1e-16 of either tail
+    s = degree + 2.0
+    terms = [n ** -s for n in range(1, 2_000_001)]
+    brute = math.fsum(terms[m:]) / math.fsum(terms)
+    assert ZetaTailLaw(degree).tail_beyond(m) == pytest.approx(brute, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("degree,beta", [(1.0, 1.0), (0.5, 2.0), (-0.5, 1.0), (1.5, 0.5)])
 def test_log_corrected_laws_normalize(degree, beta):
     law = ZetaTailLaw(degree, beta)
@@ -276,6 +285,14 @@ def test_custom_law_uses_declared_tail():
     assert ch.ergodic_degree == 1.5
     assert moment(ch, 1, 1, 2.0).finite
     assert not moment(ch, 1, 1, 3.0).finite
+
+
+def test_one_explicit_prefix_class_describes_itself_by_its_tail():
+    assert CustomLaw is FiniteLaw
+    assert FiniteLaw((0.5, 0.5)).describe() == {"type": "finite", "probs": [0.5, 0.5]}
+    assert CustomLaw((0.5, 0.5)).describe()["type"] == "finite"
+    assert FiniteLaw((0.5, 0.5), tail_exponent=3.0).describe() == {
+        "type": "custom", "probs": [0.5, 0.5], "tail_exponent": 3.0, "tail_log_power": 0.0}
 
 
 @st.composite

@@ -11,6 +11,9 @@ from renewallab.cli import COMMANDS, main
 
 GEO = {"chain": {"law": {"type": "geometric", "q": 0.5}, "truncation": 2000}}
 ZETA = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 20000}}
+CORRELATE = {"u": {"kind": "indicator", "states": [1], "size": 20},
+             "v": {"kind": "indicator", "states": [1], "size": 20},
+             "lags": {"points": [1, 2]}}
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -74,11 +77,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
                            "u": {"kind": "indicator", "states": ["a"], "size": 3},
                            "grid": {"points": [1]}}),
     ("chain info", {"chain": {**GEO["chain"], "truncation": 10 ** 12}}),
+    ("map simulate", {**GEO, "length": 10 ** 13}),
+    ("map kac", {**GEO, "orbit_length": 10 ** 13}),
+    ("map correlate", {**GEO, **CORRELATE, "orbit_length": 10 ** 13}),
+    ("map entrance", {**GEO, "a": 0.5, "n_max": 10, "samples": 10 ** 13}),
+    ("map kac", {**GEO, "orbit_length": 1000, "burn_in": -10 ** 6}),
+    ("map entrance", {**GEO, "a": 0.5, "n_max": 10, "samples": -7}),
+    ("map entrance", {**GEO, "a": 0.5, "n_max": -2, "samples": 1000}),
+    ("map simulate", {**GEO, "length": 0}),
+    ("map simulate", {**GEO, "length": -5}),
+    ("map frequency", {**GEO, "orbit_length": 0}),
+    ("map correlate", {**GEO, **CORRELATE, "orbit_length": 1000, "streams": 0}),
 ], ids=["negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
         "list-burn-in", "string-n-list", "bool-n-list", "string-grid-point",
         "string-radius", "string-probability", "bool-probabilities",
         "string-pair", "bool-pair", "bool-point", "string-weights",
-        "huge-truncation"])
+        "huge-truncation", "huge-length", "huge-kac-orbit",
+        "huge-correlate-orbit", "huge-samples", "negative-burn-in",
+        "negative-samples", "negative-n-max", "zero-length",
+        "negative-length", "zero-frequency-orbit", "zero-streams"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, payload):
     code, _ = run(tmp_path, command.split(), payload)
     assert code == 2

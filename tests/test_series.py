@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +11,26 @@ from hypothesis import strategies as st
 
 from renewallab import (
     BadExponent,
+    FiniteLaw,
     NegativeCoefficient,
     NonPositiveCoefficient,
     OutOfDomain,
     TruncatedSeries,
     ZeroLeadingCoefficient,
+    ZetaTailLaw,
+    build_chain,
     convolution_power_probe,
     convolve,
     divide,
+    first_passage,
     kaluza_check,
     partial_sums,
     reciprocal,
+    renewal_sequence,
     tail_sums,
     zero_diagnostic,
 )
+from renewallab.evolve import _deviation
 
 
 def geometric_tail_series(n):
@@ -356,3 +364,74 @@ def test_divide_then_multiply_recovers_numerator(d, e):
     back = convolve(h, d).coeffs
     scale = 1.0 + float(np.max(np.abs(np.asarray(e)[:n])))
     assert np.all(np.abs(back - np.asarray(e)[:n]) <= 1e-9 * scale)
+
+
+# -- the quotient recursion against the loops it replaced ----------------
+
+def reference_quotients(chain, n):
+    """The parent's three hand-written recursions: the reciprocal of the
+    survival prefix, the renewal sequence and the renewal deviation, each a
+    loop of one dot product per coefficient over the full prefix."""
+    dc = chain.d[: n + 1]
+    c = np.empty(n + 1)
+    inv0 = 1.0 / dc[0]
+    c[0] = inv0
+    for k in range(1, n + 1):
+        c[k] = -inv0 * np.dot(dc[1 : k + 1], c[k - 1 :: -1])
+    e = np.empty(n + 1)
+    e[0] = 1.0
+    for k in range(1, n + 1):
+        e[k] = np.dot(chain.p[1 : k + 1], e[k - 1 :: -1])
+    dev = chain.d_tail[: n + 1] / chain.m1
+    for k in range(1, n + 1):
+        dev[k] -= np.dot(chain.d[1 : k + 1], dev[k - 1 :: -1])
+    return c, e, dev
+
+
+def package_quotients(chain, n):
+    return (reciprocal(chain.d[: n + 1]).coeffs,
+            renewal_sequence(chain, n).values, _deviation(chain, n))
+
+
+@pytest.mark.parametrize("degree", [1.0, 1.5, 3.0, 4.0])
+def test_quotient_is_bit_identical_to_the_loops_on_full_support(degree):
+    chain = build_chain(ZetaTailLaw(degree), 2000)
+    for got, want in zip(package_quotients(chain, 2000), reference_quotients(chain, 2000)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("probs", [[0.2, 0.3, 0.5], [0.25, 0.0, 0.25, 0.0, 0.5],
+                                   [0.1, 0.0, 0.0, 0.9], [0.05] * 20])
+def test_quotient_skipping_trailing_zeros_agrees_with_the_loops(probs):
+    # the loops add the zeros past the support; the quotient skips them, so
+    # only the summation grouping differs (max-norm relative agreement)
+    chain = build_chain(FiniteLaw(probs), 2000)
+    for got, want in zip(package_quotients(chain, 2000), reference_quotients(chain, 2000)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+finite_laws = st.tuples(
+    st.floats(min_value=0.01, max_value=1.0),
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+             max_size=7),
+).map(lambda t: np.asarray([t[0], *t[1]]) / math.fsum([t[0], *t[1]]))
+
+
+@given(finite_laws, st.integers(1, 5), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_first_passage_matches_divide(probs, i, j):
+    chain = build_chain(FiniteLaw(probs), 80)
+    f = first_passage(chain, i, j, mass_tol=math.inf).series.coeffs
+    n = f.size - 1
+    num = np.zeros(n + 1)
+    den = np.zeros(n + 1)
+    den[0] = 1.0
+    if i <= j:
+        num[i:] = chain.p[j : j + n - i + 1]
+        den[1:j] = -chain.p[1:j]
+    else:
+        num[i - j] = 1.0
+    want = divide(num, den).coeffs
+    assert np.all(np.abs(f - want) <= 1e-12 * np.abs(want))
+    # both routes run the quotient recursion; multiplying back checks it
+    assert np.allclose(convolve(f, den).coeffs, num, rtol=0.0, atol=1e-12)
