@@ -36,7 +36,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .measures import SignedDistribution, TailDecl
-from .series import TruncatedSeries, _quotient
+from .series import TruncatedSeries, _quotient, tail_sums
 
 __all__ = [
     "GeometricLaw",
@@ -142,13 +142,6 @@ def _weight_sum(s: float, beta: float) -> float:
 # ----------------------------------------------------------------------
 # return laws
 # ----------------------------------------------------------------------
-
-def _survival_by_telescoping(p: np.ndarray, tail: float) -> np.ndarray:
-    """Build ``d[k] = sum_{i>k} p_i`` by one cumulative sum seeded with the
-    analytic tail, so ``d[k] == d[k+1] + p[k+1]`` holds exactly in floats."""
-    rev = np.concatenate(([tail], p[:0:-1]))
-    return np.cumsum(rev)[::-1]
-
 
 @dataclass(frozen=True)
 class GeometricLaw:
@@ -429,17 +422,17 @@ def build_chain(law, truncation: int) -> RenewalChain:
     p = law.prefix(n)
     # telescoping from the analytic tail rather than a closed form (q^k for
     # a geometric law) keeps d[k] == d[k+1] + p[k+1] exact in floats
-    d = _survival_by_telescoping(p, law.tail_beyond(n)).copy()
+    d = tail_sums(p[1:], law.tail_beyond(n)).coeffs.copy()
     if abs(d[0] - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"prefix plus tail sums to {d[0]!r}, not 1")
     d[0] = 1.0
 
     m1 = law.mean_return()
     if math.isfinite(m1):
+        d_tail = tail_sums(d[1:], law.second_tail_beyond(n)).coeffs
         pi1 = 1.0 / m1
         pi = np.zeros(n + 1)
         pi[1:] = pi1 * d[:n]
-        d_tail = _survival_by_telescoping(d, law.second_tail_beyond(n))
         classification = "positive-recurrent"
     else:
         pi1, pi, d_tail = None, None, None
@@ -540,19 +533,26 @@ def _moment_finite(chain, i: int, j: int, gamma: float) -> bool:
 
 def _moment_tail_estimate(chain, f: FirstPassageLaw, gamma: float) -> float:
     """Crude analytic continuation of the moment sum beyond the horizon,
-    calibrated on the last stored coefficient and the declared family."""
+    calibrated on the last stored coefficient and the declared family; a
+    finite law's passage laws still running there decay geometrically, at
+    the ratio of their last two positive coefficients."""
     fam = chain.law.tail_family()
+    c = f.series.coeffs
     n = f.series.truncation_order
-    last = float(f.series.coeffs[-1])
-    if fam.kind == "finite" or last <= 0.0:
+    last = float(c[-1])
+    if last <= 0.0 or f.i > f.j:
         return 0.0
+    if fam.kind == "power":
+        s = fam.exponent
+        if gamma + 1.0 >= s:
+            return math.inf
+        return last * n ** (gamma + 1.0) / (s - gamma - 1.0)
     if fam.kind == "geometric":
         q = fam.ratio
-        return last * n ** gamma * q / (1.0 - q)
-    s = fam.exponent
-    if gamma + 1.0 >= s:
-        return math.inf
-    return last * n ** (gamma + 1.0) / (s - gamma - 1.0)
+    else:
+        m = np.flatnonzero(c[:-1] > 0.0)
+        q = float(last / c[m[-1]]) ** (1.0 / (n - int(m[-1]))) if m.size else 1.0
+    return last * n ** gamma * q / (1.0 - q) if q < 1.0 else math.inf
 
 
 def moment(chain, i: int, j: int, gamma: float, trunc: int | None = None) -> MomentValue:

@@ -32,6 +32,9 @@ from . import __version__
 from .config import (
     CHAIN_KEYS,
     GRID_KEYS,
+    MEASURE_SCHEMA,
+    OBSERVABLE_SCHEMA,
+    Kinds,
     chain_from_config,
     check_keys,
     config_hash,
@@ -542,22 +545,8 @@ def cmd_map_frequency(ctx: Ctx) -> dict:
     return results
 
 
-PROBE_KEYS = {
-    "convolution": {"probe", "gamma", "n_list"},
-    "kaluza": {"probe", "chain"},
-    "zeros": {"probe", "chain", "radii", "points", "prefix"},
-}
-
-
 def cmd_series_probe(ctx: Ctx) -> dict:
     probe = require(ctx.cfg, "probe", str)
-    if probe not in PROBE_KEYS:
-        raise ConfigError(f"config key 'probe' must be one of {sorted(PROBE_KEYS)}")
-    extra = set(ctx.cfg) - PROBE_KEYS[probe]
-    if extra:
-        raise ConfigError(
-            f"unknown keys {sorted(extra)} for probe {probe!r}"
-        )
     if probe == "convolution":
         gamma = float(require(ctx.cfg, "gamma", (int, float)))
         n_list = numbers(ctx.cfg, "n_list", int)
@@ -599,17 +588,24 @@ def _keys(*leaves, **blocks) -> dict:
 
 
 _ORBIT = ("burn_in", "sampler", "seed")
+#: blocks of the rates commands that pair an evolved measure with an observable
+_PAIR = {"nu": MEASURE_SCHEMA, "u": OBSERVABLE_SCHEMA, "grid": GRID_KEYS}
 
-#: "group sub" -> (handler, allowed top-level config keys)
+PROBE_SCHEMA = Kinds("probe", {
+    "convolution": dict.fromkeys(("gamma", "n_list")),
+    "kaluza": _keys(),
+    "zeros": _keys("radii", "points", "prefix"),
+})
+
+#: "group sub" -> (handler, schema of its config)
 COMMANDS = {
     "chain info": (cmd_chain_info, _keys()),
-    "rates distance": (cmd_rates_distance, _keys("nu", "fit_window", grid=GRID_KEYS)),
-    "rates correlation": (
-        cmd_rates_correlation, _keys("nu", "u", "fit_window", grid=GRID_KEYS)),
+    "rates distance": (
+        cmd_rates_distance, _keys("fit_window", nu=MEASURE_SCHEMA, grid=GRID_KEYS)),
+    "rates correlation": (cmd_rates_correlation, _keys("fit_window", **_PAIR)),
     "rates lemma2": (cmd_rates_lemma2, _keys("band", grid=GRID_KEYS)),
-    "rates constant": (
-        cmd_rates_constant, _keys("nu", "u", "rel_tolerance", grid=GRID_KEYS)),
-    "rates null": (cmd_rates_null, _keys("nu", "u", grid=GRID_KEYS)),
+    "rates constant": (cmd_rates_constant, _keys("rel_tolerance", **_PAIR)),
+    "rates null": (cmd_rates_null, _keys(**_PAIR)),
     "spectral factorize": (
         cmd_spectral_factorize, _keys("dimension", "z_points", "tolerance")),
     "spectral eigen": (cmd_spectral_eigen, _keys("dimension", "lambdas")),
@@ -617,15 +613,15 @@ COMMANDS = {
     "map simulate": (cmd_map_simulate, _keys("length", "i_max", *_ORBIT)),
     "map correlate": (
         cmd_map_correlate,
-        _keys("u", "v", "orbit_length", "streams", *_ORBIT, lags=GRID_KEYS)),
+        _keys("orbit_length", "streams", *_ORBIT,
+              u=OBSERVABLE_SCHEMA, v=OBSERVABLE_SCHEMA, lags=GRID_KEYS)),
     "map entrance": (
         cmd_map_entrance, _keys("a", "n_max", "samples", "fit_window", "seed")),
     "map kac": (
         cmd_map_kac, _keys("orbit_length", "tolerance", "histogram_max", *_ORBIT)),
     "map frequency": (
         cmd_map_frequency, _keys("orbit_length", "i_max", "sigma", *_ORBIT)),
-    "series probe": (
-        cmd_series_probe, _keys("probe", "gamma", "n_list", "radii", "points", "prefix")),
+    "series probe": (cmd_series_probe, PROBE_SCHEMA),
 }
 
 

@@ -17,14 +17,20 @@ or {"kind": "weights", "weights": [...], "tail_mass": 0.0}.  Observables:
 {"kind": "indicator", "states": [1], "size": 400}, {"kind": "ones",
 "size": 400}, or {"kind": "values", "values": [...], "limit": 0.0}.
 
-Validation is strict: unknown keys anywhere raise :class:`UnknownConfigKey`
-with the offending dotted path, before any computation starts.
+Validation is strict: an unknown key anywhere, in nested blocks too,
+raises :class:`UnknownConfigKey` naming its dotted path (``nu.stat``,
+``chain.law.q``).  A block whose keys depend on a tag (a law's ``type``, a
+measure's or observable's ``kind``) is described by a :class:`Kinds` schema,
+so one :func:`check_keys` call checks a whole descriptor before any
+computation starts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import ChainMap
+from typing import NamedTuple
 
 from .chain import FiniteLaw, GeometricLaw, ZetaTailLaw, build_chain
 from .errors import ConfigError, UnknownConfigKey
@@ -33,6 +39,7 @@ from .measures import Observable
 
 __all__ = [
     "load_config",
+    "Kinds",
     "check_keys",
     "config_hash",
     "chain_from_config",
@@ -59,20 +66,36 @@ def load_config(path) -> dict:
     return cfg
 
 
+class Kinds(NamedTuple):
+    """Schema of a block whose allowed keys depend on its string ``tag``
+    key: ``kinds`` maps each valid tag value to the schema of its other
+    keys.  Without the tag, keys no kind allows are still rejected."""
+
+    tag: str
+    kinds: dict
+
+
 def check_keys(d: dict, allowed, path: str = "") -> None:
-    """Reject keys outside ``allowed`` (a name -> nested-allowed mapping,
-    or None for leaves validated elsewhere)."""
+    """Reject keys outside ``allowed``: a name -> sub-schema mapping, where a
+    sub-schema is None for a leaf validated elsewhere, a nested mapping or a
+    :class:`Kinds`; an unknown tag value raises :class:`ConfigError`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"config key {path!r} must be an object")
+    if isinstance(allowed, Kinds):
+        tag, kinds = allowed
+        kind = require(d, tag, str, path) if tag in d else None
+        if kind is not None and kind not in kinds:
+            here = f"{path}.{tag}" if path else tag
+            raise ConfigError(f"config key {here!r} must be one of {sorted(kinds)}")
+        allowed = {tag: None, **(kinds[kind] if kind else ChainMap(*kinds.values()))}
     for key, value in d.items():
         here = f"{path}.{key}" if path else key
         if key not in allowed:
             raise UnknownConfigKey(
                 f"unknown config key {here!r}; allowed here: {sorted(allowed)}"
             )
-        sub = allowed[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {here!r} must be an object")
-            check_keys(value, sub, here)
+        if allowed[key] is not None:
+            check_keys(value, allowed[key], here)
 
 
 def require(cfg: dict, key: str, kind=None, path: str = ""):
@@ -116,14 +139,14 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+LAW_SCHEMA = Kinds("type", {
+    "geometric": {"q": None},
+    "zeta": {"degree": None, "log_power": None},
+    "finite": {"probs": None},
+    "custom": dict.fromkeys(("probs", "tail_exponent", "tail_log_power")),
+})
 #: keys allowed in the shared chain block
-CHAIN_KEYS = {"law": None, "truncation": None}
-LAW_KEYS = {
-    "geometric": {"type", "q"},
-    "zeta": {"type", "degree", "log_power"},
-    "finite": {"type", "probs"},
-    "custom": {"type", "probs", "tail_exponent", "tail_log_power"},
-}
+CHAIN_KEYS = {"law": LAW_SCHEMA, "truncation": None}
 
 
 def chain_from_config(cfg: dict, truncation_override=None):
@@ -131,15 +154,6 @@ def chain_from_config(cfg: dict, truncation_override=None):
     check_keys(block, CHAIN_KEYS, "chain")
     law_cfg = require(block, "law", dict, "chain")
     kind = require(law_cfg, "type", str, "chain.law")
-    if kind not in LAW_KEYS:
-        raise ConfigError(
-            f"unknown law type {kind!r}; known: {sorted(LAW_KEYS)}"
-        )
-    extra = set(law_cfg) - LAW_KEYS[kind]
-    if extra:
-        raise UnknownConfigKey(
-            f"unknown keys {sorted(extra)} for law type {kind!r}"
-        )
     if kind == "geometric":
         law = GeometricLaw(require(law_cfg, "q", (int, float), "chain.law"))
     elif kind == "zeta":
@@ -161,22 +175,16 @@ def chain_from_config(cfg: dict, truncation_override=None):
     return build_chain(law, truncation)
 
 
-MEASURE_KEYS = {
-    "point": {"kind", "state"},
-    "stationary": {"kind", "size"},
-    "weights": {"kind", "weights", "tail_mass"},
-}
+MEASURE_SCHEMA = Kinds("kind", {
+    "point": {"state": None},
+    "stationary": {"size": None},
+    "weights": {"weights": None, "tail_mass": None},
+})
 
 
 def measure_from_config(cfg: dict, chain, size: int, path: str = "nu"):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config key {path!r} must be an object")
+    check_keys(cfg, MEASURE_SCHEMA, path)
     kind = require(cfg, "kind", str, path)
-    if kind not in MEASURE_KEYS:
-        raise ConfigError(f"unknown measure kind {kind!r} at {path!r}")
-    extra = set(cfg) - MEASURE_KEYS[kind]
-    if extra:
-        raise UnknownConfigKey(f"unknown keys {sorted(extra)} at {path!r}")
     if kind == "point":
         return point_mass(require(cfg, "state", int, path), size=size)
     if kind == "stationary":
@@ -185,22 +193,16 @@ def measure_from_config(cfg: dict, chain, size: int, path: str = "nu"):
     return from_weights(weights, tail_mass=optional(cfg, "tail_mass", float, 0.0, path))
 
 
-OBSERVABLE_KEYS = {
-    "indicator": {"kind", "states", "size"},
-    "ones": {"kind", "size"},
-    "values": {"kind", "values", "limit"},
-}
+OBSERVABLE_SCHEMA = Kinds("kind", {
+    "indicator": {"states": None, "size": None},
+    "ones": {"size": None},
+    "values": {"values": None, "limit": None},
+})
 
 
 def observable_from_config(cfg: dict, path: str = "u") -> Observable:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config key {path!r} must be an object")
+    check_keys(cfg, OBSERVABLE_SCHEMA, path)
     kind = require(cfg, "kind", str, path)
-    if kind not in OBSERVABLE_KEYS:
-        raise ConfigError(f"unknown observable kind {kind!r} at {path!r}")
-    extra = set(cfg) - OBSERVABLE_KEYS[kind]
-    if extra:
-        raise UnknownConfigKey(f"unknown keys {sorted(extra)} at {path!r}")
     if kind == "indicator":
         return indicator(
             numbers(cfg, "states", int, path), require(cfg, "size", int, path)
@@ -219,8 +221,6 @@ def grid_from_config(cfg: dict, path: str = "grid"):
     log-spaced ``lo``/``hi``/``count`` block."""
     from .evolve import log_grid
 
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config key {path!r} must be an object")
     check_keys(cfg, GRID_KEYS, path)
     if "points" in cfg:
         if set(cfg) != {"points"}:

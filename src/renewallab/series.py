@@ -13,12 +13,15 @@ every coefficient is reproducible to the last rounding.
 Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
 holding the ``(k+1)``-th term; :func:`tail_sums` documents this convention.
+It is also the one tail-sum routine: :func:`renewallab.chain.build_chain`
+takes the survival sums ``d`` and their tails ``d_tail`` from it, with
+exact telescoping.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,13 +60,9 @@ class TruncatedSeries:
     ----------
     coeffs : array_like
         Coefficients ``c_0 .. c_N``; must be finite reals.
-    tail_hint : float, optional
-        Declared bound or value for the mass beyond the stored prefix.
-        Carried as metadata only; no operation consumes it implicitly.
     """
 
     coeffs: np.ndarray
-    tail_hint: float | None = field(default=None)
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
@@ -219,17 +218,16 @@ def tail_sums(a, analytic_tail: float = 0.0) -> TruncatedSeries:
     nonnegative, which is required.
     """
     a = _as_series(a)
-    if np.any(a.coeffs < 0.0):
+    if a.coeffs.min() < 0.0:
         k = int(np.argmax(a.coeffs < 0.0))
         raise NegativeCoefficient(f"coefficient {k} is negative: {a.coeffs[k]!r}")
     if analytic_tail < 0.0:
         raise NegativeCoefficient(f"analytic tail is negative: {analytic_tail!r}")
-    out = np.empty(len(a) + 1)
-    out[-1] = analytic_tail
-    # Reverse cumulative sum keeps the telescoping out[n] = out[n+1] + a[n]
-    # exact in floating point, which downstream fixed-point checks rely on.
-    out[:-1] = analytic_tail + np.cumsum(a.coeffs[::-1])[::-1]
-    return TruncatedSeries(out)
+    # One reverse cumulative sum seeded with the tail keeps the telescoping
+    # out[n] == out[n+1] + a[n] exact in floating point, which the chain's
+    # survival sums and downstream fixed-point checks rely on.
+    out = np.concatenate(([analytic_tail], a.coeffs[::-1]))
+    return TruncatedSeries(np.cumsum(out, out=out)[::-1])
 
 
 def partial_sums(c) -> TruncatedSeries:

@@ -64,6 +64,29 @@ def test_survival_telescoping_is_exact_for_every_law():
         assert ch.d[0] == 1.0
 
 
+def _telescoped(p, tail):
+    """Reference survival sums: one cumulative sum of ``p`` (subscript-aligned,
+    ``p[0]`` unused) from the top down, seeded with the analytic tail."""
+    return np.cumsum(np.concatenate(([tail], p[:0:-1])))[::-1]
+
+
+@pytest.mark.parametrize("law", [
+    ZetaTailLaw(1.0), ZetaTailLaw(1.5), ZetaTailLaw(3.0),
+    ZetaTailLaw(1.0, log_power=1.0), GeometricLaw(0.3),
+    FiniteLaw((0.5, 0.5)), FiniteLaw((0.32, 0.32, 0.32, 0.04)),
+], ids=repr)
+def test_build_chain_survival_sums_are_bit_identical_to_telescoping(law):
+    n = 5000
+    ch = build_chain(law, n)
+    d = _telescoped(ch.p, law.tail_beyond(n))
+    d[0] = 1.0
+    d_tail = _telescoped(d, law.second_tail_beyond(n))
+    pi = np.concatenate(([0.0], (1.0 / law.mean_return()) * d[:n]))
+    assert ch.d.tobytes() == d.tobytes()
+    assert ch.d_tail.tobytes() == d_tail.tobytes()
+    assert ch.pi.tobytes() == pi.tobytes()
+
+
 def test_zeta_mean_return_matches_independent_zeta_ratio():
     ch = build_chain(ZetaTailLaw(1.0), 100)
     assert ch.m1 == pytest.approx(M1_ZETA_DEGREE_ONE, rel=1e-13)
@@ -209,6 +232,18 @@ def test_moment_tail_estimate_closes_the_gap():
     assert abs(mv.value + mv.tail_estimate - m1) < 0.02 * bare_gap
 
 
+def test_finite_law_passage_tail_is_estimated_geometrically():
+    # 4 -> 4 passages of this law still carry mass 9.4e-10 past 1024 steps;
+    # their exact second moment, by the closed route of
+    # second_moment_identity, is 5120
+    ch = build_chain(FiniteLaw((0.32, 0.32, 0.32, 0.04)), 1024)
+    mv = moment(ch, 4, 4, 2.0)
+    assert mv.tail_estimate == pytest.approx(5120.0 - mv.value, rel=0.15)
+    # passage laws that have ended carry no tail
+    assert moment(ch, 1, 1, 2.0).tail_estimate == 0.0
+    assert moment(ch, 4, 2, 2.0).tail_estimate == 0.0
+
+
 def test_second_moment_identity_geometric_exact():
     lhs, rhs, gap = second_moment_identity(geo_chain(400), 2)
     assert lhs == pytest.approx(20.0, abs=1e-12)
@@ -331,9 +366,15 @@ def test_mean_return_from_moment_route(law):
 def test_second_moment_identity_exact_for_finite_laws(law, i):
     # horizon long enough that the n^2-weighted passage tail is dust even
     # for slowly mixing draws (the tail decays geometrically but from a
-    # base that can sit close to 1)
-    ch = build_chain(law, 1024)
+    # base that can sit close to 1): doubled until the i -> i passage mass
+    # beyond it is below 1e-15
+    n = 1024
+    ch = build_chain(law, n)
     assume(ch.pi[i] > 0.0)
+    while (1.0 - first_passage(ch, i, i, mass_tol=math.inf).prefix_mass > 1e-15
+           and n < 2 ** 15):
+        n *= 2
+        ch = build_chain(law, n)
     _, _, gap = second_moment_identity(ch, i)
     assert gap < 1e-10
 

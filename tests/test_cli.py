@@ -119,6 +119,77 @@ def test_nested_unknown_key_exits_2(tmp_path):
     assert code == 2
 
 
+NU = {"kind": "point", "state": 1}
+RATES = {"nu": NU, "u": {"kind": "ones", "size": 20}, "grid": {"points": [1, 2]}}
+BLOCKS = {
+    "rates distance": {**GEO, "nu": NU, "grid": RATES["grid"]},
+    **{f"rates {sub}": {**GEO, **RATES} for sub in ("correlation", "constant", "null")},
+    "map correlate": {**GEO, **CORRELATE, "orbit_length": 1000},
+}
+LAWS = {
+    "geometric": ({"type": "geometric", "q": 0.5}, "degree"),
+    "zeta": ({"type": "zeta", "degree": 1.0}, "q"),
+    "finite": ({"type": "finite", "probs": [0.5, 0.5]}, "tail_exponent"),
+    "custom": ({"type": "custom", "probs": [0.5, 0.5], "tail_exponent": 3.0}, "log_power"),
+}
+PROBES = {
+    "convolution": ({"probe": "convolution", "gamma": 2.0, "n_list": [4]}, "chain"),
+    "kaluza": ({**GEO, "probe": "kaluza"}, "radii"),
+    "zeros": ({**GEO, "probe": "zeros"}, "gamma"),
+}
+
+
+def _stray_key_cases():
+    """(command, payload, dotted path) with one key that the block's kind
+    does not allow, although another kind of the same block does."""
+    for law, stray in LAWS.values():
+        chain = {"law": {**law, stray: 1}, "truncation": 100}
+        yield "chain info", {"chain": chain}, f"chain.law.{stray}"
+    for command, payload in BLOCKS.items():
+        if "nu" in payload:
+            yield command, {**payload, "nu": {**NU, "weights": [1.0]}}, "nu.weights"
+        for block in ("u", "v"):
+            if block in payload:
+                bad = {**payload[block], "limit": 0.0}
+                yield command, {**payload, block: bad}, f"{block}.limit"
+    for payload, stray in PROBES.values():
+        yield "series probe", {**payload, stray: 1}, stray
+
+
+STRAY = list(_stray_key_cases())
+
+
+@pytest.mark.parametrize("command, payload, path", STRAY,
+                         ids=[f"{c.replace(' ', '-')}-{p}" for c, _, p in STRAY])
+def test_stray_key_in_any_block_exits_2_before_the_chain_is_built(
+        tmp_path, capsys, monkeypatch, command, payload, path):
+    def refuse(*args):
+        raise AssertionError("build_chain ran before the key check")
+
+    monkeypatch.setattr("renewallab.config.build_chain", refuse)
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error")
+    assert f"unknown config key {path!r}" in err[0]
+
+
+@pytest.mark.parametrize("command, payload, valid", [
+    ("chain info", {"chain": {"law": {"type": "zato"}, "truncation": 100}}, LAWS),
+    ("rates distance", {**BLOCKS["rates distance"], "nu": {"kind": "pt"}},
+     ("point", "stationary", "weights")),
+    ("rates null", {**GEO, **RATES, "u": {"kind": "all"}}, ("indicator", "ones", "values")),
+    ("series probe", {"probe": "fft"}, PROBES),
+], ids=["law-type", "measure-kind", "observable-kind", "probe"])
+def test_unknown_kind_exits_2_listing_the_valid_ones(tmp_path, capsys, command,
+                                                     payload, valid):
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error")
+    assert all(repr(kind) in err[0] for kind in valid)
+
+
 def test_malformed_json_exits_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

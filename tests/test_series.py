@@ -152,6 +152,17 @@ def test_tail_sums_nonincreasing_postcondition():
     assert np.all(out[:-1] >= out[1:])
 
 
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=60),
+    st.floats(min_value=1e-12, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_tail_sums_telescope_exactly_with_a_tail(terms, tail):
+    out = tail_sums(terms, analytic_tail=tail).coeffs
+    assert out[-1] == tail
+    assert np.array_equal(out[:-1], out[1:] + np.asarray(terms))
+
+
 def test_tail_sums_rejects_negative():
     with pytest.raises(NegativeCoefficient):
         tail_sums([0.5, -0.1])
