@@ -36,7 +36,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .measures import SignedDistribution, TailDecl
-from .series import TruncatedSeries, _quotient, tail_sums
+from .series import TruncatedSeries, _quotient, _tail_sums
 
 __all__ = [
     "GeometricLaw",
@@ -422,14 +422,14 @@ def build_chain(law, truncation: int) -> RenewalChain:
     p = law.prefix(n)
     # telescoping from the analytic tail rather than a closed form (q^k for
     # a geometric law) keeps d[k] == d[k+1] + p[k+1] exact in floats
-    d = tail_sums(p[1:], law.tail_beyond(n)).coeffs.copy()
+    d = _tail_sums(p[1:], law.tail_beyond(n))
     if abs(d[0] - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"prefix plus tail sums to {d[0]!r}, not 1")
     d[0] = 1.0
 
     m1 = law.mean_return()
     if math.isfinite(m1):
-        d_tail = tail_sums(d[1:], law.second_tail_beyond(n)).coeffs
+        d_tail = _tail_sums(d[1:], law.second_tail_beyond(n))
         pi1 = 1.0 / m1
         pi = np.zeros(n + 1)
         pi[1:] = pi1 * d[:n]

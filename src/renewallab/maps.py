@@ -13,8 +13,16 @@ rounding question to argue about.  The float-orbit sampler, ``"float"``,
 iterates the map itself; near 0 the cells shrink below double resolution
 (and for dyadic slopes the mantissa drains in about fifty steps), so when
 an orbit crosses the resolvable depth it is censored, counted, and the
-stream restarts from a fresh invariant-density sample.  Estimators skip
-pairs that straddle a censored step.
+stream restarts from a fresh invariant-density sample.  Its loop searches
+the breakpoints only after a top-cell step or a restart: the clamps of each
+branch image put a point of cell ``i >= 2`` into cell ``i - 1`` exactly, so
+the descent needs no search and codes the same symbols as :func:`encode`.
+Its starts come from the invariant density, so on a null-recurrent chain it
+raises :class:`NotPositiveRecurrent` before drawing, as
+:func:`entrance_tail` and :func:`markov_frequency_check` do.  Estimators
+skip pairs that straddle a censored step: they sum zero-filled streams and
+divide by the count of valid pairs, which equals ``nanmean`` of NaN-marked
+streams to the last bit.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
@@ -27,6 +35,7 @@ standard errors over 100 batches.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,13 +226,52 @@ def orbit_symbols(m: IntermittentMap, x0: float, n: int) -> np.ndarray:
     """
     if not 0.0 < x0 <= 1.0:
         raise PreconditionViolated("orbit starts in (0, 1]")
-    out = np.empty(n + 1, dtype=np.int64)
-    x = float(x0)
-    out[0] = encode(m, x)
-    for t in range(1, n + 1):
-        x = _image(m, x, out[t - 1])
-        out[t] = encode(m, x)
-    return out
+    if n < 0:
+        raise PreconditionViolated(f"orbit length must be nonnegative, got {n}")
+    return _float_orbit(m, float(x0), int(n) + 1)
+
+
+def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None) -> np.ndarray:
+    """Symbols of ``total`` steps of the float orbit of ``x``, stepping as
+    :func:`encode` then :func:`_image` would, on plain Python floats.
+
+    The clamps of :func:`_image` put the image of a branch ``i >= 2`` in
+    cell ``i - 1`` exactly, so the breakpoints are searched only after a
+    top-cell step or a restart.  Only the upper clamps can bind: a point
+    ``x >= d_i`` has an image at least the lower edge in floating point.
+    A point below the resolvable depth raises :class:`SymbolCapExceeded`,
+    or, given ``restart`` (a callable drawing a fresh point), is recorded
+    as ``-1`` and the orbit goes on from ``restart()``.
+    """
+    bp = m.breakpoints.tolist()
+    ascending = bp[::-1]
+    slopes = m.slopes.tolist()
+    cap, d1, s1 = m.symbol_cap, bp[1], slopes[1]
+    # upper clamp of branch i: 1 for i <= 2, the float below d_{i-2} beyond
+    hi = [1.0, 1.0, 1.0] + np.nextafter(m.breakpoints[1 : cap - 1], 0.0).tolist()
+
+    out = [0] * total
+    sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
+    for t in range(total):
+        if sym == 1:
+            out[t] = 1
+            x = (x - d1) / s1
+            if x > 1.0:
+                x = 1.0
+        elif sym <= cap:
+            out[t] = sym
+            x = bp[sym - 1] + (x - bp[sym]) / slopes[sym]
+            if x > hi[sym]:
+                x = hi[sym]
+            sym -= 1
+            continue
+        elif restart is None:
+            raise SymbolCapExceeded(f"point {x!r} lies below the resolvable depth {bp[-1]!r}")
+        else:
+            out[t] = -1
+            x = restart()
+        sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
+    return np.array(out, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -246,15 +294,26 @@ def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
     while have < total:
         want = max(1024, int((total - have) / chain.m1 * 1.2) + 16)
         u = rng.random(want)
-        draws = np.searchsorted(cdf, u, side="left") + 1
+        # a uniform at or below cdf[0] is a return of length one
+        deep = np.flatnonzero(u > cdf[0])
+        draws = np.ones(want, dtype=np.int64)
+        draws[deep] = np.searchsorted(cdf, u[deep], side="left") + 1
+        del u, deep
         over = draws > chain.truncation
         draws[over] = 1
         ends = np.cumsum(draws)
-        states = np.repeat(ends, draws) - np.arange(ends[-1])
-        states[np.repeat(over, draws)] = -1
+        # an excursion of length L reads L, L-1, ..., 1: a running sum of
+        # steps that are -1 inside it and jump from 1 to L at its start
+        states = np.full(ends[-1], -1, dtype=np.int64)
+        draws -= 1
+        states[ends[:-1]] = draws[1:]
+        states[0] = draws[0] + 1
+        del draws
+        np.cumsum(states, out=states)
+        states[ends[over] - 1] = -1
         chunks.append(states)
         have += states.size
-    states = np.concatenate(chunks)[burn_in:total]
+    states = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks))[burn_in:total]
     return states, int(np.count_nonzero(states == -1))
 
 
@@ -274,26 +333,19 @@ def map_states(m: IntermittentMap, length: int, seed: int,
 
     The orbit starts from an invariant-density sample and iterates the
     actual map.  Whenever it falls below the resolvable depth the step is
-    recorded as ``-1``, counted, and the orbit restarts fresh.
+    recorded as ``-1``, counted, and the orbit restarts fresh.  A
+    null-recurrent chain has no invariant density and raises
+    :class:`NotPositiveRecurrent`.
     """
-    rng = _rng(seed, stream)
     chain = m.chain
+    if not chain.positive_recurrent:
+        raise NotPositiveRecurrent(
+            "float orbits start from the invariant density, which a null-recurrent "
+            "chain lacks")
+    rng = _rng(seed, stream)
     pi_cdf = np.cumsum(chain.pi[1:])
-    total = int(burn_in) + int(length)
-    out = np.empty(total, dtype=np.int64)
-    x = _density_start(m, rng, pi_cdf)
-    censored = 0
-    for t in range(total):
-        try:
-            sym = encode(m, x)
-        except SymbolCapExceeded:
-            out[t] = -1
-            censored += 1
-            x = _density_start(m, rng, pi_cdf)
-            continue
-        out[t] = sym
-        x = _image(m, x, sym)
-    out = out[burn_in:]
+    out = _float_orbit(m, _density_start(m, rng, pi_cdf), int(burn_in) + int(length),
+                       restart=lambda: _density_start(m, rng, pi_cdf))[burn_in:]
     return out, int(np.count_nonzero(out == -1))
 
 
@@ -318,10 +370,9 @@ def coded_states(source, sampler: str, length: int, seed: int,
 
 
 def _observe(obs, states: np.ndarray) -> np.ndarray:
-    """Observable values along a state stream; sentinel steps become NaN."""
-    clipped = np.clip(states, 0, obs.size)
-    vals = np.where(states > obs.size, obs.limit, obs.values[clipped])
-    return np.where(states < 1, np.nan, vals)
+    """Observable values along a state stream, zero at sentinel steps."""
+    table = np.concatenate(([0.0], obs.values[1:], [obs.limit]))
+    return table.take(states, mode="clip")
 
 
 # ----------------------------------------------------------------------
@@ -347,14 +398,15 @@ class McEstimate:
             raise PreconditionViolated("stderr cannot be negative")
 
 
-def _batch_stderr(y: np.ndarray, batches: int = BATCHES) -> float:
-    """Standard error of the mean of ``y`` from contiguous batch means,
-    ignoring NaN entries."""
+def _batch_stderr(y: np.ndarray, valid: np.ndarray, batches: int = BATCHES) -> float:
+    """Standard error of the mean of ``y`` over the entries where ``valid``
+    holds, from contiguous batch means; ``y`` is zero elsewhere."""
     edges = np.linspace(0, y.size, batches + 1).astype(int)
     means = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if b > a and np.any(np.isfinite(y[a:b])):
-            means.append(np.nanmean(y[a:b]))
+        count = np.count_nonzero(valid[a:b])
+        if count:
+            means.append(np.sum(y[a:b]) / count)
     means = np.asarray(means)
     if means.size < 2:
         return math.inf
@@ -382,19 +434,24 @@ def mc_correlation(m: IntermittentMap, u, v, n_list, orbit_length: int,
     per_stream = []
     for s in range(int(streams)):
         states, _ = coded_states(m, sampler, orbit_length, seed, burn_in, s)
+        valid = states >= 1
         uu = _observe(u, states)
-        vv = _observe(v, states)
-        u_mean = np.nanmean(uu)
-        v_mean = np.nanmean(vv)
+        vv = uu if v is u else _observe(v, states)
+        del states
+        n_valid = np.count_nonzero(valid)
+        u_mean, v_mean = np.sum(uu) / n_valid, np.sum(vv) / n_valid
+        products, joint = np.empty(valid.size), np.empty(valid.size, dtype=bool)
         rows = {}
         for n in n_list:
-            y = uu[n:] * vv[: vv.size - n] if n > 0 else uu * vv
-            valid = int(np.count_nonzero(np.isfinite(y)))
+            end = valid.size - n
+            y = np.multiply(uu[n:], vv[:end], out=products[:end])
+            pairs = np.logical_and(valid[n:], valid[:end], out=joint[:end])
+            count = int(np.count_nonzero(pairs))
             rows[n] = (
-                float(np.nanmean(y) - u_mean * v_mean),
-                _batch_stderr(y),
-                valid,
-                y.size - valid,
+                float(np.sum(y) / count - u_mean * v_mean),
+                _batch_stderr(y, pairs),
+                count,
+                end - count,
             )
         per_stream.append(rows)
 
@@ -486,6 +543,10 @@ def markov_frequency_check(m: IntermittentMap, orbit_length: int, seed: int,
     """Tabulate empirical transition frequencies and occupation of the
     first ``i_max`` cells against the exact chain entries."""
     chain = m.chain
+    if not chain.positive_recurrent:
+        raise NotPositiveRecurrent(
+            "occupations are checked against the stationary law, which a "
+            "null-recurrent chain lacks")
     if i_max < 2 or i_max > chain.truncation - 1:
         raise PreconditionViolated("i_max must fit inside the stored prefix")
     states, censored = coded_states(m, sampler, orbit_length, seed, burn_in)
@@ -507,15 +568,13 @@ def markov_frequency_check(m: IntermittentMap, orbit_length: int, seed: int,
     exact[idx, idx - 1] = 1.0
 
     occ_exact = chain.pi[1 : i_max + 1].copy()
-    valid_steps = int(np.count_nonzero(states > 0))
+    valid = states > 0
+    valid_steps = int(np.count_nonzero(valid))
     occ_hat = np.array(
         [np.count_nonzero(states == i) / valid_steps for i in range(1, i_max + 1)]
     )
     occ_stderr = np.array(
-        [
-            _batch_stderr(np.where(states > 0, (states == i).astype(float), np.nan))
-            for i in range(1, i_max + 1)
-        ]
+        [_batch_stderr((states == i).astype(float), valid) for i in range(1, i_max + 1)]
     )
     return FrequencyReport(
         transition_hat=hat,
@@ -561,6 +620,10 @@ def entrance_tail(m: IntermittentMap, a: float, n_max: int, samples: int,
     is attached when the window's values are positive.
     """
     chain = m.chain
+    if not chain.positive_recurrent:
+        raise NotPositiveRecurrent(
+            "entrance times start from the invariant density, which a null-recurrent "
+            "chain lacks")
     _check_orbit(int(samples))
     if int(n_max) < 1:
         raise ConfigError(f"n_max must be positive, got {n_max}")

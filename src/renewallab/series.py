@@ -14,13 +14,14 @@ Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
 holding the ``(k+1)``-th term; :func:`tail_sums` documents this convention.
 It is also the one tail-sum routine: :func:`renewallab.chain.build_chain`
-takes the survival sums ``d`` and their tails ``d_tail`` from it, with
-exact telescoping.
+takes the survival sums ``d`` and their tails ``d_tail`` from its array
+form, with exact telescoping and no validating copies.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,17 +218,30 @@ def tail_sums(a, analytic_tail: float = 0.0) -> TruncatedSeries:
     second-order tails.  The output is nonincreasing whenever the input is
     nonnegative, which is required.
     """
-    a = _as_series(a)
-    if a.coeffs.min() < 0.0:
-        k = int(np.argmax(a.coeffs < 0.0))
-        raise NegativeCoefficient(f"coefficient {k} is negative: {a.coeffs[k]!r}")
+    return TruncatedSeries(_tail_sums(_as_series(a).coeffs, analytic_tail))
+
+
+def _tail_sums(a: np.ndarray, analytic_tail: float) -> np.ndarray:
+    """:func:`tail_sums` of a plain array into a fresh writable array: the
+    same checks, raising the same errors, without validating copies."""
+    lo, hi = a.min(), a.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("coefficients must be finite")
+    if lo < 0.0:
+        k = int(np.argmax(a < 0.0))
+        raise NegativeCoefficient(f"coefficient {k} is negative: {a[k]!r}")
     if analytic_tail < 0.0:
         raise NegativeCoefficient(f"analytic tail is negative: {analytic_tail!r}")
     # One reverse cumulative sum seeded with the tail keeps the telescoping
     # out[n] == out[n+1] + a[n] exact in floating point, which the chain's
     # survival sums and downstream fixed-point checks rely on.
-    out = np.concatenate(([analytic_tail], a.coeffs[::-1]))
-    return TruncatedSeries(np.cumsum(out, out=out)[::-1])
+    out = np.empty(a.size + 1)
+    out[:-1] = a
+    out[-1] = analytic_tail
+    np.cumsum(out[::-1], out=out[::-1])
+    if not math.isfinite(out[0]):
+        raise ValueError("coefficients must be finite")
+    return out
 
 
 def partial_sums(c) -> TruncatedSeries:

@@ -208,6 +208,29 @@ def test_lemma2_on_geometric_exits_3_naming_the_reason(tmp_path, capsys):
     assert "InfiniteDegree" in capsys.readouterr().err
 
 
+NULL = {"chain": {"law": {"type": "zeta", "degree": 0}, "truncation": 2000}}
+ORBIT = {"orbit_length": 5000, "burn_in": 100, "seed": 3}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("map simulate", {**NULL, "length": 5000, "sampler": "float"}),
+    ("map correlate", {**NULL, **CORRELATE, **ORBIT, "sampler": "float"}),
+    ("map kac", {**NULL, **ORBIT, "sampler": "float"}),
+    ("map frequency", {**NULL, **ORBIT, "sampler": "float"}),
+    ("map frequency", {**NULL, **ORBIT}),
+    ("map entrance", {**NULL, "a": 0.3, "n_max": 50, "samples": 1000}),
+], ids=["simulate-float", "correlate-float", "kac-float", "frequency-float",
+        "frequency-chain", "entrance"])
+def test_null_recurrent_chain_in_the_map_layer_exits_3(tmp_path, capsys, command,
+                                                       payload):
+    # no invariant density or stationary law: refused before any draw
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NotPositiveRecurrent" in err[0]
+    assert "null-recurrent" in err[0]
+
+
 def test_short_prefix_exits_4(tmp_path):
     payload = {
         "chain": {"law": {"type": "geometric", "q": 0.5}, "truncation": 50},

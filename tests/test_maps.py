@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from renewallab import (
@@ -163,6 +166,9 @@ def test_orbit_symbols_report_mantissa_drain(geo_map):
 def test_orbit_needs_interior_start(geo_map):
     with pytest.raises(PreconditionViolated):
         orbit_symbols(geo_map, 0.0, 5)
+    with pytest.raises(PreconditionViolated):
+        orbit_symbols(geo_map, 0.5, -1)
+    assert orbit_symbols(geo_map, 0.3, 0).tolist() == [2]
 
 
 # ----------------------------------------------------------------------
@@ -443,3 +449,245 @@ def test_star_import_exports_maps_and_spectral_names():
     ns = {}
     exec("from renewallab import *", ns)
     assert {"build_map", "coded_states", "apply_map", "disk_scan"} <= set(ns)
+
+
+# ----------------------------------------------------------------------
+# oracles: the straightforward routes the fast samplers and estimators
+# must reproduce bit for bit
+# ----------------------------------------------------------------------
+
+def ref_float_states(m, length, seed, burn_in, stream=0):
+    """Float orbit one step at a time: encode, then the branch image."""
+    rng = maps._rng(seed, stream)
+    pi_cdf = np.cumsum(m.chain.pi[1:])
+    out = np.empty(burn_in + length, dtype=np.int64)
+    x = maps._density_start(m, rng, pi_cdf)
+    for t in range(out.size):
+        try:
+            sym = encode(m, x)
+        except SymbolCapExceeded:
+            out[t] = -1
+            x = maps._density_start(m, rng, pi_cdf)
+            continue
+        out[t] = sym
+        x = maps._image(m, x, sym)
+    out = out[burn_in:]
+    return out, int(np.count_nonzero(out == -1))
+
+
+def ref_orbit_symbols(m, x, n):
+    out = [encode(m, x)]
+    for _ in range(n):
+        x = maps._image(m, x, out[-1])
+        out.append(encode(m, x))
+    return np.array(out, dtype=np.int64)
+
+
+def ref_chain_states(chain, length, seed, burn_in, stream=0):
+    """Excursions spelled out with np.repeat: L, L-1, ..., 1 each."""
+    rng = maps._rng(seed, stream)
+    cdf = np.cumsum(chain.p[1:])
+    total = burn_in + length
+    chunks, have = [], 0
+    while have < total:
+        want = max(1024, int((total - have) / chain.m1 * 1.2) + 16)
+        draws = np.searchsorted(cdf, rng.random(want), side="left") + 1
+        over = draws > chain.truncation
+        draws[over] = 1
+        ends = np.cumsum(draws)
+        states = np.repeat(ends, draws) - np.arange(ends[-1])
+        states[np.repeat(over, draws)] = -1
+        chunks.append(states)
+        have += states.size
+    states = np.concatenate(chunks)[burn_in:total]
+    return states, int(np.count_nonzero(states == -1))
+
+
+def ref_states(m, sampler, length, seed, burn_in, stream=0):
+    if sampler == "float":
+        return ref_float_states(m, length, seed, burn_in, stream)
+    return ref_chain_states(m.chain, length, seed, burn_in, stream)
+
+
+def ref_observe(obs, states):
+    """Observable values with NaN at sentinel steps."""
+    vals = np.where(states > obs.size, obs.limit, obs.values[np.clip(states, 0, obs.size)])
+    return np.where(states < 1, np.nan, vals)
+
+
+def ref_batch_stderr(y, batches=maps.BATCHES):
+    """Batch means by nanmean over the batches holding a finite entry."""
+    edges = np.linspace(0, y.size, batches + 1).astype(int)
+    means = [np.nanmean(y[a:b]) for a, b in zip(edges[:-1], edges[1:])
+             if b > a and np.any(np.isfinite(y[a:b]))]
+    if len(means) < 2:
+        return math.inf
+    return float(np.std(means, ddof=1) / math.sqrt(len(means)))
+
+
+def ref_mc_correlation(m, u, v, lags, orbit_length, seed, burn_in, sampler, streams):
+    """Per-lag nanmean estimator on NaN-marked streams, merged by counts."""
+    per_stream = []
+    for s in range(streams):
+        states, _ = ref_states(m, sampler, orbit_length, seed, burn_in, s)
+        uu, vv = ref_observe(u, states), ref_observe(v, states)
+        rows = {}
+        for n in lags:
+            y = uu[n:] * vv[: vv.size - n]
+            valid = int(np.count_nonzero(np.isfinite(y)))
+            mean = float(np.nanmean(y) - np.nanmean(uu) * np.nanmean(vv))
+            rows[n] = (mean, ref_batch_stderr(y), valid, y.size - valid)
+        per_stream.append(rows)
+    out = {}
+    for n in lags:
+        w = np.array([rows[n][2] for rows in per_stream], dtype=float)
+        mean = float(np.dot(w, [rows[n][0] for rows in per_stream]) / w.sum())
+        var = float(np.dot(w ** 2, [rows[n][1] ** 2 for rows in per_stream]) / w.sum() ** 2)
+        out[n] = (mean, math.sqrt(var), int(w.sum()), sum(rows[n][3] for rows in per_stream))
+    return out
+
+
+def same_float(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def same_states(got, want):
+    (states, censored), (want_states, want_censored) = got, want
+    return (states.dtype == want_states.dtype and states.tobytes() == want_states.tobytes()
+            and censored == want_censored)
+
+
+ORACLE_LAWS = {
+    # dyadic doubling map: the float orbit drains its mantissa and censors
+    "geometric-0.5": (GeometricLaw(0.5), 400),
+    "geometric-0.3": (GeometricLaw(0.3), 400),
+    # short prefixes: draws beyond the truncation and below the symbol cap
+    "zeta-1-N60": (ZetaTailLaw(1.0), 60),
+    "zeta-1.5-N300": (ZetaTailLaw(1.5), 300),
+    "zeta-3-N40": (ZetaTailLaw(3.0), 40),
+    # terminal maps: every point down to 0 is coded
+    "finite-2": (FiniteLaw((0.5, 0.5)), 50),
+    "finite-4": (FiniteLaw((0.32, 0.32, 0.32, 0.04)), 50),
+}
+#: Null-recurrent laws draw many short chunks in the chain sampler.
+NULL_LAWS = {"zeta-0-N200": (ZetaTailLaw(0.0), 200), "zeta--0.5-N80": (ZetaTailLaw(-0.5), 80)}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_map(name):
+    law, n = {**ORACLE_LAWS, **NULL_LAWS}[name]
+    return build_map(build_chain(law, n))
+
+
+seeds = st.integers(0, 2 ** 64 - 1)
+
+
+@given(name=st.sampled_from(sorted(ORACLE_LAWS)), seed=seeds,
+       burn_in=st.integers(0, 300), length=st.integers(1, 2500),
+       stream=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_float_sampler_matches_the_per_step_loop(name, seed, burn_in, length, stream):
+    m = oracle_map(name)
+    got = map_states(m, length, seed, burn_in=burn_in, stream=stream)
+    assert same_states(got, ref_float_states(m, length, seed, burn_in, stream))
+
+
+def assert_same_orbit(m, x0, n):
+    try:
+        want = ref_orbit_symbols(m, x0, n)
+    except SymbolCapExceeded:
+        with pytest.raises(SymbolCapExceeded):
+            orbit_symbols(m, x0, n)
+        return
+    got = orbit_symbols(m, x0, n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(name=st.sampled_from(sorted(ORACLE_LAWS)), x0=st.floats(0.0, 1.0, exclude_min=True),
+       n=st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_orbit_symbols_match_the_per_step_loop(name, x0, n):
+    assert_same_orbit(oracle_map(name), x0, n)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
+def test_orbits_from_cell_tops_match_the_per_step_loop(name):
+    # from 1 or the float just below a cell edge the branch images round
+    # onto the next edge, so the upper clamps bind; a few ulps left near 1
+    # then decide how long the orbit lingers in the top cell
+    m = oracle_map(name)
+    assert_same_orbit(m, 1.0, 400)
+    for edge in m.breakpoints[m.breakpoints > 0.0]:
+        assert_same_orbit(m, float(np.nextafter(edge, 0.0)), 400)
+
+
+@given(name=st.sampled_from(sorted({**ORACLE_LAWS, **NULL_LAWS})), seed=seeds,
+       burn_in=st.integers(0, 3000), length=st.integers(1, 20_000),
+       stream=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_chain_sampler_matches_the_repeat_construction(name, seed, burn_in, length, stream):
+    chain = oracle_map(name).chain
+    got = sample_states(chain, length, seed, burn_in=burn_in, stream=stream)
+    assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream))
+
+
+values = st.floats(-2.0, 2.0, allow_subnormal=False)
+observables = st.one_of(
+    st.just("top"),
+    st.builds(lambda vals, limit: Observable(np.array([0.0, *vals]), limit=limit),
+              st.lists(st.one_of(st.just(0.0), values), min_size=1, max_size=6), values),
+)
+
+
+def resolve(obs, chain):
+    return centered_top_indicator(chain) if obs == "top" else obs
+
+
+@given(name=st.sampled_from(sorted(ORACLE_LAWS)), sampler=st.sampled_from(["chain", "float"]),
+       seed=seeds, burn_in=st.integers(0, 200), orbit_length=st.integers(200, 3000),
+       streams=st.integers(1, 3), u=observables, v=st.one_of(st.just("u"), observables),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lag_estimator_matches_the_nanmean_route(name, sampler, seed, burn_in, orbit_length,
+                                                  streams, u, v, data):
+    m = oracle_map(name)
+    u = resolve(u, m.chain)
+    v = u if v == "u" else resolve(v, m.chain)
+    lags = data.draw(st.lists(st.integers(0, orbit_length // 2 - 1), min_size=1, max_size=4,
+                              unique=True).map(lambda xs: [0, *xs]))
+    got = mc_correlation(m, u, v, lags, orbit_length, seed, burn_in=burn_in,
+                         sampler=sampler, streams=streams)
+    want = ref_mc_correlation(m, u, v, lags, orbit_length, seed, burn_in, sampler, streams)
+    for n in lags:
+        e = got[n]
+        mean, stderr, n_samples, censored = want[n]
+        assert same_float(e.mean, mean) and same_float(e.stderr, stderr)
+        assert (e.n_samples, e.censored) == (n_samples, censored)
+
+
+@given(name=st.sampled_from(sorted(ORACLE_LAWS)), sampler=st.sampled_from(["chain", "float"]),
+       seed=seeds, burn_in=st.integers(0, 200), orbit_length=st.integers(50, 4000),
+       i_max=st.integers(2, 6))
+@settings(max_examples=30, deadline=None)
+def test_occupation_stderr_matches_the_nanmean_route(name, sampler, seed, burn_in,
+                                                     orbit_length, i_max):
+    m = oracle_map(name)
+    rep = markov_frequency_check(m, orbit_length, seed, i_max=i_max, burn_in=burn_in,
+                                 sampler=sampler)
+    states, _ = ref_states(m, sampler, orbit_length, seed, burn_in)
+    want = [ref_batch_stderr(np.where(states > 0, (states == i).astype(float), np.nan))
+            for i in range(1, i_max + 1)]
+    assert rep.occupation_stderr.tobytes() == np.array(want).tobytes()
+
+
+def test_null_recurrent_chain_has_no_density_start():
+    m = build_map(build_chain(ZetaTailLaw(0.0), truncation=2000))
+    with pytest.raises(NotPositiveRecurrent):
+        map_states(m, 100, seed=1)
+    with pytest.raises(NotPositiveRecurrent):
+        entrance_tail(m, m.chain.d[1], 50, 1000, seed=1)
+    with pytest.raises(NotPositiveRecurrent):
+        markov_frequency_check(m, 1000, seed=1, sampler="chain")
+    # the chain sampler and the Kac check need no stationary law
+    assert kac_check(m, 20_000, seed=1).n_returns > 0
