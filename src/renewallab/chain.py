@@ -27,6 +27,7 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc, zeta
 
 from .errors import (
+    BadExponent,
     ConfigError,
     DegreeTooSmall,
     NotNormalized,
@@ -218,10 +219,15 @@ class ZetaTailLaw:
         return p
 
     def _tail_sum(self, s: float, n: int) -> float:
-        """``sum_{k > n} k^-s log(k+1)^log_power``."""
+        """``sum_{k > n} k^-s log(k+1)^log_power``; :class:`BadExponent` where
+        it comes out NaN, as ``scipy.special.zeta`` does past s of about 2e13."""
         if self.log_power == 0.0:
-            return float(zeta(s, n + 1.0))
-        return _weight_tail(s, self.log_power, n)
+            tail = float(zeta(s, n + 1.0))
+        else:
+            tail = _weight_tail(s, self.log_power, n)
+        if math.isnan(tail):
+            raise BadExponent(f"degree {self.degree_!r} is too large: its tail sum is NaN")
+        return tail
 
     def tail_beyond(self, n: int) -> float:
         return self._tail_sum(self.s, n) / self.normalization

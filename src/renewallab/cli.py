@@ -58,7 +58,6 @@ from .evolve import (
 from .maps import (
     BURN_IN,
     SAMPLER,
-    build_map,
     coded_states,
     entrance_tail,
     kac_check,
@@ -420,7 +419,7 @@ def cmd_map_correlate(ctx: Ctx) -> dict:
     burn_in, sampler = _orbit_options(ctx.cfg)
     streams = optional(ctx.cfg, "streams", int, 1)
     estimates = mc_correlation(
-        build_map(chain), u, v, lags, orbit_length, ctx.seed,
+        chain, u, v, lags, orbit_length, ctx.seed,
         burn_in=burn_in, sampler=sampler, streams=streams,
     )
     rows = [
@@ -453,8 +452,7 @@ def cmd_map_entrance(ctx: Ctx) -> dict:
     n_max = require(ctx.cfg, "n_max", int)
     samples = require(ctx.cfg, "samples", int)
     window = _interval(ctx.cfg, "fit_window", int)
-    report = entrance_tail(build_map(chain), a, n_max, samples, ctx.seed,
-                           fit_window=window)
+    report = entrance_tail(chain, a, n_max, samples, ctx.seed, fit_window=window)
     ctx.write_curve("map_entrance.csv", report.curve)
     results = {
         "a_effective": report.a_effective,
@@ -473,8 +471,7 @@ def cmd_map_kac(ctx: Ctx) -> dict:
     burn_in, sampler = _orbit_options(ctx.cfg)
     tolerance = optional(ctx.cfg, "tolerance", float, 0.01)
     hist_max = optional(ctx.cfg, "histogram_max", int, 30)
-    report = kac_check(build_map(chain), orbit_length, ctx.seed,
-                       burn_in=burn_in, sampler=sampler)
+    report = kac_check(chain, orbit_length, ctx.seed, burn_in=burn_in, sampler=sampler)
     top = min(report.histogram.size - 1, hist_max)
     rows = [(k, int(report.histogram[k])) for k in range(1, top + 1)]
     ctx.write_table("map_kac_histogram.csv", ("length", "count"), rows)
@@ -499,7 +496,7 @@ def cmd_map_frequency(ctx: Ctx) -> dict:
     i_max = optional(ctx.cfg, "i_max", int, 10)
     burn_in, sampler = _orbit_options(ctx.cfg)
     sigma = optional(ctx.cfg, "sigma", float, 3.0)
-    rep = markov_frequency_check(build_map(chain), orbit_length, ctx.seed,
+    rep = markov_frequency_check(chain, orbit_length, ctx.seed,
                                  i_max=i_max, burn_in=burn_in, sampler=sampler)
     t_rows = []
     for r in range(i_max):
@@ -565,11 +562,8 @@ def cmd_series_probe(ctx: Ctx) -> dict:
     prefix = optional(ctx.cfg, "prefix", int, min(chain.truncation, 2000))
     if not 2 <= prefix <= chain.truncation:
         raise ConfigError("'prefix' must lie within the stored prefix")
-    den = np.zeros(prefix + 1)
-    den[0] = 1.0
-    den[1:] = -chain.p[1 : prefix + 1]
     diag = zero_diagnostic(
-        den,
+        np.r_[1.0, -chain.p[1 : prefix + 1]],
         radii=None if ctx.cfg.get("radii") is None else numbers(ctx.cfg, "radii"),
         points=optional(ctx.cfg, "points", int, 720),
     )

@@ -46,7 +46,8 @@ class BadExponent(ConfigError):
 
 
 class OutOfDomain(ConfigError):
-    """Evaluation point outside the admissible disk."""
+    """Argument outside its admissible domain: an evaluation point beyond
+    the disk, or a probe size below its minimum."""
 
 
 class UnknownConfigKey(ConfigError):

@@ -121,11 +121,11 @@ def log_grid(lo: int, hi: int, count: int = 30) -> np.ndarray:
 # the elementary step
 # ----------------------------------------------------------------------
 
-def _require_positive_recurrent(chain):
+def _require_positive_recurrent(chain, why: str = "the operation needs the stationary law"):
+    """``chain``; :class:`NotPositiveRecurrent`, with ``why``, if it is null recurrent."""
     if not chain.positive_recurrent:
-        raise NotPositiveRecurrent(
-            "operation compares against the stationary law; this chain has none"
-        )
+        raise NotPositiveRecurrent(f"{why}, which a null-recurrent chain lacks")
+    return chain
 
 
 def _nu_support(nu: SignedDistribution) -> int:
@@ -367,12 +367,14 @@ def _paired(chain, ev: _Renewal, ut: np.ndarray, g: np.ndarray):
     s = ev.nu.size - 1
     uk_abs = np.abs(uk)
     signed = not np.all(uk >= 0.0)
-    pt = _padded(chain.p, K + n_max)[1:]
+    # q, r need n_max entries; one unused at n_max = 0 keeps correlate's operands nonempty
+    width = K + max(n_max, 1)
+    pt = _padded(chain.p, width)[1:]
     q = np.correlate(pt, uk, "valid")
     q_abs = np.correlate(pt, uk_abs, "valid") if signed else q
     if pi1:
         # d~_l = sum_{l < i <= N} p_i, the survival of p~
-        dt = _padded(np.cumsum(chain.p[:0:-1])[::-1], K + n_max)[1:]
+        dt = _padded(np.cumsum(chain.p[:0:-1])[::-1], width)[1:]
         r = np.correlate(dt, uk, "valid")
         r_abs = np.correlate(dt, uk_abs, "valid") if signed else r
         ud = float(np.dot(uk, chain.d[:K]))
@@ -760,8 +762,6 @@ def nonuniformity_probe(chain, i_list, n: int) -> dict:
             raise PreconditionViolated(f"state {i} outside the stored prefix")
         if i > n:
             out[i] = 2.0 * (1.0 - chain.pi[i - n])
-        elif n == 0:
-            out[i] = 2.0 * (1.0 - chain.pi[i])
         else:
             curve = distance_curve(chain, point_mass(i), [n])
             out[i] = float(curve.values[0])

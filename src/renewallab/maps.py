@@ -9,20 +9,23 @@ so every chain statistic has a map-side Monte Carlo counterpart.
 Two samplers produce coded orbits (:func:`coded_states` selects one by
 name).  The default, ``"chain"``, draws excursion lengths straight from the
 return law, which is exact: no float orbit is involved, so there is no
-rounding question to argue about.  The float-orbit sampler, ``"float"``,
-iterates the map itself; near 0 the cells shrink below double resolution
-(and for dyadic slopes the mantissa drains in about fifty steps), so when
-an orbit crosses the resolvable depth it is censored, counted, and the
-stream restarts from a fresh invariant-density sample.  Its loop searches
-the breakpoints only after a top-cell step or a restart: the clamps of each
-branch image put a point of cell ``i >= 2`` into cell ``i - 1`` exactly, so
-the descent needs no search and codes the same symbols as :func:`encode`.
-Its starts come from the invariant density, so on a null-recurrent chain it
-raises :class:`NotPositiveRecurrent` before drawing, as
-:func:`entrance_tail` and :func:`markov_frequency_check` do.  Estimators
-skip pairs that straddle a censored step: they sum zero-filled streams and
-divide by the count of valid pairs, which equals ``nanmean`` of NaN-marked
-streams to the last bit.
+rounding question to argue about, and no map.  The estimators take a chain
+or its :class:`IntermittentMap`; only the float sampler builds the map, so
+laws with a gap in their support, which have none, run on the chain
+sampler.  The float-orbit sampler, ``"float"``, iterates the map itself;
+near 0 the cells shrink below double resolution (and for dyadic slopes the
+mantissa drains in about fifty steps), so when an orbit crosses the
+resolvable depth it is censored, counted, and the stream restarts from a
+fresh invariant-density sample.  Its loop searches the breakpoints only
+after a top-cell step or a restart: the clamps of each branch image put a
+point of cell ``i >= 2`` into cell ``i - 1`` exactly, so the descent needs
+no search and codes the same symbols as :func:`encode`.  Its starts come
+from the invariant density, so on a null-recurrent chain it raises
+:class:`NotPositiveRecurrent` before drawing, as :func:`entrance_tail`,
+:func:`markov_frequency_check` and :func:`kac_check` do on either sampler.
+Estimators skip pairs that straddle a censored step: they sum zero-filled
+streams and divide by the count of valid pairs, which equals ``nanmean`` of
+NaN-marked streams to the last bit.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
@@ -42,14 +45,13 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    NotPositiveRecurrent,
     PreconditionViolated,
     SymbolCapExceeded,
     TruncationTooSmall,
     ZeroProbabilityBranch,
     ZeroValueInWindow,
 )
-from .evolve import RateCurve, RateFit, rate_fit
+from .evolve import RateCurve, RateFit, _require_positive_recurrent, rate_fit
 
 __all__ = [
     "IntermittentMap",
@@ -327,6 +329,11 @@ def _density_start(m: IntermittentMap, rng, pi_cdf) -> float:
             return float(m.breakpoints[cell] + rng.random() * width)
 
 
+def _chain_of(source):
+    """The chain of ``source``, a chain or its :class:`IntermittentMap`."""
+    return source.chain if isinstance(source, IntermittentMap) else source
+
+
 def map_states(m: IntermittentMap, length: int, seed: int,
                burn_in: int = BURN_IN, stream: int = 0):
     """Float-orbit coded states with censoring.
@@ -337,16 +344,23 @@ def map_states(m: IntermittentMap, length: int, seed: int,
     null-recurrent chain has no invariant density and raises
     :class:`NotPositiveRecurrent`.
     """
-    chain = m.chain
-    if not chain.positive_recurrent:
-        raise NotPositiveRecurrent(
-            "float orbits start from the invariant density, which a null-recurrent "
-            "chain lacks")
+    chain = _require_positive_recurrent(m.chain, "float orbits need the invariant density")
     rng = _rng(seed, stream)
     pi_cdf = np.cumsum(chain.pi[1:])
     out = _float_orbit(m, _density_start(m, rng, pi_cdf), int(burn_in) + int(length),
                        restart=lambda: _density_start(m, rng, pi_cdf))[burn_in:]
     return out, int(np.count_nonzero(out == -1))
+
+
+def _sampler(source, sampler: str):
+    """The draw routine of the sampler named ``sampler`` and what it draws
+    from, the chain or the map; the map is built only from a chain."""
+    if sampler == "chain":
+        return sample_states, _chain_of(source)
+    if sampler == "float":
+        return map_states, (source if isinstance(source, IntermittentMap)
+                            else build_map(source))
+    raise ConfigError(f"unknown sampler {sampler!r}; known: 'chain', 'float'")
 
 
 def coded_states(source, sampler: str, length: int, seed: int,
@@ -360,13 +374,8 @@ def coded_states(source, sampler: str, length: int, seed: int,
     ``length >= 1``, ``burn_in >= 0`` and at most :data:`MAX_ORBIT` steps.
     """
     _check_orbit(int(length), int(burn_in))
-    if sampler == "chain":
-        chain = source.chain if isinstance(source, IntermittentMap) else source
-        return sample_states(chain, length, seed, burn_in, stream)
-    if sampler == "float":
-        m = source if isinstance(source, IntermittentMap) else build_map(source)
-        return map_states(m, length, seed, burn_in, stream)
-    raise ConfigError(f"unknown sampler {sampler!r}; known: 'chain', 'float'")
+    draw, source = _sampler(source, sampler)
+    return draw(source, length, seed, burn_in, stream)
 
 
 def _observe(obs, states: np.ndarray) -> np.ndarray:
@@ -413,11 +422,12 @@ def _batch_stderr(y: np.ndarray, valid: np.ndarray, batches: int = BATCHES) -> f
     return float(np.std(means, ddof=1) / math.sqrt(means.size))
 
 
-def mc_correlation(m: IntermittentMap, u, v, n_list, orbit_length: int,
+def mc_correlation(source, u, v, n_list, orbit_length: int,
                    seed: int, burn_in: int = BURN_IN, sampler: str = SAMPLER,
                    streams: int = 1) -> dict:
     """Time-average estimates of the lag-n covariance of two cell
-    observables along a coded orbit.
+    observables along a coded orbit of ``source``, a chain or its map (the
+    float sampler builds the map from a chain once per call).
 
     For each n the estimator is mean(u(s_{t+n}) v(s_t)) - mean(u) mean(v)
     with batch-mean standard errors; pairs that straddle a censored step
@@ -431,9 +441,10 @@ def mc_correlation(m: IntermittentMap, u, v, n_list, orbit_length: int,
         raise PreconditionViolated("need nonnegative lags")
     if max(n_list) >= orbit_length // 2:
         raise PreconditionViolated("largest lag must be well inside the orbit length")
+    draw, source = _sampler(source, sampler)
     per_stream = []
     for s in range(int(streams)):
-        states, _ = coded_states(m, sampler, orbit_length, seed, burn_in, s)
+        states, _ = draw(source, orbit_length, seed, burn_in, s)
         valid = states >= 1
         uu = _observe(u, states)
         vv = uu if v is u else _observe(v, states)
@@ -488,11 +499,14 @@ class KacReport:
     seed: int
 
 
-def kac_check(m: IntermittentMap, orbit_length: int, seed: int,
+def kac_check(source, orbit_length: int, seed: int,
               burn_in: int = BURN_IN, sampler: str = SAMPLER) -> KacReport:
     """Empirical occupation of the top cell times the empirical mean
-    return, with the return-length histogram for comparison with the law."""
-    states, censored = coded_states(m, sampler, orbit_length, seed, burn_in)
+    return along a coded orbit of ``source``, a chain or its map, with the
+    return-length histogram for comparison with the law.  A null-recurrent
+    chain, whose mean return is infinite, raises before drawing."""
+    _require_positive_recurrent(_chain_of(source), "Kac's identity needs a finite mean return")
+    states, censored = coded_states(source, sampler, orbit_length, seed, burn_in)
     valid = states > 0
     rho_e = float(np.count_nonzero(states == 1) / np.count_nonzero(valid))
     ones = np.flatnonzero(states == 1)
@@ -537,19 +551,16 @@ class FrequencyReport:
     seed: int
 
 
-def markov_frequency_check(m: IntermittentMap, orbit_length: int, seed: int,
+def markov_frequency_check(source, orbit_length: int, seed: int,
                            i_max: int = 10, burn_in: int = BURN_IN,
                            sampler: str = SAMPLER) -> FrequencyReport:
     """Tabulate empirical transition frequencies and occupation of the
-    first ``i_max`` cells against the exact chain entries."""
-    chain = m.chain
-    if not chain.positive_recurrent:
-        raise NotPositiveRecurrent(
-            "occupations are checked against the stationary law, which a "
-            "null-recurrent chain lacks")
+    first ``i_max`` cells along a coded orbit of ``source``, a chain or its
+    map, against the exact chain entries."""
+    chain = _require_positive_recurrent(_chain_of(source), "occupations need the stationary law")
     if i_max < 2 or i_max > chain.truncation - 1:
         raise PreconditionViolated("i_max must fit inside the stored prefix")
-    states, censored = coded_states(m, sampler, orbit_length, seed, burn_in)
+    states, censored = coded_states(source, sampler, orbit_length, seed, burn_in)
 
     a, b = states[:-1], states[1:]
     # normalize by every resolved exit from the row, not only exits landing
@@ -607,10 +618,11 @@ class EntranceReport:
     seed: int
 
 
-def entrance_tail(m: IntermittentMap, a: float, n_max: int, samples: int,
+def entrance_tail(source, a: float, n_max: int, samples: int,
                   seed: int, fit_window=None) -> EntranceReport:
     """Survival function of the first entrance time into ``[a, 1]`` from
-    invariant-density starts.
+    invariant-density starts, drawn from the chain of ``source``, a chain
+    or its map.
 
     The target is snapped inward to the nearest cell edge ``d_k >= a``, so
     entrance means reaching a cell of index at most k.  Starts and jump
@@ -619,11 +631,7 @@ def entrance_tail(m: IntermittentMap, a: float, n_max: int, samples: int,
     biased.  A log-log fit over ``fit_window`` (default the last decade)
     is attached when the window's values are positive.
     """
-    chain = m.chain
-    if not chain.positive_recurrent:
-        raise NotPositiveRecurrent(
-            "entrance times start from the invariant density, which a null-recurrent "
-            "chain lacks")
+    chain = _require_positive_recurrent(_chain_of(source), "entrances need the invariant density")
     _check_orbit(int(samples))
     if int(n_max) < 1:
         raise ConfigError(f"n_max must be positive, got {n_max}")
@@ -691,8 +699,7 @@ def invariant_density(chain, n: int | None = None) -> np.ndarray:
     pi_i.  Flat for a geometric law; grows roughly linearly for power
     tails, the usual divergence of intermittent densities at 0.
     """
-    if not chain.positive_recurrent:
-        raise NotPositiveRecurrent("invariant density needs a normalizable level")
+    _require_positive_recurrent(chain, "the invariant density needs a normalizable level")
     support = _support_length(chain)
     if n is None:
         n = support
@@ -723,8 +730,7 @@ def pf_check(chain, n: int = 500) -> TransferReport:
     """Build the cell-to-cell transfer matrix M(i,j) = (p_i/p_j) P(i,j)
     and measure how well it fixes the density (row action) and the return
     law (column action)."""
-    if not chain.positive_recurrent:
-        raise NotPositiveRecurrent("transfer check needs a normalizable level")
+    _require_positive_recurrent(chain, "the transfer check needs a normalizable level")
     n = int(min(n, _support_length(chain)))
     if n < 3:
         raise TruncationTooSmall("need at least three resolvable cells")

@@ -3,12 +3,14 @@
 A :class:`TruncatedSeries` stores the finite prefix ``c_0 .. c_N`` of a formal
 power series together with its truncation order ``N``.  All binary operations
 truncate to the shortest operand; nothing is ever zero-extended silently.
-Convolutions accumulate with compensated (Kahan) summation.  Every series
-quotient in the package -- :func:`reciprocal`, the renewal sequence, the
-renewal deviation and the first-passage laws -- runs the one direct
-recursion of :func:`_quotient`; :func:`divide` is that reciprocal followed
-by a convolution.  No FFT and no symbolic algebra are used anywhere, so
-every coefficient is reproducible to the last rounding.
+Every series quotient -- :func:`divide`, :func:`reciprocal` (a unit
+numerator), the renewal sequence, the renewal deviation and the
+first-passage laws -- runs the one direct recursion of :func:`_quotient`,
+and package code calls it on plain arrays.  :func:`convolve` accumulates
+with compensated (Kahan) summation; no package route uses it, so it serves
+as the independent oracle for the quotients.  No FFT and no symbolic
+algebra are used anywhere, so every coefficient is reproducible to the last
+rounding.
 
 Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
@@ -92,12 +94,8 @@ class TruncatedSeries:
         z = complex(z)
         if abs(z) > EVAL_RADIUS:
             raise OutOfDomain(f"|z| = {abs(z):.6g} exceeds {EVAL_RADIUS}")
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        if z.imag == 0.0:
-            return acc.real
-        return acc
+        value = complex(np.polynomial.polynomial.polyval(z, self.coeffs))
+        return value.real if z.imag == 0.0 else value
 
     def to_csv(self, path) -> None:
         """Write ``n,coeff`` rows with full-precision decimal coefficients."""
@@ -173,9 +171,8 @@ def _quotient(e, d) -> np.ndarray:
 
 
 def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
-    """Coefficients of ``1/D(z)`` on the stored prefix.
-
-    The quotient recursion with a unit numerator: ``c_0 = 1/d_0``,
+    """Coefficients of ``1/D(z)`` on the stored prefix: :func:`divide` with
+    a unit numerator, ``c_0 = 1/d_0``,
     ``c_n = -(1/d_0) * sum_{k=1..n} d_k c_{n-k}``.
 
     Parameters
@@ -185,22 +182,23 @@ def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
     floor : float, optional
         Magnitude below which the leading coefficient counts as zero.
     """
-    dc = _as_series(d).coeffs
+    d = _as_series(d)
+    unit = np.zeros(len(d))
+    unit[0] = 1.0
+    return divide(unit, d, floor)
+
+
+def divide(e, d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
+    """Coefficients of ``E(z)/D(z)`` on the shorter of the two prefixes, by
+    the direct recursion ``h_n = (e_n - sum_{k=1..n} d_k h_{n-k}) / d_0``.
+    ``|d_0|`` must exceed ``floor``.
+    """
+    ec, dc = _as_series(e).coeffs, _as_series(d).coeffs
     if abs(dc[0]) <= floor:
         raise ZeroLeadingCoefficient(
             f"|d_0| = {abs(dc[0]):.3g} is at or below the floor {floor:.3g}"
         )
-    unit = np.zeros(dc.size)
-    unit[0] = 1.0
-    return TruncatedSeries(_quotient(unit, dc))
-
-
-def divide(e, d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
-    """Coefficients of ``E(z)/D(z)``: ``h_n = sum_k c_k e_{n-k}`` with
-    ``c = reciprocal(d)``.  Computed literally as that convolution, so
-    ``divide(e, d)`` and ``convolve(e, reciprocal(d))`` agree bit for bit.
-    """
-    return convolve(_as_series(e), reciprocal(d, floor=floor))
+    return TruncatedSeries(_quotient(ec, dc))
 
 
 def tail_sums(a, analytic_tail: float = 0.0) -> TruncatedSeries:
@@ -272,12 +270,8 @@ def kaluza_check(p) -> bool:
     if np.any(pc <= 0.0):
         k = int(np.argmax(pc <= 0.0))
         raise NonPositiveCoefficient(f"coefficient {k} is not positive: {pc[k]!r}")
-    if len(pc) < 2:
-        return True
     if not np.all(pc[:-1] > pc[1:]):
         return False
-    if len(pc) < 3:
-        return True
     # log-convexity on interior triples: p_n^2 < p_{n-1} p_{n+1}
     return bool(np.all(pc[1:-1] ** 2 < pc[:-2] * pc[2:]))
 
@@ -293,12 +287,12 @@ def convolution_power_probe(gamma: float, n: int):
     * ``"n^(1-g)"`` for ``gamma > 2`` (edge terms dominate).
 
     Raises :class:`BadExponent` for ``gamma <= 1``, where the sum does not
-    decay at all.
+    decay at all, and :class:`OutOfDomain` for ``n < 2``, where it is empty.
     """
     if gamma <= 1.0:
         raise BadExponent(f"gamma must exceed 1, got {gamma!r}")
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise OutOfDomain(f"n must be at least 2, got {n!r}")
     k = np.arange(1, n, dtype=float)
     value = float(np.sum(k ** (1.0 - gamma) * (n - k) ** (1.0 - gamma)))
     if gamma < 2.0:
@@ -322,6 +316,8 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
     (the sample point attaining it) and ``smallest_root_modulus`` (None when
     the degree exceeds ``max_root_degree``).
     """
+    if points < 1:
+        raise OutOfDomain(f"need at least one point per circle, got {points!r}")
     d = _as_series(d)
     if radii is None:
         radii = np.linspace(0.1, 1.0, 10)

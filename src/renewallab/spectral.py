@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated, SingularPoint, TruncationTooSmall
-from .series import divide
+from .series import _quotient
 
 __all__ = [
     "TruncatedOperator",
@@ -215,10 +215,10 @@ def disk_scan(chain, lams, n: int) -> list:
 # generating-function evaluation
 # ----------------------------------------------------------------------
 
-def _law_transform(chain, z: complex, start: int = 1) -> complex:
-    """sum_{k >= start} p_k z^k over the stored prefix."""
-    powers = np.asarray(z, dtype=complex) ** np.arange(start, chain.truncation + 1)
-    return complex(np.dot(chain.p[start:], powers))
+def _law_transform(chain, z: complex, lo: int, hi: int) -> complex:
+    """sum_{lo <= k < hi} p_k z^k over the stored prefix."""
+    powers = np.asarray(z, dtype=complex) ** np.arange(lo, hi)
+    return complex(np.dot(chain.p[lo:hi], powers))
 
 
 def gf_evaluate(chain, i: int, j: int, z: complex):
@@ -248,13 +248,8 @@ def gf_evaluate(chain, i: int, j: int, z: complex):
     if z == 0.0:
         return (1.0 if i == j else 0.0), 0.0
 
-    if j > 1:
-        head = complex(np.dot(
-            chain.p[1:j], np.asarray(z, dtype=complex) ** np.arange(1, j)
-        ))
-    else:
-        head = 0j
-    f_jj = _law_transform(chain, z, start=j) / (1.0 - head)
+    head = _law_transform(chain, z, 1, j)
+    f_jj = _law_transform(chain, z, j, chain.truncation + 1) / (1.0 - head)
     if i > j:
         f_ij = z ** (i - j)
     else:
@@ -270,17 +265,17 @@ def gf_evaluate(chain, i: int, j: int, z: complex):
 
 
 def _series_check(chain, i: int, j: int, z: complex, p_ij: complex):
-    """Independent route: coefficients of P_ij as first-passage convolved
-    with the return-renewal reciprocal, evaluated by Horner."""
+    """Independent route: coefficients of P_ij as first-passage divided by
+    the return-renewal denominator, evaluated by Horner."""
     from .chain import first_passage
 
     n = min(chain.truncation - j, 400)
-    fp = first_passage(chain, i, j, trunc=n, mass_tol=math.inf)
-    fjj = fp.series.coeffs if i == j else first_passage(
+    fij = first_passage(chain, i, j, trunc=n, mass_tol=math.inf).series.coeffs
+    fjj = fij if i == j else first_passage(
         chain, j, j, trunc=n, mass_tol=math.inf
     ).series.coeffs
-    series = divide(fp.series, np.r_[1.0, -fjj[1:]])
-    val = complex(series.evaluate(z))
+    coeffs = _quotient(fij, np.r_[1.0, -fjj[1:]])
+    val = complex(np.polynomial.polynomial.polyval(z, coeffs))
     if i == j:
         val += 1.0
     scale = max(1.0, abs(p_ij))

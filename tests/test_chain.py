@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import renewallab as rl
 from renewallab import (
+    BadExponent,
     CustomLaw,
     DegreeTooSmall,
     FiniteLaw,
@@ -120,6 +121,17 @@ def test_steep_zeta_tail_matches_brute_force_sum(degree, m):
     terms = [n ** -s for n in range(1, 2_000_001)]
     brute = math.fsum(terms[m:]) / math.fsum(terms)
     assert ZetaTailLaw(degree).tail_beyond(m) == pytest.approx(brute, rel=1e-13, abs=0.0)
+
+
+def test_huge_degree_builds_until_its_zeta_tail_is_nan():
+    # scipy's Hurwitz zeta turns NaN past s of about 2e13
+    ch = build_chain(ZetaTailLaw(1e12), 1000)
+    assert ch.d[1] == 0.0 and ch.m1 == 1.0
+    for degree in (1e15, 2.0 ** 63, 1e308, math.inf):
+        with pytest.raises(BadExponent):
+            build_chain(ZetaTailLaw(degree), 1000)
+    with pytest.raises(BadExponent):
+        build_chain(ZetaTailLaw(math.inf, 1.0), 1000)
 
 
 @pytest.mark.parametrize("degree,beta", [(1.0, 1.0), (0.5, 2.0), (-0.5, 1.0), (1.5, 0.5)])

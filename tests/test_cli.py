@@ -88,6 +88,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
     ("map simulate", {**GEO, "length": -5}),
     ("map frequency", {**GEO, "orbit_length": 0}),
     ("map correlate", {**GEO, **CORRELATE, "orbit_length": 1000, "streams": 0}),
+    ("chain info", {"chain": {"law": {"type": "zeta", "degree": 1e15}, "truncation": 100}}),
+    ("chain info", {"chain": {"law": {"type": "zeta", "degree": 2 ** 63},
+                              "truncation": 100}}),
+    ("chain info", {"chain": {"law": {"type": "zeta", "degree": 1e308},
+                              "truncation": 100}}),
+    ("series probe", {"probe": "convolution", "gamma": 2.0, "n_list": [16, 1]}),
+    ("series probe", {**GEO, "probe": "zeros", "points": -1}),
 ], ids=["negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
         "list-burn-in", "string-n-list", "bool-n-list", "string-grid-point",
         "string-radius", "string-probability", "bool-probabilities",
@@ -95,7 +102,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
         "huge-truncation", "huge-length", "huge-kac-orbit",
         "huge-correlate-orbit", "huge-samples", "negative-burn-in",
         "negative-samples", "negative-n-max", "zero-length",
-        "negative-length", "zero-frequency-orbit", "zero-streams"])
+        "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
+        "degree-2^63", "degree-1e308", "n-list-below-2", "negative-points"])
 def test_malformed_value_exits_2(tmp_path, capsys, command, payload):
     code, _ = run(tmp_path, command.split(), payload)
     assert code == 2
@@ -219,8 +227,9 @@ ORBIT = {"orbit_length": 5000, "burn_in": 100, "seed": 3}
     ("map frequency", {**NULL, **ORBIT, "sampler": "float"}),
     ("map frequency", {**NULL, **ORBIT}),
     ("map entrance", {**NULL, "a": 0.3, "n_max": 50, "samples": 1000}),
+    ("map kac", {**NULL, **ORBIT}),
 ], ids=["simulate-float", "correlate-float", "kac-float", "frequency-float",
-        "frequency-chain", "entrance"])
+        "frequency-chain", "entrance", "kac-chain"])
 def test_null_recurrent_chain_in_the_map_layer_exits_3(tmp_path, capsys, command,
                                                        payload):
     # no invariant density or stationary law: refused before any draw
@@ -229,6 +238,29 @@ def test_null_recurrent_chain_in_the_map_layer_exits_3(tmp_path, capsys, command
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "NotPositiveRecurrent" in err[0]
     assert "null-recurrent" in err[0]
+
+
+GAP = {"chain": {"law": {"type": "finite", "probs": [0.5, 0.0, 0.5]}, "truncation": 100}}
+GAP_RUNS = {
+    "map kac": {**GAP, **ORBIT},
+    "map frequency": {**GAP, **ORBIT, "i_max": 4},
+    "map correlate": {**GAP, **CORRELATE, **ORBIT},
+    "map entrance": {**GAP, "a": 0.5, "n_max": 10, "samples": 1000},
+}
+
+
+@pytest.mark.parametrize("command", GAP_RUNS, ids=lambda c: c.split()[1])
+def test_gap_in_the_support_runs_without_a_map(tmp_path, capsys, command):
+    # a law with p_2 = 0 has no branch map; only the float sampler needs one
+    code, _ = run(tmp_path, command.split(), GAP_RUNS[command])
+    assert code == 0
+    if command == "map entrance":
+        return
+    code, _ = run(tmp_path, command.split(), {**GAP_RUNS[command], "sampler": "float"},
+                  sub="float")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "ZeroProbabilityBranch" in err[0]
 
 
 def test_short_prefix_exits_4(tmp_path):

@@ -335,6 +335,19 @@ def test_null_ratio_delta_one_is_exactly_one():
     assert np.array_equal(r.values, np.ones(4))
 
 
+def test_curves_at_n_zero_with_a_one_state_observable():
+    # at n = 0 a one-state observable leaves the pairing nothing to correlate
+    zeta = build_chain(ZetaTailLaw(1.0), 500)
+    both = correlation_curve(zeta, point_mass(1), indicator(1, 1), [0, 1])
+    alone = correlation_curve(zeta, point_mass(1), indicator(1, 1), [0])
+    assert alone.values.tobytes() == both.values[:1].tobytes()
+    assert alone.values[0] == pytest.approx(0.26923703, abs=1e-8)
+    null = build_chain(ZetaTailLaw(-0.5), 500)
+    both = null_recurrent_ratio(null, point_mass(1), indicator(1, 1), [0, 1])
+    alone = null_recurrent_ratio(null, point_mass(1), indicator(1, 1), [0])
+    assert alone.values.tobytes() == both.values[:1].tobytes()
+
+
 def test_null_ratio_delta_two_shift():
     ch = build_chain(ZetaTailLaw(-0.5), 2100)
     grid = [10, 100, 1000]

@@ -689,5 +689,21 @@ def test_null_recurrent_chain_has_no_density_start():
         entrance_tail(m, m.chain.d[1], 50, 1000, seed=1)
     with pytest.raises(NotPositiveRecurrent):
         markov_frequency_check(m, 1000, seed=1, sampler="chain")
-    # the chain sampler and the Kac check need no stationary law
-    assert kac_check(m, 20_000, seed=1).n_returns > 0
+    # Kac's identity needs a finite mean return
+    with pytest.raises(NotPositiveRecurrent):
+        kac_check(m, 20_000, seed=1)
+
+
+def test_float_sampler_builds_the_map_once_per_call(geo, monkeypatch):
+    calls = []
+
+    def counted(chain):
+        calls.append(chain)
+        return build_map(chain)
+
+    monkeypatch.setattr(maps, "build_map", counted)
+    u = centered_top_indicator(geo)
+    mc_correlation(geo, u, u, [1], 2000, seed=5, burn_in=100, sampler="float", streams=3)
+    assert calls == [geo]
+    mc_correlation(geo, u, u, [1], 2000, seed=5, burn_in=100, streams=3)
+    assert calls == [geo]
