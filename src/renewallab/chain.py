@@ -64,6 +64,11 @@ NORMALIZATION_TOL = 1e-10
 #: stored array, checked before anything is allocated.
 MAX_TRUNCATION = 10_000_000
 
+#: Largest ``ZetaTailLaw`` degree, with or without a log power.  Every tail
+#: of such a law is already 0 in double precision past a degree of about
+#: 1075, and ``scipy.special.zeta`` returns NaN past about 2e13.
+MAX_ZETA_DEGREE = 1e13
+
 #: Length of the direct partial sums backing log-corrected zeta constants.
 _ZETA_PARTIAL_TERMS = 100_000
 
@@ -183,7 +188,8 @@ class ZetaTailLaw:
     """``p_n`` proportional to ``n^-(degree+2) log(n+1)^log_power``.
 
     ``degree`` is the polynomial ergodic degree of the resulting chain;
-    values in (-1, 0] give a normalizable but null-recurrent law.  Without
+    values in (-1, 0] give a normalizable but null-recurrent law, and values
+    above :data:`MAX_ZETA_DEGREE` raise :class:`BadExponent`.  Without
     a log power the normalization, mean and tails are Riemann and Hurwitz
     zeta values (``scipy.special.zeta``).  With one they come from direct
     partial sums of 1e5 terms plus analytic tail integrals, cached per
@@ -198,6 +204,8 @@ class ZetaTailLaw:
             raise ZeroProbabilityBranch(
                 f"degree must exceed -1 for a normalizable law, got {self.degree_!r}"
             )
+        if self.degree_ > MAX_ZETA_DEGREE:
+            raise BadExponent(f"degree must be at most {MAX_ZETA_DEGREE:g}, got {self.degree_!r}")
         if self.log_power < 0.0:
             raise ZeroProbabilityBranch(f"log_power must be >= 0, got {self.log_power!r}")
 

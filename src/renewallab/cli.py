@@ -30,38 +30,18 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    CHAIN_KEYS,
-    GRID_KEYS,
-    MEASURE_SCHEMA,
-    OBSERVABLE_SCHEMA,
-    Kinds,
-    chain_from_config,
-    check_keys,
-    config_hash,
-    grid_from_config,
-    load_config,
-    measure_from_config,
-    numbers,
-    observable_from_config,
-    optional,
-    require,
+    CHAIN_SCHEMA, GRID, MEASURE_SCHEMA, OBSERVABLE_SCHEMA, Kinds, Leaf, bounded,
+    chain_from_config, complex_points, config_hash, grid_from_config, integer,
+    interval, list_of, load_config, measure_from_config, number,
+    observable_from_config, read, string,
 )
 from .errors import ConfigError, PreconditionError, TruncationError
 from .evolve import (
-    correlation_constant,
-    correlation_curve,
-    deviation_tail_ratio,
-    distance_curve,
-    null_recurrent_ratio,
-    rate_fit,
+    correlation_constant, correlation_curve, deviation_tail_ratio, distance_curve,
+    null_recurrent_ratio, rate_fit,
 )
 from .maps import (
-    BURN_IN,
-    SAMPLER,
-    coded_states,
-    entrance_tail,
-    kac_check,
-    markov_frequency_check,
+    BURN_IN, SAMPLER, coded_states, entrance_tail, kac_check, markov_frequency_check,
     mc_correlation,
 )
 from .series import convolution_power_probe, kaluza_check, zero_diagnostic
@@ -123,16 +103,17 @@ def _cell(v) -> str:
 
 
 class Ctx:
-    """Per-invocation state: parsed config, resolved seed, output sink."""
+    """Per-invocation state: the config as read (``cfg``) and the hash of
+    the file's descriptor, resolved seed, output sink."""
 
-    def __init__(self, command, cfg, out, seed, truncation, quiet):
+    def __init__(self, command, raw, cfg, out, seed, truncation, quiet):
         self.command = command
         self.cfg = cfg
         self.out = out
         self.seed = seed
         self.truncation = truncation
         self.quiet = quiet
-        self.sha = config_hash(cfg)
+        self.sha = config_hash(raw)
         self.artifacts = []
 
     def chain(self):
@@ -170,38 +151,9 @@ class Ctx:
 
 
 # ----------------------------------------------------------------------
-# Small config helpers
+# Command handlers.  Each returns the ``results`` block of summary.json
+# and indexes ``ctx.cfg``, which its schema in COMMANDS has already read.
 # ----------------------------------------------------------------------
-
-def _complex_points(cfg: dict, key: str):
-    raw = require(cfg, key, list)
-    if not raw:
-        raise ConfigError(f"config key {key!r} must be a nonempty list")
-    out = []
-    for k, item in enumerate(raw):
-        pair = item if isinstance(item, list) and len(item) == 2 else [item, 0.0]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
-            raise ConfigError(
-                f"{key}[{k}] must be a real number or an [re, im] pair"
-            )
-        out.append(complex(float(pair[0]), float(pair[1])))
-    return out
-
-
-def _interval(cfg: dict, key: str, kind: type, default=None):
-    """An optional ``[lo, hi]`` pair with ``lo < hi``, converted to ``kind``;
-    ``default`` when the key is absent or null."""
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    if not (
-        isinstance(raw, list) and len(raw) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-        and raw[0] < raw[1]
-    ):
-        raise ConfigError(f"config key {key!r} must be [lo, hi] with lo < hi")
-    return (kind(raw[0]), kind(raw[1]))
-
 
 def _fit_dict(fit):
     if fit is None:
@@ -214,23 +166,12 @@ def _fit_dict(fit):
     }
 
 
-def _orbit_options(cfg: dict):
-    """The ``burn_in`` and ``sampler`` keys shared by the orbit commands."""
-    return optional(cfg, "burn_in", int, BURN_IN), optional(cfg, "sampler", str, SAMPLER)
-
-
-# ----------------------------------------------------------------------
-# Command handlers.  Each returns the ``results`` block of summary.json.
-# ----------------------------------------------------------------------
-
 def cmd_chain_info(ctx: Ctx) -> dict:
     chain = ctx.chain()
     info = chain.describe()
     info["degree"] = chain.ergodic_degree
     info["positive_recurrent"] = chain.positive_recurrent
-    ctx.say(
-        f"{chain.classification} chain, m1={chain.m1!r}, pi1={chain.pi1!r}"
-    )
+    ctx.say(f"{chain.classification} chain, m1={chain.m1!r}, pi1={chain.pi1!r}")
     return info
 
 
@@ -238,7 +179,7 @@ def _fitted_curve(ctx: Ctx, what: str, curve) -> dict:
     """Writes ``rates_<what>.csv`` and fits it over the optional
     ``fit_window``."""
     ctx.write_curve(f"rates_{what}.csv", curve)
-    window = _interval(ctx.cfg, "fit_window", int)
+    window = ctx.cfg["fit_window"]
     results = {
         "final_n": int(curve.n_grid[-1]),
         "final_value": float(curve.values[-1]),
@@ -248,27 +189,30 @@ def _fitted_curve(ctx: Ctx, what: str, curve) -> dict:
     return results
 
 
+def _pair(ctx: Ctx):
+    """The chain, the ``nu`` measure on it, the ``u`` observable and the grid."""
+    chain = ctx.chain()
+    nu = measure_from_config(ctx.cfg["nu"], chain)
+    return chain, nu, observable_from_config(ctx.cfg["u"]), grid_from_config(ctx.cfg["grid"])
+
+
 def cmd_rates_distance(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    nu = measure_from_config(require(ctx.cfg, "nu", dict), chain, chain.truncation)
-    grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    return _fitted_curve(ctx, "distance", distance_curve(chain, nu, grid))
+    nu = measure_from_config(ctx.cfg["nu"], chain)
+    curve = distance_curve(chain, nu, grid_from_config(ctx.cfg["grid"]))
+    return _fitted_curve(ctx, "distance", curve)
 
 
 def cmd_rates_correlation(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    nu = measure_from_config(require(ctx.cfg, "nu", dict), chain, chain.truncation)
-    u = observable_from_config(require(ctx.cfg, "u", dict), "u")
-    grid = grid_from_config(require(ctx.cfg, "grid", dict))
+    chain, nu, u, grid = _pair(ctx)
     return _fitted_curve(ctx, "correlation", correlation_curve(chain, nu, u, grid))
 
 
 def cmd_rates_lemma2(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    lo, hi = _interval(ctx.cfg, "band", float, (0.9, 1.1))
-    curve = deviation_tail_ratio(chain, grid)
+    curve = deviation_tail_ratio(chain, grid_from_config(ctx.cfg["grid"]))
     ctx.write_curve("rates_lemma2.csv", curve)
+    lo, hi = ctx.cfg["band"]
     final = float(curve.values[-1])
     results = {
         "final_n": int(curve.n_grid[-1]),
@@ -281,13 +225,9 @@ def cmd_rates_lemma2(ctx: Ctx) -> dict:
 
 
 def cmd_rates_constant(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    nu = measure_from_config(require(ctx.cfg, "nu", dict), chain, chain.truncation)
-    u = observable_from_config(require(ctx.cfg, "u", dict), "u")
-    grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    rel_tol = optional(ctx.cfg, "rel_tolerance", float, 0.2)
-    curve, predicted = correlation_constant(chain, nu, u, grid)
+    curve, predicted = correlation_constant(*_pair(ctx))
     ctx.write_curve("rates_constant.csv", curve)
+    rel_tol = ctx.cfg["rel_tolerance"]
     final = float(curve.values[-1])
     gap = abs(final - predicted) / abs(predicted)
     results = {
@@ -303,11 +243,7 @@ def cmd_rates_constant(ctx: Ctx) -> dict:
 
 
 def cmd_rates_null(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    nu = measure_from_config(require(ctx.cfg, "nu", dict), chain, chain.truncation)
-    u = observable_from_config(require(ctx.cfg, "u", dict), "u")
-    grid = grid_from_config(require(ctx.cfg, "grid", dict))
-    curve = null_recurrent_ratio(chain, nu, u, grid)
+    curve = null_recurrent_ratio(*_pair(ctx))
     ctx.write_curve("rates_null.csv", curve)
     results = {
         "final_n": int(curve.n_grid[-1]),
@@ -320,12 +256,10 @@ def cmd_rates_null(ctx: Ctx) -> dict:
 
 def cmd_spectral_factorize(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    dimension = optional(ctx.cfg, "dimension", int, 200)
-    tolerance = optional(ctx.cfg, "tolerance", float, 1e-12)
-    points = _complex_points(ctx.cfg, "z_points")
+    dimension, tolerance = ctx.cfg["dimension"], ctx.cfg["tolerance"]
     rows = []
     worst = 0.0
-    for z in points:
+    for z in ctx.cfg["z_points"]:
         res = factorization_residual(chain, z, dimension)
         worst = max(worst, res)
         rows.append((z.real, z.imag, res))
@@ -341,65 +275,41 @@ def cmd_spectral_factorize(ctx: Ctx) -> dict:
 
 
 def cmd_spectral_eigen(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    dimension = optional(ctx.cfg, "dimension", int, 400)
-    lams = _complex_points(ctx.cfg, "lambdas")
-    rows = disk_scan(chain, lams, dimension)
-    ctx.write_table(
-        "spectral_eigen.csv",
-        ("re_lambda", "im_lambda", "residual", "l1_partial_norm"),
-        rows,
-    )
+    dimension = ctx.cfg["dimension"]
+    rows = disk_scan(ctx.chain(), ctx.cfg["lambdas"], dimension)
+    ctx.write_table("spectral_eigen.csv",
+                    ("re_lambda", "im_lambda", "residual", "l1_partial_norm"), rows)
     worst = max(r[2] for r in rows)
-    results = {"dimension": dimension, "max_residual": float(worst)}
     ctx.say(f"max interior eigen residual {worst!r} at N={dimension}")
-    return results
+    return {"dimension": dimension, "max_residual": float(worst)}
 
 
 def cmd_spectral_gf(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    i = optional(ctx.cfg, "i", int, 1)
-    j = optional(ctx.cfg, "j", int, 1)
-    points = _complex_points(ctx.cfg, "z_points")
+    i, j = ctx.cfg["i"], ctx.cfg["j"]
     rows = []
-    for z in points:
-        p_val, f_val = gf_evaluate(chain, i, j, z)
-        p_val, f_val = complex(p_val), complex(f_val)
-        rows.append((z.real, z.imag, p_val.real, p_val.imag,
-                     f_val.real, f_val.imag))
-    ctx.write_table(
-        "spectral_gf.csv",
-        ("re_z", "im_z", "re_p", "im_p", "re_f", "im_f"),
-        rows,
-    )
+    for z in ctx.cfg["z_points"]:
+        p_val, f_val = (complex(v) for v in gf_evaluate(chain, i, j, z))
+        rows.append((z.real, z.imag, p_val.real, p_val.imag, f_val.real, f_val.imag))
+    ctx.write_table("spectral_gf.csv", ("re_z", "im_z", "re_p", "im_p", "re_f", "im_f"), rows)
     ctx.say(f"evaluated P_{i}{j} and F_{i}{j} at {len(rows)} points")
     return {"i": i, "j": j, "points": len(rows)}
 
 
 def cmd_map_simulate(ctx: Ctx) -> dict:
     chain = ctx.chain()
-    length = require(ctx.cfg, "length", int)
-    burn_in, sampler = _orbit_options(ctx.cfg)
-    i_max = optional(ctx.cfg, "i_max", int, 10)
-    states, censored = coded_states(chain, sampler, length, ctx.seed, burn_in)
+    sampler, i_max = ctx.cfg["sampler"], ctx.cfg["i_max"]
+    states, censored = coded_states(chain, sampler, ctx.cfg["length"], ctx.seed,
+                                    ctx.cfg["burn_in"])
     valid = int(np.count_nonzero(states > 0))
-    counts = np.bincount(
-        states[(states > 0) & (states <= i_max)], minlength=i_max + 1
-    )
-    exact = (
-        chain.pi[1 : i_max + 1]
-        if chain.positive_recurrent
-        else np.full(i_max, np.nan)
-    )
+    counts = np.bincount(states[(states > 0) & (states <= i_max)], minlength=i_max + 1)
+    exact = chain.pi[1 : i_max + 1] if chain.positive_recurrent else np.full(i_max, np.nan)
     rows = [
         (s, int(counts[s]), counts[s] / valid, float(exact[s - 1]))
         for s in range(1, i_max + 1)
     ]
-    ctx.write_table(
-        "map_simulate_occupation.csv",
-        ("state", "visits", "frequency", "exact"),
-        rows,
-    )
+    ctx.write_table("map_simulate_occupation.csv",
+                    ("state", "visits", "frequency", "exact"), rows)
     results = {
         "n_steps": int(states.size),
         "valid_steps": valid,
@@ -411,24 +321,14 @@ def cmd_map_simulate(ctx: Ctx) -> dict:
 
 
 def cmd_map_correlate(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    u = observable_from_config(require(ctx.cfg, "u", dict), "u")
-    v = observable_from_config(require(ctx.cfg, "v", dict), "v")
-    lags = grid_from_config(require(ctx.cfg, "lags", dict), "lags")
-    orbit_length = require(ctx.cfg, "orbit_length", int)
-    burn_in, sampler = _orbit_options(ctx.cfg)
-    streams = optional(ctx.cfg, "streams", int, 1)
+    cfg = ctx.cfg
     estimates = mc_correlation(
-        chain, u, v, lags, orbit_length, ctx.seed,
-        burn_in=burn_in, sampler=sampler, streams=streams,
+        ctx.chain(), observable_from_config(cfg["u"]), observable_from_config(cfg["v"]),
+        grid_from_config(cfg["lags"]), cfg["orbit_length"], ctx.seed,
+        burn_in=cfg["burn_in"], sampler=cfg["sampler"], streams=cfg["streams"],
     )
-    rows = [
-        (n, est.mean, est.stderr, est.censored)
-        for n, est in sorted(estimates.items())
-    ]
-    ctx.write_table(
-        "map_correlate.csv", ("n", "mean", "stderr", "censored"), rows
-    )
+    rows = [(n, est.mean, est.stderr, est.censored) for n, est in sorted(estimates.items())]
+    ctx.write_table("map_correlate.csv", ("n", "mean", "stderr", "censored"), rows)
     results = {
         "estimates": {
             str(n): {
@@ -439,20 +339,16 @@ def cmd_map_correlate(ctx: Ctx) -> dict:
             }
             for n, est in estimates.items()
         },
-        "sampler": sampler,
-        "streams": streams,
+        "sampler": cfg["sampler"],
+        "streams": cfg["streams"],
     }
-    ctx.say(f"estimated {len(rows)} lags from {orbit_length}-step orbits")
+    ctx.say(f"estimated {len(rows)} lags from {cfg['orbit_length']}-step orbits")
     return results
 
 
 def cmd_map_entrance(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    a = float(require(ctx.cfg, "a", (int, float)))
-    n_max = require(ctx.cfg, "n_max", int)
-    samples = require(ctx.cfg, "samples", int)
-    window = _interval(ctx.cfg, "fit_window", int)
-    report = entrance_tail(chain, a, n_max, samples, ctx.seed, fit_window=window)
+    report = entrance_tail(ctx.chain(), ctx.cfg["a"], ctx.cfg["n_max"], ctx.cfg["samples"],
+                           ctx.seed, fit_window=ctx.cfg["fit_window"])
     ctx.write_curve("map_entrance.csv", report.curve)
     results = {
         "a_effective": report.a_effective,
@@ -466,15 +362,12 @@ def cmd_map_entrance(ctx: Ctx) -> dict:
 
 
 def cmd_map_kac(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    orbit_length = require(ctx.cfg, "orbit_length", int)
-    burn_in, sampler = _orbit_options(ctx.cfg)
-    tolerance = optional(ctx.cfg, "tolerance", float, 0.01)
-    hist_max = optional(ctx.cfg, "histogram_max", int, 30)
-    report = kac_check(chain, orbit_length, ctx.seed, burn_in=burn_in, sampler=sampler)
-    top = min(report.histogram.size - 1, hist_max)
+    report = kac_check(ctx.chain(), ctx.cfg["orbit_length"], ctx.seed,
+                       burn_in=ctx.cfg["burn_in"], sampler=ctx.cfg["sampler"])
+    top = min(report.histogram.size - 1, ctx.cfg["histogram_max"])
     rows = [(k, int(report.histogram[k])) for k in range(1, top + 1)]
     ctx.write_table("map_kac_histogram.csv", ("length", "count"), rows)
+    tolerance = ctx.cfg["tolerance"]
     gap = abs(report.product - 1.0)
     results = {
         "rho_e": report.rho_e,
@@ -491,13 +384,9 @@ def cmd_map_kac(ctx: Ctx) -> dict:
 
 
 def cmd_map_frequency(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    orbit_length = require(ctx.cfg, "orbit_length", int)
-    i_max = optional(ctx.cfg, "i_max", int, 10)
-    burn_in, sampler = _orbit_options(ctx.cfg)
-    sigma = optional(ctx.cfg, "sigma", float, 3.0)
-    rep = markov_frequency_check(chain, orbit_length, ctx.seed,
-                                 i_max=i_max, burn_in=burn_in, sampler=sampler)
+    i_max, sigma = ctx.cfg["i_max"], ctx.cfg["sigma"]
+    rep = markov_frequency_check(ctx.chain(), ctx.cfg["orbit_length"], ctx.seed, i_max=i_max,
+                                 burn_in=ctx.cfg["burn_in"], sampler=ctx.cfg["sampler"])
     t_rows = []
     for r in range(i_max):
         for c in range(i_max):
@@ -543,13 +432,12 @@ def cmd_map_frequency(ctx: Ctx) -> dict:
 
 
 def cmd_series_probe(ctx: Ctx) -> dict:
-    probe = require(ctx.cfg, "probe", str)
+    probe = ctx.cfg["probe"]
     if probe == "convolution":
-        gamma = float(require(ctx.cfg, "gamma", (int, float)))
-        n_list = numbers(ctx.cfg, "n_list", int)
+        gamma = ctx.cfg["gamma"]
         values = {}
         regime = None
-        for n in n_list:
+        for n in ctx.cfg["n_list"]:
             value, regime = convolution_power_probe(gamma, n)
             values[str(n)] = value
         ctx.say(f"convolution power regime: {regime}")
@@ -559,14 +447,13 @@ def cmd_series_probe(ctx: Ctx) -> dict:
         ok = kaluza_check(chain.p[1:])
         ctx.say(f"kaluza (decreasing, log-convex): {ok}")
         return {"kaluza": bool(ok), "law": chain.law.describe()}
-    prefix = optional(ctx.cfg, "prefix", int, min(chain.truncation, 2000))
+    prefix = ctx.cfg["prefix"]
+    if prefix is None:  # the default depends on the chain
+        prefix = min(chain.truncation, 2000)
     if not 2 <= prefix <= chain.truncation:
         raise ConfigError("'prefix' must lie within the stored prefix")
-    diag = zero_diagnostic(
-        np.r_[1.0, -chain.p[1 : prefix + 1]],
-        radii=None if ctx.cfg.get("radii") is None else numbers(ctx.cfg, "radii"),
-        points=optional(ctx.cfg, "points", int, 720),
-    )
+    diag = zero_diagnostic(np.r_[1.0, -chain.p[1 : prefix + 1]],
+                           radii=ctx.cfg["radii"], points=ctx.cfg["points"])
     ctx.say(f"min |1 - F(z)| sampled: {diag['min_abs']!r}")
     return diag
 
@@ -575,46 +462,66 @@ def cmd_series_probe(ctx: Ctx) -> dict:
 # Command table, parser, entry point
 # ----------------------------------------------------------------------
 
-def _keys(*leaves, **blocks) -> dict:
-    """Allowed top-level config keys: the shared chain block, ``leaves``
-    validated by the handler, and nested ``blocks`` with their own keys."""
-    return {"chain": CHAIN_KEYS, **dict.fromkeys(leaves), **blocks}
+def _keys(**keys) -> dict:
+    """Schema of a command's config: the shared chain block and ``keys``."""
+    return {"chain": CHAIN_SCHEMA, **keys}
 
 
-_ORBIT = ("burn_in", "sampler", "seed")
+#: key of the commands that draw from a seeded generator
+_SEED = {"seed": Leaf(integer, 0)}
+#: keys of the commands that draw coded orbits
+_ORBIT = {"burn_in": Leaf(integer, BURN_IN), "sampler": Leaf(string, SAMPLER), **_SEED}
+_FIT = {"fit_window": Leaf(interval(int), None, nullable=True)}
 #: blocks of the rates commands that pair an evolved measure with an observable
-_PAIR = {"nu": MEASURE_SCHEMA, "u": OBSERVABLE_SCHEMA, "grid": GRID_KEYS}
+_PAIR = {"nu": MEASURE_SCHEMA, "u": OBSERVABLE_SCHEMA, "grid": GRID}
+_POINTS = {"z_points": Leaf(complex_points)}
 
 PROBE_SCHEMA = Kinds("probe", {
-    "convolution": dict.fromkeys(("gamma", "n_list")),
+    "convolution": {"gamma": Leaf(number), "n_list": Leaf(list_of(bounded))},
     "kaluza": _keys(),
-    "zeros": _keys("radii", "points", "prefix"),
+    # the prefix defaults to min(truncation, 2000), read off the chain
+    "zeros": _keys(radii=Leaf(list_of(number), None, nullable=True),
+                   points=Leaf(bounded, 720), prefix=Leaf(bounded, None)),
 })
 
 #: "group sub" -> (handler, schema of its config)
 COMMANDS = {
     "chain info": (cmd_chain_info, _keys()),
     "rates distance": (
-        cmd_rates_distance, _keys("fit_window", nu=MEASURE_SCHEMA, grid=GRID_KEYS)),
-    "rates correlation": (cmd_rates_correlation, _keys("fit_window", **_PAIR)),
-    "rates lemma2": (cmd_rates_lemma2, _keys("band", grid=GRID_KEYS)),
-    "rates constant": (cmd_rates_constant, _keys("rel_tolerance", **_PAIR)),
+        cmd_rates_distance, _keys(**_FIT, nu=MEASURE_SCHEMA, grid=GRID)),
+    "rates correlation": (cmd_rates_correlation, _keys(**_FIT, **_PAIR)),
+    "rates lemma2": (
+        cmd_rates_lemma2,
+        _keys(band=Leaf(interval(float), (0.9, 1.1), nullable=True), grid=GRID)),
+    "rates constant": (
+        cmd_rates_constant, _keys(rel_tolerance=Leaf(number, 0.2), **_PAIR)),
     "rates null": (cmd_rates_null, _keys(**_PAIR)),
     "spectral factorize": (
-        cmd_spectral_factorize, _keys("dimension", "z_points", "tolerance")),
-    "spectral eigen": (cmd_spectral_eigen, _keys("dimension", "lambdas")),
-    "spectral gf": (cmd_spectral_gf, _keys("i", "j", "z_points")),
-    "map simulate": (cmd_map_simulate, _keys("length", "i_max", *_ORBIT)),
+        cmd_spectral_factorize,
+        _keys(dimension=Leaf(bounded, 200), tolerance=Leaf(number, 1e-12), **_POINTS)),
+    "spectral eigen": (
+        cmd_spectral_eigen,
+        _keys(dimension=Leaf(bounded, 400), lambdas=Leaf(complex_points))),
+    "spectral gf": (
+        cmd_spectral_gf, _keys(i=Leaf(bounded, 1), j=Leaf(bounded, 1), **_POINTS)),
+    "map simulate": (
+        cmd_map_simulate,
+        _keys(length=Leaf(integer), i_max=Leaf(bounded, 10), **_ORBIT)),
     "map correlate": (
         cmd_map_correlate,
-        _keys("orbit_length", "streams", *_ORBIT,
-              u=OBSERVABLE_SCHEMA, v=OBSERVABLE_SCHEMA, lags=GRID_KEYS)),
+        _keys(orbit_length=Leaf(integer), streams=Leaf(integer, 1), **_ORBIT,
+              u=OBSERVABLE_SCHEMA, v=OBSERVABLE_SCHEMA, lags=GRID)),
     "map entrance": (
-        cmd_map_entrance, _keys("a", "n_max", "samples", "fit_window", "seed")),
+        cmd_map_entrance,
+        _keys(a=Leaf(number), n_max=Leaf(integer), samples=Leaf(integer), **_FIT, **_SEED)),
     "map kac": (
-        cmd_map_kac, _keys("orbit_length", "tolerance", "histogram_max", *_ORBIT)),
+        cmd_map_kac,
+        _keys(orbit_length=Leaf(integer), tolerance=Leaf(number, 0.01),
+              histogram_max=Leaf(bounded, 30), **_ORBIT)),
     "map frequency": (
-        cmd_map_frequency, _keys("orbit_length", "i_max", "sigma", *_ORBIT)),
+        cmd_map_frequency,
+        _keys(orbit_length=Leaf(integer), i_max=Leaf(bounded, 10),
+              sigma=Leaf(number, 3.0), **_ORBIT)),
     "series probe": (cmd_series_probe, PROBE_SCHEMA),
 }
 
@@ -642,13 +549,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run(command: str, args) -> int:
     handler, schema = COMMANDS[command]
-    cfg = load_config(args.config)
-    check_keys(cfg, schema)
-    seed = args.seed if args.seed is not None else optional(cfg, "seed", int, 0)
+    raw = load_config(args.config)
+    cfg = read(raw, schema)
+    # a command without a seed key records seed 0
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     os.makedirs(args.out, exist_ok=True)
-    ctx = Ctx(command, cfg, args.out, seed, args.truncation, args.quiet)
+    ctx = Ctx(command, raw, cfg, args.out, seed, args.truncation, args.quiet)
     results = handler(ctx)
     summary = {
         "command": command,

@@ -16,39 +16,39 @@ Initial measures: {"kind": "point", "state": 1}, {"kind": "stationary"},
 or {"kind": "weights", "weights": [...], "tail_mass": 0.0}.  Observables:
 {"kind": "indicator", "states": [1], "size": 400}, {"kind": "ones",
 "size": 400}, or {"kind": "values", "values": [...], "limit": 0.0}.
+Grids: {"points": [10, 100]} or {"lo": 10, "hi": 10000, "count": 30}.
 
-Validation is strict: an unknown key anywhere, in nested blocks too,
-raises :class:`UnknownConfigKey` naming its dotted path (``nu.stat``,
-``chain.law.q``).  A block whose keys depend on a tag (a law's ``type``, a
-measure's or observable's ``kind``) is described by a :class:`Kinds` schema,
-so one :func:`check_keys` call checks a whole descriptor before any
-computation starts.
+A schema declares every key once: a :class:`Leaf` carries the key's reader
+and default, a nested mapping is a block, and a :class:`Kinds` is a block
+whose keys depend on a tag (a law's ``type``, a measure's or observable's
+``kind``).  One :func:`read` call checks a whole descriptor before any
+computation starts: an unknown key anywhere, in nested blocks too, raises
+:class:`UnknownConfigKey` naming its dotted path (``nu.stat``,
+``chain.law.q``); a missing key or a value of the wrong type, or a size or
+index above :data:`~renewallab.chain.MAX_TRUNCATION`, raises
+:class:`ConfigError`.  The builders below take the block :func:`read`
+returned, with every value converted and every default filled in.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import ChainMap
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .chain import FiniteLaw, GeometricLaw, ZetaTailLaw, build_chain
+from .chain import MAX_TRUNCATION, FiniteLaw, GeometricLaw, ZetaTailLaw, build_chain
 from .errors import ConfigError, UnknownConfigKey
+from .evolve import log_grid
 from .measures import from_weights, indicator, ones, point_mass, stationary
 from .measures import Observable
 
 __all__ = [
-    "load_config",
-    "Kinds",
-    "check_keys",
-    "config_hash",
-    "chain_from_config",
-    "measure_from_config",
-    "observable_from_config",
-    "grid_from_config",
-    "require",
-    "optional",
-    "numbers",
+    "load_config", "config_hash", "Leaf", "Kinds", "REQUIRED", "read",
+    "integer", "bounded", "real", "number", "string", "list_of", "interval",
+    "complex_points", "chain_from_config", "measure_from_config",
+    "observable_from_config", "grid_from_config",
 ]
 
 
@@ -66,6 +66,102 @@ def load_config(path) -> dict:
     return cfg
 
 
+def config_hash(cfg: dict) -> str:
+    """Stable short hash of a descriptor, for output sidecars."""
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# ----------------------------------------------------------------------
+# Readers: ``reader(value, dotted_path)`` checks one JSON value and
+# returns it converted.  JSON ``true``/``false`` never pass as numbers.
+# ----------------------------------------------------------------------
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _scalar(types, what: str, convert=None):
+    def reader(value, here: str):
+        if not _is(value, types):
+            raise ConfigError(f"config key {here!r} must be {what}")
+        return value if convert is None else convert(value)
+    return reader
+
+
+#: an integer
+integer = _scalar(int, "an integer")
+#: a number, kept as given (an integer stays one)
+real = _scalar((int, float), "a number")
+#: a number, converted to float
+number = _scalar((int, float), "a number", float)
+#: a string
+string = _scalar(str, "a string")
+
+
+def bounded(value, here: str) -> int:
+    """A size or an index: an integer in ``[0, MAX_TRUNCATION]``, so that
+    nothing sized by it is allocated before it is refused."""
+    if not 0 <= integer(value, here) <= MAX_TRUNCATION:
+        raise ConfigError(f"config key {here!r} must be an integer in [0, {MAX_TRUNCATION}]")
+    return value
+
+
+def list_of(element):
+    """A list whose entries each pass ``element``."""
+    def reader(value, here: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {here!r} must be a list")
+        return [element(v, f"{here}[{k}]") for k, v in enumerate(value)]
+    return reader
+
+
+def interval(kind: type):
+    """A ``[lo, hi]`` pair of finite numbers with ``lo < hi``, converted to
+    ``kind``."""
+    def reader(value, here: str) -> tuple:
+        if not (
+            isinstance(value, list) and len(value) == 2
+            and all(_is(v, (int, float)) and math.isfinite(v) for v in value)
+            and value[0] < value[1]
+        ):
+            raise ConfigError(f"config key {here!r} must be [lo, hi] with lo < hi")
+        return kind(value[0]), kind(value[1])
+    return reader
+
+
+def complex_points(value, here: str) -> list:
+    """A nonempty list of real numbers or ``[re, im]`` pairs."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config key {here!r} must be a nonempty list")
+    out = []
+    for k, item in enumerate(value):
+        pair = item if isinstance(item, list) and len(item) == 2 else [item, 0.0]
+        if not all(_is(v, (int, float)) for v in pair):
+            raise ConfigError(f"{here}[{k}] must be a real number or an [re, im] pair")
+        out.append(complex(float(pair[0]), float(pair[1])))
+    return out
+
+
+# ----------------------------------------------------------------------
+# Schemas and the one reading pass
+# ----------------------------------------------------------------------
+
+#: default of a key that must be present
+REQUIRED = object()
+
+
+class Leaf(NamedTuple):
+    """A key that holds a value: ``read(value, dotted_path)`` checks and
+    converts it, ``default`` stands in when it is absent (:data:`REQUIRED`:
+    it must be present), and with ``nullable`` a JSON ``null`` means absent
+    too."""
+
+    read: Callable
+    default: object = REQUIRED
+    nullable: bool = False
+
+
 class Kinds(NamedTuple):
     """Schema of a block whose allowed keys depend on its string ``tag``
     key: ``kinds`` maps each valid tag value to the schema of its other
@@ -75,161 +171,138 @@ class Kinds(NamedTuple):
     kinds: dict
 
 
-def check_keys(d: dict, allowed, path: str = "") -> None:
-    """Reject keys outside ``allowed``: a name -> sub-schema mapping, where a
-    sub-schema is None for a leaf validated elsewhere, a nested mapping or a
-    :class:`Kinds`; an unknown tag value raises :class:`ConfigError`."""
-    if not isinstance(d, dict):
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _known(cfg, allowed, path: str) -> None:
+    """Reject a non-object ``cfg`` and any key outside ``allowed``."""
+    if not isinstance(cfg, dict):
         raise ConfigError(f"config key {path!r} must be an object")
-    if isinstance(allowed, Kinds):
-        tag, kinds = allowed
-        kind = require(d, tag, str, path) if tag in d else None
-        if kind is not None and kind not in kinds:
-            here = f"{path}.{tag}" if path else tag
-            raise ConfigError(f"config key {here!r} must be one of {sorted(kinds)}")
-        allowed = {tag: None, **(kinds[kind] if kind else ChainMap(*kinds.values()))}
-    for key, value in d.items():
-        here = f"{path}.{key}" if path else key
+    for key in cfg:
         if key not in allowed:
             raise UnknownConfigKey(
-                f"unknown config key {here!r}; allowed here: {sorted(allowed)}"
+                f"unknown config key {_join(path, key)!r}; allowed here: {sorted(allowed)}"
             )
-        if allowed[key] is not None:
-            check_keys(value, allowed[key], here)
 
 
-def require(cfg: dict, key: str, kind=None, path: str = ""):
-    """Value of a required key, checked against ``kind`` (a type or tuple
-    of types).  JSON ``true``/``false`` never pass as numbers."""
-    here = f"{path}.{key}" if path else key
-    if key not in cfg:
-        raise ConfigError(f"missing required config key {here!r}")
-    value = cfg[key]
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        names = kind if isinstance(kind, type) else kind[0]
-        raise ConfigError(f"config key {here!r} must be of type {names.__name__}")
-    return value
+def read(cfg, schema, path: str = "") -> dict:
+    """``cfg`` checked against ``schema`` (a name -> :class:`Leaf`, nested
+    schema or :class:`Kinds` mapping, or a :class:`Kinds`): every key known,
+    every value read, every default filled in.  An unknown tag value
+    raises :class:`ConfigError` listing the valid ones."""
+    if isinstance(schema, Kinds):
+        tag, kinds = schema
+        here = _join(path, tag)
+        kind = string(cfg[tag], here) if isinstance(cfg, dict) and tag in cfg else None
+        if kind is not None and kind not in kinds:
+            raise ConfigError(f"config key {here!r} must be one of {sorted(kinds)}")
+        schema = {tag: Leaf(string), **(kinds[kind] if kind else ChainMap(*kinds.values()))}
+    _known(cfg, schema, path)
+    out = {}
+    for key, sub in schema.items():
+        here = _join(path, key)
+        leaf = isinstance(sub, Leaf)
+        if key in cfg and not (leaf and sub.nullable and cfg[key] is None):
+            out[key] = sub.read(cfg[key], here) if leaf else read(cfg[key], sub, here)
+        elif leaf and sub.default is not REQUIRED:
+            out[key] = sub.default
+        else:
+            raise ConfigError(f"missing required config key {here!r}")
+    return out
 
 
-def optional(cfg: dict, key: str, kind: type, default, path: str = ""):
-    """Value of an optional key: ``default`` when absent, otherwise checked
-    as by :func:`require` and converted to ``kind``; a ``float`` key also
-    takes integers."""
-    if key not in cfg:
-        return default
-    return kind(require(cfg, key, (float, int) if kind is float else kind, path))
-
-
-def numbers(cfg: dict, key: str, kind: type = float, path: str = "") -> list:
-    """Elements of a required list key, each a JSON number (an integer when
-    ``kind`` is ``int``) converted to ``kind``; booleans never pass."""
-    raw = require(cfg, key, list, path)
-    here = f"{path}.{key}" if path else key
-    allowed = int if kind is int else (int, float)
-    for k, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, allowed):
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"config key {f'{here}[{k}]'!r} must be {what}")
-    return [kind(v) for v in raw]
-
-
-def config_hash(cfg: dict) -> str:
-    """Stable short hash of a descriptor, for output sidecars."""
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
+# ----------------------------------------------------------------------
+# Builders: each takes a block as :func:`read` returned it
+# ----------------------------------------------------------------------
 
 LAW_SCHEMA = Kinds("type", {
-    "geometric": {"q": None},
-    "zeta": {"degree": None, "log_power": None},
-    "finite": {"probs": None},
-    "custom": dict.fromkeys(("probs", "tail_exponent", "tail_log_power")),
+    "geometric": {"q": Leaf(real)},
+    "zeta": {"degree": Leaf(real), "log_power": Leaf(number, 0.0)},
+    "finite": {"probs": Leaf(list_of(number))},
+    "custom": {"probs": Leaf(list_of(number)), "tail_exponent": Leaf(number, math.inf),
+               "tail_log_power": Leaf(number, 0.0)},
 })
-#: keys allowed in the shared chain block
-CHAIN_KEYS = {"law": LAW_SCHEMA, "truncation": None}
+#: schema of the shared chain block
+CHAIN_SCHEMA = {"law": LAW_SCHEMA, "truncation": Leaf(integer)}
 
 
 def chain_from_config(cfg: dict, truncation_override=None):
-    block = require(cfg, "chain", dict)
-    check_keys(block, CHAIN_KEYS, "chain")
-    law_cfg = require(block, "law", dict, "chain")
-    kind = require(law_cfg, "type", str, "chain.law")
-    if kind == "geometric":
-        law = GeometricLaw(require(law_cfg, "q", (int, float), "chain.law"))
-    elif kind == "zeta":
-        law = ZetaTailLaw(
-            require(law_cfg, "degree", (int, float), "chain.law"),
-            optional(law_cfg, "log_power", float, 0.0, "chain.law"),
-        )
-    else:
-        law = FiniteLaw(
-            numbers(law_cfg, "probs", float, "chain.law"),
-            tail_exponent=optional(law_cfg, "tail_exponent", float, float("inf"),
-                                   "chain.law"),
-            tail_log_power=optional(law_cfg, "tail_log_power", float, 0.0,
-                                    "chain.law"),
-        )
-    truncation = require(block, "truncation", int, "chain")
+    """The chain of a read descriptor's ``chain`` block; ``truncation_override``
+    replaces its truncation."""
+    block = cfg["chain"]
+    spec = block["law"]
+    if spec["type"] == "geometric":
+        law = GeometricLaw(spec["q"])
+    elif spec["type"] == "zeta":
+        law = ZetaTailLaw(spec["degree"], spec["log_power"])
+    else:  # the keys of a finite or custom law are FiniteLaw's arguments
+        law = FiniteLaw(**{key: v for key, v in spec.items() if key != "type"})
+    truncation = block["truncation"]
     if truncation_override is not None:
         truncation = int(truncation_override)
     return build_chain(law, truncation)
 
 
 MEASURE_SCHEMA = Kinds("kind", {
-    "point": {"state": None},
-    "stationary": {"size": None},
-    "weights": {"weights": None, "tail_mass": None},
+    "point": {"state": Leaf(bounded)},
+    # the stationary law's size defaults to the chain's truncation
+    "stationary": {"size": Leaf(bounded, None)},
+    "weights": {"weights": Leaf(list_of(number)), "tail_mass": Leaf(number, 0.0)},
 })
 
 
-def measure_from_config(cfg: dict, chain, size: int, path: str = "nu"):
-    check_keys(cfg, MEASURE_SCHEMA, path)
-    kind = require(cfg, "kind", str, path)
+def measure_from_config(block: dict, chain):
+    """The initial measure of a read ``nu`` block, on ``chain``'s prefix."""
+    kind = block["kind"]
     if kind == "point":
-        return point_mass(require(cfg, "state", int, path), size=size)
+        return point_mass(block["state"], size=chain.truncation)
     if kind == "stationary":
-        return stationary(chain, size=optional(cfg, "size", int, size, path))
-    weights = numbers(cfg, "weights", float, path)
-    return from_weights(weights, tail_mass=optional(cfg, "tail_mass", float, 0.0, path))
+        return stationary(chain, size=block["size"])
+    return from_weights(block["weights"], tail_mass=block["tail_mass"])
 
 
 OBSERVABLE_SCHEMA = Kinds("kind", {
-    "indicator": {"states": None, "size": None},
-    "ones": {"size": None},
-    "values": {"values": None, "limit": None},
+    "indicator": {"states": Leaf(list_of(bounded)), "size": Leaf(bounded)},
+    "ones": {"size": Leaf(bounded)},
+    "values": {"values": Leaf(list_of(number)), "limit": Leaf(number, 0.0)},
 })
 
 
-def observable_from_config(cfg: dict, path: str = "u") -> Observable:
-    check_keys(cfg, OBSERVABLE_SCHEMA, path)
-    kind = require(cfg, "kind", str, path)
+def observable_from_config(block: dict) -> Observable:
+    """The observable of a read ``u`` or ``v`` block."""
+    kind = block["kind"]
     if kind == "indicator":
-        return indicator(
-            numbers(cfg, "states", int, path), require(cfg, "size", int, path)
-        )
+        return indicator(block["states"], block["size"])
     if kind == "ones":
-        return ones(require(cfg, "size", int, path))
-    values = [0.0] + numbers(cfg, "values", float, path)
-    return Observable(values, limit=optional(cfg, "limit", float, 0.0, path))
+        return ones(block["size"])
+    return Observable([0.0] + block["values"], limit=block["limit"])
 
 
-GRID_KEYS = {"lo": None, "hi": None, "count": None, "points": None}
+def _increasing(value, here: str) -> list:
+    """A nonempty, strictly increasing list of sizes."""
+    pts = list_of(bounded)(value, here)
+    if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
+        raise ConfigError(f"{here} must be strictly increasing")
+    return pts
 
 
-def grid_from_config(cfg: dict, path: str = "grid"):
-    """A strictly increasing integer grid: either explicit ``points`` or a
-    log-spaced ``lo``/``hi``/``count`` block."""
-    from .evolve import log_grid
+_POINTS = {"points": Leaf(_increasing)}
+_LOG_SPACED = {"lo": Leaf(bounded), "hi": Leaf(bounded), "count": Leaf(bounded, 30)}
 
-    check_keys(cfg, GRID_KEYS, path)
-    if "points" in cfg:
-        if set(cfg) != {"points"}:
-            raise ConfigError(f"{path!r} takes either points or lo/hi/count")
-        pts = numbers(cfg, "points", int, path)
-        if any(b <= a for a, b in zip(pts, pts[1:])) or not pts:
-            raise ConfigError(f"{path}.points must be strictly increasing")
-        return pts
-    lo = require(cfg, "lo", int, path)
-    hi = require(cfg, "hi", int, path)
-    count = optional(cfg, "count", int, 30, path)
-    return [int(v) for v in log_grid(lo, hi, count)]
+
+def _grid(value, here: str) -> dict:
+    """Explicit ``points``, or a log-spaced ``lo``/``hi``/``count`` block."""
+    _known(value, {**_POINTS, **_LOG_SPACED}, here)
+    return read(value, _POINTS if "points" in value else _LOG_SPACED, here)
+
+
+#: a grid key, read in either form
+GRID = Leaf(_grid)
+
+
+def grid_from_config(block: dict) -> list:
+    """The strictly increasing integer grid of a read grid block."""
+    if "points" in block:
+        return block["points"]
+    return [int(v) for v in log_grid(block["lo"], block["hi"], block["count"])]

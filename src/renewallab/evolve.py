@@ -145,7 +145,14 @@ def _check_horizon(chain, nu: SignedDistribution, n_max: int):
         )
 
 
-def _padded_weights(chain, nu: SignedDistribution) -> np.ndarray:
+def step(chain, nu: SignedDistribution) -> SignedDistribution:
+    """One exact evolution step of a signed distribution.
+
+    Entry j of the result is ``nu_1 p_j + nu_{j+1}``; the unknown inflow
+    from state N+1 is what the tail term accounts for.  The result keeps the
+    chain's full prefix length.  Mass sent beyond the prefix joins
+    ``tail_mass``; the declared tail family is inherited.
+    """
     n = chain.truncation
     if nu.size > n:
         raise TruncationTooSmall(
@@ -153,33 +160,15 @@ def _padded_weights(chain, nu: SignedDistribution) -> np.ndarray:
         )
     w = np.zeros(n + 1)
     w[: nu.size + 1] = nu.weights
-    return w
-
-
-def _step_inplace(chain, w: np.ndarray, out: np.ndarray, tail_mass: float) -> float:
-    """One exact evolution step from ``w`` into ``out``; returns the updated
-    tail mass.  Entry j of the result is nu_1 p_j + nu_{j+1}; the unknown
-    inflow from state N+1 is what the tail term accounts for."""
     nu1 = w[1]
-    n = w.size - 1
+    out = np.empty_like(w)
     out[0] = 0.0
     out[1:n] = w[2 : n + 1]
     out[n] = 0.0
+    tail = nu.tail_mass
     if nu1 != 0.0:
         out[1:] += nu1 * chain.p[1:]
-        tail_mass += nu1 * chain.d[n]
-    return tail_mass
-
-
-def step(chain, nu: SignedDistribution) -> SignedDistribution:
-    """One evolution step of a signed distribution.
-
-    The result keeps the chain's full prefix length.  Mass sent beyond the
-    prefix joins ``tail_mass``; the declared tail family is inherited.
-    """
-    w = _padded_weights(chain, nu)
-    out = np.empty_like(w)
-    tail = _step_inplace(chain, w, out, nu.tail_mass)
+        tail += nu1 * chain.d[n]
     return SignedDistribution(out, tail_mass=tail, tail=nu.tail)
 
 

@@ -132,6 +132,12 @@ def test_huge_degree_builds_until_its_zeta_tail_is_nan():
             build_chain(ZetaTailLaw(degree), 1000)
     with pytest.raises(BadExponent):
         build_chain(ZetaTailLaw(math.inf, 1.0), 1000)
+    # the same bound holds with a log power
+    ch = build_chain(ZetaTailLaw(1e12, 1.0), 1000)
+    assert ch.d[1] == 0.0
+    for degree in (1e15, 2.0 ** 63, 1e308):
+        with pytest.raises(BadExponent):
+            build_chain(ZetaTailLaw(degree, 1.0), 1000)
 
 
 @pytest.mark.parametrize("degree,beta", [(1.0, 1.0), (0.5, 2.0), (-0.5, 1.0), (1.5, 0.5)])

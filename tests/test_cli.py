@@ -55,7 +55,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
     assert "typo_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, payload", [
+MALFORMED = [
     ("map kac", {**GEO, "orbit_length": 1000, "seed": -1}),
     ("map kac", {**GEO, "orbit_length": 1000, "seed": 2 ** 64}),
     ("chain info", {"chain": {**GEO["chain"], "truncation": True}}),
@@ -95,15 +95,34 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
                               "truncation": 100}}),
     ("series probe", {"probe": "convolution", "gamma": 2.0, "n_list": [16, 1]}),
     ("series probe", {**GEO, "probe": "zeros", "points": -1}),
-], ids=["negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
-        "list-burn-in", "string-n-list", "bool-n-list", "string-grid-point",
-        "string-radius", "string-probability", "bool-probabilities",
-        "string-pair", "bool-pair", "bool-point", "string-weights",
-        "huge-truncation", "huge-length", "huge-kac-orbit",
-        "huge-correlate-orbit", "huge-samples", "negative-burn-in",
-        "negative-samples", "negative-n-max", "zero-length",
-        "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
-        "degree-2^63", "degree-1e308", "n-list-below-2", "negative-points"])
+    ("rates correlation", {**GEO, "nu": {"kind": "point", "state": 1},
+                           "u": {"kind": "ones", "size": 2 ** 63},
+                           "grid": {"points": [1]}}),
+    ("rates correlation", {**GEO, "nu": {"kind": "point", "state": 1},
+                           "u": {"kind": "indicator", "states": [2 ** 63], "size": 3},
+                           "grid": {"points": [1]}}),
+    ("rates distance", {**GEO, "nu": {"kind": "point", "state": 1},
+                        "grid": {"points": [1, 2 ** 63]}}),
+    ("spectral gf", {**GEO, "z_points": [0.5], "j": 2 ** 63}),
+    ("map simulate", {**GEO, "length": 1000, "i_max": 2 ** 63}),
+    ("spectral gf", {**GEO, "z_points": [0.5], "j": 2 ** 62}),
+]
+MALFORMED_IDS = [
+    "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
+    "list-burn-in", "string-n-list", "bool-n-list", "string-grid-point",
+    "string-radius", "string-probability", "bool-probabilities",
+    "string-pair", "bool-pair", "bool-point", "string-weights",
+    "huge-truncation", "huge-length", "huge-kac-orbit",
+    "huge-correlate-orbit", "huge-samples", "negative-burn-in",
+    "negative-samples", "negative-n-max", "zero-length",
+    "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
+    "degree-2^63", "degree-1e308", "n-list-below-2", "negative-points",
+    "u-size-2^63", "u-state-2^63", "grid-point-2^63", "j-2^63", "i-max-2^63",
+    "j-2^62",
+]
+
+
+@pytest.mark.parametrize("command, payload", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_value_exits_2(tmp_path, capsys, command, payload):
     code, _ = run(tmp_path, command.split(), payload)
     assert code == 2
@@ -180,6 +199,29 @@ def test_stray_key_in_any_block_exits_2_before_the_chain_is_built(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error")
     assert f"unknown config key {path!r}" in err[0]
+
+
+WRONG_TYPE = {
+    name: case for case, name in zip(MALFORMED, MALFORMED_IDS)
+    if name.startswith(("bool-", "string-", "list-"))
+}
+WRONG_TYPE["string-nu-state"] = (
+    "rates distance", {**GEO, "nu": {"kind": "point", "state": "a"}, "grid": {"points": [1]}})
+WRONG_TYPE["string-u-size"] = (
+    "rates null", {**GEO, "nu": NU, "u": {"kind": "ones", "size": "a"}, "grid": {"points": [1]}})
+
+
+@pytest.mark.parametrize("command, payload", list(WRONG_TYPE.values()), ids=list(WRONG_TYPE))
+def test_wrong_type_exits_2_before_the_chain_is_built(tmp_path, capsys, monkeypatch,
+                                                      command, payload):
+    def refuse(*args):
+        raise AssertionError("build_chain ran before the values were read")
+
+    monkeypatch.setattr("renewallab.config.build_chain", refuse)
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error")
 
 
 @pytest.mark.parametrize("command, payload, valid", [

@@ -84,16 +84,10 @@ def test_step_conserves_total_mass():
 def test_long_run_mass_conservation():
     # ten thousand exact steps: totals drift only at the rounding level
     ch = build_chain(ZetaTailLaw(1.0), 1500)
-    w = np.zeros(ch.truncation + 1)
-    w[1] = 1.0
-    from renewallab.evolve import _step_inplace
-
-    buf = np.empty_like(w)
-    tail = 0.0
+    nu = point_mass(1)
     for _ in range(10000):
-        tail = _step_inplace(ch, w, buf, tail)
-        w, buf = buf, w
-    assert w[1:].sum() + tail == pytest.approx(1.0, abs=1e-9)
+        nu = step(ch, nu)
+    assert nu.weights[1:].sum() + nu.tail_mass == pytest.approx(1.0, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
