@@ -287,9 +287,10 @@ def cmd_spectral_eigen(ctx: Ctx) -> dict:
 def cmd_spectral_gf(ctx: Ctx) -> dict:
     chain = ctx.chain()
     i, j = ctx.cfg["i"], ctx.cfg["j"]
+    points = ctx.cfg["z_points"]
     rows = []
-    for z in ctx.cfg["z_points"]:
-        p_val, f_val = (complex(v) for v in gf_evaluate(chain, i, j, z))
+    for z, (p_val, f_val) in zip(points, gf_evaluate(chain, i, j, points)):
+        p_val, f_val = complex(p_val), complex(f_val)
         rows.append((z.real, z.imag, p_val.real, p_val.imag, f_val.real, f_val.imag))
     ctx.write_table("spectral_gf.csv", ("re_z", "im_z", "re_p", "im_p", "re_f", "im_f"), rows)
     ctx.say(f"evaluated P_{i}{j} and F_{i}{j} at {len(rows)} points")
@@ -436,7 +437,6 @@ def cmd_series_probe(ctx: Ctx) -> dict:
     if probe == "convolution":
         gamma = ctx.cfg["gamma"]
         values = {}
-        regime = None
         for n in ctx.cfg["n_list"]:
             value, regime = convolution_power_probe(gamma, n)
             values[str(n)] = value
@@ -477,7 +477,7 @@ _PAIR = {"nu": MEASURE_SCHEMA, "u": OBSERVABLE_SCHEMA, "grid": GRID}
 _POINTS = {"z_points": Leaf(complex_points)}
 
 PROBE_SCHEMA = Kinds("probe", {
-    "convolution": {"gamma": Leaf(number), "n_list": Leaf(list_of(bounded))},
+    "convolution": {"gamma": Leaf(number), "n_list": Leaf(list_of(bounded, nonempty=True))},
     "kaluza": _keys(),
     # the prefix defaults to min(truncation, 2000), read off the chain
     "zeros": _keys(radii=Leaf(list_of(number), None, nullable=True),

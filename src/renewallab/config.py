@@ -107,11 +107,13 @@ def bounded(value, here: str) -> int:
     return value
 
 
-def list_of(element):
-    """A list whose entries each pass ``element``."""
+def list_of(element, nonempty: bool = False):
+    """A list whose entries each pass ``element``; with ``nonempty``, at
+    least one."""
     def reader(value, here: str) -> list:
-        if not isinstance(value, list):
-            raise ConfigError(f"config key {here!r} must be a list")
+        if not isinstance(value, list) or (nonempty and not value):
+            kind = "a nonempty list" if nonempty else "a list"
+            raise ConfigError(f"config key {here!r} must be {kind}")
         return [element(v, f"{here}[{k}]") for k, v in enumerate(value)]
     return reader
 

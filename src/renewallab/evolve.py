@@ -179,9 +179,10 @@ def step(chain, nu: SignedDistribution) -> SignedDistribution:
 def renewal_sequence(chain, n_max: int) -> RateCurve:
     """The return-probability sequence e_n starting from e_0 = 1.
 
-    Exact quadratic-time quotient ``1 / (1 - P(z))``, that is the recursion
-    e_n = sum_{k<=n} p_k e_{n-k}.  For positive-recurrent chains e_n
-    approaches 1/m1.
+    The quotient ``1 / (1 - P(z))``, that is the solution of
+    e_n = sum_{k<=n} p_k e_{n-k}, by the relaxed quotient of
+    :func:`renewallab.series._quotient` in O(n_max log^2 n_max) time.  For
+    positive-recurrent chains e_n approaches 1/m1.
     """
     n_max = int(n_max)
     if n_max < 1:

@@ -5,12 +5,12 @@ power series together with its truncation order ``N``.  All binary operations
 truncate to the shortest operand; nothing is ever zero-extended silently.
 Every series quotient -- :func:`divide`, :func:`reciprocal` (a unit
 numerator), the renewal sequence, the renewal deviation and the
-first-passage laws -- runs the one direct recursion of :func:`_quotient`,
-and package code calls it on plain arrays.  :func:`convolve` accumulates
-with compensated (Kahan) summation; no package route uses it, so it serves
-as the independent oracle for the quotients.  No FFT and no symbolic
-algebra are used anywhere, so every coefficient is reproducible to the last
-rounding.
+first-passage laws -- runs the one relaxed quotient of :func:`_quotient`
+in O(N log^2 N) time, and package code calls it on plain arrays.  It is as
+accurate as the direct recursion it replaced, which the tests keep as its
+oracle, though not equal to it to the last rounding.  :func:`convolve`
+accumulates with compensated (Kahan) summation; no package route uses it,
+so it serves as an independent oracle.  No symbolic algebra is used.
 
 Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
@@ -150,23 +150,88 @@ def convolve(a, b) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+#: Outputs per block of :func:`_quotient`, and the length of its shortest
+#: far block of ``d``.
+_BLOCK = 64
+
+#: Far blocks of ``d`` at least this long multiply through ``rfft``
+#: spectra, shorter ones through ``np.convolve``.
+_FFT_FROM = 512
+
+
 def _quotient(e, d) -> np.ndarray:
     """Coefficients of ``E(z)/D(z)`` on the shorter of the two prefixes.
 
-    The direct recursion ``h_n = (e_n - sum_{k=1..min(n,K)} d_k h_{n-k}) / d_0``
-    with ``K`` the last nonzero index of ``d``, so trailing zeros of ``d``
-    cost nothing.  Each coefficient is one dot product, and the division is
-    a product with ``1/d_0``; the caller checks ``d_0``.
+    They solve ``h_n = (e_n - sum_{k=1..min(n,K)} d_k h_{n-k}) / d_0``, with
+    ``K`` the last nonzero index of ``d``, by a relaxed product (van der
+    Hoeven, *Relax, but don't be too lazy*, JSC 2002).  With ``C = _BLOCK``:
+
+    * near part ``d_1 .. d_{C-1}``: ``C`` outputs at a time, one product
+      for the terms that cross from the previous block, then the block's
+      lower-triangular Toeplitz solve, whose inverse holds the first ``C``
+      coefficients of ``1/D``;
+    * far part, ``d`` in dyadic blocks ``[L, 2L)``, ``L = C, 2C, ...`` up to
+      ``K``: once the outputs below ``j`` are final and ``L`` divides ``j``,
+      block ``L`` times ``h[j-L : j)`` leaves the right-hand sides
+      ``j .. j+2L-2``.  A ``d`` with ``K < C`` has no far part.
+
+    An FFT product errs by a multiple of its operands' norms (Percival,
+    *Math. Comp.* 72, 2003), which stays relative to its own contribution
+    while both operands keep to one scale.  Only the first chunk
+    ``h[0 : L)`` does not, so its first ``C`` terms go through
+    ``np.convolve``.  The block inverse is rounded once from extended
+    precision, as its error would recur in every block, and the right-hand
+    sides accumulate with Kahan compensation.  The caller checks ``d_0``.
     """
     n = min(len(e), len(d))
-    dk = np.trim_zeros(d[1:n], "b")
-    k = dk.size
-    inv0 = 1.0 / d[0]
+    k = np.trim_zeros(d[1:n], "b").size
+    c = min(_BLOCK, n)  # a shorter prefix is one block
+    head = np.zeros(c)
+    head[: min(k + 1, c)] = d[: min(k + 1, c)]
+    wide = head.astype(np.longdouble)
+    recip = np.empty(c, dtype=np.longdouble)  # 1/D mod z^C, by the direct recursion
+    recip[0] = 1 / wide[0]
+    for i in range(1, c):
+        recip[i] = -recip[0] * np.dot(wide[1 : i + 1], recip[i - 1 :: -1])
+    lag = np.subtract.outer(np.arange(c), np.arange(c))
+    inverse = np.where(lag >= 0, recip.astype(float)[lag], 0.0)
+    cross = np.where(lag < 0, head[lag], 0.0)  # head[lag] is d_{C+lag}
+
+    far = []  # (L, block of d, its spectrum at 2L points or None)
+    size = c
+    while size <= k:
+        block = d[size : min(2 * size, k + 1)]
+        spectrum = np.fft.rfft(block, 2 * size) if size >= _FFT_FROM else None
+        far.append((size, block, spectrum))
+        size *= 2
+
+    rhs = np.array(e[:n], dtype=float)
+    low = np.zeros(n)  # what the Kahan sums in rhs owe
     h = np.empty(n)
-    rev = h[::-1]  # rev[n - i : n - i + k] is h_{i-1}, h_{i-2}, ... h_{max(i-k, 0)}
-    e = e[:n].tolist()  # list items index faster than array items
-    for i in range(n):
-        h[i] = inv0 * (e[i] - np.dot(dk[:i], rev[n - i : n - i + k]))
+    h[:c] = inverse @ rhs[:c]
+    for j in range(c, n, c):
+        for size, block, spectrum in far:
+            if j % size:
+                break
+            whole = spectrum is None or j > size
+            pieces = [(j - size, j)] if whole else [(0, c), (c, size)]
+            for lo, hi in pieces:
+                at = lo + size
+                top = min(n - at, block.size + hi - lo - 1)
+                if top <= 0:
+                    continue
+                if spectrum is None or lo == 0:
+                    prod = np.convolve(block, h[lo:hi])
+                else:
+                    prod = np.fft.irfft(np.fft.rfft(h[lo:hi], 2 * size) * spectrum, 2 * size)
+                part, owed = rhs[at : at + top], low[at : at + top]
+                y = -prod[:top] - owed
+                t = part + y
+                owed[:] = (t - part) - y
+                part[:] = t
+        w = min(c, n - j)
+        h[j : j + w] = inverse[:w, :w] @ (
+            (rhs[j : j + w] - low[j : j + w]) - cross[:w] @ h[j - c : j])
     return h
 
 
@@ -189,9 +254,9 @@ def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
 
 
 def divide(e, d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
-    """Coefficients of ``E(z)/D(z)`` on the shorter of the two prefixes, by
-    the direct recursion ``h_n = (e_n - sum_{k=1..n} d_k h_{n-k}) / d_0``.
-    ``|d_0|`` must exceed ``floor``.
+    """Coefficients of ``E(z)/D(z)`` on the shorter of the two prefixes, the
+    solution of ``h_n = (e_n - sum_{k=1..n} d_k h_{n-k}) / d_0`` by the
+    relaxed quotient of :func:`_quotient`.  ``|d_0|`` must exceed ``floor``.
     """
     ec, dc = _as_series(e).coeffs, _as_series(d).coeffs
     if abs(dc[0]) <= floor:

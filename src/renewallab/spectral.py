@@ -221,14 +221,16 @@ def _law_transform(chain, z: complex, lo: int, hi: int) -> complex:
     return complex(np.dot(chain.p[lo:hi], powers))
 
 
-def gf_evaluate(chain, i: int, j: int, z: complex):
+def gf_evaluate(chain, i: int, j: int, z):
     """Pointwise values (P_ij(z), F_ij(z)) of the pair-visit and
-    first-passage generating functions.
+    first-passage generating functions; for a sequence of points ``z``, a
+    list of such pairs.
 
     Closed forms from the chain structure: descents are monomials, ascents
     go through the return row.  The renewal identity
     P_ij = F_ij P_jj + delta_ij couples the two values; for well-inside
-    points both are cross-checked against direct series evaluation.
+    points both are cross-checked against direct series evaluation, whose
+    coefficients depend on (i, j) alone and are computed once per call.
 
     Raises
     ------
@@ -237,36 +239,45 @@ def gf_evaluate(chain, i: int, j: int, z: complex):
         the closed disk).
     OutOfDomain via PreconditionViolated
         Outside the closed unit disk.
+    TruncationTooSmall
+        If ``j`` lies past the stored prefix, which has no returns to it.
     """
     if i < 1 or j < 1:
         raise PreconditionViolated("states are indexed from 1")
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise PreconditionViolated("generating functions are evaluated on the closed disk")
-    if z == 1.0:
-        raise SingularPoint("z = 1 is the singular point of the pair-visit function")
-    if z == 0.0:
-        return (1.0 if i == j else 0.0), 0.0
+    if j > chain.truncation:  # a state i past it descends to j without a draw
+        raise TruncationTooSmall(f"state {j} lies past the stored prefix {chain.truncation}")
+    values, inside = [], []
+    for point in np.atleast_1d(z):
+        point = complex(point)
+        if abs(point) > 1.0 + 1e-12:
+            raise PreconditionViolated("generating functions are evaluated on the closed disk")
+        if point == 1.0:
+            raise SingularPoint("z = 1 is the singular point of the pair-visit function")
+        if point == 0.0:
+            values.append(((1.0 if i == j else 0.0), 0.0))
+            continue
 
-    head = _law_transform(chain, z, 1, j)
-    f_jj = _law_transform(chain, z, j, chain.truncation + 1) / (1.0 - head)
-    if i > j:
-        f_ij = z ** (i - j)
-    else:
-        f_ij = z ** (i - j) * f_jj
-    p_jj = 1.0 / (1.0 - f_jj)
-    p_ij = f_ij * p_jj + (1.0 if i == j else 0.0)
+        head = _law_transform(chain, point, 1, j)
+        f_jj = _law_transform(chain, point, j, chain.truncation + 1) / (1.0 - head)
+        if i > j:
+            f_ij = point ** (i - j)
+        else:
+            f_ij = point ** (i - j) * f_jj
+        p_jj = 1.0 / (1.0 - f_jj)
+        p_ij = f_ij * p_jj + (1.0 if i == j else 0.0)
+        if abs(point) <= 0.9:
+            inside.append((point, p_ij))
+        values.append((p_ij.real, f_ij.real) if point.imag == 0.0 else (p_ij, f_ij))
 
-    if abs(z) <= 0.9 and max(i, j) <= 50 and chain.truncation >= max(i, j) + 300:
-        _series_check(chain, i, j, z, p_ij)
-    if z.imag == 0.0:
-        return p_ij.real, f_ij.real
-    return p_ij, f_ij
+    if inside and max(i, j) <= 50 and chain.truncation >= max(i, j) + 300:
+        _series_check(chain, i, j, inside)
+    return values if np.ndim(z) else values[0]
 
 
-def _series_check(chain, i: int, j: int, z: complex, p_ij: complex):
+def _series_check(chain, i: int, j: int, inside):
     """Independent route: coefficients of P_ij as first-passage divided by
-    the return-renewal denominator, evaluated by Horner."""
+    the return-renewal denominator, evaluated by Horner at each pair
+    ``(z, P_ij(z))`` of ``inside``."""
     from .chain import first_passage
 
     n = min(chain.truncation - j, 400)
@@ -275,12 +286,13 @@ def _series_check(chain, i: int, j: int, z: complex, p_ij: complex):
         chain, j, j, trunc=n, mass_tol=math.inf
     ).series.coeffs
     coeffs = _quotient(fij, np.r_[1.0, -fjj[1:]])
-    val = complex(np.polynomial.polynomial.polyval(z, coeffs))
-    if i == j:
-        val += 1.0
-    scale = max(1.0, abs(p_ij))
-    if abs(val - p_ij) > 1e-8 * scale:
-        raise PreconditionViolated(
-            f"internal generating-function routes disagree at z={z!r}: "
-            f"{p_ij!r} vs {val!r}"
-        )
+    for z, p_ij in inside:
+        val = complex(np.polynomial.polynomial.polyval(z, coeffs))
+        if i == j:
+            val += 1.0
+        scale = max(1.0, abs(p_ij))
+        if abs(val - p_ij) > 1e-8 * scale:
+            raise PreconditionViolated(
+                f"internal generating-function routes disagree at z={z!r}: "
+                f"{p_ij!r} vs {val!r}"
+            )

@@ -106,6 +106,7 @@ MALFORMED = [
     ("spectral gf", {**GEO, "z_points": [0.5], "j": 2 ** 63}),
     ("map simulate", {**GEO, "length": 1000, "i_max": 2 ** 63}),
     ("spectral gf", {**GEO, "z_points": [0.5], "j": 2 ** 62}),
+    ("series probe", {"probe": "convolution", "gamma": 2.5, "n_list": []}),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -118,7 +119,7 @@ MALFORMED_IDS = [
     "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
     "degree-2^63", "degree-1e308", "n-list-below-2", "negative-points",
     "u-size-2^63", "u-state-2^63", "grid-point-2^63", "j-2^63", "i-max-2^63",
-    "j-2^62",
+    "j-2^62", "empty-n-list",
 ]
 
 
@@ -319,6 +320,15 @@ def test_gf_pole_exits_3(tmp_path):
     payload = {**GEO, "z_points": [1.0]}
     code, _ = run(tmp_path, ["spectral", "gf"], payload)
     assert code == 3
+
+
+@pytest.mark.parametrize("i, j", [(3000, 3000), (1, 3000)])
+def test_gf_target_past_the_prefix_exits_4(tmp_path, capsys, i, j):
+    payload = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000},
+               "z_points": [0.999], "i": i, "j": j}
+    code, _ = run(tmp_path, ["spectral", "gf"], payload)
+    assert code == 4
+    assert "TruncationTooSmall" in capsys.readouterr().err
 
 
 def test_console_module_entry(tmp_path):

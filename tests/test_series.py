@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from renewallab import (
     tail_sums,
     zero_diagnostic,
 )
+from renewallab import series
 from renewallab.evolve import _deviation
 
 
@@ -400,7 +404,22 @@ def test_divide_then_multiply_recovers_numerator(d, e):
     assert np.all(np.abs(back - np.asarray(e)[:n]) <= 1e-9 * scale)
 
 
-# -- the quotient recursion against the loops it replaced ----------------
+# -- the relaxed quotient against the loops it replaced ------------------
+
+EPS = float(np.finfo(float).eps)
+REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json")
+                  .read_text())
+
+
+def direct_quotient(e, d):
+    """The direct recursion ``h_n = (e_n - sum_{k=1..n} d_k h_{n-k}) / d_0``,
+    one dot product per coefficient, on the shorter prefix."""
+    n = min(len(e), len(d))
+    h = np.empty(n)
+    for i in range(n):
+        h[i] = (e[i] - np.dot(d[1 : i + 1], h[:i][::-1])) / d[0]
+    return h
+
 
 def reference_quotients(chain, n):
     """The parent's three hand-written recursions: the reciprocal of the
@@ -427,11 +446,95 @@ def package_quotients(chain, n):
             renewal_sequence(chain, n).values, _deviation(chain, n))
 
 
+def fixed_point_quotient(e, d, bits=240):
+    """``E/D`` of the double inputs in integer fixed point with ``bits``
+    fractional bits: inputs above ``2^(52-bits)`` are exact and each output
+    is one floor division, so the result is the true quotient of the
+    stored prefixes to about ``n 2^-bits``."""
+    scale = 2.0 ** bits
+    num = [int(v * scale) << bits for v in e]
+    den = [int(v * scale) for v in np.trim_zeros(d, "b")]
+    h = []
+    for i in range(min(len(e), len(d))):
+        terms = map(operator.mul, den[1 : i + 1], reversed(h[max(0, i - len(den) + 1) :]))
+        h.append((num[i] - sum(terms)) // den[0])
+    return np.array([float(v) / scale for v in h])
+
+
+def true_quotients(chain, n, degree):
+    """Positions and true values of the three quotients: the reciprocal and
+    the renewal sequence in fixed point, and the deviation from the 60-digit
+    references, at their grid points up to ``n``."""
+    everywhere = np.arange(n + 1)
+    unit = np.zeros(n + 1)
+    unit[0] = 1.0
+    ref = REFS["zeta"][repr(degree)]["dev"]
+    grid = [(m, float(v)) for m, v in zip(REFS["grid"], ref) if m <= n]
+    return ((everywhere, fixed_point_quotient(unit, chain.d[: n + 1])),
+            (everywhere, fixed_point_quotient(unit, np.r_[1.0, -chain.p[1 : n + 1]])),
+            tuple(np.array(v) for v in zip(*grid)))
+
+
+def worst_relative_error(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
 @pytest.mark.parametrize("degree", [1.0, 1.5, 3.0, 4.0])
-def test_quotient_is_bit_identical_to_the_loops_on_full_support(degree):
+def test_quotient_is_as_accurate_as_the_loops_on_full_support(degree):
     chain = build_chain(ZetaTailLaw(degree), 2000)
-    for got, want in zip(package_quotients(chain, 2000), reference_quotients(chain, 2000)):
-        assert got.tobytes() == want.tobytes()
+    for got, loops, (at, want) in zip(package_quotients(chain, 2000),
+                                      reference_quotients(chain, 2000),
+                                      true_quotients(chain, 2000, degree)):
+        assert worst_relative_error(got[at], want) <= worst_relative_error(loops[at], want) + 4 * EPS
+
+
+BLOCK = series._BLOCK
+#: lengths on both sides of every block edge and of the far blocks' edges
+EDGES = sorted({1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 12 * BLOCK}
+               | {(BLOCK << k) + s for k in range(4) for s in (-1, 1)})
+
+
+@st.composite
+def quotient_cases(draw):
+    """A numerator and a denominator, maybe cut by trailing zeros, for which
+    ``sum_k |c_k| |e_{n-k}|`` bounds the rounding of either route: a
+    renewal ``lead (1 - P)`` with ``P`` a sub-probability or the survival
+    sums of a zeta law (a Kaluza law), whose reciprocals keep one sign
+    past ``c_0``, over a unit or a random numerator; or a
+    geometrically tame signed denominator over a random numerator."""
+    n = draw(st.one_of(st.sampled_from(EDGES), st.integers(1, 12 * BLOCK)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["renewal", "survival", "tame"]))
+    if kind == "renewal":
+        p = rng.random(n - 1)
+        d = np.r_[1.0, -p * draw(st.floats(0.1, 1.0)) / max(p.sum(), 1.0)]
+    elif kind == "survival":
+        d = build_chain(ZetaTailLaw(draw(st.floats(0.5, 4.0))), max(n, 2)).d[:n].copy()
+    else:
+        d = np.r_[1.0, rng.uniform(-0.4, 0.4, n - 1) * 0.7 ** np.arange(n - 1)]
+    d *= draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    d[draw(st.integers(1, n)):] *= draw(st.sampled_from([0.0, 1.0]))
+    size = draw(st.sampled_from([n, max(1, n // 3), 2 * n + 1]))
+    e = np.zeros(size)
+    if kind != "tame" and draw(st.booleans()):
+        e[0] = 1.0
+    else:
+        e[:] = rng.uniform(-1.0, 1.0, size)
+    return e, d
+
+
+@given(quotient_cases())
+@settings(max_examples=60, deadline=None)
+def test_quotient_agrees_with_the_direct_recursion(case):
+    e, d = case
+    got, want = series._quotient(e, d), direct_quotient(e, d)
+    n = want.size
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    scale = np.convolve(np.abs(direct_quotient(unit, d)), np.abs(e[:n]))[:n]
+    assert got.shape == want.shape
+    # the second term covers gradual underflow, of rapidly decaying quotients
+    assert np.all(np.abs(got - want) <= 64 * n * EPS * scale + n * np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("probs", [[0.2, 0.3, 0.5], [0.25, 0.0, 0.25, 0.0, 0.5],

@@ -243,6 +243,29 @@ def test_visit_function_singularity_and_domain(geometric):
         gf_evaluate(geometric, 0, 1, 0.5)
 
 
+def test_visit_function_takes_a_sequence_and_checks_each_pair_once(zeta_one, monkeypatch):
+    import renewallab.chain
+
+    points = [0.5, -0.3 + 0.4j, 0.0, 0.95j]
+    one_by_one = [gf_evaluate(zeta_one, 2, 3, z) for z in points]
+    calls = []
+    counted = renewallab.chain.first_passage
+    monkeypatch.setattr(renewallab.chain, "first_passage",
+                        lambda *a, **k: calls.append(a[1:3]) or counted(*a, **k))
+    assert gf_evaluate(zeta_one, 2, 3, points) == one_by_one
+    assert calls == [(2, 3), (3, 3)]
+
+
+def test_visit_function_refuses_targets_past_the_prefix(zeta_one):
+    for i, j in ((2001, 2001), (1, 2001)):
+        with pytest.raises(TruncationTooSmall):
+            gf_evaluate(zeta_one, i, j, 0.5)
+    # a start past the prefix descends to j deterministically
+    p_far, f_far = gf_evaluate(zeta_one, 2001, 1, 0.5)
+    assert f_far == 0.5 ** 2000
+    assert p_far == pytest.approx(f_far * gf_evaluate(zeta_one, 1, 1, 0.5)[0], rel=1e-15)
+
+
 def test_visit_function_circle_point(zeta_one):
     # away from z = 1 the closed forms stay finite on the circle
     p11, f11 = gf_evaluate(zeta_one, 1, 1, -1.0)
