@@ -102,20 +102,19 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
 
 
 def _weight_tail(s: float, beta: float, m: int) -> float:
-    """``sum_{n > m} n^-s log(n+1)^beta`` for ``beta > 0`` via integral plus
-    endpoint terms.
+    """``sum_{n > m} n^-s log(n+1)^beta`` for ``beta > 0``: direct summation
+    up to ``max(m, _ZETA_PARTIAL_TERMS)``, then the integral plus
+    Euler-Maclaurin endpoint terms there.
 
-    Euler-Maclaurin with corrections through the third-derivative term; the
-    neglected term is O(g^(5)(m)), negligible once the expansion point is
-    pushed past 64 by direct summation of the first block.
+    The corrections run through the third-derivative term; the neglected
+    term is O(g^(5)) at an expansion point past 1e5, far below rounding.
     """
     if s <= 1.0:
         return math.inf
-    if m < 64:
-        n = np.arange(m + 1, 65, dtype=float)
-        block = n ** -s * np.log(n + 1.0) ** beta
-        return float(block.sum()) + _weight_tail(s, beta, 64)
-    a = float(m + 1)
+    top = max(m, _ZETA_PARTIAL_TERMS)
+    n = np.arange(m + 1, top + 1, dtype=float)
+    head = float(np.sum(n ** -s * np.log(n + 1.0) ** beta))
+    a = float(top + 1)
 
     def g(x):
         return x ** -s * math.log(x + 1.0) ** beta
@@ -128,21 +127,17 @@ def _weight_tail(s: float, beta: float, m: int) -> float:
     # modest relative accuracy irrelevant
     h = a / 50.0
     g3 = (-g(a - 2 * h) + 2 * g(a - h) - 2 * g(a + h) + g(a + 2 * h)) / (2 * h ** 3)
-    return _tail_integral(s, beta, a) + 0.5 * g(a) - gprime(a) / 12.0 + g3 / 720.0
+    return head + (_tail_integral(s, beta, a) + 0.5 * g(a) - gprime(a) / 12.0 + g3 / 720.0)
 
 
 @lru_cache(maxsize=None)
 def _weight_sum(s: float, beta: float) -> float:
     """``sum_{n >= 1} n^-s log(n+1)^beta``: the Riemann zeta function without
-    a log power, otherwise direct summation of the first block of terms plus
-    the analytic tail.  Cached per (s, beta)."""
+    a log power, otherwise :func:`_weight_tail` from ``m = 0``.  Cached per
+    (s, beta)."""
     if s <= 1.0:
         return math.inf
-    if beta == 0.0:
-        return float(zeta(s))
-    n = np.arange(1, _ZETA_PARTIAL_TERMS + 1, dtype=float)
-    w = n ** -s * np.log(n + 1.0) ** beta
-    return float(np.sum(w)) + _weight_tail(s, beta, _ZETA_PARTIAL_TERMS)
+    return float(zeta(s)) if beta == 0.0 else _weight_tail(s, beta, 0)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .config import (
     interval, list_of, load_config, measure_from_config, number,
     observable_from_config, read, string,
 )
-from .errors import ConfigError, PreconditionError, TruncationError
+from .errors import ConfigError, PreconditionError, PreconditionViolated, TruncationError
 from .evolve import (
     correlation_constant, correlation_curve, deviation_tail_ratio, distance_curve,
     null_recurrent_ratio, rate_fit,
@@ -300,6 +300,8 @@ def cmd_spectral_gf(ctx: Ctx) -> dict:
 def cmd_map_simulate(ctx: Ctx) -> dict:
     chain = ctx.chain()
     sampler, i_max = ctx.cfg["sampler"], ctx.cfg["i_max"]
+    if i_max > chain.truncation:
+        raise PreconditionViolated("i_max must fit inside the stored prefix")
     states, censored = coded_states(chain, sampler, ctx.cfg["length"], ctx.seed,
                                     ctx.cfg["burn_in"])
     valid = int(np.count_nonzero(states > 0))
@@ -480,7 +482,7 @@ PROBE_SCHEMA = Kinds("probe", {
     "convolution": {"gamma": Leaf(number), "n_list": Leaf(list_of(bounded, nonempty=True))},
     "kaluza": _keys(),
     # the prefix defaults to min(truncation, 2000), read off the chain
-    "zeros": _keys(radii=Leaf(list_of(number), None, nullable=True),
+    "zeros": _keys(radii=Leaf(list_of(number, nonempty=True), None, nullable=True),
                    points=Leaf(bounded, 720), prefix=Leaf(bounded, None)),
 })
 

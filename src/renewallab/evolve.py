@@ -8,8 +8,10 @@ nu plus the return law convolved with ``a_m``, the mass at state 1 at time
 m, and ``a = nu * e`` with ``e`` the renewal sequence.  Written against the
 stationary law, ``a_m - pi_1 (mass reached) = nu * (e - pi_1)``, whose
 deviation sequence comes from the cancellation-free quotient
-``E(z) / (m1 D(z))``.  Correlations are then one dot product per grid
-point, distances one convolution over the prefix (direct or blocked FFT).
+``E(z) / (m1 D(z))``.  One evaluator gives the entries of ``nu P^n - pi``
+on a window of the prefix (direct products or a blocked FFT): distances sum
+their absolute values over the whole prefix, correlations pair the first
+``K`` of them with an observable that is constant past ``K``.
 
 Mass that would land beyond the stored prefix is a conservative
 ``tail_mass`` term, exactly as iterated steps would carry it, and is
@@ -128,13 +130,16 @@ def _require_positive_recurrent(chain, why: str = "the operation needs the stati
     return chain
 
 
+def _last(x: np.ndarray) -> int:
+    """Index of the last nonzero entry of ``x``, 0 if there is none."""
+    nz = np.flatnonzero(x)
+    return int(nz[-1]) if nz.size else 0
+
+
 def _nu_support(nu: SignedDistribution) -> int:
     """Largest stored index carrying mass; measures that already carry tail
     mass get no support guarantee and rely on the reported bound."""
-    if nu.tail_mass != 0.0:
-        return 0
-    nz = np.nonzero(nu.weights)[0]
-    return int(nz[-1]) if nz.size else 0
+    return 0 if nu.tail_mass != 0.0 else _last(nu.weights)
 
 
 def _check_horizon(chain, nu: SignedDistribution, n_max: int):
@@ -222,8 +227,8 @@ def _deviation(chain, n_max: int) -> np.ndarray:
 #: Spacing of doubles at one; twice the unit roundoff.
 EPS = float(np.finfo(float).eps)
 
-#: A distance grid point ``n`` on an ``N``-state prefix is a direct
-#: convolution while ``n * N`` stays at or below this, an FFT beyond it.
+#: A window of ``J`` entries at grid point ``n`` is ``J`` direct dot
+#: products while ``n * J`` stays at or below this, an FFT beyond it.
 DIRECT_WORK = 1 << 24
 
 #: Block length of the FFT convolution: transforms have twice this length,
@@ -270,7 +275,7 @@ class _Renewal:
     ``S_m = sum_{i<=m+1} nu_i`` and ``b = nu * (e - pi_1)``, so the curves
     subtract no two nearly equal numbers (``pi_1 = 0`` and ``b = a`` on
     null-recurrent chains).  A start at the stationary law itself moves
-    only by the defect at the prefix edge and is kept in that closed form.
+    only by the defect at the prefix edge: it keeps ``b = 0``.
     """
 
     nu: np.ndarray  # nu_0..nu_s, cut after the last nonzero weight
@@ -291,8 +296,7 @@ def _renewal(chain, nu: SignedDistribution, g: np.ndarray, dev=None) -> _Renewal
             f"measure stores {nu.size} states, chain only {chain.truncation}"
         )
     n_max = int(g[-1])
-    nz = np.flatnonzero(nu.weights)
-    w = nu.weights[: (nz[-1] if nz.size else 0) + 1]
+    w = nu.weights[: _last(nu.weights) + 1]
     s = w.size - 1
     pi1 = chain.pi1 if chain.positive_recurrent else 0.0
     stationary = chain.positive_recurrent and np.array_equal(nu.weights, chain.pi)
@@ -319,75 +323,6 @@ def _renewal(chain, nu: SignedDistribution, g: np.ndarray, dev=None) -> _Renewal
         tail=nu.tail_mass + chain.d[chain.truncation] * lead,
         excess=excess, pi1=pi1, stationary=stationary,
     )
-
-
-def _padded(x: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    k = min(x.size, size)
-    out[:k] = x[:k]
-    return out
-
-
-def _paired(chain, ev: _Renewal, ut: np.ndarray, g: np.ndarray):
-    """``sum_j ut_j ((nu P^n)_j - pi_j)`` on the grid, with rounding terms
-    and the number of terms each rounding term counts.
-
-    ``ut`` is an observable minus its limit, zero past its support ``K``
-    (``pi = 0`` on null-recurrent chains).  With ``q_k = sum_j ut_j p~_{j+k}``
-    and ``r_k = sum_j ut_j d~_{j+k}`` (one correlation each) a grid value is
-    the pairing ``sum_{m<n} b_m q_{n-1-m}`` plus terms in ``d``.
-    """
-    values = np.zeros(g.size)
-    rounding = np.zeros(g.size)
-    counts = np.ones(g.size, dtype=int)
-    nz = np.flatnonzero(ut)
-    if nz.size == 0:
-        return values, rounding, counts
-    K = int(nz[-1])
-    uk = ut[1 : K + 1]
-    N = chain.truncation
-    d_n = float(chain.d[N])
-    pi1 = ev.pi1
-    if ev.stationary:
-        # pi_1 d_N has left each of the top n states
-        top = np.concatenate(([0.0], np.cumsum(ut[:0:-1])))
-        values[:] = -pi1 * d_n * top[g]
-        return values, rounding, counts
-    n_max = int(g[-1])
-    s = ev.nu.size - 1
-    uk_abs = np.abs(uk)
-    signed = not np.all(uk >= 0.0)
-    # q, r need n_max entries; one unused at n_max = 0 keeps correlate's operands nonempty
-    width = K + max(n_max, 1)
-    pt = _padded(chain.p, width)[1:]
-    q = np.correlate(pt, uk, "valid")
-    q_abs = np.correlate(pt, uk_abs, "valid") if signed else q
-    if pi1:
-        # d~_l = sum_{l < i <= N} p_i, the survival of p~
-        dt = _padded(np.cumsum(chain.p[:0:-1])[::-1], width)[1:]
-        r = np.correlate(dt, uk, "valid")
-        r_abs = np.correlate(dt, uk_abs, "valid") if signed else r
-        ud = float(np.dot(uk, chain.d[:K]))
-        u_sum = float(uk.sum())
-    nu_abs = np.abs(ev.nu)
-    for k, n in enumerate(g):
-        shifted = _padded(ev.nu[n + 1 :], K)
-        value = np.dot(uk, shifted) + np.dot(ev.b[:n], q[:n][::-1])
-        size = np.dot(uk_abs, np.abs(shifted)) + np.dot(ev.b_abs[:n], q_abs[:n][::-1])
-        if pi1:
-            i = min(n, s)
-            terms = (
-                -pi1 * np.dot(ev.nu[1 : i + 1], r[n - i : n][::-1]),
-                pi1 * ev.s_less_1[k] * ud,
-                -pi1 * d_n * u_sum * (1.0 + ev.s_less_1[k]),
-            )
-            value += sum(terms)
-            size += pi1 * np.dot(nu_abs[1 : i + 1], r_abs[n - i : n][::-1]) \
-                + abs(terms[1]) + abs(terms[2])
-        values[k] = value
-        counts[k] = n + s + K + 4
-        rounding[k] = _gamma(counts[k]) * size
-    return values, rounding, counts
 
 
 def _block_spectra(x: np.ndarray):
@@ -427,56 +362,81 @@ def _convolution_window(x: np.ndarray, y_spectra, lo: int, size: int):
     return out, b2 * _fft_gamma(b2) * float(x_norms.sum() * y_norms.sum())
 
 
-def _l1_gaps(chain, ev: _Renewal, g: np.ndarray):
-    """``sum_j |(nu P^n)_j - pi_j|`` over the prefix, with rounding terms
-    and the number of terms each direct rounding term counts.
+def _sliding(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
+    """Entries ``len(x) - 1 .. len(x) - 2 + size`` of the convolution
+    ``x * y``: ``x`` slid along ``y`` from their first full overlap, with
+    ``y`` zero past its end.  Windows inside ``y`` are ``size`` dot products
+    of ``len(x)`` terms; a window that runs past the end of ``y`` takes the
+    full convolution, which both callers reach only with ``size`` above
+    ``len(x)``."""
+    lo = x.size - 1
+    if y.size >= lo + size:
+        return np.correlate(y[: lo + size], x[::-1], "valid")
+    full = np.convolve(x, y)[lo : lo + size]
+    return np.pad(full, (0, size - full.size))
+
+
+def _entries(chain, ev: _Renewal, g: np.ndarray, J: int):
+    """Entries ``1..J`` of ``nu P^n - pi`` on the stored prefix, for each
+    grid point ``n`` in turn, with a bound on their summed rounding error
+    and the number of terms each entry sums.
 
     Entry ``j`` is ``nu_{j+n} + x_j - pi_1 y_j + pi_1 d_{j-1} (S - 1)
     - pi_1 d_N S`` with ``x_j = sum_{m<n} b_m p~_{j+n-1-m}``,
-    ``y_j = sum_{i<=n} nu_i d~_{j+n-i}`` and ``S = sum_{i<=n} nu_i``.  The
-    correlation ``x`` is direct while ``n N <= DIRECT_WORK`` and a blocked
-    FFT beyond (the block spectra of ``p~`` are taken once per call); its
-    rounding term is the dot bound summed over the prefix, or the FFT
-    bound of :func:`_convolution_window`.  The last few roundings of each
-    entry and of the sum are relative to the value and are not counted.
+    ``y_j = sum_{i<=n} nu_i d~_{j+n-i}`` and ``S = sum_{i<=n} nu_i``
+    (``pi = 0`` on null-recurrent chains).  ``x`` is a window of direct dot
+    products while ``n J <= DIRECT_WORK`` and a blocked FFT beyond (the
+    block spectra of ``p~`` are taken once per call).  The rounding bound
+    is the dot bound of ``x`` summed over the window (or the FFT bound of
+    :func:`_convolution_window` plus the rounding of ``b``), plus
+    ``gamma(i + 4)`` times the summed sizes of all the terms, which covers
+    ``y`` and the few roundings that assemble an entry.  A start at the
+    stationary law is ``-pi_1 d_N`` on the top ``n`` states of the prefix.
     """
     N = chain.truncation
     pi1, d = ev.pi1, chain.d
     d_n = float(d[N])
     s = ev.nu.size - 1
     pt = chain.p[1:]
+    # summed over the window, p~_{j+l} gives d_l - d_{l+J}, or at most d_l
+    # where l + J reaches the prefix edge
+    far = d[J:N][: g[-1]]
+    window = d[: g[-1]] - np.pad(far, (0, g[-1] - far.size))
+    d_head = float(d[:J].sum())
     spectra = None
-    gaps = np.zeros(g.size)
-    rounding = np.zeros(g.size)
-    counts = g + s - 1
     for k, n in enumerate(g):
-        if n == 0:
-            z = np.zeros(N)
-        elif n * N <= DIRECT_WORK:
-            z = np.convolve(ev.b[:n], pt)[n - 1 : n - 1 + N]
-            # summed over j, |b_m| p~_{j+n-1-m} gives |b_m| d~_{n-1-m} <= |b_m| d_{n-1-m}
-            rounding[k] = _gamma(counts[k]) * np.dot(ev.b_abs[:n], d[:n][::-1])
-        else:
+        count = n + s + 4
+        if ev.stationary:  # pi_1 d_N has left each of the top n states
+            yield np.where(np.arange(J) < N - n, 0.0, -pi1 * d_n), 0.0, count
+            continue
+        z, x_err = np.zeros(J), 0.0
+        x_size = np.dot(ev.b_abs[:n], window[:n][::-1])
+        if n * J > DIRECT_WORK:
             if spectra is None:
                 spectra = _block_spectra(pt)
-            z, rounding[k] = _convolution_window(ev.b[:n], spectra, n - 1, N)
-            rounding[k] += _gamma(s) * np.dot(ev.b_abs[:n], d[:n][::-1])
+            z, x_err = _convolution_window(ev.b[:n], spectra, n - 1, J)
+            x_err += _gamma(s) * x_size
+        elif n:
+            z = _sliding(ev.b[:n], pt[: n + J - 1], J)
+            x_err = _gamma(n + s - 1) * x_size
         i = min(n, s)
-        if i:
+        y_size = 0.0
+        if i and pi1:
             # d~_l = d_l - d_N below the prefix edge, zero from it on
-            y = np.convolve(ev.nu[1 : i + 1], d[n - i + 1 : N] - d_n)[i - 1 : i - 1 + N]
-            y *= pi1
-            z[: y.size] -= y
-            # summed over j, each d~_{j+n-i'} is at most sum_{n-i < l < N} d_l
-            rounding[k] += pi1 * _gamma(i) * np.abs(ev.nu[1 : i + 1]).sum() \
-                * d[n - i + 1 : N].sum()
-        shifted = ev.nu[n + 1 : n + 1 + N]
+            z -= pi1 * _sliding(ev.nu[1 : i + 1], d[n - i + 1 : min(n + J, N)] - d_n, J)
+            # summed over the window, each d~_{j+n-i'} is at most the
+            # window sum that starts lowest, at i' = i
+            y_size = pi1 * np.abs(ev.nu[1 : i + 1]).sum() \
+                * d[n - i + 1 : min(n - i + J + 1, N)].sum()
+        shifted = ev.nu[n + 1 : n + 1 + J]
         z[: shifted.size] += shifted
-        if ev.s_less_1[k]:
-            z += (pi1 * ev.s_less_1[k]) * d[:N]
-        z -= pi1 * d_n * (1.0 + ev.s_less_1[k])
-        gaps[k] = np.abs(z, out=z).sum()
-    return gaps, rounding, counts
+        s_less_1 = ev.s_less_1[k]
+        if s_less_1:
+            z += (pi1 * s_less_1) * d[:J]
+        z -= pi1 * d_n * (1.0 + s_less_1)
+        sizes = x_size + y_size + np.abs(shifted).sum() \
+            + pi1 * (abs(s_less_1) * d_head + J * d_n * abs(1.0 + s_less_1))
+        yield z, x_err + _gamma(i + 4) * sizes, count
 
 
 def _resolved(g: np.ndarray, values: np.ndarray, bounds: np.ndarray,
@@ -517,7 +477,7 @@ def distance_curve(chain, nu: SignedDistribution, n_grid) -> RateCurve:
     The value sums the stored prefix and adds the analytic stationary mass
     beyond it.  The reported bound is the evolved measure's unaccounted
     tail mass, a rigorous two-sided truncation error, plus the rounding
-    term of the convolution behind each value.
+    term of the entries and of their l1 sum.
 
     Raises
     ------
@@ -530,10 +490,10 @@ def distance_curve(chain, nu: SignedDistribution, n_grid) -> RateCurve:
     _check_horizon(chain, nu, int(g[-1]))
     ev = _renewal(chain, nu, g)
     n = chain.truncation
-    if ev.stationary:
-        gaps, rounding, counts = g * (ev.pi1 * chain.d[n]), np.zeros(g.size), g
-    else:
-        gaps, rounding, counts = _l1_gaps(chain, ev, g)
+    gaps, rounding, counts = map(np.array, zip(*(
+        (np.abs(z, out=z).sum(), err, count) for z, err, count in _entries(chain, ev, g, n))))
+    # the l1 sum adds n rounded entries
+    rounding += _gamma(n) * gaps
     values = gaps + chain.stationary_mass_beyond(n)
     return _resolved(g, values, np.abs(ev.tail) + rounding, rounding, counts)
 
@@ -553,8 +513,8 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
     Exact on the prefix; the constant continuation of ``u`` lets the two
     tail masses pair exactly, so the truncation bound is the tail mass
     times the oscillation of ``u`` past the point lost mass can reach.  The
-    reported bound adds the rounding term ``gamma * sum |terms|`` of the
-    pairing.
+    reported bound adds the rounding term of the entries, times the largest
+    ``|u - u_inf|``, and ``gamma * sum |terms|`` of the pairing.
 
     Raises
     ------
@@ -574,12 +534,16 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
     ev = _renewal(chain, nu, g)
     centered = uvals - u.limit
     centered[0] = 0.0
-    values, rounding, counts = _paired(chain, ev, centered, g)
+    uk = centered[1 : max(_last(centered), 1) + 1]
+    pairs, sizes, errs, counts = map(np.array, zip(*(
+        (np.dot(uk, z), np.dot(np.abs(uk), np.abs(z)), err, count)
+        for z, err, count in _entries(chain, ev, g, uk.size))))
     # the total masses of nu P^n and pi pair with the constant u_inf
-    values += u.limit * ev.excess
-    rounding += EPS * abs(u.limit * ev.excess)
-    return _resolved(g, values, np.abs(ev.tail) * osc + rounding, rounding, counts,
-                     float(np.max(np.abs(uvals))))
+    values = pairs + u.limit * ev.excess
+    rounding = np.max(np.abs(uk)) * errs + _gamma(uk.size + 1) * sizes \
+        + EPS * abs(u.limit * ev.excess)
+    return _resolved(g, values, np.abs(ev.tail) * osc + rounding, rounding,
+                     counts + uk.size, float(np.max(np.abs(uvals))))
 
 
 # ----------------------------------------------------------------------
@@ -729,9 +693,13 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
     if scale == 0.0:
         raise DivergentPairing("(nu . 1)(u . v) vanishes; ratio undefined")
     e = _deviation(chain, n_max - 1) if n_max else None
-    numer = _paired(chain, _renewal(chain, nu, g, e), uvals, g)[0]
-    denom = _paired(chain, _renewal(chain, point_mass(1), g, e), uvals, g)[0]
-    return RateCurve(g, numer / (scale * denom))
+    uk = uvals[1 : _last(uvals) + 1]
+
+    def paired(start):
+        ev = _renewal(chain, start, g, e)
+        return np.array([np.dot(uk, z) for z, _, _ in _entries(chain, ev, g, uk.size)])
+
+    return RateCurve(g, paired(nu) / (scale * paired(point_mass(1))))
 
 
 def nonuniformity_probe(chain, i_list, n: int) -> dict:

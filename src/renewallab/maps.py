@@ -52,6 +52,7 @@ from .errors import (
     ZeroValueInWindow,
 )
 from .evolve import RateCurve, RateFit, _require_positive_recurrent, rate_fit
+from .spectral import DENSE_LIMIT
 
 __all__ = [
     "IntermittentMap",
@@ -556,10 +557,13 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
                            sampler: str = SAMPLER) -> FrequencyReport:
     """Tabulate empirical transition frequencies and occupation of the
     first ``i_max`` cells along a coded orbit of ``source``, a chain or its
-    map, against the exact chain entries."""
+    map, against the exact chain entries.  The ``i_max``-square tables are
+    capped at :data:`~renewallab.spectral.DENSE_LIMIT` cells a side."""
     chain = _require_positive_recurrent(_chain_of(source), "occupations need the stationary law")
     if i_max < 2 or i_max > chain.truncation - 1:
         raise PreconditionViolated("i_max must fit inside the stored prefix")
+    if i_max > DENSE_LIMIT:
+        raise PreconditionViolated(f"dense cell matrices are capped at i_max = {DENSE_LIMIT}")
     states, censored = coded_states(source, sampler, orbit_length, seed, burn_in)
 
     a, b = states[:-1], states[1:]
@@ -734,8 +738,8 @@ def pf_check(chain, n: int = 500) -> TransferReport:
     n = int(min(n, _support_length(chain)))
     if n < 3:
         raise TruncationTooSmall("need at least three resolvable cells")
-    if n > 1000:
-        raise PreconditionViolated("dense transfer matrices are capped at N = 1000")
+    if n > DENSE_LIMIT:
+        raise PreconditionViolated(f"dense transfer matrices are capped at N = {DENSE_LIMIT}")
     p = chain.p[1 : n + 1]
     h = chain.pi1 * chain.d[:n] / p
     mat = np.zeros((n, n))

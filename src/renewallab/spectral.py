@@ -34,7 +34,8 @@ __all__ = [
     "gf_evaluate",
 ]
 
-#: Dense matrices stay at desk scale; larger probes use structured actions.
+#: Dense matrices stay at desk scale, here and in the cell matrices of
+#: :mod:`renewallab.maps`; larger probes use structured actions.
 DENSE_LIMIT = 1000
 
 

@@ -123,6 +123,18 @@ def test_steep_zeta_tail_matches_brute_force_sum(degree, m):
     assert ZetaTailLaw(degree).tail_beyond(m) == pytest.approx(brute, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("s,beta,m", [(6.0, 1.0, 100), (3.5, 2.0, 64), (3.0, 1.0, 100),
+                                       (4.0, 1.0, 10)])
+def test_log_power_tail_matches_brute_force_sum(s, beta, m):
+    # terms summed exactly to 2e6, plus the tail from there, whose
+    # Euler-Maclaurin remainder is far below rounding
+    from renewallab.chain import _weight_tail
+
+    n = np.arange(m + 1, 2_000_001, dtype=float)
+    brute = math.fsum(n ** -s * np.log(n + 1.0) ** beta) + _weight_tail(s, beta, 2_000_000)
+    assert _weight_tail(s, beta, m) == pytest.approx(brute, rel=1e-13, abs=0.0)
+
+
 def test_huge_degree_builds_until_its_zeta_tail_is_nan():
     # scipy's Hurwitz zeta turns NaN past s of about 2e13
     ch = build_chain(ZetaTailLaw(1e12), 1000)

@@ -107,6 +107,7 @@ MALFORMED = [
     ("map simulate", {**GEO, "length": 1000, "i_max": 2 ** 63}),
     ("spectral gf", {**GEO, "z_points": [0.5], "j": 2 ** 62}),
     ("series probe", {"probe": "convolution", "gamma": 2.5, "n_list": []}),
+    ("series probe", {**GEO, "probe": "zeros", "radii": []}),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -119,7 +120,7 @@ MALFORMED_IDS = [
     "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
     "degree-2^63", "degree-1e308", "n-list-below-2", "negative-points",
     "u-size-2^63", "u-state-2^63", "grid-point-2^63", "j-2^63", "i-max-2^63",
-    "j-2^62", "empty-n-list",
+    "j-2^62", "empty-n-list", "empty-radii",
 ]
 
 
@@ -281,6 +282,25 @@ def test_null_recurrent_chain_in_the_map_layer_exits_3(tmp_path, capsys, command
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "NotPositiveRecurrent" in err[0]
     assert "null-recurrent" in err[0]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("map simulate", {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 500},
+                      "length": 20000, "i_max": 1000, "seed": 1}),
+    ("map frequency", {**GEO, **ORBIT, "i_max": 1001}),
+], ids=["simulate-past-the-prefix", "frequency-past-the-dense-cap"])
+def test_i_max_out_of_range_exits_3_before_drawing(tmp_path, capsys, monkeypatch, command,
+                                                   payload):
+    # a table past the stored prefix, or i_max^2 cells past the dense cap
+    def refuse(*args):
+        raise AssertionError("the orbit was drawn before i_max was checked")
+
+    monkeypatch.setattr("renewallab.cli.coded_states", refuse)
+    monkeypatch.setattr("renewallab.maps.coded_states", refuse)
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "PreconditionViolated" in err[0] and "i_max" in err[0]
 
 
 GAP = {"chain": {"law": {"type": "finite", "probs": [0.5, 0.0, 0.5]}, "truncation": 100}}

@@ -139,7 +139,24 @@ def test_distance_hand_value_half_half():
     ch = build_chain(FiniteLaw((0.5, 0.5)), 50)
     d = distance_curve(ch, point_mass(1), [1])
     assert d.values[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert d.bounds[0] == 0.0
+    assert 0.0 < d.bounds[0] < 1e-14  # no mass leaves the prefix: rounding only
+
+
+@pytest.mark.parametrize("law, nu", [(FiniteLaw((0.5, 0.5)), point_mass(1)),
+                                     (ZetaTailLaw(1.0), point_mass(3)),
+                                     (ZetaTailLaw(3.0), from_weights([0.5, -0.25, 0.75],
+                                                                  probability=False))])
+def test_distance_bound_counts_the_l1_sum_of_the_entries(law, nu):
+    # past the rounding of the convolutions, the bound counts the roundings
+    # that assemble each entry and those of the l1 sum over the prefix
+    from renewallab.evolve import _gamma, _renewal
+
+    ch = build_chain(law, 400)
+    grid = [0, 1, 7, 50, 190]
+    d = distance_curve(ch, nu, grid)
+    tails = np.abs(_renewal(ch, nu, np.array(grid)).tail)
+    gaps = d.values - ch.stationary_mass_beyond(400)
+    assert np.all(d.bounds - tails >= _gamma(400) * gaps)
 
 
 def test_distance_from_stationary_is_zero_for_finite_laws():
@@ -399,7 +416,8 @@ def test_engine_matches_iterated_step(law, n, data):
     chain = build_chain(law, n)
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
     sign = st.sampled_from([-1.0, 1.0])
-    w = np.array(data.draw(st.lists(unit, min_size=1, max_size=8)))
+    # starts up to n/4 states long run the nu-term windows with min(n, s) > 8
+    w = np.array(data.draw(st.lists(unit, min_size=1, max_size=max(8, n // 4))))
     tail_mass = data.draw(st.floats(0.05, 0.5)) * data.draw(sign)
     w[0] += (1.0 - tail_mass) - w.sum()
     nu = from_weights(w, tail_mass=tail_mass, probability=False)
