@@ -9,9 +9,10 @@ m, and ``a = nu * e`` with ``e`` the renewal sequence.  Written against the
 stationary law, ``a_m - pi_1 (mass reached) = nu * (e - pi_1)``, whose
 deviation sequence comes from the cancellation-free quotient
 ``E(z) / (m1 D(z))``.  One evaluator gives the entries of ``nu P^n - pi``
-on a window of the prefix (direct products or a blocked FFT): distances sum
-their absolute values over the whole prefix, correlations pair the first
-``K`` of them with an observable that is constant past ``K``.
+on a window of the prefix (direct products, or block products that each
+carry their own FFT error bound): distances sum their absolute values
+over the whole prefix, correlations pair the first ``K`` of them with an
+observable that is constant past ``K``.
 
 Mass that would land beyond the stored prefix is a conservative
 ``tail_mass`` term, exactly as iterated steps would carry it, and is
@@ -41,7 +42,7 @@ from .errors import (
     ZeroValueInWindow,
 )
 from .measures import Observable, SignedDistribution, point_mass
-from .series import _quotient
+from .series import _BLOCK, _block_product, _dyadic_blocks, _quotient
 
 __all__ = [
     "RateCurve",
@@ -228,12 +229,13 @@ def _deviation(chain, n_max: int) -> np.ndarray:
 EPS = float(np.finfo(float).eps)
 
 #: A window of ``J`` entries at grid point ``n`` is ``J`` direct dot
-#: products while ``n * J`` stays at or below this, an FFT beyond it.
+#: products while ``n * J`` stays at or below this, block products beyond.
 DIRECT_WORK = 1 << 24
 
-#: Block length of the FFT convolution: transforms have twice this length,
-#: whatever the prefix, which keeps their memory and their error small.
-FFT_BLOCK = 8192
+#: Longest block of the return law in a block product: past it, blocks
+#: keep this length and transforms ``2 * FAR_BLOCK`` points (2048 and
+#: 16384 timed slower on a distance curve at N = 8e4).
+FAR_BLOCK = 4096
 
 
 def _gamma(k: int) -> float:
@@ -325,43 +327,6 @@ def _renewal(chain, nu: SignedDistribution, g: np.ndarray, dev=None) -> _Renewal
     )
 
 
-def _block_spectra(x: np.ndarray):
-    """``rfft`` of each ``FFT_BLOCK`` slice of ``x`` at twice that length,
-    and the slices' 2-norms."""
-    blocks = [x[c : c + FFT_BLOCK] for c in range(0, x.size, FFT_BLOCK)]
-    spectra = np.empty((len(blocks), FFT_BLOCK + 1), dtype=complex)
-    for c, block in enumerate(blocks):
-        np.fft.rfft(block, 2 * FFT_BLOCK, out=spectra[c])
-    return spectra, np.array([np.linalg.norm(block) for block in blocks])
-
-
-def _convolution_window(x: np.ndarray, y_spectra, lo: int, size: int):
-    """Entries ``lo .. lo+size-1`` of the convolution ``x * y``, with ``y``
-    given by :func:`_block_spectra`, and a bound on their summed error.
-
-    Block pairs whose products land on the same output block share one
-    inverse transform.  Each output entry comes from at most two output
-    blocks, so the summed error is at most ``2 B`` entries times the FFT
-    bound of every block pair (``B = FFT_BLOCK``); blocks far down a
-    decaying sequence count with their own small norms.
-    """
-    b2 = 2 * FFT_BLOCK
-    x_spectra, x_norms = _block_spectra(x)
-    y_spectra, y_norms = y_spectra
-    out = np.zeros(size)
-    acc = np.empty(FFT_BLOCK + 1, dtype=complex)
-    last = x_spectra.shape[0] + y_spectra.shape[0] - 2
-    for t in range(max(lo // FFT_BLOCK - 1, 0), min((lo + size - 1) // FFT_BLOCK, last) + 1):
-        acc[:] = 0.0
-        for i in range(max(0, t - y_spectra.shape[0] + 1), min(t, x_spectra.shape[0] - 1) + 1):
-            acc += x_spectra[i] * y_spectra[t - i]
-        start = t * FFT_BLOCK
-        a, e = max(start, lo), min(start + b2, lo + size)
-        if a < e:
-            out[a - lo : e - lo] += np.fft.irfft(acc, b2)[a - start : e - start]
-    return out, b2 * _fft_gamma(b2) * float(x_norms.sum() * y_norms.sum())
-
-
 def _sliding(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     """Entries ``len(x) - 1 .. len(x) - 2 + size`` of the convolution
     ``x * y``: ``x`` slid along ``y`` from their first full overlap, with
@@ -376,19 +341,68 @@ def _sliding(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return np.pad(full, (0, size - full.size))
 
 
+def _window(x: np.ndarray, y: np.ndarray, blocks: list, size: int):
+    """The window of :func:`_sliding` by block products, and the summed
+    rounding error of its FFT pieces; ``blocks`` cut ``y`` from ``_BLOCK``
+    on (:func:`renewallab.series._dyadic_blocks`, at most ``FAR_BLOCK``).
+
+    ``y[:_BLOCK]`` meets the last ``_BLOCK`` entries of ``x`` directly; a
+    dyadic block ``[L, 2L)`` meets ``x`` in ``L``-aligned chunks from
+    ``len(x) - 2L`` on (no earlier one reaches the window) by the relaxed
+    quotient's product; past ``FAR_BLOCK``, where ``y`` changes by a
+    bounded factor within a block, pairs that land on the same outputs
+    share one inverse transform.  Each FFT pair adds its Percival bound,
+    each sum of spectra its additions, on each entry it reaches.
+    """
+    n = x.size
+    lo, stop = n - 1, n - 1 + size
+    h = min(n, _BLOCK)
+    out = np.zeros(size)
+    head = np.convolve(x[n - h :], y[:_BLOCK])[h - 1 : h - 1 + size]
+    out[: head.size] = head
+    far = [block for block in blocks if block[1] == FAR_BLOCK]
+    err = 0.0
+    for block in blocks[: len(blocks) - len(far)]:
+        L, norm = block[1], block[4]
+        for c in range(max(n - 2 * L, 0) // L * L, n, L):
+            for at, prod, piece in _block_product(block, x, c, min(c + L, n), stop):
+                skip = max(lo - at, 0)
+                if skip < prod.size:
+                    out[at + skip - lo : at + prod.size - lo] += prod[skip:]
+                    if piece is not None:
+                        err += _fft_gamma(2 * L) * norm * np.linalg.norm(piece) \
+                            * (prod.size - skip)
+    # output block o, from chunk c and block k = o - c, covers the outputs
+    # [oB, oB + 2B - 1); those that reach [lo, stop) are formed
+    B, first = FAR_BLOCK, max(lo // FAR_BLOCK - 1, 1)
+    c0 = max(first - len(far), 0)
+    chunks = [x[c : c + B] for c in range(c0 * B, n, B)]
+    spectra = [(np.fft.rfft(chunk, 2 * B), np.linalg.norm(chunk)) for chunk in chunks]
+    for o in range(first, min((stop - 1) // B, len(far) + lo // B) + 1 if far else 0):
+        ks = range(max(o - c0 - len(chunks) + 1, 1), min(o - c0, len(far)) + 1)
+        acc, scale = np.zeros(B + 1, dtype=complex), 0.0
+        for k in ks:
+            acc += spectra[o - c0 - k][0] * far[k - 1][3]
+            scale += spectra[o - c0 - k][1] * far[k - 1][4]
+        a, e = max(o * B, lo), min(o * B + 2 * B, stop)
+        out[a - lo : e - lo] += np.fft.irfft(acc, 2 * B)[a - o * B : e - o * B]
+        err += (_fft_gamma(2 * B) + _gamma(len(ks))) * scale * (e - a)
+    return out, err
+
+
 def _entries(chain, ev: _Renewal, g: np.ndarray, J: int):
     """Entries ``1..J`` of ``nu P^n - pi`` on the stored prefix, for each
     grid point ``n`` in turn, with a bound on their summed rounding error
-    and the number of terms each entry sums.
+    and the number of roundings that bound counts for a unit mass.
 
     Entry ``j`` is ``nu_{j+n} + x_j - pi_1 y_j + pi_1 d_{j-1} (S - 1)
     - pi_1 d_N S`` with ``x_j = sum_{m<n} b_m p~_{j+n-1-m}``,
     ``y_j = sum_{i<=n} nu_i d~_{j+n-i}`` and ``S = sum_{i<=n} nu_i``
     (``pi = 0`` on null-recurrent chains).  ``x`` is a window of direct dot
-    products while ``n J <= DIRECT_WORK`` and a blocked FFT beyond (the
-    block spectra of ``p~`` are taken once per call).  The rounding bound
-    is the dot bound of ``x`` summed over the window (or the FFT bound of
-    :func:`_convolution_window` plus the rounding of ``b``), plus
+    products while ``n J <= DIRECT_WORK`` and the :func:`_window` of
+    ``b[:n]`` and ``p~`` beyond (blocks of ``p~`` taken once per call).
+    The rounding bound is the dot bound of ``x`` summed over the window
+    (beyond, with one addition per block piece and the FFT bounds), plus
     ``gamma(i + 4)`` times the summed sizes of all the terms, which covers
     ``y`` and the few roundings that assemble an entry.  A start at the
     stationary law is ``-pi_1 d_N`` on the top ``n`` states of the prefix.
@@ -403,19 +417,20 @@ def _entries(chain, ev: _Renewal, g: np.ndarray, J: int):
     far = d[J:N][: g[-1]]
     window = d[: g[-1]] - np.pad(far, (0, g[-1] - far.size))
     d_head = float(d[:J].sum())
-    spectra = None
+    blocks = None
     for k, n in enumerate(g):
-        count = n + s + 4
+        count = n + s + 4 * (min(n, s) + 4)  # the dot, then 4 unit-size groups
         if ev.stationary:  # pi_1 d_N has left each of the top n states
             yield np.where(np.arange(J) < N - n, 0.0, -pi1 * d_n), 0.0, count
             continue
         z, x_err = np.zeros(J), 0.0
         x_size = np.dot(ev.b_abs[:n], window[:n][::-1])
         if n * J > DIRECT_WORK:
-            if spectra is None:
-                spectra = _block_spectra(pt)
-            z, x_err = _convolution_window(ev.b[:n], spectra, n - 1, J)
-            x_err += _gamma(s) * x_size
+            if blocks is None:
+                blocks = _dyadic_blocks(pt, _BLOCK, min(pt.size, int(g[-1]) + J - 1), FAR_BLOCK)
+            z, x_err = _window(ev.b[:n], pt, blocks, J)
+            pieces = 3 * len(blocks) + 1
+            x_err = (1.0 + _gamma(pieces)) * x_err + _gamma(n + s + pieces) * x_size
         elif n:
             z = _sliding(ev.b[:n], pt[: n + J - 1], J)
             x_err = _gamma(n + s - 1) * x_size
@@ -444,10 +459,10 @@ def _resolved(g: np.ndarray, values: np.ndarray, bounds: np.ndarray,
     """The curve, unless rounding alone could account for one of its values.
 
     A value is refused when its rounding term exceeds it and also exceeds
-    ``gamma(count) * scale``, the rounding of a sum of ``count`` terms of
-    the size of a unit mass paired with an observable of sup norm
-    ``scale``.  Below that level the value is zero within its bound (a
-    chain that is stationary after finitely many steps), not cancellation.
+    ``gamma(count) * scale``, the rounding its bound counts for a start of
+    unit mass paired with an observable of sup norm ``scale``.  Below that
+    level the value is zero within its bound (a chain that is stationary
+    after finitely many steps), not cancellation.
     """
     floor = scale * np.array([_gamma(c) for c in counts])
     lost = rounding > np.maximum(np.abs(values), floor)
@@ -666,8 +681,9 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
     """Ratio of ``nu P^n . u`` to its predicted null-recurrent asymptote
     ``(nu . 1)(u . v) e_n`` with v_j = d_{j-1} the invariant vector.
 
-    Both routes use the same evolution arithmetic, so for nu = delta_1 and
-    u = indicator(1) the ratio is exactly one at every n.
+    ``e_n = (delta_1 P^n)_1`` comes from the same evolution arithmetic as
+    the numerator, so for nu = delta_1 and u = indicator(1) the ratio is
+    exactly one at every n.
 
     Raises
     ------
@@ -693,13 +709,13 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
     if scale == 0.0:
         raise DivergentPairing("(nu . 1)(u . v) vanishes; ratio undefined")
     e = _deviation(chain, n_max - 1) if n_max else None
-    uk = uvals[1 : _last(uvals) + 1]
 
-    def paired(start):
+    def paired(start, uk):
         ev = _renewal(chain, start, g, e)
         return np.array([np.dot(uk, z) for z, _, _ in _entries(chain, ev, g, uk.size)])
 
-    return RateCurve(g, paired(nu) / (scale * paired(point_mass(1))))
+    return RateCurve(g, paired(nu, uvals[1 : _last(uvals) + 1])
+                     / (scale * paired(point_mass(1), np.ones(1))))
 
 
 def nonuniformity_probe(chain, i_list, n: int) -> dict:

@@ -79,6 +79,10 @@ __all__ = [
 #: A branch narrower than this cannot be separated in double precision.
 DEPTH_RESOLUTION = 1e-14
 
+#: Least stationary mass of the resolvable cells for float orbits, whose
+#: starts redraw until they land in one: at most 1000 draws expected.
+START_MASS_FLOOR = 1e-3
+
 #: Default number of discarded steps before an estimator starts recording.
 BURN_IN = 10_000
 
@@ -343,11 +347,16 @@ def map_states(m: IntermittentMap, length: int, seed: int,
     actual map.  Whenever it falls below the resolvable depth the step is
     recorded as ``-1``, counted, and the orbit restarts fresh.  A
     null-recurrent chain has no invariant density and raises
-    :class:`NotPositiveRecurrent`.
+    :class:`NotPositiveRecurrent`, cells below :data:`START_MASS_FLOOR`
+    :class:`TruncationTooSmall`, both before drawing.
     """
     chain = _require_positive_recurrent(m.chain, "float orbits need the invariant density")
-    rng = _rng(seed, stream)
     pi_cdf = np.cumsum(chain.pi[1:])
+    mass = pi_cdf[m.symbol_cap - 1]
+    if mass < START_MASS_FLOOR:
+        raise TruncationTooSmall(f"the resolvable cells hold stationary mass {mass:.3g} < "
+                                 f"{START_MASS_FLOOR:g}: a start takes {1 / mass:.3g} draws")
+    rng = _rng(seed, stream)
     out = _float_orbit(m, _density_start(m, rng, pi_cdf), int(burn_in) + int(length),
                        restart=lambda: _density_start(m, rng, pi_cdf))[burn_in:]
     return out, int(np.count_nonzero(out == -1))

@@ -8,7 +8,8 @@ numerator), the renewal sequence, the renewal deviation and the
 first-passage laws -- runs the one relaxed quotient of :func:`_quotient`
 in O(N log^2 N) time, and package code calls it on plain arrays.  It is as
 accurate as the direct recursion it replaced, which the tests keep as its
-oracle, though not equal to it to the last rounding.  :func:`convolve`
+oracle, though not equal to it to the last rounding; its block products
+also serve :func:`renewallab.evolve._entries`.  :func:`convolve`
 accumulates with compensated (Kahan) summation; no package route uses it,
 so it serves as an independent oracle.  No symbolic algebra is used.
 
@@ -154,9 +155,48 @@ def convolve(a, b) -> TruncatedSeries:
 #: far block of ``d``.
 _BLOCK = 64
 
-#: Far blocks of ``d`` at least this long multiply through ``rfft``
-#: spectra, shorter ones through ``np.convolve``.
+#: Far blocks at least this long multiply through ``rfft`` spectra,
+#: shorter ones through ``np.convolve``.
 _FFT_FROM = 512
+
+
+def _dyadic_blocks(x: np.ndarray, first: int, stop: int, longest: int = 0) -> list:
+    """``x`` from ``first`` to ``stop`` in blocks ``(start, size, block,
+    spectrum, norm)``, each cut at ``stop``: ``x[L : 2L)`` for ``L = first,
+    2 first, ...``, and once ``L`` reaches a given ``longest``, blocks of
+    that length.  From ``size >= _FFT_FROM`` on, ``spectrum`` is the
+    ``rfft`` at ``2 size`` points and ``norm`` the 2-norm (None, 0 below)."""
+    blocks, start = [], first
+    while start < stop:
+        size = min(start, longest or start)
+        block = x[start : min(start + size, stop)]
+        spectrum = np.fft.rfft(block, 2 * size) if size >= _FFT_FROM else None
+        norm = 0.0 if spectrum is None else float(np.linalg.norm(block))
+        blocks.append((start, size, block, spectrum, norm))
+        start += size
+    return blocks
+
+
+def _block_product(far, y: np.ndarray, lo: int, hi: int, stop: int):
+    """Pieces ``(at, prod, piece)`` of the product of a block of
+    :func:`_dyadic_blocks` with ``y[lo : hi)``, no longer than the block:
+    ``prod[i]`` adds to output ``at + i`` below ``stop``, and ``piece`` is
+    what went through an FFT, whose rounding Percival bounds by a multiple
+    of ``||block||_2 ||piece||_2`` on each entry (None for
+    ``np.convolve``).  That stays relative to the piece's contribution
+    while both operands keep to one scale; the head chunk ``lo = 0`` does
+    not, so its first ``_BLOCK`` terms go through ``np.convolve``."""
+    start, size, block, spectrum, _ = far
+    if spectrum is not None and lo == 0 and hi > _BLOCK:
+        yield from _block_product((start, size, block, None, 0.0), y, 0, _BLOCK, stop)
+        lo = _BLOCK
+    at = lo + start
+    top = min(stop - at, block.size + hi - lo - 1)
+    if top > 0 and spectrum is None:
+        yield at, np.convolve(block, y[lo:hi])[:top], None
+    elif top > 0:
+        prod = np.fft.irfft(np.fft.rfft(y[lo:hi], 2 * size) * spectrum, 2 * size)
+        yield at, prod[:top], y[lo:hi]
 
 
 def _quotient(e, d) -> np.ndarray:
@@ -170,18 +210,15 @@ def _quotient(e, d) -> np.ndarray:
       for the terms that cross from the previous block, then the block's
       lower-triangular Toeplitz solve, whose inverse holds the first ``C``
       coefficients of ``1/D``;
-    * far part, ``d`` in dyadic blocks ``[L, 2L)``, ``L = C, 2C, ...`` up to
-      ``K``: once the outputs below ``j`` are final and ``L`` divides ``j``,
-      block ``L`` times ``h[j-L : j)`` leaves the right-hand sides
-      ``j .. j+2L-2``.  A ``d`` with ``K < C`` has no far part.
+    * far part, ``d`` in the dyadic blocks ``[L, 2L)`` of
+      :func:`_dyadic_blocks`, ``L = C, 2C, ...`` up to ``K``: once the
+      outputs below ``j`` are final and ``L`` divides ``j``, block ``L``
+      times ``h[j-L : j)`` (:func:`_block_product`) leaves the right-hand
+      sides ``j .. j+2L-2``.  A ``d`` with ``K < C`` has no far part.
 
-    An FFT product errs by a multiple of its operands' norms (Percival,
-    *Math. Comp.* 72, 2003), which stays relative to its own contribution
-    while both operands keep to one scale.  Only the first chunk
-    ``h[0 : L)`` does not, so its first ``C`` terms go through
-    ``np.convolve``.  The block inverse is rounded once from extended
-    precision, as its error would recur in every block, and the right-hand
-    sides accumulate with Kahan compensation.  The caller checks ``d_0``.
+    The block inverse is rounded once from extended precision, as its
+    error would recur in every block, and the right-hand sides accumulate
+    with Kahan compensation.  The caller checks ``d_0``.
     """
     n = min(len(e), len(d))
     k = np.trim_zeros(d[1:n], "b").size
@@ -196,36 +233,19 @@ def _quotient(e, d) -> np.ndarray:
     lag = np.subtract.outer(np.arange(c), np.arange(c))
     inverse = np.where(lag >= 0, recip.astype(float)[lag], 0.0)
     cross = np.where(lag < 0, head[lag], 0.0)  # head[lag] is d_{C+lag}
-
-    far = []  # (L, block of d, its spectrum at 2L points or None)
-    size = c
-    while size <= k:
-        block = d[size : min(2 * size, k + 1)]
-        spectrum = np.fft.rfft(block, 2 * size) if size >= _FFT_FROM else None
-        far.append((size, block, spectrum))
-        size *= 2
+    far = _dyadic_blocks(d, c, k + 1)
 
     rhs = np.array(e[:n], dtype=float)
     low = np.zeros(n)  # what the Kahan sums in rhs owe
     h = np.empty(n)
     h[:c] = inverse @ rhs[:c]
     for j in range(c, n, c):
-        for size, block, spectrum in far:
-            if j % size:
+        for block in far:
+            if j % block[0]:
                 break
-            whole = spectrum is None or j > size
-            pieces = [(j - size, j)] if whole else [(0, c), (c, size)]
-            for lo, hi in pieces:
-                at = lo + size
-                top = min(n - at, block.size + hi - lo - 1)
-                if top <= 0:
-                    continue
-                if spectrum is None or lo == 0:
-                    prod = np.convolve(block, h[lo:hi])
-                else:
-                    prod = np.fft.irfft(np.fft.rfft(h[lo:hi], 2 * size) * spectrum, 2 * size)
-                part, owed = rhs[at : at + top], low[at : at + top]
-                y = -prod[:top] - owed
+            for at, prod, _ in _block_product(block, h, j - block[0], j, n):
+                part, owed = rhs[at : at + prod.size], low[at : at + prod.size]
+                y = -prod - owed
                 t = part + y
                 owed[:] = (t - part) - y
                 part[:] = t

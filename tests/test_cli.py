@@ -4,6 +4,7 @@ rejection, deterministic artifacts."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -282,6 +283,28 @@ def test_null_recurrent_chain_in_the_map_layer_exits_3(tmp_path, capsys, command
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "NotPositiveRecurrent" in err[0]
     assert "null-recurrent" in err[0]
+
+
+TINY = {"chain": {"law": {"type": "zeta", "degree": 1e-9}, "truncation": 500},
+        "sampler": "float"}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("map simulate", {**TINY, "length": 5000, "seed": 1}),
+    ("map correlate", {**TINY, **CORRELATE, **ORBIT}),
+    ("map kac", {**TINY, **ORBIT}),
+    ("map frequency", {**TINY, **ORBIT}),
+], ids=["simulate", "correlate", "kac", "frequency"])
+def test_float_sampler_refuses_cells_without_stationary_mass(tmp_path, capsys, command,
+                                                            payload):
+    # at degree 1e-9 the 500 resolvable cells hold 7.8e-9 of the stationary
+    # mass, so each start would redraw about 10^8 times
+    start = time.perf_counter()
+    code, _ = run(tmp_path, command.split(), payload)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "TruncationTooSmall" in err[0]
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renewallab as rl
+from renewallab import evolve, series
 from renewallab import (
     DivergentPairing,
     FiniteLaw,
@@ -369,6 +370,19 @@ def test_null_ratio_delta_two_shift():
     assert abs(r.values[-1] - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("degree", [-0.75, -0.5])
+@pytest.mark.parametrize("nu, u", [(point_mass(3), indicator([2], 2)),
+                                   (point_mass(1), indicator([2], 2)),
+                                   (point_mass(2), indicator([1, 4], 4))],
+                         ids=["delta3-u2", "delta1-u2", "delta2-u14"])
+def test_null_ratio_tends_to_one_when_u_dot_v_is_not_one(degree, nu, u):
+    # u . v = d_1 or d_0 + d_3 differs from one: dividing by (nu . 1)(u . v)
+    # times (delta_1 P^n . u) instead of e_n leaves 1 / (u . v)
+    ch = build_chain(ZetaTailLaw(degree), 20010)
+    r = null_recurrent_ratio(ch, nu, u, [100, 1000, 10_000])
+    assert abs(r.values[-1] - 1.0) < 1e-3
+
+
 # ----------------------------------------------------------------------
 # the renewal engine against iterated steps
 # ----------------------------------------------------------------------
@@ -474,13 +488,81 @@ def test_nonuniformity_probe_matches_iterated_step(law, n, data):
         assert probe[i] == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
-def test_distance_refuses_values_below_its_fft_rounding():
-    # from delta_1 a geometric chain is stationary after one step, so the
-    # distance is zero; the FFT route cannot resolve that and says so
+def test_distance_resolves_a_zero_on_both_routes_and_refuses_lost_digits():
+    # from delta_1 a geometric chain is stationary after one step; the
+    # block route (n N past DIRECT_WORK at n = 1000) resolves that zero as
+    # the direct route does
     ch = build_chain(GeometricLaw(0.5), 40000)
-    assert distance_curve(ch, point_mass(1), [10]).values[0] < 1e-300
+    d = distance_curve(ch, point_mass(1), [10, 1000])
+    assert np.all(d.values < 1e-300) and np.all(d.bounds < 1e-17)
+    # +-1e8 weights leave rounding of 1e-11 on a value that is zero
+    signed = from_weights([-1e8, 1.0 + 1e8], probability=False)
     with pytest.raises(TruncationTooSmall, match="rounding"):
-        distance_curve(ch, point_mass(1), [10, 1000])
+        distance_curve(build_chain(GeometricLaw(0.3), 400), signed, [10])
+
+
+def test_distance_returns_a_zero_its_rounding_accounts_for():
+    # from delta_2 a geometric chain is stationary after two steps: the value
+    # is rounding noise below the floor of a unit mass, not lost digits
+    d = distance_curve(build_chain(GeometricLaw(0.6), 67), point_mass(2), [2])
+    assert d.values[0] <= d.bounds[0] < 1e-14
+
+
+def test_distance_resolves_high_degrees_past_direct_work():
+    # one bound over uniform blocks from index 0 refused these from
+    # n = 4317 (d = 3) and n = 1000 (d = 4); with p~ in dyadic blocks below
+    # FAR_BLOCK and a bound per block pair each error keeps to its scale
+    d3 = distance_curve(build_chain(ZetaTailLaw(3.0), 20001), point_mass(1),
+                        [800, 1000, 2000, 4317, 9000])
+    assert d3.at(4317) == pytest.approx(1.91269e-12, rel=1e-5)
+    assert np.all(d3.bounds < 0.1 * d3.values)
+    d4 = distance_curve(build_chain(ZetaTailLaw(4.0), 80000), point_mass(1),
+                        [100, 300, 1000, 4000, 20000])
+    assert np.all(np.diff(d4.values) < 0.0) and np.all(d4.bounds < 0.1 * d4.values)
+
+
+@pytest.mark.parametrize("degree", [1.5, 3.0, 4.0])
+def test_block_route_agrees_with_the_direct_route_across_direct_work(degree, monkeypatch):
+    n_chain = 20001
+    switch = evolve.DIRECT_WORK // n_chain  # n N just below, then just above
+    grid = [switch - 1, switch, switch + 1, switch + 2, 4000, 9000]
+    starts = [point_mass(1), point_mass(3), from_weights([0.5, -0.25, 0.75],
+                                                         probability=False)]
+    ch = build_chain(ZetaTailLaw(degree), n_chain)
+    blocked = [distance_curve(ch, nu, grid) for nu in starts]
+    monkeypatch.setattr(evolve, "DIRECT_WORK", 1 << 40)
+    for nu, got in zip(starts, blocked):
+        want = distance_curve(ch, nu, grid)
+        assert np.all(np.abs(got.values - want.values) <= got.bounds + want.bounds)
+        assert np.all(got.values[:2] == want.values[:2])  # the direct route itself
+
+
+def assert_block_window_is_sliding(rng, n_y, n, size):
+    y = np.arange(1.0, n_y + 1) ** -rng.uniform(1.5, 5.0) * rng.choice([-1.0, 1.0], n_y)
+    x = np.arange(1.0, n + 1) ** -rng.uniform(0.5, 4.0) * rng.uniform(-1.0, 1.5, n)
+    blocks = series._dyadic_blocks(y, series._BLOCK, min(n_y, n + size - 1), evolve.FAR_BLOCK)
+    got, err = evolve._window(x, y, blocks, size)
+    want = evolve._sliding(x, y[: n + size - 1], size)
+    terms = evolve._sliding(np.abs(x), np.abs(y[: n + size - 1]), size).sum()
+    assert np.abs(got - want).sum() <= err + 2 * evolve._gamma(n + 3 * len(blocks) + 1) * terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_window_is_the_sliding_window_within_its_bound(data):
+    # signed operands, windows of any length, x shorter than p~'s head and
+    # p~ shorter than FAR_BLOCK included
+    n_y = data.draw(st.integers(2, 12000))
+    n = data.draw(st.integers(1, n_y))
+    assert_block_window_is_sliding(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                                   n_y, n, data.draw(st.integers(1, n_y)))
+
+
+@pytest.mark.parametrize("n_y, n, size", [(20000, 9000, 11000), (20000, 12290, 7), (9000, 4097, 2)])
+def test_block_window_at_far_block_edges(n_y, n, size):
+    # windows whose first entry sits just past a multiple of FAR_BLOCK draw on
+    # the far output block that starts one block below it
+    assert_block_window_is_sliding(np.random.default_rng(n), n_y, n, size)
 
 
 # ----------------------------------------------------------------------
