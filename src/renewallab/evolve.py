@@ -8,11 +8,12 @@ nu plus the return law convolved with ``a_m``, the mass at state 1 at time
 m, and ``a = nu * e`` with ``e`` the renewal sequence.  Written against the
 stationary law, ``a_m - pi_1 (mass reached) = nu * (e - pi_1)``, whose
 deviation sequence comes from the cancellation-free quotient
-``E(z) / (m1 D(z))``.  One evaluator gives the entries of ``nu P^n - pi``
-on a window of the prefix (direct products, or block products that each
-carry their own FFT error bound): distances sum their absolute values
-over the whole prefix, correlations pair the first ``K`` of them with an
-observable that is constant past ``K``.
+``E(z) / (m1 D(z))``.  One evaluator builds that form from the start and
+gives the entries of ``nu P^n - pi`` on a window of the prefix (direct or
+block products, each with its own error bound) and the mass lost beyond
+it: distances sum their absolute values over the whole prefix,
+correlations pair the first ``K`` of them with an observable read at its
+stored size, ``K`` its last state off its constant continuation.
 
 Mass that would land beyond the stored prefix is a conservative
 ``tail_mass`` term, exactly as iterated steps would carry it, and is
@@ -137,14 +138,10 @@ def _last(x: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else 0
 
 
-def _nu_support(nu: SignedDistribution) -> int:
-    """Largest stored index carrying mass; measures that already carry tail
-    mass get no support guarantee and rely on the reported bound."""
-    return 0 if nu.tail_mass != 0.0 else _last(nu.weights)
-
-
 def _check_horizon(chain, nu: SignedDistribution, n_max: int):
-    need = 2 * n_max + _nu_support(nu)
+    # the largest stored index carrying mass; measures that already carry
+    # tail mass get no support guarantee and rely on the reported bound
+    need = 2 * n_max + (0 if nu.tail_mass != 0.0 else _last(nu.weights))
     if chain.truncation < need:
         raise TruncationTooSmall(
             f"horizon {n_max} needs truncation >= {need}, chain stores {chain.truncation}"
@@ -262,69 +259,9 @@ def _fft_gamma(size: int) -> float:
                       + 3 * k * math.log1p(EPS))
 
 
-@dataclass(frozen=True)
-class _Renewal:
-    """``nu P^n`` on the stored prefix in renewal form, for ``n`` on a grid.
-
-    With ``a_m`` the mass at state 1 at time ``m`` and ``p~`` the return
-    law cut at the prefix,
-
-        (nu P^n)_j = nu_{j+n} + sum_{m<n} a_m p~_{j+n-1-m},
-        tail_n     = nu.tail_mass + d_N sum_{m<n} a_m,
-
-    which is what iterating :func:`step` computes, lost mass included.
-    ``a = nu * e`` splits as ``a_m = pi_1 S_m + b_m`` with
-    ``S_m = sum_{i<=m+1} nu_i`` and ``b = nu * (e - pi_1)``, so the curves
-    subtract no two nearly equal numbers (``pi_1 = 0`` and ``b = a`` on
-    null-recurrent chains).  A start at the stationary law itself moves
-    only by the defect at the prefix edge: it keeps ``b = 0``.
-    """
-
-    nu: np.ndarray  # nu_0..nu_s, cut after the last nonzero weight
-    b: np.ndarray  # b_m, m < n_max
-    b_abs: np.ndarray  # b_m summed over absolute values, for rounding terms
-    s_less_1: np.ndarray  # sum_{i<=n} nu_i - 1 on the grid
-    tail: np.ndarray  # tail_n on the grid
-    excess: float  # total mass minus one, correctly rounded
-    pi1: float
-    stationary: bool
-
-
-def _renewal(chain, nu: SignedDistribution, g: np.ndarray, dev=None) -> _Renewal:
-    """The renewal form of ``nu`` for the grid ``g``; ``dev`` may pass in
-    ``_deviation(chain, g[-1] - 1)`` when several measures share it."""
-    if nu.size > chain.truncation:
-        raise TruncationTooSmall(
-            f"measure stores {nu.size} states, chain only {chain.truncation}"
-        )
-    n_max = int(g[-1])
-    w = nu.weights[: _last(nu.weights) + 1]
-    s = w.size - 1
-    pi1 = chain.pi1 if chain.positive_recurrent else 0.0
-    stationary = chain.positive_recurrent and np.array_equal(nu.weights, chain.pi)
-    head = w[1 : min(s, n_max) + 1]
-    if stationary or head.size == 0:
-        b = b_abs = np.zeros(n_max)
-        lead = g * (pi1 if stationary else 0.0)
-    else:
-        if dev is None:
-            dev = _deviation(chain, n_max - 1)
-        b = np.convolve(head, dev)[:n_max]
-        b_abs = b if np.all(head >= 0.0) and np.all(dev >= 0.0) else \
-            np.convolve(np.abs(head), np.abs(dev))[:n_max]
-        # sum_{m<n} a_m = sum_{m<n} b_m + pi_1 sum_{m<n} S_m
-        mass = np.cumsum(head)
-        h = np.minimum(g, head.size)
-        lead = np.concatenate(([0.0], np.cumsum(b)))[g] + pi1 * (
-            np.concatenate(([0.0], np.cumsum(mass)))[h] + (g - h) * mass[-1])
-    rest = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)  # sum_{i>n} nu_i, n <= s
-    excess = math.fsum(np.append(w[1:], (nu.tail_mass, -1.0)))
-    return _Renewal(
-        nu=w, b=b, b_abs=b_abs,
-        s_less_1=excess - (nu.tail_mass + rest[np.minimum(g, s)]),
-        tail=nu.tail_mass + chain.d[chain.truncation] * lead,
-        excess=excess, pi1=pi1, stationary=stationary,
-    )
+def _excess(nu: SignedDistribution) -> float:
+    """Total mass of ``nu`` minus one, correctly rounded."""
+    return math.fsum(np.append(nu.weights[1:], (nu.tail_mass, -1.0)))
 
 
 def _sliding(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
@@ -390,68 +327,107 @@ def _window(x: np.ndarray, y: np.ndarray, blocks: list, size: int):
     return out, err
 
 
-def _entries(chain, ev: _Renewal, g: np.ndarray, J: int):
+def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
     """Entries ``1..J`` of ``nu P^n - pi`` on the stored prefix, for each
-    grid point ``n`` in turn, with a bound on their summed rounding error
-    and the number of roundings that bound counts for a unit mass.
+    grid point ``n`` in turn, with a bound on their summed rounding error,
+    the number of roundings that bound counts for a unit mass and the mass
+    ``tail_n`` lost beyond the prefix; ``dev`` may pass in
+    ``_deviation(chain, g[-1] - 1)`` when several measures share it.
 
-    Entry ``j`` is ``nu_{j+n} + x_j - pi_1 y_j + pi_1 d_{j-1} (S - 1)
-    - pi_1 d_N S`` with ``x_j = sum_{m<n} b_m p~_{j+n-1-m}``,
-    ``y_j = sum_{i<=n} nu_i d~_{j+n-i}`` and ``S = sum_{i<=n} nu_i``
-    (``pi = 0`` on null-recurrent chains).  ``x`` is a window of direct dot
-    products while ``n J <= DIRECT_WORK`` and the :func:`_window` of
-    ``b[:n]`` and ``p~`` beyond (blocks of ``p~`` taken once per call).
-    The rounding bound is the dot bound of ``x`` summed over the window
-    (beyond, with one addition per block piece and the FFT bounds), plus
-    ``gamma(i + 4)`` times the summed sizes of all the terms, which covers
-    ``y`` and the few roundings that assemble an entry.  A start at the
-    stationary law is ``-pi_1 d_N`` on the top ``n`` states of the prefix.
+    With ``a_m`` the mass at state 1 at time ``m`` and ``p~`` the return
+    law cut at the prefix, the renewal form of ``nu P^n`` is
+
+        (nu P^n)_j = nu_{j+n} + sum_{m<n} a_m p~_{j+n-1-m},
+        tail_n     = nu.tail_mass + d_N sum_{m<n} a_m,
+
+    which is what iterating :func:`step` computes, lost mass included.
+    ``a = nu * e`` splits as ``a_m = pi_1 S_m + b_m`` with
+    ``S_m = sum_{i<=m+1} nu_i`` and ``b = nu * (e - pi_1)``, so no entry
+    subtracts two nearly equal numbers (``pi_1 = 0`` and ``b = a`` on
+    null-recurrent chains).  Entry ``j`` is then ``nu_{j+n} + x_j - pi_1 y_j
+    + pi_1 d_{j-1} (S - 1) - pi_1 d_N S`` with
+    ``x_j = sum_{m<n} b_m p~_{j+n-1-m}``, ``y_j = sum_{i<=n} nu_i d~_{j+n-i}``
+    and ``S = sum_{i<=n} nu_i``.  ``x`` is a window of direct dot products
+    while ``n J <= DIRECT_WORK`` and the :func:`_window` of ``b[:n]`` and
+    ``p~`` beyond (blocks of ``p~`` taken once per call).  The rounding
+    bound is the dot bound of ``x`` summed over the window (beyond, with one
+    addition per block piece and the FFT bounds), plus ``gamma(i + 4)``
+    times the summed sizes of all the terms, which covers ``y`` and the few
+    roundings that assemble an entry.  A start at the stationary law moves
+    only by the defect at the prefix edge: it is ``-pi_1 d_N`` on the top
+    ``n`` states of the prefix.
     """
     N = chain.truncation
-    pi1, d = ev.pi1, chain.d
+    if nu.size > N:
+        raise TruncationTooSmall(f"measure stores {nu.size} states, chain only {N}")
+    n_max = int(g[-1])
+    w = nu.weights[: _last(nu.weights) + 1]  # nu_0..nu_s
+    s = w.size - 1
+    d = chain.d
     d_n = float(d[N])
-    s = ev.nu.size - 1
+    pi1 = chain.pi1 if chain.positive_recurrent else 0.0
+    stationary = chain.positive_recurrent and np.array_equal(nu.weights, chain.pi)
+    head = w[1 : min(s, n_max) + 1]
+    if stationary or head.size == 0:
+        b = b_abs = np.zeros(n_max)
+        lead = g * (pi1 if stationary else 0.0)
+    else:
+        if dev is None:
+            dev = _deviation(chain, n_max - 1)
+        b = np.convolve(head, dev)[:n_max]
+        # b summed over absolute values, for rounding terms
+        b_abs = b if np.all(head >= 0.0) and np.all(dev >= 0.0) else \
+            np.convolve(np.abs(head), np.abs(dev))[:n_max]
+        # sum_{m<n} a_m = sum_{m<n} b_m + pi_1 sum_{m<n} S_m
+        mass = np.cumsum(head)
+        h = np.minimum(g, head.size)
+        lead = np.concatenate(([0.0], np.cumsum(b)))[g] + pi1 * (
+            np.concatenate(([0.0], np.cumsum(mass)))[h] + (g - h) * mass[-1])
+    tails = nu.tail_mass + d[N] * lead
+    rest = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)  # sum_{i>n} nu_i, n <= s
+    # sum_{i<=n} nu_i - 1 on the grid
+    s_less_1s = _excess(nu) - (nu.tail_mass + rest[np.minimum(g, s)])
     pt = chain.p[1:]
     # summed over the window, p~_{j+l} gives d_l - d_{l+J}, or at most d_l
     # where l + J reaches the prefix edge
-    far = d[J:N][: g[-1]]
-    window = d[: g[-1]] - np.pad(far, (0, g[-1] - far.size))
+    far = d[J:N][:n_max]
+    window = d[:n_max] - np.pad(far, (0, n_max - far.size))
     d_head = float(d[:J].sum())
     blocks = None
     for k, n in enumerate(g):
         count = n + s + 4 * (min(n, s) + 4)  # the dot, then 4 unit-size groups
-        if ev.stationary:  # pi_1 d_N has left each of the top n states
-            yield np.where(np.arange(J) < N - n, 0.0, -pi1 * d_n), 0.0, count
+        if stationary:  # pi_1 d_N has left each of the top n states
+            yield np.where(np.arange(J) < N - n, 0.0, -pi1 * d_n), 0.0, count, tails[k]
             continue
         z, x_err = np.zeros(J), 0.0
-        x_size = np.dot(ev.b_abs[:n], window[:n][::-1])
+        x_size = np.dot(b_abs[:n], window[:n][::-1])
         if n * J > DIRECT_WORK:
             if blocks is None:
-                blocks = _dyadic_blocks(pt, _BLOCK, min(pt.size, int(g[-1]) + J - 1), FAR_BLOCK)
-            z, x_err = _window(ev.b[:n], pt, blocks, J)
+                blocks = _dyadic_blocks(pt, _BLOCK, min(pt.size, n_max + J - 1), FAR_BLOCK)
+            z, x_err = _window(b[:n], pt, blocks, J)
             pieces = 3 * len(blocks) + 1
             x_err = (1.0 + _gamma(pieces)) * x_err + _gamma(n + s + pieces) * x_size
         elif n:
-            z = _sliding(ev.b[:n], pt[: n + J - 1], J)
+            z = _sliding(b[:n], pt[: n + J - 1], J)
             x_err = _gamma(n + s - 1) * x_size
         i = min(n, s)
         y_size = 0.0
         if i and pi1:
             # d~_l = d_l - d_N below the prefix edge, zero from it on
-            z -= pi1 * _sliding(ev.nu[1 : i + 1], d[n - i + 1 : min(n + J, N)] - d_n, J)
+            z -= pi1 * _sliding(w[1 : i + 1], d[n - i + 1 : min(n + J, N)] - d_n, J)
             # summed over the window, each d~_{j+n-i'} is at most the
             # window sum that starts lowest, at i' = i
-            y_size = pi1 * np.abs(ev.nu[1 : i + 1]).sum() \
+            y_size = pi1 * np.abs(w[1 : i + 1]).sum() \
                 * d[n - i + 1 : min(n - i + J + 1, N)].sum()
-        shifted = ev.nu[n + 1 : n + 1 + J]
+        shifted = w[n + 1 : n + 1 + J]
         z[: shifted.size] += shifted
-        s_less_1 = ev.s_less_1[k]
+        s_less_1 = s_less_1s[k]
         if s_less_1:
             z += (pi1 * s_less_1) * d[:J]
         z -= pi1 * d_n * (1.0 + s_less_1)
         sizes = x_size + y_size + np.abs(shifted).sum() \
             + pi1 * (abs(s_less_1) * d_head + J * d_n * abs(1.0 + s_less_1))
-        yield z, x_err + _gamma(i + 4) * sizes, count
+        yield z, x_err + _gamma(i + 4) * sizes, count, tails[k]
 
 
 def _resolved(g: np.ndarray, values: np.ndarray, bounds: np.ndarray,
@@ -503,23 +479,13 @@ def distance_curve(chain, nu: SignedDistribution, n_grid) -> RateCurve:
     _require_positive_recurrent(chain)
     g = _as_grid(n_grid)
     _check_horizon(chain, nu, int(g[-1]))
-    ev = _renewal(chain, nu, g)
     n = chain.truncation
-    gaps, rounding, counts = map(np.array, zip(*(
-        (np.abs(z, out=z).sum(), err, count) for z, err, count in _entries(chain, ev, g, n))))
+    gaps, rounding, counts, tails = map(np.array, zip(*(
+        (np.abs(z, out=z).sum(), *rest) for z, *rest in _entries(chain, nu, g, n))))
     # the l1 sum adds n rounded entries
     rounding += _gamma(n) * gaps
     values = gaps + chain.stationary_mass_beyond(n)
-    return _resolved(g, values, np.abs(ev.tail) + rounding, rounding, counts)
-
-
-def _padded_observable(chain, u: Observable) -> np.ndarray:
-    n = chain.truncation
-    vals = np.full(n + 1, u.limit)
-    k = min(u.size, n)
-    vals[: k + 1] = u.values[: k + 1]
-    vals[0] = 0.0
-    return vals
+    return _resolved(g, values, np.abs(tails) + rounding, rounding, counts)
 
 
 def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> RateCurve:
@@ -541,24 +507,25 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
     g = _as_grid(n_grid)
     _check_horizon(chain, nu, int(g[-1]))
     n = chain.truncation
-    uvals = _padded_observable(chain, u)
+    # u is u_inf past its stored states
+    vals = u.values[1 : min(u.size, n) + 1]
+    centered = vals - u.limit
     # mass lost at step k can descend to state N - (n_max - k) at worst,
     # so only oscillation of u beyond that point contributes uncertainty
     reach = n - int(g[-1])
-    osc = float(np.max(np.abs(uvals[max(reach, 1) :] - u.limit), initial=0.0))
-    ev = _renewal(chain, nu, g)
-    centered = uvals - u.limit
-    centered[0] = 0.0
-    uk = centered[1 : max(_last(centered), 1) + 1]
-    pairs, sizes, errs, counts = map(np.array, zip(*(
-        (np.dot(uk, z), np.dot(np.abs(uk), np.abs(z)), err, count)
-        for z, err, count in _entries(chain, ev, g, uk.size))))
+    osc = float(np.max(np.abs(centered[max(reach, 1) - 1 :]), initial=0.0))
+    uk = centered[: _last(centered) + 1]
+    pairs, sizes, errs, counts, tails = map(np.array, zip(*(
+        (np.dot(uk, z), np.dot(np.abs(uk), np.abs(z)), *rest)
+        for z, *rest in _entries(chain, nu, g, uk.size))))
     # the total masses of nu P^n and pi pair with the constant u_inf
-    values = pairs + u.limit * ev.excess
+    excess = _excess(nu)
+    values = pairs + u.limit * excess
     rounding = np.max(np.abs(uk)) * errs + _gamma(uk.size + 1) * sizes \
-        + EPS * abs(u.limit * ev.excess)
-    return _resolved(g, values, np.abs(ev.tail) * osc + rounding, rounding,
-                     counts + uk.size, float(np.max(np.abs(uvals))))
+        + EPS * abs(u.limit * excess)
+    scale = np.abs(np.append(vals, u.limit) if u.size < n else vals).max()
+    return _resolved(g, values, np.abs(tails) * osc + rounding, rounding,
+                     counts + uk.size, float(scale))
 
 
 # ----------------------------------------------------------------------
@@ -585,6 +552,8 @@ def deviation_tail_ratio(chain, n_grid) -> RateCurve:
     if g[0] < 1:
         raise PreconditionViolated("ratio is defined for n >= 1")
     dev = _deviation(chain, int(g[-1]))
+    if chain.d_tail[g[-1]] == 0.0:
+        raise PreconditionViolated(f"the tail E_n underflows to zero by n = {int(g[-1])}")
     return RateCurve(g, chain.m1 ** 2 * dev[g] / chain.d_tail[g])
 
 
@@ -669,10 +638,13 @@ def correlation_constant(chain, nu: SignedDistribution, u: Observable, n_grid):
     corr = correlation_curve(chain, nu, u, g)
     ns = g.astype(float)
     slow = fam.amplitude * np.log(ns + 1.0) ** fam.log_power
-    curve = RateCurve(g, corr.values * ns ** d / slow, None if corr.bounds is None
-                      else corr.bounds * ns ** d / slow)
-    uvals = _padded_observable(chain, u)
-    pi_dot_u = float(np.dot(chain.pi[1:], uvals[1:]))
+    with np.errstate(over="ignore"):
+        power = ns ** d
+    if np.isinf(power[-1]):
+        raise PreconditionViolated(f"n^d overflows on the grid at degree {d}")
+    curve = RateCurve(g, corr.values * power / slow, corr.bounds * power / slow)
+    vals = u.values[1 : min(u.size, chain.truncation) + 1]
+    pi_dot_u = float(np.dot(chain.pi[1 : vals.size + 1], vals))
     predicted = pi_dot_u * nu.total_mass / (d * (d + 1.0) * chain.m1)
     return curve, predicted
 
@@ -703,18 +675,17 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
     g = _as_grid(n_grid)
     n_max = int(g[-1])
     _check_horizon(chain, nu, n_max)
-    uvals = _padded_observable(chain, u)
-    u_dot_v = float(np.dot(uvals[1:], chain.d[:-1]))
+    vals = u.values[1 : min(u.size, chain.truncation) + 1]
+    u_dot_v = float(np.dot(vals, chain.d[: vals.size]))
     scale = nu.total_mass * u_dot_v
     if scale == 0.0:
         raise DivergentPairing("(nu . 1)(u . v) vanishes; ratio undefined")
     e = _deviation(chain, n_max - 1) if n_max else None
 
     def paired(start, uk):
-        ev = _renewal(chain, start, g, e)
-        return np.array([np.dot(uk, z) for z, _, _ in _entries(chain, ev, g, uk.size)])
+        return np.array([np.dot(uk, z) for z, *_ in _entries(chain, start, g, uk.size, e)])
 
-    return RateCurve(g, paired(nu, uvals[1 : _last(uvals) + 1])
+    return RateCurve(g, paired(nu, vals[: _last(vals) + 1])
                      / (scale * paired(point_mass(1), np.ones(1))))
 
 

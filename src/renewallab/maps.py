@@ -52,7 +52,7 @@ from .errors import (
     ZeroValueInWindow,
 )
 from .evolve import RateCurve, RateFit, _require_positive_recurrent, rate_fit
-from .spectral import DENSE_LIMIT
+from .spectral import DENSE_LIMIT, transition_operator
 
 __all__ = [
     "IntermittentMap",
@@ -586,27 +586,26 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
     with np.errstate(invalid="ignore", divide="ignore"):
         hat = counts / row_visits[:, None]
         stderr = np.sqrt(hat * (1.0 - hat) / row_visits[:, None])
-    exact = np.zeros((i_max, i_max))
-    exact[0, :] = chain.p[1 : i_max + 1]
-    idx = np.arange(1, i_max)
-    exact[idx, idx - 1] = 1.0
 
-    occ_exact = chain.pi[1 : i_max + 1].copy()
-    valid = states > 0
-    valid_steps = int(np.count_nonzero(valid))
-    occ_hat = np.array(
-        [np.count_nonzero(states == i) / valid_steps for i in range(1, i_max + 1)]
-    )
-    occ_stderr = np.array(
-        [_batch_stderr((states == i).astype(float), valid) for i in range(1, i_max + 1)]
-    )
+    # one count keyed by batch and cell, over _batch_stderr's batches:
+    # cell 0 for censored steps, i_max + 1 for resolved ones past the window
+    edges = np.linspace(0, states.size, BATCHES + 1).astype(int)
+    key = np.clip(states, 0, i_max + 1)
+    key += np.repeat(np.arange(BATCHES) * (i_max + 2), np.diff(edges))
+    table = np.bincount(key, minlength=BATCHES * (i_max + 2)).reshape(BATCHES, i_max + 2)
+    visits, valid = table[:, 1 : i_max + 1], table[:, 1:].sum(axis=1)
+    # batch means as _batch_stderr takes them, each cell's a C-contiguous row
+    means = np.ascontiguousarray((visits[valid > 0] / valid[valid > 0, None]).T)
+    occ_stderr = np.full(i_max, math.inf)
+    if means.shape[1] >= 2:
+        occ_stderr = np.std(means, axis=1, ddof=1) / math.sqrt(means.shape[1])
     return FrequencyReport(
         transition_hat=hat,
-        transition_exact=exact,
+        transition_exact=transition_operator(chain, i_max).matrix.copy(),
         transition_stderr=stderr,
         row_visits=row_visits,
-        occupation_hat=occ_hat,
-        occupation_exact=occ_exact,
+        occupation_hat=visits.sum(axis=0) / valid.sum(),
+        occupation_exact=chain.pi[1 : i_max + 1].copy(),
         occupation_stderr=occ_stderr,
         n_steps=int(states.size),
         censored=censored,
@@ -750,7 +749,7 @@ def pf_check(chain, n: int = 500) -> TransferReport:
     if n > DENSE_LIMIT:
         raise PreconditionViolated(f"dense transfer matrices are capped at N = {DENSE_LIMIT}")
     p = chain.p[1 : n + 1]
-    h = chain.pi1 * chain.d[:n] / p
+    h = invariant_density(chain, n)[1:]
     mat = np.zeros((n, n))
     mat[0, :] = p[0]
     idx = np.arange(1, n)

@@ -1,12 +1,19 @@
 """End-to-end checks of the command-line layer: exit codes, schema
 rejection, deterministic artifacts."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewallab.cli import COMMANDS, main
 
@@ -538,3 +545,105 @@ def test_float_sampler_runs_every_map_command(tmp_path, command, keys):
     # the float doubling map drains its mantissa, so its orbits censor
     censored = res["censored"] if "censored" in res else res["estimates"]["1"]["censored"]
     assert censored > 0
+
+
+# ----------------------------------------------------------------------
+# config fuzz: one edge value in one numeric leaf of a valid config
+# ----------------------------------------------------------------------
+
+ZETA_2000 = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000}}
+POINT = {"kind": "point", "state": 1}
+IND_1 = {"kind": "indicator", "states": [1], "size": 10}
+#: one valid config per command, each run in well under a second
+FUZZ_BASES = {
+    "chain info": ZETA_2000,
+    "rates distance": {**ZETA_2000, "nu": POINT, "grid": {"points": [1, 10, 100]},
+                       "fit_window": [1, 100]},
+    "rates correlation": {**ZETA_2000, "nu": {"kind": "weights", "weights": [0.5, 0.5]},
+                          "u": IND_1, "grid": {"points": [1, 10, 100]},
+                          "fit_window": [1, 100]},
+    "rates lemma2": {**ZETA_2000, "grid": {"lo": 1, "hi": 1000, "count": 10},
+                     "band": [0.9, 1.1]},
+    "rates constant": {"chain": {"law": {"type": "zeta", "degree": 1.5}, "truncation": 2000},
+                       "nu": POINT, "u": {"kind": "values", "values": [1.0, -0.5]},
+                       "grid": {"points": [10, 100]}, "rel_tolerance": 0.2},
+    "rates null": {"chain": {"law": {"type": "zeta", "degree": -0.5}, "truncation": 2000},
+                   "nu": {"kind": "point", "state": 2},
+                   "u": {"kind": "indicator", "states": [1], "size": 2},
+                   "grid": {"points": [10, 100]}},
+    "spectral factorize": {**ZETA_2000, "dimension": 100, "tolerance": 1e-12,
+                           "z_points": [[0.5, 0.1], 0.9]},
+    "spectral eigen": {**ZETA_2000, "dimension": 100, "lambdas": [[0.5, 0.1]]},
+    "spectral gf": {**ZETA_2000, "i": 1, "j": 2, "z_points": [0.5, [0.3, 0.2]]},
+    "map simulate": {**ZETA_2000, "length": 20_000, "i_max": 10, "burn_in": 100, "seed": 3,
+                     "sampler": "float"},
+    "map correlate": {**ZETA_2000, "orbit_length": 20_000, "streams": 2, "burn_in": 100,
+                      "seed": 3, "u": IND_1,
+                      "v": {"kind": "values", "values": [0.5, -1.0], "limit": 0.25},
+                      "lags": {"points": [1, 5]}},
+    "map entrance": {**ZETA_2000, "a": 0.01, "n_max": 200, "samples": 20_000, "seed": 3,
+                     "fit_window": [10, 100]},
+    "map kac": {**ZETA_2000, "orbit_length": 20_000, "tolerance": 0.01, "histogram_max": 30,
+                "burn_in": 100, "seed": 3, "sampler": "float"},
+    "map frequency": {**ZETA_2000, "orbit_length": 20_000, "i_max": 10, "sigma": 3.0,
+                      "burn_in": 100, "seed": 3},
+    "series probe": {**ZETA_2000, "probe": "zeros", "radii": [0.5, 0.9], "points": 360,
+                     "prefix": 500},
+}
+EDGES = (0, 1, -1, 1e-300, 1e-9, 0.999999, 1e6)
+#: keys that size an orbit: edge values above 4e4 would only make runs slow
+ORBIT_SIZES = {"length", "orbit_length", "samples", "burn_in"}
+
+
+def numeric_leaves(cfg, path=()):
+    """Paths to the numbers of a config, through dicts and lists."""
+    if isinstance(cfg, (dict, list)):
+        for key, value in (cfg.items() if isinstance(cfg, dict) else enumerate(cfg)):
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(cfg, (int, float)) and not isinstance(cfg, bool):
+        yield path
+
+
+def with_leaf(cfg, path, value):
+    if not path:
+        return value
+    out = dict(cfg) if isinstance(cfg, dict) else list(cfg)
+    out[path[0]] = with_leaf(cfg[path[0]], path[1:], value)
+    return out
+
+
+def test_fuzz_bases_cover_every_command_and_exit_0(tmp_path):
+    assert set(FUZZ_BASES) == set(COMMANDS)
+    for k, (command, cfg) in enumerate(FUZZ_BASES.items()):
+        assert run(tmp_path, command.split(), cfg, sub=f"out{k}")[0] == 0, command
+
+
+@given(command=st.sampled_from(sorted(FUZZ_BASES)), data=st.data())
+@settings(max_examples=200, deadline=10_000)
+def test_edge_value_in_any_numeric_leaf_exits_cleanly(command, data):
+    base = FUZZ_BASES[command]
+    path = data.draw(st.sampled_from(list(numeric_leaves(base))))
+    old = base
+    for key in path:
+        old = old[key]
+    edges = [v for v in EDGES if not (path[-1] in ORBIT_SIZES and v > 4e4)]
+    value = data.draw(st.sampled_from(edges))
+    # integral edges keep an integer leaf an integer
+    if isinstance(old, int) and value == int(value):
+        value = int(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(with_leaf(base, path, value)))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(command.split() + ["--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                                           "--quiet"])
+    # the console prints warnings to stderr, two lines each
+    stderr = err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in out.getvalue() + stderr
+    if code:
+        assert len(stderr.splitlines()) == 1, stderr

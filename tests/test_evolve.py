@@ -150,12 +150,12 @@ def test_distance_hand_value_half_half():
 def test_distance_bound_counts_the_l1_sum_of_the_entries(law, nu):
     # past the rounding of the convolutions, the bound counts the roundings
     # that assemble each entry and those of the l1 sum over the prefix
-    from renewallab.evolve import _gamma, _renewal
+    from renewallab.evolve import _entries, _gamma
 
     ch = build_chain(law, 400)
     grid = [0, 1, 7, 50, 190]
     d = distance_curve(ch, nu, grid)
-    tails = np.abs(_renewal(ch, nu, np.array(grid)).tail)
+    tails = np.abs([tail for *_, tail in _entries(ch, nu, np.array(grid), 1)])
     gaps = d.values - ch.stationary_mass_beyond(400)
     assert np.all(d.bounds - tails >= _gamma(400) * gaps)
 
@@ -267,6 +267,17 @@ def test_deviation_tail_ratio_null_chain_rejected():
     ch = build_chain(ZetaTailLaw(-0.5), 100)
     with pytest.raises(NotPositiveRecurrent):
         deviation_tail_ratio(ch, [10])
+
+
+@pytest.mark.filterwarnings("error")
+def test_sharp_ratios_refuse_degrees_past_double_range():
+    # at degree 1e6 the tail E_n underflows and n^d overflows: both refuse
+    # before any 0/0 or inf * 0 reaches the curve
+    ch = build_chain(ZetaTailLaw(1e6), 200)
+    with pytest.raises(PreconditionViolated, match="underflows"):
+        deviation_tail_ratio(ch, [10, 50])
+    with pytest.raises(PreconditionViolated, match="overflows"):
+        correlation_constant(ch, point_mass(1), indicator(1, 2), [10, 50])
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +436,7 @@ def oracle_curves(chain, states, u, grid):
 @settings(max_examples=40, deadline=None)
 @given(law=st.sampled_from(ORACLE_LAWS), n=st.integers(40, 300), data=st.data())
 def test_engine_matches_iterated_step(law, n, data):
-    from renewallab.evolve import _renewal
+    from renewallab.evolve import _entries
 
     chain = build_chain(law, n)
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -435,7 +446,9 @@ def test_engine_matches_iterated_step(law, n, data):
     tail_mass = data.draw(st.floats(0.05, 0.5)) * data.draw(sign)
     w[0] += (1.0 - tail_mass) - w.sum()
     nu = from_weights(w, tail_mass=tail_mass, probability=False)
-    vals = data.draw(st.lists(unit, min_size=1, max_size=n))
+    # observables stored past the prefix are read up to it
+    size = data.draw(st.integers(1, n + 20))
+    vals = data.draw(st.lists(unit, min_size=size, max_size=size))
     u = Observable([0.0] + vals, limit=data.draw(st.floats(0.25, 2.0)) * data.draw(sign))
     top = data.draw(st.integers(1, n // 2))
     grid = sorted(set(data.draw(st.lists(st.integers(0, top), max_size=5))) | {top})
@@ -444,7 +457,7 @@ def test_engine_matches_iterated_step(law, n, data):
         chain, iterated(chain, nu, grid), u, grid)
     # bounds are built from the tail mass, which matches the stepwise one,
     # plus a rounding term
-    tails = np.abs(_renewal(chain, nu, np.array(grid)).tail)
+    tails = np.abs([tail for *_, tail in _entries(chain, nu, np.array(grid), 1)])
     assert np.allclose(tails, oracle_tails, rtol=1e-12, atol=0.0)
     engine_dist = distance_curve(chain, nu, grid)
     assert np.max(np.abs(engine_dist.values - dist)) <= 1e-12

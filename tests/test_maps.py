@@ -681,6 +681,36 @@ def test_occupation_stderr_matches_the_nanmean_route(name, sampler, seed, burn_i
     assert rep.occupation_stderr.tobytes() == np.array(want).tobytes()
 
 
+def ref_occupation(chain, states, i_max):
+    """Occupation, its batch errors and the exact rows, one pass over the
+    orbit per cell."""
+    valid = states > 0
+    valid_steps = int(np.count_nonzero(valid))
+    hat = np.array([np.count_nonzero(states == i) / valid_steps for i in range(1, i_max + 1)])
+    stderr = np.array([maps._batch_stderr((states == i).astype(float), valid)
+                       for i in range(1, i_max + 1)])
+    exact = np.zeros((i_max, i_max))
+    exact[0, :] = chain.p[1 : i_max + 1]
+    idx = np.arange(1, i_max)
+    exact[idx, idx - 1] = 1.0
+    return hat, stderr, exact
+
+
+@pytest.mark.parametrize("sampler", ["chain", "float"])
+@pytest.mark.parametrize("i_max", [2, 10, 57])
+def test_frequency_report_matches_the_per_state_route(geo_map, zeta_map, sampler, i_max):
+    # the doubling map censors float orbits, the zeta map rarely does
+    for m in (geo_map, zeta_map):
+        rep = markov_frequency_check(m, 20_000, seed=9, i_max=i_max, burn_in=100,
+                                     sampler=sampler)
+        states, _ = coded_states(m, sampler, 20_000, 9, burn_in=100)
+        hat, stderr, exact = ref_occupation(m.chain, states, i_max)
+        assert rep.occupation_hat.tobytes() == hat.tobytes()
+        assert rep.occupation_stderr.tobytes() == stderr.tobytes()
+        assert rep.transition_exact.tobytes() == exact.tobytes()
+        assert rep.transition_exact.flags.writeable
+
+
 def test_null_recurrent_chain_has_no_density_start():
     m = build_map(build_chain(ZetaTailLaw(0.0), truncation=2000))
     with pytest.raises(NotPositiveRecurrent):
