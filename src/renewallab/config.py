@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections import ChainMap
 from typing import Callable, NamedTuple
 
@@ -74,11 +75,12 @@ def config_hash(cfg: dict) -> str:
 
 # ----------------------------------------------------------------------
 # Readers: ``reader(value, dotted_path)`` checks one JSON value and
-# returns it converted.  JSON ``true``/``false`` never pass as numbers.
+# returns it converted.  A number is never a bool, NaN, infinite or past 1.8e308.
 # ----------------------------------------------------------------------
 
 def _is(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and (isinstance(value, str) or abs(value) <= sys.float_info.max))
 
 
 def _scalar(types, what: str, convert=None):
@@ -91,10 +93,10 @@ def _scalar(types, what: str, convert=None):
 
 #: an integer
 integer = _scalar(int, "an integer")
-#: a number, kept as given (an integer stays one)
-real = _scalar((int, float), "a number")
-#: a number, converted to float
-number = _scalar((int, float), "a number", float)
+#: a finite number, kept as given (an integer stays one)
+real = _scalar((int, float), "a finite number")
+#: a finite number, converted to float
+number = _scalar((int, float), "a finite number", float)
 #: a string
 string = _scalar(str, "a string")
 
@@ -124,7 +126,7 @@ def interval(kind: type):
     def reader(value, here: str) -> tuple:
         if not (
             isinstance(value, list) and len(value) == 2
-            and all(_is(v, (int, float)) and math.isfinite(v) for v in value)
+            and all(_is(v, (int, float)) for v in value)
             and value[0] < value[1]
         ):
             raise ConfigError(f"config key {here!r} must be [lo, hi] with lo < hi")
@@ -133,14 +135,14 @@ def interval(kind: type):
 
 
 def complex_points(value, here: str) -> list:
-    """A nonempty list of real numbers or ``[re, im]`` pairs."""
+    """A nonempty list of finite real numbers or ``[re, im]`` pairs."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config key {here!r} must be a nonempty list")
     out = []
     for k, item in enumerate(value):
         pair = item if isinstance(item, list) and len(item) == 2 else [item, 0.0]
         if not all(_is(v, (int, float)) for v in pair):
-            raise ConfigError(f"{here}[{k}] must be a real number or an [re, im] pair")
+            raise ConfigError(f"{here}[{k}] must be a finite real number or an [re, im] pair")
         out.append(complex(float(pair[0]), float(pair[1])))
     return out
 

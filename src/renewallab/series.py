@@ -93,7 +93,7 @@ class TruncatedSeries:
         the series and evaluation refuses with :class:`OutOfDomain`.
         """
         z = complex(z)
-        if abs(z) > EVAL_RADIUS:
+        if not abs(z) <= EVAL_RADIUS:
             raise OutOfDomain(f"|z| = {abs(z):.6g} exceeds {EVAL_RADIUS}")
         value = complex(np.polynomial.polynomial.polyval(z, self.coeffs))
         return value.real if z.imag == 0.0 else value
@@ -206,53 +206,45 @@ def _quotient(e, d) -> np.ndarray:
     ``K`` the last nonzero index of ``d``, by a relaxed product (van der
     Hoeven, *Relax, but don't be too lazy*, JSC 2002).  With ``C = _BLOCK``:
 
-    * near part ``d_1 .. d_{C-1}``: ``C`` outputs at a time, one product
-      for the terms that cross from the previous block, then the block's
-      lower-triangular Toeplitz solve, whose inverse holds the first ``C``
-      coefficients of ``1/D``;
+    * near part ``d_0 .. d_{C-1}``: ``C`` outputs at a time, one product
+      for the terms that cross from the previous block, then one LAPACK
+      ``dtrtrs`` solve with the block's lower-triangular Toeplitz matrix;
     * far part, ``d`` in the dyadic blocks ``[L, 2L)`` of
       :func:`_dyadic_blocks`, ``L = C, 2C, ...`` up to ``K``: once the
       outputs below ``j`` are final and ``L`` divides ``j``, block ``L``
       times ``h[j-L : j)`` (:func:`_block_product`) leaves the right-hand
       sides ``j .. j+2L-2``.  A ``d`` with ``K < C`` has no far part.
 
-    The block inverse is rounded once from extended precision, as its
-    error would recur in every block, and the right-hand sides accumulate
-    with Kahan compensation.  The caller checks ``d_0``.
+    Each solve is the direct recursion in plain double, row by row: its
+    outputs solve ``(T + dT) h = r`` with ``|dT| <= gamma_C |T|``,
+    ``gamma_C = C u / (1 - C u)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 8.5).  A zero ``d_0``, which the caller
+    checks, raises :class:`ZeroLeadingCoefficient`.
     """
+    from scipy.linalg.lapack import dtrtrs  # slow to import; only quotients need it
+
     n = min(len(e), len(d))
-    k = np.trim_zeros(d[1:n], "b").size
     c = min(_BLOCK, n)  # a shorter prefix is one block
-    head = np.zeros(c)
-    head[: min(k + 1, c)] = d[: min(k + 1, c)]
-    wide = head.astype(np.longdouble)
-    recip = np.empty(c, dtype=np.longdouble)  # 1/D mod z^C, by the direct recursion
-    recip[0] = 1 / wide[0]
-    for i in range(1, c):
-        recip[i] = -recip[0] * np.dot(wide[1 : i + 1], recip[i - 1 :: -1])
+    head = np.asarray(d[:c], dtype=float)  # zero past K
     lag = np.subtract.outer(np.arange(c), np.arange(c))
-    inverse = np.where(lag >= 0, recip.astype(float)[lag], 0.0)
+    upper = np.where(lag >= 0, head[lag], 0.0).T  # the Toeplitz matrix, Fortran-ordered
     cross = np.where(lag < 0, head[lag], 0.0)  # head[lag] is d_{C+lag}
-    far = _dyadic_blocks(d, c, k + 1)
+    far = _dyadic_blocks(d, c, np.trim_zeros(d[1:n], "b").size + 1)  # up to d_K
 
     rhs = np.array(e[:n], dtype=float)
-    low = np.zeros(n)  # what the Kahan sums in rhs owe
-    h = np.empty(n)
-    h[:c] = inverse @ rhs[:c]
-    for j in range(c, n, c):
+    h = np.zeros(c + n)  # h[C + i] holds h_i; the C leading zeros cross into block 0
+    for j in range(0, n, c):
         for block in far:
-            if j % block[0]:
+            if not j or j % block[0]:
                 break
-            for at, prod, _ in _block_product(block, h, j - block[0], j, n):
-                part, owed = rhs[at : at + prod.size], low[at : at + prod.size]
-                y = -prod - owed
-                t = part + y
-                owed[:] = (t - part) - y
-                part[:] = t
+            for at, prod, _ in _block_product(block, h[c:], j - block[0], j, n):
+                rhs[at : at + prod.size] -= prod
         w = min(c, n - j)
-        h[j : j + w] = inverse[:w, :w] @ (
-            (rhs[j : j + w] - low[j : j + w]) - cross[:w] @ h[j - c : j])
-    return h
+        r = rhs[j : j + w] - cross[:w] @ h[j : j + c]
+        h[c + j : c + j + w], info = dtrtrs(upper[:w, :w], r, lower=0, trans=1)
+        if info:
+            raise ZeroLeadingCoefficient("d_0 = 0: the quotient has no power series")
+    return h[c:]
 
 
 def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
@@ -399,13 +391,16 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
 
     Returns a dict with ``min_abs`` (smallest sampled ``|D(z)|``), ``argmin``
     (the sample point attaining it) and ``smallest_root_modulus`` (None when
-    the degree exceeds ``max_root_degree``).
+    the degree exceeds ``max_root_degree``).  A radius past
+    :data:`EVAL_RADIUS`, or NaN, raises :class:`OutOfDomain`.
     """
     if points < 1:
         raise OutOfDomain(f"need at least one point per circle, got {points!r}")
     d = _as_series(d)
     if radii is None:
         radii = np.linspace(0.1, 1.0, 10)
+    if not all(abs(r) <= EVAL_RADIUS for r in radii):
+        raise OutOfDomain(f"every radius must lie in the disk |z| <= {EVAL_RADIUS}")
     angles = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     best = (np.inf, 0.0 + 0.0j)
     for r in radii:

@@ -115,7 +115,7 @@ def factorization_residual(chain, z: complex, n: int) -> float:
     bare shift and L_z the return-jump block, over the interior block
     (rows and columns up to N-1; the edge band is excluded because the
     truncated shift has nowhere to send the last state)."""
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:
         raise PreconditionViolated("factorization is probed on the closed unit disk")
     n = _check_dense_size(n)
     eye = np.eye(n, dtype=complex)
@@ -158,7 +158,7 @@ def eigen_from_gf(chain, lam: complex, n: int) -> SpectralProbe:
     lam^(k-1-m), computed by the stable one-term recursion
     x_{k+1} = lam x_k - p_k.  At lam = 1 this gives x_k = d_{k-1}, the
     invariant vector; inside the unit disk the prefix is summable and the
-    edge defect decays with N.
+    edge defect decays with N; a ``lam`` outside the closed disk is refused.
     """
     n = int(n)
     if n < 3:
@@ -166,6 +166,8 @@ def eigen_from_gf(chain, lam: complex, n: int) -> SpectralProbe:
     if n > chain.truncation:
         raise TruncationTooSmall("chain prefix shorter than requested dimension")
     lam = complex(lam)
+    if not abs(lam) <= 1.0 + 1e-12:  # outside, the recursion grows like lam^k
+        raise PreconditionViolated("eigenvector candidates are probed on the closed unit disk")
     real = lam.imag == 0.0
     x = np.empty(n + 1, dtype=float if real else complex)
     x[0] = 0.0
@@ -250,7 +252,7 @@ def gf_evaluate(chain, i: int, j: int, z):
     values, inside = [], []
     for point in np.atleast_1d(z):
         point = complex(point)
-        if abs(point) > 1.0 + 1e-12:
+        if not abs(point) <= 1.0 + 1e-12:
             raise PreconditionViolated("generating functions are evaluated on the closed disk")
         if point == 1.0:
             raise SingularPoint("z = 1 is the singular point of the pair-visit function")

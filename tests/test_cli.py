@@ -4,6 +4,7 @@ rejection, deterministic artifacts."""
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -116,6 +117,18 @@ MALFORMED = [
     ("spectral gf", {**GEO, "z_points": [0.5], "j": 2 ** 62}),
     ("series probe", {"probe": "convolution", "gamma": 2.5, "n_list": []}),
     ("series probe", {**GEO, "probe": "zeros", "radii": []}),
+    ("spectral factorize", {**GEO, "z_points": [math.nan, 0.5]}),
+    ("spectral gf", {**GEO, "z_points": [[0.5, math.nan]]}),
+    ("spectral eigen", {**GEO, "lambdas": [math.nan]}),
+    ("series probe", {**GEO, "probe": "zeros", "radii": [math.nan, 0.9]}),
+    ("series probe", {"probe": "convolution", "gamma": math.nan, "n_list": [16]}),
+    ("chain info", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.5],
+                                      "tail_exponent": math.inf}, "truncation": 20}}),
+    ("series probe", {**GEO, "probe": "zeros", "radii": [10 ** 6, 0.9]}),
+    ("series probe", {"probe": "convolution", "gamma": 10 ** 400, "n_list": [16]}),
+    ("spectral gf", {**GEO, "z_points": [[0.5, -10 ** 400]]}),
+    ("map entrance", {**GEO, "a": 0.5, "n_max": 10, "samples": 1000,
+                      "fit_window": [1, 10 ** 400]}),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -128,7 +141,9 @@ MALFORMED_IDS = [
     "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
     "degree-2^63", "degree-1e308", "n-list-below-2", "negative-points",
     "u-size-2^63", "u-state-2^63", "grid-point-2^63", "j-2^63", "i-max-2^63",
-    "j-2^62", "empty-n-list", "empty-radii",
+    "j-2^62", "empty-n-list", "empty-radii", "nan-z-point", "nan-gf-point",
+    "nan-lambda", "nan-radius", "nan-gamma", "infinite-tail-exponent", "radius-10^6",
+    "gamma-10^400", "point-10^400", "fit-window-10^400",
 ]
 
 
@@ -364,6 +379,16 @@ def test_short_prefix_exits_4(tmp_path):
     }
     code, _ = run(tmp_path, ["rates", "distance"], payload)
     assert code == 4
+
+
+def test_eigen_candidate_outside_the_disk_exits_3_without_overflow(tmp_path, capsys):
+    payload = {**GEO, "dimension": 100, "lambdas": [[10 ** 6, 0.1]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _ = run(tmp_path, ["spectral", "eigen"], payload)
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("precondition violated")
 
 
 def test_gf_pole_exits_3(tmp_path):
@@ -647,3 +672,5 @@ def test_edge_value_in_any_numeric_leaf_exits_cleanly(command, data):
     assert "Traceback" not in out.getvalue() + stderr
     if code:
         assert len(stderr.splitlines()) == 1, stderr
+    else:  # an overflow or invalid value on a run that succeeds is a silent NaN
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], stderr

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,8 @@ def test_reciprocal_zero_leading_coefficient():
         reciprocal([0.0, 1.0])
     with pytest.raises(ZeroLeadingCoefficient):
         reciprocal([1e-301, 1.0])
+    with pytest.raises(ZeroLeadingCoefficient):  # no floor: the solve itself refuses
+        reciprocal([0.0, 1.0], floor=-1.0)
 
 
 def test_reciprocal_respects_custom_floor():
@@ -212,6 +216,8 @@ def test_evaluate_outside_disk():
     s = TruncatedSeries([1.0, 1.0])
     with pytest.raises(OutOfDomain):
         s.evaluate(1.001)
+    with pytest.raises(OutOfDomain):
+        s.evaluate(complex(math.nan, 0.0))
 
 
 def horner(coeffs, z):
@@ -486,6 +492,19 @@ def test_quotient_is_as_accurate_as_the_loops_on_full_support(degree):
                                       reference_quotients(chain, 2000),
                                       true_quotients(chain, 2000, degree)):
         assert worst_relative_error(got[at], want) <= worst_relative_error(loops[at], want) + 4 * EPS
+
+
+@pytest.mark.parametrize("degree", [1.0, 1.5, 3.0, 4.0])
+def test_quotient_accuracy_does_not_depend_on_long_double(monkeypatch, degree):
+    # where numpy's long double is double (Windows, macOS on arm64)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    test_quotient_is_as_accurate_as_the_loops_on_full_support(degree)
+
+
+def test_importing_the_package_leaves_scipy_linalg_unloaded():
+    # the quotient imports its triangular solve when first called (~6 MB)
+    code = "import sys, renewallab, renewallab.cli; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 BLOCK = series._BLOCK
