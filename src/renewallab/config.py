@@ -296,9 +296,13 @@ _LOG_SPACED = {"lo": Leaf(bounded), "hi": Leaf(bounded), "count": Leaf(bounded, 
 
 
 def _grid(value, here: str) -> dict:
-    """Explicit ``points``, or a log-spaced ``lo``/``hi``/``count`` block."""
+    """Explicit ``points``, or a log-spaced ``lo``/``hi``/``count`` block
+    with ``1 <= lo <= hi`` and ``count >= 1``."""
     _known(value, {**_POINTS, **_LOG_SPACED}, here)
-    return read(value, _POINTS if "points" in value else _LOG_SPACED, here)
+    block = read(value, _POINTS if "points" in value else _LOG_SPACED, here)
+    if "lo" in block and not (1 <= block["lo"] <= block["hi"] and block["count"] >= 1):
+        raise ConfigError(f"{here} must have 1 <= lo <= hi and count >= 1")
+    return block
 
 
 #: a grid key, read in either form

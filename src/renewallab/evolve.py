@@ -43,7 +43,7 @@ from .errors import (
     ZeroValueInWindow,
 )
 from .measures import Observable, SignedDistribution, point_mass
-from .series import _BLOCK, _block_product, _dyadic_blocks, _quotient
+from .series import EPS, _gamma, _quotient, _sliding, _windows
 
 __all__ = [
     "RateCurve",
@@ -222,109 +222,14 @@ def _deviation(chain, n_max: int) -> np.ndarray:
 # the renewal engine: nu P^n without iterating the step
 # ----------------------------------------------------------------------
 
-#: Spacing of doubles at one; twice the unit roundoff.
-EPS = float(np.finfo(float).eps)
-
 #: A window of ``J`` entries at grid point ``n`` is ``J`` direct dot
 #: products while ``n * J`` stays at or below this, block products beyond.
 DIRECT_WORK = 1 << 24
-
-#: Longest block of the return law in a block product: past it, blocks
-#: keep this length and transforms ``2 * FAR_BLOCK`` points (2048 and
-#: 16384 timed slower on a distance curve at N = 8e4).
-FAR_BLOCK = 4096
-
-
-def _gamma(k: int) -> float:
-    """Rounding factor of a sum of ``k`` rounded products.
-
-    Higham's ``gamma_j = j eps / (1 - j eps)`` (*Accuracy and Stability of
-    Numerical Algorithms*, ch. 3-4) over the ``j = k - 1`` additions.  As
-    ``eps`` is twice the unit roundoff this covers the products too when
-    ``k >= 2``; a single product is rounded like the value itself and
-    adds nothing.
-    """
-    j = max(int(k) - 1, 0)
-    return j * EPS / (1.0 - j * EPS)
-
-
-def _fft_gamma(size: int) -> float:
-    """Entrywise error factor of a convolution through power-of-two FFTs
-    of ``size`` points: ``|error| <= factor * ||x||_2 ||y||_2`` (Percival,
-    *Math. Comp.* 72, 2003, with unit roundoff eps/2 and twiddle factors
-    good to eps)."""
-    k = size.bit_length() - 1
-    u = EPS / 2.0
-    return math.expm1(3 * k * math.log1p(u) + (3 * k + 1) * math.log1p(u * math.sqrt(5.0))
-                      + 3 * k * math.log1p(EPS))
 
 
 def _excess(nu: SignedDistribution) -> float:
     """Total mass of ``nu`` minus one, correctly rounded."""
     return math.fsum(np.append(nu.weights[1:], (nu.tail_mass, -1.0)))
-
-
-def _sliding(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
-    """Entries ``len(x) - 1 .. len(x) - 2 + size`` of the convolution
-    ``x * y``: ``x`` slid along ``y`` from their first full overlap, with
-    ``y`` zero past its end.  Windows inside ``y`` are ``size`` dot products
-    of ``len(x)`` terms; a window that runs past the end of ``y`` takes the
-    full convolution, which both callers reach only with ``size`` above
-    ``len(x)``."""
-    lo = x.size - 1
-    if y.size >= lo + size:
-        return np.correlate(y[: lo + size], x[::-1], "valid")
-    full = np.convolve(x, y)[lo : lo + size]
-    return np.pad(full, (0, size - full.size))
-
-
-def _window(x: np.ndarray, y: np.ndarray, blocks: list, size: int):
-    """The window of :func:`_sliding` by block products, and the summed
-    rounding error of its FFT pieces; ``blocks`` cut ``y`` from ``_BLOCK``
-    on (:func:`renewallab.series._dyadic_blocks`, at most ``FAR_BLOCK``).
-
-    ``y[:_BLOCK]`` meets the last ``_BLOCK`` entries of ``x`` directly; a
-    dyadic block ``[L, 2L)`` meets ``x`` in ``L``-aligned chunks from
-    ``len(x) - 2L`` on (no earlier one reaches the window) by the relaxed
-    quotient's product; past ``FAR_BLOCK``, where ``y`` changes by a
-    bounded factor within a block, pairs that land on the same outputs
-    share one inverse transform.  Each FFT pair adds its Percival bound,
-    each sum of spectra its additions, on each entry it reaches.
-    """
-    n = x.size
-    lo, stop = n - 1, n - 1 + size
-    h = min(n, _BLOCK)
-    out = np.zeros(size)
-    head = np.convolve(x[n - h :], y[:_BLOCK])[h - 1 : h - 1 + size]
-    out[: head.size] = head
-    far = [block for block in blocks if block[1] == FAR_BLOCK]
-    err = 0.0
-    for block in blocks[: len(blocks) - len(far)]:
-        L, norm = block[1], block[4]
-        for c in range(max(n - 2 * L, 0) // L * L, n, L):
-            for at, prod, piece in _block_product(block, x, c, min(c + L, n), stop):
-                skip = max(lo - at, 0)
-                if skip < prod.size:
-                    out[at + skip - lo : at + prod.size - lo] += prod[skip:]
-                    if piece is not None:
-                        err += _fft_gamma(2 * L) * norm * np.linalg.norm(piece) \
-                            * (prod.size - skip)
-    # output block o, from chunk c and block k = o - c, covers the outputs
-    # [oB, oB + 2B - 1); those that reach [lo, stop) are formed
-    B, first = FAR_BLOCK, max(lo // FAR_BLOCK - 1, 1)
-    c0 = max(first - len(far), 0)
-    chunks = [x[c : c + B] for c in range(c0 * B, n, B)]
-    spectra = [(np.fft.rfft(chunk, 2 * B), np.linalg.norm(chunk)) for chunk in chunks]
-    for o in range(first, min((stop - 1) // B, len(far) + lo // B) + 1 if far else 0):
-        ks = range(max(o - c0 - len(chunks) + 1, 1), min(o - c0, len(far)) + 1)
-        acc, scale = np.zeros(B + 1, dtype=complex), 0.0
-        for k in ks:
-            acc += spectra[o - c0 - k][0] * far[k - 1][3]
-            scale += spectra[o - c0 - k][1] * far[k - 1][4]
-        a, e = max(o * B, lo), min(o * B + 2 * B, stop)
-        out[a - lo : e - lo] += np.fft.irfft(acc, 2 * B)[a - o * B : e - o * B]
-        err += (_fft_gamma(2 * B) + _gamma(len(ks))) * scale * (e - a)
-    return out, err
 
 
 def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
@@ -348,8 +253,8 @@ def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
     + pi_1 d_{j-1} (S - 1) - pi_1 d_N S`` with
     ``x_j = sum_{m<n} b_m p~_{j+n-1-m}``, ``y_j = sum_{i<=n} nu_i d~_{j+n-i}``
     and ``S = sum_{i<=n} nu_i``.  ``x`` is a window of direct dot products
-    while ``n J <= DIRECT_WORK`` and the :func:`_window` of ``b[:n]`` and
-    ``p~`` beyond (blocks of ``p~`` taken once per call).  The rounding
+    while ``n J <= DIRECT_WORK`` and beyond the block-product window of
+    ``b[:n]`` and ``p~`` from :func:`renewallab.series._windows`.  The rounding
     bound is the dot bound of ``x`` summed over the window (beyond, with one
     addition per block piece and the FFT bounds), plus ``gamma(i + 4)``
     times the summed sizes of all the terms, which covers ``y`` and the few
@@ -393,7 +298,7 @@ def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
     far = d[J:N][:n_max]
     window = d[:n_max] - np.pad(far, (0, n_max - far.size))
     d_head = float(d[:J].sum())
-    blocks = None
+    windows = None
     for k, n in enumerate(g):
         count = n + s + 4 * (min(n, s) + 4)  # the dot, then 4 unit-size groups
         if stationary:  # pi_1 d_N has left each of the top n states
@@ -402,10 +307,8 @@ def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
         z, x_err = np.zeros(J), 0.0
         x_size = np.dot(b_abs[:n], window[:n][::-1])
         if n * J > DIRECT_WORK:
-            if blocks is None:
-                blocks = _dyadic_blocks(pt, _BLOCK, min(pt.size, n_max + J - 1), FAR_BLOCK)
-            z, x_err = _window(b[:n], pt, blocks, J)
-            pieces = 3 * len(blocks) + 1
+            windows = windows or _windows(pt[: n_max + J - 1])
+            z, x_err, pieces = windows(b[:n], J)
             x_err = (1.0 + _gamma(pieces)) * x_err + _gamma(n + s + pieces) * x_size
         elif n:
             z = _sliding(b[:n], pt[: n + J - 1], J)
@@ -455,6 +358,16 @@ def _resolved(g: np.ndarray, values: np.ndarray, bounds: np.ndarray,
 # distance and correlation curves
 # ----------------------------------------------------------------------
 
+def _stored(chain, u: Observable) -> np.ndarray:
+    """``u`` at states ``1 .. min(u.size, N)``, ``u_inf`` past them;
+    :class:`TruncationTooSmall` if ``u - u_inf`` is nonzero past ``N``."""
+    N = chain.truncation
+    off = np.flatnonzero(u.values[N + 1 :] != u.limit)
+    if off.size:
+        raise TruncationTooSmall(f"u != u_inf at state {N + 1 + off[0]}, past the prefix")
+    return u.values[1 : min(u.size, N) + 1]
+
+
 def _as_grid(n_grid) -> np.ndarray:
     g = np.asarray(n_grid, dtype=int)
     if g.ndim != 1 or g.size == 0 or np.any(np.diff(g) <= 0) or g[0] < 0:
@@ -500,15 +413,14 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
     Raises
     ------
     TruncationTooSmall
-        If the horizon needs a longer prefix, or if the rounding term
-        exceeds a value.
+        If the horizon needs a longer prefix, if ``u - u_inf`` is nonzero
+        at a stored state past it, or if the rounding term exceeds a value.
     """
     _require_positive_recurrent(chain)
     g = _as_grid(n_grid)
     _check_horizon(chain, nu, int(g[-1]))
     n = chain.truncation
-    # u is u_inf past its stored states
-    vals = u.values[1 : min(u.size, n) + 1]
+    vals = _stored(chain, u)
     centered = vals - u.limit
     # mass lost at step k can descend to state N - (n_max - k) at worst,
     # so only oscillation of u beyond that point contributes uncertainty
@@ -618,7 +530,8 @@ def correlation_constant(chain, nu: SignedDistribution, u: Observable, n_grid):
     ------
     PreconditionViolated
         If ``u`` does not vanish at infinity, ``nu`` is not negligible
-        against pi, or the law declares no tail amplitude.
+        against pi, the law declares no tail amplitude, or ``pi . u = 0``
+        (the prediction vanishes, so no relative gap exists).
     InfiniteDegree
         For geometric or finite laws (the rate is not polynomial).
     """
@@ -635,6 +548,10 @@ def correlation_constant(chain, nu: SignedDistribution, u: Observable, n_grid):
     g = _as_grid(n_grid)
     if g[0] < 1:
         raise PreconditionViolated("scaling is defined for n >= 1")
+    vals = _stored(chain, u)
+    pi_dot_u = float(np.dot(chain.pi[1 : vals.size + 1], vals))
+    if pi_dot_u == 0.0:
+        raise PreconditionViolated("pi . u vanishes: the predicted constant is zero")
     corr = correlation_curve(chain, nu, u, g)
     ns = g.astype(float)
     slow = fam.amplitude * np.log(ns + 1.0) ** fam.log_power
@@ -643,8 +560,6 @@ def correlation_constant(chain, nu: SignedDistribution, u: Observable, n_grid):
     if np.isinf(power[-1]):
         raise PreconditionViolated(f"n^d overflows on the grid at degree {d}")
     curve = RateCurve(g, corr.values * power / slow, corr.bounds * power / slow)
-    vals = u.values[1 : min(u.size, chain.truncation) + 1]
-    pi_dot_u = float(np.dot(chain.pi[1 : vals.size + 1], vals))
     predicted = pi_dot_u * nu.total_mass / (d * (d + 1.0) * chain.m1)
     return curve, predicted
 
@@ -664,6 +579,8 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
         null-recurrent statement).
     DivergentPairing
         If ``u . v`` diverges under the declared tails (u_inf != 0).
+    TruncationTooSmall
+        If the horizon, or a nonzero value of ``u``, lies past the prefix.
     """
     if chain.positive_recurrent:
         raise NotNullRecurrent("chain is positive recurrent; use distance or correlation curves")
@@ -675,7 +592,7 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
     g = _as_grid(n_grid)
     n_max = int(g[-1])
     _check_horizon(chain, nu, n_max)
-    vals = u.values[1 : min(u.size, chain.truncation) + 1]
+    vals = _stored(chain, u)
     u_dot_v = float(np.dot(vals, chain.d[: vals.size]))
     scale = nu.total_mass * u_dot_v
     if scale == 0.0:

@@ -53,17 +53,6 @@ class TailDecl:
         if self.kind == "geometric" and not (self.ratio and 0.0 < self.ratio < 1.0):
             raise PreconditionViolated("geometric tails need a ratio in (0,1)")
 
-    def describe(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "power":
-            out["exponent"] = self.exponent
-            out["log_power"] = self.log_power
-            if self.amplitude is not None:
-                out["amplitude"] = self.amplitude
-        elif self.kind == "geometric":
-            out["ratio"] = self.ratio
-        return out
-
 
 @dataclass(frozen=True)
 class SignedDistribution:
@@ -108,14 +97,6 @@ class SignedDistribution:
         if np.any(self.weights < 0.0) or self.tail_mass < 0.0:
             raise NotNormalized("probability measure has negative entries")
         return self
-
-    def describe(self) -> dict:
-        return {
-            "size": self.size,
-            "total_mass": self.total_mass,
-            "tail_mass": self.tail_mass,
-            "tail": None if self.tail is None else self.tail.describe(),
-        }
 
 
 def point_mass(state: int, size: int | None = None) -> SignedDistribution:

@@ -8,10 +8,12 @@ numerator), the renewal sequence, the renewal deviation and the
 first-passage laws -- runs the one relaxed quotient of :func:`_quotient`
 in O(N log^2 N) time, and package code calls it on plain arrays.  It is as
 accurate as the direct recursion it replaced, which the tests keep as its
-oracle, though not equal to it to the last rounding; its block products
-also serve :func:`renewallab.evolve._entries`.  :func:`convolve`
-accumulates with compensated (Kahan) summation; no package route uses it,
-so it serves as an independent oracle.  No symbolic algebra is used.
+oracle, though not equal to it to the last rounding.  One routine,
+:func:`_products`, forms its far block products and those of the windows
+of a long product (:func:`_window`) that the evolution curves read, each
+piece with its rounding bound.  :func:`convolve` accumulates with
+compensated (Kahan) summation; no package route uses it, so it serves as
+an independent oracle.  No symbolic algebra is used.
 
 Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
@@ -151,6 +153,9 @@ def convolve(a, b) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+#: Spacing of doubles at one; twice the unit roundoff.
+EPS = float(np.finfo(float).eps)
+
 #: Outputs per block of :func:`_quotient`, and the length of its shortest
 #: far block of ``d``.
 _BLOCK = 64
@@ -159,44 +164,134 @@ _BLOCK = 64
 #: shorter ones through ``np.convolve``.
 _FFT_FROM = 512
 
+#: Longest block of the right operand of :func:`_window`: past it, blocks
+#: keep this length and transforms ``2 * FAR_BLOCK`` points (2048 and
+#: 16384 timed slower on a distance curve at N = 8e4).
+FAR_BLOCK = 4096
 
-def _dyadic_blocks(x: np.ndarray, first: int, stop: int, longest: int = 0) -> list:
-    """``x`` from ``first`` to ``stop`` in blocks ``(start, size, block,
-    spectrum, norm)``, each cut at ``stop``: ``x[L : 2L)`` for ``L = first,
-    2 first, ...``, and once ``L`` reaches a given ``longest``, blocks of
-    that length.  From ``size >= _FFT_FROM`` on, ``spectrum`` is the
-    ``rfft`` at ``2 size`` points and ``norm`` the 2-norm (None, 0 below)."""
-    blocks, start = [], first
+
+def _gamma(k: int) -> float:
+    """Rounding factor of a sum of ``k`` rounded products.
+
+    Higham's ``gamma_j = j eps / (1 - j eps)`` (*Accuracy and Stability of
+    Numerical Algorithms*, ch. 3-4) over the ``j = k - 1`` additions.  As
+    ``eps`` is twice the unit roundoff this covers the products too when
+    ``k >= 2``; a single product is rounded like the value itself and
+    adds nothing.
+    """
+    j = max(int(k) - 1, 0)
+    return j * EPS / (1.0 - j * EPS)
+
+
+def _fft_gamma(size: int) -> float:
+    """Entrywise error factor of a convolution through power-of-two FFTs
+    of ``size`` points: ``|error| <= factor * ||x||_2 ||y||_2`` (Percival,
+    *Math. Comp.* 72, 2003, with unit roundoff eps/2 and twiddle factors
+    good to eps)."""
+    k = size.bit_length() - 1
+    u = EPS / 2.0
+    return math.expm1(3 * k * math.log1p(u) + (3 * k + 1) * math.log1p(u * math.sqrt(5.0))
+                      + 3 * k * math.log1p(EPS))
+
+
+def _dyadic_blocks(x: np.ndarray, stop: int, longest: int = 0) -> list:
+    """``x`` from ``_BLOCK`` to ``stop`` in blocks ``(start, size, block,
+    spectrum, norm, doubling)``, each cut at ``stop``: ``x[L : 2L)`` for
+    ``L = _BLOCK, 2 _BLOCK, ...`` and, from a given ``longest`` on, blocks
+    of that length, which are not ``doubling``.  From ``size >= _FFT_FROM``
+    on, ``spectrum`` is the ``rfft`` at ``2 size`` points and ``norm`` the
+    2-norm (None, 0 below)."""
+    blocks, start = [], _BLOCK
     while start < stop:
         size = min(start, longest or start)
         block = x[start : min(start + size, stop)]
         spectrum = np.fft.rfft(block, 2 * size) if size >= _FFT_FROM else None
         norm = 0.0 if spectrum is None else float(np.linalg.norm(block))
-        blocks.append((start, size, block, spectrum, norm))
+        blocks.append((start, size, block, spectrum, norm, size != longest))
         start += size
     return blocks
 
 
-def _block_product(far, y: np.ndarray, lo: int, hi: int, stop: int):
-    """Pieces ``(at, prod, piece)`` of the product of a block of
-    :func:`_dyadic_blocks` with ``y[lo : hi)``, no longer than the block:
-    ``prod[i]`` adds to output ``at + i`` below ``stop``, and ``piece`` is
-    what went through an FFT, whose rounding Percival bounds by a multiple
-    of ``||block||_2 ||piece||_2`` on each entry (None for
-    ``np.convolve``).  That stays relative to the piece's contribution
-    while both operands keep to one scale; the head chunk ``lo = 0`` does
-    not, so its first ``_BLOCK`` terms go through ``np.convolve``."""
-    start, size, block, spectrum, _ = far
-    if spectrum is not None and lo == 0 and hi > _BLOCK:
-        yield from _block_product((start, size, block, None, 0.0), y, 0, _BLOCK, stop)
-        lo = _BLOCK
-    at = lo + start
-    top = min(stop - at, block.size + hi - lo - 1)
-    if top > 0 and spectrum is None:
-        yield at, np.convolve(block, y[lo:hi])[:top], None
-    elif top > 0:
-        prod = np.fft.irfft(np.fft.rfft(y[lo:hi], 2 * size) * spectrum, 2 * size)
-        yield at, prod[:top], y[lo:hi]
+def _products(pairs, y: np.ndarray, stop: int):
+    """Pieces ``(at, prod, bound)`` of the products of :func:`_dyadic_blocks`
+    blocks with chunks of ``y``, pair ``(block, lo)`` the block times
+    ``y[lo : lo + size)``: ``prod[i]`` adds to output ``at + i < stop``,
+    with an error of at most ``bound``.  Blocks below ``_FFT_FROM`` take
+    ``np.convolve`` (bound 0: the caller's dot bound covers it), longer
+    ones ``rfft`` spectra, which Percival bounds by ``_fft_gamma(2 size)
+    ||block||_2 ||chunk||_2``, relative to the piece unless the chunk spans
+    scales, as the head chunk ``lo = 0`` does: there a ``doubling`` block
+    (alone of its size; its pieces come at once) sends ``y[:_BLOCK]``
+    through ``np.convolve``.  Pairs of other blocks that land at one index
+    come last and share one inverse transform and the rounding of its sum.
+    """
+    shared, chunks = {}, {}  # pairs of the blocks that are not doubling; their chunks
+    for (start, size, block, spectrum, norm, doubling), lo in pairs:
+        hi = min(lo + size, y.size)
+        if spectrum is None or doubling and lo == 0 and hi > _BLOCK:
+            cut = hi if spectrum is None else _BLOCK  # y[lo : cut) goes through np.convolve
+            if start + lo < stop:
+                yield start + lo, np.convolve(block, y[lo:cut])[: stop - start - lo], 0.0
+            lo = cut
+        top = min(stop - start - lo, block.size + hi - lo - 1)
+        if lo < hi and not doubling:
+            if (lo, size) not in chunks:  # a chunk meets several blocks: one transform
+                chunks[lo, size] = np.fft.rfft(y[lo:hi], 2 * size), np.linalg.norm(y[lo:hi])
+            shared.setdefault((start + lo, size), []).append((spectrum, norm, lo, top))
+        elif lo < hi and top > 0:
+            chunk = y[lo:hi]
+            prod = np.fft.irfft(np.fft.rfft(chunk, 2 * size) * spectrum, 2 * size)[:top]
+            yield start + lo, prod, _fft_gamma(2 * size) * norm * np.linalg.norm(chunk)
+    for (at, size), members in shared.items():
+        acc = sum(chunks[lo, size][0] * spectrum for spectrum, _, lo, _ in members)
+        scale = sum(norm * chunks[lo, size][1] for _, norm, lo, _ in members)
+        top = max(member[-1] for member in members)
+        if top > 0:
+            yield at, np.fft.irfft(acc, 2 * size)[:top], \
+                (_fft_gamma(2 * size) + _gamma(len(members))) * scale
+
+
+def _sliding(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
+    """Entries ``len(x) - 1 .. len(x) - 2 + size`` of the convolution
+    ``x * y``: ``x`` slid along ``y`` from their first full overlap, with
+    ``y`` zero past its end.  Windows inside ``y`` are ``size`` dot products
+    of ``len(x)`` terms; a window that runs past the end of ``y`` takes the
+    full convolution, which its callers reach only with ``size`` above
+    ``len(x)`` or with both operands at most ``_BLOCK`` long."""
+    lo = x.size - 1
+    if y.size >= lo + size:
+        return np.correlate(y[: lo + size], x[::-1], "valid")
+    full = np.convolve(x, y)[lo : lo + size]
+    return np.pad(full, (0, size - full.size))
+
+
+def _window(x: np.ndarray, y: np.ndarray, blocks: list, size: int):
+    """The window of :func:`_sliding` by block products, and the summed
+    rounding of its FFT pieces; ``blocks`` cut ``y`` from ``_BLOCK`` on
+    (:func:`_dyadic_blocks`, at most ``FAR_BLOCK`` long).  ``y[:_BLOCK]``
+    meets the last ``_BLOCK`` entries of ``x`` directly, each block
+    ``[s, s + L)`` the ``L``-aligned chunks of ``x`` whose product reaches
+    the window (:func:`_products`), each FFT piece with its bound."""
+    n = x.size
+    lo, stop = n - 1, n - 1 + size
+    out = _sliding(x[max(n - _BLOCK, 0) :], y[:_BLOCK], size)
+    # chunk c of block [s, s + L) reaches outputs s + c .. s + c + 2L - 2: lo from c > n - s - 2L
+    pairs = [(b, c) for b in blocks
+             for c in range(max(n - b[0] - b[1], 0) // b[1] * b[1], min(n, stop - b[0]), b[1])]
+    err = 0.0
+    for at, prod, bound in _products(pairs, x, stop):
+        skip = max(lo - at, 0)
+        if skip < prod.size:
+            out[at + skip - lo : at + prod.size - lo] += prod[skip:]
+            err += bound * (prod.size - skip)
+    return out, err
+
+
+def _windows(y: np.ndarray):
+    """:func:`_window` of ``(x, size)`` against ``y``, its blocks transformed once,
+    and ``3 len(blocks) + 1``, the most pieces an entry sums."""
+    blocks = _dyadic_blocks(y, y.size, FAR_BLOCK)
+    return lambda x, size: (*_window(x, y, blocks, size), 3 * len(blocks) + 1)
 
 
 def _quotient(e, d) -> np.ndarray:
@@ -212,7 +307,7 @@ def _quotient(e, d) -> np.ndarray:
     * far part, ``d`` in the dyadic blocks ``[L, 2L)`` of
       :func:`_dyadic_blocks`, ``L = C, 2C, ...`` up to ``K``: once the
       outputs below ``j`` are final and ``L`` divides ``j``, block ``L``
-      times ``h[j-L : j)`` (:func:`_block_product`) leaves the right-hand
+      times ``h[j-L : j)`` (:func:`_products`) leaves the right-hand
       sides ``j .. j+2L-2``.  A ``d`` with ``K < C`` has no far part.
 
     Each solve is the direct recursion in plain double, row by row: its
@@ -229,16 +324,18 @@ def _quotient(e, d) -> np.ndarray:
     lag = np.subtract.outer(np.arange(c), np.arange(c))
     upper = np.where(lag >= 0, head[lag], 0.0).T  # the Toeplitz matrix, Fortran-ordered
     cross = np.where(lag < 0, head[lag], 0.0)  # head[lag] is d_{C+lag}
-    far = _dyadic_blocks(d, c, np.trim_zeros(d[1:n], "b").size + 1)  # up to d_K
+    far = _dyadic_blocks(d, np.trim_zeros(d[1:n], "b").size + 1)  # up to d_K
 
     rhs = np.array(e[:n], dtype=float)
     h = np.zeros(c + n)  # h[C + i] holds h_i; the C leading zeros cross into block 0
     for j in range(0, n, c):
-        for block in far:
+        pairs = []
+        for block in far:  # block L meets h[j-L : j) while L divides j
             if not j or j % block[0]:
                 break
-            for at, prod, _ in _block_product(block, h[c:], j - block[0], j, n):
-                rhs[at : at + prod.size] -= prod
+            pairs.append((block, j - block[0]))
+        for at, prod, _ in _products(pairs, h[c:], n) if pairs else ():
+            rhs[at : at + prod.size] -= prod
         w = min(c, n - j)
         r = rhs[j : j + w] - cross[:w] @ h[j : j + c]
         h[c + j : c + j + w], info = dtrtrs(upper[:w, :w], r, lower=0, trans=1)

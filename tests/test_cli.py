@@ -129,6 +129,12 @@ MALFORMED = [
     ("spectral gf", {**GEO, "z_points": [[0.5, -10 ** 400]]}),
     ("map entrance", {**GEO, "a": 0.5, "n_max": 10, "samples": 1000,
                       "fit_window": [1, 10 ** 400]}),
+    ("rates distance", {**GEO, "nu": {"kind": "point", "state": 1},
+                        "grid": {"lo": 5, "hi": 3}}),
+    ("rates distance", {**GEO, "nu": {"kind": "point", "state": 1},
+                        "grid": {"lo": 0, "hi": 30}}),
+    ("rates distance", {**GEO, "nu": {"kind": "point", "state": 1},
+                        "grid": {"lo": 3, "hi": 30, "count": 0}}),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -143,7 +149,8 @@ MALFORMED_IDS = [
     "u-size-2^63", "u-state-2^63", "grid-point-2^63", "j-2^63", "i-max-2^63",
     "j-2^62", "empty-n-list", "empty-radii", "nan-z-point", "nan-gf-point",
     "nan-lambda", "nan-radius", "nan-gamma", "infinite-tail-exponent", "radius-10^6",
-    "gamma-10^400", "point-10^400", "fit-window-10^400",
+    "gamma-10^400", "point-10^400", "fit-window-10^400", "grid-lo-above-hi",
+    "grid-lo-zero", "grid-count-zero",
 ]
 
 
@@ -379,6 +386,32 @@ def test_short_prefix_exits_4(tmp_path):
     }
     code, _ = run(tmp_path, ["rates", "distance"], payload)
     assert code == 4
+
+
+def test_constant_with_a_vanishing_prediction_exits_3(tmp_path, capsys):
+    # pi . u = 0 leaves no relative gap to report
+    payload = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 500},
+               "nu": {"kind": "point", "state": 1}, "u": {"kind": "values", "values": [0.0]},
+               "grid": {"points": [10, 100, 200]}}
+    code, _ = run(tmp_path, ["rates", "constant"], payload)
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "PreconditionViolated" in err[0]
+
+
+@pytest.mark.parametrize("command, degree", [
+    ("rates correlation", 1.0), ("rates constant", 1.0), ("rates null", -0.5)],
+    ids=["correlation", "constant", "null"])
+def test_observable_past_the_prefix_exits_4(tmp_path, capsys, command, degree):
+    # u = 1_{505} on a prefix of 500 states was read as zero
+    payload = {"chain": {"law": {"type": "zeta", "degree": degree}, "truncation": 500},
+               "nu": {"kind": "point", "state": 1},
+               "u": {"kind": "indicator", "states": [505], "size": 510},
+               "grid": {"points": [10, 100, 200]}}
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "TruncationTooSmall" in err[0]
 
 
 def test_eigen_candidate_outside_the_disk_exits_3_without_overflow(tmp_path, capsys):

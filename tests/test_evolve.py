@@ -328,6 +328,26 @@ def test_correlation_constant_guards():
         correlation_constant(ch, stationary(ch), indicator(1, 2), [10])
     with pytest.raises(InfiniteDegree):
         correlation_constant(geo_chain(), point_mass(1), indicator(1, 2), [10])
+    # pi . u = 0: the prediction vanishes and no relative gap exists
+    with pytest.raises(PreconditionViolated, match="pi . u"):
+        correlation_constant(ch, point_mass(1), Observable([0.0, 0.0]), [10, 100, 200])
+
+
+def test_observable_varying_past_the_prefix_is_refused():
+    # u = 1_{505} on a prefix of 500 states: reading u only up to the prefix
+    # gave a correlation of exactly zero, bounds zero, on this grid
+    past = indicator([505], 510)
+    ch = build_chain(ZetaTailLaw(1.0), 500)
+    with pytest.raises(TruncationTooSmall, match="505"):
+        correlation_curve(ch, point_mass(1), past, [10, 100, 200])
+    with pytest.raises(TruncationTooSmall, match="505"):
+        correlation_constant(ch, point_mass(1), past, [10, 100, 200])
+    with pytest.raises(TruncationTooSmall, match="505"):
+        null_recurrent_ratio(build_chain(ZetaTailLaw(-0.5), 500), point_mass(1), past, [10])
+    # stored states past the prefix that equal u_inf are read as before
+    wide = correlation_curve(ch, point_mass(1), indicator([1], 510), [10, 100])
+    assert np.array_equal(wide.values, correlation_curve(
+        ch, point_mass(1), indicator([1], 500), [10, 100]).values)
 
 
 def test_correlation_constant_prediction_formula():
@@ -446,12 +466,17 @@ def test_engine_matches_iterated_step(law, n, data):
     tail_mass = data.draw(st.floats(0.05, 0.5)) * data.draw(sign)
     w[0] += (1.0 - tail_mass) - w.sum()
     nu = from_weights(w, tail_mass=tail_mass, probability=False)
-    # observables stored past the prefix are read up to it
+    # observables stored past the prefix: refused where they differ from
+    # u_inf there, read up to the prefix where they do not
     size = data.draw(st.integers(1, n + 20))
     vals = data.draw(st.lists(unit, min_size=size, max_size=size))
     u = Observable([0.0] + vals, limit=data.draw(st.floats(0.25, 2.0)) * data.draw(sign))
     top = data.draw(st.integers(1, n // 2))
     grid = sorted(set(data.draw(st.lists(st.integers(0, top), max_size=5))) | {top})
+    if np.any(u.values[n + 1 :] != u.limit):
+        with pytest.raises(TruncationTooSmall, match="past the prefix"):
+            correlation_curve(chain, nu, u, grid)
+        u = Observable(np.r_[u.values[: n + 1], np.full(size - n, u.limit)], limit=u.limit)
 
     dist, corr, oracle_tails, osc = oracle_curves(
         chain, iterated(chain, nu, grid), u, grid)
@@ -553,11 +578,11 @@ def test_block_route_agrees_with_the_direct_route_across_direct_work(degree, mon
 def assert_block_window_is_sliding(rng, n_y, n, size):
     y = np.arange(1.0, n_y + 1) ** -rng.uniform(1.5, 5.0) * rng.choice([-1.0, 1.0], n_y)
     x = np.arange(1.0, n + 1) ** -rng.uniform(0.5, 4.0) * rng.uniform(-1.0, 1.5, n)
-    blocks = series._dyadic_blocks(y, series._BLOCK, min(n_y, n + size - 1), evolve.FAR_BLOCK)
-    got, err = evolve._window(x, y, blocks, size)
-    want = evolve._sliding(x, y[: n + size - 1], size)
-    terms = evolve._sliding(np.abs(x), np.abs(y[: n + size - 1]), size).sum()
-    assert np.abs(got - want).sum() <= err + 2 * evolve._gamma(n + 3 * len(blocks) + 1) * terms
+    blocks = series._dyadic_blocks(y, min(n_y, n + size - 1), series.FAR_BLOCK)
+    got, err = series._window(x, y, blocks, size)
+    want = series._sliding(x, y[: n + size - 1], size)
+    terms = series._sliding(np.abs(x), np.abs(y[: n + size - 1]), size).sum()
+    assert np.abs(got - want).sum() <= err + 2 * series._gamma(n + 3 * len(blocks) + 1) * terms
 
 
 @settings(max_examples=40, deadline=None)
