@@ -24,8 +24,10 @@ from the invariant density, so on a null-recurrent chain it raises
 :class:`NotPositiveRecurrent` before drawing, as :func:`entrance_tail`,
 :func:`markov_frequency_check` and :func:`kac_check` do on either sampler.
 Estimators skip pairs that straddle a censored step: they sum zero-filled
-streams and divide by the count of valid pairs, which equals ``nanmean`` of
-NaN-marked streams to the last bit.
+streams and divide by the count of valid pairs, counted from the sentinel
+positions.  A lag sum is one BLAS dot per batch: it and the ``nanmean`` of
+NaN-marked streams each lie within ``gamma_k sum |y|`` of the exact sum of
+the ``k`` products ``y``, rounded in different orders.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
@@ -417,19 +419,16 @@ class McEstimate:
             raise PreconditionViolated("stderr cannot be negative")
 
 
-def _batch_stderr(y: np.ndarray, valid: np.ndarray, batches: int = BATCHES) -> float:
-    """Standard error of the mean of ``y`` over the entries where ``valid``
-    holds, from contiguous batch means; ``y`` is zero elsewhere."""
-    edges = np.linspace(0, y.size, batches + 1).astype(int)
-    means = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        count = np.count_nonzero(valid[a:b])
-        if count:
-            means.append(np.sum(y[a:b]) / count)
-    means = np.asarray(means)
-    if means.size < 2:
-        return math.inf
-    return float(np.std(means, ddof=1) / math.sqrt(means.size))
+def _pair_counts(sentinels: np.ndarray, n: int, edges) -> np.ndarray:
+    """Pairs ``(t, t + n)`` with ``edges[k] <= t < edges[k + 1]`` that touch
+    no sentinel: ``t`` is lost iff it lies in ``S``, the sorted sentinel
+    positions, or in ``S - n``, so batch ``k`` loses its share of both sets
+    less its share of their intersection."""
+    ahead = sentinels[np.searchsorted(sentinels, n):] - n
+    both = ahead[sentinels.take(np.searchsorted(sentinels, ahead), mode="clip") == ahead]
+    in_s, in_ahead, in_both = (np.diff(np.searchsorted(at, edges))
+                               for at in (sentinels, ahead, both))
+    return np.diff(edges) - in_s - in_ahead + in_both
 
 
 def mc_correlation(source, u, v, n_list, orbit_length: int,
@@ -455,25 +454,26 @@ def mc_correlation(source, u, v, n_list, orbit_length: int,
     per_stream = []
     for s in range(int(streams)):
         states, _ = draw(source, orbit_length, seed, burn_in, s)
-        valid = states >= 1
+        sentinels = np.flatnonzero(states < 1)
         uu = _observe(u, states)
         vv = uu if v is u else _observe(v, states)
         del states
-        n_valid = np.count_nonzero(valid)
+        size = uu.size
+        n_valid = size - sentinels.size
         u_mean, v_mean = np.sum(uu) / n_valid, np.sum(vv) / n_valid
-        products, joint = np.empty(valid.size), np.empty(valid.size, dtype=bool)
+        # batch-major: a batch of the streams is read from memory once and
+        # every lag takes its dot product from cache
+        edges = [np.linspace(0, size - n, BATCHES + 1).astype(int).tolist() for n in n_list]
+        sums = np.array([[np.dot(uu[n + e[k] : n + e[k + 1]], vv[e[k] : e[k + 1]])
+                          for n, e in zip(n_list, edges)] for k in range(BATCHES)]).T
         rows = {}
-        for n in n_list:
-            end = valid.size - n
-            y = np.multiply(uu[n:], vv[:end], out=products[:end])
-            pairs = np.logical_and(valid[n:], valid[:end], out=joint[:end])
-            count = int(np.count_nonzero(pairs))
-            rows[n] = (
-                float(np.sum(y) / count - u_mean * v_mean),
-                _batch_stderr(y, pairs),
-                count,
-                end - count,
-            )
+        for n, e, batch_sums in zip(n_list, edges, sums):
+            counts = _pair_counts(sentinels, n, e)
+            count = int(counts.sum())
+            means = batch_sums[counts > 0] / counts[counts > 0]
+            stderr = np.std(means, ddof=1) / math.sqrt(means.size) if means.size > 1 else math.inf
+            rows[n] = (float(np.sum(batch_sums) / count - u_mean * v_mean), float(stderr),
+                       count, size - n - count)
         per_stream.append(rows)
 
     out = {}
@@ -587,14 +587,14 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
         hat = counts / row_visits[:, None]
         stderr = np.sqrt(hat * (1.0 - hat) / row_visits[:, None])
 
-    # one count keyed by batch and cell, over _batch_stderr's batches:
-    # cell 0 for censored steps, i_max + 1 for resolved ones past the window
+    # one count keyed by batch and cell, over BATCHES equal batches of the
+    # orbit: cell 0 for censored steps, i_max + 1 for resolved ones past the window
     edges = np.linspace(0, states.size, BATCHES + 1).astype(int)
     key = np.clip(states, 0, i_max + 1)
     key += np.repeat(np.arange(BATCHES) * (i_max + 2), np.diff(edges))
     table = np.bincount(key, minlength=BATCHES * (i_max + 2)).reshape(BATCHES, i_max + 2)
     visits, valid = table[:, 1 : i_max + 1], table[:, 1:].sum(axis=1)
-    # batch means as _batch_stderr takes them, each cell's a C-contiguous row
+    # means of the batches holding a resolved step, each cell's a C-contiguous row
     means = np.ascontiguousarray((visits[valid > 0] / valid[valid > 0, None]).T)
     occ_stderr = np.full(i_max, math.inf)
     if means.shape[1] >= 2:

@@ -603,6 +603,23 @@ def test_block_window_at_far_block_edges(n_y, n, size):
     assert_block_window_is_sliding(np.random.default_rng(n), n_y, n, size)
 
 
+def test_block_window_across_far_block_groups_is_the_convolution():
+    # a window across three far blocks of the output, fed by all five far
+    # blocks of p~: pairs of up to four blocks land on one output block and
+    # share an inverse transform, so a pair lost from a group moves entries
+    # by far more than the pieces' rounding bound
+    rng = np.random.default_rng(14)
+    far = series.FAR_BLOCK
+    n_y, n, size = 6 * far, 3 * far + 5, 3 * far
+    y, x = rng.uniform(-1.0, 1.0, n_y), rng.uniform(-1.0, 1.0, n)
+    blocks = series._dyadic_blocks(y, n_y, far)
+    got, err = series._window(x, y, blocks, size)
+    window = slice(n - 1, n - 1 + size)
+    want = np.convolve(x, y)[window]
+    terms = np.convolve(np.abs(x), np.abs(y))[window]
+    assert np.all(np.abs(got - want) <= err + 2 * series._gamma(n + 3 * len(blocks) + 1) * terms)
+
+
 # ----------------------------------------------------------------------
 # nonuniformity
 # ----------------------------------------------------------------------
