@@ -293,8 +293,10 @@ def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
 
     Returns ``(states, censored)``.  A draw landing beyond the stored
     prefix (probability = the survival mass at the truncation) appears as
-    a single ``-1`` sentinel step and is counted in ``censored``.
+    a single ``-1`` sentinel step and is counted in ``censored``.  Sizes
+    are checked before anything is drawn, as in :func:`coded_states`.
     """
+    _check_orbit(int(length), int(burn_in))
     rng = _rng(seed, stream)
     cdf = np.cumsum(chain.p[1:])
     total = int(burn_in) + int(length)
@@ -350,8 +352,10 @@ def map_states(m: IntermittentMap, length: int, seed: int,
     recorded as ``-1``, counted, and the orbit restarts fresh.  A
     null-recurrent chain has no invariant density and raises
     :class:`NotPositiveRecurrent`, cells below :data:`START_MASS_FLOOR`
-    :class:`TruncationTooSmall`, both before drawing.
+    :class:`TruncationTooSmall`, both before drawing, as are sizes outside
+    the bounds of :func:`coded_states`.
     """
+    _check_orbit(int(length), int(burn_in))
     chain = _require_positive_recurrent(m.chain, "float orbits need the invariant density")
     pi_cdf = np.cumsum(chain.pi[1:])
     mass = pi_cdf[m.symbol_cap - 1]
@@ -385,7 +389,6 @@ def coded_states(source, sampler: str, length: int, seed: int,
     ``(states, censored)``.  Sizes are checked before anything is drawn:
     ``length >= 1``, ``burn_in >= 0`` and at most :data:`MAX_ORBIT` steps.
     """
-    _check_orbit(int(length), int(burn_in))
     draw, source = _sampler(source, sampler)
     return draw(source, length, seed, burn_in, stream)
 
@@ -601,7 +604,7 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
         occ_stderr = np.std(means, axis=1, ddof=1) / math.sqrt(means.shape[1])
     return FrequencyReport(
         transition_hat=hat,
-        transition_exact=transition_operator(chain, i_max).matrix.copy(),
+        transition_exact=transition_operator(chain, i_max),
         transition_stderr=stderr,
         row_visits=row_visits,
         occupation_hat=visits.sum(axis=0) / valid.sum(),
@@ -715,6 +718,8 @@ def invariant_density(chain, n: int | None = None) -> np.ndarray:
     support = _support_length(chain)
     if n is None:
         n = support
+    if n < 1:
+        raise PreconditionViolated(f"need n >= 1 cells, got {n}")
     if n > support:
         raise TruncationTooSmall("density requested beyond the law's support")
     h = np.zeros(n + 1)

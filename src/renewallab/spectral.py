@@ -6,9 +6,11 @@ read off the generating function, and pointwise generating-function
 evaluation with an internal two-route identity check.
 
 Vectors act on matrices from the right, (xT)_j = sum_i x_i t_ij, matching
-how distributions evolve.  Matrices are stored dense with entry (i, j) at
-``matrix[i-1, j-1]``; the dense builders are capped at N = 1000 since
-nothing here needs more.
+how distributions evolve.  The dense builders return plain N-by-N arrays
+with entry (i, j) at ``[i-1, j-1]``, capped at N = 1000 since nothing here
+needs more.  The bare shift Q of the factorization is never stored: it has
+one 1 per row, so multiplying by I - zQ subtracts z times the matrix moved
+down one row.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from .errors import PreconditionViolated, SingularPoint, TruncationTooSmall
 from .series import _quotient
 
 __all__ = [
-    "TruncatedOperator",
     "SpectralProbe",
     "transition_operator",
-    "shift_operator",
     "jump_operator",
     "factorization_residual",
     "eigen_from_gf",
@@ -39,38 +39,6 @@ __all__ = [
 DENSE_LIMIT = 1000
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense N-by-N truncation of an operator on the state space.
-
-    kind : 'transition' | 'shift' | 'jump'
-        transition: row 1 is the return law, row i >= 2 descends to i-1.
-        shift: the descent alone, with an empty first row (the chain made
-        transient by removing returns).
-        jump: rank-style return block, entry (i, j) = p_j z^i.
-    """
-
-    kind: str
-    dimension: int
-    matrix: np.ndarray
-    z: complex | None = None
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-
-    def entry(self, i: int, j: int):
-        if not (1 <= i <= self.dimension and 1 <= j <= self.dimension):
-            raise PreconditionViolated("entries are addressed with 1-based state labels")
-        return self.matrix[i - 1, j - 1]
-
-    def row_action(self, x: np.ndarray) -> np.ndarray:
-        """(xT)_j = sum_i x_i t_ij for a length-N vector x."""
-        x = np.asarray(x)
-        if x.shape != (self.dimension,):
-            raise PreconditionViolated(f"need a vector of length {self.dimension}")
-        return x @ self.matrix
-
-
 def _check_dense_size(n: int) -> int:
     n = int(n)
     if n < 2:
@@ -82,7 +50,9 @@ def _check_dense_size(n: int) -> int:
     return n
 
 
-def transition_operator(chain, n: int) -> TruncatedOperator:
+def transition_operator(chain, n: int) -> np.ndarray:
+    """Dense N-by-N truncation of the transition operator: row 1 is the
+    return law, row i >= 2 descends to i-1."""
     if n > chain.truncation:
         raise TruncationTooSmall("chain prefix shorter than requested dimension")
     n = _check_dense_size(n)
@@ -90,40 +60,31 @@ def transition_operator(chain, n: int) -> TruncatedOperator:
     m[0, :] = chain.p[1 : n + 1]
     idx = np.arange(1, n)
     m[idx, idx - 1] = 1.0
-    return TruncatedOperator("transition", n, m)
+    return m
 
 
-def shift_operator(chain, n: int) -> TruncatedOperator:
-    n = _check_dense_size(n)
-    m = np.zeros((n, n))
-    idx = np.arange(1, n)
-    m[idx, idx - 1] = 1.0
-    return TruncatedOperator("shift", n, m)
-
-
-def jump_operator(chain, z: complex, n: int) -> TruncatedOperator:
+def jump_operator(chain, z: complex, n: int) -> np.ndarray:
+    """Dense N-by-N return-jump block L_z, entry (i, j) = p_j z^i."""
     if n > chain.truncation:
         raise TruncationTooSmall("chain prefix shorter than requested dimension")
     n = _check_dense_size(n)
     powers = np.asarray(z, dtype=complex) ** np.arange(1, n + 1)
-    m = np.outer(powers, chain.p[1 : n + 1])
-    return TruncatedOperator("jump", n, m, z=complex(z))
+    return np.outer(powers, chain.p[1 : n + 1])
 
 
 def factorization_residual(chain, z: complex, n: int) -> float:
     """Max entry defect of (I - zQ)(I - L_z) against (I - zP) with Q the
     bare shift and L_z the return-jump block, over the interior block
     (rows and columns up to N-1; the edge band is excluded because the
-    truncated shift has nowhere to send the last state)."""
+    truncated shift has nowhere to send the last state).
+
+    Row i of (I - zQ)X is X_i - z X_{i-1}, so the product costs O(N^2)."""
     if not abs(z) <= 1.0 + 1e-12:
         raise PreconditionViolated("factorization is probed on the closed unit disk")
     n = _check_dense_size(n)
-    eye = np.eye(n, dtype=complex)
-    p = transition_operator(chain, n).matrix
-    q = shift_operator(chain, n).matrix
-    l = jump_operator(chain, z, n).matrix
-    lhs = (eye - z * q) @ (eye - l)
-    rhs = eye - z * p
+    lhs = np.eye(n) - jump_operator(chain, z, n)
+    lhs[1:] -= z * lhs[:-1]
+    rhs = np.eye(n) - z * transition_operator(chain, n)
     defect = np.abs(lhs - rhs)[: n - 1, : n - 1]
     return float(defect.max())
 
@@ -193,6 +154,8 @@ def partial_norm_scan(chain, lam: complex, n_list) -> np.ndarray:
     n_list = [int(v) for v in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise PreconditionViolated("need a strictly increasing list of prefix lengths")
+    if n_list[0] < 0:
+        raise PreconditionViolated(f"prefix lengths must be nonnegative, got {n_list[0]}")
     probe = eigen_from_gf(chain, lam, max(n_list))
     mags = np.abs(probe.vector)
     sums = np.cumsum(mags)

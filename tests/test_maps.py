@@ -211,6 +211,23 @@ def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
         coded_states(geo_map, "map", 10, seed=4)
 
 
+@pytest.mark.parametrize("length, burn_in", [(0, 0), (-5, 0), (10, -20),
+                                             (maps.MAX_ORBIT + 1, 0)])
+@pytest.mark.parametrize("sampler", ["chain", "float"])
+def test_samplers_check_their_sizes_before_drawing(geo_map, monkeypatch, sampler,
+                                                   length, burn_in):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the sizes")
+
+    monkeypatch.setattr(maps, "_rng", no_draw)
+    draw = {"chain": lambda: sample_states(geo_map.chain, length, 1, burn_in=burn_in),
+            "float": lambda: map_states(geo_map, length, 1, burn_in=burn_in)}[sampler]
+    with pytest.raises(ConfigError):
+        draw()
+    with pytest.raises(ConfigError):
+        coded_states(geo_map, sampler, length, 1, burn_in=burn_in)
+
+
 def test_float_orbit_steps_match_encode_then_apply(geo_map, zeta_map):
     # reference: the float-orbit loop that encodes, then applies the map
     for m in (geo_map, zeta_map):
@@ -427,6 +444,9 @@ def test_density_support_gate():
     assert h.size == 3
     with pytest.raises(TruncationTooSmall):
         invariant_density(ch, 5)
+    for n in (0, -3):
+        with pytest.raises(PreconditionViolated):
+            invariant_density(ch, n)
 
 
 def test_transfer_matrix_fixes_density_and_law(geo, zeta):

@@ -8,6 +8,7 @@ from renewallab import (
     ZetaTailLaw,
     build_chain,
 )
+from renewallab import spectral
 from renewallab.errors import (
     OutOfDomain,
     PreconditionViolated,
@@ -21,7 +22,6 @@ from renewallab.spectral import (
     gf_evaluate,
     jump_operator,
     partial_norm_scan,
-    shift_operator,
     transition_operator,
 )
 
@@ -43,40 +43,26 @@ def zeta_one():
 def test_transition_operator_layout(geometric):
     op = transition_operator(geometric, 6)
     # row 1 carries the return law, rows below descend one step
-    assert op.entry(1, 3) == geometric.p[3]
-    assert op.entry(4, 3) == 1.0
-    assert op.entry(4, 5) == 0.0
-    sums = op.matrix.sum(axis=1)
+    assert op[0, 2] == geometric.p[3]
+    assert op[3, 2] == 1.0
+    assert op[3, 4] == 0.0
+    sums = op.sum(axis=1)
     assert np.all(sums[1:] == 1.0)
     assert abs(sums[0] - (1.0 - geometric.law.tail_beyond(6))) < 1e-15
-
-
-def test_shift_operator_drops_return_row(geometric):
-    op = shift_operator(geometric, 5)
-    assert np.all(op.matrix[0] == 0.0)
-    assert op.entry(3, 2) == 1.0
-    assert op.matrix.sum() == 4.0
 
 
 def test_jump_operator_entries(geometric):
     z = 0.3 + 0.2j
     op = jump_operator(geometric, z, 8)
-    assert op.entry(5, 2) == pytest.approx(geometric.p[2] * z ** 5, rel=1e-15)
-    assert op.z == z
+    assert op[4, 1] == pytest.approx(geometric.p[2] * z ** 5, rel=1e-15)
 
 
 def test_row_action_matches_stationary_vector(zeta_one):
     n = 300
     x = zeta_one.pi[1 : n + 1]
-    out = transition_operator(zeta_one, n).row_action(x)
+    out = x @ transition_operator(zeta_one, n)
     # the last column misses pi_{n+1}, so compare on the interior
     assert np.max(np.abs(out[: n - 1] - x[: n - 1])) < 1e-12
-
-
-def test_row_action_rejects_wrong_length(geometric):
-    op = transition_operator(geometric, 10)
-    with pytest.raises(PreconditionViolated):
-        op.row_action(np.ones(9))
 
 
 def test_dense_cap_and_size_gates(geometric):
@@ -88,17 +74,59 @@ def test_dense_cap_and_size_gates(geometric):
         jump_operator(build_chain(GeometricLaw(0.5), truncation=50), 0.5, 80)
 
 
-def test_entry_indexing_is_one_based(geometric):
-    op = transition_operator(geometric, 4)
-    with pytest.raises(PreconditionViolated):
-        op.entry(0, 1)
-    with pytest.raises(PreconditionViolated):
-        op.entry(1, 5)
-
-
 # ----------------------------------------------------------------------
 # operator factorization
 # ----------------------------------------------------------------------
+
+def dense_product_residual(chain, z, n):
+    """The factorization defect with the bare shift Q as a dense matrix
+    and (I - zQ)(I - L_z) as a full matrix product."""
+    eye = np.eye(n, dtype=complex)
+    q = np.zeros((n, n))
+    idx = np.arange(1, n)
+    q[idx, idx - 1] = 1.0
+    lhs = (eye - z * q) @ (eye - spectral.jump_operator(chain, z, n))
+    rhs = eye - z * spectral.transition_operator(chain, n)
+    return float(np.abs(lhs - rhs)[: n - 1, : n - 1].max())
+
+
+FACTOR_POINTS = [0.0, 0.5, -0.3 + 0.4j, 0.95j]
+
+
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("z", FACTOR_POINTS)
+@pytest.mark.parametrize("name", ["geometric", "zeta_one"])
+def test_factorization_residual_matches_the_dense_product(name, z, n, request):
+    chain = request.getfixturevalue(name)
+    eps = np.finfo(float).eps
+    assert factorization_residual(chain, z, n) <= 4 * eps
+    assert dense_product_residual(chain, z, n) <= 4 * eps
+
+
+def perturbed(builder, delta, i, j):
+    def build(*args):
+        m = builder(*args)
+        m[i, j] += delta
+        return m
+    return build
+
+
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("z", FACTOR_POINTS)
+@pytest.mark.parametrize("name", ["geometric", "zeta_one"])
+def test_factorization_residual_reads_a_perturbed_entry(name, z, n, request, monkeypatch):
+    # an interior entry of L_z off by delta leaves row i of (I - zQ)(I - L_z)
+    # off by delta and row i + 1 by |z| delta; one of P, entering as -zP,
+    # leaves the defect at |z| delta; the corner is the last interior entry
+    chain = request.getfixturevalue(name)
+    delta = 1e-9
+    for i, j in ((n // 2, n // 3), (n - 2, n - 2)):
+        for builder, want in (("jump_operator", delta), ("transition_operator", abs(z) * delta)):
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, builder, perturbed(getattr(spectral, builder), delta, i, j))
+                for route in (factorization_residual, dense_product_residual):
+                    assert abs(route(chain, z, n) - want) <= 0.01 * want
+
 
 def test_factorization_residual_at_desk_points(geometric, zeta_one):
     # shift times return-jump reproduces the full transition operator
@@ -186,6 +214,13 @@ def test_partial_norms_settle_inside_the_disk(geometric):
 def test_partial_norm_scan_needs_increasing_lengths(geometric):
     with pytest.raises(PreconditionViolated):
         partial_norm_scan(geometric, 0.5, [200, 100])
+
+
+def test_partial_norm_scan_refuses_negative_lengths(geometric):
+    # a negative length would index the partial sums from their end
+    with pytest.raises(PreconditionViolated):
+        partial_norm_scan(geometric, 0.5, [-5, 10])
+    assert partial_norm_scan(geometric, 0.5, [0, 10])[0] == 0.0
 
 
 def test_disk_scan_rows(zeta_one):
