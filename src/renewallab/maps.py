@@ -29,6 +29,16 @@ positions.  A lag sum is one BLAS dot per batch: it and the ``nanmean`` of
 NaN-marked streams each lie within ``gamma_k sum |y|`` of the exact sum of
 the ``k`` products ``y``, rounded in different orders.
 
+Both samplers draw an orbit in blocks of at most ``2**16`` excursions or
+steps, burn-in skipped: each excursion takes one uniform, and the float
+orbit carries its point from block to block, so the states do not depend
+on where the blocks split.  The samplers copy the blocks into the one
+array they return.  The estimators read the blocks one at a time and hold
+O(batch) memory, not O(orbit): :func:`mc_correlation` keeps a window of
+observable values about two batches long that slides along the orbit,
+:func:`kac_check` carries the last visit to the top cell across block
+edges, and :func:`markov_frequency_check` the last state.
+
 Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
 ``seed | (s << 64)`` (Salmon et al., SC 2011), so no two (seed, stream)
@@ -94,9 +104,15 @@ BATCHES = 100
 #: Default coded-orbit sampler; :func:`coded_states` lists them all.
 SAMPLER = "chain"
 
+#: Most states (or excursion draws) in one block of a coded orbit; the
+#: samplers and the orbit estimators hold a few blocks at a time.
+_BLOCK = 2 ** 16
+
 #: Most orbit steps (burn-in included, summed over streams) or entrance
-#: samples one call accepts: 10^8 int64 states take 800 MB.  Checked before
-#: anything is allocated.
+#: samples one call accepts.  Checked before anything is allocated.  The
+#: orbit arrays that :func:`sample_states`, :func:`map_states` and
+#: :func:`coded_states` return take 800 MB of int64 states at the cap; the
+#: estimators read orbits in blocks and hold none of them whole.
 MAX_ORBIT = 100_000_000
 
 
@@ -106,15 +122,22 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) | (int(stream) << 64)))
 
 
-def _check_orbit(length: int, burn_in: int = 0, streams: int = 1) -> None:
-    """Refuse an empty orbit (or sample), a negative burn-in, no streams, or
-    more than :data:`MAX_ORBIT` steps in all."""
+def _check_orbit(length, burn_in=0, streams=1) -> tuple:
+    """Refuse an empty orbit (or sample), a negative burn-in, no streams, a
+    size that is not a whole number, or more than :data:`MAX_ORBIT` steps in
+    all.  Returns ``(length, burn_in, streams)`` as ints."""
+    sizes = (length, burn_in, streams)
+    if not all(float(v).is_integer() for v in sizes):
+        raise ConfigError(f"orbit sizes must be whole numbers, got length {length}, "
+                          f"burn_in {burn_in}, streams {streams}")
+    length, burn_in, streams = (int(v) for v in sizes)
     if min(length, streams) < 1 or burn_in < 0:
         raise ConfigError(f"orbit sizes must be positive and burn_in nonnegative, got length "
                           f"{length}, burn_in {burn_in}, streams {streams}")
     if streams * (burn_in + length) > MAX_ORBIT:
         raise ConfigError(
             f"{streams} x ({burn_in} + {length}) orbit steps exceed the cap of {MAX_ORBIT}")
+    return length, burn_in, streams
 
 
 def _support_length(chain) -> int:
@@ -237,12 +260,14 @@ def orbit_symbols(m: IntermittentMap, x0: float, n: int) -> np.ndarray:
         raise PreconditionViolated("orbit starts in (0, 1]")
     if n < 0:
         raise PreconditionViolated(f"orbit length must be nonnegative, got {n}")
-    return _float_orbit(m, float(x0), int(n) + 1)
+    return _fill(_float_orbit(m, float(x0), int(n) + 1), int(n) + 1)[0]
 
 
-def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None) -> np.ndarray:
-    """Symbols of ``total`` steps of the float orbit of ``x``, stepping as
-    :func:`encode` then :func:`_image` would, on plain Python floats.
+def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None):
+    """Blocks of at most :data:`_BLOCK` symbols, ``total`` in all, of the
+    float orbit of ``x``, stepping as :func:`encode` then :func:`_image`
+    would, on plain Python floats; the point and its cell carry over from
+    one block to the next.
 
     The clamps of :func:`_image` put the image of a branch ``i >= 2`` in
     cell ``i - 1`` exactly, so the breakpoints are searched only after a
@@ -259,51 +284,47 @@ def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None) -> np.n
     # upper clamp of branch i: 1 for i <= 2, the float below d_{i-2} beyond
     hi = [1.0, 1.0, 1.0] + np.nextafter(m.breakpoints[1 : cap - 1], 0.0).tolist()
 
-    out = [0] * total
     sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
-    for t in range(total):
-        if sym == 1:
-            out[t] = 1
-            x = (x - d1) / s1
-            if x > 1.0:
-                x = 1.0
-        elif sym <= cap:
-            out[t] = sym
-            x = bp[sym - 1] + (x - bp[sym]) / slopes[sym]
-            if x > hi[sym]:
-                x = hi[sym]
-            sym -= 1
-            continue
-        elif restart is None:
-            raise SymbolCapExceeded(f"point {x!r} lies below the resolvable depth {bp[-1]!r}")
-        else:
-            out[t] = -1
-            x = restart()
-        sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
-    return np.array(out, dtype=np.int64)
+    for start in range(0, total, _BLOCK):
+        out = [0] * min(_BLOCK, total - start)
+        for t in range(len(out)):
+            if sym == 1:
+                out[t] = 1
+                x = (x - d1) / s1
+                if x > 1.0:
+                    x = 1.0
+            elif sym <= cap:
+                out[t] = sym
+                x = bp[sym - 1] + (x - bp[sym]) / slopes[sym]
+                if x > hi[sym]:
+                    x = hi[sym]
+                sym -= 1
+                continue
+            elif restart is None:
+                raise SymbolCapExceeded(
+                    f"point {x!r} lies below the resolvable depth {bp[-1]!r}")
+            else:
+                out[t] = -1
+                x = restart()
+            sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
+        yield np.array(out, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
 # coded-orbit samplers
 # ----------------------------------------------------------------------
 
-def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
-                  stream: int = 0):
-    """Exact coded orbit: excursion lengths drawn from the return law.
+def _excursions(chain, rng, total: int):
+    """Blocks of the exact coded orbit, ``total`` states at least.
 
-    Returns ``(states, censored)``.  A draw landing beyond the stored
-    prefix (probability = the survival mass at the truncation) appears as
-    a single ``-1`` sentinel step and is counted in ``censored``.  Sizes
-    are checked before anything is drawn, as in :func:`coded_states`.
+    Each block draws at most :data:`_BLOCK` excursion lengths, one uniform
+    each, so the states do not depend on where the blocks split the
+    stream.  A draw beyond the stored prefix is one ``-1`` step.
     """
-    _check_orbit(int(length), int(burn_in))
-    rng = _rng(seed, stream)
     cdf = np.cumsum(chain.p[1:])
-    total = int(burn_in) + int(length)
-    chunks = []
     have = 0
     while have < total:
-        want = max(1024, int((total - have) / chain.m1 * 1.2) + 16)
+        want = min(max(1024, int((total - have) / chain.m1 * 1.2) + 16), _BLOCK)
         u = rng.random(want)
         # a uniform at or below cdf[0] is a return of length one
         deep = np.flatnonzero(u > cdf[0])
@@ -322,10 +343,8 @@ def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
         del draws
         np.cumsum(states, out=states)
         states[ends[over] - 1] = -1
-        chunks.append(states)
+        yield states
         have += states.size
-    states = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks))[burn_in:total]
-    return states, int(np.count_nonzero(states == -1))
 
 
 def _density_start(m: IntermittentMap, rng, pi_cdf) -> float:
@@ -336,6 +355,64 @@ def _density_start(m: IntermittentMap, rng, pi_cdf) -> float:
         if cell <= m.symbol_cap:
             width = m.breakpoints[cell - 1] - m.breakpoints[cell]
             return float(m.breakpoints[cell] + rng.random() * width)
+
+
+def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
+    """The coded orbit of ``source`` as successive blocks of states: a
+    chain draws excursions (the chain sampler), an :class:`IntermittentMap`
+    iterates its float orbit from invariant-density starts (the float
+    sampler).  The burn-in is skipped and the last block cut, so the blocks
+    hold ``length`` states in all.  Sizes, the seed and the float sampler's
+    starts are checked here, before anything is drawn."""
+    length, burn_in, _ = _check_orbit(length, burn_in)
+    total = burn_in + length
+    if isinstance(source, IntermittentMap):
+        chain = _require_positive_recurrent(source.chain,
+                                            "float orbits need the invariant density")
+        pi_cdf = np.cumsum(chain.pi[1:])
+        mass = pi_cdf[source.symbol_cap - 1]
+        if mass < START_MASS_FLOOR:
+            raise TruncationTooSmall(f"the resolvable cells hold stationary mass {mass:.3g} < "
+                                     f"{START_MASS_FLOOR:g}: a start takes {1 / mass:.3g} draws")
+        rng = _rng(seed, stream)
+        raw = _float_orbit(source, _density_start(source, rng, pi_cdf), total,
+                           restart=lambda: _density_start(source, rng, pi_cdf))
+    else:
+        raw = _excursions(source, _rng(seed, stream), total)
+
+    def window():
+        at = 0
+        for block in raw:
+            start, at = at, at + block.size
+            if at > burn_in:
+                yield block[max(burn_in - start, 0) : total - start]
+
+    return window()
+
+
+def _fill(blocks, length: int):
+    """``(states, censored)``: ``length`` states copied block by block into
+    one array, and the count of ``-1`` sentinels among them."""
+    states = np.empty(length, dtype=np.int64)
+    at = censored = 0
+    for block in blocks:
+        states[at : at + block.size] = block
+        at += block.size
+        censored += int(np.count_nonzero(block == -1))
+    return states, censored
+
+
+def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
+                  stream: int = 0):
+    """Exact coded orbit: excursion lengths drawn from the return law.
+
+    Returns ``(states, censored)``.  A draw landing beyond the stored
+    prefix (probability = the survival mass at the truncation) appears as
+    a single ``-1`` sentinel step and is counted in ``censored``.  Sizes
+    are checked before anything is drawn, as in :func:`coded_states`.
+    """
+    length, burn_in, _ = _check_orbit(length, burn_in)
+    return _fill(_blocks(chain, length, seed, burn_in, stream), length)
 
 
 def _chain_of(source):
@@ -355,27 +432,17 @@ def map_states(m: IntermittentMap, length: int, seed: int,
     :class:`TruncationTooSmall`, both before drawing, as are sizes outside
     the bounds of :func:`coded_states`.
     """
-    _check_orbit(int(length), int(burn_in))
-    chain = _require_positive_recurrent(m.chain, "float orbits need the invariant density")
-    pi_cdf = np.cumsum(chain.pi[1:])
-    mass = pi_cdf[m.symbol_cap - 1]
-    if mass < START_MASS_FLOOR:
-        raise TruncationTooSmall(f"the resolvable cells hold stationary mass {mass:.3g} < "
-                                 f"{START_MASS_FLOOR:g}: a start takes {1 / mass:.3g} draws")
-    rng = _rng(seed, stream)
-    out = _float_orbit(m, _density_start(m, rng, pi_cdf), int(burn_in) + int(length),
-                       restart=lambda: _density_start(m, rng, pi_cdf))[burn_in:]
-    return out, int(np.count_nonzero(out == -1))
+    length, burn_in, _ = _check_orbit(length, burn_in)
+    return _fill(_blocks(m, length, seed, burn_in, stream), length)
 
 
 def _sampler(source, sampler: str):
-    """The draw routine of the sampler named ``sampler`` and what it draws
-    from, the chain or the map; the map is built only from a chain."""
+    """What the sampler named ``sampler`` draws from, the chain or the map;
+    the map is built only from a chain."""
     if sampler == "chain":
-        return sample_states, _chain_of(source)
+        return _chain_of(source)
     if sampler == "float":
-        return map_states, (source if isinstance(source, IntermittentMap)
-                            else build_map(source))
+        return source if isinstance(source, IntermittentMap) else build_map(source)
     raise ConfigError(f"unknown sampler {sampler!r}; known: 'chain', 'float'")
 
 
@@ -387,16 +454,18 @@ def coded_states(source, sampler: str, length: int, seed: int,
     ``source`` is a chain or its :class:`IntermittentMap`; the map is built
     from a chain only when the float sampler needs it.  Returns
     ``(states, censored)``.  Sizes are checked before anything is drawn:
-    ``length >= 1``, ``burn_in >= 0`` and at most :data:`MAX_ORBIT` steps.
+    ``length >= 1``, ``burn_in >= 0``, whole numbers, and at most
+    :data:`MAX_ORBIT` steps.
     """
-    draw, source = _sampler(source, sampler)
+    source = _sampler(source, sampler)
+    draw = map_states if isinstance(source, IntermittentMap) else sample_states
     return draw(source, length, seed, burn_in, stream)
 
 
-def _observe(obs, states: np.ndarray) -> np.ndarray:
-    """Observable values along a state stream, zero at sentinel steps."""
-    table = np.concatenate(([0.0], obs.values[1:], [obs.limit]))
-    return table.take(states, mode="clip")
+def _table(obs) -> np.ndarray:
+    """Observable values by state, read with ``take(mode="clip")``: zero at
+    sentinel steps, the limit past the stored values."""
+    return np.concatenate(([0.0], obs.values[1:], [obs.limit]))
 
 
 # ----------------------------------------------------------------------
@@ -434,6 +503,56 @@ def _pair_counts(sentinels: np.ndarray, n: int, edges) -> np.ndarray:
     return np.diff(edges) - in_s - in_ahead + in_both
 
 
+def _lag_pass(blocks, u, v, n_list, edges):
+    """One stream's batch-major lag sums, read block by block.
+
+    Returns ``(sums, u_sum, v_sum, sentinels)``: ``sums[j, k]`` is the dot
+    of batch ``k`` of lag ``n_list[j]``, whose pairs ``(t, t + n)`` have
+    ``edges[j, k] <= t < edges[j, k + 1]``.  A window of observable values
+    slides along the orbit.  Once it reaches past the last pair of the next
+    batch, that batch is summed for every lag.  When it is full it drops
+    the values before that batch's first pair, adding them to the
+    observable sums first.  An orbit that fits in the window is thus summed
+    in one piece, as a whole array would be.
+    """
+    lags = np.array(n_list)[:, None]
+    first, last = edges[:, :-1].min(axis=0), (edges[:, 1:] + lags).max(axis=0)
+    # at least twice what one batch of every lag reads, so that a full
+    # window always has a batch's worth of steps to drop
+    room = max(_BLOCK, 2 * int((last - first).max()))
+    rows = edges.tolist()
+    uu = np.empty(room)
+    vv = uu if v is u else np.empty(room)
+    windows = [(_table(u), uu)] + ([] if v is u else [(_table(v), vv)])
+    sums = np.empty((len(n_list), BATCHES))
+    base = filled = k = 0  # the window holds orbit steps base .. base + filled - 1
+    u_sum = v_sum = 0.0
+    sentinels = []
+    for block in blocks:
+        sentinels.append(np.flatnonzero(block < 1) + (base + filled))
+        while block.size:
+            if filled == room:
+                drop = first[k] - base
+                u_sum += np.sum(uu[:drop])
+                v_sum += np.sum(vv[:drop])
+                for _, w in windows:
+                    w[: filled - drop] = w[drop:filled]
+                base, filled = base + drop, filled - drop
+            take = min(room - filled, block.size)
+            for table, w in windows:
+                table.take(block[:take], mode="clip", out=w[filled : filled + take])
+            filled, block = filled + take, block[take:]
+            # a batch is read once, and every lag takes its dot from cache
+            while k < BATCHES and last[k] <= base + filled:
+                for j, (n, e) in enumerate(zip(n_list, rows)):
+                    lo, hi = e[k] - base, e[k + 1] - base
+                    sums[j, k] = np.dot(uu[n + lo : n + hi], vv[lo:hi])
+                k += 1
+    u_sum += np.sum(uu[:filled])
+    v_sum += np.sum(vv[:filled])
+    return sums, u_sum, v_sum, np.concatenate(sentinels)
+
+
 def mc_correlation(source, u, v, n_list, orbit_length: int,
                    seed: int, burn_in: int = BURN_IN, sampler: str = SAMPLER,
                    streams: int = 1) -> dict:
@@ -445,30 +564,24 @@ def mc_correlation(source, u, v, n_list, orbit_length: int,
     with batch-mean standard errors; pairs that straddle a censored step
     are skipped and counted.  Streams use disjoint generator keys and
     merge by inverse-variance-free weighted average (weights = sample
-    counts).  Returns ``{n: McEstimate}``.
+    counts).  Each stream is read block by block through a window of about
+    two batches, so memory stays O(batch), not O(orbit).  Returns
+    ``{n: McEstimate}``.
     """
-    _check_orbit(int(orbit_length), int(burn_in), int(streams))
+    size, burn_in, streams = _check_orbit(orbit_length, burn_in, streams)
     n_list = [int(n) for n in n_list]
     if not n_list or min(n_list) < 0:
         raise PreconditionViolated("need nonnegative lags")
-    if max(n_list) >= orbit_length // 2:
+    if max(n_list) >= size // 2:
         raise PreconditionViolated("largest lag must be well inside the orbit length")
-    draw, source = _sampler(source, sampler)
+    source = _sampler(source, sampler)
+    edges = np.array([np.linspace(0, size - n, BATCHES + 1).astype(int) for n in n_list])
     per_stream = []
-    for s in range(int(streams)):
-        states, _ = draw(source, orbit_length, seed, burn_in, s)
-        sentinels = np.flatnonzero(states < 1)
-        uu = _observe(u, states)
-        vv = uu if v is u else _observe(v, states)
-        del states
-        size = uu.size
+    for s in range(streams):
+        sums, u_sum, v_sum, sentinels = _lag_pass(
+            _blocks(source, size, seed, burn_in, s), u, v, n_list, edges)
         n_valid = size - sentinels.size
-        u_mean, v_mean = np.sum(uu) / n_valid, np.sum(vv) / n_valid
-        # batch-major: a batch of the streams is read from memory once and
-        # every lag takes its dot product from cache
-        edges = [np.linspace(0, size - n, BATCHES + 1).astype(int).tolist() for n in n_list]
-        sums = np.array([[np.dot(uu[n + e[k] : n + e[k + 1]], vv[e[k] : e[k + 1]])
-                          for n, e in zip(n_list, edges)] for k in range(BATCHES)]).T
+        u_mean, v_mean = u_sum / n_valid, v_sum / n_valid
         rows = {}
         for n, e, batch_sums in zip(n_list, edges, sums):
             counts = _pair_counts(sentinels, n, e)
@@ -517,27 +630,45 @@ def kac_check(source, orbit_length: int, seed: int,
     """Empirical occupation of the top cell times the empirical mean
     return along a coded orbit of ``source``, a chain or its map, with the
     return-length histogram for comparison with the law.  A null-recurrent
-    chain, whose mean return is infinite, raises before drawing."""
+    chain, whose mean return is infinite, raises before drawing.  The orbit
+    is read block by block; the last visit to the top cell, and whether a
+    censored step came after it, carry over to the next block."""
     _require_positive_recurrent(_chain_of(source), "Kac's identity needs a finite mean return")
-    states, censored = coded_states(source, sampler, orbit_length, seed, burn_in)
-    valid = states > 0
-    rho_e = float(np.count_nonzero(states == 1) / np.count_nonzero(valid))
-    ones = np.flatnonzero(states == 1)
-    if ones.size < 2:
+    blocks = _blocks(_sampler(source, sampler), orbit_length, seed, burn_in)
+    at = ones = valid = censored = returned = 0
+    last, broken = None, False
+    histogram = np.zeros(0, dtype=np.intp)
+    for block in blocks:
+        hits, cuts = np.flatnonzero(block == 1), np.flatnonzero(block == -1)
+        ones += hits.size
+        valid += int(np.count_nonzero(block > 0))
+        censored += cuts.size
+        if hits.size:
+            # a return is complete when no censored step lies between its visits
+            before = np.searchsorted(cuts, hits)
+            returns = np.diff(hits)[before[1:] == before[:-1]]
+            if last is not None and not broken and before[0] == 0:
+                returns = np.append(returns, at + hits[0] - last)
+            last, broken = at + int(hits[-1]), bool(before[-1] < cuts.size)
+            returned += int(returns.sum())
+            counts = np.bincount(returns, minlength=histogram.size)
+            counts[: histogram.size] += histogram
+            histogram = counts
+        else:
+            broken = broken or cuts.size > 0
+        at += block.size
+    n_returns = int(histogram.sum())
+    if not n_returns:
         raise PreconditionViolated("orbit too short: no completed return")
-    gaps = np.diff(ones)
-    broken = np.cumsum(states == -1)
-    clean = broken[ones[1:]] == broken[ones[:-1]]
-    returns = gaps[clean]
-    mean_return = float(returns.mean())
-    histogram = np.bincount(returns)
+    rho_e = ones / valid
+    mean_return = returned / n_returns
     return KacReport(
         rho_e=rho_e,
         mean_return=mean_return,
         product=rho_e * mean_return,
         histogram=histogram,
-        n_returns=int(returns.size),
-        n_steps=int(states.size),
+        n_returns=n_returns,
+        n_steps=at,
         censored=censored,
         seed=int(seed),
     )
@@ -576,26 +707,37 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
         raise PreconditionViolated("i_max must fit inside the stored prefix")
     if i_max > DENSE_LIMIT:
         raise PreconditionViolated(f"dense cell matrices are capped at i_max = {DENSE_LIMIT}")
-    states, censored = coded_states(source, sampler, orbit_length, seed, burn_in)
+    size, burn_in, _ = _check_orbit(orbit_length, burn_in)
+    blocks = _blocks(_sampler(source, sampler), size, seed, burn_in)
 
-    a, b = states[:-1], states[1:]
-    # normalize by every resolved exit from the row, not only exits landing
-    # inside the window, else each cell inflates by 1/P(next <= i_max)
-    origin = (a >= 1) & (a <= i_max) & (b >= 1)
-    row_visits = np.bincount(a[origin] - 1, minlength=i_max)
-    cell = origin & (b <= i_max)
-    flat = (a[cell] - 1) * i_max + (b[cell] - 1)
-    counts = np.bincount(flat, minlength=i_max * i_max).reshape(i_max, i_max)
+    # one count keyed by batch and cell, over BATCHES equal batches of the
+    # orbit: cell 0 for censored steps, i_max + 1 for resolved ones past the window
+    edges = np.linspace(0, size, BATCHES + 1).astype(int)
+    keys = np.arange(BATCHES) * (i_max + 2)
+    table = np.zeros(BATCHES * (i_max + 2), dtype=np.intp)
+    row_visits = np.zeros(i_max, dtype=np.intp)
+    counts = np.zeros(i_max * i_max, dtype=np.intp)
+    at = censored = 0
+    tail = np.zeros(0, dtype=np.int64)  # the step before the block, once there is one
+    for block in blocks:
+        a, b = np.concatenate((tail, block[:-1])), block[1 - tail.size :]
+        # normalize by every resolved exit from the row, not only exits landing
+        # inside the window, else each cell inflates by 1/P(next <= i_max)
+        origin = (a >= 1) & (a <= i_max) & (b >= 1)
+        row_visits += np.bincount(a[origin] - 1, minlength=i_max)
+        cell = origin & (b <= i_max)
+        counts += np.bincount((a[cell] - 1) * i_max + (b[cell] - 1), minlength=i_max * i_max)
+        key = np.clip(block, 0, i_max + 1)
+        key += np.repeat(keys, np.diff(np.clip(edges, at, at + block.size)))
+        table += np.bincount(key, minlength=table.size)
+        censored += int(np.count_nonzero(block == -1))
+        at, tail = at + block.size, block[-1:]
+    counts = counts.reshape(i_max, i_max)
     with np.errstate(invalid="ignore", divide="ignore"):
         hat = counts / row_visits[:, None]
         stderr = np.sqrt(hat * (1.0 - hat) / row_visits[:, None])
 
-    # one count keyed by batch and cell, over BATCHES equal batches of the
-    # orbit: cell 0 for censored steps, i_max + 1 for resolved ones past the window
-    edges = np.linspace(0, states.size, BATCHES + 1).astype(int)
-    key = np.clip(states, 0, i_max + 1)
-    key += np.repeat(np.arange(BATCHES) * (i_max + 2), np.diff(edges))
-    table = np.bincount(key, minlength=BATCHES * (i_max + 2)).reshape(BATCHES, i_max + 2)
+    table = table.reshape(BATCHES, i_max + 2)
     visits, valid = table[:, 1 : i_max + 1], table[:, 1:].sum(axis=1)
     # means of the batches holding a resolved step, each cell's a C-contiguous row
     means = np.ascontiguousarray((visits[valid > 0] / valid[valid > 0, None]).T)
@@ -610,7 +752,7 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
         occupation_hat=visits.sum(axis=0) / valid.sum(),
         occupation_exact=chain.pi[1 : i_max + 1].copy(),
         occupation_stderr=occ_stderr,
-        n_steps=int(states.size),
+        n_steps=size,
         censored=censored,
         seed=int(seed),
     )
@@ -647,7 +789,7 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     is attached when the window's values are positive.
     """
     chain = _require_positive_recurrent(_chain_of(source), "entrances need the invariant density")
-    _check_orbit(int(samples))
+    samples = _check_orbit(samples)[0]
     if int(n_max) < 1:
         raise ConfigError(f"n_max must be positive, got {n_max}")
     if not 0.0 < a <= chain.d[1]:
@@ -665,11 +807,11 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     rng = _rng(seed)
     pi_cdf = np.cumsum(chain.pi[1:])
     p_cdf = np.cumsum(chain.p[1:])
-    u = rng.random(int(samples))
+    u = rng.random(samples)
     start = np.searchsorted(pi_cdf, u, side="left") + 1
     deep_start = u > pi_cdf[-1]
 
-    t = np.empty(int(samples), dtype=np.int64)
+    t = np.empty(samples, dtype=np.int64)
     t[start > k] = start[start > k] - k
     t[(start >= 2) & (start <= k)] = 1
     at_one = np.flatnonzero((start == 1) & ~deep_start)
@@ -697,7 +839,7 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
         fit=fit,
         a_effective=float(d[k]),
         k=k,
-        n_samples=int(samples),
+        n_samples=samples,
         seed=int(seed),
     )
 
@@ -718,6 +860,9 @@ def invariant_density(chain, n: int | None = None) -> np.ndarray:
     support = _support_length(chain)
     if n is None:
         n = support
+    if not float(n).is_integer():
+        raise PreconditionViolated(f"the cell count must be a whole number, got {n}")
+    n = int(n)
     if n < 1:
         raise PreconditionViolated(f"need n >= 1 cells, got {n}")
     if n > support:

@@ -156,7 +156,8 @@ def partial_norm_scan(chain, lam: complex, n_list) -> np.ndarray:
         raise PreconditionViolated("need a strictly increasing list of prefix lengths")
     if n_list[0] < 0:
         raise PreconditionViolated(f"prefix lengths must be nonnegative, got {n_list[0]}")
-    probe = eigen_from_gf(chain, lam, max(n_list))
+    # the recursion needs three coefficients; shorter prefixes read its first ones
+    probe = eigen_from_gf(chain, lam, max(max(n_list), 3))
     mags = np.abs(probe.vector)
     sums = np.cumsum(mags)
     return np.array([sums[v] for v in n_list])

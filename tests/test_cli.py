@@ -349,6 +349,7 @@ def test_i_max_out_of_range_exits_3_before_drawing(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr("renewallab.cli.coded_states", refuse)
     monkeypatch.setattr("renewallab.maps.coded_states", refuse)
+    monkeypatch.setattr("renewallab.maps._rng", refuse)
     code, _ = run(tmp_path, command.split(), payload)
     assert code == 3
     err = capsys.readouterr().err.splitlines()

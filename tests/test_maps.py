@@ -212,7 +212,7 @@ def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
 
 
 @pytest.mark.parametrize("length, burn_in", [(0, 0), (-5, 0), (10, -20),
-                                             (maps.MAX_ORBIT + 1, 0)])
+                                             (maps.MAX_ORBIT + 1, 0), (10.5, 0), (10, 2.5)])
 @pytest.mark.parametrize("sampler", ["chain", "float"])
 def test_samplers_check_their_sizes_before_drawing(geo_map, monkeypatch, sampler,
                                                    length, burn_in):
@@ -226,6 +226,14 @@ def test_samplers_check_their_sizes_before_drawing(geo_map, monkeypatch, sampler
         draw()
     with pytest.raises(ConfigError):
         coded_states(geo_map, sampler, length, 1, burn_in=burn_in)
+
+
+@pytest.mark.parametrize("sampler", ["chain", "float"])
+def test_whole_float_sizes_act_as_ints(geo_map, sampler):
+    draw = {"chain": lambda length, burn_in: sample_states(geo_map.chain, length, 1, burn_in),
+            "float": lambda length, burn_in: map_states(geo_map, length, 1, burn_in)}[sampler]
+    got, want = draw(10.0, 2.0), draw(10, 2)
+    assert same_states(got, want) and got[0].size == 10
 
 
 def test_float_orbit_steps_match_encode_then_apply(geo_map, zeta_map):
@@ -444,9 +452,10 @@ def test_density_support_gate():
     assert h.size == 3
     with pytest.raises(TruncationTooSmall):
         invariant_density(ch, 5)
-    for n in (0, -3):
+    for n in (0, -3, 2.5):
         with pytest.raises(PreconditionViolated):
             invariant_density(ch, n)
+    assert invariant_density(ch, 2.0).tobytes() == h.tobytes()
 
 
 def test_transfer_matrix_fixes_density_and_law(geo, zeta):
@@ -638,13 +647,20 @@ def oracle_map(name):
 seeds = st.integers(0, 2 ** 64 - 1)
 
 
+#: Block sizes for the samplers: a few steps or draws per block put many
+#: block edges inside the burn-in and the orbit.
+blocks = st.sampled_from([maps._BLOCK, 1, 2, 7, 40])
+
+
 @given(name=st.sampled_from(sorted(ORACLE_LAWS)), seed=seeds,
        burn_in=st.integers(0, 300), length=st.integers(1, 2500),
-       stream=st.integers(0, 3))
+       stream=st.integers(0, 3), block=blocks)
 @settings(max_examples=40, deadline=None)
-def test_float_sampler_matches_the_per_step_loop(name, seed, burn_in, length, stream):
+def test_float_sampler_matches_the_per_step_loop(name, seed, burn_in, length, stream, block):
     m = oracle_map(name)
-    got = map_states(m, length, seed, burn_in=burn_in, stream=stream)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "_BLOCK", block)
+        got = map_states(m, length, seed, burn_in=burn_in, stream=stream)
     assert same_states(got, ref_float_states(m, length, seed, burn_in, stream))
 
 
@@ -679,11 +695,14 @@ def test_orbits_from_cell_tops_match_the_per_step_loop(name):
 
 @given(name=st.sampled_from(sorted({**ORACLE_LAWS, **NULL_LAWS})), seed=seeds,
        burn_in=st.integers(0, 3000), length=st.integers(1, 20_000),
-       stream=st.integers(0, 3))
+       stream=st.integers(0, 3), block=blocks)
 @settings(max_examples=60, deadline=None)
-def test_chain_sampler_matches_the_repeat_construction(name, seed, burn_in, length, stream):
+def test_chain_sampler_matches_the_repeat_construction(name, seed, burn_in, length, stream,
+                                                       block):
     chain = oracle_map(name).chain
-    got = sample_states(chain, length, seed, burn_in=burn_in, stream=stream)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "_BLOCK", block)
+        got = sample_states(chain, length, seed, burn_in=burn_in, stream=stream)
     assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream))
 
 
@@ -737,11 +756,16 @@ def test_pair_counts_from_sentinels_match_the_mask_route(same, monkeypatch):
     canned[[0, size - 1, 300, 301, 600, 600 + n]] = -1
     u = Observable(np.array([0.0, 1.0, -0.5, 2.0, 0.25, -1.0]))
     v = u if same else Observable(np.array([0.0, -1.5, 0.5, 1.0]), limit=0.75)
+    # blocks split at and next to the sentinels; a small block size makes
+    # the window of observable values slide about twenty times
+    cuts = [0, 1, 299, 300, 301, 302, 600, 637, 638, 999, 1000]
+    monkeypatch.setattr(maps, "_BLOCK", 1)
     for states in (canned, clean):
-        def draw(source, length, seed, burn_in, stream, states=states):
-            return states.copy(), int(np.count_nonzero(states < 1))
+        def blocks(source, length, seed, burn_in, stream, states=states):
+            return (states[a:b].copy() for a, b in zip(cuts[:-1], cuts[1:]))
 
-        monkeypatch.setattr(maps, "_sampler", lambda source, sampler, draw=draw: (draw, source))
+        monkeypatch.setattr(maps, "_sampler", lambda source, sampler: source)
+        monkeypatch.setattr(maps, "_blocks", blocks)
         est = mc_correlation(None, u, v, [0, n], size, seed=0)
         sentinels = np.flatnonzero(states < 1)
         for lag in (0, n):
@@ -827,3 +851,164 @@ def test_float_sampler_builds_the_map_once_per_call(geo, monkeypatch):
     assert calls == [geo]
     mc_correlation(geo, u, u, [1], 2000, seed=5, burn_in=100, streams=3)
     assert calls == [geo]
+
+
+# ----------------------------------------------------------------------
+# block-streamed orbits: the samplers fill one array from the blocks of
+# maps._blocks and the estimators read those blocks one at a time, so
+# every result must equal the whole-array route across block edges
+# ----------------------------------------------------------------------
+
+B = maps._BLOCK
+
+
+@functools.lru_cache(maxsize=None)
+def censoring_chain():
+    """A short prefix of a null-recurrent law: about one draw in eleven
+    lands beyond it, so censored steps fall on many block edges."""
+    return build_chain(ZetaTailLaw(0.0), 6)
+
+
+@pytest.mark.parametrize("length, burn_in", [
+    (B - 1, 0), (B, 0), (B + 1, 0), (B - 1, 1), (1, B - 1), (1, B), (5, B + 1),
+    (2 * B - 1, B + 1), (2 * B, B), (2 * B + 1, B - 1), (3 * B + 7, 2 * B - 3)])
+@pytest.mark.parametrize("name", ["zeta-1.5-N300", "zeta-0-N200", "geometric-0.5"])
+def test_chain_sampler_matches_across_block_edges(name, length, burn_in):
+    chain = oracle_map(name).chain
+    for seed in (3, 2 ** 63 + 5):
+        got = sample_states(chain, length, seed, burn_in=burn_in, stream=1)
+        assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream=1))
+
+
+def test_censored_steps_on_block_edges_survive_the_copy():
+    chain = censoring_chain()
+    edges = [block[[0, -1]] for block in maps._excursions(chain, maps._rng(8), 40 * B)]
+    # the draws of a block end on a censored step as often as anywhere else
+    assert sum(int(last == -1) for _, last in edges) > 5
+    assert sum(int(first == -1) for first, _ in edges) > 5
+    for length, burn_in in ((40 * B - 17, 17), (B + 3, 2 * B - 1), (7 * B, 0)):
+        got = sample_states(chain, length, 8, burn_in=burn_in)
+        want = ref_chain_states(chain, length, 8, burn_in)
+        assert same_states(got, want) and got[1] > length // 20
+
+
+@pytest.mark.parametrize("name", ["geometric-0.5", "zeta-1.5-N300"])
+def test_float_sampler_matches_across_block_edges(name):
+    # the dyadic map restarts every ~53 steps, so restarts straddle edges
+    m = oracle_map(name)
+    got = map_states(m, B + 5, 2, burn_in=B - 3, stream=1)
+    assert same_states(got, ref_float_states(m, B + 5, 2, B - 3, stream=1))
+    assert name != "geometric-0.5" or got[1] > 1000
+
+
+def ref_kac(states):
+    """Kac's report fields from the whole orbit at once."""
+    valid = states > 0
+    rho_e = float(np.count_nonzero(states == 1) / np.count_nonzero(valid))
+    ones = np.flatnonzero(states == 1)
+    broken = np.cumsum(states == -1)
+    returns = np.diff(ones)[broken[ones[1:]] == broken[ones[:-1]]]
+    mean_return = float(returns.mean())
+    return dict(rho_e=rho_e, mean_return=mean_return, product=rho_e * mean_return,
+                histogram=np.bincount(returns), n_returns=int(returns.size),
+                n_steps=int(states.size), censored=int(np.count_nonzero(states == -1)))
+
+
+def ref_frequency(states, i_max):
+    """The frequency tables from the whole orbit at once."""
+    a, b = states[:-1], states[1:]
+    origin = (a >= 1) & (a <= i_max) & (b >= 1)
+    row_visits = np.bincount(a[origin] - 1, minlength=i_max)
+    cell = origin & (b <= i_max)
+    counts = np.bincount((a[cell] - 1) * i_max + (b[cell] - 1),
+                         minlength=i_max * i_max).reshape(i_max, i_max)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        hat = counts / row_visits[:, None]
+        stderr = np.sqrt(hat * (1.0 - hat) / row_visits[:, None])
+    edges = np.linspace(0, states.size, maps.BATCHES + 1).astype(int)
+    key = np.clip(states, 0, i_max + 1)
+    key += np.repeat(np.arange(maps.BATCHES) * (i_max + 2), np.diff(edges))
+    table = np.bincount(key, minlength=maps.BATCHES * (i_max + 2)).reshape(maps.BATCHES, -1)
+    visits, valid = table[:, 1 : i_max + 1], table[:, 1:].sum(axis=1)
+    means = np.ascontiguousarray((visits[valid > 0] / valid[valid > 0, None]).T)
+    occ_stderr = np.std(means, axis=1, ddof=1) / math.sqrt(means.shape[1])
+    return dict(transition_hat=hat, transition_stderr=stderr, row_visits=row_visits,
+                occupation_hat=visits.sum(axis=0) / valid.sum(), occupation_stderr=occ_stderr,
+                n_steps=int(states.size), censored=int(np.count_nonzero(states == -1)))
+
+
+def assert_same_report(report, want):
+    for field, value in want.items():
+        got = getattr(report, field)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), field
+        else:
+            assert type(got) is type(value) and got == value, field
+
+
+@pytest.mark.parametrize("sampler, length, burn_in, block", [
+    ("chain", 3 * B + 11, 100, B), ("float", B + 7, B - 5, B),
+    ("chain", 20_000, 33, 97), ("float", 20_000, 33, 97)])
+def test_kac_and_frequency_reports_match_the_whole_orbit(geo_map, zeta_map, monkeypatch,
+                                                         sampler, length, burn_in, block):
+    # the float doubling map censors every ~53 steps, so returns and
+    # transitions straddle both block edges and censored steps
+    monkeypatch.setattr(maps, "_BLOCK", block)
+    for m in (geo_map, zeta_map):
+        states, _ = coded_states(m, sampler, length, 6, burn_in=burn_in)
+        assert_same_report(kac_check(m, length, 6, burn_in=burn_in, sampler=sampler),
+                           ref_kac(states))
+        rep = markov_frequency_check(m, length, 6, i_max=7, burn_in=burn_in, sampler=sampler)
+        assert_same_report(rep, ref_frequency(states, 7))
+
+
+def test_kac_needs_a_completed_return(half_map):
+    # FiniteLaw((0.5, 0.5)) returns within two steps, so one step holds no return
+    with pytest.raises(PreconditionViolated, match="no completed return"):
+        kac_check(half_map, 1, 0, burn_in=0)
+
+
+@pytest.mark.parametrize("sampler, length, block", [
+    ("chain", 3 * B + 5, B), ("float", B + 900, B), ("chain", 6000, 1), ("float", 6000, 1)])
+def test_streamed_lag_estimator_matches_the_nanmean_route(geo_map, zeta_map, monkeypatch,
+                                                          sampler, length, block):
+    # orbits longer than the window of observable values: it slides, and
+    # the observable sums are taken piecewise, within the same bound
+    monkeypatch.setattr(maps, "_BLOCK", block)
+    for m in (geo_map, zeta_map):
+        u = centered_top_indicator(m.chain)
+        v = Observable(np.array([0.0, 0.5, -1.0, 2.0]), limit=0.25)
+        for vv in (u, v):
+            lags = [0, 1, 30, 300] if length > 10_000 else [0, 3, 29]
+            got = mc_correlation(m, u, vv, lags, length, 12, burn_in=150, sampler=sampler,
+                                 streams=2)
+            want = ref_mc_correlation(m, u, vv, lags, length, 12, 150, sampler, 2)
+            for n in lags:
+                mean, stderr, n_samples, censored, mean_tol, stderr_tol = want[n]
+                assert (got[n].n_samples, got[n].censored) == (n_samples, censored)
+                assert abs(got[n].mean - mean) <= mean_tol
+                assert abs(got[n].stderr - stderr) <= stderr_tol
+
+
+def traced_peak(call) -> float:
+    """Bytes of the largest traced allocation total during ``call``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_estimators_hold_no_whole_orbit(zeta):
+    # 10^6 int64 states take 8 MB: the estimators must stay below one
+    # orbit, and the sampler below its own output plus 4 MB
+    steps, orbit = 1_000_000, 8_000_000
+    u = centered_top_indicator(zeta)
+    for call in (lambda: mc_correlation(zeta, u, u, [10, 100, 300], steps, 1),
+                 lambda: kac_check(zeta, steps, 1),
+                 lambda: markov_frequency_check(zeta, steps, 1)):
+        assert traced_peak(call) < orbit
+    assert traced_peak(lambda: sample_states(zeta, steps, 1)) < orbit + 4_000_000

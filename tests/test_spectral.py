@@ -223,6 +223,12 @@ def test_partial_norm_scan_refuses_negative_lengths(geometric):
     assert partial_norm_scan(geometric, 0.5, [0, 10])[0] == 0.0
 
 
+def test_partial_norm_scan_answers_prefixes_below_three(geometric):
+    # the recursion is asked for three coefficients however short the prefixes
+    short = partial_norm_scan(geometric, 0.5, [0, 1])
+    assert short.tobytes() == partial_norm_scan(geometric, 0.5, [0, 1, 5])[:2].tobytes()
+
+
 def test_disk_scan_rows(zeta_one):
     rows = disk_scan(zeta_one, [0.5, 0.5j, -0.25], 200)
     assert len(rows) == 3
