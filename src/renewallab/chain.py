@@ -309,7 +309,7 @@ class FiniteLaw:
 
     def second_tail_beyond(self, n: int) -> float:
         return float(
-            sum((k - n) * pk for k, pk in enumerate(self.probs, start=1) if k > n + 1)
+            sum((k - n - 1) * pk for k, pk in enumerate(self.probs, start=1) if k > n + 1)
         )
 
     def mean_return(self) -> float:

@@ -6,23 +6,24 @@ deeper branch carries [d_i, d_{i-1}) onto [d_{i-1}, d_{i-2}).  Coding a
 point by the partition cell it visits turns orbits into paths of the chain,
 so every chain statistic has a map-side Monte Carlo counterpart.
 
-Two samplers produce coded orbits (:func:`coded_states` selects one by
-name).  The default, ``"chain"``, draws excursion lengths straight from the
-return law, which is exact: no float orbit is involved, so there is no
-rounding question to argue about, and no map.  The estimators take a chain
-or its :class:`IntermittentMap`; only the float sampler builds the map, so
-laws with a gap in their support, which have none, run on the chain
-sampler.  The float-orbit sampler, ``"float"``, iterates the map itself;
-near 0 the cells shrink below double resolution (and for dyadic slopes the
-mantissa drains in about fifty steps), so when an orbit crosses the
-resolvable depth it is censored, counted, and the stream restarts from a
-fresh invariant-density sample.  Its loop searches the breakpoints only
-after a top-cell step or a restart: the clamps of each branch image put a
-point of cell ``i >= 2`` into cell ``i - 1`` exactly, so the descent needs
-no search and codes the same symbols as :func:`encode`.  Its starts come
-from the invariant density, so on a null-recurrent chain it raises
-:class:`NotPositiveRecurrent` before drawing, as :func:`entrance_tail`,
-:func:`markov_frequency_check` and :func:`kac_check` do on either sampler.
+Two samplers produce coded orbits, picked by name in :func:`coded_states`
+alone (:func:`sample_states` and :func:`map_states` fix the name).  The
+default, ``"chain"``, draws excursion lengths straight from the return law,
+which is exact: no float orbit is involved, so there is no rounding
+question to argue about, and no map.  The estimators take a chain or its
+:class:`IntermittentMap`; only the float sampler builds the map, so laws
+with a gap in their support, which have none, run on the chain sampler.  The
+float-orbit sampler, ``"float"``, iterates the map itself; near 0 the cells
+shrink below double resolution (and for dyadic slopes the mantissa drains
+in about fifty steps), so when an orbit crosses the resolvable depth it is
+censored, counted, and the stream restarts from a fresh invariant-density
+sample.  Its loop searches the breakpoints only after a top-cell step or a
+restart: the clamps of each branch image put a point of cell ``i >= 2``
+into cell ``i - 1`` exactly, so the descent needs no search and codes the
+same symbols as :func:`encode`.  Its starts come from the invariant density,
+so on a null-recurrent chain it raises :class:`NotPositiveRecurrent` before
+drawing, as :func:`entrance_tail`, :func:`markov_frequency_check` and
+:func:`kac_check` do on either sampler.
 Estimators skip pairs that straddle a censored step: they sum zero-filled
 streams and divide by the count of valid pairs, counted from the sentinel
 positions.  A lag sum is one BLAS dot per batch: it and the ``nanmean`` of
@@ -35,9 +36,11 @@ orbit carries its point from block to block, so the states do not depend
 on where the blocks split.  The samplers copy the blocks into the one
 array they return.  The estimators read the blocks one at a time and hold
 O(batch) memory, not O(orbit): :func:`mc_correlation` keeps a window of
-observable values about two batches long that slides along the orbit,
-:func:`kac_check` carries the last visit to the top cell across block
-edges, and :func:`markov_frequency_check` the last state.
+observable values about two batches long that slides along the orbit, and
+:func:`markov_frequency_check` and :func:`kac_check` read the steps
+``a -> b``, the last state carried across block edges.  By the descent
+rule a step ``1 -> L`` returns to the top cell ``L`` steps later, so
+Kac's returns are the steps ``1 -> L`` whose return ends in the orbit.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
@@ -138,6 +141,13 @@ def _check_orbit(length, burn_in=0, streams=1) -> tuple:
         raise ConfigError(
             f"{streams} x ({burn_in} + {length}) orbit steps exceed the cap of {MAX_ORBIT}")
     return length, burn_in, streams
+
+
+def _whole(value, what: str, error=PreconditionViolated) -> int:
+    """``value`` as an int, refusing a value that is not a whole number."""
+    if not float(value).is_integer():
+        raise error(f"{what} must be a whole number, got {value}")
+    return int(value)
 
 
 def _support_length(chain) -> int:
@@ -258,9 +268,10 @@ def orbit_symbols(m: IntermittentMap, x0: float, n: int) -> np.ndarray:
     """
     if not 0.0 < x0 <= 1.0:
         raise PreconditionViolated("orbit starts in (0, 1]")
+    n = _whole(n, "the orbit length")
     if n < 0:
         raise PreconditionViolated(f"orbit length must be nonnegative, got {n}")
-    return _fill(_float_orbit(m, float(x0), int(n) + 1), int(n) + 1)[0]
+    return _fill(_float_orbit(m, float(x0), n + 1), n + 1)[0]
 
 
 def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None):
@@ -362,32 +373,32 @@ def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
     chain draws excursions (the chain sampler), an :class:`IntermittentMap`
     iterates its float orbit from invariant-density starts (the float
     sampler).  The burn-in is skipped and the last block cut, so the blocks
-    hold ``length`` states in all.  Sizes, the seed and the float sampler's
-    starts are checked here, before anything is drawn."""
-    length, burn_in, _ = _check_orbit(length, burn_in)
+    hold ``length`` states in all.  The public entries check the sizes, and
+    :func:`_sampler` the float sampler's starts, before this draws."""
     total = burn_in + length
+    rng = _rng(seed, stream)
     if isinstance(source, IntermittentMap):
-        chain = _require_positive_recurrent(source.chain,
-                                            "float orbits need the invariant density")
-        pi_cdf = np.cumsum(chain.pi[1:])
-        mass = pi_cdf[source.symbol_cap - 1]
-        if mass < START_MASS_FLOOR:
-            raise TruncationTooSmall(f"the resolvable cells hold stationary mass {mass:.3g} < "
-                                     f"{START_MASS_FLOOR:g}: a start takes {1 / mass:.3g} draws")
-        rng = _rng(seed, stream)
+        pi_cdf = np.cumsum(source.chain.pi[1:])
         raw = _float_orbit(source, _density_start(source, rng, pi_cdf), total,
                            restart=lambda: _density_start(source, rng, pi_cdf))
     else:
-        raw = _excursions(source, _rng(seed, stream), total)
+        raw = _excursions(source, rng, total)
+    at = 0
+    for block in raw:
+        start, at = at, at + block.size
+        if at > burn_in:
+            yield block[max(burn_in - start, 0) : total - start]
 
-    def window():
-        at = 0
-        for block in raw:
-            start, at = at, at + block.size
-            if at > burn_in:
-                yield block[max(burn_in - start, 0) : total - start]
 
-    return window()
+def _steps(blocks):
+    """``(at, block, a, b)`` for each block of a coded orbit, ``at`` the
+    orbit index of its first state: the steps ``a[k] -> b[k]`` that end in
+    the block, the previous block's last state carried over as the first
+    ``a``, so that every step of the orbit is read once."""
+    at, tail = 0, np.zeros(0, dtype=np.int64)
+    for block in blocks:
+        yield at, block, np.concatenate((tail, block[:-1])), block[1 - tail.size :]
+        at, tail = at + block.size, block[-1:]
 
 
 def _fill(blocks, length: int):
@@ -402,64 +413,56 @@ def _fill(blocks, length: int):
     return states, censored
 
 
-def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
-                  stream: int = 0):
-    """Exact coded orbit: excursion lengths drawn from the return law.
-
-    Returns ``(states, censored)``.  A draw landing beyond the stored
-    prefix (probability = the survival mass at the truncation) appears as
-    a single ``-1`` sentinel step and is counted in ``censored``.  Sizes
-    are checked before anything is drawn, as in :func:`coded_states`.
-    """
-    length, burn_in, _ = _check_orbit(length, burn_in)
-    return _fill(_blocks(chain, length, seed, burn_in, stream), length)
-
-
-def _chain_of(source):
-    """The chain of ``source``, a chain or its :class:`IntermittentMap`."""
-    return source.chain if isinstance(source, IntermittentMap) else source
-
-
-def map_states(m: IntermittentMap, length: int, seed: int,
-               burn_in: int = BURN_IN, stream: int = 0):
-    """Float-orbit coded states with censoring.
-
-    The orbit starts from an invariant-density sample and iterates the
-    actual map.  Whenever it falls below the resolvable depth the step is
-    recorded as ``-1``, counted, and the orbit restarts fresh.  A
-    null-recurrent chain has no invariant density and raises
-    :class:`NotPositiveRecurrent`, cells below :data:`START_MASS_FLOOR`
-    :class:`TruncationTooSmall`, both before drawing, as are sizes outside
-    the bounds of :func:`coded_states`.
-    """
-    length, burn_in, _ = _check_orbit(length, burn_in)
-    return _fill(_blocks(m, length, seed, burn_in, stream), length)
-
-
 def _sampler(source, sampler: str):
-    """What the sampler named ``sampler`` draws from, the chain or the map;
-    the map is built only from a chain."""
+    """What the sampler named ``sampler`` draws from, the chain or the map
+    of ``source``; the map is built only from a chain.  Float orbits start
+    from the invariant density, so their chain must be positive recurrent
+    and the resolvable cells hold :data:`START_MASS_FLOOR` of its mass."""
     if sampler == "chain":
-        return _chain_of(source)
-    if sampler == "float":
-        return source if isinstance(source, IntermittentMap) else build_map(source)
-    raise ConfigError(f"unknown sampler {sampler!r}; known: 'chain', 'float'")
+        return source.chain if isinstance(source, IntermittentMap) else source
+    if sampler != "float":
+        raise ConfigError(f"unknown sampler {sampler!r}; known: 'chain', 'float'")
+    m = source if isinstance(source, IntermittentMap) else build_map(source)
+    chain = _require_positive_recurrent(m.chain, "float orbits need the invariant density")
+    mass = np.cumsum(chain.pi[1:])[m.symbol_cap - 1]
+    if mass < START_MASS_FLOOR:
+        raise TruncationTooSmall(f"the resolvable cells hold stationary mass {mass:.3g} < "
+                                 f"{START_MASS_FLOOR:g}: a start takes {1 / mass:.3g} draws")
+    return m
 
 
 def coded_states(source, sampler: str, length: int, seed: int,
                  burn_in: int = BURN_IN, stream: int = 0):
-    """Coded orbit from the sampler named ``sampler``: ``"chain"`` is
-    :func:`sample_states`, ``"float"`` is :func:`map_states`.
+    """Coded orbit from the sampler named ``sampler``, ``"chain"`` or
+    ``"float"``; ``source`` is a chain or its :class:`IntermittentMap`, and
+    the map is built from a chain only when the float sampler needs it.
 
-    ``source`` is a chain or its :class:`IntermittentMap`; the map is built
-    from a chain only when the float sampler needs it.  Returns
-    ``(states, censored)``.  Sizes are checked before anything is drawn:
-    ``length >= 1``, ``burn_in >= 0``, whole numbers, and at most
+    Returns ``(states, censored)``.  Sizes are checked before anything is
+    drawn: ``length >= 1``, ``burn_in >= 0``, whole numbers, and at most
     :data:`MAX_ORBIT` steps.
     """
-    source = _sampler(source, sampler)
-    draw = map_states if isinstance(source, IntermittentMap) else sample_states
-    return draw(source, length, seed, burn_in, stream)
+    length, burn_in, _ = _check_orbit(length, burn_in)
+    return _fill(_blocks(_sampler(source, sampler), length, seed, burn_in, stream), length)
+
+
+def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
+                  stream: int = 0):
+    """Exact coded orbit of ``chain``, a chain or its map: :func:`coded_states`
+    with the chain sampler.  A draw beyond the stored prefix (probability =
+    the survival mass at the truncation) is a single ``-1`` sentinel step,
+    counted in ``censored``."""
+    return coded_states(chain, "chain", length, seed, burn_in, stream)
+
+
+def map_states(m: IntermittentMap, length: int, seed: int,
+               burn_in: int = BURN_IN, stream: int = 0):
+    """Float-orbit coded states of ``m``, a map or its chain:
+    :func:`coded_states` with the float sampler.  The orbit starts from an
+    invariant-density sample; whenever it falls below the resolvable depth
+    the step is recorded as ``-1``, counted, and the orbit restarts fresh.
+    A null-recurrent chain raises :class:`NotPositiveRecurrent`, cells below
+    :data:`START_MASS_FLOOR` :class:`TruncationTooSmall`, before drawing."""
+    return coded_states(m, "float", length, seed, burn_in, stream)
 
 
 def _table(obs) -> np.ndarray:
@@ -569,7 +572,7 @@ def mc_correlation(source, u, v, n_list, orbit_length: int,
     ``{n: McEstimate}``.
     """
     size, burn_in, streams = _check_orbit(orbit_length, burn_in, streams)
-    n_list = [int(n) for n in n_list]
+    n_list = [_whole(n, "a lag") for n in n_list]
     if not n_list or min(n_list) < 0:
         raise PreconditionViolated("need nonnegative lags")
     if max(n_list) >= size // 2:
@@ -630,45 +633,37 @@ def kac_check(source, orbit_length: int, seed: int,
     """Empirical occupation of the top cell times the empirical mean
     return along a coded orbit of ``source``, a chain or its map, with the
     return-length histogram for comparison with the law.  A null-recurrent
-    chain, whose mean return is infinite, raises before drawing.  The orbit
-    is read block by block; the last visit to the top cell, and whether a
-    censored step came after it, carry over to the next block."""
-    _require_positive_recurrent(_chain_of(source), "Kac's identity needs a finite mean return")
-    blocks = _blocks(_sampler(source, sampler), orbit_length, seed, burn_in)
-    at = ones = valid = censored = returned = 0
-    last, broken = None, False
+    chain, whose mean return is infinite, raises before drawing.  A step
+    ``1 -> L`` is a completed return when its ``L`` steps end in the orbit."""
+    _require_positive_recurrent(_sampler(source, "chain"),
+                                "Kac's identity needs a finite mean return")
+    size, burn_in, _ = _check_orbit(orbit_length, burn_in)
+    blocks = _blocks(_sampler(source, sampler), size, seed, burn_in)
+    ones = valid = censored = 0
     histogram = np.zeros(0, dtype=np.intp)
-    for block in blocks:
-        hits, cuts = np.flatnonzero(block == 1), np.flatnonzero(block == -1)
-        ones += hits.size
+    for at, block, a, b in _steps(blocks):
+        ones += int(np.count_nonzero(block == 1))
         valid += int(np.count_nonzero(block > 0))
-        censored += cuts.size
-        if hits.size:
-            # a return is complete when no censored step lies between its visits
-            before = np.searchsorted(cuts, hits)
-            returns = np.diff(hits)[before[1:] == before[:-1]]
-            if last is not None and not broken and before[0] == 0:
-                returns = np.append(returns, at + hits[0] - last)
-            last, broken = at + int(hits[-1]), bool(before[-1] < cuts.size)
-            returned += int(returns.sum())
-            counts = np.bincount(returns, minlength=histogram.size)
-            counts[: histogram.size] += histogram
-            histogram = counts
-        else:
-            broken = broken or cuts.size > 0
-        at += block.size
+        censored += int(np.count_nonzero(block == -1))
+        # the return opened by b[k] = L ends at orbit index at + block.size - b.size + k + L - 1
+        opens = np.flatnonzero((a == 1) & (b >= 1))
+        returns = b[opens]
+        returns = returns[returns <= size - (at + block.size - b.size) - opens]
+        counts = np.bincount(returns, minlength=histogram.size)
+        counts[: histogram.size] += histogram
+        histogram = counts
     n_returns = int(histogram.sum())
     if not n_returns:
         raise PreconditionViolated("orbit too short: no completed return")
     rho_e = ones / valid
-    mean_return = returned / n_returns
+    mean_return = int(histogram @ np.arange(histogram.size)) / n_returns
     return KacReport(
         rho_e=rho_e,
         mean_return=mean_return,
         product=rho_e * mean_return,
         histogram=histogram,
         n_returns=n_returns,
-        n_steps=at,
+        n_steps=size,
         censored=censored,
         seed=int(seed),
     )
@@ -702,7 +697,8 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
     first ``i_max`` cells along a coded orbit of ``source``, a chain or its
     map, against the exact chain entries.  The ``i_max``-square tables are
     capped at :data:`~renewallab.spectral.DENSE_LIMIT` cells a side."""
-    chain = _require_positive_recurrent(_chain_of(source), "occupations need the stationary law")
+    chain = _require_positive_recurrent(_sampler(source, "chain"),
+                                        "occupations need the stationary law")
     if i_max < 2 or i_max > chain.truncation - 1:
         raise PreconditionViolated("i_max must fit inside the stored prefix")
     if i_max > DENSE_LIMIT:
@@ -717,10 +713,8 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
     table = np.zeros(BATCHES * (i_max + 2), dtype=np.intp)
     row_visits = np.zeros(i_max, dtype=np.intp)
     counts = np.zeros(i_max * i_max, dtype=np.intp)
-    at = censored = 0
-    tail = np.zeros(0, dtype=np.int64)  # the step before the block, once there is one
-    for block in blocks:
-        a, b = np.concatenate((tail, block[:-1])), block[1 - tail.size :]
+    censored = 0
+    for at, block, a, b in _steps(blocks):
         # normalize by every resolved exit from the row, not only exits landing
         # inside the window, else each cell inflates by 1/P(next <= i_max)
         origin = (a >= 1) & (a <= i_max) & (b >= 1)
@@ -731,7 +725,6 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
         key += np.repeat(keys, np.diff(np.clip(edges, at, at + block.size)))
         table += np.bincount(key, minlength=table.size)
         censored += int(np.count_nonzero(block == -1))
-        at, tail = at + block.size, block[-1:]
     counts = counts.reshape(i_max, i_max)
     with np.errstate(invalid="ignore", divide="ignore"):
         hat = counts / row_visits[:, None]
@@ -788,16 +781,17 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     biased.  A log-log fit over ``fit_window`` (default the last decade)
     is attached when the window's values are positive.
     """
-    chain = _require_positive_recurrent(_chain_of(source), "entrances need the invariant density")
+    chain = _require_positive_recurrent(_sampler(source, "chain"),
+                                        "entrances need the invariant density")
     samples = _check_orbit(samples)[0]
-    if int(n_max) < 1:
+    n_max = _whole(n_max, "n_max", ConfigError)
+    if n_max < 1:
         raise ConfigError(f"n_max must be positive, got {n_max}")
     if not 0.0 < a <= chain.d[1]:
         raise PreconditionViolated(
             "threshold must lie in (0, d_1]: entrances inside the top cell "
             "are not resolved by the partition"
         )
-    n_max = int(n_max)
     d = chain.d
     below = int(np.searchsorted(d[::-1], a, side="left"))
     k = d.size - 1 - below  # deepest index with d_k >= a
@@ -860,9 +854,7 @@ def invariant_density(chain, n: int | None = None) -> np.ndarray:
     support = _support_length(chain)
     if n is None:
         n = support
-    if not float(n).is_integer():
-        raise PreconditionViolated(f"the cell count must be a whole number, got {n}")
-    n = int(n)
+    n = _whole(n, "the cell count")
     if n < 1:
         raise PreconditionViolated(f"need n >= 1 cells, got {n}")
     if n > support:
@@ -893,7 +885,7 @@ def pf_check(chain, n: int = 500) -> TransferReport:
     and measure how well it fixes the density (row action) and the return
     law (column action)."""
     _require_positive_recurrent(chain, "the transfer check needs a normalizable level")
-    n = int(min(n, _support_length(chain)))
+    n = min(_whole(n, "the cell count"), _support_length(chain))
     if n < 3:
         raise TruncationTooSmall("need at least three resolvable cells")
     if n > DENSE_LIMIT:

@@ -181,6 +181,24 @@ def test_stationary_mass_beyond_is_consistent():
     assert ch.stationary_mass_beyond(100) == pytest.approx(split, rel=1e-12)
 
 
+NINE_TERMS = (0.3, 0.25, 0.15, 0.1, 0.08, 0.05, 0.04, 0.02, 0.01)
+SECOND_TAIL_LAWS = {
+    "geometric": GeometricLaw(0.5), "zeta": ZetaTailLaw(1.5), "zeta-log": ZetaTailLaw(1.0, 1.0),
+    "finite": FiniteLaw(NINE_TERMS), "custom": CustomLaw(NINE_TERMS, tail_exponent=3.5)}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_TAIL_LAWS))
+@pytest.mark.parametrize("n", [3, 6, 7, 8, 9, 12])
+def test_analytic_second_tail_continues_the_stored_survival_sums(name, n):
+    # the truncated chain's d_tail = sum_{l > m} d_l must be the long chain's,
+    # whether the truncation cuts the explicit prefix of a finite law or not
+    law = SECOND_TAIL_LAWS[name]
+    short, long = build_chain(law, n), build_chain(law, 4000)
+    assert short.d_tail == pytest.approx(long.d_tail[: n + 1], rel=1e-12, abs=0.0)
+    assert short.stationary_mass_beyond(n) == pytest.approx(
+        long.stationary_mass_beyond(n), rel=1e-12, abs=0.0)
+
+
 def test_unnormalized_law_rejected():
     with pytest.raises(NotNormalized):
         FiniteLaw((0.5, 0.4))

@@ -207,6 +207,9 @@ def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
     from_chain, c2 = coded_states(geo, "float", 5000, seed=4)
     assert np.array_equal(from_map, map_states(geo_map, 5000, seed=4)[0])
     assert np.array_equal(from_map, from_chain) and c1 == c2 > 0
+    # the named samplers fix the sampler, whichever of the two is passed
+    assert same_states(sample_states(geo_map, 5000, seed=4), sample_states(geo, 5000, seed=4))
+    assert same_states(map_states(geo, 5000, seed=4), (from_map, c1))
     with pytest.raises(ConfigError, match="unknown sampler"):
         coded_states(geo_map, "map", 10, seed=4)
 
@@ -216,9 +219,6 @@ def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
 @pytest.mark.parametrize("sampler", ["chain", "float"])
 def test_samplers_check_their_sizes_before_drawing(geo_map, monkeypatch, sampler,
                                                    length, burn_in):
-    def no_draw(*args):
-        raise AssertionError("drew before checking the sizes")
-
     monkeypatch.setattr(maps, "_rng", no_draw)
     draw = {"chain": lambda: sample_states(geo_map.chain, length, 1, burn_in=burn_in),
             "float": lambda: map_states(geo_map, length, 1, burn_in=burn_in)}[sampler]
@@ -234,6 +234,41 @@ def test_whole_float_sizes_act_as_ints(geo_map, sampler):
             "float": lambda length, burn_in: map_states(geo_map, length, 1, burn_in)}[sampler]
     got, want = draw(10.0, 2.0), draw(10, 2)
     assert same_states(got, want) and got[0].size == 10
+
+
+def no_draw(*args):
+    raise AssertionError("drew before checking the sizes")
+
+
+def top_lags(m, lags):
+    u = centered_top_indicator(m.chain)
+    return mc_correlation(m, u, u, lags, 1000, 1)
+
+
+#: Calls given one non-whole count each, and the error that refuses it.
+NON_WHOLE = {
+    "lags": (lambda m: top_lags(m, [2.5, 3]), PreconditionViolated),
+    "orbit_symbols": (lambda m: orbit_symbols(m, 0.3, 2.5), PreconditionViolated),
+    "entrance_tail": (lambda m: entrance_tail(m, m.chain.d[1], 10.7, 1000, 1), ConfigError),
+    "pf_check": (lambda m: pf_check(m.chain, 500.7), PreconditionViolated),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_WHOLE))
+def test_non_whole_counts_are_refused_before_drawing(zeta_map, monkeypatch, name):
+    call, error = NON_WHOLE[name]
+    monkeypatch.setattr(maps, "_rng", no_draw)
+    with pytest.raises(error, match="whole number"):
+        call(zeta_map)
+
+
+def test_whole_float_counts_act_as_ints(zeta_map):
+    assert top_lags(zeta_map, [2.0, 3]) == top_lags(zeta_map, [2, 3])
+    assert orbit_symbols(zeta_map, 0.3, 2.0).tolist() == orbit_symbols(zeta_map, 0.3, 2).tolist()
+    tail = entrance_tail(zeta_map, zeta_map.chain.d[1], 10.0, 1000, 1)
+    assert tail.curve.values.tobytes() == entrance_tail(
+        zeta_map, zeta_map.chain.d[1], 10, 1000, 1).curve.values.tobytes()
+    assert pf_check(zeta_map.chain, 500.0) == pf_check(zeta_map.chain, 500)
 
 
 def test_float_orbit_steps_match_encode_then_apply(geo_map, zeta_map):
@@ -636,11 +671,13 @@ ORACLE_LAWS = {
 }
 #: Null-recurrent laws draw many short chunks in the chain sampler.
 NULL_LAWS = {"zeta-0-N200": (ZetaTailLaw(0.0), 200), "zeta--0.5-N80": (ZetaTailLaw(-0.5), 80)}
+#: A positive-recurrent law cut short: its chain sampler censors 5.3% of draws.
+CENSORED_LAWS = {"zeta-0.25-N6": (ZetaTailLaw(0.25), 6)}
 
 
 @functools.lru_cache(maxsize=None)
 def oracle_map(name):
-    law, n = {**ORACLE_LAWS, **NULL_LAWS}[name]
+    law, n = {**ORACLE_LAWS, **NULL_LAWS, **CENSORED_LAWS}[name]
     return build_map(build_chain(law, n))
 
 
@@ -795,6 +832,25 @@ def test_occupation_stderr_matches_the_nanmean_route(name, sampler, seed, burn_i
     assert rep.occupation_stderr.tobytes() == np.array(want).tobytes()
 
 
+@given(name=st.sampled_from(sorted({**ORACLE_LAWS, **CENSORED_LAWS})),
+       sampler=st.sampled_from(["chain", "float"]), seed=seeds, burn_in=st.integers(0, 200),
+       orbit_length=st.integers(1, 4000), block=blocks)
+@settings(max_examples=60, deadline=None)
+def test_kac_report_matches_the_whole_orbit_route(name, sampler, seed, burn_in, orbit_length,
+                                                  block):
+    # returns read as steps 1 -> L against gaps between visits to the top cell
+    m = oracle_map(name)
+    states, _ = ref_states(m, sampler, orbit_length, seed, burn_in)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "_BLOCK", block)
+        if ref_returns(states).size:
+            assert_same_report(kac_check(m, orbit_length, seed, burn_in=burn_in,
+                                         sampler=sampler), ref_kac(states))
+        else:
+            with pytest.raises(PreconditionViolated, match="no completed return"):
+                kac_check(m, orbit_length, seed, burn_in=burn_in, sampler=sampler)
+
+
 def ref_occupation(chain, states, i_max):
     """Occupation, its batch errors and the exact rows, one pass over the
     orbit per cell."""
@@ -901,13 +957,19 @@ def test_float_sampler_matches_across_block_edges(name):
     assert name != "geometric-0.5" or got[1] > 1000
 
 
+def ref_returns(states):
+    """Gaps between successive visits to the top cell with no censored step
+    between them."""
+    ones = np.flatnonzero(states == 1)
+    broken = np.cumsum(states == -1)
+    return np.diff(ones)[broken[ones[1:]] == broken[ones[:-1]]]
+
+
 def ref_kac(states):
     """Kac's report fields from the whole orbit at once."""
     valid = states > 0
     rho_e = float(np.count_nonzero(states == 1) / np.count_nonzero(valid))
-    ones = np.flatnonzero(states == 1)
-    broken = np.cumsum(states == -1)
-    returns = np.diff(ones)[broken[ones[1:]] == broken[ones[:-1]]]
+    returns = ref_returns(states)
     mean_return = float(returns.mean())
     return dict(rho_e=rho_e, mean_return=mean_return, product=rho_e * mean_return,
                 histogram=np.bincount(returns), n_returns=int(returns.size),
