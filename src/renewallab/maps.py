@@ -41,6 +41,9 @@ observable values about two batches long that slides along the orbit, and
 ``a -> b``, the last state carried across block edges.  By the descent
 rule a step ``1 -> L`` returns to the top cell ``L`` steps later, so
 Kac's returns are the steps ``1 -> L`` whose return ends in the orbit.
+:func:`entrance_tail` draws its samples in blocks too and holds
+O(block + n_max) memory: one block of starts and jumps, and one count
+per step of its horizon.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
@@ -325,6 +328,16 @@ def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None):
 # coded-orbit samplers
 # ----------------------------------------------------------------------
 
+def _cells(cdf, u) -> np.ndarray:
+    """The cell ``i >= 1`` that each uniform of ``u`` draws from the
+    cumulative weights ``cdf``, ``len(cdf) + 1`` past them; a uniform at or
+    below ``cdf[0]`` draws cell one without a search."""
+    cells = np.ones(u.size, dtype=np.int64)
+    above = np.flatnonzero(u > cdf[0])
+    cells[above] = np.searchsorted(cdf, u[above], side="left") + 1
+    return cells
+
+
 def _excursions(chain, rng, total: int):
     """Blocks of the exact coded orbit, ``total`` states at least.
 
@@ -336,12 +349,7 @@ def _excursions(chain, rng, total: int):
     have = 0
     while have < total:
         want = min(max(1024, int((total - have) / chain.m1 * 1.2) + 16), _BLOCK)
-        u = rng.random(want)
-        # a uniform at or below cdf[0] is a return of length one
-        deep = np.flatnonzero(u > cdf[0])
-        draws = np.ones(want, dtype=np.int64)
-        draws[deep] = np.searchsorted(cdf, u[deep], side="left") + 1
-        del u, deep
+        draws = _cells(cdf, rng.random(want))
         over = draws > chain.truncation
         draws[over] = 1
         ends = np.cumsum(draws)
@@ -780,6 +788,10 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     counted as still-out at every n, which keeps the tail exact instead of
     biased.  A log-log fit over ``fit_window`` (default the last decade)
     is attached when the window's values are positive.
+
+    The samples are drawn in blocks of :data:`_BLOCK` into one histogram
+    of entrance times, so memory is O(block + n_max) at any ``samples``;
+    the draws, and so the curve, do not depend on the block size.
     """
     chain = _require_positive_recurrent(_sampler(source, "chain"),
                                         "entrances need the invariant density")
@@ -798,25 +810,27 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     if k >= chain.truncation - n_max:
         raise TruncationTooSmall("horizon n_max reaches past the stored prefix")
 
-    rng = _rng(seed)
+    # the starts take the first `samples` uniforms of the stream and the
+    # jumps the rest, read by a second generator advanced past the starts
+    # (a Philox step is four doubles), so the blocks draw what one call would
+    starts, jumps = _rng(seed), _rng(seed)
+    jumps.bit_generator.advance(samples // 4)
+    jumps.random(samples % 4)
     pi_cdf = np.cumsum(chain.pi[1:])
     p_cdf = np.cumsum(chain.p[1:])
-    u = rng.random(samples)
-    start = np.searchsorted(pi_cdf, u, side="left") + 1
-    deep_start = u > pi_cdf[-1]
+    counts = np.zeros(n_max + 2, dtype=np.int64)
+    for at in range(0, samples, _BLOCK):
+        u = starts.random(min(_BLOCK, samples - at))
+        start = _cells(pi_cdf, u)
+        t = np.where(start > k, start - k, 1)
+        at_one = np.flatnonzero(start == 1)
+        uj = jumps.random(at_one.size)
+        t[at_one] = 1 + np.maximum(0, _cells(p_cdf, uj) - k)
+        # beyond any resolvable horizon by the gate above
+        t[u > pi_cdf[-1]] = n_max + 1
+        t[at_one[uj > p_cdf[-1]]] = n_max + 1
+        counts += np.bincount(np.minimum(t, n_max + 1), minlength=n_max + 2)
 
-    t = np.empty(samples, dtype=np.int64)
-    t[start > k] = start[start > k] - k
-    t[(start >= 2) & (start <= k)] = 1
-    at_one = np.flatnonzero((start == 1) & ~deep_start)
-    uj = rng.random(at_one.size)
-    jump = np.searchsorted(p_cdf, uj, side="left") + 1
-    t[at_one] = 1 + np.maximum(0, jump - k)
-    deep = deep_start.copy()
-    deep[at_one] |= uj > p_cdf[-1]
-    t[deep] = n_max + 1  # beyond any resolvable horizon by the gate above
-
-    counts = np.bincount(np.clip(t, 0, n_max + 1), minlength=n_max + 2)
     beyond = counts[::-1].cumsum()[::-1]
     grid = np.arange(1, n_max + 1)
     surv = beyond[2 : n_max + 2] / float(samples)

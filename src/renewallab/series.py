@@ -13,7 +13,9 @@ oracle, though not equal to it to the last rounding.  One routine,
 of a long product (:func:`_window`) that the evolution curves read, each
 piece with its rounding bound.  :func:`convolve` accumulates with
 compensated (Kahan) summation; no package route uses it, so it serves as
-an independent oracle.  No symbolic algebra is used.
+an independent oracle.  Its loop allocates nothing: five ufunc passes per
+nonzero coefficient into two scratch buffers, bit-identical to the plain
+Kahan loop.  No symbolic algebra is used.
 
 Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
@@ -134,22 +136,32 @@ def convolve(a, b) -> TruncatedSeries:
 
     Each output coefficient ``(a*b)_n = sum_k a_k b_{n-k}`` is accumulated
     with Kahan compensation, vectorized over the output index, so results do
-    not drift even for prefixes of length 1e4 and beyond.
+    not drift even for prefixes of length 1e4 and beyond.  The loop
+    allocates nothing: each nonzero ``a_k`` makes five ufunc passes into two
+    scratch buffers and one copy, the plain Kahan update in the same order,
+    so every output is bit-identical to it.  A product that overflows is
+    refused with :class:`OutOfDomain`.
     """
     a, b = _as_series(a), _as_series(b)
     n_out = min(len(a), len(b))
     out = np.zeros(n_out)
     comp = np.zeros(n_out)
     bc = b.coeffs
-    for k in range(min(len(a), n_out)):
-        ak = a.coeffs[k]
-        if ak == 0.0:
-            continue
-        term = ak * bc[: n_out - k]
-        y = term - comp[k:]
-        t = out[k:] + y
-        comp[k:] = (t - out[k:]) - y
-        out[k:] = t
+    y = np.empty(n_out)
+    t = np.empty(n_out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in np.flatnonzero(a.coeffs[:n_out]).tolist():
+            m = n_out - k
+            ym, tm, ck, ok = y[:m], t[:m], comp[k:], out[k:]
+            np.multiply(bc[:m], a.coeffs[k], out=ym)
+            ym -= ck
+            np.add(ok, ym, out=tm)
+            np.subtract(tm, ok, out=ck)
+            ck -= ym
+            ok[...] = tm
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise OutOfDomain(f"the product overflows at coefficient {bad[0]}")
     return TruncatedSeries(out)
 
 

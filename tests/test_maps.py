@@ -1074,3 +1074,51 @@ def test_orbit_estimators_hold_no_whole_orbit(zeta):
                  lambda: markov_frequency_check(zeta, steps, 1)):
         assert traced_peak(call) < orbit
     assert traced_peak(lambda: sample_states(zeta, steps, 1)) < orbit + 4_000_000
+
+
+def ref_entrance(chain, k, n_max, samples, seed):
+    """The entrance survival curve with every sample drawn at once: the
+    starts take the first ``samples`` uniforms, the jumps from cell one
+    the next ones, in sample order."""
+    rng = maps._rng(seed)
+    pi_cdf = np.cumsum(chain.pi[1:])
+    p_cdf = np.cumsum(chain.p[1:])
+    u = rng.random(samples)
+    start = np.searchsorted(pi_cdf, u, side="left") + 1
+    deep_start = u > pi_cdf[-1]
+    t = np.empty(samples, dtype=np.int64)
+    t[start > k] = start[start > k] - k
+    t[(start >= 2) & (start <= k)] = 1
+    at_one = np.flatnonzero((start == 1) & ~deep_start)
+    uj = rng.random(at_one.size)
+    jump = np.searchsorted(p_cdf, uj, side="left") + 1
+    t[at_one] = 1 + np.maximum(0, jump - k)
+    deep = deep_start.copy()
+    deep[at_one] |= uj > p_cdf[-1]
+    t[deep] = n_max + 1
+    counts = np.bincount(np.clip(t, 0, n_max + 1), minlength=n_max + 2)
+    return counts[::-1].cumsum()[::-1][2:] / float(samples)
+
+
+@pytest.mark.parametrize("samples, block", [
+    (B - 1, B), (B, B), (B + 1, B), (3 * B + 5, B), (1, B), (5, 2), (13, 1), (999, 7)])
+def test_entrance_tail_matches_the_whole_sample_route(zeta_map, monkeypatch, samples, block):
+    # the jumps come from a second generator advanced past the starts, so
+    # sample counts off a multiple of four and block edges test its offset
+    monkeypatch.setattr(maps, "_BLOCK", block)
+    chain = zeta_map.chain
+    # beyond its short prefix lie 44% of the stationary mass, so of the
+    # starts, and 5.3% of the return law, so of the jumps
+    censoring = oracle_map("zeta-0.25-N6").chain
+    cases = ((zeta_map, chain.d[1], 1000), (zeta_map, chain.d[4], 50), (censoring, censoring.d[1], 3))
+    for source, a, n_max in cases:
+        for seed in (7, 2 ** 64 - 3):
+            rep = entrance_tail(source, a, n_max, samples, seed)
+            want = ref_entrance(maps._sampler(source, "chain"), rep.k, n_max, samples, seed)
+            assert rep.curve.values.tobytes() == want.tobytes()
+            assert (rep.n_samples, rep.seed) == (samples, seed)
+
+
+def test_entrance_tail_holds_no_whole_sample(zeta):
+    # 2*10^6 samples take 16 MB as one array of doubles
+    assert traced_peak(lambda: entrance_tail(zeta, zeta.d[1], 1000, 2_000_000, 3)) < 16_000_000

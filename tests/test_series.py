@@ -7,6 +7,8 @@ import math
 import operator
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,70 @@ def test_convolve_renewal_identity_half_half():
     p11 = TruncatedSeries([1.0, 0.5, 0.75])
     out = convolve(f, p11)
     assert out.coeffs[2] == pytest.approx(0.75, abs=1e-15)
+
+
+def ref_kahan_convolve(a, b):
+    """The Kahan loop that allocates its temporaries at every step."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n_out = min(len(a), len(b))
+    out = np.zeros(n_out)
+    comp = np.zeros(n_out)
+    for k in range(n_out):
+        ak = a[k]
+        if ak == 0.0:
+            continue
+        term = ak * b[: n_out - k]
+        y = term - comp[k:]
+        t = out[k:] + y
+        comp[k:] = (t - out[k:]) - y
+        out[k:] = t
+    return out
+
+
+def bit_identity_cases():
+    rng = np.random.default_rng(19)
+    big = build_chain(ZetaTailLaw(1.5), 2000)
+    for n in (1, 2, 64, 2000):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        yield a, b
+        yield a[: n // 2 + 1], b  # a shorter than b
+        yield a, b[: n // 2 + 1]  # a longer than b
+        holes = a * (rng.random(n) < 0.5)
+        holes[0] = 0.0
+        yield holes, b
+        holes[0] = -0.0
+        yield holes, b
+        yield np.abs(a) * 10.0 ** rng.integers(-8, 8, n), np.abs(b)
+    for n in (64, 1999):
+        yield big.p[1 : n + 1], big.d[: n + 1]
+
+
+def test_convolve_is_bit_identical_to_the_allocating_kahan_loop():
+    for a, b in bit_identity_cases():
+        assert np.array_equal(convolve(a, b).coeffs, ref_kahan_convolve(a, b))
+
+
+def test_convolve_compensates():
+    # every product a_k b_{n-k} is p = fl(0.1 * 0.1), so output n sums
+    # n + 1 equal terms to exactly (n + 1) p; Kahan summation keeps within
+    # (2u + c n u^2) of the sum of their magnitudes (Higham, *Accuracy and
+    # Stability of Numerical Algorithms*, ch. 4), plain summation drifts
+    # far past it
+    n, u = 2000, Fraction(1, 2 ** 53)
+    ones = np.full(n, 0.1)
+    p = Fraction(0.1 * 0.1)
+    for j, got in enumerate(convolve(ones, ones).coeffs.tolist()):
+        exact = (j + 1) * p
+        assert abs(Fraction(got) - exact) <= (2 * u + 4 * (j + 1) * u * u) * exact
+
+
+def test_convolve_refuses_overflow_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match="coefficient 0"):
+            convolve([1e200, 1.0], [1e200, 1.0])
+        with pytest.raises(OutOfDomain, match="coefficient 2"):
+            convolve([1.0, 0.0, 1e300], [1e10, 1.0, 1.0])
 
 
 # -- reciprocal --------------------------------------------------------
