@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc, zeta
 
 from .errors import (
     BadExponent,
@@ -88,9 +86,10 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
     cancellation occurs for large ``x``.
     """
     from scipy.integrate import quad  # slow to import; only log-power tails need it
+    from scipy.special import gamma, gammaincc  # slow to import, as quad is
 
     y = (s - 1.0) * math.log(a)
-    main = (s - 1.0) ** (-(beta + 1.0)) * gammaincc(beta + 1.0, y) * _gamma_fn(beta + 1.0)
+    main = (s - 1.0) ** (-(beta + 1.0)) * gammaincc(beta + 1.0, y) * gamma(beta + 1.0)
 
     def rem(u):
         x = a / u
@@ -137,7 +136,11 @@ def _weight_sum(s: float, beta: float) -> float:
     (s, beta)."""
     if s <= 1.0:
         return math.inf
-    return float(zeta(s)) if beta == 0.0 else _weight_tail(s, beta, 0)
+    if beta != 0.0:
+        return _weight_tail(s, beta, 0)
+    from scipy.special import zeta  # slow to import; only zeta laws need it
+
+    return float(zeta(s))
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +228,8 @@ class ZetaTailLaw:
         """``sum_{k > n} k^-s log(k+1)^log_power``; :class:`BadExponent` where
         it comes out NaN, as ``scipy.special.zeta`` does past s of about 2e13."""
         if self.log_power == 0.0:
+            from scipy.special import zeta  # slow to import; only zeta laws need it
+
             tail = float(zeta(s, n + 1.0))
         else:
             tail = _weight_tail(s, self.log_power, n)

@@ -490,24 +490,99 @@ def convolution_power_probe(gamma: float, n: int):
     return value, regime
 
 
+#: Most Newton or bisection steps of :func:`_positive_root` after its
+#: bracket is found, so that it ends on any input.  Bisection alone takes a
+#: bracket ``[r, 2r]`` to adjacent doubles in 53 steps; chain prefixes took
+#: at most 5 steps, and 5000 random inputs spanning 200 decades at most 17.
+_ROOT_STEPS = 200
+
+
+def _positive_root(c0: float, k: np.ndarray, a: np.ndarray) -> float:
+    """The one positive root of ``g(r) = c0 - sum_j a_j r^k_j``, for
+    ``c0 > 0``, every ``a_j > 0`` and integer ``k_j >= 1``.
+
+    ``g`` is concave and decreasing on ``r >= 0``, with ``g(0) = c0``.  Its
+    root is bracketed by halving or doubling from ``r = 1`` (an overflow to
+    ``-inf`` counts as ``g <= 0``), then refined by Newton steps from the
+    end with the smaller ``|g|``.  A step that leaves the bracket, is not
+    finite, or fails to halve the step before last is replaced by a
+    bisection.  Each evaluation is one vectorized power and two dots.  The
+    root is well conditioned: ``r |g'(r)| >= c0 - g(r)``, so a relative
+    error ``delta`` in the sum moves the root by at most ``delta``
+    relative.
+    """
+    ka = k * a
+
+    def g(r: float):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pw = r ** k
+            return float(c0 - a @ pw), float(-(ka @ pw) / r)
+
+    lo = hi = 1.0
+    glo = ghi = g(1.0)[0]
+    while ghi > 0.0:  # ends at the latest at r = inf, where g = -inf
+        lo, glo = hi, ghi
+        hi *= 2.0
+        ghi = g(hi)[0]
+    while not glo > 0.0:  # ends at the latest at r = 0, where g = c0
+        hi, ghi = lo, glo
+        lo *= 0.5
+        glo = g(lo)[0]
+    r = lo if abs(glo) < abs(ghi) else hi
+    old = older = math.inf
+    for _ in range(_ROOT_STEPS):
+        gr, dg = g(r)
+        if gr == 0.0:
+            return r
+        if gr > 0.0:
+            lo = r
+        else:
+            hi = r
+        nxt = r - gr / dg
+        if abs(nxt - r) <= 4.0 * EPS * r:
+            return nxt
+        if not (lo < nxt < hi and abs(nxt - r) <= 0.5 * older):
+            nxt = 0.5 * lo + 0.5 * hi
+            if not lo < nxt < hi:  # lo and hi are adjacent doubles
+                return r
+        old, older = abs(nxt - r), old
+        r = nxt
+    return r
+
+
 def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512):
     """Heuristic scan for small prefix-polynomial moduli inside the disk.
 
     Diagnostic only: a truncated prefix cannot certify anything about zeros
-    of the full series.  Scans ``|D(z)|`` over circles ``|z| = r`` and, when
-    the prefix degree is modest, also reports the smallest root modulus of
-    the prefix polynomial.
+    of the full series.  Scans ``|D(z)|`` over circles ``|z| = r`` and
+    reports the smallest root modulus of the prefix polynomial.
+
+    That modulus takes one of two routes.  When ``d_0 != 0`` and every
+    later coefficient has the opposite sign -- the ``1 - F(z)`` form of a
+    chain -- the prefix is ``D(z) = sign(d_0) (|d_0| - F(z))`` with
+    ``F(z) = sum_{k >= 1} |d_k| z^k``, and the modulus is the positive root
+    ``r_0`` of ``F(r) = |d_0|``, found in O(n) time by
+    :func:`_positive_root`: for ``|z| < r_0``, ``|F(z)| <= F(|z|) < |d_0|``,
+    so no zero lies inside that circle, and ``r_0`` itself is one
+    (Pringsheim's argument).  When ``d_0 == 0`` it is 0.  Every other
+    prefix takes the eigenvalues of its companion matrix
+    (``numpy.polynomial.polynomial.polyroots``), O(n^3), and only when
+    its degree is at most ``max_root_degree``; the cap gates that route
+    alone.
 
     Returns a dict with ``min_abs`` (smallest sampled ``|D(z)|``), ``argmin``
-    (the sample point attaining it) and ``smallest_root_modulus`` (None when
-    the degree exceeds ``max_root_degree``).  A radius past
-    :data:`EVAL_RADIUS`, or NaN, raises :class:`OutOfDomain`.
+    (the sample point attaining it) and ``smallest_root_modulus`` (None for
+    a constant prefix, or a generic one past the cap).  Empty ``radii``, a
+    radius past :data:`EVAL_RADIUS` or NaN, and ``points`` that is not a
+    positive integer raise :class:`OutOfDomain`.
     """
-    if points < 1:
-        raise OutOfDomain(f"need at least one point per circle, got {points!r}")
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 1:
+        raise OutOfDomain(f"points per circle must be a positive integer, got {points!r}")
     d = _as_series(d)
     if radii is None:
         radii = np.linspace(0.1, 1.0, 10)
+    if len(radii) == 0:
+        raise OutOfDomain("need at least one radius")
     if not all(abs(r) <= EVAL_RADIUS for r in radii):
         raise OutOfDomain(f"every radius must lie in the disk |z| <= {EVAL_RADIUS}")
     angles = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
@@ -520,10 +595,17 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
             best = (float(abs(vals[k])), complex(zs[k]))
     smallest_root = None
     trimmed = np.trim_zeros(d.coeffs, "b")
-    if 1 < trimmed.size <= max_root_degree + 1:
-        roots = np.polynomial.polynomial.polyroots(trimmed)
-        if roots.size:
-            smallest_root = float(np.min(np.abs(roots)))
+    if trimmed.size > 1:
+        d0, rest = trimmed[0], trimmed[1:]
+        if d0 == 0.0:
+            smallest_root = 0.0
+        elif np.all(math.copysign(1.0, d0) * rest <= 0.0):
+            nonzero = np.flatnonzero(rest)
+            smallest_root = _positive_root(abs(float(d0)), nonzero + 1.0, np.abs(rest[nonzero]))
+        elif trimmed.size <= max_root_degree + 1:
+            roots = np.polynomial.polynomial.polyroots(trimmed)
+            if roots.size:
+                smallest_root = float(np.min(np.abs(roots)))
     return {
         "min_abs": best[0],
         "argmin": best[1],

@@ -431,3 +431,15 @@ def test_import_leaves_scipy_integrate_unloaded():
     # only log-power tails need quadrature, and scipy.integrate is slow to load
     code = "import sys, renewallab.cli; sys.exit('scipy.integrate' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_scipy_special_loads_on_the_first_zeta_build():
+    # only zeta laws need scipy.special, and it is slow to load
+    code = (
+        "import sys, renewallab.cli, renewallab as r\n"
+        "r.build_chain(r.GeometricLaw(0.5), 50)\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "r.build_chain(r.ZetaTailLaw(1.0), 50)\n"
+        "sys.exit(2 * before + ('scipy.special' not in sys.modules))"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -553,6 +553,15 @@ def test_series_probe_convolution_and_exponent_gate(tmp_path):
     assert code == 2
 
 
+def test_series_probe_zeros_reports_a_root_at_the_default_prefix(tmp_path):
+    # the default prefix of 2000 lies past the companion-matrix cap of 512
+    payload = {**ZETA, "probe": "zeros", "points": 36}
+    code, out = run(tmp_path, ["series", "probe"], payload)
+    assert code == 0
+    root = summary(out)["results"]["smallest_root_modulus"]
+    assert root is not None and 1.0 < root < 1.0 + 1e-6
+
+
 def test_quiet_flag_suppresses_stdout(tmp_path, capsys):
     run(tmp_path, ["chain", "info"], GEO)
     assert capsys.readouterr().out == ""

@@ -408,6 +408,104 @@ def test_zero_diagnostic_disk_clean_for_geometric_tails():
     assert out["min_abs"] > 0.5
 
 
+def mp_root(coeffs, start):
+    """The root of the polynomial with these double coefficients nearest
+    ``start``, by Newton steps at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(float(x)) for x in coeffs]
+        dc = [k * c[k] for k in range(1, len(c))]
+        x = mpmath.mpf(start)
+        for _ in range(5):
+            x -= mpmath.polyval(c[::-1], x) / mpmath.polyval(dc[::-1], x)
+        return x
+
+
+def root_modulus(coeffs):
+    return zero_diagnostic(coeffs, radii=[0.5], points=1)["smallest_root_modulus"]
+
+
+def assert_within_ulps(r, exact, ulps=4):
+    assert abs(exact - r) <= ulps * math.ulp(r)
+
+
+ZETA_DEGREES = (0.25, 1.0, 1.5, 3.0, 4.0, 6.0)
+PREFIXES = (2, 3, 10, 100, 250, 500, 2000)
+
+
+@pytest.fixture(scope="module")
+def zeta_chains():
+    return {d: build_chain(ZetaTailLaw(d), 2000) for d in ZETA_DEGREES}
+
+
+@pytest.mark.parametrize("d", ZETA_DEGREES)
+def test_zero_diagnostic_chain_root_matches_mpmath(zeta_chains, d):
+    # 1 - F(z) has nonnegative F: its smallest zero modulus is the positive
+    # root of F(r) = 1, here checked against the 40-digit root of the very
+    # same double coefficients, for 1 - F and the sign-flipped -1 + F
+    for prefix in PREFIXES:
+        coeffs = np.r_[1.0, -zeta_chains[d].p[1 : prefix + 1]]
+        r = root_modulus(coeffs)
+        assert r >= 1.0
+        assert_within_ulps(r, mp_root(coeffs, r))
+        assert root_modulus(-coeffs) == r
+
+
+def test_zero_diagnostic_chain_root_with_interior_zeros():
+    ch = build_chain(FiniteLaw([0.3, 0.0, 0.2, 0.0, 0.0, 0.5]), 10)
+    for prefix, cut in ((6, False), (3, True)):
+        coeffs = np.r_[1.0, -ch.p[1 : prefix + 1]]
+        r = root_modulus(coeffs)
+        # the whole law has F(1) = 1; a cut prefix leaves its root outside
+        assert (r > 1.0) if cut else (r == 1.0)
+        assert_within_ulps(r, mp_root(coeffs, r))
+
+
+def test_zero_diagnostic_chain_root_where_plain_newton_overflows():
+    # root 1e300^(1/500), about 3.98: a Newton step from r = 1 lands near
+    # 2e297, whose 500th power overflows; the bracket keeps every step finite
+    coeffs = np.zeros(501)
+    coeffs[0], coeffs[500] = 1.0, -1e-300
+    r = root_modulus(coeffs)
+    assert r == pytest.approx(10.0 ** 0.6, rel=1e-14)
+    assert_within_ulps(r, mp_root(coeffs, r))
+
+
+def test_zero_diagnostic_chain_root_agrees_with_companion_eigenvalues(zeta_chains):
+    # the eigen solve is O(n^3): prefix 512, the old cap, at one degree only
+    cases = [(d, prefix) for d in ZETA_DEGREES for prefix in PREFIXES if prefix <= 250]
+    for d, prefix in cases + [(1.5, 512)]:
+        coeffs = np.r_[1.0, -zeta_chains[d].p[1 : prefix + 1]]
+        eig = np.min(np.abs(np.polynomial.polynomial.polyroots(coeffs)))
+        assert root_modulus(coeffs) == pytest.approx(eig, rel=1e-12, abs=0.0)
+
+
+def test_zero_diagnostic_routes(zeta_chains, monkeypatch):
+    def refuse(_):
+        raise AssertionError("polyroots called")
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", refuse)
+    # a chain prefix past max_root_degree answers without the eigen solve
+    coeffs = np.r_[1.0, -zeta_chains[1.0].p[1:2001]]
+    assert root_modulus(coeffs) > 1.0
+    assert root_modulus(np.r_[0.0, coeffs]) == 0.0
+    assert root_modulus([3.0]) is None
+    # a generic prefix still takes the companion matrix, and only below the cap
+    generic = np.random.default_rng(5).normal(size=40)
+    with pytest.raises(AssertionError, match="polyroots called"):
+        root_modulus(generic)
+    assert zero_diagnostic(generic, radii=[0.5], points=1,
+                           max_root_degree=10)["smallest_root_modulus"] is None
+
+
+@pytest.mark.parametrize("kwargs", [{"radii": []}, {"points": 2.5}, {"points": 0},
+                                    {"points": True}, {"radii": [1.5]}])
+def test_zero_diagnostic_refuses_bad_arguments(kwargs):
+    with pytest.raises(OutOfDomain):
+        zero_diagnostic([1.0, -0.5], **kwargs)
+
+
 # -- serialization -----------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
