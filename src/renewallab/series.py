@@ -538,7 +538,8 @@ def _positive_root(c0: float, k: np.ndarray, a: np.ndarray) -> float:
             lo = r
         else:
             hi = r
-        nxt = r - gr / dg
+        # a slope that underflowed to 0 or overflowed gives no step
+        nxt = r - gr / dg if -math.inf < dg < 0.0 else math.nan
         if abs(nxt - r) <= 4.0 * EPS * r:
             return nxt
         if not (lo < nxt < hi and abs(nxt - r) <= 0.5 * older):
