@@ -300,8 +300,9 @@ def cmd_spectral_gf(ctx: Ctx) -> dict:
 def cmd_map_simulate(ctx: Ctx) -> dict:
     chain = ctx.chain()
     sampler, i_max = ctx.cfg["sampler"], ctx.cfg["i_max"]
-    if i_max > chain.truncation:
-        raise PreconditionViolated("i_max must fit inside the stored prefix")
+    if not 1 <= i_max <= chain.truncation:
+        raise PreconditionViolated(f"i_max must lie in [1, {chain.truncation}], the stored "
+                                   f"prefix, got {i_max}")
     states, censored = coded_states(chain, sampler, ctx.cfg["length"], ctx.seed,
                                     ctx.cfg["burn_in"])
     valid = int(np.count_nonzero(states > 0))
@@ -453,7 +454,8 @@ def cmd_series_probe(ctx: Ctx) -> dict:
     if prefix is None:  # the default depends on the chain
         prefix = min(chain.truncation, 2000)
     if not 2 <= prefix <= chain.truncation:
-        raise ConfigError("'prefix' must lie within the stored prefix")
+        raise ConfigError(f"'prefix' must lie in [2, {chain.truncation}], the truncation, "
+                          f"got {prefix}")
     diag = zero_diagnostic(np.r_[1.0, -chain.p[1 : prefix + 1]],
                            radii=ctx.cfg["radii"], points=ctx.cfg["points"])
     ctx.say(f"min |1 - F(z)| sampled: {diag['min_abs']!r}")

@@ -33,10 +33,13 @@ the ``k`` products ``y``, rounded in different orders.
 Both samplers draw an orbit in blocks of at most ``2**16`` excursions or
 steps, burn-in skipped: each excursion takes one uniform, and the float
 orbit carries its point from block to block, so the states do not depend
-on where the blocks split.  The samplers copy the blocks into the one
-array they return.  The estimators read the blocks one at a time and hold
-O(batch) memory, not O(orbit): :func:`mc_correlation` keeps a window of
-observable values about two batches long that slides along the orbit, and
+on where the blocks split.  States are cell indices, at most
+:data:`~renewallab.chain.MAX_TRUNCATION` < 2**31, or the sentinel ``-1``,
+so every orbit array, block or whole, is ``np.int32``.  The samplers copy
+the blocks into the one array they return.  The estimators read the
+blocks one at a time and hold O(batch) memory, not O(orbit):
+:func:`mc_correlation` keeps a window of observable values about two
+batches long that slides along the orbit, and
 :func:`markov_frequency_check` and :func:`kac_check` read the steps
 ``a -> b``, the last state carried across block edges.  By the descent
 rule a step ``1 -> L`` returns to the top cell ``L`` steps later, so
@@ -117,7 +120,7 @@ _BLOCK = 2 ** 16
 #: Most orbit steps (burn-in included, summed over streams) or entrance
 #: samples one call accepts.  Checked before anything is allocated.  The
 #: orbit arrays that :func:`sample_states`, :func:`map_states` and
-#: :func:`coded_states` return take 800 MB of int64 states at the cap; the
+#: :func:`coded_states` return take 400 MB of int32 states at the cap; the
 #: estimators read orbits in blocks and hold none of them whole.
 MAX_ORBIT = 100_000_000
 
@@ -263,7 +266,7 @@ def _image(m: IntermittentMap, x: float, i: int) -> float:
 
 
 def orbit_symbols(m: IntermittentMap, x0: float, n: int) -> np.ndarray:
-    """Symbols of ``x0, f(x0), ..., f^n(x0)``, length ``n + 1``.
+    """Symbols of ``x0, f(x0), ..., f^n(x0)``, length ``n + 1``, as int32.
 
     Symbols obey the descent rule exactly: ``j >= 2`` at one step forces
     ``j - 1`` at the next.  Raises :class:`SymbolCapExceeded` if the orbit
@@ -321,7 +324,7 @@ def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None):
                 out[t] = -1
                 x = restart()
             sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
-        yield np.array(out, dtype=np.int64)
+        yield np.fromiter(out, np.int32, count=len(out))
 
 
 # ----------------------------------------------------------------------
@@ -354,13 +357,14 @@ def _excursions(chain, rng, total: int):
         draws[over] = 1
         ends = np.cumsum(draws)
         # an excursion of length L reads L, L-1, ..., 1: a running sum of
-        # steps that are -1 inside it and jump from 1 to L at its start
-        states = np.full(ends[-1], -1, dtype=np.int64)
+        # steps that are -1 inside it and jump from 1 to L at its start; the
+        # sum stays in [-1, truncation], so it runs in int32 in place
+        states = np.full(ends[-1], -1, dtype=np.int32)
         draws -= 1
         states[ends[:-1]] = draws[1:]
         states[0] = draws[0] + 1
         del draws
-        np.cumsum(states, out=states)
+        np.cumsum(states, dtype=np.int32, out=states)
         states[ends[over] - 1] = -1
         yield states
         have += states.size
@@ -403,7 +407,7 @@ def _steps(blocks):
     orbit index of its first state: the steps ``a[k] -> b[k]`` that end in
     the block, the previous block's last state carried over as the first
     ``a``, so that every step of the orbit is read once."""
-    at, tail = 0, np.zeros(0, dtype=np.int64)
+    at, tail = 0, np.zeros(0, dtype=np.int32)
     for block in blocks:
         yield at, block, np.concatenate((tail, block[:-1])), block[1 - tail.size :]
         at, tail = at + block.size, block[-1:]
@@ -412,7 +416,7 @@ def _steps(blocks):
 def _fill(blocks, length: int):
     """``(states, censored)``: ``length`` states copied block by block into
     one array, and the count of ``-1`` sentinels among them."""
-    states = np.empty(length, dtype=np.int64)
+    states = np.empty(length, dtype=np.int32)
     at = censored = 0
     for block in blocks:
         states[at : at + block.size] = block
@@ -445,9 +449,10 @@ def coded_states(source, sampler: str, length: int, seed: int,
     ``"float"``; ``source`` is a chain or its :class:`IntermittentMap`, and
     the map is built from a chain only when the float sampler needs it.
 
-    Returns ``(states, censored)``.  Sizes are checked before anything is
-    drawn: ``length >= 1``, ``burn_in >= 0``, whole numbers, and at most
-    :data:`MAX_ORBIT` steps.
+    Returns ``(states, censored)``: the states an ``np.int32`` array of
+    cell indices with ``-1`` at censored steps, and the count of those.
+    Sizes are checked before anything is drawn: ``length >= 1``,
+    ``burn_in >= 0``, whole numbers, and at most :data:`MAX_ORBIT` steps.
     """
     length, burn_in, _ = _check_orbit(length, burn_in)
     return _fill(_blocks(_sampler(source, sampler), length, seed, burn_in, stream), length)
@@ -456,20 +461,21 @@ def coded_states(source, sampler: str, length: int, seed: int,
 def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
                   stream: int = 0):
     """Exact coded orbit of ``chain``, a chain or its map: :func:`coded_states`
-    with the chain sampler.  A draw beyond the stored prefix (probability =
-    the survival mass at the truncation) is a single ``-1`` sentinel step,
-    counted in ``censored``."""
+    with the chain sampler, its states int32.  A draw beyond the stored
+    prefix (probability = the survival mass at the truncation) is a single
+    ``-1`` sentinel step, counted in ``censored``."""
     return coded_states(chain, "chain", length, seed, burn_in, stream)
 
 
 def map_states(m: IntermittentMap, length: int, seed: int,
                burn_in: int = BURN_IN, stream: int = 0):
     """Float-orbit coded states of ``m``, a map or its chain:
-    :func:`coded_states` with the float sampler.  The orbit starts from an
-    invariant-density sample; whenever it falls below the resolvable depth
-    the step is recorded as ``-1``, counted, and the orbit restarts fresh.
-    A null-recurrent chain raises :class:`NotPositiveRecurrent`, cells below
-    :data:`START_MASS_FLOOR` :class:`TruncationTooSmall`, before drawing."""
+    :func:`coded_states` with the float sampler, its states int32.  The
+    orbit starts from an invariant-density sample; whenever it falls below
+    the resolvable depth the step is recorded as ``-1``, counted, and the
+    orbit restarts fresh.  A null-recurrent chain raises
+    :class:`NotPositiveRecurrent`, cells below :data:`START_MASS_FLOOR`
+    :class:`TruncationTooSmall`, before drawing."""
     return coded_states(m, "float", length, seed, burn_in, stream)
 
 

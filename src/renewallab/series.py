@@ -496,6 +496,11 @@ def convolution_power_probe(gamma: float, n: int):
 #: at most 5 steps, and 5000 random inputs spanning 200 decades at most 17.
 _ROOT_STEPS = 200
 
+#: Most circle points that :func:`zero_diagnostic` evaluates in one
+#: ``polyval``, so that its scan holds a few arrays of this length at any
+#: ``points``.
+_SCAN_CHUNK = 2 ** 16
+
 
 def _positive_root(c0: float, k: np.ndarray, a: np.ndarray) -> float:
     """The one positive root of ``g(r) = c0 - sum_j a_j r^k_j``, for
@@ -571,11 +576,15 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
     its degree is at most ``max_root_degree``; the cap gates that route
     alone.
 
-    Returns a dict with ``min_abs`` (smallest sampled ``|D(z)|``), ``argmin``
-    (the sample point attaining it) and ``smallest_root_modulus`` (None for
-    a constant prefix, or a generic one past the cap).  Empty ``radii``, a
-    radius past :data:`EVAL_RADIUS` or NaN, and ``points`` that is not a
-    positive integer raise :class:`OutOfDomain`.
+    The scan evaluates its ``len(radii) * points`` samples in chunks of at
+    most :data:`_SCAN_CHUNK`, so it holds O(chunk) memory beyond the angle
+    grid at any ``points``.  Returns a dict with ``min_abs`` (smallest
+    sampled ``|D(z)|``, a NaN value from an overflow skipped), ``argmin``
+    (the first sample point attaining it, radii in their given order) and
+    ``smallest_root_modulus`` (None for a constant prefix, or a generic one
+    past the cap).  Empty ``radii``, a radius past :data:`EVAL_RADIUS` or
+    NaN, and ``points`` that is not a positive integer raise
+    :class:`OutOfDomain`.
     """
     if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 1:
         raise OutOfDomain(f"points per circle must be a positive integer, got {points!r}")
@@ -586,14 +595,31 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
         raise OutOfDomain("need at least one radius")
     if not all(abs(r) <= EVAL_RADIUS for r in radii):
         raise OutOfDomain(f"every radius must lie in the disk |z| <= {EVAL_RADIUS}")
+    radii = np.asarray(radii)
     angles = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     best = (np.inf, 0.0 + 0.0j)
-    for r in radii:
-        zs = r * np.exp(1j * angles)
-        vals = np.polynomial.polynomial.polyval(zs, d.coeffs)
-        k = int(np.argmin(np.abs(vals)))
-        if abs(vals[k]) < best[0]:
-            best = (float(abs(vals[k])), complex(zs[k]))
+    # one polyval per group of whole circles, or per piece of one circle.
+    # Each circle keeps its value at the first smallest array modulus, and
+    # the first circle whose value has the smallest scalar modulus abs(v)
+    # wins, as in a scan of one circle at a time: the two moduli can differ
+    # in the last bit
+    step, group = min(points, _SCAN_CHUNK), max(1, _SCAN_CHUNK // points)
+    for i in range(0, radii.size, group):
+        rs = radii[i : i + group, None]
+        rows = np.arange(rs.size)
+        low, at_low = np.full(rs.size, np.inf), np.full(rs.size, np.inf + 0j)
+        z_low = np.zeros(rs.size, dtype=complex)
+        for j in range(0, points, step):
+            zs = rs * np.exp(1j * angles[j : j + step])
+            vals = np.polynomial.polynomial.polyval(zs, d.coeffs)
+            mods = np.abs(vals)
+            mods[np.isnan(mods)] = np.inf  # an overflowed value is no minimum
+            k = (rows, np.argmin(mods, axis=1))
+            new = mods[k] < low
+            low[new], at_low[new], z_low[new] = mods[k][new], vals[k][new], zs[k][new]
+        for v, z in zip(at_low, z_low):
+            if abs(v) < best[0]:
+                best = (float(abs(v)), complex(z))
     smallest_root = None
     trimmed = np.trim_zeros(d.coeffs, "b")
     if trimmed.size > 1:

@@ -339,11 +339,13 @@ def test_float_sampler_refuses_cells_without_stationary_mass(tmp_path, capsys, c
 @pytest.mark.parametrize("command, payload", [
     ("map simulate", {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 500},
                       "length": 20000, "i_max": 1000, "seed": 1}),
+    ("map simulate", {**GEO, "length": 1000, "i_max": 0, "seed": 1}),
     ("map frequency", {**GEO, **ORBIT, "i_max": 1001}),
-], ids=["simulate-past-the-prefix", "frequency-past-the-dense-cap"])
+], ids=["simulate-past-the-prefix", "simulate-empty-table", "frequency-past-the-dense-cap"])
 def test_i_max_out_of_range_exits_3_before_drawing(tmp_path, capsys, monkeypatch, command,
                                                    payload):
-    # a table past the stored prefix, or i_max^2 cells past the dense cap
+    # a table past the stored prefix or with no row, or i_max^2 cells past
+    # the dense cap
     def refuse(*args):
         raise AssertionError("the orbit was drawn before i_max was checked")
 
@@ -560,6 +562,15 @@ def test_series_probe_zeros_reports_a_root_at_the_default_prefix(tmp_path):
     assert code == 0
     root = summary(out)["results"]["smallest_root_modulus"]
     assert root is not None and 1.0 < root < 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("prefix", [0, 1, 20001])
+def test_series_probe_zeros_prefix_out_of_range_exits_2(tmp_path, capsys, prefix):
+    # a zero modulus needs a polynomial of degree one at least
+    code, _ = run(tmp_path, ["series", "probe"], {**ZETA, "probe": "zeros", "prefix": prefix})
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'prefix' must lie in [2, 20000]" in err[0]
 
 
 def test_quiet_flag_suppresses_stdout(tmp_path, capsys):

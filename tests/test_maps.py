@@ -39,6 +39,7 @@ from renewallab.maps import (
     pf_check,
     sample_states,
 )
+from renewallab.chain import MAX_TRUNCATION
 from renewallab.series import EPS, _gamma
 
 
@@ -526,7 +527,7 @@ def ref_float_states(m, length, seed, burn_in, stream=0):
     """Float orbit one step at a time: encode, then the branch image."""
     rng = maps._rng(seed, stream)
     pi_cdf = np.cumsum(m.chain.pi[1:])
-    out = np.empty(burn_in + length, dtype=np.int64)
+    out = np.empty(burn_in + length, dtype=np.int32)
     x = maps._density_start(m, rng, pi_cdf)
     for t in range(out.size):
         try:
@@ -546,7 +547,7 @@ def ref_orbit_symbols(m, x, n):
     for _ in range(n):
         x = maps._image(m, x, out[-1])
         out.append(encode(m, x))
-    return np.array(out, dtype=np.int64)
+    return np.array(out, dtype=np.int32)
 
 
 def ref_chain_states(chain, length, seed, burn_in, stream=0):
@@ -561,7 +562,7 @@ def ref_chain_states(chain, length, seed, burn_in, stream=0):
         over = draws > chain.truncation
         draws[over] = 1
         ends = np.cumsum(draws)
-        states = np.repeat(ends, draws) - np.arange(ends[-1])
+        states = (np.repeat(ends, draws) - np.arange(ends[-1])).astype(np.int32)
         states[np.repeat(over, draws)] = -1
         chunks.append(states)
         have += states.size
@@ -957,6 +958,30 @@ def test_float_sampler_matches_across_block_edges(name):
     assert name != "geometric-0.5" or got[1] > 1000
 
 
+def test_coded_orbits_are_int32(zeta_map):
+    # states are cell indices up to the truncation cap, or the sentinel -1
+    assert MAX_TRUNCATION <= np.iinfo(np.int32).max
+    chain = zeta_map.chain
+    for states, _ in (sample_states(chain, 1000, 1), map_states(zeta_map, 1000, 1),
+                      coded_states(chain, "chain", 1000, 1),
+                      coded_states(chain, "float", 1000, 1)):
+        assert states.dtype == np.int32
+    assert orbit_symbols(zeta_map, 0.3, 1000).dtype == np.int32
+
+
+def test_chain_sampler_reaches_states_past_int16_exactly():
+    # every excursion has length 1 or 40000 > 2**15, read 40000, 39999, ..., 1
+    deep = 40_000
+    chain = build_chain(FiniteLaw([0.5] + [0.0] * (deep - 2) + [0.5]), deep)
+    states, censored = sample_states(chain, 4 * B, 5, burn_in=0)
+    assert censored == 0 and states.max() == deep
+    starts = np.flatnonzero(states == deep)
+    assert starts.size >= 2
+    for at in starts[:-1]:
+        assert np.array_equal(states[at : at + deep], np.arange(deep, 0, -1))
+    assert same_states((states, censored), ref_chain_states(chain, 4 * B, 5, 0))
+
+
 def ref_returns(states):
     """Gaps between successive visits to the top cell with no censored step
     between them."""
@@ -1065,15 +1090,15 @@ def traced_peak(call) -> float:
 
 
 def test_orbit_estimators_hold_no_whole_orbit(zeta):
-    # 10^6 int64 states take 8 MB: the estimators must stay below one
-    # orbit, and the sampler below its own output plus 4 MB
-    steps, orbit = 1_000_000, 8_000_000
+    # 10^6 states take 8 MB as int64: the estimators must stay below that,
+    # and the sampler below its own 4 MB of int32 output plus 4 MB
+    steps = 1_000_000
     u = centered_top_indicator(zeta)
     for call in (lambda: mc_correlation(zeta, u, u, [10, 100, 300], steps, 1),
                  lambda: kac_check(zeta, steps, 1),
                  lambda: markov_frequency_check(zeta, steps, 1)):
-        assert traced_peak(call) < orbit
-    assert traced_peak(lambda: sample_states(zeta, steps, 1)) < orbit + 4_000_000
+        assert traced_peak(call) < 8_000_000
+    assert traced_peak(lambda: sample_states(zeta, steps, 1)) < 4 * steps + 4_000_000
 
 
 def ref_entrance(chain, k, n_max, samples, seed):

@@ -505,6 +505,44 @@ def test_zero_diagnostic_routes(zeta_chains, monkeypatch):
                            max_root_degree=10)["smallest_root_modulus"] is None
 
 
+def ref_circle_scan(coeffs, radii, points):
+    """The circle scan one radius at a time: the first smallest ``|D(z)|``."""
+    angles = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    best = (np.inf, 0.0 + 0.0j)
+    for r in radii:
+        zs = r * np.exp(1j * angles)
+        vals = np.polynomial.polynomial.polyval(zs, coeffs)
+        k = int(np.argmin(np.abs(vals)))
+        if abs(vals[k]) < best[0]:
+            best = (float(abs(vals[k])), complex(zs[k]))
+    return best
+
+
+@pytest.mark.parametrize("radii, points, chunk", [
+    ([0.3, 0.9, 1.0], 50_000, series._SCAN_CHUNK),  # chunk edges inside circles
+    (np.linspace(0.1, 1.0, 10), 720, series._SCAN_CHUNK),  # the default scan
+    ([1.0, 0.5, 0.5, 0.7], 360, 7),  # pieces of a circle
+    ([1.0, 0.5, 0.5, 0.7, 0.2], 360, 1000),  # groups of two circles
+    ([0.8], 1, 1),
+])
+def test_zero_diagnostic_scan_matches_the_per_radius_loop(zeta_chains, monkeypatch, radii,
+                                                          points, chunk):
+    monkeypatch.setattr(series, "_SCAN_CHUNK", chunk)
+    cases = [np.r_[1.0, -zeta_chains[d].p[1:251]] for d in (1.0, 4.0)]
+    # D = z and constants tie along each circle; generic prefixes of any sign
+    cases += [[0.0, 1.0], [3.0], np.random.default_rng(2).normal(size=30)]
+    for coeffs in cases:
+        out = zero_diagnostic(coeffs, radii=radii, points=points)
+        assert (out["min_abs"], out["argmin"]) == ref_circle_scan(coeffs, radii, points)
+
+
+def test_zero_diagnostic_scan_skips_overflowed_values():
+    # Horner's steps overflow to NaN at z = 1, while D(-1) is about 1e292
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = zero_diagnostic([0.0, 0.0, 1e308, 1e308], radii=[1.0], points=2)
+    assert out["argmin"] == pytest.approx(-1.0) and out["min_abs"] < 1e293
+
+
 @pytest.mark.parametrize("kwargs", [{"radii": []}, {"points": 2.5}, {"points": 0},
                                     {"points": True}, {"radii": [1.5]}])
 def test_zero_diagnostic_refuses_bad_arguments(kwargs):
