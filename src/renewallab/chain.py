@@ -64,7 +64,10 @@ MAX_TRUNCATION = 10_000_000
 
 #: Largest ``ZetaTailLaw`` degree, with or without a log power.  Every tail
 #: of such a law is already 0 in double precision past a degree of about
-#: 1075, and ``scipy.special.zeta`` returns NaN past about 2e13.
+#: 1075, so the cap drops no chain that differs from one inside it.  It keeps
+#: one exit-2 boundary for both routes, well below 2**53, where ``degree + 2``
+#: and ``s - 1`` stop being exact, and away from an infinite degree, where
+#: the log-power quadrature returns NaN.
 MAX_ZETA_DEGREE = 1e13
 
 #: Length of the direct partial sums backing log-corrected zeta constants.
@@ -72,9 +75,43 @@ _ZETA_PARTIAL_TERMS = 100_000
 
 
 # ----------------------------------------------------------------------
-# zeta-family constants: Hurwitz zeta, or (with a log power) direct
-# partial sums plus Euler-Maclaurin tails
+# zeta-family constants: Hurwitz zeta by Euler-Maclaurin summation, or
+# (with a log power) direct partial sums plus Euler-Maclaurin tails
 # ----------------------------------------------------------------------
+
+#: ``(2j)! / B_2j`` for j = 1..12: the weights of the Bernoulli corrections
+#: in Cephes' ``zeta.c`` (Moshier, *Methods and Programs for Mathematical
+#: Functions*, 1989).
+_BERNOULLI_WEIGHTS = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+
+
+def _hurwitz(s: float, q: float) -> float:
+    """Hurwitz zeta ``sum_{k >= 0} (q+k)^-s`` for ``s > 1``, ``q >= 1``.
+
+    Euler-Maclaurin summation as in Cephes (DLMF 25.11): the terms for
+    k = 0..9, then at ``w = q + 10`` the integral ``w^(1-s)/(s-1)``, half
+    the endpoint term and 12 Bernoulli corrections, all added by one
+    ``math.fsum``.  Once ``w^-s`` underflows to 0 the corrections are 0 as
+    well and are skipped, so no ``inf * 0`` can turn the sum NaN.
+    """
+    terms = [(q + k) ** -s for k in range(10)]
+    w = q + 10.0
+    b = w ** -s
+    terms += (b, w ** (1.0 - s) / (s - 1.0), -0.5 * b)
+    if b:
+        a, k = s, s
+        for weight in _BERNOULLI_WEIGHTS:
+            b /= w
+            terms.append(a * b / weight)
+            a *= (k + 1.0) * (k + 2.0)
+            b /= w
+            k += 2.0
+    return math.fsum(terms)
+
 
 def _tail_integral(s: float, beta: float, a: float) -> float:
     """``int_a^inf x^-s log(x+1)^beta dx`` for ``beta > 0``, to near machine
@@ -138,9 +175,7 @@ def _weight_sum(s: float, beta: float) -> float:
         return math.inf
     if beta != 0.0:
         return _weight_tail(s, beta, 0)
-    from scipy.special import zeta  # slow to import; only zeta laws need it
-
-    return float(zeta(s))
+    return _hurwitz(s, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -189,16 +224,18 @@ class ZetaTailLaw:
     values in (-1, 0] give a normalizable but null-recurrent law, and values
     above :data:`MAX_ZETA_DEGREE` raise :class:`BadExponent`.  Without
     a log power the normalization, mean and tails are Riemann and Hurwitz
-    zeta values (``scipy.special.zeta``).  With one they come from direct
-    partial sums of 1e5 terms plus analytic tail integrals, cached per
-    parameter pair.
+    zeta values (:func:`_hurwitz`, which loads no scipy module).  With one
+    they come from direct partial sums of 1e5 terms plus analytic tail
+    integrals, cached per parameter pair.
     """
 
     degree_: float = field(metadata={"doc": "polynomial degree d"})
     log_power: float = 0.0
 
     def __post_init__(self):
-        if not self.degree_ > -1.0:
+        # s = degree + 2 must exceed 1 once rounded: the next double above -1
+        # rounds to s = 1, where the zeta sums diverge
+        if not self.degree_ + 2.0 > 1.0:
             raise ZeroProbabilityBranch(
                 f"degree must exceed -1 for a normalizable law, got {self.degree_!r}"
             )
@@ -225,17 +262,10 @@ class ZetaTailLaw:
         return p
 
     def _tail_sum(self, s: float, n: int) -> float:
-        """``sum_{k > n} k^-s log(k+1)^log_power``; :class:`BadExponent` where
-        it comes out NaN, as ``scipy.special.zeta`` does past s of about 2e13."""
+        """``sum_{k > n} k^-s log(k+1)^log_power``."""
         if self.log_power == 0.0:
-            from scipy.special import zeta  # slow to import; only zeta laws need it
-
-            tail = float(zeta(s, n + 1.0))
-        else:
-            tail = _weight_tail(s, self.log_power, n)
-        if math.isnan(tail):
-            raise BadExponent(f"degree {self.degree_!r} is too large: its tail sum is NaN")
-        return tail
+            return _hurwitz(s, n + 1.0)
+        return _weight_tail(s, self.log_power, n)
 
     def tail_beyond(self, n: int) -> float:
         return self._tail_sum(self.s, n) / self.normalization

@@ -35,7 +35,9 @@ from .config import (
     interval, list_of, load_config, measure_from_config, number,
     observable_from_config, read, string,
 )
-from .errors import ConfigError, PreconditionError, PreconditionViolated, TruncationError
+from .errors import (
+    ConfigError, PreconditionError, PreconditionViolated, TruncationError, TruncationTooSmall,
+)
 from .evolve import (
     correlation_constant, correlation_curve, deviation_tail_ratio, distance_curve,
     null_recurrent_ratio, rate_fit,
@@ -306,6 +308,10 @@ def cmd_map_simulate(ctx: Ctx) -> dict:
     states, censored = coded_states(chain, sampler, ctx.cfg["length"], ctx.seed,
                                     ctx.cfg["burn_in"])
     valid = int(np.count_nonzero(states > 0))
+    if valid == 0:
+        raise TruncationTooSmall(f"all {censored} recorded steps are censored past the stored "
+                                 f"prefix of {chain.truncation} states, so no frequency is "
+                                 "defined; raise the truncation or the length")
     counts = np.bincount(states[(states > 0) & (states <= i_max)], minlength=i_max + 1)
     exact = chain.pi[1 : i_max + 1] if chain.positive_recurrent else np.full(i_max, np.nan)
     rows = [

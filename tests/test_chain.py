@@ -135,10 +135,12 @@ def test_log_power_tail_matches_brute_force_sum(s, beta, m):
     assert _weight_tail(s, beta, m) == pytest.approx(brute, rel=1e-13, abs=0.0)
 
 
-def test_huge_degree_builds_until_its_zeta_tail_is_nan():
-    # scipy's Hurwitz zeta turns NaN past s of about 2e13
-    ch = build_chain(ZetaTailLaw(1e12), 1000)
-    assert ch.d[1] == 0.0 and ch.m1 == 1.0
+def test_huge_degree_builds_up_to_the_degree_cap():
+    # past the cap MAX_ZETA_DEGREE = 1e13 a degree exits 2 with or without a
+    # log power; below it every tail is 0 and the law is p = delta_1
+    for degree in (1e12, 1e13):
+        ch = build_chain(ZetaTailLaw(degree), 1000)
+        assert ch.d[1] == 0.0 and ch.m1 == 1.0
     for degree in (1e15, 2.0 ** 63, 1e308, math.inf):
         with pytest.raises(BadExponent):
             build_chain(ZetaTailLaw(degree), 1000)
@@ -433,13 +435,55 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-def test_scipy_special_loads_on_the_first_zeta_build():
-    # only zeta laws need scipy.special, and it is slow to load
+def test_zeta_laws_without_a_log_power_load_no_scipy_module(tmp_path):
+    # their constants come from the package's own Hurwitz zeta; only
+    # log-power tails still load scipy, for quadrature
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000}}')
     code = (
-        "import sys, renewallab.cli, renewallab as r\n"
-        "r.build_chain(r.GeometricLaw(0.5), 50)\n"
-        "before = 'scipy.special' in sys.modules\n"
+        "import sys, renewallab.cli as cli, renewallab as r\n"
         "r.build_chain(r.ZetaTailLaw(1.0), 50)\n"
-        "sys.exit(2 * before + ('scipy.special' not in sys.modules))"
+        "code = cli.main(['chain', 'info', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "                 '--quiet'])\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert code == 0 and not loaded, loaded\n"
+        "r.build_chain(r.ZetaTailLaw(1.0, 1.0), 50)\n"
     )
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    run = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+_ZETA_GRID_S = (1.0001, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 14.0, 60.0)
+_ZETA_GRID_Q = (1.0, 2.0, 11.0, 2001.0, 20001.0, 1e7 + 2.0)
+
+
+@pytest.mark.parametrize("s", _ZETA_GRID_S)
+def test_hurwitz_zeta_agrees_with_scipy(s):
+    from scipy.special import zeta
+
+    from renewallab.chain import _hurwitz
+
+    for q in _ZETA_GRID_Q:
+        ref = float(zeta(s, q))
+        if ref == 0.0:  # underflowed, as at s = 60, q = 1e7 + 2
+            assert _hurwitz(s, q) == 0.0
+        else:
+            assert _hurwitz(s, q) == pytest.approx(ref, rel=1e-15, abs=0.0), q
+
+
+def test_hurwitz_zeta_stays_finite_where_its_corrections_would_overflow():
+    # past s of about 2.5e13 the running product s (s+1) ... (s+22) of the
+    # Bernoulli corrections overflows; once w^-s is 0 they are skipped
+    from renewallab.chain import _hurwitz
+
+    for s in (1e14, 1e300):
+        assert _hurwitz(s, 1.0) == 1.0 and _hurwitz(s, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("s, value", [(2.0, 1.6449340668482264), (3.0, 1.2020569031595942),
+                                      (4.0, 1.0823232337111381), (1.5, 2.612375348685488)])
+def test_riemann_zeta_within_one_ulp_of_its_literal(s, value):
+    from renewallab.chain import _hurwitz
+
+    assert abs(_hurwitz(s, 1.0) - value) <= math.ulp(value)

@@ -102,6 +102,8 @@ MALFORMED = [
                               "truncation": 100}}),
     ("chain info", {"chain": {"law": {"type": "zeta", "degree": 1e308},
                               "truncation": 100}}),
+    ("chain info", {"chain": {"law": {"type": "zeta", "degree": math.nextafter(-1.0, 0.0)},
+                              "truncation": 100}}),
     ("series probe", {"probe": "convolution", "gamma": 2.0, "n_list": [16, 1]}),
     ("series probe", {**GEO, "probe": "zeros", "points": -1}),
     ("rates correlation", {**GEO, "nu": {"kind": "point", "state": 1},
@@ -145,7 +147,7 @@ MALFORMED_IDS = [
     "huge-correlate-orbit", "huge-samples", "negative-burn-in",
     "negative-samples", "negative-n-max", "zero-length",
     "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
-    "degree-2^63", "degree-1e308", "n-list-below-2", "negative-points",
+    "degree-2^63", "degree-1e308", "degree-next-to-minus-1", "n-list-below-2", "negative-points",
     "u-size-2^63", "u-state-2^63", "grid-point-2^63", "j-2^63", "i-max-2^63",
     "j-2^62", "empty-n-list", "empty-radii", "nan-z-point", "nan-gf-point",
     "nan-lambda", "nan-radius", "nan-gamma", "infinite-tail-exponent", "radius-10^6",
@@ -695,6 +697,20 @@ def test_fuzz_bases_cover_every_command_and_exit_0(tmp_path):
     assert set(FUZZ_BASES) == set(COMMANDS)
     for k, (command, cfg) in enumerate(FUZZ_BASES.items()):
         assert run(tmp_path, command.split(), cfg, sub=f"out{k}")[0] == 0, command
+
+
+def test_simulate_with_every_step_censored_exits_4_before_writing(tmp_path, capsys):
+    # two stored states of a null-recurrent chain: the one recorded step
+    # jumps past the prefix, so no visit frequency is defined
+    payload = {"chain": {"law": {"type": "zeta", "degree": -0.9}, "truncation": 2},
+               "length": 1, "burn_in": 0, "i_max": 1, "seed": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(tmp_path, ["map", "simulate"], payload)
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "TruncationTooSmall" in err[0] and "all 1 recorded" in err[0]
+    assert not any(out.iterdir())
 
 
 @given(command=st.sampled_from(sorted(FUZZ_BASES)), data=st.data())
