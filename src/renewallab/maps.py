@@ -33,7 +33,17 @@ the ``k`` products ``y``, rounded in different orders.
 Both samplers draw an orbit in blocks of at most ``2**16`` excursions or
 steps, burn-in skipped: each excursion takes one uniform, and the float
 orbit carries its point from block to block, so the states do not depend
-on where the blocks split.  States are cell indices, at most
+on where the blocks split.  The chain sampler's block ``(offset,
+count)`` expands the ``count`` uniforms from ``offset`` on in its
+Philox stream, which a counter-based generator reaches without drawing
+the uniforms before it, so its blocks are independent.  An orbit of
+several blocks draws them on a pool of threads, one per CPU of the
+process's affinity mask up to :data:`_MAX_WORKERS`, numpy releasing the
+GIL inside them; they are read in order, at most one more than the
+workers in flight, so the states do not depend on the thread count.
+The float orbit is one sequential recursion, and the jump offsets of
+:func:`entrance_tail` follow the counts of earlier blocks, so both stay
+in the calling thread.  States are cell indices, at most
 :data:`~renewallab.chain.MAX_TRUNCATION` < 2**31, or the sentinel ``-1``,
 so every orbit array, block or whole, is ``np.int32``.  The samplers copy
 the blocks into the one array they return.  The estimators read the
@@ -52,14 +62,19 @@ Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
 ``seed | (s << 64)`` (Salmon et al., SC 2011), so no two (seed, stream)
 pairs share a key and every estimate is reproducible from its reported
-seed.  Estimators burn in 10^4 steps by default and report batch-mean
-standard errors over 100 batches.
+seed.  A seed or stream that is not a whole number in ``[0, 2**64)``
+raises :class:`ConfigError` before anything is drawn.  Estimators burn in
+10^4 steps by default and report batch-mean standard errors over 100
+batches.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +139,37 @@ _BLOCK = 2 ** 16
 #: estimators read orbits in blocks and hold none of them whole.
 MAX_ORBIT = 100_000_000
 
+#: Most threads that draw the blocks of one exact coded orbit; one block
+#: more than the threads is in flight at most.
+_MAX_WORKERS = 4
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    if not 0 <= int(seed) < 2 ** 64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
-    return np.random.Generator(np.random.Philox(key=int(seed) | (int(stream) << 64)))
+
+def _rng(seed: int, stream: int = 0, offset: int = 0) -> np.random.Generator:
+    """The Philox generator of ``stream`` of the run ``seed``, past the first
+    ``offset`` doubles of that stream: a Philox step makes four, so it
+    advances ``offset // 4`` steps and discards ``offset % 4`` doubles.
+    Seed and stream must be whole numbers in ``[0, 2**64)``; anything else
+    raises :class:`ConfigError` before a draw."""
+    seed = _whole(seed, "the seed", ConfigError)
+    stream = _whole(stream, "the stream", ConfigError)
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise ConfigError(f"seed and stream must be unsigned 64-bit integers, "
+                          f"got seed {seed}, stream {stream}")
+    rng = np.random.Generator(np.random.Philox(key=seed | (stream << 64)))
+    if offset:
+        rng.bit_generator.advance(offset // 4)
+        rng.random(offset % 4)
+    return rng
+
+
+def _workers() -> int:
+    """Threads that draw the blocks of an exact coded orbit: the CPUs in
+    this process's affinity mask, at most :data:`_MAX_WORKERS`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS))
 
 
 def _check_orbit(length, burn_in=0, streams=1) -> tuple:
@@ -151,6 +192,10 @@ def _check_orbit(length, burn_in=0, streams=1) -> tuple:
 
 def _whole(value, what: str, error=PreconditionViolated) -> int:
     """``value`` as an int, refusing a value that is not a whole number."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
     if not float(value).is_integer():
         raise error(f"{what} must be a whole number, got {value}")
     return int(value)
@@ -341,33 +386,81 @@ def _cells(cdf, u) -> np.ndarray:
     return cells
 
 
-def _excursions(chain, rng, total: int):
+def _excursion_block(chain, cdf, seed: int, stream: int, offset: int, count: int):
+    """States of the ``count`` excursions whose uniforms start at
+    ``offset`` in the stream.  A draw beyond the stored prefix is one
+    ``-1`` step."""
+    draws = _cells(cdf, _rng(seed, stream, offset).random(count))
+    over = draws > chain.truncation
+    draws[over] = 1
+    ends = np.cumsum(draws)
+    # an excursion of length L reads L, L-1, ..., 1: a running sum of steps
+    # that are -1 inside it and jump from 1 to L at its start; the sum stays
+    # in [-1, truncation], so it runs in int32 in place
+    states = np.full(ends[-1], -1, dtype=np.int32)
+    draws -= 1
+    states[ends[:-1]] = draws[1:]
+    states[0] = draws[0] + 1
+    del draws
+    np.cumsum(states, dtype=np.int32, out=states)
+    states[ends[over] - 1] = -1
+    return states
+
+
+def _in_order(pool, draw, batch, depth: int):
+    """The results of ``draw(offset, count)`` over ``batch``, computed on
+    ``pool`` and yielded in order, at most ``depth`` submitted and not yet
+    yielded."""
+    pending = deque()
+    for block in batch:
+        pending.append(pool.submit(draw, *block))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _excursions(chain, seed: int, stream: int, total: int):
     """Blocks of the exact coded orbit, ``total`` states at least.
 
-    Each block draws at most :data:`_BLOCK` excursion lengths, one uniform
-    each, so the states do not depend on where the blocks split the
-    stream.  A draw beyond the stored prefix is one ``-1`` step.
+    Each excursion takes one uniform, so block ``(offset, count)`` expands
+    the ``count`` uniforms from ``offset`` on and the states do not depend
+    on where the blocks split the stream.  A batch of blocks of at most
+    :data:`_BLOCK` uniforms covers 1.2 times the expected need; a batch
+    that falls short is followed by another.  A batch of several blocks
+    runs on a pool of :func:`_workers` threads, at most one block more
+    than the workers in flight; one block, or one worker, runs in this
+    thread.  Abandoned or failed, the generator shuts its pool down.
     """
     cdf = np.cumsum(chain.p[1:])
-    have = 0
-    while have < total:
-        want = min(max(1024, int((total - have) / chain.m1 * 1.2) + 16), _BLOCK)
-        draws = _cells(cdf, rng.random(want))
-        over = draws > chain.truncation
-        draws[over] = 1
-        ends = np.cumsum(draws)
-        # an excursion of length L reads L, L-1, ..., 1: a running sum of
-        # steps that are -1 inside it and jump from 1 to L at its start; the
-        # sum stays in [-1, truncation], so it runs in int32 in place
-        states = np.full(ends[-1], -1, dtype=np.int32)
-        draws -= 1
-        states[ends[:-1]] = draws[1:]
-        states[0] = draws[0] + 1
-        del draws
-        np.cumsum(states, dtype=np.int32, out=states)
-        states[ends[over] - 1] = -1
-        yield states
-        have += states.size
+    workers = _workers()
+
+    def draw(offset, count):
+        return _excursion_block(chain, cdf, seed, stream, offset, count)
+
+    pool = None
+    have = offset = 0
+    try:
+        while have < total:
+            want = max(1024, int((total - have) / chain.m1 * 1.2) + 16)
+            batch = [(at, min(_BLOCK, offset + want - at))
+                     for at in range(offset, offset + want, _BLOCK)]
+            offset += want
+            if len(batch) > 1 and workers > 1:
+                if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+                    pool = ThreadPoolExecutor(workers)
+                blocks = _in_order(pool, draw, batch, workers + 1)
+            else:
+                blocks = (draw(*block) for block in batch)
+            for states in blocks:
+                yield states
+                have += states.size
+                if have >= total:
+                    break
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _density_start(m: IntermittentMap, rng, pi_cdf) -> float:
@@ -388,18 +481,21 @@ def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
     hold ``length`` states in all.  The public entries check the sizes, and
     :func:`_sampler` the float sampler's starts, before this draws."""
     total = burn_in + length
-    rng = _rng(seed, stream)
+    rng = _rng(seed, stream)  # refuses a bad seed or stream before drawing
     if isinstance(source, IntermittentMap):
         pi_cdf = np.cumsum(source.chain.pi[1:])
         raw = _float_orbit(source, _density_start(source, rng, pi_cdf), total,
                            restart=lambda: _density_start(source, rng, pi_cdf))
     else:
-        raw = _excursions(source, rng, total)
+        raw = _excursions(source, seed, stream, total)
     at = 0
-    for block in raw:
-        start, at = at, at + block.size
-        if at > burn_in:
-            yield block[max(burn_in - start, 0) : total - start]
+    try:
+        for block in raw:
+            start, at = at, at + block.size
+            if at > burn_in:
+                yield block[max(burn_in - start, 0) : total - start]
+    finally:
+        raw.close()
 
 
 def _steps(blocks):
@@ -713,6 +809,7 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
     capped at :data:`~renewallab.spectral.DENSE_LIMIT` cells a side."""
     chain = _require_positive_recurrent(_sampler(source, "chain"),
                                         "occupations need the stationary law")
+    i_max = _whole(i_max, "i_max")
     if i_max < 2 or i_max > chain.truncation - 1:
         raise PreconditionViolated("i_max must fit inside the stored prefix")
     if i_max > DENSE_LIMIT:
@@ -817,11 +914,9 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
         raise TruncationTooSmall("horizon n_max reaches past the stored prefix")
 
     # the starts take the first `samples` uniforms of the stream and the
-    # jumps the rest, read by a second generator advanced past the starts
-    # (a Philox step is four doubles), so the blocks draw what one call would
-    starts, jumps = _rng(seed), _rng(seed)
-    jumps.bit_generator.advance(samples // 4)
-    jumps.random(samples % 4)
+    # jumps the rest, read by a second generator started past the starts,
+    # so the blocks draw what one call would
+    starts, jumps = _rng(seed), _rng(seed, offset=samples)
     pi_cdf = np.cumsum(chain.pi[1:])
     p_cdf = np.cumsum(chain.p[1:])
     counts = np.zeros(n_max + 2, dtype=np.int64)

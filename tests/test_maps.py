@@ -1,5 +1,8 @@
 import functools
 import math
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -201,6 +204,43 @@ def test_streams_are_disjoint_across_seeds(geo):
             sample_states(geo, 10, seed=bad)
 
 
+#: Seeds and streams that are not whole numbers in [0, 2**64).
+BAD_KEYS = [(1.5, 0), (-0.5, 0), (3.9, 0), (-1, 0), (2 ** 64, 0), (float("nan"), 0),
+            (10 ** 400, 0), (1, 1.5), (1, -1), (1, 2 ** 64)]
+
+
+@pytest.mark.parametrize("seed, stream", BAD_KEYS)
+@pytest.mark.parametrize("sampler", ["chain", "float"])
+def test_bad_seeds_and_streams_are_refused_before_drawing(geo_map, monkeypatch, sampler,
+                                                          seed, stream):
+    # they were truncated by int(): seed 1.5 drew seed 1's orbit
+    monkeypatch.setattr(maps, "_cells", no_draw)
+    monkeypatch.setattr(maps, "_density_start", no_draw)
+    with pytest.raises(ConfigError, match="seed|stream"):
+        coded_states(geo_map, sampler, 10, seed, stream=stream)
+    if stream == 0:
+        u = centered_top_indicator(geo_map.chain)
+        for call in (lambda: mc_correlation(geo_map, u, u, [1], 1000, seed, sampler=sampler),
+                     lambda: kac_check(geo_map, 1000, seed, sampler=sampler),
+                     lambda: markov_frequency_check(geo_map, 1000, seed, sampler=sampler),
+                     lambda: entrance_tail(geo_map, geo_map.chain.d[1], 10, 1000, seed)):
+            with pytest.raises(ConfigError, match="seed"):
+                call()
+
+
+def test_whole_float_seeds_act_as_ints(geo_map):
+    assert same_states(sample_states(geo_map, 100, 3.0, stream=2.0),
+                       sample_states(geo_map, 100, 3, stream=2))
+    u = centered_top_indicator(geo_map.chain)
+    est = mc_correlation(geo_map, u, u, [1], 1000, np.float64(3.0))
+    assert est == mc_correlation(geo_map, u, u, [1], 1000, 3)
+    assert type(est[1].seed) is int and est[1].seed == 3
+    # the top seed and stream are exact, not rounded through a double
+    top = 2 ** 64 - 1
+    assert maps._rng(top, top).bit_generator.state["state"]["key"].tolist() == [top, top]
+    assert maps._rng(np.uint64(top)).bit_generator.state["state"]["key"].tolist() == [top, 0]
+
+
 def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
     chain_states, _ = coded_states(geo_map, "chain", 5000, seed=4)
     assert np.array_equal(chain_states, sample_states(geo, 5000, seed=4)[0])
@@ -252,6 +292,7 @@ NON_WHOLE = {
     "orbit_symbols": (lambda m: orbit_symbols(m, 0.3, 2.5), PreconditionViolated),
     "entrance_tail": (lambda m: entrance_tail(m, m.chain.d[1], 10.7, 1000, 1), ConfigError),
     "pf_check": (lambda m: pf_check(m.chain, 500.7), PreconditionViolated),
+    "i_max": (lambda m: markov_frequency_check(m, 10_000, 1, i_max=2.5), PreconditionViolated),
 }
 
 
@@ -689,6 +730,10 @@ seeds = st.integers(0, 2 ** 64 - 1)
 #: block edges inside the burn-in and the orbit.
 blocks = st.sampled_from([maps._BLOCK, 1, 2, 7, 40])
 
+#: Threads drawing the chain sampler's blocks: one runs them in the calling
+#: thread, more on a pool.
+workers = st.sampled_from([1, 2, 3])
+
 
 @given(name=st.sampled_from(sorted(ORACLE_LAWS)), seed=seeds,
        burn_in=st.integers(0, 300), length=st.integers(1, 2500),
@@ -733,13 +778,14 @@ def test_orbits_from_cell_tops_match_the_per_step_loop(name):
 
 @given(name=st.sampled_from(sorted({**ORACLE_LAWS, **NULL_LAWS})), seed=seeds,
        burn_in=st.integers(0, 3000), length=st.integers(1, 20_000),
-       stream=st.integers(0, 3), block=blocks)
+       stream=st.integers(0, 3), block=blocks, threads=workers)
 @settings(max_examples=60, deadline=None)
 def test_chain_sampler_matches_the_repeat_construction(name, seed, burn_in, length, stream,
-                                                       block):
+                                                       block, threads):
     chain = oracle_map(name).chain
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_BLOCK", block)
+        mp.setattr(maps, "_workers", lambda: threads)
         got = sample_states(chain, length, seed, burn_in=burn_in, stream=stream)
     assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream))
 
@@ -835,15 +881,16 @@ def test_occupation_stderr_matches_the_nanmean_route(name, sampler, seed, burn_i
 
 @given(name=st.sampled_from(sorted({**ORACLE_LAWS, **CENSORED_LAWS})),
        sampler=st.sampled_from(["chain", "float"]), seed=seeds, burn_in=st.integers(0, 200),
-       orbit_length=st.integers(1, 4000), block=blocks)
+       orbit_length=st.integers(1, 4000), block=blocks, threads=workers)
 @settings(max_examples=60, deadline=None)
 def test_kac_report_matches_the_whole_orbit_route(name, sampler, seed, burn_in, orbit_length,
-                                                  block):
+                                                  block, threads):
     # returns read as steps 1 -> L against gaps between visits to the top cell
     m = oracle_map(name)
     states, _ = ref_states(m, sampler, orbit_length, seed, burn_in)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_BLOCK", block)
+        mp.setattr(maps, "_workers", lambda: threads)
         if ref_returns(states).size:
             assert_same_report(kac_check(m, orbit_length, seed, burn_in=burn_in,
                                          sampler=sampler), ref_kac(states))
@@ -939,7 +986,7 @@ def test_chain_sampler_matches_across_block_edges(name, length, burn_in):
 
 def test_censored_steps_on_block_edges_survive_the_copy():
     chain = censoring_chain()
-    edges = [block[[0, -1]] for block in maps._excursions(chain, maps._rng(8), 40 * B)]
+    edges = [block[[0, -1]] for block in maps._excursions(chain, 8, 0, 40 * B)]
     # the draws of a block end on a censored step as often as anywhere else
     assert sum(int(last == -1) for _, last in edges) > 5
     assert sum(int(first == -1) for first, _ in edges) > 5
@@ -980,6 +1027,107 @@ def test_chain_sampler_reaches_states_past_int16_exactly():
     for at in starts[:-1]:
         assert np.array_equal(states[at : at + deep], np.arange(deep, 0, -1))
     assert same_states((states, censored), ref_chain_states(chain, 4 * B, 5, 0))
+
+
+# ----------------------------------------------------------------------
+# parallel blocks: the chain sampler draws block (offset, count) from its
+# offset in the Philox stream, so the blocks run on a pool of threads and
+# every state and report must not depend on how many
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("block", [B, 1, 2, 7, 40])
+def test_orbits_and_reports_do_not_depend_on_the_worker_count(monkeypatch, block):
+    # offsets off a multiple of four at the small block sizes; several
+    # blocks in flight at every size
+    chain = oracle_map("zeta-1.5-N300").chain
+    censoring = censoring_chain()
+    length = 3 * B + 7 if block == B else 3000
+    u = centered_top_indicator(chain)
+    v = Observable(np.array([0.0, 0.5, -1.0, 2.0]), limit=0.25)
+    monkeypatch.setattr(maps, "_BLOCK", block)
+
+    def outputs():
+        return [sample_states(chain, length, 5, burn_in=block + 3, stream=2),
+                sample_states(censoring, length, 2 ** 64 - 1, burn_in=0),
+                mc_correlation(chain, u, v, [0, 1, 17], length, 5, burn_in=block - 1,
+                               streams=2),
+                vars(kac_check(chain, length, 5, burn_in=7)),
+                vars(markov_frequency_check(chain, length, 5, i_max=6, burn_in=2))]
+
+    monkeypatch.setattr(maps, "_workers", lambda: 1)
+    want = outputs()
+    assert same_states(want[0], ref_chain_states(chain, length, 5, block + 3, stream=2))
+    assert same_states(want[1], ref_chain_states(censoring, length, 2 ** 64 - 1, 0))
+    for threads in (2, 3):
+        monkeypatch.setattr(maps, "_workers", lambda: threads)
+        got = outputs()
+        for g, w in zip(got[:2], want[:2]):
+            assert same_states(g, w)
+        assert got[2] == want[2]
+        for g, w in zip(got[3:], want[3:]):
+            assert g.keys() == w.keys()
+            for field in w:
+                if isinstance(w[field], np.ndarray):
+                    assert g[field].tobytes() == w[field].tobytes(), field
+                else:
+                    assert g[field] == w[field], field
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert maps._workers() == 1
+    monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert maps._workers() == maps._MAX_WORKERS
+
+
+def test_pools_leave_no_thread_behind(zeta, monkeypatch):
+    monkeypatch.setattr(maps, "_workers", lambda: 2)
+    before = threading.active_count()
+    blocks = maps._blocks(zeta, 6 * B, 1, 0)
+    first = next(blocks)
+    assert first.size and threading.active_count() > before
+    del blocks  # abandoned with blocks in flight
+    assert threading.active_count() == before
+    sample_states(zeta, 6 * B, 1)
+    assert threading.active_count() == before
+
+
+def test_a_failing_block_reaches_the_caller(zeta, monkeypatch):
+    monkeypatch.setattr(maps, "_workers", lambda: 3)
+    draw = maps._excursion_block
+
+    def failing(chain, cdf, seed, stream, offset, count):
+        if offset >= 2 * B:
+            raise FloatingPointError(f"block at {offset} failed")
+        return draw(chain, cdf, seed, stream, offset, count)
+
+    monkeypatch.setattr(maps, "_excursion_block", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block at 131072 failed"):
+        sample_states(zeta, 10 * B, 1)
+    assert threading.active_count() == before
+
+
+def test_one_block_orbits_load_no_thread_pool():
+    # concurrent.futures takes about 11 ms to import; only an orbit of
+    # several blocks drawn by several workers needs it
+    code = """if True:
+        import sys
+        import renewallab as rl
+        import renewallab.cli
+        from renewallab import maps
+        assert "concurrent.futures" not in sys.modules, "import"
+        chain = rl.build_chain(rl.ZetaTailLaw(1.0), 2000)
+        rl.sample_states(chain, 20_000, 1)
+        rl.kac_check(chain, 20_000, 1)
+        assert "concurrent.futures" not in sys.modules, "one block"
+        maps._workers = lambda: 2
+        rl.sample_states(chain, 200_000, 1)
+        assert "concurrent.futures" in sys.modules, "several blocks"
+    """
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def ref_returns(states):
