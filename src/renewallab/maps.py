@@ -140,22 +140,31 @@ _BLOCK = 2 ** 16
 MAX_ORBIT = 100_000_000
 
 #: Most threads that draw the blocks of one exact coded orbit; one block
-#: more than the threads is in flight at most.
-_MAX_WORKERS = 4
+#: more than the threads is in flight at most.  Two is the count whose
+#: time and memory were measured (on two CPUs); more would hold more
+#: blocks at once for a gain no run has shown.
+_MAX_WORKERS = 2
 
 
-def _rng(seed: int, stream: int = 0, offset: int = 0) -> np.random.Generator:
-    """The Philox generator of ``stream`` of the run ``seed``, past the first
-    ``offset`` doubles of that stream: a Philox step makes four, so it
-    advances ``offset // 4`` steps and discards ``offset % 4`` doubles.
-    Seed and stream must be whole numbers in ``[0, 2**64)``; anything else
-    raises :class:`ConfigError` before a draw."""
+def _key(seed: int, stream: int = 0) -> int:
+    """The Philox key ``seed | (stream << 64)`` of ``stream`` of the run
+    ``seed``.  Seed and stream must be whole numbers in ``[0, 2**64)``;
+    anything else raises :class:`ConfigError`, so a caller that takes the
+    key first draws nothing from a bad one."""
     seed = _whole(seed, "the seed", ConfigError)
     stream = _whole(stream, "the stream", ConfigError)
     if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
         raise ConfigError(f"seed and stream must be unsigned 64-bit integers, "
                           f"got seed {seed}, stream {stream}")
-    rng = np.random.Generator(np.random.Philox(key=seed | (stream << 64)))
+    return seed | (stream << 64)
+
+
+def _rng(key: int, offset: int = 0) -> np.random.Generator:
+    """The Philox generator of the checked ``key`` (see :func:`_key`), past
+    the first ``offset`` doubles of its stream: a Philox step makes four,
+    so it advances ``offset // 4`` steps and discards ``offset % 4``
+    doubles."""
+    rng = np.random.Generator(np.random.Philox(key=key))
     if offset:
         rng.bit_generator.advance(offset // 4)
         rng.random(offset % 4)
@@ -176,11 +185,9 @@ def _check_orbit(length, burn_in=0, streams=1) -> tuple:
     """Refuse an empty orbit (or sample), a negative burn-in, no streams, a
     size that is not a whole number, or more than :data:`MAX_ORBIT` steps in
     all.  Returns ``(length, burn_in, streams)`` as ints."""
-    sizes = (length, burn_in, streams)
-    if not all(float(v).is_integer() for v in sizes):
-        raise ConfigError(f"orbit sizes must be whole numbers, got length {length}, "
-                          f"burn_in {burn_in}, streams {streams}")
-    length, burn_in, streams = (int(v) for v in sizes)
+    length, burn_in, streams = (_whole(v, what, ConfigError) for v, what in
+                                ((length, "the orbit length"), (burn_in, "the burn-in"),
+                                 (streams, "the stream count")))
     if min(length, streams) < 1 or burn_in < 0:
         raise ConfigError(f"orbit sizes must be positive and burn_in nonnegative, got length "
                           f"{length}, burn_in {burn_in}, streams {streams}")
@@ -191,7 +198,11 @@ def _check_orbit(length, burn_in=0, streams=1) -> tuple:
 
 
 def _whole(value, what: str, error=PreconditionViolated) -> int:
-    """``value`` as an int, refusing a value that is not a whole number."""
+    """``value`` as an int, refusing a value that is not a whole number;
+    strings and bools are not numbers here, whatever they would convert
+    to."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise error(f"{what} must be a whole number, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -386,11 +397,11 @@ def _cells(cdf, u) -> np.ndarray:
     return cells
 
 
-def _excursion_block(chain, cdf, seed: int, stream: int, offset: int, count: int):
-    """States of the ``count`` excursions whose uniforms start at
-    ``offset`` in the stream.  A draw beyond the stored prefix is one
+def _excursion_block(chain, cdf, rng, count: int):
+    """States of the ``count`` excursions that the next ``count`` uniforms
+    of ``rng`` draw, one each.  A draw beyond the stored prefix is one
     ``-1`` step."""
-    draws = _cells(cdf, _rng(seed, stream, offset).random(count))
+    draws = _cells(cdf, rng.random(count))
     over = draws > chain.truncation
     draws[over] = 1
     ends = np.cumsum(draws)
@@ -420,39 +431,52 @@ def _in_order(pool, draw, batch, depth: int):
         yield pending.popleft().result()
 
 
-def _excursions(chain, seed: int, stream: int, total: int):
-    """Blocks of the exact coded orbit, ``total`` states at least.
+def _excursions(chain, key: int, total: int):
+    """Blocks of the exact coded orbit of the stream of ``key``, ``total``
+    states at least.
 
     Each excursion takes one uniform, so block ``(offset, count)`` expands
     the ``count`` uniforms from ``offset`` on and the states do not depend
-    on where the blocks split the stream.  A batch of blocks of at most
-    :data:`_BLOCK` uniforms covers 1.2 times the expected need; a batch
-    that falls short is followed by another.  A batch of several blocks
-    runs on a pool of :func:`_workers` threads, at most one block more
-    than the workers in flight; one block, or one worker, runs in this
-    thread.  Abandoned or failed, the generator shuts its pool down.
+    on where the blocks split the stream.  The uniforms still needed are
+    estimated as ``(total - have) / m1``, the states still missing over the
+    mean excursion.  While that estimate is a block or more, a batch holds
+    one full :data:`_BLOCK` block for each whole block of it, so a batch
+    rarely runs past the end; then one block sized from the remainder,
+    1.2 times its estimate and at most :data:`_BLOCK`, is drawn, and
+    another if it falls short.  A batch of several blocks runs on a
+    pool of :func:`_workers` threads, at most one block more than the
+    workers in flight, each block from its own generator advanced to its
+    offset; one block, or one worker, runs in this thread, which reads
+    the batch from one generator.  Abandoned or failed, the generator shuts its pool down.
     """
     cdf = np.cumsum(chain.p[1:])
     workers = _workers()
 
     def draw(offset, count):
-        return _excursion_block(chain, cdf, seed, stream, offset, count)
+        return _excursion_block(chain, cdf, _rng(key, offset), count)
 
     pool = None
     have = offset = 0
     try:
         while have < total:
-            want = max(1024, int((total - have) / chain.m1 * 1.2) + 16)
-            batch = [(at, min(_BLOCK, offset + want - at))
-                     for at in range(offset, offset + want, _BLOCK)]
-            offset += want
+            need = (total - have) / chain.m1
+            want = max(1024, int(need * 1.2) + 16)
+            if want <= _BLOCK:
+                batch = [(offset, want)]
+            else:
+                batch = [(offset + k * _BLOCK, _BLOCK)
+                         for k in range(max(1, int(need) // _BLOCK))]
+            offset += sum(count for _, count in batch)
             if len(batch) > 1 and workers > 1:
                 if pool is None:
                     from concurrent.futures import ThreadPoolExecutor
                     pool = ThreadPoolExecutor(workers)
                 blocks = _in_order(pool, draw, batch, workers + 1)
             else:
-                blocks = (draw(*block) for block in batch)
+                # one generator reads the batch in turn: a fresh Philox
+                # costs about 25 us, a few percent of a block's expansion
+                rng = _rng(key, batch[0][0])
+                blocks = (_excursion_block(chain, cdf, rng, count) for _, count in batch)
             for states in blocks:
                 yield states
                 have += states.size
@@ -481,13 +505,14 @@ def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
     hold ``length`` states in all.  The public entries check the sizes, and
     :func:`_sampler` the float sampler's starts, before this draws."""
     total = burn_in + length
-    rng = _rng(seed, stream)  # refuses a bad seed or stream before drawing
+    key = _key(seed, stream)  # refuses a bad seed or stream before drawing
     if isinstance(source, IntermittentMap):
+        rng = _rng(key)
         pi_cdf = np.cumsum(source.chain.pi[1:])
         raw = _float_orbit(source, _density_start(source, rng, pi_cdf), total,
                            restart=lambda: _density_start(source, rng, pi_cdf))
     else:
-        raw = _excursions(source, seed, stream, total)
+        raw = _excursions(source, key, total)
     at = 0
     try:
         for block in raw:
@@ -916,7 +941,8 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     # the starts take the first `samples` uniforms of the stream and the
     # jumps the rest, read by a second generator started past the starts,
     # so the blocks draw what one call would
-    starts, jumps = _rng(seed), _rng(seed, offset=samples)
+    key = _key(seed)
+    starts, jumps = _rng(key), _rng(key, samples)
     pi_cdf = np.cumsum(chain.pi[1:])
     p_cdf = np.cumsum(chain.p[1:])
     counts = np.zeros(n_max + 2, dtype=np.int64)

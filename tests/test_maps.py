@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import subprocess
 import sys
@@ -206,7 +207,8 @@ def test_streams_are_disjoint_across_seeds(geo):
 
 #: Seeds and streams that are not whole numbers in [0, 2**64).
 BAD_KEYS = [(1.5, 0), (-0.5, 0), (3.9, 0), (-1, 0), (2 ** 64, 0), (float("nan"), 0),
-            (10 ** 400, 0), (1, 1.5), (1, -1), (1, 2 ** 64)]
+            (10 ** 400, 0), ("1", 0), (True, 0), (np.True_, 0), (1, 1.5), (1, -1),
+            (1, 2 ** 64), (1, "1"), (1, True)]
 
 
 @pytest.mark.parametrize("seed, stream", BAD_KEYS)
@@ -237,8 +239,9 @@ def test_whole_float_seeds_act_as_ints(geo_map):
     assert type(est[1].seed) is int and est[1].seed == 3
     # the top seed and stream are exact, not rounded through a double
     top = 2 ** 64 - 1
-    assert maps._rng(top, top).bit_generator.state["state"]["key"].tolist() == [top, top]
-    assert maps._rng(np.uint64(top)).bit_generator.state["state"]["key"].tolist() == [top, 0]
+    for key, words in (((top, top), [top, top]), ((np.uint64(top),), [top, 0])):
+        rng = maps._rng(maps._key(*key))
+        assert rng.bit_generator.state["state"]["key"].tolist() == words
 
 
 def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
@@ -256,7 +259,8 @@ def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
 
 
 @pytest.mark.parametrize("length, burn_in", [(0, 0), (-5, 0), (10, -20),
-                                             (maps.MAX_ORBIT + 1, 0), (10.5, 0), (10, 2.5)])
+                                             (maps.MAX_ORBIT + 1, 0), (10.5, 0), (10, 2.5),
+                                             ("10", 0), (True, 0), (10, False)])
 @pytest.mark.parametrize("sampler", ["chain", "float"])
 def test_samplers_check_their_sizes_before_drawing(geo_map, monkeypatch, sampler,
                                                    length, burn_in):
@@ -566,7 +570,7 @@ def test_star_import_exports_maps_and_spectral_names():
 
 def ref_float_states(m, length, seed, burn_in, stream=0):
     """Float orbit one step at a time: encode, then the branch image."""
-    rng = maps._rng(seed, stream)
+    rng = maps._rng(maps._key(seed, stream))
     pi_cdf = np.cumsum(m.chain.pi[1:])
     out = np.empty(burn_in + length, dtype=np.int32)
     x = maps._density_start(m, rng, pi_cdf)
@@ -593,7 +597,7 @@ def ref_orbit_symbols(m, x, n):
 
 def ref_chain_states(chain, length, seed, burn_in, stream=0):
     """Excursions spelled out with np.repeat: L, L-1, ..., 1 each."""
-    rng = maps._rng(seed, stream)
+    rng = maps._rng(maps._key(seed, stream))
     cdf = np.cumsum(chain.p[1:])
     total = burn_in + length
     chunks, have = [], 0
@@ -986,7 +990,7 @@ def test_chain_sampler_matches_across_block_edges(name, length, burn_in):
 
 def test_censored_steps_on_block_edges_survive_the_copy():
     chain = censoring_chain()
-    edges = [block[[0, -1]] for block in maps._excursions(chain, 8, 0, 40 * B)]
+    edges = [block[[0, -1]] for block in maps._excursions(chain, 8, 40 * B)]
     # the draws of a block end on a censored step as often as anywhere else
     assert sum(int(last == -1) for _, last in edges) > 5
     assert sum(int(first == -1) for first, _ in edges) > 5
@@ -1078,7 +1082,40 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     assert maps._workers() == 1
     monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
-    assert maps._workers() == maps._MAX_WORKERS
+    assert maps._workers() == maps._MAX_WORKERS == 2
+
+
+def serial_loop_draws(chain, total, seed):
+    """Uniforms a loop drawing one block at a time takes, each block sized
+    from the states still missing: 1.2 times their expected excursions,
+    at least 1024 and at most a block."""
+    lengths = maps._cells(np.cumsum(chain.p[1:]),
+                          maps._rng(maps._key(seed)).random(int(total / chain.m1 * 2) + 4 * B))
+    lengths[lengths > chain.truncation] = 1
+    states = np.concatenate(([0], np.cumsum(lengths)))
+    drawn = 0
+    while states[drawn] < total:
+        drawn += min(max(1024, int((total - states[drawn]) / chain.m1 * 1.2) + 16), B)
+    return drawn
+
+
+@pytest.mark.parametrize("length", [1000, 100_000, 150_000, 333_333, 1_000_000])
+def test_one_worker_draws_no_more_than_a_serial_loop(geo, zeta, monkeypatch, length):
+    # full blocks are planned only for the whole blocks still expected, so
+    # the last block is sized from what remains and no block is wasted
+    monkeypatch.setattr(maps, "_workers", lambda: 1)
+    cells, drawn = maps._cells, [0]
+
+    def counting(cdf, u):
+        drawn[0] += u.size
+        return cells(cdf, u)
+
+    monkeypatch.setattr(maps, "_cells", counting)
+    for chain in (geo, zeta):
+        for seed in (1, 2, 3):
+            drawn[0] = 0
+            sample_states(chain, length, seed, burn_in=0)
+            assert drawn[0] <= serial_loop_draws(chain, length, seed)
 
 
 def test_pools_leave_no_thread_behind(zeta, monkeypatch):
@@ -1095,16 +1132,16 @@ def test_pools_leave_no_thread_behind(zeta, monkeypatch):
 
 def test_a_failing_block_reaches_the_caller(zeta, monkeypatch):
     monkeypatch.setattr(maps, "_workers", lambda: 3)
-    draw = maps._excursion_block
+    draw, calls = maps._excursion_block, itertools.count()
 
-    def failing(chain, cdf, seed, stream, offset, count):
-        if offset >= 2 * B:
-            raise FloatingPointError(f"block at {offset} failed")
-        return draw(chain, cdf, seed, stream, offset, count)
+    def failing(chain, cdf, rng, count):
+        if next(calls) == 2:
+            raise FloatingPointError("the third block failed")
+        return draw(chain, cdf, rng, count)
 
     monkeypatch.setattr(maps, "_excursion_block", failing)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="block at 131072 failed"):
+    with pytest.raises(FloatingPointError, match="third block failed"):
         sample_states(zeta, 10 * B, 1)
     assert threading.active_count() == before
 
@@ -1253,7 +1290,7 @@ def ref_entrance(chain, k, n_max, samples, seed):
     """The entrance survival curve with every sample drawn at once: the
     starts take the first ``samples`` uniforms, the jumps from cell one
     the next ones, in sample order."""
-    rng = maps._rng(seed)
+    rng = maps._rng(maps._key(seed))
     pi_cdf = np.cumsum(chain.pi[1:])
     p_cdf = np.cumsum(chain.p[1:])
     u = rng.random(samples)
