@@ -11,7 +11,14 @@ computes one artifact set, and writes it under ``--out``:
 Re-running a command with the same config and seed reproduces every output
 byte for byte; floats are written with full round-trip precision and
 nothing time- or host-dependent is recorded.  Writes go through a
-temporary file in the target directory followed by an atomic rename.
+temporary file in the target directory followed by an atomic rename; the
+file is created with mode ``0o666`` less the process umask, as
+``open(path, "w")`` would create it.  An ``--out`` that cannot be made a
+directory is a usage error, reported before anything is computed.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the process; ``parse_args`` returns a fresh namespace
+each time, so no flag carries from one call to the next.
 
 Exit codes: 0 success, 2 malformed config or usage, 3 mathematical
 precondition violated (for example ``rates lemma2`` on a geometric chain,
@@ -21,10 +28,11 @@ whose deviation decays faster than any power), 4 stored prefix too short.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -56,9 +64,21 @@ __all__ = ["main"]
 # Deterministic writers
 # ----------------------------------------------------------------------
 
+#: numbers the temporary files of this process
+_TMP = itertools.count()
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def _atomic_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    directory = os.path.dirname(path)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{next(_TMP)}")
+        try:
+            # 0o666 less the umask, as open(path, "w") would create it
+            fd = os.open(tmp, _TMP_FLAGS, 0o666)
+            break
+        except FileExistsError:  # left behind by an earlier process with this pid
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -536,7 +556,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call: building one
+    costs more than parsing with it."""
     parser = argparse.ArgumentParser(
         prog="renewallab",
         description="Convergence-rate experiments for renewal chains",
@@ -565,7 +588,10 @@ def _run(command: str, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
     ctx = Ctx(command, raw, cfg, args.out, seed, args.truncation, args.quiet)
     results = handler(ctx)
     summary = {

@@ -256,11 +256,8 @@ def build_map(chain) -> IntermittentMap:
     Branch images are checked against the next cell at build time.
     """
     support = _support_length(chain)
-    cap = support
-    for i in range(1, support + 1):
-        if chain.p[i] < DEPTH_RESOLUTION:
-            cap = i - 1
-            break
+    narrow = np.flatnonzero(chain.p[1 : support + 1] < DEPTH_RESOLUTION)
+    cap = int(narrow[0]) if narrow.size else support
     if cap < 1:
         raise ZeroProbabilityBranch("no resolvable branch")
     terminal = support == cap and chain.d[cap] == 0.0
@@ -270,12 +267,21 @@ def build_map(chain) -> IntermittentMap:
     slopes[2:] = chain.p[2 : cap + 1] / chain.p[1:cap]
     m = IntermittentMap(chain, bp, slopes, cap, terminal)
 
-    for i in range(2, min(cap, 200) + 1):
-        top = np.nextafter(bp[i - 1], 0.0)
-        if abs(apply(m, top) - bp[i - 2]) > 1e-12:
-            raise PreconditionViolated(
-                f"branch {i} image misses the next cell edge; law too irregular"
-            )
+    # apply() on the float just below the top of each cell i = 2 .. k, all at
+    # once.  encode() puts it in cell i: every p_i >= DEPTH_RESOLUTION is
+    # more than half an ulp of d_i <= 1, so the cells are not empty.  The
+    # image is _image's affine step and clamps, the upper clamp 1 for i = 2.
+    k = min(cap, 200)
+    top = np.nextafter(bp[1:k], 0.0)
+    hi = np.r_[1.0, np.nextafter(bp[1 : k - 1], 0.0)]
+    image = np.minimum(np.maximum(bp[1:k] + (top - bp[2 : k + 1]) / slopes[2 : k + 1],
+                                  bp[1:k]), hi)
+    bad = np.abs(image - bp[: k - 1]) > 1e-12
+    if bad.any():  # the first branch that a loop over i would refuse
+        raise PreconditionViolated(
+            f"branch {int(np.argmax(bad)) + 2} image misses the next cell edge; "
+            "law too irregular"
+        )
     return m
 
 

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line layer: exit codes, schema
 rejection, deterministic artifacts."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewallab import cli
 from renewallab.cli import COMMANDS, main
 
 GEO = {"chain": {"law": {"type": "geometric", "q": 0.5}, "truncation": 2000}}
@@ -280,6 +284,35 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["chain", "info", "--config", str(cfg), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe\x00",
+    b'{"a":' * 10 ** 5 + b"1" + b"}" * 10 ** 5,  # nested past the recursion limit
+], ids=["not-utf8", "deep"])
+def test_unreadable_json_exits_2(tmp_path, capsys, data):
+    cfg = tmp_path / "broken.json"
+    cfg.write_bytes(data)
+    assert main(["chain", "info", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error") and str(cfg) in err[0]
+
+
+@pytest.mark.parametrize("out", ["afile", "o/summary.json/x"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "afile").write_text("")
+    assert run(tmp_path, ["chain", "info"], GEO, sub="o")[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("the chain was built before the output directory")
+
+    monkeypatch.setattr("renewallab.cli.chain_from_config", refuse)
+    cfg = write_cfg(tmp_path, GEO)
+    target = str(tmp_path / out)
+    assert main(["chain", "info", "--config", cfg, "--out", target, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error")
+    assert f"output directory {target}:" in err and "Traceback" not in err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["chain", "info", "--config", str(tmp_path / "nope.json"),
                  "--quiet"]) == 2
@@ -442,6 +475,81 @@ def test_gf_target_past_the_prefix_exits_4(tmp_path, capsys, i, j):
     code, _ = run(tmp_path, ["spectral", "gf"], payload)
     assert code == 4
     assert "TruncationTooSmall" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------
+
+def test_main_builds_at_most_one_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for k in range(5):
+        assert run(tmp_path, ["chain", "info"], GEO, sub=f"o{k}")[0] == 0
+    assert len(built) <= 1
+
+
+def test_flags_do_not_carry_to_the_next_call(tmp_path):
+    payload = {**GEO, "orbit_length": 1000, "seed": 11}
+    _, out1 = run(tmp_path, ["map", "kac"], payload, "--seed", "7", sub="o1")
+    _, out2 = run(tmp_path, ["map", "kac"], payload, sub="o2")
+    assert summary(out1)["seed"] == 7 and summary(out2)["seed"] == 11
+    _, out3 = run(tmp_path, ["chain", "info"], GEO, "--truncation", "64", sub="o3")
+    _, out4 = run(tmp_path, ["chain", "info"], GEO, sub="o4")
+    assert summary(out3)["results"]["truncation"] == 64
+    assert summary(out4)["results"]["truncation"] == GEO["chain"]["truncation"]
+
+
+def test_usage_errors_after_a_warm_parser(tmp_path, capsys):
+    assert run(tmp_path, ["chain", "info"], GEO)[0] == 0
+    cfg = write_cfg(tmp_path, GEO)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "--config" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "bogus", "--config", cfg])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "'rates bogus'" in err and all(c in err for c in COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "info"])
+    assert exc.value.code == 2 and "--config" in capsys.readouterr().err
+
+
+def test_artifacts_take_the_mode_that_open_gives(tmp_path):
+    payload = {**GEO, "nu": {"kind": "point", "state": 1}, "grid": {"points": [1, 2]}}
+    old = os.umask(0o022)
+    try:
+        for mask in (0o022, 0o077):
+            os.umask(mask)
+            with open(tmp_path / f"plain{mask:o}", "w"):
+                pass
+            expected = stat.S_IMODE(os.stat(tmp_path / f"plain{mask:o}").st_mode)
+            code, out = run(tmp_path, ["rates", "distance"], payload, sub=f"o{mask:o}")
+            assert code == 0
+            names = sorted(p.name for p in out.iterdir())
+            assert names == ["rates_distance.csv", "rates_distance.csv.meta.json",
+                             "summary.json"]
+            for name in names:
+                assert stat.S_IMODE(os.stat(out / name).st_mode) == expected, (mask, name)
+    finally:
+        os.umask(old)
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("renewallab.cli.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_bytes(str(tmp_path / "a.csv"), b"x\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_console_module_entry(tmp_path):

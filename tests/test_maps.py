@@ -118,6 +118,56 @@ def test_branch_images_meet_the_next_cell(geo_map, zeta_map):
             assert abs(apply(m, top) - m.breakpoints[i - 2]) < 1e-12
 
 
+def build_map_loop(chain):
+    """:func:`build_map` as two scalar loops: the deepest resolvable branch
+    found cell by cell, then each of the first 200 branch images checked
+    with :func:`apply`."""
+    support = maps._support_length(chain)
+    cap = support
+    for i in range(1, support + 1):
+        if chain.p[i] < maps.DEPTH_RESOLUTION:
+            cap = i - 1
+            break
+    if cap < 1:
+        raise ZeroProbabilityBranch("no resolvable branch")
+    bp = chain.d[: cap + 1].copy()
+    slopes = np.zeros(cap + 1)
+    slopes[1] = chain.p[1]
+    slopes[2:] = chain.p[2 : cap + 1] / chain.p[1:cap]
+    m = maps.IntermittentMap(chain, bp, slopes, cap, support == cap and chain.d[cap] == 0.0)
+    for i in range(2, min(cap, 200) + 1):
+        top = np.nextafter(bp[i - 1], 0.0)
+        if abs(apply(m, top) - bp[i - 2]) > 1e-12:
+            raise PreconditionViolated(
+                f"branch {i} image misses the next cell edge; law too irregular")
+    return m
+
+
+def _map_outcome(build, chain):
+    try:
+        m = build(chain)
+    except (PreconditionViolated, ZeroProbabilityBranch) as exc:
+        return type(exc), str(exc)
+    return m.breakpoints.tobytes(), m.slopes.tobytes(), m.symbol_cap, m.terminal
+
+
+def test_build_map_matches_its_scalar_loops():
+    rng = np.random.default_rng(0)
+    laws = [ZetaTailLaw(0.25), ZetaTailLaw(1.0), ZetaTailLaw(4.0), GeometricLaw(0.5),
+            FiniteLaw((0.5, 0.5)), FiniteLaw((0.5, 0.25, 1e-13, 0.25 - 1e-13))]
+    for _ in range(12):  # erratic finite laws, most of them too irregular for a map
+        w = rng.random(int(rng.integers(2, 300))) ** rng.uniform(0.1, 30)
+        laws.append(FiniteLaw(tuple((w / w.sum()).tolist())))
+    kinds = set()
+    for law in laws:
+        for n in (50, 21_000):
+            chain = build_chain(law, n)
+            expected = _map_outcome(build_map_loop, chain)
+            assert _map_outcome(build_map, chain) == expected, (law, n)
+            kinds.add(expected[0] if isinstance(expected[0], type) else "map")
+    assert kinds == {"map", PreconditionViolated, ZeroProbabilityBranch}
+
+
 # ----------------------------------------------------------------------
 # pointwise action and coding
 # ----------------------------------------------------------------------
