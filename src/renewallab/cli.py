@@ -117,6 +117,8 @@ def _write_json(path: str, obj) -> None:
 
 
 def _cell(v) -> str:
+    if type(v) is float:
+        return repr(v)
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -154,10 +156,13 @@ class Ctx:
             "tool_version": __version__,
         }
 
-    def write_table(self, name: str, header, rows) -> None:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+    def write_table(self, name: str, header, columns) -> None:
+        """Writes ``columns``, one per name of ``header``, as CSV rows; an
+        array column is read through ``tolist``, so its cells are Python
+        scalars."""
+        cells = [list(map(_cell, c.tolist() if isinstance(c, np.ndarray) else c))
+                 for c in columns]
+        lines = [",".join(header), *map(",".join, zip(*cells))]
         path = os.path.join(self.out, name)
         _atomic_bytes(path, ("\n".join(lines) + "\n").encode())
         _write_json(path + ".meta.json", self._meta(header))
@@ -168,8 +173,8 @@ class Ctx:
         bounds = curve.bounds
         if bounds is None:
             bounds = np.zeros(curve.values.size)
-        rows = zip(curve.n_grid.tolist(), curve.values.tolist(), bounds.tolist())
-        self.write_table(name, ("n", "value", "tail_bound"), rows)
+        self.write_table(name, ("n", "value", "tail_bound"),
+                         (curve.n_grid, curve.values, bounds))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +290,7 @@ def cmd_spectral_factorize(ctx: Ctx) -> dict:
         res = factorization_residual(chain, z, dimension)
         worst = max(worst, res)
         rows.append((z.real, z.imag, res))
-    ctx.write_table("spectral_factorize.csv", ("re_z", "im_z", "residual"), rows)
+    ctx.write_table("spectral_factorize.csv", ("re_z", "im_z", "residual"), zip(*rows))
     results = {
         "dimension": dimension,
         "max_residual": worst,
@@ -300,7 +305,7 @@ def cmd_spectral_eigen(ctx: Ctx) -> dict:
     dimension = ctx.cfg["dimension"]
     rows = disk_scan(ctx.chain(), ctx.cfg["lambdas"], dimension)
     ctx.write_table("spectral_eigen.csv",
-                    ("re_lambda", "im_lambda", "residual", "l1_partial_norm"), rows)
+                    ("re_lambda", "im_lambda", "residual", "l1_partial_norm"), zip(*rows))
     worst = max(r[2] for r in rows)
     ctx.say(f"max interior eigen residual {worst!r} at N={dimension}")
     return {"dimension": dimension, "max_residual": float(worst)}
@@ -314,7 +319,8 @@ def cmd_spectral_gf(ctx: Ctx) -> dict:
     for z, (p_val, f_val) in zip(points, gf_evaluate(chain, i, j, points)):
         p_val, f_val = complex(p_val), complex(f_val)
         rows.append((z.real, z.imag, p_val.real, p_val.imag, f_val.real, f_val.imag))
-    ctx.write_table("spectral_gf.csv", ("re_z", "im_z", "re_p", "im_p", "re_f", "im_f"), rows)
+    ctx.write_table("spectral_gf.csv", ("re_z", "im_z", "re_p", "im_p", "re_f", "im_f"),
+                    zip(*rows))
     ctx.say(f"evaluated P_{i}{j} and F_{i}{j} at {len(rows)} points")
     return {"i": i, "j": j, "points": len(rows)}
 
@@ -334,12 +340,9 @@ def cmd_map_simulate(ctx: Ctx) -> dict:
                                  "defined; raise the truncation or the length")
     counts = np.bincount(states[(states > 0) & (states <= i_max)], minlength=i_max + 1)
     exact = chain.pi[1 : i_max + 1] if chain.positive_recurrent else np.full(i_max, np.nan)
-    rows = [
-        (s, int(counts[s]), counts[s] / valid, float(exact[s - 1]))
-        for s in range(1, i_max + 1)
-    ]
-    ctx.write_table("map_simulate_occupation.csv",
-                    ("state", "visits", "frequency", "exact"), rows)
+    visits = counts[1:]
+    ctx.write_table("map_simulate_occupation.csv", ("state", "visits", "frequency", "exact"),
+                    (np.arange(1, i_max + 1), visits, visits / valid, exact))
     results = {
         "n_steps": int(states.size),
         "valid_steps": valid,
@@ -358,7 +361,7 @@ def cmd_map_correlate(ctx: Ctx) -> dict:
         burn_in=cfg["burn_in"], sampler=cfg["sampler"], streams=cfg["streams"],
     )
     rows = [(n, est.mean, est.stderr, est.censored) for n, est in sorted(estimates.items())]
-    ctx.write_table("map_correlate.csv", ("n", "mean", "stderr", "censored"), rows)
+    ctx.write_table("map_correlate.csv", ("n", "mean", "stderr", "censored"), zip(*rows))
     results = {
         "estimates": {
             str(n): {
@@ -395,8 +398,8 @@ def cmd_map_kac(ctx: Ctx) -> dict:
     report = kac_check(ctx.chain(), ctx.cfg["orbit_length"], ctx.seed,
                        burn_in=ctx.cfg["burn_in"], sampler=ctx.cfg["sampler"])
     top = min(report.histogram.size - 1, ctx.cfg["histogram_max"])
-    rows = [(k, int(report.histogram[k])) for k in range(1, top + 1)]
-    ctx.write_table("map_kac_histogram.csv", ("length", "count"), rows)
+    ctx.write_table("map_kac_histogram.csv", ("length", "count"),
+                    (np.arange(1, top + 1), report.histogram[1 : top + 1]))
     tolerance = ctx.cfg["tolerance"]
     gap = abs(report.product - 1.0)
     results = {
@@ -417,29 +420,17 @@ def cmd_map_frequency(ctx: Ctx) -> dict:
     i_max, sigma = ctx.cfg["i_max"], ctx.cfg["sigma"]
     rep = markov_frequency_check(ctx.chain(), ctx.cfg["orbit_length"], ctx.seed, i_max=i_max,
                                  burn_in=ctx.cfg["burn_in"], sampler=ctx.cfg["sampler"])
-    t_rows = []
-    for r in range(i_max):
-        for c in range(i_max):
-            t_rows.append((
-                r + 1, c + 1,
-                rep.transition_hat[r, c],
-                rep.transition_exact[r, c],
-                rep.transition_stderr[r, c],
-            ))
+    states = np.arange(1, i_max + 1)
     ctx.write_table(
         "map_frequency_transitions.csv",
         ("row", "col", "hat", "exact", "stderr"),
-        t_rows,
+        (np.repeat(states, i_max), np.tile(states, i_max), rep.transition_hat.ravel(),
+         rep.transition_exact.ravel(), rep.transition_stderr.ravel()),
     )
-    o_rows = [
-        (s + 1, rep.occupation_hat[s], rep.occupation_exact[s],
-         rep.occupation_stderr[s])
-        for s in range(i_max)
-    ]
     ctx.write_table(
         "map_frequency_occupation.csv",
         ("state", "hat", "exact", "stderr"),
-        o_rows,
+        (states, rep.occupation_hat, rep.occupation_exact, rep.occupation_stderr),
     )
 
     def worst(hat, exact, err):

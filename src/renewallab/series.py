@@ -13,9 +13,10 @@ oracle, though not equal to it to the last rounding.  One routine,
 of a long product (:func:`_window`) that the evolution curves read, each
 piece with its rounding bound.  :func:`convolve` accumulates with
 compensated (Kahan) summation; no package route uses it, so it serves as
-an independent oracle.  Its loop allocates nothing: five ufunc passes per
-nonzero coefficient into two scratch buffers, bit-identical to the plain
-Kahan loop.  No symbolic algebra is used.
+an independent oracle.  Its loop allocates and copies nothing: five ufunc
+passes per nonzero coefficient over two accumulators, which trade the
+roles of sum and compensation at each step, and one scratch buffer,
+bit-identical to the plain Kahan loop.  No symbolic algebra is used.
 
 Coefficient indexing is from zero.  Sequences that are naturally indexed from
 one (return-law probabilities ``p_1, p_2, ...``) are stored with ``coeffs[k]``
@@ -137,28 +138,33 @@ def convolve(a, b) -> TruncatedSeries:
     Each output coefficient ``(a*b)_n = sum_k a_k b_{n-k}`` is accumulated
     with Kahan compensation, vectorized over the output index, so results do
     not drift even for prefixes of length 1e4 and beyond.  The loop
-    allocates nothing: each nonzero ``a_k`` makes five ufunc passes into two
-    scratch buffers and one copy, the plain Kahan update in the same order,
-    so every output is bit-identical to it.  A product that overflows is
-    refused with :class:`OutOfDomain`.
+    allocates nothing: each nonzero ``a_k`` makes five ufunc passes over
+    two accumulators and one scratch buffer, the plain Kahan update in the
+    same order, so every output is bit-identical to it.  The new sum goes
+    into the buffer that held the compensation and the new compensation
+    into the one that held the sum, so no pass copies; output ``j`` ends in
+    the buffer given by the parity of the nonzero ``a_k`` with ``k <= j``
+    and is gathered from it once.  A product that overflows is refused
+    with :class:`OutOfDomain`.
     """
     a, b = _as_series(a), _as_series(b)
     n_out = min(len(a), len(b))
-    out = np.zeros(n_out)
-    comp = np.zeros(n_out)
-    bc = b.coeffs
+    ac, bc = a.coeffs[:n_out], b.coeffs
+    out = s = np.zeros(n_out)
+    odd = c = np.zeros(n_out)
     y = np.empty(n_out)
-    t = np.empty(n_out)
+    nonzero = ac != 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in np.flatnonzero(a.coeffs[:n_out]).tolist():
-            m = n_out - k
-            ym, tm, ck, ok = y[:m], t[:m], comp[k:], out[k:]
-            np.multiply(bc[:m], a.coeffs[k], out=ym)
+        for k in np.flatnonzero(nonzero).tolist():
+            ym, sk, ck = y[: n_out - k], s[k:], c[k:]
+            np.multiply(bc[: n_out - k], ac.item(k), out=ym)
             ym -= ck
-            np.add(ok, ym, out=tm)
-            np.subtract(tm, ok, out=ck)
-            ck -= ym
-            ok[...] = tm
+            np.add(sk, ym, out=ck)
+            np.subtract(ck, sk, out=sk)
+            sk -= ym
+            s, c = c, s
+    # the sums of outputs after an odd count of nonzero a_k are in ``odd``
+    np.copyto(out, odd, where=np.logical_xor.accumulate(nonzero))
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise OutOfDomain(f"the product overflows at coefficient {bad[0]}")

@@ -96,7 +96,7 @@ def ref_kahan_convolve(a, b):
 
 def bit_identity_cases():
     rng = np.random.default_rng(19)
-    big = build_chain(ZetaTailLaw(1.5), 2000)
+    big = build_chain(ZetaTailLaw(1.5), 6325)
     for n in (1, 2, 64, 2000):
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         yield a, b
@@ -108,13 +108,25 @@ def bit_identity_cases():
         holes[0] = -0.0
         yield holes, b
         yield np.abs(a) * 10.0 ** rng.integers(-8, 8, n), np.abs(b)
-    for n in (64, 1999):
+        yield np.zeros(n), b
+        last = np.zeros(n)
+        last[-1] = a[-1]
+        yield last, b  # one nonzero coefficient, at the last index
+    # odd and even counts of nonzero coefficients with zeros between them
+    a, b = rng.standard_normal(64), rng.standard_normal(64)
+    for picks in ([3, 17, 40], [0, 5, 6, 63], [2, 9, 30, 31, 50], [1, 33]):
+        spaced = np.zeros(64)
+        spaced[picks] = a[picks]
+        yield spaced, b
+        yield -spaced, -b  # mixed -0.0 and nonzero terms
+    for n in (64, 1999, 6325):
         yield big.p[1 : n + 1], big.d[: n + 1]
 
 
 def test_convolve_is_bit_identical_to_the_allocating_kahan_loop():
+    # bytes, not values: a -0.0 where the loop has +0.0 counts
     for a, b in bit_identity_cases():
-        assert np.array_equal(convolve(a, b).coeffs, ref_kahan_convolve(a, b))
+        assert convolve(a, b).coeffs.tobytes() == ref_kahan_convolve(a, b).tobytes()
 
 
 def test_convolve_compensates():
@@ -132,12 +144,26 @@ def test_convolve_compensates():
 
 
 def test_convolve_refuses_overflow_without_warnings():
+    # (a, b, first coefficient that overflows): the sum and compensation
+    # trade buffers at each nonzero a_k, so the first overflow is reached by
+    # an odd and by an even count of nonzero a_k, each with an odd and an
+    # even total count
+    cases = [
+        ([1e200, 0.0, 0.0], [1e200, 1.0, 1.0], 0),  # odd of odd
+        ([1e200, 1.0], [1e200, 1.0], 0),  # odd of even
+        ([1.0, 0.0, 1e300, 2.0], [1e10, 1.0, 1.0, 1.0], 2),  # even of odd
+        ([1.0, 0.0, 1e300], [1e10, 1.0, 1.0], 2),  # even of even
+        ([1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1e308, 1e308], 4),  # a sum, odd of odd
+        ([1.0, 0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1e308, 1.0, 1e308], 5),  # even of even
+    ]
+    parities = {(np.count_nonzero(a[: first + 1]) % 2, np.count_nonzero(a) % 2)
+                for a, _, first in cases}
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OutOfDomain, match="coefficient 0"):
-            convolve([1e200, 1.0], [1e200, 1.0])
-        with pytest.raises(OutOfDomain, match="coefficient 2"):
-            convolve([1.0, 0.0, 1e300], [1e10, 1.0, 1.0])
+        for a, b, first in cases:
+            with pytest.raises(OutOfDomain, match=f"coefficient {first}$"):
+                convolve(a, b)
 
 
 # -- reciprocal --------------------------------------------------------
