@@ -386,7 +386,6 @@ def cmd_map_entrance(ctx: Ctx) -> dict:
     results = {
         "a_effective": report.a_effective,
         "k": report.k,
-        "n_samples": report.n_samples,
         "fit": _fit_dict(report.fit),
     }
     if report.fit is not None:

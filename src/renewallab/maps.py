@@ -22,8 +22,10 @@ restart: the clamps of each branch image put a point of cell ``i >= 2``
 into cell ``i - 1`` exactly, so the descent needs no search and codes the
 same symbols as :func:`encode`.  Its starts come from the invariant density,
 so on a null-recurrent chain it raises :class:`NotPositiveRecurrent` before
-drawing, as :func:`entrance_tail`, :func:`markov_frequency_check` and
-:func:`kac_check` do on either sampler.
+drawing, as :func:`markov_frequency_check` and :func:`kac_check` do on
+either sampler.  :func:`entrance_tail` draws nothing: the survival of the
+first entrance from a stationary start is a closed form in the chain's
+tails, and it raises the same error on a null-recurrent chain.
 Estimators skip pairs that straddle a censored step: they sum zero-filled
 streams and divide by the count of valid pairs, counted from the sentinel
 positions.  A lag sum is one BLAS dot per batch: it and the ``nanmean`` of
@@ -41,9 +43,8 @@ several blocks draws them on a pool of threads, one per CPU of the
 process's affinity mask up to :data:`_MAX_WORKERS`, numpy releasing the
 GIL inside them; they are read in order, at most one more than the
 workers in flight, so the states do not depend on the thread count.
-The float orbit is one sequential recursion, and the jump offsets of
-:func:`entrance_tail` follow the counts of earlier blocks, so both stay
-in the calling thread.  States are cell indices, at most
+The float orbit is one sequential recursion, so it stays in the calling
+thread.  States are cell indices, at most
 :data:`~renewallab.chain.MAX_TRUNCATION` < 2**31, or the sentinel ``-1``,
 so every orbit array, block or whole, is ``np.int32``.  The samplers copy
 the blocks into the one array they return.  The estimators read the
@@ -54,9 +55,6 @@ batches long that slides along the orbit, and
 ``a -> b``, the last state carried across block edges.  By the descent
 rule a step ``1 -> L`` returns to the top cell ``L`` steps later, so
 Kac's returns are the steps ``1 -> L`` whose return ends in the orbit.
-:func:`entrance_tail` draws its samples in blocks too and holds
-O(block + n_max) memory: one block of starts and jumps, and one count
-per step of its horizon.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
@@ -81,13 +79,14 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    PreconditionError,
     PreconditionViolated,
     SymbolCapExceeded,
     TruncationTooSmall,
     ZeroProbabilityBranch,
-    ZeroValueInWindow,
 )
 from .evolve import RateCurve, RateFit, _require_positive_recurrent, rate_fit
+from .series import EPS
 from .spectral import DENSE_LIMIT, transition_operator
 
 __all__ = [
@@ -132,11 +131,12 @@ SAMPLER = "chain"
 #: samplers and the orbit estimators hold a few blocks at a time.
 _BLOCK = 2 ** 16
 
-#: Most orbit steps (burn-in included, summed over streams) or entrance
-#: samples one call accepts.  Checked before anything is allocated.  The
-#: orbit arrays that :func:`sample_states`, :func:`map_states` and
-#: :func:`coded_states` return take 400 MB of int32 states at the cap; the
-#: estimators read orbits in blocks and hold none of them whole.
+#: Most orbit steps (burn-in included, summed over streams) one call
+#: accepts, and the most ``samples`` :func:`entrance_tail` accepts.  Checked
+#: before anything is allocated.  The orbit arrays that
+#: :func:`sample_states`, :func:`map_states` and :func:`coded_states` return
+#: take 400 MB of int32 states at the cap; the estimators read orbits in
+#: blocks and hold none of them whole.
 MAX_ORBIT = 100_000_000
 
 #: Most threads that draw the blocks of one exact coded orbit; one block
@@ -895,7 +895,7 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
 
 @dataclass(frozen=True)
 class EntranceReport:
-    """Empirical survival of the first entrance time into a top interval.
+    """Survival of the first entrance time into a top interval.
 
     ``a_effective`` is the cell edge the request was snapped to: entrance
     is measured into [d_k, 1] where d_k is the deepest breakpoint at or
@@ -906,30 +906,40 @@ class EntranceReport:
     fit: RateFit | None
     a_effective: float
     k: int
-    n_samples: int
-    seed: int
 
 
 def entrance_tail(source, a: float, n_max: int, samples: int,
                   seed: int, fit_window=None) -> EntranceReport:
     """Survival function of the first entrance time into ``[a, 1]`` from
-    invariant-density starts, drawn from the chain of ``source``, a chain
+    invariant-density starts, exact from the chain of ``source``, a chain
     or its map.
 
     The target is snapped inward to the nearest cell edge ``d_k >= a``, so
-    entrance means reaching a cell of index at most k.  Starts and jump
-    draws beyond the stored prefix enter deeper than the horizon and are
-    counted as still-out at every n, which keeps the tail exact instead of
-    biased.  A log-log fit over ``fit_window`` (default the last decade)
-    is attached when the window's values are positive.
+    entrance means reaching a cell of index at most k.  A start at state
+    ``j > k`` enters after ``j - k`` steps, one at state 1 after
+    ``1 + max(0, L - k)`` with ``L`` drawn from the return law, and one at
+    states ``2 .. k`` after one step.  With ``pi_j = pi_1 d_{j-1}`` the
+    survival past ``n >= 1`` steps is
 
-    The samples are drawn in blocks of :data:`_BLOCK` into one histogram
-    of entrance times, so memory is O(block + n_max) at any ``samples``;
-    the draws, and so the curve, do not depend on the block size.
+        ``S(n) = pi_1 (d_{k+n-1} + d_{k+n} + E_{k+n})``,  ``E_m = sum_{l>m} d_l``,
+
+    which carries the mass beyond the stored prefix through the chain's
+    analytic tails.  ``curve.bounds`` is the rounding of its two additions
+    of nonnegative terms and one product, ``gamma_3 S(n)`` with
+    ``gamma_3 = 3u / (1 - 3u)`` and ``u = eps / 2``.  As ``d`` and ``E``
+    are nonincreasing and rounding is monotone, the curve is nonincreasing
+    in floating point too.
+
+    ``samples`` and ``seed`` are checked as a sampler checks its size and
+    seed (:class:`ConfigError` past :data:`MAX_ORBIT` or off ``[0, 2**64)``)
+    and do not change the curve.  A log-log fit over ``fit_window`` is
+    attached, and a window the fit refuses raises; the default window, the
+    last decade, gives ``fit = None`` when it holds fewer than two grid
+    points (``n_max <= 2``) or a zero value (a law of finite support).
     """
     chain = _require_positive_recurrent(_sampler(source, "chain"),
                                         "entrances need the invariant density")
-    samples = _check_orbit(samples)[0]
+    _check_orbit(samples)
     n_max = _whole(n_max, "n_max", ConfigError)
     if n_max < 1:
         raise ConfigError(f"n_max must be positive, got {n_max}")
@@ -943,46 +953,20 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     k = d.size - 1 - below  # deepest index with d_k >= a
     if k >= chain.truncation - n_max:
         raise TruncationTooSmall("horizon n_max reaches past the stored prefix")
+    _key(seed)
 
-    # the starts take the first `samples` uniforms of the stream and the
-    # jumps the rest, read by a second generator started past the starts,
-    # so the blocks draw what one call would
-    key = _key(seed)
-    starts, jumps = _rng(key), _rng(key, samples)
-    pi_cdf = np.cumsum(chain.pi[1:])
-    p_cdf = np.cumsum(chain.p[1:])
-    counts = np.zeros(n_max + 2, dtype=np.int64)
-    for at in range(0, samples, _BLOCK):
-        u = starts.random(min(_BLOCK, samples - at))
-        start = _cells(pi_cdf, u)
-        t = np.where(start > k, start - k, 1)
-        at_one = np.flatnonzero(start == 1)
-        uj = jumps.random(at_one.size)
-        t[at_one] = 1 + np.maximum(0, _cells(p_cdf, uj) - k)
-        # beyond any resolvable horizon by the gate above
-        t[u > pi_cdf[-1]] = n_max + 1
-        t[at_one[uj > p_cdf[-1]]] = n_max + 1
-        counts += np.bincount(np.minimum(t, n_max + 1), minlength=n_max + 2)
-
-    beyond = counts[::-1].cumsum()[::-1]
-    grid = np.arange(1, n_max + 1)
-    surv = beyond[2 : n_max + 2] / float(samples)
-    curve = RateCurve(grid, surv)
-
-    if fit_window is None:
-        fit_window = (max(2, n_max // 10), n_max)
-    try:
+    values = chain.pi1 * (d[k : k + n_max] + d[k + 1 : k + n_max + 1]
+                          + chain.d_tail[k + 1 : k + n_max + 1])
+    u = EPS / 2.0
+    curve = RateCurve(np.arange(1, n_max + 1), values, 3.0 * u / (1.0 - 3.0 * u) * values)
+    if fit_window is not None:
         fit = rate_fit(curve, fit_window)
-    except (ZeroValueInWindow, PreconditionViolated):
-        fit = None
-    return EntranceReport(
-        curve=curve,
-        fit=fit,
-        a_effective=float(d[k]),
-        k=k,
-        n_samples=samples,
-        seed=int(seed),
-    )
+    else:
+        try:
+            fit = rate_fit(curve, (max(2, n_max // 10), n_max))
+        except PreconditionError:  # too few grid points, or a zero value
+            fit = None
+    return EntranceReport(curve=curve, fit=fit, a_effective=float(d[k]), k=k)
 
 
 # ----------------------------------------------------------------------

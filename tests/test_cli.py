@@ -416,6 +416,30 @@ def test_gap_in_the_support_runs_without_a_map(tmp_path, capsys, command):
     assert len(err) == 1 and "ZeroProbabilityBranch" in err[0]
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("map entrance", {**ZETA, "a": 0.16, "n_max": 200, "samples": 1000}),
+    ("rates distance", {**ZETA, "nu": {"kind": "point", "state": 1},
+                        "grid": {"lo": 1, "hi": 200, "count": 20}}),
+], ids=["entrance", "distance"])
+def test_fit_window_without_two_grid_points_exits_3(tmp_path, capsys, command, payload):
+    # map entrance wrote "fit": null and exited 0 on a window past n_max
+    code, _ = run(tmp_path, command.split(), {**payload, "fit_window": [300, 400]})
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "window [300, 400] holds fewer than two grid points" in err[0]
+
+
+def test_entrance_default_fit_window_falls_back_on_a_finite_law(tmp_path):
+    # the survival of a law of finite support is zero past it, so the
+    # last decade cannot be fitted in log-log
+    payload = {"chain": {"law": {"type": "finite", "probs": [0.5, 0.5]}, "truncation": 100},
+               "a": 0.5, "n_max": 10, "samples": 1000}
+    code, out = run(tmp_path, ["map", "entrance"], payload)
+    assert code == 0
+    res = summary(out)["results"]
+    assert res["fit"] is None and res["k"] == 1 and "n_samples" not in res
+
+
 def test_short_prefix_exits_4(tmp_path):
     payload = {
         "chain": {"law": {"type": "geometric", "q": 0.5}, "truncation": 50},

@@ -26,6 +26,7 @@ from renewallab.errors import (
     SymbolCapExceeded,
     TruncationTooSmall,
     ZeroProbabilityBranch,
+    ZeroValueInWindow,
 )
 from renewallab.maps import (
     McEstimate,
@@ -523,10 +524,8 @@ def test_entrance_tail_geometric_is_exactly_geometric(geo_map):
     # than n steps with probability exactly 2^-n
     rep = entrance_tail(geo_map, 0.5, 30, 4_000_000, seed=3)
     assert rep.k == 1 and rep.a_effective == 0.5
-    for n in range(1, 9):
-        expect = 0.5 ** n
-        noise = 4.0 * math.sqrt(expect * (1 - expect) / rep.n_samples)
-        assert abs(rep.curve.at(n) - expect) < noise
+    expect = 0.5 ** rep.curve.n_grid
+    assert np.all(np.abs(rep.curve.values - expect) <= rep.curve.bounds)
 
 
 def test_entrance_tail_geometric_is_not_power_law(geo_map):
@@ -1337,9 +1336,10 @@ def test_orbit_estimators_hold_no_whole_orbit(zeta):
 
 
 def ref_entrance(chain, k, n_max, samples, seed):
-    """The entrance survival curve with every sample drawn at once: the
-    starts take the first ``samples`` uniforms, the jumps from cell one
-    the next ones, in sample order."""
+    """The Monte Carlo estimate of the entrance survival curve, the oracle
+    of its closed form: the starts take the first ``samples`` uniforms, the
+    jumps from cell one the next ones, in sample order; a start or jump
+    beyond the stored prefix is still out at every n."""
     rng = maps._rng(maps._key(seed))
     pi_cdf = np.cumsum(chain.pi[1:])
     p_cdf = np.cumsum(chain.p[1:])
@@ -1360,23 +1360,59 @@ def ref_entrance(chain, k, n_max, samples, seed):
     return counts[::-1].cumsum()[::-1][2:] / float(samples)
 
 
-@pytest.mark.parametrize("samples, block", [
-    (B - 1, B), (B, B), (B + 1, B), (3 * B + 5, B), (1, B), (5, 2), (13, 1), (999, 7)])
-def test_entrance_tail_matches_the_whole_sample_route(zeta_map, monkeypatch, samples, block):
-    # the jumps come from a second generator advanced past the starts, so
-    # sample counts off a multiple of four and block edges test its offset
-    monkeypatch.setattr(maps, "_BLOCK", block)
-    chain = zeta_map.chain
-    # beyond its short prefix lie 44% of the stationary mass, so of the
-    # starts, and 5.3% of the return law, so of the jumps
-    censoring = oracle_map("zeta-0.25-N6").chain
-    cases = ((zeta_map, chain.d[1], 1000), (zeta_map, chain.d[4], 50), (censoring, censoring.d[1], 3))
-    for source, a, n_max in cases:
-        for seed in (7, 2 ** 64 - 3):
-            rep = entrance_tail(source, a, n_max, samples, seed)
-            want = ref_entrance(maps._sampler(source, "chain"), rep.k, n_max, samples, seed)
-            assert rep.curve.values.tobytes() == want.tobytes()
-            assert (rep.n_samples, rep.seed) == (samples, seed)
+#: Rounding factor of two additions and one product, u = eps / 2.
+GAMMA_3 = 1.5 * EPS / (1.0 - 1.5 * EPS)
+
+#: Chains of the entrance oracle cases: (law, truncation, k, n_max).  Beyond
+#: the short prefix of zeta-0.25-N6 lie 44% of the stationary mass, so of
+#: the starts, and 5.3% of the return law, so of the jumps.
+ENTRANCE_CASES = {
+    "zeta-1-k1": (ZetaTailLaw(1.0), 20000, 1, 1000),
+    "zeta-1-k5": (ZetaTailLaw(1.0), 20000, 5, 50),
+    "zeta-0.25": (ZetaTailLaw(0.25), 20000, 1, 1000),
+    "zeta-3": (ZetaTailLaw(3.0), 20000, 1, 1000),
+    "geometric-0.5": (GeometricLaw(0.5), 2000, 1, 30),
+    "zeta-0.25-N6": (*CENSORED_LAWS["zeta-0.25-N6"], 1, 3),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 2 ** 64 - 3])
+@pytest.mark.parametrize("name", sorted(ENTRANCE_CASES))
+def test_entrance_tail_lies_within_4_stderr_of_the_sampler(name, seed):
+    law, truncation, k, n_max = ENTRANCE_CASES[name]
+    chain = build_chain(law, truncation)
+    rep = entrance_tail(chain, chain.d[k], n_max, 1000, seed)
+    assert rep.k == k
+    s = rep.curve.values
+    samples = 200_000
+    want = ref_entrance(chain, k, n_max, samples, seed)
+    assert np.all(np.abs(want - s) <= 4.0 * np.sqrt(s * (1.0 - s) / samples))
+    assert np.all(np.diff(s) <= 0.0) and 0.0 < s[-1] <= s[0] <= 1.0
+    assert np.array_equal(rep.curve.bounds, GAMMA_3 * s)
+    # samples and seed are checked, and draw nothing
+    other = entrance_tail(chain, chain.d[k], n_max, maps.MAX_ORBIT, 0)
+    assert other.curve.values.tobytes() == s.tobytes()
+
+
+def test_entrance_tail_fits_the_last_decade_at_degree_3():
+    # 2*10^6 sampled entrances read 0 past n = 35 to 49 here (seeds 3 and
+    # 7), so the fit was lost; the exact curve is 7.7e-11 at n = 1000
+    chain = build_chain(ZetaTailLaw(3.0), 20000)
+    rep = entrance_tail(chain, chain.d[1], 1000, 2_000_000, 3, fit_window=(100, 1000))
+    assert rep.fit is not None and abs(rep.fit.exponent + 3.0) <= 0.1
+
+
+def test_entrance_tail_explicit_fit_window_errors_propagate(zeta, half_map):
+    with pytest.raises(PreconditionViolated, match="fewer than two grid points"):
+        entrance_tail(zeta, zeta.d[1], 200, 1000, 1, fit_window=(300, 400))
+    # the default window falls back to no fit: too few points, or a zero
+    # value on a law of finite support
+    assert entrance_tail(zeta, zeta.d[1], 2, 1000, 1).fit is None
+    chain = half_map.chain
+    rep = entrance_tail(chain, chain.d[1], 10, 1000, 1)
+    assert rep.fit is None and rep.curve.values[-1] == 0.0
+    with pytest.raises(ZeroValueInWindow):
+        entrance_tail(chain, chain.d[1], 10, 1000, 1, fit_window=(2, 10))
 
 
 def test_entrance_tail_holds_no_whole_sample(zeta):
