@@ -139,6 +139,11 @@ _BLOCK = 2 ** 16
 #: blocks and hold none of them whole.
 MAX_ORBIT = 100_000_000
 
+#: Relative rounding bound of the curve of :func:`entrance_tail`, two
+#: additions of nonnegative terms and one product: ``gamma_3 = 3u / (1 - 3u)``
+#: with ``u = eps / 2``.
+ENTRANCE_ROUNDING = 1.5 * EPS / (1.0 - 1.5 * EPS)
+
 #: Most threads that draw the blocks of one exact coded orbit; one block
 #: more than the threads is in flight at most.  Two is the count whose
 #: time and memory were measured (on two CPUs); more would hold more
@@ -924,9 +929,8 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
         ``S(n) = pi_1 (d_{k+n-1} + d_{k+n} + E_{k+n})``,  ``E_m = sum_{l>m} d_l``,
 
     which carries the mass beyond the stored prefix through the chain's
-    analytic tails.  ``curve.bounds`` is the rounding of its two additions
-    of nonnegative terms and one product, ``gamma_3 S(n)`` with
-    ``gamma_3 = 3u / (1 - 3u)`` and ``u = eps / 2``.  As ``d`` and ``E``
+    analytic tails.  ``curve.bounds`` is its rounding alone,
+    :data:`ENTRANCE_ROUNDING` times ``S(n)``.  As ``d`` and ``E``
     are nonincreasing and rounding is monotone, the curve is nonincreasing
     in floating point too.
 
@@ -957,8 +961,7 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
 
     values = chain.pi1 * (d[k : k + n_max] + d[k + 1 : k + n_max + 1]
                           + chain.d_tail[k + 1 : k + n_max + 1])
-    u = EPS / 2.0
-    curve = RateCurve(np.arange(1, n_max + 1), values, 3.0 * u / (1.0 - 3.0 * u) * values)
+    curve = RateCurve(np.arange(1, n_max + 1), values, ENTRANCE_ROUNDING * values)
     if fit_window is not None:
         fit = rate_fit(curve, fit_window)
     else:

@@ -438,6 +438,12 @@ def test_entrance_default_fit_window_falls_back_on_a_finite_law(tmp_path):
     assert code == 0
     res = summary(out)["results"]
     assert res["fit"] is None and res["k"] == 1 and "n_samples" not in res
+    # the exact curve's rounding bound is stated once, as a factor of each
+    # value; its truncation part, the table's tail_bound, is zero
+    eps = sys.float_info.epsilon
+    assert res["rounding_rel_bound"] == 1.5 * eps / (1.0 - 1.5 * eps)
+    rows = (out / "map_entrance.csv").read_text().splitlines()
+    assert rows[0] == "n,value,tail_bound" and rows[1] == "1,0.3333333333333333,0.0"
 
 
 def test_short_prefix_exits_4(tmp_path):
