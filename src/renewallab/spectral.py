@@ -82,11 +82,18 @@ def factorization_residual(chain, z: complex, n: int) -> float:
     if not abs(z) <= 1.0 + 1e-12:
         raise PreconditionViolated("factorization is probed on the closed unit disk")
     n = _check_dense_size(n)
-    lhs = np.eye(n) - jump_operator(chain, z, n)
+    # I - M as -M plus one on the diagonal, in place: the values of
+    # np.eye(n) - M up to the sign of zeros, which abs drops, with five
+    # n-by-n arrays where the plain expressions made ten
+    lhs = jump_operator(chain, z, n)
+    np.negative(lhs, out=lhs)
+    lhs.flat[:: n + 1] += 1.0
     lhs[1:] -= z * lhs[:-1]
-    rhs = np.eye(n) - z * transition_operator(chain, n)
-    defect = np.abs(lhs - rhs)[: n - 1, : n - 1]
-    return float(defect.max())
+    rhs = transition_operator(chain, n) * z
+    np.negative(rhs, out=rhs)
+    rhs.flat[:: n + 1] += 1.0
+    lhs -= rhs
+    return float(np.abs(lhs[: n - 1, : n - 1]).max())
 
 
 # ----------------------------------------------------------------------

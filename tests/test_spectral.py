@@ -93,6 +93,24 @@ def dense_product_residual(chain, z, n):
 FACTOR_POINTS = [0.0, 0.5, -0.3 + 0.4j, 0.95j]
 
 
+def ref_factorization_residual(chain, z, n):
+    """The factorization defect from the plain matrix expressions, each
+    identity and difference a fresh n-by-n array."""
+    lhs = np.eye(n) - spectral.jump_operator(chain, z, n)
+    lhs[1:] -= z * lhs[:-1]
+    rhs = np.eye(n) - z * spectral.transition_operator(chain, n)
+    return float(np.abs(lhs - rhs)[: n - 1, : n - 1].max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 399, 400])
+@pytest.mark.parametrize("z", FACTOR_POINTS + [1.0, -1.0, 1j, 0.3 - 0.6j])
+@pytest.mark.parametrize("name", ["geometric", "zeta_one"])
+def test_factorization_residual_equals_the_plain_expressions(name, z, n, request):
+    # the in-place route differs from them only in the sign of zeros
+    chain = request.getfixturevalue(name)
+    assert factorization_residual(chain, z, n) == ref_factorization_residual(chain, z, n)
+
+
 @pytest.mark.parametrize("n", [50, 400])
 @pytest.mark.parametrize("z", FACTOR_POINTS)
 @pytest.mark.parametrize("name", ["geometric", "zeta_one"])
