@@ -385,8 +385,7 @@ def cmd_map_entrance(ctx: Ctx) -> dict:
                            ctx.seed, fit_window=ctx.cfg["fit_window"])
     # every rounding bound is ENTRANCE_ROUNDING times its value, so the
     # summary states the factor once and the table's tail_bound, the
-    # truncation part, is zero: per-row bounds nearly doubled the table's
-    # bytes, and a run's time grows with the bytes it writes
+    # truncation part, is zero; per-row bounds nearly doubled the table
     ctx.write_curve("map_entrance.csv", dataclasses.replace(report.curve, bounds=None))
     results = {
         "a_effective": report.a_effective,
