@@ -35,7 +35,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .measures import SignedDistribution, TailDecl
-from .series import TruncatedSeries, _quotient, _tail_sums
+from .series import TruncatedSeries, _quotient, _tail_sums, _whole
 
 __all__ = [
     "GeometricLaw",
@@ -127,6 +127,8 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
 
     y = (s - 1.0) * math.log(a)
     main = (s - 1.0) ** (-(beta + 1.0)) * gammaincc(beta + 1.0, y) * gamma(beta + 1.0)
+    if math.isinf(main):  # the quadrature would only add warnings to it
+        return main
 
     def rem(u):
         x = a / u
@@ -452,26 +454,38 @@ def build_chain(law, truncation: int) -> RenewalChain:
     Raises
     ------
     ConfigError
-        If ``truncation`` exceeds :data:`MAX_TRUNCATION`.
+        If ``truncation`` is not a whole number or exceeds
+        :data:`MAX_TRUNCATION`.
+    BadExponent
+        If the law's prefix, tail or mean overflows in double precision,
+        or a positive degree rounds to an infinite mean.
     NotNormalized
         If the law's mass differs from one beyond tolerance.
     PeriodicSupport
         If the support of ``p`` has a common divisor larger than one.
     """
-    n = int(truncation)
+    n = _whole(truncation, "the truncation", ConfigError)
     if n < 2:
         raise TruncationTooSmall("truncation must be at least 2")
     if n > MAX_TRUNCATION:
         raise ConfigError(f"truncation {n} exceeds the cap of {MAX_TRUNCATION} states")
-    p = law.prefix(n)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, tail, m1 = law.prefix(n), law.tail_beyond(n), law.mean_return()
+    except OverflowError:
+        p = None
+    # the prefix and the tail are nonnegative: finite exactly when their sum is
+    if p is None or not math.isfinite(p.sum() + tail) or (
+            law.degree() > 0 and not math.isfinite(m1)):
+        raise BadExponent(f"the law's prefix, tail or mean overflows in double precision, "
+                          f"or its degree {law.degree():g} > 0 gives an infinite mean")
     # telescoping from the analytic tail rather than a closed form (q^k for
     # a geometric law) keeps d[k] == d[k+1] + p[k+1] exact in floats
-    d = _tail_sums(p[1:], law.tail_beyond(n))
+    d = _tail_sums(p[1:], tail)
     if abs(d[0] - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"prefix plus tail sums to {d[0]!r}, not 1")
     d[0] = 1.0
 
-    m1 = law.mean_return()
     if math.isfinite(m1):
         d_tail = _tail_sums(d[1:], law.second_tail_beyond(n))
         pi1 = 1.0 / m1
@@ -535,12 +549,11 @@ def first_passage(chain, i: int, j: int, trunc: int | None = None,
         If the requested horizon needs unavailable ``p`` entries, or if the
         captured mass falls short of ``1 - mass_tol``.
     """
-    if i < 1 or j < 1:
-        raise ValueError("states are indexed from 1")
+    i, j = _whole(i, "state i", least=1), _whole(j, "state j", least=1)
     if trunc is None:
         n = chain.truncation - max(0, j - i)
     else:
-        n = int(trunc)
+        n = _whole(trunc, "the horizon", least=0)
     if i > j:
         if i - j > n:
             raise TruncationTooSmall(f"descent {i}->{j} takes {i - j} steps > horizon {n}")
@@ -636,8 +649,9 @@ def second_moment_identity(chain, i: int, trunc: int | None = None):
         raise DegreeTooSmall(
             f"degree {chain.ergodic_degree} <= 1: second return-time moments diverge"
         )
-    if chain.pi[i] == 0.0:
-        raise PreconditionViolated(f"state {i} has zero stationary mass")
+    i = _whole(i, "the state", least=1)
+    if i > chain.truncation or chain.pi[i] == 0.0:
+        raise PreconditionViolated(f"state {i} has no stored stationary mass")
     lhs = moment(chain, i, i, 2.0, trunc=trunc).value
     m2_11 = moment(chain, 1, 1, 2.0, trunc=trunc).value
     pi_i = chain.pi[i]
@@ -669,8 +683,7 @@ def p_order(chain, nu: SignedDistribution, i: int = 1) -> POrder:
     passages); ``nu`` contributes ``a - 1`` when its tail is declared as a
     power ``l^-a``.  The result does not depend on ``i``.
     """
-    if i < 1:
-        raise ValueError("states are indexed from 1")
+    _whole(i, "the state", least=1)
     ceiling = chain.ergodic_degree + 1.0
     decl = nu.tail if nu.tail is not None else TailDecl("finite")
     if decl.kind in ("finite", "geometric"):
@@ -714,7 +727,8 @@ def codivergence_probe(chain, gamma: float, i: int = 1, n_max: int | None = None
     """
     if not chain.positive_recurrent:
         raise DegreeTooSmall("codivergence pairing needs the stationary law")
-    n = chain.truncation if n_max is None else int(n_max)
+    i = _whole(i, "the state", least=1)
+    n = chain.truncation if n_max is None else _whole(n_max, "n_max")
     if n > chain.truncation:
         raise TruncationTooSmall(f"n_max {n} exceeds stored prefix {chain.truncation}")
 

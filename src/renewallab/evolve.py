@@ -43,7 +43,7 @@ from .errors import (
     ZeroValueInWindow,
 )
 from .measures import Observable, SignedDistribution, point_mass
-from .series import EPS, _gamma, _quotient, _sliding, _windows
+from .series import EPS, _as_grid, _gamma, _quotient, _sliding, _whole, _windows
 
 __all__ = [
     "RateCurve",
@@ -75,14 +75,10 @@ class RateCurve:
     bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        g = np.asarray(self.n_grid, dtype=int)
+        g = _as_grid(self.n_grid)
         v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size == 0 or g.size != v.size:
+        if v.shape != g.shape:
             raise PreconditionViolated("grid and values must be matching vectors")
-        if np.any(np.diff(g) <= 0):
-            raise PreconditionViolated("grid must be strictly increasing")
-        if np.any(g < 0):
-            raise PreconditionViolated("grid entries must be nonnegative")
         if not np.all(np.isfinite(v)):
             raise PreconditionViolated("curve values must be finite")
         object.__setattr__(self, "n_grid", g)
@@ -117,7 +113,7 @@ def log_grid(lo: int, hi: int, count: int = 30) -> np.ndarray:
     """Strictly increasing integer grid, roughly log-uniform on [lo, hi]."""
     if not 1 <= lo <= hi:
         raise PreconditionViolated("need 1 <= lo <= hi")
-    raw = np.logspace(math.log10(lo), math.log10(hi), count)
+    raw = np.logspace(math.log10(lo), math.log10(hi), _whole(count, "the point count", least=1))
     return np.unique(np.round(raw).astype(int))
 
 
@@ -187,9 +183,7 @@ def renewal_sequence(chain, n_max: int) -> RateCurve:
     :func:`renewallab.series._quotient` in O(n_max log^2 n_max) time.  For
     positive-recurrent chains e_n approaches 1/m1.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise PreconditionViolated("need n_max >= 1")
+    n_max = _whole(n_max, "n_max", least=1)
     if n_max > chain.truncation:
         raise TruncationTooSmall(
             f"recursion to {n_max} needs return probabilities past the stored prefix"
@@ -368,13 +362,6 @@ def _stored(chain, u: Observable) -> np.ndarray:
     return u.values[1 : min(u.size, N) + 1]
 
 
-def _as_grid(n_grid) -> np.ndarray:
-    g = np.asarray(n_grid, dtype=int)
-    if g.ndim != 1 or g.size == 0 or np.any(np.diff(g) <= 0) or g[0] < 0:
-        raise PreconditionViolated("n_grid must be strictly increasing and nonnegative")
-    return g
-
-
 def distance_curve(chain, nu: SignedDistribution, n_grid) -> RateCurve:
     """Total-variation-style l1 distance ``||nu P^n - pi||_1`` on a grid.
 
@@ -478,7 +465,7 @@ def rate_fit(curve: RateCurve, window) -> RateFit:
         If any value in the window vanishes exactly, making the log fit
         meaningless.
     """
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = _whole(window[0], "the fit window's start"), _whole(window[1], "its end")
     mask = (curve.n_grid >= lo) & (curve.n_grid <= hi)
     if mask.sum() < 2:
         raise PreconditionViolated(f"window [{lo}, {hi}] holds fewer than two grid points")
@@ -614,13 +601,11 @@ def nonuniformity_probe(chain, i_list, n: int) -> dict:
     ``delta_i P^n = delta_{i-n}`` gives distance ``2 (1 - pi_{i-n})``.
     """
     _require_positive_recurrent(chain)
-    n = int(n)
-    if n < 0:
-        raise PreconditionViolated("need n >= 0")
+    n = _whole(n, "the step count", least=0)
     out = {}
     for i in i_list:
-        i = int(i)
-        if i < 1 or i > chain.truncation:
+        i = _whole(i, "a state", least=1)
+        if i > chain.truncation:
             raise PreconditionViolated(f"state {i} outside the stored prefix")
         if i > n:
             out[i] = 2.0 * (1.0 - chain.pi[i - n])

@@ -60,8 +60,9 @@ Randomness comes from the counter-based Philox generator; stream ``s`` of
 a run with the unsigned 64-bit seed ``seed`` uses the two-word key
 ``seed | (s << 64)`` (Salmon et al., SC 2011), so no two (seed, stream)
 pairs share a key and every estimate is reproducible from its reported
-seed.  A seed or stream that is not a whole number in ``[0, 2**64)``
-raises :class:`ConfigError` before anything is drawn.  Estimators burn in
+seed.  A seed or stream that is not a whole number in ``[0, 2**64)``, by
+the rule of :mod:`renewallab.series`, raises :class:`ConfigError` before
+anything is drawn, as do the orbit sizes.  Estimators burn in
 10^4 steps by default and report batch-mean standard errors over 100
 batches.
 """
@@ -69,7 +70,6 @@ batches.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from bisect import bisect_right
 from collections import deque
@@ -86,7 +86,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .evolve import RateCurve, RateFit, _require_positive_recurrent, rate_fit
-from .series import EPS
+from .series import EPS, _whole
 from .spectral import DENSE_LIMIT, transition_operator
 
 __all__ = [
@@ -190,31 +190,13 @@ def _check_orbit(length, burn_in=0, streams=1) -> tuple:
     """Refuse an empty orbit (or sample), a negative burn-in, no streams, a
     size that is not a whole number, or more than :data:`MAX_ORBIT` steps in
     all.  Returns ``(length, burn_in, streams)`` as ints."""
-    length, burn_in, streams = (_whole(v, what, ConfigError) for v, what in
-                                ((length, "the orbit length"), (burn_in, "the burn-in"),
-                                 (streams, "the stream count")))
-    if min(length, streams) < 1 or burn_in < 0:
-        raise ConfigError(f"orbit sizes must be positive and burn_in nonnegative, got length "
-                          f"{length}, burn_in {burn_in}, streams {streams}")
+    length, burn_in, streams = (_whole(v, what, ConfigError, least) for v, what, least in
+                                ((length, "the orbit length", 1), (burn_in, "the burn-in", 0),
+                                 (streams, "the stream count", 1)))
     if streams * (burn_in + length) > MAX_ORBIT:
         raise ConfigError(
             f"{streams} x ({burn_in} + {length}) orbit steps exceed the cap of {MAX_ORBIT}")
     return length, burn_in, streams
-
-
-def _whole(value, what: str, error=PreconditionViolated) -> int:
-    """``value`` as an int, refusing a value that is not a whole number;
-    strings and bools are not numbers here, whatever they would convert
-    to."""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise error(f"{what} must be a whole number, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        pass
-    if not float(value).is_integer():
-        raise error(f"{what} must be a whole number, got {value}")
-    return int(value)
 
 
 def _support_length(chain) -> int:
@@ -341,9 +323,7 @@ def orbit_symbols(m: IntermittentMap, x0: float, n: int) -> np.ndarray:
     """
     if not 0.0 < x0 <= 1.0:
         raise PreconditionViolated("orbit starts in (0, 1]")
-    n = _whole(n, "the orbit length")
-    if n < 0:
-        raise PreconditionViolated(f"orbit length must be nonnegative, got {n}")
+    n = _whole(n, "the orbit length", least=0)
     return _fill(_float_orbit(m, float(x0), n + 1), n + 1)[0]
 
 
@@ -456,9 +436,9 @@ def _excursions(chain, key: int, total: int):
     1.2 times its estimate and at most :data:`_BLOCK`, is drawn, and
     another if it falls short.  A batch of several blocks runs on a
     pool of :func:`_workers` threads, at most one block more than the
-    workers in flight, each block from its own generator advanced to its
-    offset; one block, or one worker, runs in this thread, which reads
-    the batch from one generator.  Abandoned or failed, the generator shuts its pool down.
+    workers in flight; one block, or one worker, runs in this thread.
+    Either way each block comes from its own generator advanced to its
+    offset.  Abandoned or failed, the generator shuts its pool down.
     """
     cdf = np.cumsum(chain.p[1:])
     workers = _workers()
@@ -484,10 +464,7 @@ def _excursions(chain, key: int, total: int):
                     pool = ThreadPoolExecutor(workers)
                 blocks = _in_order(pool, draw, batch, workers + 1)
             else:
-                # one generator reads the batch in turn: a fresh Philox
-                # costs about 25 us, a few percent of a block's expansion
-                rng = _rng(key, batch[0][0])
-                blocks = (_excursion_block(chain, cdf, rng, count) for _, count in batch)
+                blocks = (draw(*block) for block in batch)
             for states in blocks:
                 yield states
                 have += states.size
@@ -718,9 +695,9 @@ def mc_correlation(source, u, v, n_list, orbit_length: int,
     ``{n: McEstimate}``.
     """
     size, burn_in, streams = _check_orbit(orbit_length, burn_in, streams)
-    n_list = [_whole(n, "a lag") for n in n_list]
-    if not n_list or min(n_list) < 0:
-        raise PreconditionViolated("need nonnegative lags")
+    n_list = [_whole(n, "a lag", least=0) for n in n_list]
+    if not n_list:
+        raise PreconditionViolated("need at least one lag")
     if max(n_list) >= size // 2:
         raise PreconditionViolated("largest lag must be well inside the orbit length")
     source = _sampler(source, sampler)
@@ -944,9 +921,7 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     chain = _require_positive_recurrent(_sampler(source, "chain"),
                                         "entrances need the invariant density")
     _check_orbit(samples)
-    n_max = _whole(n_max, "n_max", ConfigError)
-    if n_max < 1:
-        raise ConfigError(f"n_max must be positive, got {n_max}")
+    n_max = _whole(n_max, "n_max", ConfigError, least=1)
     if not 0.0 < a <= chain.d[1]:
         raise PreconditionViolated(
             "threshold must lie in (0, d_1]: entrances inside the top cell "
@@ -988,9 +963,7 @@ def invariant_density(chain, n: int | None = None) -> np.ndarray:
     support = _support_length(chain)
     if n is None:
         n = support
-    n = _whole(n, "the cell count")
-    if n < 1:
-        raise PreconditionViolated(f"need n >= 1 cells, got {n}")
+    n = _whole(n, "the cell count", least=1)
     if n > support:
         raise TruncationTooSmall("density requested beyond the law's support")
     h = np.zeros(n + 1)

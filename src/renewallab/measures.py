@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, PreconditionViolated
+from .series import _whole
 
 __all__ = [
     "TailDecl",
@@ -101,9 +102,8 @@ class SignedDistribution:
 
 def point_mass(state: int, size: int | None = None) -> SignedDistribution:
     """Unit mass at ``state``; prefix length defaults to the state itself."""
-    if state < 1:
-        raise PreconditionViolated("states are indexed from 1")
-    n = state if size is None else int(size)
+    state = _whole(state, "the state", least=1)
+    n = state if size is None else _whole(size, "the prefix length")
     if n < state:
         raise PreconditionViolated(f"prefix length {n} cannot hold state {state}")
     w = np.zeros(n + 1)
@@ -135,7 +135,7 @@ def stationary(chain, size: int | None = None) -> SignedDistribution:
     the same logarithmic correction."""
     if chain.pi is None:
         raise PreconditionViolated("null-recurrent chains have no stationary law")
-    n = chain.truncation if size is None else int(size)
+    n = chain.truncation if size is None else _whole(size, "the prefix length")
     if n > chain.truncation:
         raise PreconditionViolated(f"chain stores only {chain.truncation} states")
     fam = chain.law.tail_family()
@@ -181,11 +181,11 @@ class Observable:
 
 def indicator(states, size: int) -> Observable:
     """Indicator of a finite set of states."""
-    idx = np.atleast_1d(np.asarray(states, dtype=int))
-    if idx.size == 0 or np.any(idx < 1):
-        raise PreconditionViolated("need at least one state, indexed from 1")
-    if np.any(idx > size):
-        raise PreconditionViolated("indicator states must fit in the prefix")
+    idx = np.array([_whole(s, "a state", least=1)
+                    for s in (states if np.ndim(states) else [states])], dtype=int)
+    size = _whole(size, "the prefix length")
+    if idx.size == 0 or np.any(idx > size):
+        raise PreconditionViolated("need at least one state, each inside the prefix")
     v = np.zeros(size + 1)
     v[idx] = 1.0
     return Observable(v, limit=0.0)

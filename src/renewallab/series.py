@@ -24,6 +24,10 @@ holding the ``(k+1)``-th term; :func:`tail_sums` documents this convention.
 It is also the one tail-sum routine: :func:`renewallab.chain.build_chain`
 takes the survival sums ``d`` and their tails ``d_tail`` from its array
 form, with exact telescoping and no validating copies.
+
+The module also holds the package's one rule for whole numbers: every
+size, index, state, seed and grid point a caller passes is read through
+:func:`_whole` or :func:`_as_grid`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .errors import (
     NegativeCoefficient,
     NonPositiveCoefficient,
     OutOfDomain,
+    PreconditionViolated,
     ZeroLeadingCoefficient,
 )
 
@@ -169,6 +174,34 @@ def convolve(a, b) -> TruncatedSeries:
     if bad.size:
         raise OutOfDomain(f"the product overflows at coefficient {bad[0]}")
     return TruncatedSeries(out)
+
+
+def _whole(value, what: str, error=PreconditionViolated, least=None) -> int:
+    """``value`` as an int: the package's one rule for a size, an index, a
+    state or a seed.  Integral floats and numpy integers are accepted;
+    strings, bools, other values that are not whole numbers and, with
+    ``least``, values below it raise ``error``."""
+    if isinstance(value, (str, bytes, bool, np.bool_)) or not (
+            isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise error(f"{what} must be a whole number, got {value!r}")
+    n = int(value)
+    if least is not None and n < least:
+        raise error(f"{what} must be at least {least}, got {n}")
+    return n
+
+
+def _as_grid(n_grid) -> np.ndarray:
+    """``n_grid`` as an int array, refusing anything but a nonempty,
+    strictly increasing vector of whole numbers ``>= 0`` (integral floats
+    and numpy integers included) with :class:`PreconditionViolated`."""
+    raw = np.asarray(n_grid)
+    if raw.dtype.kind in "iuf" and raw.ndim == 1 and raw.size:
+        with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the comparison
+            g = raw.astype(int, copy=False)
+        if np.array_equal(g, raw) and g[0] >= 0 and np.all(np.diff(g) > 0):
+            return g
+    raise PreconditionViolated(
+        "a grid must be a nonempty, strictly increasing vector of whole numbers >= 0")
 
 
 #: Spacing of doubles at one; twice the unit roundoff.

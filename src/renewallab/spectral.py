@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated, SingularPoint, TruncationTooSmall
-from .series import _quotient
+from .series import _as_grid, _quotient, _whole
 
 __all__ = [
     "SpectralProbe",
@@ -39,8 +39,11 @@ __all__ = [
 DENSE_LIMIT = 1000
 
 
-def _check_dense_size(n: int) -> int:
-    n = int(n)
+def _check_dense_size(chain, n) -> int:
+    """``n`` as a dense dimension on ``chain``'s stored prefix."""
+    n = _whole(n, "the dimension")
+    if n > chain.truncation:
+        raise TruncationTooSmall("chain prefix shorter than requested dimension")
     if n < 2:
         raise TruncationTooSmall("dense truncation needs N >= 2")
     if n > DENSE_LIMIT:
@@ -53,9 +56,7 @@ def _check_dense_size(n: int) -> int:
 def transition_operator(chain, n: int) -> np.ndarray:
     """Dense N-by-N truncation of the transition operator: row 1 is the
     return law, row i >= 2 descends to i-1."""
-    if n > chain.truncation:
-        raise TruncationTooSmall("chain prefix shorter than requested dimension")
-    n = _check_dense_size(n)
+    n = _check_dense_size(chain, n)
     m = np.zeros((n, n))
     m[0, :] = chain.p[1 : n + 1]
     idx = np.arange(1, n)
@@ -65,9 +66,7 @@ def transition_operator(chain, n: int) -> np.ndarray:
 
 def jump_operator(chain, z: complex, n: int) -> np.ndarray:
     """Dense N-by-N return-jump block L_z, entry (i, j) = p_j z^i."""
-    if n > chain.truncation:
-        raise TruncationTooSmall("chain prefix shorter than requested dimension")
-    n = _check_dense_size(n)
+    n = _check_dense_size(chain, n)
     powers = np.asarray(z, dtype=complex) ** np.arange(1, n + 1)
     return np.outer(powers, chain.p[1 : n + 1])
 
@@ -81,7 +80,7 @@ def factorization_residual(chain, z: complex, n: int) -> float:
     Row i of (I - zQ)X is X_i - z X_{i-1}, so the product costs O(N^2)."""
     if not abs(z) <= 1.0 + 1e-12:
         raise PreconditionViolated("factorization is probed on the closed unit disk")
-    n = _check_dense_size(n)
+    n = _check_dense_size(chain, n)
     # I - M as -M plus one on the diagonal, in place: the values of
     # np.eye(n) - M up to the sign of zeros, which abs drops, with five
     # n-by-n arrays where the plain expressions made ten
@@ -128,7 +127,7 @@ def eigen_from_gf(chain, lam: complex, n: int) -> SpectralProbe:
     invariant vector; inside the unit disk the prefix is summable and the
     edge defect decays with N; a ``lam`` outside the closed disk is refused.
     """
-    n = int(n)
+    n = _whole(n, "the coefficient count")
     if n < 3:
         raise TruncationTooSmall("need at least three coefficients")
     if n > chain.truncation:
@@ -158,16 +157,10 @@ def partial_norm_scan(chain, lam: complex, n_list) -> np.ndarray:
     without bound, which is the diagnostic (not a proof) that the candidate
     fails to be a summable eigenvector there.
     """
-    n_list = [int(v) for v in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
-        raise PreconditionViolated("need a strictly increasing list of prefix lengths")
-    if n_list[0] < 0:
-        raise PreconditionViolated(f"prefix lengths must be nonnegative, got {n_list[0]}")
+    n_list = _as_grid(n_list)
     # the recursion needs three coefficients; shorter prefixes read its first ones
-    probe = eigen_from_gf(chain, lam, max(max(n_list), 3))
-    mags = np.abs(probe.vector)
-    sums = np.cumsum(mags)
-    return np.array([sums[v] for v in n_list])
+    probe = eigen_from_gf(chain, lam, max(n_list[-1], 3))
+    return np.cumsum(np.abs(probe.vector))[n_list]
 
 
 def disk_scan(chain, lams, n: int) -> list:
@@ -216,8 +209,7 @@ def gf_evaluate(chain, i: int, j: int, z):
     TruncationTooSmall
         If ``j`` lies past the stored prefix, which has no returns to it.
     """
-    if i < 1 or j < 1:
-        raise PreconditionViolated("states are indexed from 1")
+    i, j = _whole(i, "state i", least=1), _whole(j, "state j", least=1)
     if j > chain.truncation:  # a state i past it descends to j without a draw
         raise TruncationTooSmall(f"state {j} lies past the stored prefix {chain.truncation}")
     values, inside = [], []

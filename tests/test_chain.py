@@ -154,6 +154,22 @@ def test_huge_degree_builds_up_to_the_degree_cap():
             build_chain(ZetaTailLaw(degree, 1.0), 1000)
 
 
+@pytest.mark.parametrize("degree,beta", [(1e-17, 0.0), (1e-200, 1.0), (1e-3, 80.0),
+                                         (0.5, 160.0), (1.0, 171.0), (1.0, 400.0),
+                                         (1.0, 1e300)])
+def test_constants_that_overflow_or_lose_the_degree_are_refused(degree, beta):
+    # s - 1 rounds to 1, or a log power overflows the constants: the chain
+    # would read null-recurrent at a positive degree, or end in a traceback
+    with pytest.raises(BadExponent):
+        build_chain(ZetaTailLaw(degree, beta), 1000)
+
+
+def test_constants_at_the_edge_of_double_precision_still_build():
+    for law in (ZetaTailLaw(1.0, 170.0), ZetaTailLaw(1e-12)):
+        ch = build_chain(law, 1000)
+        assert ch.classification == "positive-recurrent" and math.isfinite(ch.m1)
+
+
 @pytest.mark.parametrize("degree,beta", [(1.0, 1.0), (0.5, 2.0), (-0.5, 1.0), (1.5, 0.5)])
 def test_log_corrected_laws_normalize(degree, beta):
     law = ZetaTailLaw(degree, beta)

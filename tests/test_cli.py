@@ -141,6 +141,9 @@ MALFORMED = [
                         "grid": {"lo": 0, "hi": 30}}),
     ("rates distance", {**GEO, "nu": {"kind": "point", "state": 1},
                         "grid": {"lo": 3, "hi": 30, "count": 0}}),
+    *(("chain info", {"chain": {"law": {"type": "zeta", **law}, "truncation": 1000}})
+      for law in ({"degree": 1e-17}, {"degree": 1e-200, "log_power": 1},
+                  {"degree": 1, "log_power": 171}, {"degree": 1, "log_power": 1e300})),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -156,7 +159,8 @@ MALFORMED_IDS = [
     "j-2^62", "empty-n-list", "empty-radii", "nan-z-point", "nan-gf-point",
     "nan-lambda", "nan-radius", "nan-gamma", "infinite-tail-exponent", "radius-10^6",
     "gamma-10^400", "point-10^400", "fit-window-10^400", "grid-lo-above-hi",
-    "grid-lo-zero", "grid-count-zero",
+    "grid-lo-zero", "grid-count-zero", "degree-1e-17-infinite-mean",
+    "degree-1e-200-log-1-infinite-mean", "log-power-171", "log-power-1e300",
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import operator
@@ -10,12 +11,14 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import renewallab as rl
 from renewallab import (
     BadExponent,
     FiniteLaw,
@@ -825,3 +828,100 @@ def test_first_passage_matches_divide(probs, i, j):
     assert np.all(np.abs(f - want) <= 1e-12 * np.abs(want))
     # both routes run the quotient recursion; multiplying back checks it
     assert np.allclose(convolve(f, den).coeffs, num, rtol=0.0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the whole-number rule of series._whole and series._as_grid
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def whole_chains():
+    return SimpleNamespace(z=build_chain(ZetaTailLaw(1.5), 2000),
+                           z25=build_chain(ZetaTailLaw(2.5), 2000),
+                           null=build_chain(ZetaTailLaw(-0.5), 2000))
+
+
+#: One call per entry point with its size, index, state or grid point ``x``.
+WHOLE_ENTRIES = {
+    # chain
+    "build_chain": lambda c, x: rl.build_chain(ZetaTailLaw(1.5), x),
+    "first_passage i": lambda c, x: rl.first_passage(c.z, x, 12, mass_tol=math.inf),
+    "first_passage j": lambda c, x: rl.first_passage(c.z, 3, x, mass_tol=math.inf),
+    "first_passage trunc": lambda c, x: rl.first_passage(c.z, 1, 1, trunc=x,
+                                                           mass_tol=math.inf),
+    "moment": lambda c, x: rl.moment(c.z, x, x, 1.0),
+    "p_order": lambda c, x: rl.p_order(c.z, rl.point_mass(1), x),
+    "second_moment_identity": lambda c, x: rl.second_moment_identity(c.z25, x),
+    "codivergence_probe i": lambda c, x: rl.codivergence_probe(c.z, 0.5, x, 200),
+    "codivergence_probe n_max": lambda c, x: rl.codivergence_probe(c.z, 0.5, 2, x),
+    # evolve
+    "RateCurve": lambda c, x: rl.RateCurve([x], [1.0]),
+    "renewal_sequence": lambda c, x: rl.renewal_sequence(c.z, x),
+    "distance_curve": lambda c, x: rl.distance_curve(c.z, rl.point_mass(1), [x]),
+    "correlation_curve": lambda c, x: rl.correlation_curve(
+        c.z, rl.point_mass(1), rl.indicator([1], 10), [x]),
+    "deviation_tail_ratio": lambda c, x: rl.deviation_tail_ratio(c.z, [x]),
+    "correlation_constant": lambda c, x: rl.correlation_constant(
+        c.z, rl.point_mass(1), rl.indicator([1], 10), [x]),
+    "null_recurrent_ratio": lambda c, x: rl.null_recurrent_ratio(
+        c.null, rl.point_mass(1), rl.indicator([1], 1), [x]),
+    "rate_fit": lambda c, x: rl.rate_fit(rl.renewal_sequence(c.z, 100), (x, 100)),
+    "nonuniformity_probe n": lambda c, x: rl.nonuniformity_probe(c.z, [1, 50], x),
+    "nonuniformity_probe i": lambda c, x: rl.nonuniformity_probe(c.z, [x], 5),
+    "log_grid": lambda c, x: rl.log_grid(1, 100, x),
+    # spectral
+    "transition_operator": lambda c, x: rl.transition_operator(c.z, x),
+    "jump_operator": lambda c, x: rl.jump_operator(c.z, 0.5, x),
+    "factorization_residual": lambda c, x: rl.factorization_residual(c.z, 0.5, x),
+    "eigen_from_gf": lambda c, x: rl.eigen_from_gf(c.z, 0.5, x),
+    "disk_scan": lambda c, x: rl.disk_scan(c.z, [0.5, 0.5j], x),
+    "partial_norm_scan": lambda c, x: rl.partial_norm_scan(c.z, 0.5, [x]),
+    "gf_evaluate i": lambda c, x: rl.gf_evaluate(c.z, x, 3, 0.5),
+    "gf_evaluate j": lambda c, x: rl.gf_evaluate(c.z, 3, x, 0.5),
+    # measures
+    "point_mass state": lambda c, x: rl.point_mass(x),
+    "point_mass size": lambda c, x: rl.point_mass(3, x),
+    "stationary": lambda c, x: rl.stationary(c.z, x),
+    "indicator state": lambda c, x: rl.indicator([1, x], 20),
+    "indicator size": lambda c, x: rl.indicator([1], x),
+    # maps
+    "orbit_symbols": lambda c, x: rl.orbit_symbols(rl.build_map(c.z), 0.3, x),
+    "mc_correlation": lambda c, x: rl.mc_correlation(
+        c.z, rl.indicator([1], 1), rl.indicator([1], 1), [x], 1000, 1),
+    "sample_states": lambda c, x: rl.sample_states(c.z, x, 1, burn_in=x),
+    "sample_states seed": lambda c, x: rl.sample_states(c.z, 100, x),
+    "entrance_tail": lambda c, x: rl.entrance_tail(c.z, c.z.d[1], x, 1000, 1),
+    "markov_frequency_check": lambda c, x: rl.markov_frequency_check(c.z, 1000, 1, i_max=x),
+    "invariant_density": lambda c, x: rl.invariant_density(c.z, x),
+    "pf_check": lambda c, x: rl.pf_check(c.z, x),
+}
+
+#: The entries that refuse with :class:`ConfigError`; the others raise
+#: :class:`PreconditionViolated`.
+CONFIG_ERROR_ENTRIES = {"build_chain", "sample_states", "sample_states seed", "entrance_tail"}
+
+
+def bits(value) -> bytes:
+    """Every array of ``value`` as its bytes and dtype, every other leaf as
+    its repr, through dataclasses, dicts, lists and tuples."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (list, tuple)):
+        return b"(" + b",".join(bits(v) for v in value) + b")"
+    if isinstance(value, np.ndarray):
+        return value.dtype.str.encode() + value.tobytes()
+    return repr(value).encode()
+
+
+@pytest.mark.parametrize("name", list(WHOLE_ENTRIES))
+def test_every_entry_point_reads_whole_numbers_by_one_rule(whole_chains, name):
+    call = WHOLE_ENTRIES[name]
+    error = rl.ConfigError if name in CONFIG_ERROR_ENTRIES else rl.PreconditionViolated
+    for bad in (10.5, "10", True):
+        with pytest.raises(error, match="whole number|grid must be"):
+            call(whole_chains, bad)
+    want = bits(call(whole_chains, 10))
+    for same in (10.0, np.int64(10)):
+        assert bits(call(whole_chains, same)) == want
