@@ -19,6 +19,7 @@ implement.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -120,10 +121,12 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
     The ``log(x)`` part is an upper incomplete gamma after ``t = log x``;
     the ``log(x+1) - log(x)`` remainder is a smooth finite-interval
     integral after ``u = a/x``, written through expm1/log1p so no
-    cancellation occurs for large ``x``.
+    cancellation occurs for large ``x``.  ``quad``'s roundoff warnings are
+    silenced; its error estimate decides, :class:`BadExponent` past 1e-13.
     """
-    from scipy.integrate import quad  # slow to import; only log-power tails need it
-    from scipy.special import gamma, gammaincc  # slow to import, as quad is
+    # slow to import; only log-power tails need them
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import gamma, gammaincc
 
     y = (s - 1.0) * math.log(a)
     main = (s - 1.0) ** (-(beta + 1.0)) * gammaincc(beta + 1.0, y) * gamma(beta + 1.0)
@@ -135,8 +138,13 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
         lx = math.log(x)
         return u ** (s - 2.0) * lx ** beta * math.expm1(beta * math.log1p(math.log1p(1.0 / x) / lx))
 
-    r, _ = quad(rem, 0.0, 1.0, epsabs=1e-300, epsrel=1e-11, limit=200)
-    return main + a ** (1.0 - s) * r
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        r, err = quad(rem, 0.0, 1.0, epsabs=1e-300, epsrel=1e-11, limit=200)
+    total = main + a ** (1.0 - s) * r
+    if not a ** (1.0 - s) * err <= 1e-13 * total:
+        raise BadExponent(f"the log-power tail at s = {s:g}, beta = {beta:g} is not resolved")
+    return total
 
 
 def _weight_tail(s: float, beta: float, m: int) -> float:
@@ -243,7 +251,7 @@ class ZetaTailLaw:
             )
         if self.degree_ > MAX_ZETA_DEGREE:
             raise BadExponent(f"degree must be at most {MAX_ZETA_DEGREE:g}, got {self.degree_!r}")
-        if self.log_power < 0.0:
+        if not self.log_power >= 0.0:
             raise ZeroProbabilityBranch(f"log_power must be >= 0, got {self.log_power!r}")
 
     @property
@@ -329,8 +337,9 @@ class FiniteLaw:
                 f"support gcd is {np.gcd.reduce(support)}, chain would be periodic")
         if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(f"probabilities sum to {arr.sum()!r}, not 1")
-        if not tail_exponent > 1.0:
-            raise NotNormalized(f"declared tail exponent must exceed 1, got {tail_exponent!r}")
+        if not (tail_exponent > 1.0 and math.isfinite(tail_log_power)):
+            raise NotNormalized(f"declared tail exponent must exceed 1 and its log power be "
+                                f"finite, got {tail_exponent!r} and {tail_log_power!r}")
         object.__setattr__(self, "probs", tuple(float(x) for x in arr))
         object.__setattr__(self, "tail_exponent", float(tail_exponent))
         object.__setattr__(self, "tail_log_power", float(tail_log_power))
@@ -378,7 +387,8 @@ CustomLaw = FiniteLaw
 
 @dataclass(frozen=True)
 class RenewalChain:
-    """Working prefix of a renewal chain; see :func:`build_chain`.
+    """Working prefix of a renewal chain (see :func:`build_chain`); every
+    request that reads it past the truncation is refused by :meth:`within`.
 
     Attributes
     ----------
@@ -423,12 +433,20 @@ class RenewalChain:
     def positive_recurrent(self) -> bool:
         return self.classification == "positive-recurrent"
 
+    def within(self, n: int, what: str) -> int:
+        """``n`` if ``n <= truncation``: the one rule for a request past the
+        stored prefix, which a larger truncation mends.  Past it,
+        :class:`TruncationTooSmall` names ``what``, ``n`` and the truncation."""
+        if n > self.truncation:
+            raise TruncationTooSmall(
+                f"{what} reads state {n}, past the stored prefix of {self.truncation} states")
+        return n
+
     def stationary_mass_beyond(self, m: int) -> float:
         """Analytic stationary mass ``sum_{j > m} pi_j``."""
         if not self.positive_recurrent:
             raise DegreeTooSmall("chain has no stationary law")
-        if not 0 <= m <= self.truncation:
-            raise TruncationTooSmall(f"need m <= {self.truncation}, got {m}")
+        m = self.within(_whole(m, "m", least=0), "the mass beyond m")
         return self.pi1 * (self.d[m] + self.d_tail[m])
 
     def describe(self) -> dict:
@@ -561,12 +579,7 @@ def first_passage(chain, i: int, j: int, trunc: int | None = None,
         coeffs[i - j] = 1.0
         return FirstPassageLaw(i, j, TruncatedSeries(coeffs), 1.0)
 
-    need_p = n - i + j
-    if need_p > chain.truncation:
-        raise TruncationTooSmall(
-            f"horizon {n} for passage {i}->{j} needs p up to {need_p}, "
-            f"chain stores {chain.truncation}"
-        )
+    chain.within(j + max(n - i, 0), f"the passage {i}->{j} to horizon {n}")
     num = np.zeros(n + 1)
     num[i:] = chain.p[j : j + (n - i) + 1]
     den = np.zeros(n + 1)
@@ -574,7 +587,7 @@ def first_passage(chain, i: int, j: int, trunc: int | None = None,
     den[1 : min(j, n + 1)] = -chain.p[1 : min(j, n + 1)]
     f = TruncatedSeries(_quotient(num, den))
     mass = float(f.coeffs.sum())
-    if mass < 1.0 - mass_tol:
+    if not mass >= 1.0 - mass_tol:  # a NaN tolerance fails too
         raise TruncationTooSmall(
             f"captured first-passage mass {mass:.12g} below 1 - {mass_tol:g}; "
             "increase the horizon or loosen mass_tol"
@@ -616,6 +629,8 @@ def moment(chain, i: int, j: int, gamma: float, trunc: int | None = None) -> Mom
     """Truncated moment ``sum_n n^gamma f^n_{ij}`` with a declared-tail
     estimate of the missing mass and a finiteness flag derived from the
     law's tail family (never from underflow)."""
+    if not math.isfinite(gamma):
+        raise PreconditionViolated(f"the moment order must be finite, got {gamma!r}")
     f = first_passage(chain, i, j, trunc=trunc, mass_tol=math.inf)
     n = np.arange(f.series.coeffs.size, dtype=float)
     n[0] = 1.0  # 0^gamma guard; coefficient there is zero anyway
@@ -727,10 +742,10 @@ def codivergence_probe(chain, gamma: float, i: int = 1, n_max: int | None = None
     """
     if not chain.positive_recurrent:
         raise DegreeTooSmall("codivergence pairing needs the stationary law")
+    if not math.isfinite(gamma):
+        raise PreconditionViolated(f"the moment order must be finite, got {gamma!r}")
     i = _whole(i, "the state", least=1)
-    n = chain.truncation if n_max is None else _whole(n_max, "n_max")
-    if n > chain.truncation:
-        raise TruncationTooSmall(f"n_max {n} exceeds stored prefix {chain.truncation}")
+    n = chain.truncation if n_max is None else chain.within(_whole(n_max, "n_max"), "n_max")
 
     f = first_passage(chain, i, i, trunc=n, mass_tol=math.inf)
     m = np.arange(n + 1, dtype=float)

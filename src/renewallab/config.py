@@ -265,7 +265,7 @@ def measure_from_config(block: dict, chain):
     """The initial measure of a read ``nu`` block, on ``chain``'s prefix."""
     kind = block["kind"]
     if kind == "point":
-        return point_mass(block["state"], size=chain.truncation)
+        return point_mass(chain.within(block["state"], "nu.state"), size=chain.truncation)
     if kind == "stationary":
         return stationary(chain, size=block["size"])
     return from_weights(block["weights"], tail_mass=block["tail_mass"])

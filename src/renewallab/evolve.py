@@ -42,8 +42,9 @@ from .errors import (
     TruncationTooSmall,
     ZeroValueInWindow,
 )
-from .measures import Observable, SignedDistribution, point_mass
-from .series import EPS, _as_grid, _gamma, _quotient, _sliding, _whole, _windows
+from .measures import Observable, SignedDistribution, indicator, point_mass
+from .series import (FAR_BLOCK, EPS, _as_grid, _dyadic_blocks, _gamma, _quotient, _sliding,
+                     _whole, _window)
 
 __all__ = [
     "RateCurve",
@@ -153,12 +154,8 @@ def step(chain, nu: SignedDistribution) -> SignedDistribution:
     ``tail_mass``; the declared tail family is inherited.
     """
     n = chain.truncation
-    if nu.size > n:
-        raise TruncationTooSmall(
-            f"measure stores {nu.size} states, chain only {n}"
-        )
     w = np.zeros(n + 1)
-    w[: nu.size + 1] = nu.weights
+    w[: chain.within(nu.size, "the measure") + 1] = nu.weights
     nu1 = w[1]
     out = np.empty_like(w)
     out[0] = 0.0
@@ -183,11 +180,7 @@ def renewal_sequence(chain, n_max: int) -> RateCurve:
     :func:`renewallab.series._quotient` in O(n_max log^2 n_max) time.  For
     positive-recurrent chains e_n approaches 1/m1.
     """
-    n_max = _whole(n_max, "n_max", least=1)
-    if n_max > chain.truncation:
-        raise TruncationTooSmall(
-            f"recursion to {n_max} needs return probabilities past the stored prefix"
-        )
+    n_max = chain.within(_whole(n_max, "n_max", least=1), "the renewal recursion")
     unit = np.zeros(n_max + 1)
     unit[0] = 1.0
     one_less_p = np.r_[1.0, -chain.p[1 : n_max + 1]]
@@ -203,10 +196,7 @@ def _deviation(chain, n_max: int) -> np.ndarray:
     size of the result.  Null-recurrent chains have ``pi_1 = 0`` and get
     ``e_n`` itself.
     """
-    if n_max > chain.truncation:
-        raise TruncationTooSmall(
-            f"recursion to {n_max} needs return probabilities past the stored prefix"
-        )
+    chain.within(n_max, "the renewal recursion")
     if not chain.positive_recurrent:
         return renewal_sequence(chain, max(n_max, 1)).values[: n_max + 1]
     return _quotient(chain.d_tail[: n_max + 1] / chain.m1, chain.d[: n_max + 1])
@@ -248,7 +238,7 @@ def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
     ``x_j = sum_{m<n} b_m p~_{j+n-1-m}``, ``y_j = sum_{i<=n} nu_i d~_{j+n-i}``
     and ``S = sum_{i<=n} nu_i``.  ``x`` is a window of direct dot products
     while ``n J <= DIRECT_WORK`` and beyond the block-product window of
-    ``b[:n]`` and ``p~`` from :func:`renewallab.series._windows`.  The rounding
+    ``b[:n]`` and ``p~`` from :func:`renewallab.series._window`.  The rounding
     bound is the dot bound of ``x`` summed over the window (beyond, with one
     addition per block piece and the FFT bounds), plus ``gamma(i + 4)``
     times the summed sizes of all the terms, which covers ``y`` and the few
@@ -256,9 +246,8 @@ def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
     only by the defect at the prefix edge: it is ``-pi_1 d_N`` on the top
     ``n`` states of the prefix.
     """
+    chain.within(nu.size, "the measure")
     N = chain.truncation
-    if nu.size > N:
-        raise TruncationTooSmall(f"measure stores {nu.size} states, chain only {N}")
     n_max = int(g[-1])
     w = nu.weights[: _last(nu.weights) + 1]  # nu_0..nu_s
     s = w.size - 1
@@ -292,7 +281,7 @@ def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
     far = d[J:N][:n_max]
     window = d[:n_max] - np.pad(far, (0, n_max - far.size))
     d_head = float(d[:J].sum())
-    windows = None
+    blocks = None
     for k, n in enumerate(g):
         count = n + s + 4 * (min(n, s) + 4)  # the dot, then 4 unit-size groups
         if stationary:  # pi_1 d_N has left each of the top n states
@@ -301,8 +290,9 @@ def _entries(chain, nu: SignedDistribution, g: np.ndarray, J: int, dev=None):
         z, x_err = np.zeros(J), 0.0
         x_size = np.dot(b_abs[:n], window[:n][::-1])
         if n * J > DIRECT_WORK:
-            windows = windows or _windows(pt[: n_max + J - 1])
-            z, x_err, pieces = windows(b[:n], J)
+            blocks = blocks or _dyadic_blocks(pt, min(n_max + J - 1, N), FAR_BLOCK)  # built once
+            z, x_err = _window(b[:n], pt, blocks, J)
+            pieces = 3 * len(blocks) + 1  # the most pieces an entry sums
             x_err = (1.0 + _gamma(pieces)) * x_err + _gamma(n + s + pieces) * x_size
         elif n:
             z = _sliding(b[:n], pt[: n + J - 1], J)
@@ -403,8 +393,11 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
         If the horizon needs a longer prefix, if ``u - u_inf`` is nonzero
         at a stored state past it, or if the rounding term exceeds a value.
     """
-    _require_positive_recurrent(chain)
-    g = _as_grid(n_grid)
+    return _paired(_require_positive_recurrent(chain), nu, u, _as_grid(n_grid))
+
+
+def _paired(chain, nu: SignedDistribution, u: Observable, g: np.ndarray, dev=None) -> RateCurve:
+    """:func:`correlation_curve` on the grid ``g`` of any chain; ``dev`` as for :func:`_entries`."""
     _check_horizon(chain, nu, int(g[-1]))
     n = chain.truncation
     vals = _stored(chain, u)
@@ -416,7 +409,7 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
     uk = centered[: _last(centered) + 1]
     pairs, sizes, errs, counts, tails = map(np.array, zip(*(
         (np.dot(uk, z), np.dot(np.abs(uk), np.abs(z)), *rest)
-        for z, *rest in _entries(chain, nu, g, uk.size))))
+        for z, *rest in _entries(chain, nu, g, uk.size, dev))))
     # the total masses of nu P^n and pi pair with the constant u_inf
     excess = _excess(nu)
     values = pairs + u.limit * excess
@@ -567,7 +560,7 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
     DivergentPairing
         If ``u . v`` diverges under the declared tails (u_inf != 0).
     TruncationTooSmall
-        If the horizon, or a nonzero value of ``u``, lies past the prefix.
+        If the horizon or a nonzero ``u`` lies past the prefix, or rounding exceeds a value.
     """
     if chain.positive_recurrent:
         raise NotNullRecurrent("chain is positive recurrent; use distance or correlation curves")
@@ -577,20 +570,13 @@ def null_recurrent_ratio(chain, nu: SignedDistribution, u: Observable, n_grid) -
             "u must vanish at infinity"
         )
     g = _as_grid(n_grid)
-    n_max = int(g[-1])
-    _check_horizon(chain, nu, n_max)
     vals = _stored(chain, u)
-    u_dot_v = float(np.dot(vals, chain.d[: vals.size]))
-    scale = nu.total_mass * u_dot_v
+    scale = nu.total_mass * float(np.dot(vals, chain.d[: vals.size]))
     if scale == 0.0:
         raise DivergentPairing("(nu . 1)(u . v) vanishes; ratio undefined")
-    e = _deviation(chain, n_max - 1) if n_max else None
-
-    def paired(start, uk):
-        return np.array([np.dot(uk, z) for z, *_ in _entries(chain, start, g, uk.size, e)])
-
-    return RateCurve(g, paired(nu, vals[: _last(vals) + 1])
-                     / (scale * paired(point_mass(1), np.ones(1))))
+    e = _deviation(chain, g[-1] - 1) if g[-1] else None
+    return RateCurve(g, _paired(chain, nu, u, g, e).values
+                     / (scale * _paired(chain, point_mass(1), indicator(1, 1), g, e).values))
 
 
 def nonuniformity_probe(chain, i_list, n: int) -> dict:
@@ -604,9 +590,7 @@ def nonuniformity_probe(chain, i_list, n: int) -> dict:
     n = _whole(n, "the step count", least=0)
     out = {}
     for i in i_list:
-        i = _whole(i, "a state", least=1)
-        if i > chain.truncation:
-            raise PreconditionViolated(f"state {i} outside the stored prefix")
+        i = chain.within(_whole(i, "a state", least=1), "a start")
         if i > n:
             out[i] = 2.0 * (1.0 - chain.pi[i - n])
         else:

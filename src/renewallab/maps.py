@@ -930,8 +930,7 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     d = chain.d
     below = int(np.searchsorted(d[::-1], a, side="left"))
     k = d.size - 1 - below  # deepest index with d_k >= a
-    if k >= chain.truncation - n_max:
-        raise TruncationTooSmall("horizon n_max reaches past the stored prefix")
+    chain.within(k + n_max + 1, f"the horizon n_max = {n_max} from cell {k}")
     _key(seed)
 
     values = chain.pi1 * (d[k : k + n_max] + d[k + 1 : k + n_max + 1]

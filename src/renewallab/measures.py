@@ -49,8 +49,8 @@ class TailDecl:
     def __post_init__(self):
         if self.kind not in ("finite", "geometric", "power"):
             raise PreconditionViolated(f"unknown tail kind {self.kind!r}")
-        if self.kind == "power" and self.exponent is None:
-            raise PreconditionViolated("power tails need an exponent")
+        if self.kind == "power" and (self.exponent is None or not self.exponent > -np.inf):
+            raise PreconditionViolated(f"power tails need a real exponent, got {self.exponent!r}")
         if self.kind == "geometric" and not (self.ratio and 0.0 < self.ratio < 1.0):
             raise PreconditionViolated("geometric tails need a ratio in (0,1)")
 
@@ -83,7 +83,7 @@ class SignedDistribution:
             raise PreconditionViolated("weights[0] is a sentinel and must be zero")
         object.__setattr__(self, "weights", w)
         w.flags.writeable = False
-        if abs(self.total_mass - 1.0) > MASS_TOL:
+        if not abs(self.total_mass - 1.0) <= MASS_TOL:  # a NaN mass fails too
             raise NotNormalized(f"total mass is {self.total_mass!r}, not 1")
 
     @property
@@ -135,9 +135,8 @@ def stationary(chain, size: int | None = None) -> SignedDistribution:
     the same logarithmic correction."""
     if chain.pi is None:
         raise PreconditionViolated("null-recurrent chains have no stationary law")
-    n = chain.truncation if size is None else _whole(size, "the prefix length")
-    if n > chain.truncation:
-        raise PreconditionViolated(f"chain stores only {chain.truncation} states")
+    n = chain.truncation if size is None else chain.within(
+        _whole(size, "the prefix length"), "the stationary law's prefix")
     fam = chain.law.tail_family()
     if fam.kind == "power":
         amp = None if fam.amplitude is None else chain.pi1 * fam.amplitude / (fam.exponent - 1.0)
@@ -193,4 +192,4 @@ def indicator(states, size: int) -> Observable:
 
 def ones(size: int) -> Observable:
     """The constant observable 1."""
-    return Observable(np.ones(size + 1), limit=1.0)
+    return Observable(np.ones(_whole(size, "the prefix length", least=1) + 1), limit=1.0)

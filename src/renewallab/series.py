@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,10 +180,10 @@ def convolve(a, b) -> TruncatedSeries:
 def _whole(value, what: str, error=PreconditionViolated, least=None) -> int:
     """``value`` as an int: the package's one rule for a size, an index, a
     state or a seed.  Integral floats and numpy integers are accepted;
-    strings, bools, other values that are not whole numbers and, with
-    ``least``, values below it raise ``error``."""
-    if isinstance(value, (str, bytes, bool, np.bool_)) or not (
-            isinstance(value, (int, np.integer)) or float(value).is_integer()):
+    strings, bools, other values that are not whole numbers (None
+    included) and, with ``least``, values below it raise ``error``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) and not (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
         raise error(f"{what} must be a whole number, got {value!r}")
     n = int(value)
     if least is not None and n < least:
@@ -191,11 +192,12 @@ def _whole(value, what: str, error=PreconditionViolated, least=None) -> int:
 
 
 def _as_grid(n_grid) -> np.ndarray:
-    """``n_grid`` as an int array, refusing anything but a nonempty,
-    strictly increasing vector of whole numbers ``>= 0`` (integral floats
-    and numpy integers included) with :class:`PreconditionViolated`."""
+    """``n_grid`` as an int array, refusing with :class:`PreconditionViolated`
+    anything but a nonempty, strictly increasing vector of whole numbers
+    ``>= 0`` (integral floats and numpy integers included, bools refused)."""
     raw = np.asarray(n_grid)
-    if raw.dtype.kind in "iuf" and raw.ndim == 1 and raw.size:
+    if raw.dtype.kind in "iuf" and raw.ndim == 1 and raw.size and (isinstance(n_grid, np.ndarray)
+            or not any(isinstance(v, (bool, np.bool_)) for v in n_grid)):
         with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the comparison
             g = raw.astype(int, copy=False)
         if np.array_equal(g, raw) and g[0] >= 0 and np.all(np.diff(g) > 0):
@@ -336,13 +338,6 @@ def _window(x: np.ndarray, y: np.ndarray, blocks: list, size: int):
             out[at + skip - lo : at + prod.size - lo] += prod[skip:]
             err += bound * (prod.size - skip)
     return out, err
-
-
-def _windows(y: np.ndarray):
-    """:func:`_window` of ``(x, size)`` against ``y``, its blocks transformed once,
-    and ``3 len(blocks) + 1``, the most pieces an entry sums."""
-    blocks = _dyadic_blocks(y, y.size, FAR_BLOCK)
-    return lambda x, size: (*_window(x, y, blocks, size), 3 * len(blocks) + 1)
 
 
 def _quotient(e, d) -> np.ndarray:
@@ -514,10 +509,9 @@ def convolution_power_probe(gamma: float, n: int):
     Raises :class:`BadExponent` for ``gamma <= 1``, where the sum does not
     decay at all, and :class:`OutOfDomain` for ``n < 2``, where it is empty.
     """
-    if gamma <= 1.0:
+    if not gamma > 1.0:
         raise BadExponent(f"gamma must exceed 1, got {gamma!r}")
-    if n < 2:
-        raise OutOfDomain(f"n must be at least 2, got {n!r}")
+    n = _whole(n, "n", OutOfDomain, least=2)
     k = np.arange(1, n, dtype=float)
     value = float(np.sum(k ** (1.0 - gamma) * (n - k) ** (1.0 - gamma)))
     if gamma < 2.0:
@@ -622,11 +616,11 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
     (the first sample point attaining it, radii in their given order) and
     ``smallest_root_modulus`` (None for a constant prefix, or a generic one
     past the cap).  Empty ``radii``, a radius past :data:`EVAL_RADIUS` or
-    NaN, and ``points`` that is not a positive integer raise
-    :class:`OutOfDomain`.
+    NaN, and ``points`` or ``max_root_degree`` that is not a whole number,
+    ``points`` below 1, raise :class:`OutOfDomain`.
     """
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 1:
-        raise OutOfDomain(f"points per circle must be a positive integer, got {points!r}")
+    points = _whole(points, "points per circle", OutOfDomain, least=1)
+    max_root_degree = _whole(max_root_degree, "max_root_degree", OutOfDomain)
     d = _as_series(d)
     if radii is None:
         radii = np.linspace(0.1, 1.0, 10)

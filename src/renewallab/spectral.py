@@ -41,9 +41,7 @@ DENSE_LIMIT = 1000
 
 def _check_dense_size(chain, n) -> int:
     """``n`` as a dense dimension on ``chain``'s stored prefix."""
-    n = _whole(n, "the dimension")
-    if n > chain.truncation:
-        raise TruncationTooSmall("chain prefix shorter than requested dimension")
+    n = chain.within(_whole(n, "the dimension"), "the dense truncation")
     if n < 2:
         raise TruncationTooSmall("dense truncation needs N >= 2")
     if n > DENSE_LIMIT:
@@ -127,11 +125,9 @@ def eigen_from_gf(chain, lam: complex, n: int) -> SpectralProbe:
     invariant vector; inside the unit disk the prefix is summable and the
     edge defect decays with N; a ``lam`` outside the closed disk is refused.
     """
-    n = _whole(n, "the coefficient count")
+    n = chain.within(_whole(n, "the coefficient count"), "the coefficient recursion")
     if n < 3:
         raise TruncationTooSmall("need at least three coefficients")
-    if n > chain.truncation:
-        raise TruncationTooSmall("chain prefix shorter than requested dimension")
     lam = complex(lam)
     if not abs(lam) <= 1.0 + 1e-12:  # outside, the recursion grows like lam^k
         raise PreconditionViolated("eigenvector candidates are probed on the closed unit disk")
@@ -209,9 +205,8 @@ def gf_evaluate(chain, i: int, j: int, z):
     TruncationTooSmall
         If ``j`` lies past the stored prefix, which has no returns to it.
     """
-    i, j = _whole(i, "state i", least=1), _whole(j, "state j", least=1)
-    if j > chain.truncation:  # a state i past it descends to j without a draw
-        raise TruncationTooSmall(f"state {j} lies past the stored prefix {chain.truncation}")
+    i = _whole(i, "state i", least=1)  # a state i past the prefix descends to j without a draw
+    j = chain.within(_whole(j, "state j", least=1), "the return to state j")
     values, inside = [], []
     for point in np.atleast_1d(z):
         point = complex(point)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from renewallab import (
     p_order,
     second_moment_identity,
 )
+from renewallab.config import measure_from_config
 
 # mean return time of the degree-1 zeta law, from two independent
 # high-precision zeta evaluations (mpmath, 30 digits): zeta(2)/zeta(3)
@@ -168,6 +170,72 @@ def test_constants_at_the_edge_of_double_precision_still_build():
     for law in (ZetaTailLaw(1.0, 170.0), ZetaTailLaw(1e-12)):
         ch = build_chain(law, 1000)
         assert ch.classification == "positive-recurrent" and math.isfinite(ch.m1)
+
+
+#: ``int_a^inf x^-3 log(x+1)^170 dx`` at ``a = 100001``: a 50-digit mpmath
+#: quadrature in ``t = log x``, with breakpoints around the peak ``t = 85``.
+TAIL_INTEGRAL_3_170 = 2.424670542883407192842269e+255
+
+
+def test_log_power_tail_integral_is_quiet_and_good_to_rounding():
+    # quad reports roundoff here although its result is good to rounding:
+    # the warning is silenced and quad's own error estimate passes
+    from renewallab.chain import _tail_integral
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _tail_integral(3.0, 170.0, 100001.0)
+    assert value == pytest.approx(TAIL_INTEGRAL_3_170, rel=1e-15, abs=0.0)
+
+
+def test_nan_reals_are_refused_by_the_entry_that_reads_them():
+    nan = math.nan
+    ch = build_chain(ZetaTailLaw(1.5), 200)
+    cases = [
+        (BadExponent, lambda: rl.convolution_power_probe(nan, 10)),
+        (PreconditionViolated, lambda: moment(ch, 1, 1, nan)),
+        (PreconditionViolated, lambda: codivergence_probe(ch, nan)),
+        (NotNormalized, lambda: rl.from_weights([1.0], tail_mass=nan)),
+        (NotNormalized, lambda: FiniteLaw([0.5, 0.5], tail_exponent=3.0, tail_log_power=nan)),
+        (PreconditionViolated, lambda: rl.TailDecl("power", exponent=nan)),
+        (TruncationTooSmall, lambda: first_passage(ch, 1, 1, mass_tol=nan)),
+        (rl.ZeroProbabilityBranch, lambda: ZetaTailLaw(1.0, nan)),
+    ]
+    for error, call in cases:
+        with pytest.raises(error):
+            call()
+
+
+#: One request per routine that reads the stored prefix at a state the
+#: caller chose, ``x`` that state.
+PAST_THE_PREFIX = {
+    "stationary_mass_beyond": lambda c, x: c.stationary_mass_beyond(x),
+    "first_passage horizon": lambda c, x: first_passage(c, 1, 1, trunc=x, mass_tol=math.inf),
+    "first_passage j": lambda c, x: first_passage(c, 1, x, mass_tol=math.inf),
+    "codivergence_probe": lambda c, x: codivergence_probe(c, 0.5, 1, x),
+    "step": lambda c, x: rl.step(c, rl.point_mass(x)),
+    "distance_curve measure": lambda c, x: rl.distance_curve(
+        c, rl.from_weights(np.r_[0.5, np.zeros(x - 1)], tail_mass=0.5), [1]),
+    "renewal_sequence": lambda c, x: rl.renewal_sequence(c, x),
+    "deviation_tail_ratio": lambda c, x: rl.deviation_tail_ratio(c, [x]),
+    "nonuniformity_probe": lambda c, x: rl.nonuniformity_probe(c, [x], 5),
+    "stationary": lambda c, x: rl.stationary(c, x),
+    "transition_operator": lambda c, x: rl.transition_operator(c, x),
+    "eigen_from_gf": lambda c, x: rl.eigen_from_gf(c, 0.5, x),
+    "gf_evaluate": lambda c, x: rl.gf_evaluate(c, 3, x, 0.5),
+    # the survival past n_max steps from cell 1 reads state n_max + 2
+    "entrance_tail": lambda c, x: rl.entrance_tail(c, c.d[1], x - 2, 1000, 1),
+    "measure_from_config": lambda c, x: measure_from_config({"kind": "point", "state": x}, c),
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_THE_PREFIX))
+def test_every_request_past_the_prefix_is_refused_by_one_rule(name):
+    chain = build_chain(ZetaTailLaw(1.5), 300)
+    call = PAST_THE_PREFIX[name]
+    call(chain, 300)
+    with pytest.raises(TruncationTooSmall, match="reads state 301, past the stored prefix of 300"):
+        call(chain, 301)
 
 
 @pytest.mark.parametrize("degree,beta", [(1.0, 1.0), (0.5, 2.0), (-0.5, 1.0), (1.5, 0.5)])

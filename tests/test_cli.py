@@ -486,6 +486,30 @@ def test_observable_past_the_prefix_exits_4(tmp_path, capsys, command, degree):
     assert len(err) == 1 and "TruncationTooSmall" in err[0]
 
 
+@pytest.mark.parametrize("nu", [{"kind": "stationary", "size": 3000},
+                                {"kind": "point", "state": 3000}], ids=["stationary", "point"])
+def test_initial_measure_past_the_prefix_exits_4(tmp_path, capsys, nu):
+    # both exited 3 (PreconditionViolated), though a larger truncation mends them
+    payload = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000},
+               "nu": nu, "grid": {"points": [10, 100]}}
+    code, _ = run(tmp_path, ["rates", "distance"], payload)
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "TruncationTooSmall" in err[0]
+    assert "reads state 3000, past the stored prefix of 2000 states" in err[0]
+
+
+def test_chain_info_at_a_large_log_power_is_quiet(tmp_path, capsys):
+    # scipy's quad warned of roundoff here on a run that succeeds
+    payload = {"chain": {"law": {"type": "zeta", "degree": 1.0, "log_power": 170},
+                         "truncation": 1000}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, ["chain", "info"], payload)
+    assert code == 0 and not caught
+    assert capsys.readouterr().err == ""
+
+
 def test_eigen_candidate_outside_the_disk_exits_3_without_overflow(tmp_path, capsys):
     payload = {**GEO, "dimension": 100, "lambdas": [[10 ** 6, 0.1]]}
     with warnings.catch_warnings():

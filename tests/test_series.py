@@ -854,6 +854,7 @@ WHOLE_ENTRIES = {
     "second_moment_identity": lambda c, x: rl.second_moment_identity(c.z25, x),
     "codivergence_probe i": lambda c, x: rl.codivergence_probe(c.z, 0.5, x, 200),
     "codivergence_probe n_max": lambda c, x: rl.codivergence_probe(c.z, 0.5, 2, x),
+    "stationary_mass_beyond": lambda c, x: c.z.stationary_mass_beyond(x),
     # evolve
     "RateCurve": lambda c, x: rl.RateCurve([x], [1.0]),
     "renewal_sequence": lambda c, x: rl.renewal_sequence(c.z, x),
@@ -884,6 +885,12 @@ WHOLE_ENTRIES = {
     "stationary": lambda c, x: rl.stationary(c.z, x),
     "indicator state": lambda c, x: rl.indicator([1, x], 20),
     "indicator size": lambda c, x: rl.indicator([1], x),
+    "ones": lambda c, x: rl.ones(x),
+    # series
+    "convolution_power_probe": lambda c, x: rl.convolution_power_probe(1.5, x),
+    "zero_diagnostic points": lambda c, x: rl.zero_diagnostic(c.z.d[:40], [0.5, 0.9], x),
+    "zero_diagnostic max_root_degree": lambda c, x: rl.zero_diagnostic(
+        [1.0, 0.5, -0.25], [0.5], 12, max_root_degree=x),
     # maps
     "orbit_symbols": lambda c, x: rl.orbit_symbols(rl.build_map(c.z), 0.3, x),
     "mc_correlation": lambda c, x: rl.mc_correlation(
@@ -896,9 +903,11 @@ WHOLE_ENTRIES = {
     "pf_check": lambda c, x: rl.pf_check(c.z, x),
 }
 
-#: The entries that refuse with :class:`ConfigError`; the others raise
-#: :class:`PreconditionViolated`.
-CONFIG_ERROR_ENTRIES = {"build_chain", "sample_states", "sample_states seed", "entrance_tail"}
+#: The entries that refuse with :class:`ConfigError` (``OutOfDomain`` in the
+#: series probes); the others raise :class:`PreconditionViolated`.
+CONFIG_ERROR_ENTRIES = {"build_chain", "sample_states", "sample_states seed", "entrance_tail",
+                        "convolution_power_probe", "zero_diagnostic points",
+                        "zero_diagnostic max_root_degree"}
 
 
 def bits(value) -> bytes:
@@ -925,3 +934,17 @@ def test_every_entry_point_reads_whole_numbers_by_one_rule(whole_chains, name):
     want = bits(call(whole_chains, 10))
     for same in (10.0, np.int64(10)):
         assert bits(call(whole_chains, same)) == want
+
+
+def test_values_that_are_no_number_at_all_are_refused_by_the_rule():
+    # None and a list have no float: a package error, not a bare TypeError
+    for bad in (None, [10], 10 + 0j):
+        with pytest.raises(rl.PreconditionViolated, match="whole number"):
+            series._whole(bad, "the size")
+    with pytest.raises(rl.PreconditionViolated, match="whole number"):
+        rl.indicator([None], 10)
+    # np.asarray reads [True, 5] as the ints [1, 5]; the bool is refused as a bare one is
+    for grid in ([True, 5], (1, np.True_, 5), [False, 5.0]):
+        with pytest.raises(rl.PreconditionViolated, match="grid must be"):
+            series._as_grid(grid)
+    assert series._as_grid(np.array([1, 5])).tolist() == [1, 5]
