@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     DegreeTooSmall,
     NotNormalized,
+    NotPositiveRecurrent,
     PeriodicSupport,
     PreconditionViolated,
     TruncationTooSmall,
@@ -442,10 +443,16 @@ class RenewalChain:
                 f"{what} reads state {n}, past the stored prefix of {self.truncation} states")
         return n
 
+    def stationary_law(self, why: str = "the operation needs the stationary law"):
+        """The chain, if it has a stationary law: the one rule for a request that
+        needs ``pi``.  Else :class:`NotPositiveRecurrent`, its message led by ``why``."""
+        if not self.positive_recurrent:
+            raise NotPositiveRecurrent(f"{why}, which a null-recurrent chain lacks")
+        return self
+
     def stationary_mass_beyond(self, m: int) -> float:
         """Analytic stationary mass ``sum_{j > m} pi_j``."""
-        if not self.positive_recurrent:
-            raise DegreeTooSmall("chain has no stationary law")
+        self.stationary_law("the mass beyond m needs the stationary law")
         m = self.within(_whole(m, "m", least=0), "the mass beyond m")
         return self.pi1 * (self.d[m] + self.d_tail[m])
 
@@ -658,9 +665,7 @@ def second_moment_identity(chain, i: int, trunc: int | None = None):
     DegreeTooSmall
         If the declared degree makes the second moment infinite.
     """
-    if not chain.positive_recurrent:
-        raise DegreeTooSmall("second moments require a positive-recurrent chain")
-    if chain.ergodic_degree <= 1.0:
+    if chain.ergodic_degree <= 1.0:  # a null-recurrent chain has degree <= 0
         raise DegreeTooSmall(
             f"degree {chain.ergodic_degree} <= 1: second return-time moments diverge"
         )
@@ -690,15 +695,14 @@ class POrder:
     boundary: bool
 
 
-def p_order(chain, nu: SignedDistribution, i: int = 1) -> POrder:
+def p_order(chain, nu: SignedDistribution) -> POrder:
     """Supremum of ``g > 0`` with ``sum_l |nu_l| * (g-moment of passage l->i)``
-    finite, decided from declared tails.
+    finite, decided from declared tails: the same at every target state ``i``.
 
     The chain contributes the ceiling ``degree + 1`` (through-state-1
     passages); ``nu`` contributes ``a - 1`` when its tail is declared as a
-    power ``l^-a``.  The result does not depend on ``i``.
+    power ``l^-a``.
     """
-    _whole(i, "the state", least=1)
     ceiling = chain.ergodic_degree + 1.0
     decl = nu.tail if nu.tail is not None else TailDecl("finite")
     if decl.kind in ("finite", "geometric"):
@@ -732,32 +736,33 @@ class CodivergenceProbe:
 
 
 def codivergence_probe(chain, gamma: float, i: int = 1, n_max: int | None = None) -> CodivergenceProbe:
-    """Build both truncated moment routes side by side.
+    """Build both truncated moment routes side by side to the horizon ``n_max``,
+    by default ``N - i + 1``, the longest that keeps every passage ``l -> i`` stored.
 
     Raises
     ------
-    DegreeTooSmall
+    NotPositiveRecurrent
         On null-recurrent chains, where the paired route has no stationary
         weights to pair with.
     """
-    if not chain.positive_recurrent:
-        raise DegreeTooSmall("codivergence pairing needs the stationary law")
+    chain.stationary_law("codivergence pairing needs the stationary law")
     if not math.isfinite(gamma):
         raise PreconditionViolated(f"the moment order must be finite, got {gamma!r}")
-    i = _whole(i, "the state", least=1)
-    n = chain.truncation if n_max is None else chain.within(_whole(n_max, "n_max"), "n_max")
+    i = chain.within(_whole(i, "the state", least=1), "the target state")
+    n = chain.truncation - i + 1 if n_max is None else chain.within(_whole(n_max, "n_max"), "n_max")
 
-    f = first_passage(chain, i, i, trunc=n, mass_tol=math.inf)
+    # from l < i the chain descends to 1 first, so f_li = z^(l-1) f_1i
+    f1 = first_passage(chain, 1, i, trunc=n, mass_tol=math.inf).series.coeffs
+    f = f1 if i == 1 else first_passage(chain, i, i, trunc=n, mass_tol=math.inf).series.coeffs
     m = np.arange(n + 1, dtype=float)
     m[0] = 1.0
-    direct = np.cumsum(m ** (gamma + 1.0) * f.series.coeffs)
+    direct = np.cumsum(m ** (gamma + 1.0) * f)
 
     paired_terms = np.zeros(n + 1)
+    powers = m ** gamma
     for l in range(1, min(i, n + 1)):
-        paired_terms[l] = chain.pi[l] * moment(chain, l, i, gamma, trunc=n).value
-    hi = np.arange(i + 1, n + 1, dtype=float)
-    if hi.size:
-        paired_terms[i + 1 :] = chain.pi[i + 1 : n + 1] * (hi - i) ** gamma
+        paired_terms[l] = chain.pi[l] * np.dot(powers[l - 1 :], f1[: n - l + 2])
+    paired_terms[i + 1 :] = chain.pi[i + 1 : n + 1] * np.arange(1.0, n - i + 1) ** gamma
     paired = np.cumsum(paired_terms)
 
     return CodivergenceProbe(

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegreeTooSmall,
     DivergentPairing,
     InfiniteDegree,
     NotNullRecurrent,
-    NotPositiveRecurrent,
     PreconditionViolated,
     TruncationTooSmall,
     ZeroValueInWindow,
@@ -121,13 +121,6 @@ def log_grid(lo: int, hi: int, count: int = 30) -> np.ndarray:
 # ----------------------------------------------------------------------
 # the elementary step
 # ----------------------------------------------------------------------
-
-def _require_positive_recurrent(chain, why: str = "the operation needs the stationary law"):
-    """``chain``; :class:`NotPositiveRecurrent`, with ``why``, if it is null recurrent."""
-    if not chain.positive_recurrent:
-        raise NotPositiveRecurrent(f"{why}, which a null-recurrent chain lacks")
-    return chain
-
 
 def _last(x: np.ndarray) -> int:
     """Index of the last nonzero entry of ``x``, 0 if there is none."""
@@ -366,7 +359,7 @@ def distance_curve(chain, nu: SignedDistribution, n_grid) -> RateCurve:
         If the horizon needs a longer prefix, or if the rounding term
         exceeds a value.
     """
-    _require_positive_recurrent(chain)
+    chain.stationary_law()
     g = _as_grid(n_grid)
     _check_horizon(chain, nu, int(g[-1]))
     n = chain.truncation
@@ -393,7 +386,7 @@ def correlation_curve(chain, nu: SignedDistribution, u: Observable, n_grid) -> R
         If the horizon needs a longer prefix, if ``u - u_inf`` is nonzero
         at a stored state past it, or if the rounding term exceeds a value.
     """
-    return _paired(_require_positive_recurrent(chain), nu, u, _as_grid(n_grid))
+    return _paired(chain.stationary_law(), nu, u, _as_grid(n_grid))
 
 
 def _paired(chain, nu: SignedDistribution, u: Observable, g: np.ndarray, dev=None) -> RateCurve:
@@ -434,12 +427,14 @@ def deviation_tail_ratio(chain, n_grid) -> RateCurve:
     InfiniteDegree
         For geometric or finite laws, where the deviation vanishes at
         super-polynomial speed and the ratio is degenerate.
+    DegreeTooSmall
+        For a declared degree ``d <= 0``.
     """
+    chain.stationary_law("the ratio compares against pi_1")
     if math.isinf(chain.ergodic_degree):
         raise InfiniteDegree("deviation-to-tail ratio needs a finite ergodic degree")
     if chain.ergodic_degree <= 0.0:
-        raise NotPositiveRecurrent("ratio compares against pi_1, need degree > 0")
-    _require_positive_recurrent(chain)
+        raise DegreeTooSmall(f"degree {chain.ergodic_degree} <= 0: the ratio needs d > 0")
     g = _as_grid(n_grid)
     if g[0] < 1:
         raise PreconditionViolated("ratio is defined for n >= 1")
@@ -515,9 +510,9 @@ def correlation_constant(chain, nu: SignedDistribution, u: Observable, n_grid):
     InfiniteDegree
         For geometric or finite laws (the rate is not polynomial).
     """
+    chain.stationary_law()
     if math.isinf(chain.ergodic_degree):
         raise InfiniteDegree("polynomial scaling needs a finite ergodic degree")
-    _require_positive_recurrent(chain)
     if u.limit != 0.0:
         raise PreconditionViolated("observable must vanish at infinity (u_inf = 0)")
     _check_nu_negligible(chain, nu)
@@ -586,7 +581,7 @@ def nonuniformity_probe(chain, i_list, n: int) -> dict:
     States beyond the horizon are exact by pure descent:
     ``delta_i P^n = delta_{i-n}`` gives distance ``2 (1 - pi_{i-n})``.
     """
-    _require_positive_recurrent(chain)
+    chain.stationary_law()
     n = _whole(n, "the step count", least=0)
     out = {}
     for i in i_list:

@@ -85,7 +85,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroProbabilityBranch,
 )
-from .evolve import RateCurve, RateFit, _require_positive_recurrent, rate_fit
+from .evolve import RateCurve, RateFit, rate_fit
 from .series import EPS, _whole
 from .spectral import DENSE_LIMIT, transition_operator
 
@@ -544,7 +544,7 @@ def _sampler(source, sampler: str):
     if sampler != "float":
         raise ConfigError(f"unknown sampler {sampler!r}; known: 'chain', 'float'")
     m = source if isinstance(source, IntermittentMap) else build_map(source)
-    chain = _require_positive_recurrent(m.chain, "float orbits need the invariant density")
+    chain = m.chain.stationary_law("float orbits need the invariant density")
     mass = np.cumsum(chain.pi[1:])[m.symbol_cap - 1]
     if mass < START_MASS_FLOOR:
         raise TruncationTooSmall(f"the resolvable cells hold stationary mass {mass:.3g} < "
@@ -758,8 +758,7 @@ def kac_check(source, orbit_length: int, seed: int,
     return-length histogram for comparison with the law.  A null-recurrent
     chain, whose mean return is infinite, raises before drawing.  A step
     ``1 -> L`` is a completed return when its ``L`` steps end in the orbit."""
-    _require_positive_recurrent(_sampler(source, "chain"),
-                                "Kac's identity needs a finite mean return")
+    _sampler(source, "chain").stationary_law("Kac's identity needs a finite mean return")
     size, burn_in, _ = _check_orbit(orbit_length, burn_in)
     blocks = _blocks(_sampler(source, sampler), size, seed, burn_in)
     ones = valid = censored = 0
@@ -820,8 +819,7 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
     first ``i_max`` cells along a coded orbit of ``source``, a chain or its
     map, against the exact chain entries.  The ``i_max``-square tables are
     capped at :data:`~renewallab.spectral.DENSE_LIMIT` cells a side."""
-    chain = _require_positive_recurrent(_sampler(source, "chain"),
-                                        "occupations need the stationary law")
+    chain = _sampler(source, "chain").stationary_law("occupations need the stationary law")
     i_max = _whole(i_max, "i_max")
     if i_max < 2 or i_max > chain.truncation - 1:
         raise PreconditionViolated("i_max must fit inside the stored prefix")
@@ -918,8 +916,7 @@ def entrance_tail(source, a: float, n_max: int, samples: int,
     last decade, gives ``fit = None`` when it holds fewer than two grid
     points (``n_max <= 2``) or a zero value (a law of finite support).
     """
-    chain = _require_positive_recurrent(_sampler(source, "chain"),
-                                        "entrances need the invariant density")
+    chain = _sampler(source, "chain").stationary_law("entrances need the invariant density")
     _check_orbit(samples)
     n_max = _whole(n_max, "n_max", ConfigError, least=1)
     if not 0.0 < a <= chain.d[1]:
@@ -958,7 +955,7 @@ def invariant_density(chain, n: int | None = None) -> np.ndarray:
     pi_i.  Flat for a geometric law; grows roughly linearly for power
     tails, the usual divergence of intermittent densities at 0.
     """
-    _require_positive_recurrent(chain, "the invariant density needs a normalizable level")
+    chain.stationary_law("the invariant density needs a normalizable level")
     support = _support_length(chain)
     if n is None:
         n = support
@@ -990,7 +987,7 @@ def pf_check(chain, n: int = 500) -> TransferReport:
     """Build the cell-to-cell transfer matrix M(i,j) = (p_i/p_j) P(i,j)
     and measure how well it fixes the density (row action) and the return
     law (column action)."""
-    _require_positive_recurrent(chain, "the transfer check needs a normalizable level")
+    chain.stationary_law("the transfer check needs a normalizable level")
     n = min(_whole(n, "the cell count"), _support_length(chain))
     if n < 3:
         raise TruncationTooSmall("need at least three resolvable cells")

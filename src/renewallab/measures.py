@@ -53,6 +53,9 @@ class TailDecl:
             raise PreconditionViolated(f"power tails need a real exponent, got {self.exponent!r}")
         if self.kind == "geometric" and not (self.ratio and 0.0 < self.ratio < 1.0):
             raise PreconditionViolated("geometric tails need a ratio in (0,1)")
+        if not np.isfinite([self.log_power, self.amplitude or 0.0]).all():
+            raise PreconditionViolated(f"log power and amplitude must be finite, "
+                                       f"got {self.log_power!r} and {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,7 @@ def stationary(chain, size: int | None = None) -> SignedDistribution:
     """Stationary law of a positive-recurrent chain as a declared-tail
     distribution: the power exponent is one above the return law's, with
     the same logarithmic correction."""
-    if chain.pi is None:
-        raise PreconditionViolated("null-recurrent chains have no stationary law")
+    chain.stationary_law("a stationary start needs the stationary law")
     n = chain.truncation if size is None else chain.within(
         _whole(size, "the prefix length"), "the stationary law's prefix")
     fam = chain.law.tail_family()

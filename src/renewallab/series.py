@@ -32,7 +32,6 @@ size, index, state, seed and grid point a caller passes is read through
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -62,6 +61,9 @@ __all__ = [
 
 #: Leading coefficients at or below this magnitude are treated as zero.
 LEADING_FLOOR = 1e-300
+
+#: Largest degree :func:`zero_diagnostic` solves for roots: the eigen solve is O(n^3).
+MAX_ROOT_DEGREE = 512
 
 #: Largest admissible |z| for evaluation: closed unit disk plus rounding slack.
 EVAL_RADIUS = 1.0 + 1e-9
@@ -108,28 +110,6 @@ class TruncatedSeries:
             raise OutOfDomain(f"|z| = {abs(z):.6g} exceeds {EVAL_RADIUS}")
         value = complex(np.polynomial.polynomial.polyval(z, self.coeffs))
         return value.real if z.imag == 0.0 else value
-
-    def to_csv(self, path) -> None:
-        """Write ``n,coeff`` rows with full-precision decimal coefficients."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "coeff"])
-            for n, c in enumerate(self.coeffs):
-                writer.writerow([n, repr(float(c))])
-
-    @classmethod
-    def from_csv(cls, path) -> "TruncatedSeries":
-        """Read a series written by :meth:`to_csv`."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["n", "coeff"]:
-                raise ValueError(f"unexpected header {header!r}")
-            rows = [(int(n), float(c)) for n, c, *_ in reader]
-        rows.sort()
-        if [n for n, _ in rows] != list(range(len(rows))):
-            raise ValueError("coefficient indices must be 0..N without gaps")
-        return cls(np.array([c for _, c in rows]))
 
 
 def _as_series(x) -> TruncatedSeries:
@@ -390,7 +370,7 @@ def _quotient(e, d) -> np.ndarray:
     return h[c:]
 
 
-def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
+def reciprocal(d) -> TruncatedSeries:
     """Coefficients of ``1/D(z)`` on the stored prefix: :func:`divide` with
     a unit numerator, ``c_0 = 1/d_0``,
     ``c_n = -(1/d_0) * sum_{k=1..n} d_k c_{n-k}``.
@@ -398,25 +378,24 @@ def reciprocal(d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
     Parameters
     ----------
     d : TruncatedSeries or array_like
-        Denominator prefix; ``|d_0|`` must exceed ``floor``.
-    floor : float, optional
-        Magnitude below which the leading coefficient counts as zero.
+        Denominator prefix; ``|d_0|`` must exceed :data:`LEADING_FLOOR`.
     """
     d = _as_series(d)
     unit = np.zeros(len(d))
     unit[0] = 1.0
-    return divide(unit, d, floor)
+    return divide(unit, d)
 
 
-def divide(e, d, floor: float = LEADING_FLOOR) -> TruncatedSeries:
+def divide(e, d) -> TruncatedSeries:
     """Coefficients of ``E(z)/D(z)`` on the shorter of the two prefixes, the
     solution of ``h_n = (e_n - sum_{k=1..n} d_k h_{n-k}) / d_0`` by the
-    relaxed quotient of :func:`_quotient`.  ``|d_0|`` must exceed ``floor``.
+    relaxed quotient of :func:`_quotient`.  ``|d_0|`` must exceed
+    :data:`LEADING_FLOOR`.
     """
     ec, dc = _as_series(e).coeffs, _as_series(d).coeffs
-    if abs(dc[0]) <= floor:
+    if abs(dc[0]) <= LEADING_FLOOR:
         raise ZeroLeadingCoefficient(
-            f"|d_0| = {abs(dc[0]):.3g} is at or below the floor {floor:.3g}"
+            f"|d_0| = {abs(dc[0]):.3g} is at or below the floor {LEADING_FLOOR:.3g}"
         )
     return TruncatedSeries(_quotient(ec, dc))
 
@@ -589,7 +568,7 @@ def _positive_root(c0: float, k: np.ndarray, a: np.ndarray) -> float:
     return r
 
 
-def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512):
+def zero_diagnostic(d, radii=None, points: int = 720):
     """Heuristic scan for small prefix-polynomial moduli inside the disk.
 
     Diagnostic only: a truncated prefix cannot certify anything about zeros
@@ -604,10 +583,9 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
     :func:`_positive_root`: for ``|z| < r_0``, ``|F(z)| <= F(|z|) < |d_0|``,
     so no zero lies inside that circle, and ``r_0`` itself is one
     (Pringsheim's argument).  When ``d_0 == 0`` it is 0.  Every other
-    prefix takes the eigenvalues of its companion matrix
-    (``numpy.polynomial.polynomial.polyroots``), O(n^3), and only when
-    its degree is at most ``max_root_degree``; the cap gates that route
-    alone.
+    prefix of degree at most :data:`MAX_ROOT_DEGREE`, and only such a
+    prefix, takes the eigenvalues of its companion matrix
+    (``numpy.polynomial.polynomial.polyroots``), O(n^3).
 
     The scan evaluates its ``len(radii) * points`` samples in chunks of at
     most :data:`_SCAN_CHUNK`, so it holds O(chunk) memory beyond the angle
@@ -616,11 +594,9 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
     (the first sample point attaining it, radii in their given order) and
     ``smallest_root_modulus`` (None for a constant prefix, or a generic one
     past the cap).  Empty ``radii``, a radius past :data:`EVAL_RADIUS` or
-    NaN, and ``points`` or ``max_root_degree`` that is not a whole number,
-    ``points`` below 1, raise :class:`OutOfDomain`.
+    NaN, and ``points`` not a whole number of at least 1 raise :class:`OutOfDomain`.
     """
     points = _whole(points, "points per circle", OutOfDomain, least=1)
-    max_root_degree = _whole(max_root_degree, "max_root_degree", OutOfDomain)
     d = _as_series(d)
     if radii is None:
         radii = np.linspace(0.1, 1.0, 10)
@@ -662,7 +638,7 @@ def zero_diagnostic(d, radii=None, points: int = 720, max_root_degree: int = 512
         elif np.all(math.copysign(1.0, d0) * rest <= 0.0):
             nonzero = np.flatnonzero(rest)
             smallest_root = _positive_root(abs(float(d0)), nonzero + 1.0, np.abs(rest[nonzero]))
-        elif trimmed.size <= max_root_degree + 1:
+        elif trimmed.size <= MAX_ROOT_DEGREE + 1:
             roots = np.polynomial.polynomial.polyroots(trimmed)
             if roots.size:
                 smallest_root = float(np.min(np.abs(roots)))

@@ -16,6 +16,7 @@ from renewallab import (
     FiniteLaw,
     GeometricLaw,
     NotNormalized,
+    NotPositiveRecurrent,
     PeriodicSupport,
     PreconditionViolated,
     TruncationTooSmall,
@@ -253,9 +254,9 @@ def test_null_recurrent_chain_has_no_stationary_law():
     assert math.isinf(ch.m1)
     assert ch.pi is None and ch.pi1 is None and ch.d_tail is None
     assert ch.ergodic_degree == -0.5
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(NotPositiveRecurrent, match="null-recurrent"):
         rl.stationary(ch)
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(NotPositiveRecurrent, match="null-recurrent"):
         ch.stationary_mass_beyond(10)
 
 
@@ -394,6 +395,8 @@ def test_second_moment_identity_degree_gate():
     ch = build_chain(ZetaTailLaw(1.0), 100)
     with pytest.raises(DegreeTooSmall):
         second_moment_identity(ch, 2)
+    with pytest.raises(DegreeTooSmall):  # a null-recurrent chain has degree <= 0
+        second_moment_identity(build_chain(ZetaTailLaw(-0.5), 100), 2)
 
 
 def test_p_order_stationary_initial_law():
@@ -444,8 +447,22 @@ def test_codivergence_probe_tracks_declared_verdict():
 
 def test_codivergence_needs_stationary_law():
     ch = build_chain(ZetaTailLaw(-0.5), 100)
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(NotPositiveRecurrent):
         codivergence_probe(ch, 0.5)
+
+
+@pytest.mark.parametrize("i", [2, 5])
+def test_codivergence_probe_pairs_every_start_below_i_at_its_default_horizon(i):
+    # the default horizon N - i + 1 keeps every passage l -> i on the prefix;
+    # the paired terms below i agree with one moment per start
+    ch = build_chain(ZetaTailLaw(1.5), 300)
+    probe = codivergence_probe(ch, 0.5, i)
+    n = ch.truncation - i + 1
+    assert probe.partial_direct.size == probe.partial_paired.size == n + 1
+    terms = [0.0] + [ch.pi[l] * moment(ch, l, i, 0.5, trunc=n).value for l in range(1, i)]
+    assert probe.partial_paired[:i] == pytest.approx(np.cumsum(terms), rel=1e-13, abs=0.0)
+    with pytest.raises(TruncationTooSmall):
+        codivergence_probe(ch, 0.5, i, n + 1)
 
 
 def test_custom_law_uses_declared_tail():
@@ -513,15 +530,12 @@ def test_second_moment_identity_exact_for_finite_laws(law, i):
     assert gap < 1e-10
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only log-power tails need quadrature, and scipy.integrate is slow to load
-    code = "import sys, renewallab.cli; sys.exit('scipy.integrate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
-
-
 def test_zeta_laws_without_a_log_power_load_no_scipy_module(tmp_path):
     # their constants come from the package's own Hurwitz zeta; only
-    # log-power tails still load scipy, for quadrature
+    # log-power tails still load scipy, for quadrature.  So importing the
+    # package and its CLI loads neither scipy.integrate (slow to load) nor
+    # scipy.linalg (the quotient imports its triangular solve when first
+    # called): no scipy module at all
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000}}')
     code = (

@@ -329,6 +329,21 @@ def test_lemma2_on_geometric_exits_3_naming_the_reason(tmp_path, capsys):
     assert "InfiniteDegree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload, error", [
+    # positive recurrent, but its declared degree is -0.5
+    ("rates lemma2", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.3, 0.2],
+                                        "tail_exponent": 1.5}, "truncation": 200},
+                      "grid": {"points": [10, 100]}}, "DegreeTooSmall"),
+    ("rates distance", {"chain": {"law": {"type": "zeta", "degree": -0.5}, "truncation": 200},
+                        "nu": {"kind": "stationary"}, "grid": {"points": [10]}},
+     "NotPositiveRecurrent"),
+], ids=["lemma2-degree", "distance-stationary-null"])
+def test_degree_and_stationary_law_refusals_exit_3(tmp_path, capsys, command, payload, error):
+    code, _ = run(tmp_path, command.split(), payload)
+    assert code == 3
+    assert error in capsys.readouterr().err
+
+
 NULL = {"chain": {"law": {"type": "zeta", "degree": 0}, "truncation": 2000}}
 ORBIT = {"orbit_length": 5000, "burn_in": 100, "seed": 3}
 

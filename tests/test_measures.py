@@ -71,7 +71,7 @@ def test_stationary_measure_of_zeta_chain():
 
 def test_stationary_needs_positive_recurrence():
     ch = rl.build_chain(rl.ZetaTailLaw(-0.5), 100)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(rl.NotPositiveRecurrent, match="null-recurrent"):
         stationary(ch)
 
 
@@ -82,7 +82,14 @@ def test_tail_decl_validation():
         TailDecl("power")
     with pytest.raises(PreconditionViolated):
         TailDecl("geometric", ratio=1.5)
+    with pytest.raises(PreconditionViolated, match="finite"):
+        TailDecl("power", exponent=3.0, log_power=float("nan"))
+    with pytest.raises(PreconditionViolated, match="finite"):
+        TailDecl("power", exponent=3.0, amplitude=float("nan"))
+    with pytest.raises(PreconditionViolated, match="finite"):
+        TailDecl("power", exponent=3.0, amplitude=float("inf"))
     assert TailDecl("power", exponent=2.5).log_power == 0.0
+    assert TailDecl("power", exponent=2.5).amplitude is None
 
 
 def test_observable_prefix_and_limit():
