@@ -17,10 +17,11 @@ float-orbit sampler, ``"float"``, iterates the map itself; near 0 the cells
 shrink below double resolution (and for dyadic slopes the mantissa drains
 in about fifty steps), so when an orbit crosses the resolvable depth it is
 censored, counted, and the stream restarts from a fresh invariant-density
-sample.  Its loop searches the breakpoints only after a top-cell step or a
-restart: the clamps of each branch image put a point of cell ``i >= 2``
-into cell ``i - 1`` exactly, so the descent needs no search and codes the
-same symbols as :func:`encode`.  Its starts come from the invariant density,
+sample, whose uniforms are drawn in batches.  Its loop searches the
+breakpoints only when a top-cell step or a restart lands below ``d_1``:
+the clamps of each branch image put a point of cell ``i >= 2`` into cell
+``i - 1`` exactly, so the descent needs no search and codes the same
+symbols as :func:`encode`.  Its starts come from the invariant density,
 so on a null-recurrent chain it raises :class:`NotPositiveRecurrent` before
 drawing, as :func:`markov_frequency_check` and :func:`kac_check` do on
 either sampler.  :func:`entrance_tail` draws nothing: the survival of the
@@ -69,9 +70,10 @@ batches.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -334,29 +336,33 @@ def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None):
     one block to the next.
 
     The clamps of :func:`_image` put the image of a branch ``i >= 2`` in
-    cell ``i - 1`` exactly, so the breakpoints are searched only after a
-    top-cell step or a restart.  Only the upper clamps can bind: a point
-    ``x >= d_i`` has an image at least the lower edge in floating point.
-    A point below the resolvable depth raises :class:`SymbolCapExceeded`,
-    or, given ``restart`` (a callable drawing a fresh point), is recorded
-    as ``-1`` and the orbit goes on from ``restart()``.
+    cell ``i - 1`` exactly, and a point ``x >= d_1`` (1 included) is in
+    the top cell, so the breakpoints are searched only when a top-cell
+    step or a restart lands below ``d_1``.  Each block starts as all ones,
+    so a top-cell step stores nothing.  Only the upper clamps can bind: a
+    point ``x >= d_i`` has an image at least the lower edge in floating
+    point.  A point below the resolvable depth raises
+    :class:`SymbolCapExceeded`, or, given ``restart`` (a callable drawing a
+    fresh point), is recorded as ``-1`` and the orbit goes on from
+    ``restart()``.
     """
     bp = m.breakpoints.tolist()
     ascending = bp[::-1]
     slopes = m.slopes.tolist()
-    cap, d1, s1 = m.symbol_cap, bp[1], slopes[1]
+    cap, d1, s1, cells = m.symbol_cap, bp[1], slopes[1], len(bp)
     # upper clamp of branch i: 1 for i <= 2, the float below d_{i-2} beyond
     hi = [1.0, 1.0, 1.0] + np.nextafter(m.breakpoints[1 : cap - 1], 0.0).tolist()
 
-    sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
+    sym = 1 if x >= d1 else cells - bisect_right(ascending, x)
     for start in range(0, total, _BLOCK):
-        out = [0] * min(_BLOCK, total - start)
+        out = [1] * min(_BLOCK, total - start)
         for t in range(len(out)):
             if sym == 1:
-                out[t] = 1
                 x = (x - d1) / s1
-                if x > 1.0:
-                    x = 1.0
+                if x >= d1:
+                    if x > 1.0:
+                        x = 1.0
+                    continue
             elif sym <= cap:
                 out[t] = sym
                 x = bp[sym - 1] + (x - bp[sym]) / slopes[sym]
@@ -370,7 +376,10 @@ def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None):
             else:
                 out[t] = -1
                 x = restart()
-            sym = 1 if x == 1.0 else len(bp) - bisect_right(ascending, x)
+                if x >= d1:
+                    sym = 1
+                    continue
+            sym = cells - bisect_right(ascending, x)
         yield np.fromiter(out, np.int32, count=len(out))
 
 
@@ -475,14 +484,19 @@ def _excursions(chain, key: int, total: int):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _density_start(m: IntermittentMap, rng, pi_cdf) -> float:
-    """One point distributed by the invariant density: a cell drawn with
-    its stationary weight, then a uniform position inside it."""
-    while True:
-        cell = int(np.searchsorted(pi_cdf, rng.random(), side="left")) + 1
+def _density_starts(m: IntermittentMap, rng):
+    """Points distributed by the invariant density, each a cell drawn with
+    its stationary weight, then a uniform position inside it.  The
+    uniforms come from ``rng`` in batches of 256 and are used in order;
+    the search and the arithmetic are those of ``np.searchsorted(...,
+    side="left")`` and numpy scalars, on Python floats."""
+    bp = m.breakpoints.tolist()
+    pi_cdf = np.cumsum(m.chain.pi[1:]).tolist()
+    uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(256).tolist(), None))
+    for u in uniforms:
+        cell = bisect_left(pi_cdf, u) + 1
         if cell <= m.symbol_cap:
-            width = m.breakpoints[cell - 1] - m.breakpoints[cell]
-            return float(m.breakpoints[cell] + rng.random() * width)
+            yield bp[cell] + next(uniforms) * (bp[cell - 1] - bp[cell])
 
 
 def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
@@ -495,10 +509,8 @@ def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
     total = burn_in + length
     key = _key(seed, stream)  # refuses a bad seed or stream before drawing
     if isinstance(source, IntermittentMap):
-        rng = _rng(key)
-        pi_cdf = np.cumsum(source.chain.pi[1:])
-        raw = _float_orbit(source, _density_start(source, rng, pi_cdf), total,
-                           restart=lambda: _density_start(source, rng, pi_cdf))
+        starts = _density_starts(source, _rng(key))
+        raw = _float_orbit(source, next(starts), total, restart=starts.__next__)
     else:
         raw = _excursions(source, key, total)
     at = 0
@@ -829,30 +841,30 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
     blocks = _blocks(_sampler(source, sampler), size, seed, burn_in)
 
     # one count keyed by batch and cell, over BATCHES equal batches of the
-    # orbit: cell 0 for censored steps, i_max + 1 for resolved ones past the window
+    # orbit, and one keyed by the step's two cells: cell 0 for censored
+    # steps, i_max + 1 for resolved ones past the window
+    side = i_max + 2
     edges = np.linspace(0, size, BATCHES + 1).astype(int)
-    keys = np.arange(BATCHES) * (i_max + 2)
-    table = np.zeros(BATCHES * (i_max + 2), dtype=np.intp)
-    row_visits = np.zeros(i_max, dtype=np.intp)
-    counts = np.zeros(i_max * i_max, dtype=np.intp)
-    censored = 0
+    keys = np.arange(BATCHES) * side
+    table = np.zeros(BATCHES * side, dtype=np.intp)
+    pairs = np.zeros(side * side, dtype=np.intp)
     for at, block, a, b in _steps(blocks):
-        # normalize by every resolved exit from the row, not only exits landing
-        # inside the window, else each cell inflates by 1/P(next <= i_max)
-        origin = (a >= 1) & (a <= i_max) & (b >= 1)
-        row_visits += np.bincount(a[origin] - 1, minlength=i_max)
-        cell = origin & (b <= i_max)
-        counts += np.bincount((a[cell] - 1) * i_max + (b[cell] - 1), minlength=i_max * i_max)
+        key = np.clip(a, 0, i_max + 1)
+        key *= side
+        key += np.clip(b, 0, i_max + 1)
+        pairs += np.bincount(key, minlength=pairs.size)
         key = np.clip(block, 0, i_max + 1)
         key += np.repeat(keys, np.diff(np.clip(edges, at, at + block.size)))
         table += np.bincount(key, minlength=table.size)
-        censored += int(np.count_nonzero(block == -1))
-    counts = counts.reshape(i_max, i_max)
+    # normalize by every resolved exit from the row, not only exits landing
+    # inside the window, else each cell inflates by 1/P(next <= i_max)
+    pairs = pairs.reshape(side, side)[1 : i_max + 1, 1:]
+    row_visits, counts = pairs.sum(axis=1), pairs[:, :i_max]
     with np.errstate(invalid="ignore", divide="ignore"):
         hat = counts / row_visits[:, None]
         stderr = np.sqrt(hat * (1.0 - hat) / row_visits[:, None])
 
-    table = table.reshape(BATCHES, i_max + 2)
+    table = table.reshape(BATCHES, side)
     visits, valid = table[:, 1 : i_max + 1], table[:, 1:].sum(axis=1)
     # means of the batches holding a resolved step, each cell's a C-contiguous row
     means = np.ascontiguousarray((visits[valid > 0] / valid[valid > 0, None]).T)
@@ -868,7 +880,7 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
         occupation_exact=chain.pi[1 : i_max + 1].copy(),
         occupation_stderr=occ_stderr,
         n_steps=size,
-        censored=censored,
+        censored=int(table[:, 0].sum()),
         seed=int(seed),
     )
 
@@ -984,9 +996,12 @@ class TransferReport:
 
 
 def pf_check(chain, n: int = 500) -> TransferReport:
-    """Build the cell-to-cell transfer matrix M(i,j) = (p_i/p_j) P(i,j)
-    and measure how well it fixes the density (row action) and the return
-    law (column action)."""
+    """Measure how well the cell-to-cell transfer matrix M(i,j) = (p_i/p_j)
+    P(i,j) fixes the density (row action) and the return law (column
+    action).  Its only nonzero entries are the top row ``p_1`` and the
+    subdiagonal ``p_{j+1}/p_j``, so the actions are
+    ``(hM)_j = h_1 p_1 + h_{j+1} p_{j+1}/p_j`` and ``(Mp)_{j+1} = (p_{j+1}/p_j) p_j``,
+    O(n) without forming M."""
     chain.stationary_law("the transfer check needs a normalizable level")
     n = min(_whole(n, "the cell count"), _support_length(chain))
     if n < 3:
@@ -995,10 +1010,7 @@ def pf_check(chain, n: int = 500) -> TransferReport:
         raise PreconditionViolated(f"dense transfer matrices are capped at N = {DENSE_LIMIT}")
     p = chain.p[1 : n + 1]
     h = invariant_density(chain, n)[1:]
-    mat = np.zeros((n, n))
-    mat[0, :] = p[0]
-    idx = np.arange(1, n)
-    mat[idx, idx - 1] = p[idx] / p[idx - 1]
-    density_residual = float(np.abs((h @ mat)[: n - 1] - h[: n - 1]).max())
-    law_residual = float(np.abs((mat @ p)[1:] - p[1:]).max())
+    sub = p[1:] / p[:-1]
+    density_residual = float(np.abs(h[0] * p[0] + h[1:] * sub - h[:-1]).max())
+    law_residual = float(np.abs(sub * p[:-1] - p[1:]).max())
     return TransferReport(density_residual, law_residual, n)

@@ -45,6 +45,7 @@ from renewallab.maps import (
     sample_states,
 )
 from renewallab.chain import MAX_TRUNCATION
+from renewallab.spectral import DENSE_LIMIT
 from renewallab.series import EPS, _gamma
 
 
@@ -268,7 +269,7 @@ def test_bad_seeds_and_streams_are_refused_before_drawing(geo_map, monkeypatch, 
                                                           seed, stream):
     # they were truncated by int(): seed 1.5 drew seed 1's orbit
     monkeypatch.setattr(maps, "_cells", no_draw)
-    monkeypatch.setattr(maps, "_density_start", no_draw)
+    monkeypatch.setattr(maps, "_density_starts", no_draw)
     with pytest.raises(ConfigError, match="seed|stream"):
         coded_states(geo_map, sampler, 10, seed, stream=stream)
     if stream == 0:
@@ -373,7 +374,7 @@ def test_float_orbit_steps_match_encode_then_apply(geo_map, zeta_map):
     for m in (geo_map, zeta_map):
         rng = maps._rng(11)
         pi_cdf = np.cumsum(m.chain.pi[1:])
-        x = maps._density_start(m, rng, pi_cdf)
+        x = ref_density_start(m, rng, pi_cdf)
         want = []
         for _ in range(3000):
             try:
@@ -381,7 +382,7 @@ def test_float_orbit_steps_match_encode_then_apply(geo_map, zeta_map):
                 x = apply(m, x)
             except SymbolCapExceeded:
                 want.append(-1)
-                x = maps._density_start(m, rng, pi_cdf)
+                x = ref_density_start(m, rng, pi_cdf)
         states, _ = map_states(m, 3000, seed=11, burn_in=0)
         assert np.array_equal(states, want)
 
@@ -598,6 +599,36 @@ def test_transfer_matrix_fixes_density_and_law(geo, zeta):
     assert rep.dimension == 500
 
 
+def ref_transfer(chain, n):
+    """The residuals of pf_check from the dense n-by-n transfer matrix, and
+    one ulp (eps times the largest sum of moduli) of the terms of each."""
+    p = chain.p[1 : n + 1]
+    h = invariant_density(chain, n)[1:]
+    mat = np.zeros((n, n))
+    mat[0, :] = p[0]
+    idx = np.arange(1, n)
+    mat[idx, idx - 1] = p[idx] / p[idx - 1]
+    sub = p[1:] / p[:-1]
+    density = float(np.abs((h @ mat)[: n - 1] - h[: n - 1]).max())
+    law = float(np.abs((mat @ p)[1:] - p[1:]).max())
+    return ((density, EPS * float((h[0] * p[0] + h[1:] * sub + h[:-1]).max())),
+            (law, EPS * float((sub * p[:-1] + p[1:]).max())))
+
+
+@pytest.mark.parametrize("law", [GeometricLaw(0.5), GeometricLaw(0.3), ZetaTailLaw(0.25),
+                                 ZetaTailLaw(1.0), ZetaTailLaw(3.0), FiniteLaw((0.4, 0.3, 0.3)),
+                                 FiniteLaw((0.32, 0.32, 0.32, 0.04))])
+def test_transfer_check_matches_the_dense_matrix(law):
+    # the two actions of the bidiagonal-plus-top-row matrix without forming
+    # it: the dense products add the same terms and zeros, in another order
+    chain = build_chain(law, truncation=1200)
+    for n in (3, 4, 50, 500, 1000):
+        rep = pf_check(chain, n)
+        (density, density_ulp), (law_res, law_ulp) = ref_transfer(chain, rep.dimension)
+        assert abs(rep.density_residual - density) <= density_ulp
+        assert abs(rep.law_residual - law_res) <= law_ulp
+
+
 def test_transfer_matrix_size_limits(geo):
     small = pf_check(build_chain(FiniteLaw((0.4, 0.3, 0.3)), truncation=50))
     assert small.dimension == 3
@@ -617,18 +648,29 @@ def test_star_import_exports_maps_and_spectral_names():
 # within its rounding bound
 # ----------------------------------------------------------------------
 
+def ref_density_start(m, rng, pi_cdf):
+    """One point distributed by the invariant density, two or more numpy
+    scalar draws: a cell drawn with its stationary weight, redrawn below the
+    resolvable depth, then a uniform position inside it."""
+    while True:
+        cell = int(np.searchsorted(pi_cdf, rng.random(), side="left")) + 1
+        if cell <= m.symbol_cap:
+            width = m.breakpoints[cell - 1] - m.breakpoints[cell]
+            return float(m.breakpoints[cell] + rng.random() * width)
+
+
 def ref_float_states(m, length, seed, burn_in, stream=0):
     """Float orbit one step at a time: encode, then the branch image."""
     rng = maps._rng(maps._key(seed, stream))
     pi_cdf = np.cumsum(m.chain.pi[1:])
     out = np.empty(burn_in + length, dtype=np.int32)
-    x = maps._density_start(m, rng, pi_cdf)
+    x = ref_density_start(m, rng, pi_cdf)
     for t in range(out.size):
         try:
             sym = encode(m, x)
         except SymbolCapExceeded:
             out[t] = -1
-            x = maps._density_start(m, rng, pi_cdf)
+            x = ref_density_start(m, rng, pi_cdf)
             continue
         out[t] = sym
         x = maps._image(m, x, sym)
@@ -822,11 +864,25 @@ def test_orbit_symbols_match_the_per_step_loop(name, x0, n):
 def test_orbits_from_cell_tops_match_the_per_step_loop(name):
     # from 1 or the float just below a cell edge the branch images round
     # onto the next edge, so the upper clamps bind; a few ulps left near 1
-    # then decide how long the orbit lingers in the top cell
+    # then decide how long the orbit lingers in the top cell, which the loop
+    # finds without a search from x >= d_1: start at d_1 and just above too
     m = oracle_map(name)
-    assert_same_orbit(m, 1.0, 400)
+    d1 = float(m.breakpoints[1])
+    for x0 in (1.0, d1, float(np.nextafter(d1, 1.0))):
+        assert_same_orbit(m, x0, 400)
     for edge in m.breakpoints[m.breakpoints > 0.0]:
         assert_same_orbit(m, float(np.nextafter(edge, 0.0)), 400)
+
+
+@pytest.mark.parametrize("block", [maps._BLOCK, 7])
+def test_float_sampler_refills_its_restart_uniforms(block, monkeypatch):
+    # about 370 restarts of the doubling map, two or more uniforms each, take
+    # them from several batches of the start routine
+    m = oracle_map("geometric-0.5")
+    monkeypatch.setattr(maps, "_BLOCK", block)
+    got = map_states(m, 20_000, 12, burn_in=5, stream=3)
+    assert same_states(got, ref_float_states(m, 20_000, 12, 5, stream=3))
+    assert got[1] > 300
 
 
 @given(name=st.sampled_from(sorted({**ORACLE_LAWS, **NULL_LAWS})), seed=seeds,
@@ -1281,6 +1337,27 @@ def test_kac_and_frequency_reports_match_the_whole_orbit(geo_map, zeta_map, monk
                            ref_kac(states))
         rep = markov_frequency_check(m, length, 6, i_max=7, burn_in=burn_in, sampler=sampler)
         assert_same_report(rep, ref_frequency(states, 7))
+
+
+@functools.lru_cache(maxsize=None)
+def dense_window_map():
+    return build_map(build_chain(ZetaTailLaw(1.5), 2000))
+
+
+@pytest.mark.parametrize("block", [1, 7, B])
+@pytest.mark.parametrize("sampler", ["chain", "float"])
+def test_pair_counts_match_the_whole_orbit(monkeypatch, sampler, block):
+    # one count keyed by both cells of a step: a chain that censors, with
+    # i_max = truncation - 1, and a window of DENSE_LIMIT cells a side, whose
+    # count of a million keys per block keeps its orbits at a few hundred blocks
+    monkeypatch.setattr(maps, "_BLOCK", block)
+    short = oracle_map("zeta-0.25-N6")
+    for m, i_max, length in ((short, 5, 5000),
+                             (dense_window_map(), DENSE_LIMIT, min(300 * block, 30_000))):
+        states, censored = coded_states(m, sampler, length, 5, burn_in=11)
+        rep = markov_frequency_check(m, length, 5, i_max=i_max, burn_in=11, sampler=sampler)
+        assert_same_report(rep, ref_frequency(states, i_max))
+        assert m is not short or censored > 0
 
 
 def test_kac_needs_a_completed_return(half_map):
