@@ -6,10 +6,13 @@ by one.  The module builds finite working prefixes of everything derived
 from ``p`` -- survival sums ``d_n = P(return > n)``, the stationary law
 ``pi_n = pi_1 d_{n-1}``, first-passage laws between arbitrary states, and
 return-time moments -- with analytic tail corrections beyond the stored
-prefix for the parametric families.
+prefix.  Two law classes carry that arithmetic: :class:`GeometricLaw` in
+closed form, and the explicit-prefix law :class:`FiniteLaw`, whose leftover
+mass past its listed probabilities is a realized power tail
+(:class:`ZetaTailLaw` is its case with an empty prefix).
 
-Finiteness of moments is always decided from the declared tail family of
-the law, never from floating-point underflow of a computed prefix.
+Finiteness of moments is always decided from the tail family of the law,
+never from floating-point underflow of a computed prefix.
 
 Array convention: prefixes are subscript-aligned, ``p[n]`` holds ``p_n``
 with ``p[0] = 0`` unused, so recursions read like the formulas they
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,8 +67,8 @@ NORMALIZATION_TOL = 1e-10
 #: stored array, checked before anything is allocated.
 MAX_TRUNCATION = 10_000_000
 
-#: Largest ``ZetaTailLaw`` degree, with or without a log power.  Every tail
-#: of such a law is already 0 in double precision past a degree of about
+#: Largest degree of a realized tail, with or without a log power.  Every
+#: tail of such a law is already 0 in double precision past a degree of about
 #: 1075, so the cap drops no chain that differs from one inside it.  It keeps
 #: one exit-2 boundary for both routes, well below 2**53, where ``degree + 2``
 #: and ``s - 1`` stop being exact, and away from an infinite degree, where
@@ -228,151 +231,122 @@ class GeometricLaw:
 
 
 @dataclass(frozen=True)
-class ZetaTailLaw:
-    """``p_n`` proportional to ``n^-(degree+2) log(n+1)^log_power``.
-
-    ``degree`` is the polynomial ergodic degree of the resulting chain;
-    values in (-1, 0] give a normalizable but null-recurrent law, and values
-    above :data:`MAX_ZETA_DEGREE` raise :class:`BadExponent`.  Without
-    a log power the normalization, mean and tails are Riemann and Hurwitz
-    zeta values (:func:`_hurwitz`, which loads no scipy module).  With one
-    they come from direct partial sums of 1e5 terms plus analytic tail
-    integrals, cached per parameter pair.
-    """
-
-    degree_: float = field(metadata={"doc": "polynomial degree d"})
-    log_power: float = 0.0
-
-    def __post_init__(self):
-        # s = degree + 2 must exceed 1 once rounded: the next double above -1
-        # rounds to s = 1, where the zeta sums diverge
-        if not self.degree_ + 2.0 > 1.0:
-            raise ZeroProbabilityBranch(
-                f"degree must exceed -1 for a normalizable law, got {self.degree_!r}"
-            )
-        if self.degree_ > MAX_ZETA_DEGREE:
-            raise BadExponent(f"degree must be at most {MAX_ZETA_DEGREE:g}, got {self.degree_!r}")
-        if not self.log_power >= 0.0:
-            raise ZeroProbabilityBranch(f"log_power must be >= 0, got {self.log_power!r}")
-
-    @property
-    def s(self) -> float:
-        return self.degree_ + 2.0
-
-    @property
-    def normalization(self) -> float:
-        return _weight_sum(self.s, self.log_power)
-
-    def prefix(self, n: int) -> np.ndarray:
-        p = np.zeros(n + 1)
-        idx = np.arange(1.0, n + 1.0)
-        w = idx ** -self.s
-        if self.log_power != 0.0:
-            w *= np.log(idx + 1.0) ** self.log_power
-        p[1:] = w / self.normalization
-        return p
-
-    def _tail_sum(self, s: float, n: int) -> float:
-        """``sum_{k > n} k^-s log(k+1)^log_power``."""
-        if self.log_power == 0.0:
-            return _hurwitz(s, n + 1.0)
-        return _weight_tail(s, self.log_power, n)
-
-    def tail_beyond(self, n: int) -> float:
-        return self._tail_sum(self.s, n) / self.normalization
-
-    def second_tail_beyond(self, n: int) -> float:
-        if self.degree_ <= 0.0:
-            return math.inf
-        first = self._tail_sum(self.s - 1.0, n + 1)
-        zeroth = self._tail_sum(self.s, n + 1)
-        return (first - (n + 1) * zeroth) / self.normalization
-
-    def mean_return(self) -> float:
-        if self.degree_ <= 0.0:
-            return math.inf
-        return _weight_sum(self.s - 1.0, self.log_power) / self.normalization
-
-    def degree(self) -> float:
-        return self.degree_
-
-    def tail_family(self) -> TailDecl:
-        return TailDecl(
-            "power",
-            exponent=self.s,
-            log_power=self.log_power,
-            amplitude=1.0 / self.normalization,
-        )
-
-    def describe(self) -> dict:
-        return {"type": "zeta", "degree": self.degree_, "log_power": self.log_power}
-
-
-@dataclass(frozen=True)
 class FiniteLaw:
-    """Explicit return-law prefix ``p_1 .. p_K``, optionally with a declared
-    asymptotic tail family.
+    """Explicit-prefix law: ``p_k = probs_k`` for ``k <= K``, then an optional
+    realized power tail ``p_k = c k^-s log(k+1)^beta`` past ``K``.
 
-    The stored prefix must itself be normalized (any mass beyond it would be
-    numerically invisible).  Without ``tail_exponent`` the law is finitely
-    supported; a declared exponent ``t`` records how the law would continue,
-    ``p_n ~ n^-t log(n)^tail_log_power`` (ergodic degree ``t - 2``), and
-    drives every finiteness flag.  :class:`CustomLaw` is the same class.
+    Without ``tail_exponent`` the law is finitely supported and its
+    probabilities must sum to one.  With ``s = tail_exponent`` (ergodic
+    degree ``s - 2``) and ``beta = tail_log_power``, the leftover mass
+    ``1 - sum(probs)`` is the tail, which therefore must be positive; its
+    amplitude is ``c = (1 - sum(probs)) / sum_{k > K} k^-s log(k+1)^beta``.
+    Without a log power those sums are Hurwitz zeta values
+    (:func:`_hurwitz`, which loads no scipy module); with one they come from
+    direct partial sums of 1e5 terms plus analytic tail integrals.
+    :class:`CustomLaw` is the same class, :class:`ZetaTailLaw` its case
+    with an empty prefix.
     """
 
     probs: tuple
     tail_exponent: float = math.inf
     tail_log_power: float = 0.0
+    degree_: float = field(default=math.inf, repr=False)  # s - 2, or a zeta law's own degree
 
     def __init__(self, probs, tail_exponent=math.inf, tail_log_power=0.0):
         arr = np.asarray(probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise NotNormalized("probability prefix must be a nonempty vector")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise NotNormalized("probabilities must be finite and nonnegative")
-        support = np.nonzero(arr)[0] + 1
-        if support.size == 0:
-            raise ZeroProbabilityBranch("law has empty support")
-        if np.gcd.reduce(support) != 1:
-            raise PeriodicSupport(
-                f"support gcd is {np.gcd.reduce(support)}, chain would be periodic")
-        if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(f"probabilities sum to {arr.sum()!r}, not 1")
-        if not (tail_exponent > 1.0 and math.isfinite(tail_log_power)):
-            raise NotNormalized(f"declared tail exponent must exceed 1 and its log power be "
-                                f"finite, got {tail_exponent!r} and {tail_log_power!r}")
-        object.__setattr__(self, "probs", tuple(float(x) for x in arr))
-        object.__setattr__(self, "tail_exponent", float(tail_exponent))
-        object.__setattr__(self, "tail_log_power", float(tail_log_power))
+        if arr.ndim != 1 or np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+            raise NotNormalized("probabilities must be a vector of finite nonnegative numbers")
+        total, tailed = float(arr.sum()), tail_exponent != math.inf
+        if tailed and not 1.0 - total > NORMALIZATION_TOL:
+            raise NotNormalized(f"probabilities sum to {total!r}, leaving no tail mass")
+        if not tailed:
+            if abs(total - 1.0) > NORMALIZATION_TOL:
+                raise NotNormalized(f"probabilities sum to {total!r}, not 1")
+            gcd = np.gcd.reduce(np.nonzero(arr)[0] + 1)
+            if gcd != 1:
+                raise PeriodicSupport(f"support gcd is {gcd}, chain would be periodic")
+        s, mass = float(tail_exponent), 1.0 - total if tailed else 0.0
+        self._realize(tuple(arr.tolist()), s, s - 2.0, float(tail_log_power), mass)
+
+    def _realize(self, probs: tuple, s: float, degree: float, beta: float, mass: float):
+        """Set the fields, refusing a tail (``mass > 0``) unless ``s > 1`` once
+        rounded and ``degree <= MAX_ZETA_DEGREE``, and any ``beta < 0``."""
+        # the next double above degree -1 rounds to s = 1, where the sums diverge
+        if mass and not s > 1.0:
+            raise ZeroProbabilityBranch(
+                f"degree must exceed -1 for a normalizable law, got {degree!r}")
+        if mass and degree > MAX_ZETA_DEGREE:
+            raise BadExponent(f"degree must be at most {MAX_ZETA_DEGREE:g}, got {degree!r}")
+        if not beta >= 0.0:
+            raise ZeroProbabilityBranch(f"log_power must be >= 0, got {beta!r}")
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(probs=probs, tail_exponent=s, tail_log_power=beta, degree_=degree,
+                             tail_mass=mass)
+
+    @cached_property
+    def normalization(self) -> float:
+        """``sum_{k > K} k^-s log(k+1)^beta``, which the tail mass is spread over."""
+        return self._tail_sum(self.tail_exponent, len(self.probs))
+
+    def _tail_sum(self, s: float, n: int) -> float:
+        """``sum_{k > n} k^-s log(k+1)^beta``."""
+        if n == 0:
+            return _weight_sum(s, self.tail_log_power)
+        if self.tail_log_power == 0.0:
+            return _hurwitz(s, n + 1.0)
+        return _weight_tail(s, self.tail_log_power, n)
 
     def prefix(self, n: int) -> np.ndarray:
         p = np.zeros(n + 1)
-        k = min(n, len(self.probs))
-        p[1 : k + 1] = self.probs[:k]
+        k = len(self.probs)
+        p[1 : min(n, k) + 1] = self.probs[:n]
+        if self.tail_mass and n > k:
+            idx = np.arange(k + 1.0, n + 1.0)
+            w = idx ** -self.tail_exponent
+            if self.tail_log_power != 0.0:
+                w *= np.log(idx + 1.0) ** self.tail_log_power
+            p[k + 1 :] = w * self.tail_mass / self.normalization
         return p
 
     def tail_beyond(self, n: int) -> float:
-        return float(sum(self.probs[n:])) if n < len(self.probs) else 0.0
+        if n < len(self.probs):
+            return float(sum(self.probs[n:])) + self.tail_mass
+        if not self.tail_mass:
+            return 0.0
+        return self.tail_mass * self._tail_sum(self.tail_exponent, n) / self.normalization
 
     def second_tail_beyond(self, n: int) -> float:
-        return float(
-            sum((k - n - 1) * pk for k, pk in enumerate(self.probs, start=1) if k > n + 1)
-        )
+        """``sum_{k > n+1} (k - n - 1) p_k``."""
+        if self.degree_ <= 0.0:
+            return math.inf
+        head = float(sum((k - n - 1) * pk for k, pk in enumerate(self.probs, start=1) if k > n + 1))
+        if not self.tail_mass:
+            return head
+        m, s = max(n + 1, len(self.probs)), self.tail_exponent
+        return head + self.tail_mass * (
+            self._tail_sum(s - 1.0, m) - (n + 1) * self._tail_sum(s, m)) / self.normalization
 
     def mean_return(self) -> float:
-        return float(sum(k * pk for k, pk in enumerate(self.probs, start=1)))
+        if self.degree_ <= 0.0:
+            return math.inf
+        head = float(sum(k * pk for k, pk in enumerate(self.probs, start=1)))
+        if not self.tail_mass:
+            return head
+        return head + self.tail_mass * self._tail_sum(
+            self.tail_exponent - 1.0, len(self.probs)) / self.normalization
 
     def degree(self) -> float:
-        return self.tail_exponent - 2.0
+        return self.degree_
 
     def tail_family(self) -> TailDecl:
-        if math.isinf(self.tail_exponent):
+        if not self.tail_mass:
             return TailDecl("finite")
-        return TailDecl("power", exponent=self.tail_exponent, log_power=self.tail_log_power)
+        return TailDecl("power", exponent=self.tail_exponent, log_power=self.tail_log_power,
+                        amplitude=self.tail_mass / self.normalization)
 
     def describe(self) -> dict:
         out = {"type": "finite", "probs": list(self.probs)}
-        if math.isinf(self.tail_exponent):
+        if not self.tail_mass:
             return out
         return {**out, "type": "custom", "tail_exponent": self.tail_exponent,
                 "tail_log_power": self.tail_log_power}
@@ -380,6 +354,29 @@ class FiniteLaw:
 
 #: The explicit-prefix law under the name the ``"custom"`` config type uses.
 CustomLaw = FiniteLaw
+
+
+class ZetaTailLaw(FiniteLaw):
+    """``p_n`` proportional to ``n^-(degree+2) log(n+1)^log_power``: the
+    explicit-prefix law with an empty prefix and all its mass in the tail.
+
+    ``degree`` is the polynomial ergodic degree of the resulting chain;
+    values in (-1, 0] give a normalizable but null-recurrent law, and values
+    above :data:`MAX_ZETA_DEGREE` raise :class:`BadExponent`.
+    """
+
+    def __init__(self, degree_: float, log_power: float = 0.0):
+        self._realize((), degree_ + 2.0, degree_, log_power, 1.0)
+
+    def __repr__(self) -> str:
+        return f"ZetaTailLaw(degree_={self.degree_!r}, log_power={self.log_power!r})"
+
+    @property
+    def log_power(self) -> float:
+        return self.tail_log_power
+
+    def describe(self) -> dict:
+        return {"type": "zeta", "degree": self.degree_, "log_power": self.log_power}
 
 
 # ----------------------------------------------------------------------
@@ -575,6 +572,8 @@ def first_passage(chain, i: int, j: int, trunc: int | None = None,
         captured mass falls short of ``1 - mass_tol``.
     """
     i, j = _whole(i, "state i", least=1), _whole(j, "state j", least=1)
+    if i <= j:  # before the default horizon N - (j - i), which j > N makes meaningless
+        chain.within(j, f"the passage {i}->{j}")
     if trunc is None:
         n = chain.truncation - max(0, j - i)
     else:

@@ -9,8 +9,15 @@ and adds its own parameters (grids, seeds, windows, tolerances).  Law types:
     {"type": "geometric", "q": 0.5}
     {"type": "zeta", "degree": 1.0, "log_power": 0.0}
     {"type": "finite", "probs": [0.5, 0.5]}
-    {"type": "custom", "probs": [...], "tail_exponent": 3.0,
+    {"type": "custom", "probs": [0.5, 0.3, 0.1], "tail_exponent": 3.5,
      "tail_log_power": 0.0}
+
+``finite`` and ``custom`` build the explicit-prefix law ``FiniteLaw``:
+``p_k = probs_k`` for ``k <= K``, and with a tail exponent ``s`` the leftover
+mass ``1 - sum(probs)`` is a realized tail ``c k^-s log(k+1)^tail_log_power``
+past ``K``, of amplitude ``c``; ``zeta`` is its case with an empty prefix.
+Exit 2: a declared tail with no mass left (NotNormalized), and an exponent
+``s <= 1`` or a negative log power (ZeroProbabilityBranch).
 
 Initial measures: {"kind": "point", "state": 1}, {"kind": "stationary"},
 or {"kind": "weights", "weights": [...], "tail_mass": 0.0}.  Observables:

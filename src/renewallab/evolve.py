@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegreeTooSmall,
     DivergentPairing,
     InfiniteDegree,
     NotNullRecurrent,
@@ -424,17 +423,15 @@ def deviation_tail_ratio(chain, n_grid) -> RateCurve:
 
     Raises
     ------
+    NotPositiveRecurrent
+        For a degree ``d <= 0``, where the chain is null-recurrent.
     InfiniteDegree
         For geometric or finite laws, where the deviation vanishes at
         super-polynomial speed and the ratio is degenerate.
-    DegreeTooSmall
-        For a declared degree ``d <= 0``.
     """
     chain.stationary_law("the ratio compares against pi_1")
     if math.isinf(chain.ergodic_degree):
         raise InfiniteDegree("deviation-to-tail ratio needs a finite ergodic degree")
-    if chain.ergodic_degree <= 0.0:
-        raise DegreeTooSmall(f"degree {chain.ergodic_degree} <= 0: the ratio needs d > 0")
     g = _as_grid(n_grid)
     if g[0] < 1:
         raise PreconditionViolated("ratio is defined for n >= 1")
@@ -505,8 +502,8 @@ def correlation_constant(chain, nu: SignedDistribution, u: Observable, n_grid):
     ------
     PreconditionViolated
         If ``u`` does not vanish at infinity, ``nu`` is not negligible
-        against pi, the law declares no tail amplitude, or ``pi . u = 0``
-        (the prediction vanishes, so no relative gap exists).
+        against pi, or ``pi . u = 0`` (the prediction vanishes, so no
+        relative gap exists).
     InfiniteDegree
         For geometric or finite laws (the rate is not polynomial).
     """
@@ -517,8 +514,6 @@ def correlation_constant(chain, nu: SignedDistribution, u: Observable, n_grid):
         raise PreconditionViolated("observable must vanish at infinity (u_inf = 0)")
     _check_nu_negligible(chain, nu)
     fam = chain.law.tail_family()
-    if fam.kind != "power" or fam.amplitude is None:
-        raise PreconditionViolated("law declares no power-tail amplitude to scale by")
     d = chain.ergodic_degree
     g = _as_grid(n_grid)
     if g[0] < 1:

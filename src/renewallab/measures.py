@@ -134,16 +134,15 @@ def from_weights(weights, tail_mass: float = 0.0, tail: TailDecl | None = None,
 
 def stationary(chain, size: int | None = None) -> SignedDistribution:
     """Stationary law of a positive-recurrent chain as a declared-tail
-    distribution: the power exponent is one above the return law's, with
+    distribution: the power exponent is one below the return law's, with
     the same logarithmic correction."""
     chain.stationary_law("a stationary start needs the stationary law")
     n = chain.truncation if size is None else chain.within(
         _whole(size, "the prefix length"), "the stationary law's prefix")
     fam = chain.law.tail_family()
     if fam.kind == "power":
-        amp = None if fam.amplitude is None else chain.pi1 * fam.amplitude / (fam.exponent - 1.0)
-        decl = TailDecl("power", exponent=fam.exponent - 1.0,
-                        log_power=fam.log_power, amplitude=amp)
+        decl = TailDecl("power", exponent=fam.exponent - 1.0, log_power=fam.log_power,
+                        amplitude=chain.pi1 * fam.amplitude / (fam.exponent - 1.0))
     else:
         decl = fam
     w = chain.pi[: n + 1].copy()

@@ -1,7 +1,10 @@
+import json
 import math
 import subprocess
 import sys
+import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from renewallab import (
     p_order,
     second_moment_identity,
 )
+from renewallab.chain import _hurwitz, _weight_sum, _weight_tail
 from renewallab.config import measure_from_config
 
 # mean return time of the degree-1 zeta law, from two independent
@@ -197,7 +201,8 @@ def test_nan_reals_are_refused_by_the_entry_that_reads_them():
         (PreconditionViolated, lambda: moment(ch, 1, 1, nan)),
         (PreconditionViolated, lambda: codivergence_probe(ch, nan)),
         (NotNormalized, lambda: rl.from_weights([1.0], tail_mass=nan)),
-        (NotNormalized, lambda: FiniteLaw([0.5, 0.5], tail_exponent=3.0, tail_log_power=nan)),
+        (rl.ZeroProbabilityBranch,
+         lambda: FiniteLaw([0.5, 0.4], tail_exponent=3.0, tail_log_power=nan)),
         (PreconditionViolated, lambda: rl.TailDecl("power", exponent=nan)),
         (TruncationTooSmall, lambda: first_passage(ch, 1, 1, mass_tol=nan)),
         (rl.ZeroProbabilityBranch, lambda: ZetaTailLaw(1.0, nan)),
@@ -239,6 +244,14 @@ def test_every_request_past_the_prefix_is_refused_by_one_rule(name):
         call(chain, 301)
 
 
+def test_a_passage_to_a_state_past_the_prefix_names_that_state():
+    # j - i > N: the default horizon N - (j - i) would be negative
+    chain = build_chain(ZetaTailLaw(1.5), 500)
+    with pytest.raises(TruncationTooSmall, match="1->600 reads state 600, past the stored") as err:
+        first_passage(chain, 1, 600)
+    assert "horizon" not in str(err.value)
+
+
 @pytest.mark.parametrize("degree,beta", [(1.0, 1.0), (0.5, 2.0), (-0.5, 1.0), (1.5, 0.5)])
 def test_log_corrected_laws_normalize(degree, beta):
     law = ZetaTailLaw(degree, beta)
@@ -271,7 +284,10 @@ def test_stationary_mass_beyond_is_consistent():
 NINE_TERMS = (0.3, 0.25, 0.15, 0.1, 0.08, 0.05, 0.04, 0.02, 0.01)
 SECOND_TAIL_LAWS = {
     "geometric": GeometricLaw(0.5), "zeta": ZetaTailLaw(1.5), "zeta-log": ZetaTailLaw(1.0, 1.0),
-    "finite": FiniteLaw(NINE_TERMS), "custom": CustomLaw(NINE_TERMS, tail_exponent=3.5)}
+    "finite": FiniteLaw(NINE_TERMS),
+    # the last term's 0.01 becomes a tail past the eighth state
+    "custom": CustomLaw(NINE_TERMS[:-1], tail_exponent=3.5),
+    "custom-log": CustomLaw(NINE_TERMS[:-1], tail_exponent=3.5, tail_log_power=1.0)}
 
 
 @pytest.mark.parametrize("name", sorted(SECOND_TAIL_LAWS))
@@ -291,6 +307,10 @@ def test_unnormalized_law_rejected():
         FiniteLaw((0.5, 0.4))
     with pytest.raises(NotNormalized):
         CustomLaw((0.6, 0.6), tail_exponent=3.0)
+    with pytest.raises(NotNormalized, match="leaving no tail mass"):
+        CustomLaw((0.5, 0.3, 0.2), tail_exponent=3.5)
+    with pytest.raises(rl.ZeroProbabilityBranch):
+        CustomLaw((0.5, 0.3, 0.1), tail_exponent=3.5, tail_log_power=-1.0)
 
 
 def test_periodic_support_rejected():
@@ -466,19 +486,162 @@ def test_codivergence_probe_pairs_every_start_below_i_at_its_default_horizon(i):
 
 
 def test_custom_law_uses_declared_tail():
-    law = CustomLaw((0.5, 0.3, 0.2), tail_exponent=3.5)
+    # the leftover mass 0.1 is spread as c n^-3.5 over n > 3
+    law = CustomLaw((0.5, 0.3, 0.1), tail_exponent=3.5)
     ch = build_chain(law, 50)
+    c = 0.1 / (_hurwitz(3.5, 1.0) - 1.0 - 2.0 ** -3.5 - 3.0 ** -3.5)
+    assert law.tail_family().amplitude == pytest.approx(c, rel=1e-14)
+    assert ch.p[4:] == pytest.approx(c * np.arange(4.0, 51.0) ** -3.5, rel=1e-14)
     assert ch.ergodic_degree == 1.5
     assert moment(ch, 1, 1, 2.0).finite
     assert not moment(ch, 1, 1, 3.0).finite
+    # a tail of degree -0.5 makes the chain null-recurrent
+    ch = build_chain(CustomLaw((0.5, 0.3, 0.1), tail_exponent=1.5), 200)
+    assert ch.classification == "null-recurrent" and ch.ergodic_degree == -0.5
+
+
+def _timed_verdicts(chain, d):
+    """Verdict and wall time of three acceptance checks on a chain of degree
+    ``d``: criterion 3's Lemma-2 ratio, criterion 4's distance slope over
+    [1e3, 1e4] (within 0.15 of -d) and criterion 6's correlation constant."""
+    def lemma2():
+        r3, r4 = rl.deviation_tail_ratio(chain, [1000, 10000]).values
+        return 0.9 <= r4 <= 1.1 and abs(r4 - 1.0) < abs(r3 - 1.0)
+
+    def slope():
+        grid = sorted(set(rl.log_grid(1000, 10000, 12).tolist()) | {5000, 10000})
+        fit = rl.rate_fit(rl.distance_curve(chain, rl.point_mass(1), grid), (1000, 10000))
+        return abs(fit.exponent + d) <= 0.15
+
+    def constant():
+        curve, predicted = rl.correlation_constant(
+            chain, rl.point_mass(1), rl.indicator(1, 100), [10000])
+        return abs(curve.values[-1] - predicted) <= 0.2 * predicted
+
+    out = {}
+    for check in (lemma2, slope, constant):
+        start = time.perf_counter()
+        out[check.__name__] = check(), time.perf_counter() - start
+    return out
+
+
+@pytest.mark.parametrize("d", [0.25, 1.0, 1.5, 3.0])
+def test_a_realized_tail_passes_the_checks_its_zeta_law_passes(d):
+    # probs (0.5, 0.3, 0.1) leave 0.1 for the tail
+    n = 200_001
+    custom = build_chain(CustomLaw((0.5, 0.3, 0.1), tail_exponent=d + 2.0), n)
+    zeta = _timed_verdicts(build_chain(ZetaTailLaw(d), n), d)
+    for name, (passed, seconds) in _timed_verdicts(custom, d).items():
+        assert passed or not zeta[name][0], name
+        assert seconds <= 5.0, name
+    for gamma in (d - 0.5, d + 0.5):
+        start = time.perf_counter()
+        probe = codivergence_probe(custom, gamma)
+        assert time.perf_counter() - start <= 5.0
+        for sums in (probe.partial_direct, probe.partial_paired):
+            late = (sums[-1] - sums[sums.size // 2]) / sums[-1]
+            assert late < 0.06 if probe.predicted_convergent else late > 0.2, gamma
 
 
 def test_one_explicit_prefix_class_describes_itself_by_its_tail():
-    assert CustomLaw is FiniteLaw
+    assert CustomLaw is FiniteLaw and isinstance(ZetaTailLaw(1.0), FiniteLaw)
     assert FiniteLaw((0.5, 0.5)).describe() == {"type": "finite", "probs": [0.5, 0.5]}
     assert CustomLaw((0.5, 0.5)).describe()["type"] == "finite"
-    assert FiniteLaw((0.5, 0.5), tail_exponent=3.0).describe() == {
-        "type": "custom", "probs": [0.5, 0.5], "tail_exponent": 3.0, "tail_log_power": 0.0}
+    assert FiniteLaw((0.5, 0.4), tail_exponent=3.0).describe() == {
+        "type": "custom", "probs": [0.5, 0.4], "tail_exponent": 3.0, "tail_log_power": 0.0}
+    assert ZetaTailLaw(1.0, 2.0).describe() == {"type": "zeta", "degree": 1.0, "log_power": 2.0}
+    # 1e-17 + 2 rounds to 2: the degree, not the exponent, tells the two apart
+    assert ZetaTailLaw(1e-17) != ZetaTailLaw(0.0) and ZetaTailLaw(1.0) == ZetaTailLaw(1.0)
+
+
+# ----------------------------------------------------------------------
+# oracles: the zeta and finite laws' arithmetic written out separately, the
+# reference the explicit-prefix law must match bit for bit
+# ----------------------------------------------------------------------
+
+def ref_zeta(degree, beta):
+    """``p_n`` proportional to ``n^-(degree+2) log(n+1)^beta``, divided by its
+    normalization."""
+    s = degree + 2.0
+
+    def tail_sum(s, n):
+        return _hurwitz(s, n + 1.0) if beta == 0.0 else _weight_tail(s, beta, n)
+
+    def prefix(n):
+        p = np.zeros(n + 1)
+        idx = np.arange(1.0, n + 1.0)
+        w = idx ** -s
+        if beta != 0.0:
+            w *= np.log(idx + 1.0) ** beta
+        p[1:] = w / _weight_sum(s, beta)
+        return p
+
+    def second_tail_beyond(n):
+        if degree <= 0.0:
+            return math.inf
+        return (tail_sum(s - 1.0, n + 1) - (n + 1) * tail_sum(s, n + 1)) / _weight_sum(s, beta)
+
+    return SimpleNamespace(
+        prefix=prefix, second_tail_beyond=second_tail_beyond, degree=lambda: degree,
+        tail_beyond=lambda n: tail_sum(s, n) / _weight_sum(s, beta),
+        mean_return=lambda: (math.inf if degree <= 0.0
+                             else _weight_sum(s - 1.0, beta) / _weight_sum(s, beta)))
+
+
+def ref_finite(probs):
+    """``p_k = probs_k``, finitely supported."""
+    probs = tuple(float(x) for x in np.asarray(probs, dtype=float))
+
+    def prefix(n):
+        p = np.zeros(n + 1)
+        k = min(n, len(probs))
+        p[1 : k + 1] = probs[:k]
+        return p
+
+    return SimpleNamespace(
+        prefix=prefix, degree=lambda: math.inf,
+        tail_beyond=lambda n: float(sum(probs[n:])) if n < len(probs) else 0.0,
+        second_tail_beyond=lambda n: float(
+            sum((k - n - 1) * pk for k, pk in enumerate(probs, start=1) if k > n + 1)),
+        mean_return=lambda: float(sum(k * pk for k, pk in enumerate(probs, start=1))))
+
+
+def assert_same_chain(law, ref, n):
+    ch, want = build_chain(law, n), build_chain(ref, n)
+    for name in ("p", "d", "d_tail"):
+        got, exp = getattr(ch, name), getattr(want, name)
+        assert (got is exp is None) or got.tobytes() == exp.tobytes(), (law, n, name)
+    assert np.float64(ch.m1).tobytes() == np.float64(want.m1).tobytes(), (law, n)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("degree", [-0.5, 0.25, 1.0, 1.5, 3.0, 4.0])
+def test_zeta_chains_match_the_zeta_oracle_bit_for_bit(degree, beta):
+    for n in (2, 7, 3000):
+        assert_same_chain(ZetaTailLaw(degree, beta), ref_zeta(degree, beta), n)
+
+
+def _erratic_laws():
+    """The erratic finite laws of the map tests."""
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        w = rng.random(int(rng.integers(2, 300))) ** rng.uniform(0.1, 30)
+        yield tuple((w / w.sum()).tolist())
+
+
+#: every finite law the tests build
+FINITE_PROBS = [
+    (0.2, 0.5, 0.3), (0.5, 0.5), (0.32, 0.32, 0.32, 0.04), NINE_TERMS, (0.5, 0.0, 0.5),
+    (0.5, 0.25, 1e-13, 0.25 - 1e-13), (0.3, 0.0, 0.2, 0.0, 0.0, 0.5), (0.2, 0.3, 0.5),
+    (0.25, 0.0, 0.25, 0.0, 0.5), (0.1, 0.0, 0.0, 0.9), (0.05,) * 20, (0.4, 0.3, 0.3), (1.0,),
+    (0.3, 0.3, 0.4), (0.5,) + (0.0,) * 39_998 + (0.5,), *_erratic_laws()]
+
+
+def test_finite_chains_match_the_finite_oracle_bit_for_bit():
+    for probs in FINITE_PROBS:
+        k = len(probs)
+        for n in sorted({2, k - 1, k, k + 1, 500} - {0, 1}):
+            assert_same_chain(FiniteLaw(probs), ref_finite(probs), n)
 
 
 @st.composite
@@ -507,6 +670,13 @@ def test_return_law_is_its_own_first_passage_law(law):
 
 @given(finite_laws())
 @settings(max_examples=25, deadline=None)
+def test_drawn_finite_chains_match_the_finite_oracle_bit_for_bit(law):
+    for n in (2, len(law.probs), 64):
+        assert_same_chain(law, ref_finite(law.probs), n)
+
+
+@given(finite_laws())
+@settings(max_examples=25, deadline=None)
 def test_mean_return_from_moment_route(law):
     ch = build_chain(law, 256)
     assert moment(ch, 1, 1, 1.0).value == pytest.approx(ch.m1, rel=1e-12)
@@ -531,23 +701,38 @@ def test_second_moment_identity_exact_for_finite_laws(law, i):
 
 
 def test_zeta_laws_without_a_log_power_load_no_scipy_module(tmp_path):
-    # their constants come from the package's own Hurwitz zeta; only
-    # log-power tails still load scipy, for quadrature.  So importing the
-    # package and its CLI loads neither scipy.integrate (slow to load) nor
-    # scipy.linalg (the quotient imports its triangular solve when first
-    # called): no scipy module at all
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000}}')
+    # their constants come from the package's own Hurwitz zeta, as do those of
+    # a custom law's realized tail; only log-power tails still load scipy, for
+    # quadrature.  So importing the package and running a command that divides
+    # no series loads neither scipy.integrate (slow to load) nor scipy.linalg
+    # (the quotient imports its triangular solve when first called): no scipy
+    # module at all
+    zeta = {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000}
+    custom = {"law": {"type": "custom", "probs": [0.5, 0.3, 0.1], "tail_exponent": 3.5},
+              "truncation": 2000}
+    runs = [
+        ("chain info", {"chain": zeta}),
+        ("map kac", {"chain": zeta, "orbit_length": 10_000, "seed": 1}),
+        ("map entrance", {"chain": zeta, "a": 0.1, "n_max": 20, "samples": 1000, "seed": 1}),
+        ("spectral factorize", {"chain": zeta, "z_points": [0.5], "dimension": 50}),
+        ("chain info", {"chain": custom}),
+    ]
+    argvs = []
+    for k, (command, payload) in enumerate(runs):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(json.dumps(payload))
+        argvs.append([*command.split(), "--config", str(cfg), "--out", str(tmp_path / f"out{k}"),
+                      "--quiet"])
     code = (
-        "import sys, renewallab.cli as cli, renewallab as r\n"
+        "import json, sys, renewallab.cli as cli, renewallab as r\n"
         "r.build_chain(r.ZetaTailLaw(1.0), 50)\n"
-        "code = cli.main(['chain', 'info', '--config', sys.argv[1], '--out', sys.argv[2],\n"
-        "                 '--quiet'])\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert code == 0 and not loaded, loaded\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = cli.main(argv)\n"
+        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    assert code == 0 and not loaded, (argv[:2], code, loaded)\n"
         "r.build_chain(r.ZetaTailLaw(1.0, 1.0), 50)\n"
     )
-    run = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 

@@ -144,6 +144,11 @@ MALFORMED = [
     *(("chain info", {"chain": {"law": {"type": "zeta", **law}, "truncation": 1000}})
       for law in ({"degree": 1e-17}, {"degree": 1e-200, "log_power": 1},
                   {"degree": 1, "log_power": 171}, {"degree": 1, "log_power": 1e300})),
+    ("chain info", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.3, 0.2],
+                                      "tail_exponent": 3.5}, "truncation": 100}}),
+    ("chain info", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.3, 0.1],
+                                      "tail_exponent": 3.5, "tail_log_power": -1.0},
+                              "truncation": 100}}),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -161,6 +166,7 @@ MALFORMED_IDS = [
     "gamma-10^400", "point-10^400", "fit-window-10^400", "grid-lo-above-hi",
     "grid-lo-zero", "grid-count-zero", "degree-1e-17-infinite-mean",
     "degree-1e-200-log-1-infinite-mean", "log-power-171", "log-power-1e300",
+    "declared-tail-without-mass", "negative-tail-log-power",
 ]
 
 
@@ -199,7 +205,7 @@ LAWS = {
     "geometric": ({"type": "geometric", "q": 0.5}, "degree"),
     "zeta": ({"type": "zeta", "degree": 1.0}, "q"),
     "finite": ({"type": "finite", "probs": [0.5, 0.5]}, "tail_exponent"),
-    "custom": ({"type": "custom", "probs": [0.5, 0.5], "tail_exponent": 3.0}, "log_power"),
+    "custom": ({"type": "custom", "probs": [0.5, 0.4], "tail_exponent": 3.0}, "log_power"),
 }
 PROBES = {
     "convolution": ({"probe": "convolution", "gamma": 2.0, "n_list": [4]}, "chain"),
@@ -330,10 +336,10 @@ def test_lemma2_on_geometric_exits_3_naming_the_reason(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, payload, error", [
-    # positive recurrent, but its declared degree is -0.5
-    ("rates lemma2", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.3, 0.2],
+    # null-recurrent: the tail that the leftover 0.1 makes has degree -0.5
+    ("rates lemma2", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.3, 0.1],
                                         "tail_exponent": 1.5}, "truncation": 200},
-                      "grid": {"points": [10, 100]}}, "DegreeTooSmall"),
+                      "grid": {"points": [10, 100]}}, "NotPositiveRecurrent"),
     ("rates distance", {"chain": {"law": {"type": "zeta", "degree": -0.5}, "truncation": 200},
                         "nu": {"kind": "stationary"}, "grid": {"points": [10]}},
      "NotPositiveRecurrent"),
@@ -342,6 +348,15 @@ def test_degree_and_stationary_law_refusals_exit_3(tmp_path, capsys, command, pa
     code, _ = run(tmp_path, command.split(), payload)
     assert code == 3
     assert error in capsys.readouterr().err
+
+
+def test_custom_law_with_leftover_mass_builds_its_tail(tmp_path):
+    law = {"type": "custom", "probs": [0.5, 0.3, 0.1], "tail_exponent": 3.5}
+    code, out = run(tmp_path, ["chain", "info"], {"chain": {"law": law, "truncation": 200}})
+    assert code == 0
+    res = summary(out)["results"]
+    assert res["law"] == {**law, "tail_log_power": 0.0}
+    assert res["classification"] == "positive-recurrent" and res["ergodic_degree"] == 1.5
 
 
 NULL = {"chain": {"law": {"type": "zeta", "degree": 0}, "truncation": 2000}}
