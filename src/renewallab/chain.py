@@ -235,8 +235,9 @@ class FiniteLaw:
     """Explicit-prefix law: ``p_k = probs_k`` for ``k <= K``, then an optional
     realized power tail ``p_k = c k^-s log(k+1)^beta`` past ``K``.
 
-    Without ``tail_exponent`` the law is finitely supported and its
-    probabilities must sum to one.  With ``s = tail_exponent`` (ergodic
+    Without ``tail_exponent`` the law is finitely supported, its
+    probabilities must sum to one and a nonzero ``tail_log_power`` raises
+    :class:`ConfigError`.  With ``s = tail_exponent`` (ergodic
     degree ``s - 2``) and ``beta = tail_log_power``, the leftover mass
     ``1 - sum(probs)`` is the tail, which therefore must be positive; its
     amplitude is ``c = (1 - sum(probs)) / sum_{k > K} k^-s log(k+1)^beta``.
@@ -260,6 +261,9 @@ class FiniteLaw:
         if tailed and not 1.0 - total > NORMALIZATION_TOL:
             raise NotNormalized(f"probabilities sum to {total!r}, leaving no tail mass")
         if not tailed:
+            if tail_log_power != 0.0:
+                raise ConfigError(f"a tail_log_power ({tail_log_power!r}) needs a "
+                                  f"tail_exponent")
             if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise NotNormalized(f"probabilities sum to {total!r}, not 1")
             gcd = np.gcd.reduce(np.nonzero(arr)[0] + 1)

@@ -16,8 +16,9 @@ and adds its own parameters (grids, seeds, windows, tolerances).  Law types:
 ``p_k = probs_k`` for ``k <= K``, and with a tail exponent ``s`` the leftover
 mass ``1 - sum(probs)`` is a realized tail ``c k^-s log(k+1)^tail_log_power``
 past ``K``, of amplitude ``c``; ``zeta`` is its case with an empty prefix.
-Exit 2: a declared tail with no mass left (NotNormalized), and an exponent
-``s <= 1`` or a negative log power (ZeroProbabilityBranch).
+Exit 2: a declared tail with no mass left (NotNormalized), an exponent
+``s <= 1`` or a negative log power (ZeroProbabilityBranch), and a nonzero
+log power without a tail exponent (ConfigError).
 
 Initial measures: {"kind": "point", "state": 1}, {"kind": "stationary"},
 or {"kind": "weights", "weights": [...], "tail_mass": 0.0}.  Observables:

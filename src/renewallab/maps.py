@@ -133,6 +133,11 @@ SAMPLER = "chain"
 #: samplers and the orbit estimators hold a few blocks at a time.
 _BLOCK = 2 ** 16
 
+#: Bits of the guide table through which the exact sampler finds the cell
+#: of a draw: ``2**_GUIDE_BITS`` buckets of the unit interval (see
+#: :func:`_cells`).
+_GUIDE_BITS = 12
+
 #: Most orbit steps (burn-in included, summed over streams) one call
 #: accepts, and the most ``samples`` :func:`entrance_tail` accepts.  Checked
 #: before anything is allocated.  The orbit arrays that
@@ -387,35 +392,63 @@ def _float_orbit(m: IntermittentMap, x: float, total: int, restart=None):
 # coded-orbit samplers
 # ----------------------------------------------------------------------
 
-def _cells(cdf, u) -> np.ndarray:
-    """The cell ``i >= 1`` that each uniform of ``u`` draws from the
-    cumulative weights ``cdf``, ``len(cdf) + 1`` past them; a uniform at or
-    below ``cdf[0]`` draws cell one without a search."""
-    cells = np.ones(u.size, dtype=np.int64)
+def _guide(cdf) -> np.ndarray:
+    """The guide table of the cumulative weights ``cdf`` (Chen and Asau,
+    1974): entry ``b`` is the first index whose weight reaches ``b /
+    2**_GUIDE_BITS``, at most ``len(cdf) - 1``, so that every entry reads a
+    weight."""
+    edges = np.arange(2 ** _GUIDE_BITS) / 2 ** _GUIDE_BITS
+    return np.minimum(np.searchsorted(cdf, edges, side="left"), cdf.size - 1)
+
+
+def _cells(cdf, guide, u) -> tuple:
+    """``(above, cells)``: the indices of the uniforms of ``u`` above
+    ``cdf[0]``, and the cell ``i >= 2`` that each of them draws from the
+    cumulative weights ``cdf``, ``len(cdf) + 1`` past them; the other
+    uniforms draw cell one.  A cell is ``np.searchsorted(cdf, u,
+    side="left") + 1``, found by comparisons only: a uniform in bucket ``b
+    = floor(u * 2**_GUIDE_BITS)`` (exact, a power-of-two scaling) draws cell
+    ``guide[b] + 1`` when ``cdf[guide[b]]`` reaches it, and searches the
+    whole of ``cdf`` otherwise, as a bucket of several cells or a draw past
+    the prefix does."""
     above = np.flatnonzero(u > cdf[0])
-    cells[above] = np.searchsorted(cdf, u[above], side="left") + 1
-    return cells
+    u = u[above]
+    at = guide[(u * 2 ** _GUIDE_BITS).astype(np.intp)]
+    miss = np.flatnonzero(cdf[at] < u)
+    at[miss] = np.searchsorted(cdf, u[miss], side="left")
+    at += 1
+    return above, at
 
 
-def _excursion_block(chain, cdf, rng, count: int):
+def _excursion_block(chain, cdf, guide, rng, count: int):
     """States of the ``count`` excursions that the next ``count`` uniforms
-    of ``rng`` draw, one each.  A draw beyond the stored prefix is one
-    ``-1`` step."""
-    draws = _cells(cdf, rng.random(count))
-    over = draws > chain.truncation
-    draws[over] = 1
-    ends = np.cumsum(draws)
-    # an excursion of length L reads L, L-1, ..., 1: a running sum of steps
-    # that are -1 inside it and jump from 1 to L at its start; the sum stays
-    # in [-1, truncation], so it runs in int32 in place
-    states = np.full(ends[-1], -1, dtype=np.int32)
-    draws -= 1
-    states[ends[:-1]] = draws[1:]
-    states[0] = draws[0] + 1
-    del draws
-    np.cumsum(states, dtype=np.int32, out=states)
-    states[ends[over] - 1] = -1
-    return states
+    of ``rng`` draw, one each; :func:`_cells` finds their lengths through
+    ``guide``.  A draw beyond the stored prefix is one ``-1`` step.
+
+    An excursion of length L reads L, L-1, ..., 1, so only the draws of
+    cell two or more need work.  Draw ``k`` starts at ``k`` plus the extra
+    steps ``L - 1`` of the draws before it, and the state at position ``i``
+    is ``max(e - i, 1)``, ``e`` the largest ``start + L`` of the excursions
+    starting at or before ``i``: one running maximum over a block whose
+    entries are zero but at those starts."""
+    above, extra = _cells(cdf, guide, rng.random(count))
+    over = extra > chain.truncation
+    extra -= 1  # the steps of each excursion past its first
+    extra[over] = 0
+    last = np.cumsum(extra)
+    size = count + (int(last[-1]) if last.size else 0)
+    # positions of the last states, in int64; the states run in int32 when
+    # the block has fewer than 2**31 of them, and their values lie in
+    # [-1, truncation]
+    last += above
+    starts = last - extra
+    states = np.zeros(size, dtype=np.int32 if size < 2 ** 31 else np.int64)
+    states[starts] = last + 1
+    np.maximum.accumulate(states, out=states)
+    states -= np.arange(size, dtype=states.dtype)
+    np.maximum(states, 1, out=states)
+    states[starts[over]] = -1
+    return states.astype(np.int32, copy=False)
 
 
 def _in_order(pool, draw, batch, depth: int):
@@ -437,7 +470,10 @@ def _excursions(chain, key: int, total: int):
 
     Each excursion takes one uniform, so block ``(offset, count)`` expands
     the ``count`` uniforms from ``offset`` on and the states do not depend
-    on where the blocks split the stream.  The uniforms still needed are
+    on where the blocks split the stream.  The return law's cumulative
+    weights and their guide table (:func:`_guide`) are built once per call
+    and shared by the blocks, which expand only the excursions longer than
+    one step (:func:`_excursion_block`).  The uniforms still needed are
     estimated as ``(total - have) / m1``, the states still missing over the
     mean excursion.  While that estimate is a block or more, a batch holds
     one full :data:`_BLOCK` block for each whole block of it, so a batch
@@ -450,10 +486,11 @@ def _excursions(chain, key: int, total: int):
     offset.  Abandoned or failed, the generator shuts its pool down.
     """
     cdf = np.cumsum(chain.p[1:])
+    guide = _guide(cdf)
     workers = _workers()
 
     def draw(offset, count):
-        return _excursion_block(chain, cdf, _rng(key, offset), count)
+        return _excursion_block(chain, cdf, guide, _rng(key, offset), count)
 
     pool = None
     have = offset = 0

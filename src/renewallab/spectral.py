@@ -3,7 +3,7 @@
 Everything here is diagnostic: dense matrices at desk scale to verify the
 exact operator factorization, an O(N) recursion for eigenvector candidates
 read off the generating function, and pointwise generating-function
-evaluation with an internal two-route identity check.
+evaluation in closed form.
 
 Vectors act on matrices from the right, (xT)_j = sum_i x_i t_ij, matching
 how distributions evolve.  The dense builders return plain N-by-N arrays
@@ -15,13 +15,12 @@ down one row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionViolated, SingularPoint, TruncationTooSmall
-from .series import _as_grid, _quotient, _whole
+from .series import _as_grid, _whole
 
 __all__ = [
     "SpectralProbe",
@@ -191,9 +190,9 @@ def gf_evaluate(chain, i: int, j: int, z):
 
     Closed forms from the chain structure: descents are monomials, ascents
     go through the return row.  The renewal identity
-    P_ij = F_ij P_jj + delta_ij couples the two values; for well-inside
-    points both are cross-checked against direct series evaluation, whose
-    coefficients depend on (i, j) alone and are computed once per call.
+    P_ij = F_ij P_jj + delta_ij couples the two values.  The tests check
+    them against the series of P_ij, first passage over the return-renewal
+    denominator, summed at points well inside the disk.
 
     Raises
     ------
@@ -207,7 +206,7 @@ def gf_evaluate(chain, i: int, j: int, z):
     """
     i = _whole(i, "state i", least=1)  # a state i past the prefix descends to j without a draw
     j = chain.within(_whole(j, "state j", least=1), "the return to state j")
-    values, inside = [], []
+    values = []
     for point in np.atleast_1d(z):
         point = complex(point)
         if not abs(point) <= 1.0 + 1e-12:
@@ -226,34 +225,5 @@ def gf_evaluate(chain, i: int, j: int, z):
             f_ij = point ** (i - j) * f_jj
         p_jj = 1.0 / (1.0 - f_jj)
         p_ij = f_ij * p_jj + (1.0 if i == j else 0.0)
-        if abs(point) <= 0.9:
-            inside.append((point, p_ij))
         values.append((p_ij.real, f_ij.real) if point.imag == 0.0 else (p_ij, f_ij))
-
-    if inside and max(i, j) <= 50 and chain.truncation >= max(i, j) + 300:
-        _series_check(chain, i, j, inside)
     return values if np.ndim(z) else values[0]
-
-
-def _series_check(chain, i: int, j: int, inside):
-    """Independent route: coefficients of P_ij as first-passage divided by
-    the return-renewal denominator, evaluated by Horner at each pair
-    ``(z, P_ij(z))`` of ``inside``."""
-    from .chain import first_passage
-
-    n = min(chain.truncation - j, 400)
-    fij = first_passage(chain, i, j, trunc=n, mass_tol=math.inf).series.coeffs
-    fjj = fij if i == j else first_passage(
-        chain, j, j, trunc=n, mass_tol=math.inf
-    ).series.coeffs
-    coeffs = _quotient(fij, np.r_[1.0, -fjj[1:]])
-    for z, p_ij in inside:
-        val = complex(np.polynomial.polynomial.polyval(z, coeffs))
-        if i == j:
-            val += 1.0
-        scale = max(1.0, abs(p_ij))
-        if abs(val - p_ij) > 1e-8 * scale:
-            raise PreconditionViolated(
-                f"internal generating-function routes disagree at z={z!r}: "
-                f"{p_ij!r} vs {val!r}"
-            )

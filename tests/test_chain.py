@@ -311,6 +311,10 @@ def test_unnormalized_law_rejected():
         CustomLaw((0.5, 0.3, 0.2), tail_exponent=3.5)
     with pytest.raises(rl.ZeroProbabilityBranch):
         CustomLaw((0.5, 0.3, 0.1), tail_exponent=3.5, tail_log_power=-1.0)
+    # a log power without a tail was accepted and dropped from describe()
+    with pytest.raises(rl.ConfigError, match="needs a tail_exponent"):
+        FiniteLaw((0.5, 0.5), tail_log_power=2.0)
+    assert FiniteLaw((0.5, 0.5), tail_log_power=0.0) == FiniteLaw((0.5, 0.5))
 
 
 def test_periodic_support_rejected():
@@ -706,7 +710,8 @@ def test_zeta_laws_without_a_log_power_load_no_scipy_module(tmp_path):
     # quadrature.  So importing the package and running a command that divides
     # no series loads neither scipy.integrate (slow to load) nor scipy.linalg
     # (the quotient imports its triangular solve when first called): no scipy
-    # module at all
+    # module at all.  spectral gf evaluates closed forms; its series route
+    # is a test oracle
     zeta = {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000}
     custom = {"law": {"type": "custom", "probs": [0.5, 0.3, 0.1], "tail_exponent": 3.5},
               "truncation": 2000}
@@ -715,6 +720,7 @@ def test_zeta_laws_without_a_log_power_load_no_scipy_module(tmp_path):
         ("map kac", {"chain": zeta, "orbit_length": 10_000, "seed": 1}),
         ("map entrance", {"chain": zeta, "a": 0.1, "n_max": 20, "samples": 1000, "seed": 1}),
         ("spectral factorize", {"chain": zeta, "z_points": [0.5], "dimension": 50}),
+        ("spectral gf", {"chain": zeta, "z_points": [0.5, [0.3, 0.4]], "i": 2, "j": 3}),
         ("chain info", {"chain": custom}),
     ]
     argvs = []

@@ -149,6 +149,8 @@ MALFORMED = [
     ("chain info", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.3, 0.1],
                                       "tail_exponent": 3.5, "tail_log_power": -1.0},
                               "truncation": 100}}),
+    ("chain info", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.5],
+                                      "tail_log_power": 2.0}, "truncation": 100}}),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -166,7 +168,7 @@ MALFORMED_IDS = [
     "gamma-10^400", "point-10^400", "fit-window-10^400", "grid-lo-above-hi",
     "grid-lo-zero", "grid-count-zero", "degree-1e-17-infinite-mean",
     "degree-1e-200-log-1-infinite-mean", "log-power-171", "log-power-1e300",
-    "declared-tail-without-mass", "negative-tail-log-power",
+    "declared-tail-without-mass", "negative-tail-log-power", "log-power-without-tail",
 ]
 
 

@@ -1139,6 +1139,98 @@ def test_chain_sampler_reaches_states_past_int16_exactly():
 
 
 # ----------------------------------------------------------------------
+# the exact sampler's block: guide-table cells and the long-excursion
+# expansion against the whole-block expansion they replaced
+# ----------------------------------------------------------------------
+
+def ref_cells(cdf, u):
+    """The cell ``i >= 1`` of each uniform, ``len(cdf) + 1`` past the
+    cumulative weights; one search per uniform above ``cdf[0]``."""
+    cells = np.ones(u.size, dtype=np.int64)
+    above = np.flatnonzero(u > cdf[0])
+    cells[above] = np.searchsorted(cdf, u[above], side="left") + 1
+    return cells
+
+
+def ref_excursion_block(chain, cdf, rng, count):
+    """Every excursion expanded: a running int32 sum of steps that are -1
+    inside an excursion and jump from 1 to L at its start."""
+    draws = ref_cells(cdf, rng.random(count))
+    over = draws > chain.truncation
+    draws[over] = 1
+    ends = np.cumsum(draws)
+    states = np.full(ends[-1], -1, dtype=np.int32)
+    draws -= 1
+    states[ends[:-1]] = draws[1:]
+    states[0] = draws[0] + 1
+    np.cumsum(states, dtype=np.int32, out=states)
+    states[ends[over] - 1] = -1
+    return states
+
+
+#: Chains whose blocks the oracle checks: light and heavy tails, draws past
+#: a short prefix (one in 19 at zeta 0.25, N = 6; one in 3900 at zeta 1,
+#: N = 40) and a null-recurrent law (one in 72 at N = 3000).
+BLOCK_CHAINS = {
+    "zeta-1-N21000": lambda: build_chain(ZetaTailLaw(1.0), 21_000),
+    "geometric-0.5": lambda: build_chain(GeometricLaw(0.5), 2000),
+    "zeta-0.25-N6": lambda: build_chain(ZetaTailLaw(0.25), 6),
+    "zeta-1-N40": lambda: build_chain(ZetaTailLaw(1.0), 40),
+    "zeta--0.5-N3000": lambda: build_chain(ZetaTailLaw(-0.5), 3000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_excursion_blocks_match_the_whole_block_expansion(name):
+    chain = BLOCK_CHAINS[name]()
+    cdf = np.cumsum(chain.p[1:])
+    guide = maps._guide(cdf)
+    censored = 0
+    for count in (1, 2, 17, 1024, B):
+        for seed, offset in ((1, 0), (2, 5), (2 ** 64 - 1, 4 * B + 3)):
+            got = maps._excursion_block(chain, cdf, guide, maps._rng(seed, offset), count)
+            want = ref_excursion_block(chain, cdf, maps._rng(seed, offset), count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            censored += int(np.count_nonzero(got == -1))
+    assert (censored > 0) == (name not in ("geometric-0.5", "zeta-1-N21000"))
+
+
+def guide_edges(cdf):
+    """Uniforms at the cumulative weights and the bucket edges, their
+    neighbours, and the top of the unit interval."""
+    bits = maps._GUIDE_BITS
+    edges = np.arange(2 ** bits) / 2 ** bits
+    points = np.concatenate((cdf, edges, [cdf[-1], 1.0 - EPS / 2]))
+    u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_guide_cells_are_the_searched_cells_at_every_edge(name):
+    cdf = np.cumsum(BLOCK_CHAINS[name]().p[1:])
+    u = guide_edges(cdf)
+    above, cells = maps._cells(cdf, maps._guide(cdf), u)
+    assert np.array_equal(above, np.flatnonzero(u > cdf[0]))
+    assert np.array_equal(cells, np.searchsorted(cdf, u[above], side="left") + 1)
+
+
+def test_guide_cells_in_a_bucket_of_thousands_of_cells():
+    # zeta 1's last bucket [1 - 2**-12, 1) holds the deep cells and the
+    # draws past the prefix, so most of its draws fall back to the search
+    cdf = np.cumsum(build_chain(ZetaTailLaw(1.0), 21_000).p[1:])
+    bottom = 1.0 - 2.0 ** -maps._GUIDE_BITS
+    assert np.count_nonzero(cdf >= bottom) > 1000 and cdf[-1] < 1.0
+    past = np.nextafter(cdf[-1], 1.0)
+    u = np.concatenate((np.linspace(bottom, 1.0, 20_001)[:-1], cdf[cdf >= bottom],
+                        maps._rng(3).random(B) * (1.0 - bottom) + bottom,
+                        [past, (past + 1.0) / 2, 1.0 - EPS / 2]))
+    above, cells = maps._cells(cdf, maps._guide(cdf), u)
+    assert above.size == u.size
+    assert np.array_equal(cells, np.searchsorted(cdf, u, side="left") + 1)
+    assert cells.max() == cdf.size + 1
+
+
+# ----------------------------------------------------------------------
 # parallel blocks: the chain sampler draws block (offset, count) from its
 # offset in the Philox stream, so the blocks run on a pool of threads and
 # every state and report must not depend on how many
@@ -1194,8 +1286,8 @@ def serial_loop_draws(chain, total, seed):
     """Uniforms a loop drawing one block at a time takes, each block sized
     from the states still missing: 1.2 times their expected excursions,
     at least 1024 and at most a block."""
-    lengths = maps._cells(np.cumsum(chain.p[1:]),
-                          maps._rng(maps._key(seed)).random(int(total / chain.m1 * 2) + 4 * B))
+    lengths = ref_cells(np.cumsum(chain.p[1:]),
+                        maps._rng(maps._key(seed)).random(int(total / chain.m1 * 2) + 4 * B))
     lengths[lengths > chain.truncation] = 1
     states = np.concatenate(([0], np.cumsum(lengths)))
     drawn = 0
@@ -1211,9 +1303,9 @@ def test_one_worker_draws_no_more_than_a_serial_loop(geo, zeta, monkeypatch, len
     monkeypatch.setattr(maps, "_workers", lambda: 1)
     cells, drawn = maps._cells, [0]
 
-    def counting(cdf, u):
+    def counting(cdf, guide, u):
         drawn[0] += u.size
-        return cells(cdf, u)
+        return cells(cdf, guide, u)
 
     monkeypatch.setattr(maps, "_cells", counting)
     for chain in (geo, zeta):
@@ -1239,10 +1331,10 @@ def test_a_failing_block_reaches_the_caller(zeta, monkeypatch):
     monkeypatch.setattr(maps, "_workers", lambda: 3)
     draw, calls = maps._excursion_block, itertools.count()
 
-    def failing(chain, cdf, rng, count):
+    def failing(chain, cdf, guide, rng, count):
         if next(calls) == 2:
             raise FloatingPointError("the third block failed")
-        return draw(chain, cdf, rng, count)
+        return draw(chain, cdf, guide, rng, count)
 
     monkeypatch.setattr(maps, "_excursion_block", failing)
     before = threading.active_count()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +11,14 @@ from renewallab import (
     build_chain,
 )
 from renewallab import spectral
+from renewallab.chain import first_passage
 from renewallab.errors import (
     OutOfDomain,
     PreconditionViolated,
     SingularPoint,
     TruncationTooSmall,
 )
+from renewallab.series import _quotient
 from renewallab.spectral import (
     disk_scan,
     eigen_from_gf,
@@ -302,17 +306,44 @@ def test_visit_function_singularity_and_domain(geometric):
         gf_evaluate(geometric, 0, 1, 0.5)
 
 
-def test_visit_function_takes_a_sequence_and_checks_each_pair_once(zeta_one, monkeypatch):
+def test_visit_function_takes_a_sequence_and_draws_no_passage_series(zeta_one, monkeypatch):
+    # the series route is the tests' oracle, not a check at every call
     import renewallab.chain
 
     points = [0.5, -0.3 + 0.4j, 0.0, 0.95j]
     one_by_one = [gf_evaluate(zeta_one, 2, 3, z) for z in points]
-    calls = []
-    counted = renewallab.chain.first_passage
-    monkeypatch.setattr(renewallab.chain, "first_passage",
-                        lambda *a, **k: calls.append(a[1:3]) or counted(*a, **k))
+    monkeypatch.setattr(renewallab.chain, "first_passage", no_passage)
     assert gf_evaluate(zeta_one, 2, 3, points) == one_by_one
-    assert calls == [(2, 3), (3, 3)]
+
+
+def no_passage(*args, **kwargs):
+    raise AssertionError("gf_evaluate computed a first-passage series")
+
+
+def ref_series_values(chain, i, j, points):
+    """P_ij at each point as a series: the coefficients of the first
+    passage over the return-renewal denominator, summed by Horner."""
+    n = min(chain.truncation - j, 400)
+    fij = first_passage(chain, i, j, trunc=n, mass_tol=math.inf).series.coeffs
+    fjj = fij if i == j else first_passage(chain, j, j, trunc=n, mass_tol=math.inf).series.coeffs
+    coeffs = _quotient(fij, np.r_[1.0, -fjj[1:]])
+    return [complex(np.polynomial.polynomial.polyval(z, coeffs)) + float(i == j)
+            for z in points]
+
+
+#: Points of radius at most 0.9, where 400 series terms settle.
+INSIDE = [0.5, -0.8, 0.9, -0.3 + 0.4j, 0.6 - 0.6j, 0.9j, 0.05]
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (2, 3), (3, 3), (5, 2), (1, 7), (50, 50), (7, 50)])
+@pytest.mark.parametrize("law", [GeometricLaw(0.5), ZetaTailLaw(1.0), ZetaTailLaw(0.25, 1.0),
+                                 FiniteLaw((0.5, 0.3, 0.2)),
+                                 FiniteLaw((0.5, 0.3, 0.1), tail_exponent=3.5)], ids=repr)
+def test_visit_function_matches_its_series(law, i, j):
+    chain = build_chain(law, truncation=2000)
+    got = gf_evaluate(chain, i, j, INSIDE)
+    for (p_ij, _), want in zip(got, ref_series_values(chain, i, j, INSIDE)):
+        assert abs(want - p_ij) <= 1e-8 * max(1.0, abs(p_ij))
 
 
 def test_visit_function_refuses_targets_past_the_prefix(zeta_one):
