@@ -8,9 +8,12 @@ computes one artifact set, and writes it under ``--out``:
   ``<name>.csv.meta.json`` sidecar recording the config hash, the seed and
   the tool version.
 
-Re-running a command with the same config and seed reproduces every output
-byte for byte; floats are written with full round-trip precision and
-nothing time- or host-dependent is recorded.  Writes go through a
+A command's handler computes its results and returns its tables; only
+:func:`_run` writes, once the handler has returned, so a command that
+exits nonzero leaves ``--out`` without artifacts.  Re-running a command
+with the same config and seed reproduces every output byte for byte;
+floats are written with full round-trip precision and nothing time- or
+host-dependent is recorded.  Writes go through a
 temporary file in the target directory followed by an atomic rename; the
 file is created with mode ``0o666`` less the process umask, as
 ``open(path, "w")`` would create it.  An ``--out`` that cannot be made a
@@ -40,9 +43,8 @@ import numpy as np
 from . import __version__
 from .config import (
     CHAIN_SCHEMA, GRID, MEASURE_SCHEMA, OBSERVABLE_SCHEMA, Kinds, Leaf, bounded,
-    chain_from_config, complex_points, config_hash, grid_from_config, integer,
-    interval, list_of, load_config, measure_from_config, number,
-    observable_from_config, read, string,
+    chain_from_config, complex_points, config_hash, integer, interval, list_of,
+    load_config, measure_from_config, number, observable_from_config, read, string,
 )
 from .errors import (
     ConfigError, PreconditionError, PreconditionViolated, TruncationError, TruncationTooSmall,
@@ -127,61 +129,36 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-class Ctx:
-    """Per-invocation state: the config as read (``cfg``) and the hash of
-    the file's descriptor, resolved seed, output sink."""
-
-    def __init__(self, command, raw, cfg, out, seed, truncation, quiet):
-        self.command = command
-        self.cfg = cfg
-        self.out = out
-        self.seed = seed
-        self.truncation = truncation
-        self.quiet = quiet
-        self.sha = config_hash(raw)
-        self.artifacts = []
-
-    def chain(self):
-        return chain_from_config(self.cfg, self.truncation)
-
-    def say(self, line: str) -> None:
-        if not self.quiet:
-            print(line)
-
-    def _meta(self, columns) -> dict:
-        return {
-            "columns": list(columns),
-            "command": self.command,
-            "config_sha256": self.sha,
-            "seed": self.seed,
-            "tool_version": __version__,
-        }
-
-    def write_table(self, name: str, header, columns) -> None:
-        """Writes ``columns``, one per name of ``header``, as CSV rows; an
-        array column is read through ``tolist``, so its cells are Python
-        scalars."""
-        cells = [list(map(_cell, c.tolist() if isinstance(c, np.ndarray) else c))
-                 for c in columns]
-        lines = [",".join(header), *map(",".join, zip(*cells))]
-        path = os.path.join(self.out, name)
-        _atomic_bytes(path, ("\n".join(lines) + "\n").encode())
-        _write_json(path + ".meta.json", self._meta(header))
-        self.artifacts.append(name)
-        self.say(f"wrote {path}")
-
-    def write_curve(self, name: str, curve) -> None:
-        bounds = curve.bounds
-        if bounds is None:
-            bounds = np.zeros(curve.values.size)
-        self.write_table(name, ("n", "value", "tail_bound"),
-                         (curve.n_grid, curve.values, bounds))
+def _csv(header, columns) -> bytes:
+    """``columns``, one per name of ``header``, as CSV rows; an array
+    column is read through ``tolist``, so its cells are Python scalars."""
+    cells = [list(map(_cell, c.tolist() if isinstance(c, np.ndarray) else c))
+             for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    return ("\n".join(lines) + "\n").encode()
 
 
 # ----------------------------------------------------------------------
-# Command handlers.  Each returns the ``results`` block of summary.json
-# and indexes ``ctx.cfg``, which its schema in COMMANDS has already read.
+# Command handlers.  Each is ``(cfg, chain) -> (results, tables, line)``:
+# the ``results`` block of summary.json, the tables as ``{csv name:
+# (header, columns)}`` and the progress line (or None).  A handler writes
+# and prints nothing; :func:`_run` does, once it has returned.  ``cfg`` is
+# read by the handler's schema in COMMANDS, with the resolved seed under
+# ``seed``, and ``chain`` is built from its chain block (None without one).
 # ----------------------------------------------------------------------
+
+def _curve(curve) -> tuple:
+    """The ``n, value, tail_bound`` table of a curve; a curve without
+    bounds has zero ones."""
+    bounds = np.zeros(curve.values.size) if curve.bounds is None else curve.bounds
+    return ("n", "value", "tail_bound"), (curve.n_grid, curve.values, bounds)
+
+
+def _last(curve, key: str = "final_value", **extras) -> dict:
+    """The results of a rates curve: its last point, the value under
+    ``key``, and ``extras``."""
+    return {"final_n": int(curve.n_grid[-1]), key: float(curve.values[-1]), **extras}
+
 
 def _fit_dict(fit):
     if fit is None:
@@ -194,146 +171,109 @@ def _fit_dict(fit):
     }
 
 
-def cmd_chain_info(ctx: Ctx) -> dict:
-    chain = ctx.chain()
+def cmd_chain_info(cfg, chain):
     info = chain.describe()
     info["degree"] = chain.ergodic_degree
     info["positive_recurrent"] = chain.positive_recurrent
-    ctx.say(f"{chain.classification} chain, m1={chain.m1!r}, pi1={chain.pi1!r}")
-    return info
+    return info, {}, f"{chain.classification} chain, m1={chain.m1!r}, pi1={chain.pi1!r}"
 
 
-def _fitted_curve(ctx: Ctx, what: str, curve) -> dict:
-    """Writes ``rates_<what>.csv`` and fits it over the optional
-    ``fit_window``."""
-    ctx.write_curve(f"rates_{what}.csv", curve)
-    window = ctx.cfg["fit_window"]
-    results = {
-        "final_n": int(curve.n_grid[-1]),
-        "final_value": float(curve.values[-1]),
-        "fit": _fit_dict(None if window is None else rate_fit(curve, window)),
-    }
-    ctx.say(f"{what} at n={results['final_n']}: {results['final_value']!r}")
-    return results
+def _fitted_curve(cfg, what: str, curve):
+    """``rates_<what>.csv``, fitted over the optional ``fit_window``."""
+    window = cfg["fit_window"]
+    results = _last(curve, fit=_fit_dict(None if window is None else rate_fit(curve, window)))
+    return (results, {f"rates_{what}.csv": _curve(curve)},
+            f"{what} at n={results['final_n']}: {results['final_value']!r}")
 
 
-def _pair(ctx: Ctx):
+def _pair(cfg, chain):
     """The chain, the ``nu`` measure on it, the ``u`` observable and the grid."""
-    chain = ctx.chain()
-    nu = measure_from_config(ctx.cfg["nu"], chain)
-    return chain, nu, observable_from_config(ctx.cfg["u"]), grid_from_config(ctx.cfg["grid"])
+    nu = measure_from_config(cfg["nu"], chain)
+    return chain, nu, observable_from_config(cfg["u"]), cfg["grid"]
 
 
-def cmd_rates_distance(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    nu = measure_from_config(ctx.cfg["nu"], chain)
-    curve = distance_curve(chain, nu, grid_from_config(ctx.cfg["grid"]))
-    return _fitted_curve(ctx, "distance", curve)
+def cmd_rates_distance(cfg, chain):
+    nu = measure_from_config(cfg["nu"], chain)
+    return _fitted_curve(cfg, "distance", distance_curve(chain, nu, cfg["grid"]))
 
 
-def cmd_rates_correlation(ctx: Ctx) -> dict:
-    chain, nu, u, grid = _pair(ctx)
-    return _fitted_curve(ctx, "correlation", correlation_curve(chain, nu, u, grid))
+def cmd_rates_correlation(cfg, chain):
+    return _fitted_curve(cfg, "correlation", correlation_curve(*_pair(cfg, chain)))
 
 
-def cmd_rates_lemma2(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    curve = deviation_tail_ratio(chain, grid_from_config(ctx.cfg["grid"]))
-    ctx.write_curve("rates_lemma2.csv", curve)
-    lo, hi = ctx.cfg["band"]
+def cmd_rates_lemma2(cfg, chain):
+    curve = deviation_tail_ratio(chain, cfg["grid"])
+    lo, hi = cfg["band"]
     final = float(curve.values[-1])
-    results = {
-        "final_n": int(curve.n_grid[-1]),
-        "final_ratio": final,
-        "band": [lo, hi],
-        "within_band": bool(lo <= final <= hi),
-    }
-    ctx.say(f"deviation/tail ratio at n={results['final_n']}: {final!r}")
-    return results
+    results = _last(curve, "final_ratio", band=[lo, hi], within_band=bool(lo <= final <= hi))
+    return (results, {"rates_lemma2.csv": _curve(curve)},
+            f"deviation/tail ratio at n={results['final_n']}: {final!r}")
 
 
-def cmd_rates_constant(ctx: Ctx) -> dict:
-    curve, predicted = correlation_constant(*_pair(ctx))
-    ctx.write_curve("rates_constant.csv", curve)
-    rel_tol = ctx.cfg["rel_tolerance"]
+def cmd_rates_constant(cfg, chain):
+    curve, predicted = correlation_constant(*_pair(cfg, chain))
+    rel_tol = cfg["rel_tolerance"]
     final = float(curve.values[-1])
     gap = abs(final - predicted) / abs(predicted)
-    results = {
-        "final_n": int(curve.n_grid[-1]),
-        "final_value": final,
-        "predicted": float(predicted),
-        "relative_gap": float(gap),
-        "rel_tolerance": rel_tol,
-        "pass": bool(gap <= rel_tol),
-    }
-    ctx.say(f"scaled correlation {final!r} vs predicted {predicted!r}")
-    return results
+    results = _last(curve, predicted=float(predicted), relative_gap=float(gap),
+                    rel_tolerance=rel_tol, **{"pass": bool(gap <= rel_tol)})
+    return (results, {"rates_constant.csv": _curve(curve)},
+            f"scaled correlation {final!r} vs predicted {predicted!r}")
 
 
-def cmd_rates_null(ctx: Ctx) -> dict:
-    curve = null_recurrent_ratio(*_pair(ctx))
-    ctx.write_curve("rates_null.csv", curve)
-    results = {
-        "final_n": int(curve.n_grid[-1]),
-        "final_ratio": float(curve.values[-1]),
-    }
-    ctx.say(f"null-recurrent ratio at n={results['final_n']}: "
-            f"{results['final_ratio']!r}")
-    return results
+def cmd_rates_null(cfg, chain):
+    curve = null_recurrent_ratio(*_pair(cfg, chain))
+    results = _last(curve, "final_ratio")
+    return (results, {"rates_null.csv": _curve(curve)},
+            f"null-recurrent ratio at n={results['final_n']}: {results['final_ratio']!r}")
 
 
-def cmd_spectral_factorize(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    dimension, tolerance = ctx.cfg["dimension"], ctx.cfg["tolerance"]
+def cmd_spectral_factorize(cfg, chain):
+    dimension, tolerance = cfg["dimension"], cfg["tolerance"]
     rows = []
     worst = 0.0
-    for z in ctx.cfg["z_points"]:
+    for z in cfg["z_points"]:
         res = factorization_residual(chain, z, dimension)
         worst = max(worst, res)
         rows.append((z.real, z.imag, res))
-    ctx.write_table("spectral_factorize.csv", ("re_z", "im_z", "residual"), zip(*rows))
     results = {
         "dimension": dimension,
         "max_residual": worst,
         "tolerance": tolerance,
         "pass": bool(worst <= tolerance),
     }
-    ctx.say(f"max factorization residual {worst!r} at N={dimension}")
-    return results
+    return (results, {"spectral_factorize.csv": (("re_z", "im_z", "residual"), zip(*rows))},
+            f"max factorization residual {worst!r} at N={dimension}")
 
 
-def cmd_spectral_eigen(ctx: Ctx) -> dict:
-    dimension = ctx.cfg["dimension"]
-    rows = disk_scan(ctx.chain(), ctx.cfg["lambdas"], dimension)
-    ctx.write_table("spectral_eigen.csv",
-                    ("re_lambda", "im_lambda", "residual", "l1_partial_norm"), zip(*rows))
+def cmd_spectral_eigen(cfg, chain):
+    dimension = cfg["dimension"]
+    rows = disk_scan(chain, cfg["lambdas"], dimension)
     worst = max(r[2] for r in rows)
-    ctx.say(f"max interior eigen residual {worst!r} at N={dimension}")
-    return {"dimension": dimension, "max_residual": float(worst)}
+    header = ("re_lambda", "im_lambda", "residual", "l1_partial_norm")
+    return ({"dimension": dimension, "max_residual": float(worst)},
+            {"spectral_eigen.csv": (header, zip(*rows))},
+            f"max interior eigen residual {worst!r} at N={dimension}")
 
 
-def cmd_spectral_gf(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    i, j = ctx.cfg["i"], ctx.cfg["j"]
-    points = ctx.cfg["z_points"]
+def cmd_spectral_gf(cfg, chain):
+    i, j = cfg["i"], cfg["j"]
+    points = cfg["z_points"]
     rows = []
     for z, (p_val, f_val) in zip(points, gf_evaluate(chain, i, j, points)):
         p_val, f_val = complex(p_val), complex(f_val)
         rows.append((z.real, z.imag, p_val.real, p_val.imag, f_val.real, f_val.imag))
-    ctx.write_table("spectral_gf.csv", ("re_z", "im_z", "re_p", "im_p", "re_f", "im_f"),
-                    zip(*rows))
-    ctx.say(f"evaluated P_{i}{j} and F_{i}{j} at {len(rows)} points")
-    return {"i": i, "j": j, "points": len(rows)}
+    header = ("re_z", "im_z", "re_p", "im_p", "re_f", "im_f")
+    return ({"i": i, "j": j, "points": len(rows)}, {"spectral_gf.csv": (header, zip(*rows))},
+            f"evaluated P_{i}{j} and F_{i}{j} at {len(rows)} points")
 
 
-def cmd_map_simulate(ctx: Ctx) -> dict:
-    chain = ctx.chain()
-    sampler, i_max = ctx.cfg["sampler"], ctx.cfg["i_max"]
+def cmd_map_simulate(cfg, chain):
+    sampler, i_max = cfg["sampler"], cfg["i_max"]
     if not 1 <= i_max <= chain.truncation:
         raise PreconditionViolated(f"i_max must lie in [1, {chain.truncation}], the stored "
                                    f"prefix, got {i_max}")
-    states, censored = coded_states(chain, sampler, ctx.cfg["length"], ctx.seed,
-                                    ctx.cfg["burn_in"])
+    states, censored = coded_states(chain, sampler, cfg["length"], cfg["seed"], cfg["burn_in"])
     valid = int(np.count_nonzero(states > 0))
     if valid == 0:
         raise TruncationTooSmall(f"all {censored} recorded steps are censored past the stored "
@@ -342,27 +282,25 @@ def cmd_map_simulate(ctx: Ctx) -> dict:
     counts = np.bincount(states[(states > 0) & (states <= i_max)], minlength=i_max + 1)
     exact = chain.pi[1 : i_max + 1] if chain.positive_recurrent else np.full(i_max, np.nan)
     visits = counts[1:]
-    ctx.write_table("map_simulate_occupation.csv", ("state", "visits", "frequency", "exact"),
-                    (np.arange(1, i_max + 1), visits, visits / valid, exact))
     results = {
         "n_steps": int(states.size),
         "valid_steps": valid,
         "censored": int(censored),
         "sampler": sampler,
     }
-    ctx.say(f"simulated {states.size} steps, {censored} censored")
-    return results
+    table = (("state", "visits", "frequency", "exact"),
+             (np.arange(1, i_max + 1), visits, visits / valid, exact))
+    return (results, {"map_simulate_occupation.csv": table},
+            f"simulated {states.size} steps, {censored} censored")
 
 
-def cmd_map_correlate(ctx: Ctx) -> dict:
-    cfg = ctx.cfg
+def cmd_map_correlate(cfg, chain):
     estimates = mc_correlation(
-        ctx.chain(), observable_from_config(cfg["u"]), observable_from_config(cfg["v"]),
-        grid_from_config(cfg["lags"]), cfg["orbit_length"], ctx.seed,
+        chain, observable_from_config(cfg["u"]), observable_from_config(cfg["v"]),
+        cfg["lags"], cfg["orbit_length"], cfg["seed"],
         burn_in=cfg["burn_in"], sampler=cfg["sampler"], streams=cfg["streams"],
     )
     rows = [(n, est.mean, est.stderr, est.censored) for n, est in sorted(estimates.items())]
-    ctx.write_table("map_correlate.csv", ("n", "mean", "stderr", "censored"), zip(*rows))
     results = {
         "estimates": {
             str(n): {
@@ -376,35 +314,32 @@ def cmd_map_correlate(ctx: Ctx) -> dict:
         "sampler": cfg["sampler"],
         "streams": cfg["streams"],
     }
-    ctx.say(f"estimated {len(rows)} lags from {cfg['orbit_length']}-step orbits")
-    return results
+    return (results, {"map_correlate.csv": (("n", "mean", "stderr", "censored"), zip(*rows))},
+            f"estimated {len(rows)} lags from {cfg['orbit_length']}-step orbits")
 
 
-def cmd_map_entrance(ctx: Ctx) -> dict:
-    report = entrance_tail(ctx.chain(), ctx.cfg["a"], ctx.cfg["n_max"], ctx.cfg["samples"],
-                           ctx.seed, fit_window=ctx.cfg["fit_window"])
-    # every rounding bound is ENTRANCE_ROUNDING times its value, so the
-    # summary states the factor once and the table's tail_bound, the
-    # truncation part, is zero; per-row bounds nearly doubled the table
-    ctx.write_curve("map_entrance.csv", dataclasses.replace(report.curve, bounds=None))
+def cmd_map_entrance(cfg, chain):
+    report = entrance_tail(chain, cfg["a"], cfg["n_max"], cfg["samples"], cfg["seed"],
+                           fit_window=cfg["fit_window"])
     results = {
         "a_effective": report.a_effective,
         "k": report.k,
         "rounding_rel_bound": ENTRANCE_ROUNDING,
         "fit": _fit_dict(report.fit),
     }
-    if report.fit is not None:
-        ctx.say(f"entrance-tail exponent {report.fit.exponent!r}")
-    return results
+    # every rounding bound is ENTRANCE_ROUNDING times its value, so the
+    # summary states the factor once and the table's tail_bound, the
+    # truncation part, is zero; per-row bounds nearly doubled the table
+    table = _curve(dataclasses.replace(report.curve, bounds=None))
+    line = None if report.fit is None else f"entrance-tail exponent {report.fit.exponent!r}"
+    return results, {"map_entrance.csv": table}, line
 
 
-def cmd_map_kac(ctx: Ctx) -> dict:
-    report = kac_check(ctx.chain(), ctx.cfg["orbit_length"], ctx.seed,
-                       burn_in=ctx.cfg["burn_in"], sampler=ctx.cfg["sampler"])
-    top = min(report.histogram.size - 1, ctx.cfg["histogram_max"])
-    ctx.write_table("map_kac_histogram.csv", ("length", "count"),
-                    (np.arange(1, top + 1), report.histogram[1 : top + 1]))
-    tolerance = ctx.cfg["tolerance"]
+def cmd_map_kac(cfg, chain):
+    report = kac_check(chain, cfg["orbit_length"], cfg["seed"], burn_in=cfg["burn_in"],
+                       sampler=cfg["sampler"])
+    top = min(report.histogram.size - 1, cfg["histogram_max"])
+    tolerance = cfg["tolerance"]
     gap = abs(report.product - 1.0)
     results = {
         "rho_e": report.rho_e,
@@ -416,26 +351,25 @@ def cmd_map_kac(ctx: Ctx) -> dict:
         "tolerance": tolerance,
         "pass": bool(gap <= tolerance),
     }
-    ctx.say(f"occupation*mean_return = {report.product!r}")
-    return results
+    table = (("length", "count"), (np.arange(1, top + 1), report.histogram[1 : top + 1]))
+    return (results, {"map_kac_histogram.csv": table},
+            f"occupation*mean_return = {report.product!r}")
 
 
-def cmd_map_frequency(ctx: Ctx) -> dict:
-    i_max, sigma = ctx.cfg["i_max"], ctx.cfg["sigma"]
-    rep = markov_frequency_check(ctx.chain(), ctx.cfg["orbit_length"], ctx.seed, i_max=i_max,
-                                 burn_in=ctx.cfg["burn_in"], sampler=ctx.cfg["sampler"])
+def cmd_map_frequency(cfg, chain):
+    i_max, sigma = cfg["i_max"], cfg["sigma"]
+    rep = markov_frequency_check(chain, cfg["orbit_length"], cfg["seed"], i_max=i_max,
+                                 burn_in=cfg["burn_in"], sampler=cfg["sampler"])
     states = np.arange(1, i_max + 1)
-    ctx.write_table(
-        "map_frequency_transitions.csv",
-        ("row", "col", "hat", "exact", "stderr"),
-        (np.repeat(states, i_max), np.tile(states, i_max), rep.transition_hat.ravel(),
-         rep.transition_exact.ravel(), rep.transition_stderr.ravel()),
-    )
-    ctx.write_table(
-        "map_frequency_occupation.csv",
-        ("state", "hat", "exact", "stderr"),
-        (states, rep.occupation_hat, rep.occupation_exact, rep.occupation_stderr),
-    )
+    tables = {
+        "map_frequency_transitions.csv": (
+            ("row", "col", "hat", "exact", "stderr"),
+            (np.repeat(states, i_max), np.tile(states, i_max), rep.transition_hat.ravel(),
+             rep.transition_exact.ravel(), rep.transition_stderr.ravel())),
+        "map_frequency_occupation.csv": (
+            ("state", "hat", "exact", "stderr"),
+            (states, rep.occupation_hat, rep.occupation_exact, rep.occupation_stderr)),
+    }
 
     def worst(hat, exact, err):
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -452,35 +386,32 @@ def cmd_map_frequency(ctx: Ctx) -> dict:
         "sigma": sigma,
         "pass": bool(w_t <= sigma and w_o <= sigma),
     }
-    ctx.say(f"worst deviation {max(w_t, w_o)!r} standard errors")
-    return results
+    return results, tables, f"worst deviation {max(w_t, w_o)!r} standard errors"
 
 
-def cmd_series_probe(ctx: Ctx) -> dict:
-    probe = ctx.cfg["probe"]
+def cmd_series_probe(cfg, chain):
+    probe = cfg["probe"]
     if probe == "convolution":
-        gamma = ctx.cfg["gamma"]
+        gamma = cfg["gamma"]
         values = {}
-        for n in ctx.cfg["n_list"]:
+        for n in cfg["n_list"]:
             value, regime = convolution_power_probe(gamma, n)
             values[str(n)] = value
-        ctx.say(f"convolution power regime: {regime}")
-        return {"gamma": gamma, "regime": regime, "values": values}
-    chain = ctx.chain()
+        return ({"gamma": gamma, "regime": regime, "values": values}, {},
+                f"convolution power regime: {regime}")
     if probe == "kaluza":
         ok = kaluza_check(chain.p[1:])
-        ctx.say(f"kaluza (decreasing, log-convex): {ok}")
-        return {"kaluza": bool(ok), "law": chain.law.describe()}
-    prefix = ctx.cfg["prefix"]
+        return ({"kaluza": bool(ok), "law": chain.law.describe()}, {},
+                f"kaluza (decreasing, log-convex): {ok}")
+    prefix = cfg["prefix"]
     if prefix is None:  # the default depends on the chain
         prefix = min(chain.truncation, 2000)
     if not 2 <= prefix <= chain.truncation:
         raise ConfigError(f"'prefix' must lie in [2, {chain.truncation}], the truncation, "
                           f"got {prefix}")
     diag = zero_diagnostic(np.r_[1.0, -chain.p[1 : prefix + 1]],
-                           radii=ctx.cfg["radii"], points=ctx.cfg["points"])
-    ctx.say(f"min |1 - F(z)| sampled: {diag['min_abs']!r}")
-    return diag
+                           radii=cfg["radii"], points=cfg["points"])
+    return diag, {}, f"min |1 - F(z)| sampled: {diag['min_abs']!r}"
 
 
 # ----------------------------------------------------------------------
@@ -576,30 +507,35 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(command: str, args) -> int:
+    """Reads the config, builds the chain, runs the handler and only then
+    writes its tables, prints its line and writes summary.json, so a
+    handler that raises leaves no artifact."""
     handler, schema = COMMANDS[command]
     raw = load_config(args.config)
     cfg = read(raw, schema)
     # a command without a seed key records seed 0
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = cfg["seed"] = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:  # a file in the way, no permission, ...
         raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
-    ctx = Ctx(command, raw, cfg, args.out, seed, args.truncation, args.quiet)
-    results = handler(ctx)
-    summary = {
-        "command": command,
-        "config_sha256": ctx.sha,
-        "seed": seed,
-        "tool_version": __version__,
-        "artifacts": sorted(ctx.artifacts),
-        "results": results,
-    }
+    chain = chain_from_config(cfg, args.truncation) if "chain" in cfg else None
+    results, tables, line = handler(cfg, chain)
+    say = (lambda text: None) if args.quiet else print
+    meta = {"command": command, "config_sha256": config_hash(raw), "seed": seed,
+            "tool_version": __version__}
+    for name, (header, columns) in tables.items():
+        path = os.path.join(args.out, name)
+        _atomic_bytes(path, _csv(header, columns))
+        _write_json(path + ".meta.json", {**meta, "columns": list(header)})
+        say(f"wrote {path}")
+    if line is not None:
+        say(line)
     path = os.path.join(args.out, "summary.json")
-    _write_json(path, summary)
-    ctx.say(f"wrote {path}")
+    _write_json(path, {**meta, "artifacts": sorted(tables), "results": results})
+    say(f"wrote {path}")
     return 0
 
 

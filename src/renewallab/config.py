@@ -24,7 +24,8 @@ Initial measures: {"kind": "point", "state": 1}, {"kind": "stationary"},
 or {"kind": "weights", "weights": [...], "tail_mass": 0.0}.  Observables:
 {"kind": "indicator", "states": [1], "size": 400}, {"kind": "ones",
 "size": 400}, or {"kind": "values", "values": [...], "limit": 0.0}.
-Grids: {"points": [10, 100]} or {"lo": 10, "hi": 10000, "count": 30}.
+Grids: {"points": [10, 100]} or {"lo": 10, "hi": 10000, "count": 30}; a
+grid key is read straight to its strictly increasing list of integers.
 
 A schema declares every key once: a :class:`Leaf` carries the key's reader
 and default, a nested mapping is a block, and a :class:`Kinds` is a block
@@ -57,7 +58,7 @@ __all__ = [
     "load_config", "config_hash", "Leaf", "Kinds", "REQUIRED", "read",
     "integer", "bounded", "real", "number", "string", "list_of", "interval",
     "complex_points", "chain_from_config", "measure_from_config",
-    "observable_from_config", "grid_from_config",
+    "observable_from_config",
 ]
 
 
@@ -308,22 +309,18 @@ _POINTS = {"points": Leaf(_increasing)}
 _LOG_SPACED = {"lo": Leaf(bounded), "hi": Leaf(bounded), "count": Leaf(bounded, 30)}
 
 
-def _grid(value, here: str) -> dict:
-    """Explicit ``points``, or a log-spaced ``lo``/``hi``/``count`` block
-    with ``1 <= lo <= hi`` and ``count >= 1``."""
+def _grid(value, here: str) -> list:
+    """The strictly increasing integer grid of explicit ``points``, or of a
+    log-spaced ``lo``/``hi``/``count`` block with ``1 <= lo <= hi`` and
+    ``count >= 1``."""
     _known(value, {**_POINTS, **_LOG_SPACED}, here)
-    block = read(value, _POINTS if "points" in value else _LOG_SPACED, here)
-    if "lo" in block and not (1 <= block["lo"] <= block["hi"] and block["count"] >= 1):
+    if "points" in value:
+        return read(value, _POINTS, here)["points"]
+    block = read(value, _LOG_SPACED, here)
+    if not (1 <= block["lo"] <= block["hi"] and block["count"] >= 1):
         raise ConfigError(f"{here} must have 1 <= lo <= hi and count >= 1")
-    return block
-
-
-#: a grid key, read in either form
-GRID = Leaf(_grid)
-
-
-def grid_from_config(block: dict) -> list:
-    """The strictly increasing integer grid of a read grid block."""
-    if "points" in block:
-        return block["points"]
     return [int(v) for v in log_grid(block["lo"], block["hi"], block["count"])]
+
+
+#: a grid key, read in either form to its integer grid
+GRID = Leaf(_grid)

@@ -420,17 +420,20 @@ def _cells(cdf, guide, u) -> tuple:
     return above, at
 
 
-def _excursion_block(chain, cdf, guide, rng, count: int):
-    """States of the ``count`` excursions that the next ``count`` uniforms
-    of ``rng`` draw, one each; :func:`_cells` finds their lengths through
-    ``guide``.  A draw beyond the stored prefix is one ``-1`` step.
+def _excursion_block(chain, cdf, guide, rng, count: int, limit: int):
+    """The first ``limit`` states, or all if fewer, of the ``count``
+    excursions that the next ``count`` uniforms of ``rng`` draw, one each;
+    :func:`_cells` finds their lengths through ``guide``.  A draw beyond the
+    stored prefix is one ``-1`` step.
 
     An excursion of length L reads L, L-1, ..., 1, so only the draws of
     cell two or more need work.  Draw ``k`` starts at ``k`` plus the extra
     steps ``L - 1`` of the draws before it, and the state at position ``i``
     is ``max(e - i, 1)``, ``e`` the largest ``start + L`` of the excursions
     starting at or before ``i``: one running maximum over a block whose
-    entries are zero but at those starts."""
+    entries are zero but at those starts.  A state reads only the starts at
+    or before it, so the block is cut at ``limit`` states and the starts
+    past the cut are dropped, and no more is built than the orbit needs."""
     above, extra = _cells(cdf, guide, rng.random(count))
     over = extra > chain.truncation
     extra -= 1  # the steps of each excursion past its first
@@ -438,14 +441,16 @@ def _excursion_block(chain, cdf, guide, rng, count: int):
     last = np.cumsum(extra)
     size = count + (int(last[-1]) if last.size else 0)
     # positions of the last states, in int64; the states run in int32 when
-    # the block has fewer than 2**31 of them, and their values lie in
+    # the uncut block has fewer than 2**31 of them, and their values lie in
     # [-1, truncation]
     last += above
     starts = last - extra
-    states = np.zeros(size, dtype=np.int32 if size < 2 ** 31 else np.int64)
+    kept = np.searchsorted(starts, limit)  # the starts increase
+    starts, last, over = starts[:kept], last[:kept], over[:kept]
+    states = np.zeros(min(size, limit), dtype=np.int32 if size < 2 ** 31 else np.int64)
     states[starts] = last + 1
     np.maximum.accumulate(states, out=states)
-    states -= np.arange(size, dtype=states.dtype)
+    states -= np.arange(states.size, dtype=states.dtype)
     np.maximum(states, 1, out=states)
     states[starts[over]] = -1
     return states.astype(np.int32, copy=False)
@@ -479,7 +484,10 @@ def _excursions(chain, key: int, total: int):
     one full :data:`_BLOCK` block for each whole block of it, so a batch
     rarely runs past the end; then one block sized from the remainder,
     1.2 times its estimate and at most :data:`_BLOCK`, is drawn, and
-    another if it falls short.  A batch of several blocks runs on a
+    another if it falls short.  Each block is cut at the ``total - have``
+    states still missing when its batch starts, so a null-recurrent chain,
+    whose estimate is zero and whose excursions reach the truncation, builds
+    no more states than the orbit needs.  A batch of several blocks runs on a
     pool of :func:`_workers` threads, at most one block more than the
     workers in flight; one block, or one worker, runs in this thread.
     Either way each block comes from its own generator advanced to its
@@ -489,8 +497,8 @@ def _excursions(chain, key: int, total: int):
     guide = _guide(cdf)
     workers = _workers()
 
-    def draw(offset, count):
-        return _excursion_block(chain, cdf, guide, _rng(key, offset), count)
+    def draw(offset, count, limit):
+        return _excursion_block(chain, cdf, guide, _rng(key, offset), count, limit)
 
     pool = None
     have = offset = 0
@@ -499,11 +507,11 @@ def _excursions(chain, key: int, total: int):
             need = (total - have) / chain.m1
             want = max(1024, int(need * 1.2) + 16)
             if want <= _BLOCK:
-                batch = [(offset, want)]
+                batch = [(offset, want, total - have)]
             else:
-                batch = [(offset + k * _BLOCK, _BLOCK)
+                batch = [(offset + k * _BLOCK, _BLOCK, total - have)
                          for k in range(max(1, int(need) // _BLOCK))]
-            offset += sum(count for _, count in batch)
+            offset += sum(count for _, count, _ in batch)
             if len(batch) > 1 and workers > 1:
                 if pool is None:
                     from concurrent.futures import ThreadPoolExecutor

@@ -465,6 +465,34 @@ def test_fit_window_without_two_grid_points_exits_3(tmp_path, capsys, command, p
     assert len(err) == 1 and "window [300, 400] holds fewer than two grid points" in err[0]
 
 
+WINDOW = {"grid": {"points": [10, 100]}, "fit_window": [20, 30]}
+FAILING_RUNS = [
+    ("rates distance", {**GEO, "nu": NU, **WINDOW}, 3),
+    ("rates correlation", {**GEO, **RATES, **WINDOW}, 3),
+    ("map entrance", {**ZETA, "a": 0.16, "n_max": 200, "samples": 1000,
+                      "fit_window": [300, 400]}, 3),
+    ("rates constant", {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 500},
+                        "nu": NU, "u": {"kind": "values", "values": [0.0]},
+                        "grid": {"points": [10, 100, 200]}}, 3),
+    ("rates distance", {**GEO, "nu": NU, "grid": {"points": [10, 1000]}}, 4),
+    ("map simulate", {"chain": {"law": {"type": "zeta", "degree": -0.9}, "truncation": 2},
+                      "length": 1, "burn_in": 0, "i_max": 1, "seed": 1}, 4),
+]
+
+
+@pytest.mark.parametrize("command, payload, exit_code", FAILING_RUNS,
+                         ids=["distance-window", "correlation-window", "entrance-window",
+                              "constant-vanishing", "distance-past-the-horizon",
+                              "simulate-all-censored"])
+def test_a_failed_command_writes_no_artifact(tmp_path, capsys, command, payload, exit_code):
+    # rates distance and correlation wrote their curve and its sidecar
+    # before the fit refused the window
+    code, out = run(tmp_path, command.split(), payload)
+    assert code == exit_code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_entrance_default_fit_window_falls_back_on_a_finite_law(tmp_path):
     # the survival of a law of finite support is zero past it, so the
     # last decade cannot be fitted in log-log

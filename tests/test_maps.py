@@ -1188,11 +1188,28 @@ def test_excursion_blocks_match_the_whole_block_expansion(name):
     censored = 0
     for count in (1, 2, 17, 1024, B):
         for seed, offset in ((1, 0), (2, 5), (2 ** 64 - 1, 4 * B + 3)):
-            got = maps._excursion_block(chain, cdf, guide, maps._rng(seed, offset), count)
             want = ref_excursion_block(chain, cdf, maps._rng(seed, offset), count)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # a limit at or above the whole expansion cuts nothing
+            for limit in (want.size, 2 ** 62):
+                got = maps._excursion_block(chain, cdf, guide, maps._rng(seed, offset), count,
+                                            limit)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             censored += int(np.count_nonzero(got == -1))
     assert (censored > 0) == (name not in ("geometric-0.5", "zeta-1-N21000"))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_a_cut_block_is_the_prefix_of_the_whole_expansion(name):
+    chain = BLOCK_CHAINS[name]()
+    cdf = np.cumsum(chain.p[1:])
+    guide = maps._guide(cdf)
+    for count in (1, 17, 1024, B):
+        for seed, offset in ((1, 0), (2 ** 64 - 1, 4 * B + 3)):
+            want = ref_excursion_block(chain, cdf, maps._rng(seed, offset), count)
+            for limit in sorted({1, want.size // 2, want.size - 1, want.size} - {0}):
+                got = maps._excursion_block(chain, cdf, guide, maps._rng(seed, offset), count,
+                                            limit)
+                assert got.dtype == want.dtype and got.tobytes() == want[:limit].tobytes()
 
 
 def guide_edges(cdf):
@@ -1331,10 +1348,10 @@ def test_a_failing_block_reaches_the_caller(zeta, monkeypatch):
     monkeypatch.setattr(maps, "_workers", lambda: 3)
     draw, calls = maps._excursion_block, itertools.count()
 
-    def failing(chain, cdf, guide, rng, count):
+    def failing(chain, cdf, guide, rng, count, limit):
         if next(calls) == 2:
             raise FloatingPointError("the third block failed")
-        return draw(chain, cdf, guide, rng, count)
+        return draw(chain, cdf, guide, rng, count, limit)
 
     monkeypatch.setattr(maps, "_excursion_block", failing)
     before = threading.active_count()
@@ -1502,6 +1519,16 @@ def test_orbit_estimators_hold_no_whole_orbit(zeta):
                  lambda: markov_frequency_check(zeta, steps, 1)):
         assert traced_peak(call) < 8_000_000
     assert traced_peak(lambda: sample_states(zeta, steps, 1)) < 4 * steps + 4_000_000
+
+
+def test_a_null_recurrent_orbit_builds_no_more_than_it_needs():
+    # m1 is infinite, so every batch draws 1024 excursions; at N = 10^6
+    # they hold about 2.7e7 states, and a 1000-step orbit allocated 223 MB
+    # expanding them all.  Past the 8 MB of the return law's cdf, the
+    # block of 1000 states is all it needs.
+    chain = build_chain(ZetaTailLaw(-0.9), 10 ** 6)
+    peak = traced_peak(lambda: sample_states(chain, 1000, 1, burn_in=0))
+    assert peak < 8 * chain.truncation + 2_000_000
 
 
 def ref_entrance(chain, k, n_max, samples, seed):
