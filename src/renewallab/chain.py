@@ -152,15 +152,13 @@ def _tail_integral(s: float, beta: float, a: float) -> float:
 
 
 def _weight_tail(s: float, beta: float, m: int) -> float:
-    """``sum_{n > m} n^-s log(n+1)^beta`` for ``beta > 0``: direct summation
-    up to ``max(m, _ZETA_PARTIAL_TERMS)``, then the integral plus
-    Euler-Maclaurin endpoint terms there.
+    """``sum_{n > m} n^-s log(n+1)^beta`` for ``s > 1`` and ``beta > 0``:
+    direct summation up to ``max(m, _ZETA_PARTIAL_TERMS)``, then the
+    integral plus Euler-Maclaurin endpoint terms there.
 
     The corrections run through the third-derivative term; the neglected
     term is O(g^(5)) at an expansion point past 1e5, far below rounding.
     """
-    if s <= 1.0:
-        return math.inf
     top = max(m, _ZETA_PARTIAL_TERMS)
     n = np.arange(m + 1, top + 1, dtype=float)
     head = float(np.sum(n ** -s * np.log(n + 1.0) ** beta))
@@ -180,16 +178,16 @@ def _weight_tail(s: float, beta: float, m: int) -> float:
     return head + (_tail_integral(s, beta, a) + 0.5 * g(a) - gprime(a) / 12.0 + g3 / 720.0)
 
 
-@lru_cache(maxsize=None)
-def _weight_sum(s: float, beta: float) -> float:
-    """``sum_{n >= 1} n^-s log(n+1)^beta``: the Riemann zeta function without
-    a log power, otherwise :func:`_weight_tail` from ``m = 0``.  Cached per
-    (s, beta)."""
+@lru_cache(maxsize=4096)
+def _zeta_tail(s: float, beta: float, n: int) -> float:
+    """``sum_{k > n} k^-s log(k+1)^beta``, the one tail sum of the zeta
+    family: ``inf`` for ``s <= 1``, Hurwitz zeta without a log power,
+    otherwise :func:`_weight_tail`.  Cached per ``(s, beta, n)``."""
     if s <= 1.0:
         return math.inf
-    if beta != 0.0:
-        return _weight_tail(s, beta, 0)
-    return _hurwitz(s, 1.0)
+    if beta == 0.0:
+        return _hurwitz(s, n + 1.0)
+    return _weight_tail(s, beta, n)
 
 
 # ----------------------------------------------------------------------
@@ -241,9 +239,10 @@ class FiniteLaw:
     degree ``s - 2``) and ``beta = tail_log_power``, the leftover mass
     ``1 - sum(probs)`` is the tail, which therefore must be positive; its
     amplitude is ``c = (1 - sum(probs)) / sum_{k > K} k^-s log(k+1)^beta``.
-    Without a log power those sums are Hurwitz zeta values
-    (:func:`_hurwitz`, which loads no scipy module); with one they come from
-    direct partial sums of 1e5 terms plus analytic tail integrals.
+    That sum and every tail or moment sum past the prefix is one cached
+    :func:`_zeta_tail`: a Hurwitz zeta value without a log power
+    (:func:`_hurwitz`, which loads no scipy module), with one direct partial
+    sums of 1e5 terms plus analytic tail integrals.
     :class:`CustomLaw` is the same class, :class:`ZetaTailLaw` its case
     with an empty prefix.
     """
@@ -290,15 +289,7 @@ class FiniteLaw:
     @cached_property
     def normalization(self) -> float:
         """``sum_{k > K} k^-s log(k+1)^beta``, which the tail mass is spread over."""
-        return self._tail_sum(self.tail_exponent, len(self.probs))
-
-    def _tail_sum(self, s: float, n: int) -> float:
-        """``sum_{k > n} k^-s log(k+1)^beta``."""
-        if n == 0:
-            return _weight_sum(s, self.tail_log_power)
-        if self.tail_log_power == 0.0:
-            return _hurwitz(s, n + 1.0)
-        return _weight_tail(s, self.tail_log_power, n)
+        return _zeta_tail(self.tail_exponent, self.tail_log_power, len(self.probs))
 
     def prefix(self, n: int) -> np.ndarray:
         p = np.zeros(n + 1)
@@ -317,7 +308,8 @@ class FiniteLaw:
             return float(sum(self.probs[n:])) + self.tail_mass
         if not self.tail_mass:
             return 0.0
-        return self.tail_mass * self._tail_sum(self.tail_exponent, n) / self.normalization
+        return self.tail_mass * _zeta_tail(
+            self.tail_exponent, self.tail_log_power, n) / self.normalization
 
     def second_tail_beyond(self, n: int) -> float:
         """``sum_{k > n+1} (k - n - 1) p_k``."""
@@ -326,9 +318,9 @@ class FiniteLaw:
         head = float(sum((k - n - 1) * pk for k, pk in enumerate(self.probs, start=1) if k > n + 1))
         if not self.tail_mass:
             return head
-        m, s = max(n + 1, len(self.probs)), self.tail_exponent
+        m, s, beta = max(n + 1, len(self.probs)), self.tail_exponent, self.tail_log_power
         return head + self.tail_mass * (
-            self._tail_sum(s - 1.0, m) - (n + 1) * self._tail_sum(s, m)) / self.normalization
+            _zeta_tail(s - 1.0, beta, m) - (n + 1) * _zeta_tail(s, beta, m)) / self.normalization
 
     def mean_return(self) -> float:
         if self.degree_ <= 0.0:
@@ -336,8 +328,8 @@ class FiniteLaw:
         head = float(sum(k * pk for k, pk in enumerate(self.probs, start=1)))
         if not self.tail_mass:
             return head
-        return head + self.tail_mass * self._tail_sum(
-            self.tail_exponent - 1.0, len(self.probs)) / self.normalization
+        return head + self.tail_mass * _zeta_tail(
+            self.tail_exponent - 1.0, self.tail_log_power, len(self.probs)) / self.normalization
 
     def degree(self) -> float:
         return self.degree_
@@ -406,7 +398,8 @@ class RenewalChain:
         ``d_tail[n] = sum_{l > n} d_l`` including the analytic part; None
         for null-recurrent chains where this diverges.
     m1 : float
-        Mean return time (``inf`` when null recurrent).
+        Mean return time, ``inf`` when null recurrent: ``positive_recurrent``
+        and ``classification`` are read off it.
     pi : ndarray or None
         Stationary prefix ``pi[j] = pi1 * d[j-1]``; None when null recurrent.
     ergodic_degree : float
@@ -422,7 +415,6 @@ class RenewalChain:
     m1: float
     pi1: float | None
     pi: np.ndarray | None
-    classification: str
     ergodic_degree: float
 
     def __post_init__(self):
@@ -433,7 +425,11 @@ class RenewalChain:
 
     @property
     def positive_recurrent(self) -> bool:
-        return self.classification == "positive-recurrent"
+        return math.isfinite(self.m1)
+
+    @property
+    def classification(self) -> str:
+        return "positive-recurrent" if self.positive_recurrent else "null-recurrent"
 
     def within(self, n: int, what: str) -> int:
         """``n`` if ``n <= truncation``: the one rule for a request past the
@@ -458,7 +454,7 @@ class RenewalChain:
         return self.pi1 * (self.d[m] + self.d_tail[m])
 
     def describe(self) -> dict:
-        out = {
+        return {
             "law": self.law.describe(),
             "truncation": self.truncation,
             "classification": self.classification,
@@ -466,7 +462,6 @@ class RenewalChain:
             "m1": self.m1,
             "pi1": self.pi1,
         }
-        return out
 
 
 def build_chain(law, truncation: int) -> RenewalChain:
@@ -517,10 +512,8 @@ def build_chain(law, truncation: int) -> RenewalChain:
         pi1 = 1.0 / m1
         pi = np.zeros(n + 1)
         pi[1:] = pi1 * d[:n]
-        classification = "positive-recurrent"
     else:
         pi1, pi, d_tail = None, None, None
-        classification = "null-recurrent"
 
     return RenewalChain(
         law=law,
@@ -531,7 +524,6 @@ def build_chain(law, truncation: int) -> RenewalChain:
         m1=m1,
         pi1=pi1,
         pi=pi,
-        classification=classification,
         ergodic_degree=float(law.degree()),
     )
 

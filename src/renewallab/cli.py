@@ -145,6 +145,8 @@ def _csv(header, columns) -> bytes:
 # and prints nothing; :func:`_run` does, once it has returned.  ``cfg`` is
 # read by the handler's schema in COMMANDS, with the resolved seed under
 # ``seed``, and ``chain`` is built from its chain block (None without one).
+# A report's results are its scalar fields (:func:`_record`), so a field
+# added to a report enters summary.json.
 # ----------------------------------------------------------------------
 
 def _curve(curve) -> tuple:
@@ -160,15 +162,12 @@ def _last(curve, key: str = "final_value", **extras) -> dict:
     return {"final_n": int(curve.n_grid[-1]), key: float(curve.values[-1]), **extras}
 
 
-def _fit_dict(fit):
-    if fit is None:
-        return None
-    return {
-        "exponent": fit.exponent,
-        "intercept": fit.intercept,
-        "window": list(fit.window),
-        "rms_residual": fit.rms_residual,
-    }
+def _record(report, **extras) -> dict:
+    """The fields of the dataclass ``report`` but ``seed``, arrays and
+    nested records, then ``extras``."""
+    fields = ((f.name, getattr(report, f.name)) for f in dataclasses.fields(report))
+    return {**{k: v for k, v in fields if k != "seed" and not isinstance(v, np.ndarray)
+               and not dataclasses.is_dataclass(v)}, **extras}
 
 
 def cmd_chain_info(cfg, chain):
@@ -181,7 +180,7 @@ def cmd_chain_info(cfg, chain):
 def _fitted_curve(cfg, what: str, curve):
     """``rates_<what>.csv``, fitted over the optional ``fit_window``."""
     window = cfg["fit_window"]
-    results = _last(curve, fit=_fit_dict(None if window is None else rate_fit(curve, window)))
+    results = _last(curve, fit=None if window is None else _record(rate_fit(curve, window)))
     return (results, {f"rates_{what}.csv": _curve(curve)},
             f"{what} at n={results['final_n']}: {results['final_value']!r}")
 
@@ -301,19 +300,8 @@ def cmd_map_correlate(cfg, chain):
         burn_in=cfg["burn_in"], sampler=cfg["sampler"], streams=cfg["streams"],
     )
     rows = [(n, est.mean, est.stderr, est.censored) for n, est in sorted(estimates.items())]
-    results = {
-        "estimates": {
-            str(n): {
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "n_samples": est.n_samples,
-                "censored": est.censored,
-            }
-            for n, est in estimates.items()
-        },
-        "sampler": cfg["sampler"],
-        "streams": cfg["streams"],
-    }
+    results = {"estimates": {str(n): _record(est) for n, est in estimates.items()},
+               "sampler": cfg["sampler"], "streams": cfg["streams"]}
     return (results, {"map_correlate.csv": (("n", "mean", "stderr", "censored"), zip(*rows))},
             f"estimated {len(rows)} lags from {cfg['orbit_length']}-step orbits")
 
@@ -321,12 +309,8 @@ def cmd_map_correlate(cfg, chain):
 def cmd_map_entrance(cfg, chain):
     report = entrance_tail(chain, cfg["a"], cfg["n_max"], cfg["samples"], cfg["seed"],
                            fit_window=cfg["fit_window"])
-    results = {
-        "a_effective": report.a_effective,
-        "k": report.k,
-        "rounding_rel_bound": ENTRANCE_ROUNDING,
-        "fit": _fit_dict(report.fit),
-    }
+    results = _record(report, rounding_rel_bound=ENTRANCE_ROUNDING,
+                      fit=None if report.fit is None else _record(report.fit))
     # every rounding bound is ENTRANCE_ROUNDING times its value, so the
     # summary states the factor once and the table's tail_bound, the
     # truncation part, is zero; per-row bounds nearly doubled the table
@@ -341,16 +325,7 @@ def cmd_map_kac(cfg, chain):
     top = min(report.histogram.size - 1, cfg["histogram_max"])
     tolerance = cfg["tolerance"]
     gap = abs(report.product - 1.0)
-    results = {
-        "rho_e": report.rho_e,
-        "mean_return": report.mean_return,
-        "product": report.product,
-        "n_returns": report.n_returns,
-        "n_steps": report.n_steps,
-        "censored": report.censored,
-        "tolerance": tolerance,
-        "pass": bool(gap <= tolerance),
-    }
+    results = _record(report, tolerance=tolerance, **{"pass": bool(gap <= tolerance)})
     table = (("length", "count"), (np.arange(1, top + 1), report.histogram[1 : top + 1]))
     return (results, {"map_kac_histogram.csv": table},
             f"occupation*mean_return = {report.product!r}")
@@ -378,14 +353,8 @@ def cmd_map_frequency(cfg, chain):
 
     w_t = worst(rep.transition_hat, rep.transition_exact, rep.transition_stderr)
     w_o = worst(rep.occupation_hat, rep.occupation_exact, rep.occupation_stderr)
-    results = {
-        "n_steps": rep.n_steps,
-        "censored": rep.censored,
-        "max_transition_sigma": w_t,
-        "max_occupation_sigma": w_o,
-        "sigma": sigma,
-        "pass": bool(w_t <= sigma and w_o <= sigma),
-    }
+    results = _record(rep, max_transition_sigma=w_t, max_occupation_sigma=w_o, sigma=sigma,
+                      **{"pass": bool(w_t <= sigma and w_o <= sigma)})
     return results, tables, f"worst deviation {max(w_t, w_o)!r} standard errors"
 
 

@@ -53,6 +53,7 @@ from .errors import ConfigError, UnknownConfigKey
 from .evolve import log_grid
 from .measures import from_weights, indicator, ones, point_mass, stationary
 from .measures import Observable
+from .series import _whole
 
 __all__ = [
     "load_config", "config_hash", "Leaf", "Kinds", "REQUIRED", "read",
@@ -136,7 +137,7 @@ def list_of(element, nonempty: bool = False):
 
 def interval(kind: type):
     """A ``[lo, hi]`` pair of finite numbers with ``lo < hi``, converted to
-    ``kind``."""
+    ``kind``; an ``int`` pair refuses ends that are not whole numbers."""
     def reader(value, here: str) -> tuple:
         if not (
             isinstance(value, list) and len(value) == 2
@@ -144,6 +145,8 @@ def interval(kind: type):
             and value[0] < value[1]
         ):
             raise ConfigError(f"config key {here!r} must be [lo, hi] with lo < hi")
+        if kind is int:  # the whole-number rule, not int()'s truncation
+            return tuple(_whole(v, f"config key {here!r}", ConfigError) for v in value)
         return kind(value[0]), kind(value[1])
     return reader
 

@@ -440,20 +440,20 @@ def _excursion_block(chain, cdf, guide, rng, count: int, limit: int):
     extra[over] = 0
     last = np.cumsum(extra)
     size = count + (int(last[-1]) if last.size else 0)
-    # positions of the last states, in int64; the states run in int32 when
-    # the uncut block has fewer than 2**31 of them, and their values lie in
-    # [-1, truncation]
+    # positions of the last states, in int64; the kept ones lie below limit
+    # + truncation <= MAX_ORBIT + MAX_TRUNCATION < 2**31, so the states,
+    # whose values lie in [-1, truncation], run in int32
     last += above
     starts = last - extra
     kept = np.searchsorted(starts, limit)  # the starts increase
     starts, last, over = starts[:kept], last[:kept], over[:kept]
-    states = np.zeros(min(size, limit), dtype=np.int32 if size < 2 ** 31 else np.int64)
+    states = np.zeros(min(size, limit), dtype=np.int32)
     states[starts] = last + 1
     np.maximum.accumulate(states, out=states)
-    states -= np.arange(states.size, dtype=states.dtype)
+    states -= np.arange(states.size, dtype=np.int32)
     np.maximum(states, 1, out=states)
     states[starts[over]] = -1
-    return states.astype(np.int32, copy=False)
+    return states
 
 
 def _in_order(pool, draw, batch, depth: int):

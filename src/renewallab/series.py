@@ -435,7 +435,8 @@ def _tail_sums(a: np.ndarray, analytic_tail: float) -> np.ndarray:
     out = np.empty(a.size + 1)
     out[:-1] = a
     out[-1] = analytic_tail
-    np.cumsum(out[::-1], out=out[::-1])
+    with np.errstate(over="ignore"):  # an overflow is refused just below, not warned
+        np.cumsum(out[::-1], out=out[::-1])
     if not math.isfinite(out[0]):
         raise ValueError("coefficients must be finite")
     return out

@@ -31,7 +31,7 @@ from renewallab import (
     p_order,
     second_moment_identity,
 )
-from renewallab.chain import _hurwitz, _weight_sum, _weight_tail
+from renewallab.chain import _hurwitz, _weight_tail
 from renewallab.config import measure_from_config
 
 # mean return time of the degree-1 zeta law, from two independent
@@ -169,6 +169,14 @@ def test_constants_that_overflow_or_lose_the_degree_are_refused(degree, beta):
     # would read null-recurrent at a positive degree, or end in a traceback
     with pytest.raises(BadExponent):
         build_chain(ZetaTailLaw(degree, beta), 1000)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_a_second_tail_whose_exponent_rounds_to_one_diverges_with_or_without_a_log(beta):
+    # 1e-17 + 2 rounds to 2, so the second tail sums k^-1: both routes of
+    # the one tail sum call it infinite, as at a null-recurrent degree
+    assert ZetaTailLaw(1e-17, beta).second_tail_beyond(10) == math.inf
+    assert ZetaTailLaw(-0.5, beta).second_tail_beyond(10) == math.inf
 
 
 def test_constants_at_the_edge_of_double_precision_still_build():
@@ -569,6 +577,8 @@ def ref_zeta(degree, beta):
     s = degree + 2.0
 
     def tail_sum(s, n):
+        if s <= 1.0:
+            return math.inf
         return _hurwitz(s, n + 1.0) if beta == 0.0 else _weight_tail(s, beta, n)
 
     def prefix(n):
@@ -577,19 +587,19 @@ def ref_zeta(degree, beta):
         w = idx ** -s
         if beta != 0.0:
             w *= np.log(idx + 1.0) ** beta
-        p[1:] = w / _weight_sum(s, beta)
+        p[1:] = w / tail_sum(s, 0)
         return p
 
     def second_tail_beyond(n):
         if degree <= 0.0:
             return math.inf
-        return (tail_sum(s - 1.0, n + 1) - (n + 1) * tail_sum(s, n + 1)) / _weight_sum(s, beta)
+        return (tail_sum(s - 1.0, n + 1) - (n + 1) * tail_sum(s, n + 1)) / tail_sum(s, 0)
 
     return SimpleNamespace(
         prefix=prefix, second_tail_beyond=second_tail_beyond, degree=lambda: degree,
-        tail_beyond=lambda n: tail_sum(s, n) / _weight_sum(s, beta),
+        tail_beyond=lambda n: tail_sum(s, n) / tail_sum(s, 0),
         mean_return=lambda: (math.inf if degree <= 0.0
-                             else _weight_sum(s - 1.0, beta) / _weight_sum(s, beta)))
+                             else tail_sum(s - 1.0, 0) / tail_sum(s, 0)))
 
 
 def ref_finite(probs):
@@ -776,3 +786,29 @@ def test_riemann_zeta_within_one_ulp_of_its_literal(s, value):
     from renewallab.chain import _hurwitz
 
     assert abs(_hurwitz(s, 1.0) - value) <= math.ulp(value)
+
+
+# ----------------------------------------------------------------------
+# refusals of a malformed law or request
+# ----------------------------------------------------------------------
+
+REFUSALS = {
+    "geometric-q-0": (lambda: GeometricLaw(0.0), rl.ZeroProbabilityBranch),
+    "geometric-q-1": (lambda: GeometricLaw(1.0), rl.ZeroProbabilityBranch),
+    "geometric-q-nan": (lambda: GeometricLaw(math.nan), rl.ZeroProbabilityBranch),
+    "finite-negative": (lambda: FiniteLaw([0.6, -0.1, 0.5]), NotNormalized),
+    "finite-nan": (lambda: FiniteLaw([0.5, math.nan]), NotNormalized),
+    "finite-inf": (lambda: FiniteLaw([math.inf]), NotNormalized),
+    "descent-past-the-horizon": (lambda: first_passage(geo_chain(), 5, 1, trunc=3),
+                                 TruncationTooSmall),
+    "second-moment-past-the-prefix": (
+        lambda: second_moment_identity(build_chain(ZetaTailLaw(2.5), 200), 201),
+        PreconditionViolated),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_a_malformed_law_or_request_is_refused_by_its_own_error(name):
+    make, error = REFUSALS[name]
+    with pytest.raises(error):
+        make()

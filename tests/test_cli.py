@@ -151,6 +151,13 @@ MALFORMED = [
                               "truncation": 100}}),
     ("chain info", {"chain": {"law": {"type": "custom", "probs": [0.5, 0.5],
                                       "tail_log_power": 2.0}, "truncation": 100}}),
+    ("rates distance", {**GEO, "nu": {"kind": "point", "state": 1},
+                        "grid": {"points": [10, 100, 500, 1000]}, "fit_window": [10.5, 1000]}),
+    ("map entrance", {**GEO, "a": 0.5, "n_max": 10, "samples": 1000, "fit_window": [1, 9.5]}),
+    ("chain info", [GEO]),
+    ("spectral gf", {**GEO, "z_points": []}),
+    ("rates distance", {**GEO, "nu": [1], "grid": {"points": [1]}}),
+    ("map kac", GEO),
 ]
 MALFORMED_IDS = [
     "negative-seed", "seed-2^64", "bool-truncation", "string-dimension",
@@ -169,6 +176,8 @@ MALFORMED_IDS = [
     "grid-lo-zero", "grid-count-zero", "degree-1e-17-infinite-mean",
     "degree-1e-200-log-1-infinite-mean", "log-power-171", "log-power-1e300",
     "declared-tail-without-mass", "negative-tail-log-power", "log-power-without-tail",
+    "fractional-fit-window", "fractional-entrance-window", "not-an-object", "empty-z-points",
+    "block-not-an-object", "missing-orbit-length",
 ]
 
 
@@ -790,6 +799,52 @@ def test_series_probe_zeros_reports_a_root_at_the_default_prefix(tmp_path):
     assert code == 0
     root = summary(out)["results"]["smallest_root_modulus"]
     assert root is not None and 1.0 < root < 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("law, kaluza", [
+    ({"type": "geometric", "q": 0.5}, False),
+    ({"type": "zeta", "degree": 1.0, "log_power": 0.0}, True),
+], ids=["geometric", "zeta"])
+def test_series_probe_kaluza_reports_the_law_and_its_verdict(tmp_path, capsys, law, kaluza):
+    payload = {"chain": {"law": law, "truncation": 500}, "probe": "kaluza"}
+    code, out = run(tmp_path, ["series", "probe"], payload)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert summary(out)["results"] == {"kaluza": kaluza, "law": law}
+
+
+#: the exact ``results`` keys of the commands whose results are read off
+#: their report's fields, so that a field added to a report is a choice
+#: made here, not a silent change of summary.json
+ESTIMATE_KEYS = {"mean", "stderr", "n_samples", "censored"}
+FIT_KEYS = {"exponent", "intercept", "window", "rms_residual"}
+RECORDED = {
+    "map correlate": ({**GEO, **CORRELATE, "orbit_length": 5000},
+                      {"estimates", "sampler", "streams"}),
+    "map entrance": ({**GEO, "a": 0.5, "n_max": 100, "samples": 1000},
+                     {"a_effective", "k", "rounding_rel_bound", "fit"}),
+    "map kac": ({**GEO, "orbit_length": 5000},
+                {"rho_e", "mean_return", "product", "n_returns", "n_steps", "censored",
+                 "tolerance", "pass"}),
+    "map frequency": ({**GEO, "orbit_length": 5000},
+                      {"n_steps", "censored", "max_transition_sigma", "max_occupation_sigma",
+                       "sigma", "pass"}),
+    "rates distance": ({**GEO, "nu": NU, "grid": {"points": [1, 10, 100]},
+                        "fit_window": [1, 100]}, {"final_n", "final_value", "fit"}),
+}
+
+
+@pytest.mark.parametrize("command", RECORDED, ids=lambda c: c.replace(" ", "-"))
+def test_summary_keys_of_the_recorded_reports(tmp_path, command):
+    payload, keys = RECORDED[command]
+    code, out = run(tmp_path, command.split(), payload)
+    assert code == 0
+    res = summary(out)["results"]
+    assert set(res) == keys
+    if "estimates" in res:
+        assert res["estimates"].keys() == {"1", "2"}
+        assert all(set(est) == ESTIMATE_KEYS for est in res["estimates"].values())
+    if "fit" in res:
+        assert set(res["fit"]) == FIT_KEYS
 
 
 @pytest.mark.parametrize("prefix", [0, 1, 20001])

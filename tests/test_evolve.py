@@ -657,3 +657,51 @@ def test_curve_accessor():
     assert c.at(5) == 0.2
     with pytest.raises(KeyError):
         c.at(4)
+
+
+# ----------------------------------------------------------------------
+# refusals of a malformed curve, grid or pairing
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda chain: log_grid(0, 10),
+    lambda chain: deviation_tail_ratio(chain, [0, 10]),
+    lambda chain: correlation_constant(chain, point_mass(1), indicator([1], 10), [0, 10]),
+    lambda chain: rate_fit(RateCurve([0, 1, 2], [1.0, 0.5, 0.25]), (0, 2)),
+], ids=["log_grid", "deviation_tail_ratio", "correlation_constant", "rate_fit"])
+def test_a_grid_from_zero_is_refused_where_n_must_be_at_least_one(call):
+    chain = build_chain(ZetaTailLaw(1.5), 100)
+    with pytest.raises(PreconditionViolated, match=r"n >= 1|1 <= lo"):
+        call(chain)
+
+
+@pytest.mark.parametrize("grid, values, bounds", [
+    ([1, 2, 3], [1.0, 2.0], None), ([1, 2], [[1.0, 2.0]], None),
+    ([1, 2], [1.0, math.nan], None), ([1, 2], [1.0, math.inf], None),
+    ([1, 2], [1.0, 2.0], [0.1]),
+], ids=["short-values", "matrix-values", "nan-value", "inf-value", "short-bounds"])
+def test_a_rate_curve_of_mismatched_or_non_finite_entries_is_refused(grid, values, bounds):
+    with pytest.raises(PreconditionViolated):
+        RateCurve(grid, values, bounds)
+
+
+def test_a_null_ratio_with_a_vanishing_observable_is_a_divergent_pairing():
+    chain = build_chain(ZetaTailLaw(-0.5), 200)
+    with pytest.raises(DivergentPairing, match="vanishes"):
+        null_recurrent_ratio(chain, point_mass(1), Observable(np.zeros(3)), [1, 10])
+
+
+@pytest.mark.parametrize("tail, negligible", [
+    (rl.TailDecl("geometric", ratio=0.5), True),
+    # pi's tail falls as n^-2.5 at degree 1.5: only a lighter power is negligible
+    (rl.TailDecl("power", exponent=3.0), True),
+    (rl.TailDecl("power", exponent=2.5), False),
+], ids=["geometric", "lighter-power", "as-heavy-as-pi"])
+def test_a_declared_tail_lighter_than_pis_is_negligible(tail, negligible):
+    chain = build_chain(ZetaTailLaw(1.5), 100)
+    nu = rl.SignedDistribution(np.array([0.0, 0.5, 0.25]), tail_mass=0.25, tail=tail)
+    if negligible:
+        assert evolve._check_nu_negligible(chain, nu) is None
+    else:
+        with pytest.raises(PreconditionViolated, match="negligible against pi"):
+            evolve._check_nu_negligible(chain, nu)

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1531,6 +1532,22 @@ def test_a_null_recurrent_orbit_builds_no_more_than_it_needs():
     assert peak < 8 * chain.truncation + 2_000_000
 
 
+def test_a_block_of_more_than_2_31_states_is_cut_in_int32():
+    # every draw is cell N = 3e6, so the uncut block holds 1024 N > 2**31
+    # states; the 10^6 kept ones are the first excursion, N, N-1, ..., and
+    # they and the positions that build them fit int32: 4 bytes for the
+    # block and 4 for its positions, where an int64 block took 16
+    n, limit = 3_000_000, 1_000_000
+    cdf = np.zeros(n)
+    cdf[-1] = 1.0
+    guide = maps._guide(cdf)
+    got = []
+    peak = traced_peak(lambda: got.append(maps._excursion_block(
+        SimpleNamespace(truncation=n), cdf, guide, maps._rng(1), 1024, limit)))
+    assert got[0].dtype == np.int32 and np.array_equal(got[0], n - np.arange(limit))
+    assert peak < 10 * limit
+
+
 def ref_entrance(chain, k, n_max, samples, seed):
     """The Monte Carlo estimate of the entrance survival curve, the oracle
     of its closed form: the starts take the first ``samples`` uniforms, the
@@ -1614,3 +1631,14 @@ def test_entrance_tail_explicit_fit_window_errors_propagate(zeta, half_map):
 def test_entrance_tail_holds_no_whole_sample(zeta):
     # 2*10^6 samples take 16 MB as one array of doubles
     assert traced_peak(lambda: entrance_tail(zeta, zeta.d[1], 1000, 2_000_000, 3)) < 16_000_000
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda chain: mc_correlation(chain, centered_top_indicator(chain),
+                                  centered_top_indicator(chain), [], 1000, 1),
+     PreconditionViolated),
+    (lambda chain: pf_check(chain, n=2), TruncationTooSmall),
+], ids=["mc_correlation-without-lags", "pf_check-below-three-cells"])
+def test_an_empty_lag_list_or_a_short_transfer_check_is_refused(call, error):
+    with pytest.raises(error):
+        call(build_chain(GeometricLaw(0.5), 100))

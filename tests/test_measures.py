@@ -117,3 +117,16 @@ def test_observable_rejects_nonfinite():
         Observable(np.array([0.0, np.inf]))
     with pytest.raises(PreconditionViolated):
         Observable(np.array([0.0, 1.0]), limit=float("nan"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SignedDistribution(np.array([1.0])),
+    lambda: SignedDistribution(np.zeros((2, 2))),
+    lambda: SignedDistribution(np.array([0.0, 0.5, np.nan])),
+    lambda: SignedDistribution(np.array([0.0, np.inf])),
+    lambda: Observable(np.array([1.0])),
+    lambda: Observable(np.ones((2, 2))),
+], ids=["one-entry", "matrix", "nan-weight", "infinite-weight", "one-value", "value-matrix"])
+def test_a_measure_or_observable_of_the_wrong_shape_or_not_finite_is_refused(make):
+    with pytest.raises(PreconditionViolated):
+        make()

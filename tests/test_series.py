@@ -919,3 +919,22 @@ def test_values_that_are_no_number_at_all_are_refused_by_the_rule():
         with pytest.raises(rl.PreconditionViolated, match="grid must be"):
             series._as_grid(grid)
     assert series._as_grid(np.array([1, 5])).tolist() == [1, 5]
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1.0]], [1.0, math.nan], [math.inf]],
+                         ids=["empty", "matrix", "nan", "inf"])
+def test_a_series_of_the_wrong_shape_or_not_finite_is_refused(coeffs):
+    with pytest.raises(ValueError, match="nonempty one-dimensional|must be finite"):
+        TruncatedSeries(coeffs)
+
+
+@pytest.mark.parametrize("terms, tail", [
+    ([0.5, math.inf], 0.0), ([0.5], math.inf), ([1e308, 1e308], 0.0), ([1e308], 1e308),
+], ids=["inf-term", "inf-tail", "overflowing-terms", "overflowing-tail"])
+def test_tail_sums_refuse_a_non_finite_or_overflowing_input_without_warnings(terms, tail):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            tail_sums(terms, analytic_tail=tail)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            series._tail_sums(np.asarray(terms, dtype=float), tail)
