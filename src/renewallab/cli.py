@@ -93,19 +93,13 @@ def _atomic_bytes(path: str, data: bytes) -> None:
 
 
 def _plain(x):
-    """Recursively coerce numpy scalars/arrays and complex numbers into
+    """Recursively coerce complex numbers and non-finite floats into
     JSON-representable values."""
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):  # numpy's float64 among them
         x = float(x)
         # keep summaries strict JSON: no Infinity/NaN literals
         return x if np.isfinite(x) else repr(x)
@@ -119,20 +113,11 @@ def _write_json(path: str, obj) -> None:
     _atomic_bytes(path, (text + "\n").encode())
 
 
-def _cell(v) -> str:
-    if type(v) is float:
-        return repr(v)
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _csv(header, columns) -> bytes:
     """``columns``, one per name of ``header``, as CSV rows; an array
-    column is read through ``tolist``, so its cells are Python scalars."""
-    cells = [list(map(_cell, c.tolist() if isinstance(c, np.ndarray) else c))
+    column is read through ``tolist``, so its cells are Python ints and
+    floats, which ``str`` writes exactly (a float as its shortest repr)."""
+    cells = [list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
              for c in columns]
     lines = [",".join(header), *map(",".join, zip(*cells))]
     return ("\n".join(lines) + "\n").encode()
@@ -369,7 +354,12 @@ def cmd_series_probe(cfg, chain):
         return ({"gamma": gamma, "regime": regime, "values": values}, {},
                 f"convolution power regime: {regime}")
     if probe == "kaluza":
-        ok = kaluza_check(chain.p[1:])
+        # finite and geometric laws are no Kaluza sequences; a power tail is
+        # judged down to the smallest normal double, past which underflow
+        # bends its ratios, and a zero inside that prefix is no decrease
+        p = chain.p[1:]
+        p = p[: np.count_nonzero(p >= np.finfo(float).tiny)]
+        ok = chain.law.tail_family().kind == "power" and p.all() and kaluza_check(p)
         return ({"kaluza": bool(ok), "law": chain.law.describe()}, {},
                 f"kaluza (decreasing, log-convex): {ok}")
     prefix = cfg["prefix"]

@@ -1051,8 +1051,6 @@ def pf_check(chain, n: int = 500) -> TransferReport:
     n = min(_whole(n, "the cell count"), _support_length(chain))
     if n < 3:
         raise TruncationTooSmall("need at least three resolvable cells")
-    if n > DENSE_LIMIT:
-        raise PreconditionViolated(f"dense transfer matrices are capped at N = {DENSE_LIMIT}")
     p = chain.p[1 : n + 1]
     h = invariant_density(chain, n)[1:]
     sub = p[1:] / p[:-1]

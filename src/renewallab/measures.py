@@ -141,8 +141,7 @@ def stationary(chain, size: int | None = None) -> SignedDistribution:
         _whole(size, "the prefix length"), "the stationary law's prefix")
     fam = chain.law.tail_family()
     if fam.kind == "power":
-        decl = TailDecl("power", exponent=fam.exponent - 1.0, log_power=fam.log_power,
-                        amplitude=chain.pi1 * fam.amplitude / (fam.exponent - 1.0))
+        decl = TailDecl("power", exponent=fam.exponent - 1.0, log_power=fam.log_power)
     else:
         decl = fam
     w = chain.pi[: n + 1].copy()

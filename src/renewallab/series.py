@@ -62,9 +62,6 @@ __all__ = [
 #: Leading coefficients at or below this magnitude are treated as zero.
 LEADING_FLOOR = 1e-300
 
-#: Largest degree :func:`zero_diagnostic` solves for roots: the eigen solve is O(n^3).
-MAX_ROOT_DEGREE = 512
-
 #: Largest admissible |z| for evaluation: closed unit disk plus rounding slack.
 EVAL_RADIUS = 1.0 + 1e-9
 
@@ -472,8 +469,10 @@ def kaluza_check(p) -> bool:
         raise NonPositiveCoefficient(f"coefficient {k} is not positive: {pc[k]!r}")
     if not np.all(pc[:-1] > pc[1:]):
         return False
-    # log-convexity on interior triples: p_n^2 < p_{n-1} p_{n+1}
-    return bool(np.all(pc[1:-1] ** 2 < pc[:-2] * pc[2:]))
+    # log-convexity as increasing ratios: unlike the products p_n^2 and
+    # p_{n-1} p_{n+1}, a ratio of normal doubles cannot underflow to zero
+    ratios = pc[1:] / pc[:-1]
+    return bool(np.all(ratios[:-1] < ratios[1:]))
 
 
 def convolution_power_probe(gamma: float, n: int):
@@ -574,28 +573,23 @@ def zero_diagnostic(d, radii=None, points: int = 720):
 
     Diagnostic only: a truncated prefix cannot certify anything about zeros
     of the full series.  Scans ``|D(z)|`` over circles ``|z| = r`` and
-    reports the smallest root modulus of the prefix polynomial.
-
-    That modulus takes one of two routes.  When ``d_0 != 0`` and every
-    later coefficient has the opposite sign -- the ``1 - F(z)`` form of a
-    chain -- the prefix is ``D(z) = sign(d_0) (|d_0| - F(z))`` with
+    reports the smallest root modulus of the prefix polynomial where O(n)
+    time finds it: 0 when ``d_0 == 0``, and the ``1 - F(z)`` form of a
+    chain.  There ``d_0 != 0`` and every later coefficient has the opposite
+    sign, so the prefix is ``D(z) = sign(d_0) (|d_0| - F(z))`` with
     ``F(z) = sum_{k >= 1} |d_k| z^k``, and the modulus is the positive root
-    ``r_0`` of ``F(r) = |d_0|``, found in O(n) time by
-    :func:`_positive_root`: for ``|z| < r_0``, ``|F(z)| <= F(|z|) < |d_0|``,
-    so no zero lies inside that circle, and ``r_0`` itself is one
-    (Pringsheim's argument).  When ``d_0 == 0`` it is 0.  Every other
-    prefix of degree at most :data:`MAX_ROOT_DEGREE`, and only such a
-    prefix, takes the eigenvalues of its companion matrix
-    (``numpy.polynomial.polynomial.polyroots``), O(n^3).
+    ``r_0`` of ``F(r) = |d_0|``, found by :func:`_positive_root`: for
+    ``|z| < r_0``, ``|F(z)| <= F(|z|) < |d_0|``, so no zero lies inside that
+    circle, and ``r_0`` itself is one (Pringsheim's argument).
 
     The scan evaluates its ``len(radii) * points`` samples in chunks of at
     most :data:`_SCAN_CHUNK`, so it holds O(chunk) memory beyond the angle
     grid at any ``points``.  Returns a dict with ``min_abs`` (smallest
     sampled ``|D(z)|``, a NaN value from an overflow skipped), ``argmin``
     (the first sample point attaining it, radii in their given order) and
-    ``smallest_root_modulus`` (None for a constant prefix, or a generic one
-    past the cap).  Empty ``radii``, a radius past :data:`EVAL_RADIUS` or
-    NaN, and ``points`` not a whole number of at least 1 raise :class:`OutOfDomain`.
+    ``smallest_root_modulus`` (None for any other prefix, a constant one
+    included).  Empty ``radii``, a radius past :data:`EVAL_RADIUS` or NaN,
+    and ``points`` not a whole number of at least 1 raise :class:`OutOfDomain`.
     """
     points = _whole(points, "points per circle", OutOfDomain, least=1)
     d = _as_series(d)
@@ -639,10 +633,6 @@ def zero_diagnostic(d, radii=None, points: int = 720):
         elif np.all(math.copysign(1.0, d0) * rest <= 0.0):
             nonzero = np.flatnonzero(rest)
             smallest_root = _positive_root(abs(float(d0)), nonzero + 1.0, np.abs(rest[nonzero]))
-        elif trimmed.size <= MAX_ROOT_DEGREE + 1:
-            roots = np.polynomial.polynomial.polyroots(trimmed)
-            if roots.size:
-                smallest_root = float(np.min(np.abs(roots)))
     return {
         "min_abs": best[0],
         "argmin": best[1],

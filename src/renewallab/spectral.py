@@ -78,9 +78,9 @@ def factorization_residual(chain, z: complex, n: int) -> float:
     if not abs(z) <= 1.0 + 1e-12:
         raise PreconditionViolated("factorization is probed on the closed unit disk")
     n = _check_dense_size(chain, n)
-    # I - M as -M plus one on the diagonal, in place: the values of
-    # np.eye(n) - M up to the sign of zeros, which abs drops, with five
-    # n-by-n arrays where the plain expressions made ten
+    # I - M as -M plus one on the diagonal, in place, with no identity
+    # matrix: the values of np.eye(n) - M up to the sign of zeros, which
+    # abs drops
     lhs = jump_operator(chain, z, n)
     np.negative(lhs, out=lhs)
     lhs.flat[:: n + 1] += 1.0

@@ -793,7 +793,7 @@ def test_series_probe_convolution_and_exponent_gate(tmp_path):
 
 
 def test_series_probe_zeros_reports_a_root_at_the_default_prefix(tmp_path):
-    # the default prefix of 2000 lies past the companion-matrix cap of 512
+    # the default prefix of 2000 takes the O(n) positive-root route
     payload = {**ZETA, "probe": "zeros", "points": 36}
     code, out = run(tmp_path, ["series", "probe"], payload)
     assert code == 0
@@ -801,12 +801,22 @@ def test_series_probe_zeros_reports_a_root_at_the_default_prefix(tmp_path):
     assert root is not None and 1.0 < root < 1.0 + 1e-6
 
 
-@pytest.mark.parametrize("law, kaluza", [
-    ({"type": "geometric", "q": 0.5}, False),
-    ({"type": "zeta", "degree": 1.0, "log_power": 0.0}, True),
-], ids=["geometric", "zeta"])
-def test_series_probe_kaluza_reports_the_law_and_its_verdict(tmp_path, capsys, law, kaluza):
-    payload = {"chain": {"law": law, "truncation": 500}, "probe": "kaluza"}
+@pytest.mark.parametrize("law, truncation, kaluza", [
+    ({"type": "geometric", "q": 0.5}, 500, False),
+    ({"type": "zeta", "degree": 1.0, "log_power": 0.0}, 500, True),
+    # stored prefixes that end in zeros: underflow past 2^-1074, and a finite support
+    ({"type": "geometric", "q": 0.5}, 2000, False),
+    ({"type": "finite", "probs": [0.5, 0.5]}, 10, False),
+    # a power tail behind a zero: no decrease, and no exit 2
+    ({"type": "custom", "probs": [0.3, 0.0, 0.2], "tail_exponent": 3.0,
+      "tail_log_power": 0.0}, 50, False),
+    # p_n^2 underflows from n = 4 on, while the ratios stay normal
+    ({"type": "zeta", "degree": 300.0, "log_power": 0.0}, 500, True),
+], ids=["geometric", "zeta", "geometric-underflow", "finite", "custom-gap",
+        "zeta-high-degree"])
+def test_series_probe_kaluza_reports_the_law_and_its_verdict(tmp_path, capsys, law,
+                                                            truncation, kaluza):
+    payload = {"chain": {"law": law, "truncation": truncation}, "probe": "kaluza"}
     code, out = run(tmp_path, ["series", "probe"], payload)
     assert code == 0 and capsys.readouterr().err == ""
     assert summary(out)["results"] == {"kaluza": kaluza, "law": law}

@@ -623,7 +623,7 @@ def test_transfer_check_matches_the_dense_matrix(law):
     # the two actions of the bidiagonal-plus-top-row matrix without forming
     # it: the dense products add the same terms and zeros, in another order
     chain = build_chain(law, truncation=1200)
-    for n in (3, 4, 50, 500, 1000):
+    for n in (3, 4, 50, 500, 1000, 1200):
         rep = pf_check(chain, n)
         (density, density_ulp), (law_res, law_ulp) = ref_transfer(chain, rep.dimension)
         assert abs(rep.density_residual - density) <= density_ulp
@@ -633,8 +633,8 @@ def test_transfer_check_matches_the_dense_matrix(law):
 def test_transfer_matrix_size_limits(geo):
     small = pf_check(build_chain(FiniteLaw((0.4, 0.3, 0.3)), truncation=50))
     assert small.dimension == 3
-    with pytest.raises(PreconditionViolated):
-        pf_check(geo, 1500)
+    # no cap at DENSE_LIMIT: the check runs to the support, p_k = 2^-k > 0 up to k = 1074
+    assert pf_check(geo, 1500).dimension == 1074
 
 
 def test_star_import_exports_maps_and_spectral_names():
