@@ -387,7 +387,7 @@ class RenewalChain:
     Attributes
     ----------
     law : return law object
-    truncation : int
+    truncation : int, read off ``p``
         Length ``N`` of the stored prefix.
     p : ndarray, shape (N+1,)
         Return probabilities, subscript-aligned (``p[0] = 0``).
@@ -400,28 +400,39 @@ class RenewalChain:
     m1 : float
         Mean return time, ``inf`` when null recurrent: ``positive_recurrent``
         and ``classification`` are read off it.
+    pi1 : float or None, read off ``m1``
+        ``1/m1``; None when null recurrent.
     pi : ndarray or None
         Stationary prefix ``pi[j] = pi1 * d[j-1]``; None when null recurrent.
-    ergodic_degree : float
+    ergodic_degree : float, read off ``law``
         Polynomial moment degree of the return law: the supremum of ``g``
         with ``sum n^(g+1) p_n`` finite.  ``inf`` for geometric or finite laws.
     """
 
     law: object
-    truncation: int
     p: np.ndarray
     d: np.ndarray
     d_tail: np.ndarray | None
     m1: float
-    pi1: float | None
     pi: np.ndarray | None
-    ergodic_degree: float
 
     def __post_init__(self):
         for name in ("p", "d", "d_tail", "pi"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.flags.writeable = False
+
+    @property
+    def truncation(self) -> int:
+        return self.p.size - 1
+
+    @property
+    def pi1(self) -> float | None:
+        return 1.0 / self.m1 if self.positive_recurrent else None
+
+    @property
+    def ergodic_degree(self) -> float:
+        return float(self.law.degree())
 
     @property
     def positive_recurrent(self) -> bool:
@@ -504,28 +515,14 @@ def build_chain(law, truncation: int) -> RenewalChain:
     # a geometric law) keeps d[k] == d[k+1] + p[k+1] exact in floats
     d = _tail_sums(p[1:], tail)
     if abs(d[0] - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(f"prefix plus tail sums to {d[0]!r}, not 1")
+        raise NotNormalized(f"prefix plus tail sums to {float(d[0])!r}, not 1")
     d[0] = 1.0
 
+    pi = d_tail = None
     if math.isfinite(m1):
         d_tail = _tail_sums(d[1:], law.second_tail_beyond(n))
-        pi1 = 1.0 / m1
-        pi = np.zeros(n + 1)
-        pi[1:] = pi1 * d[:n]
-    else:
-        pi1, pi, d_tail = None, None, None
-
-    return RenewalChain(
-        law=law,
-        truncation=n,
-        p=p,
-        d=d,
-        d_tail=d_tail,
-        m1=m1,
-        pi1=pi1,
-        pi=pi,
-        ergodic_degree=float(law.degree()),
-    )
+        pi = np.r_[0.0, (1.0 / m1) * d[:n]]
+    return RenewalChain(law=law, p=p, d=d, d_tail=d_tail, m1=m1, pi=pi)
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +536,10 @@ class FirstPassageLaw:
     i: int
     j: int
     series: TruncatedSeries
-    prefix_mass: float
+
+    @property
+    def prefix_mass(self) -> float:
+        return float(self.series.coeffs.sum())
 
 
 @dataclass(frozen=True)
@@ -579,7 +579,7 @@ def first_passage(chain, i: int, j: int, trunc: int | None = None,
             raise TruncationTooSmall(f"descent {i}->{j} takes {i - j} steps > horizon {n}")
         coeffs = np.zeros(n + 1)
         coeffs[i - j] = 1.0
-        return FirstPassageLaw(i, j, TruncatedSeries(coeffs), 1.0)
+        return FirstPassageLaw(i, j, TruncatedSeries(coeffs))
 
     chain.within(j + max(n - i, 0), f"the passage {i}->{j} to horizon {n}")
     num = np.zeros(n + 1)
@@ -587,14 +587,13 @@ def first_passage(chain, i: int, j: int, trunc: int | None = None,
     den = np.zeros(n + 1)
     den[0] = 1.0
     den[1 : min(j, n + 1)] = -chain.p[1 : min(j, n + 1)]
-    f = TruncatedSeries(_quotient(num, den))
-    mass = float(f.coeffs.sum())
-    if not mass >= 1.0 - mass_tol:  # a NaN tolerance fails too
+    f = FirstPassageLaw(i, j, TruncatedSeries(_quotient(num, den)))
+    if not f.prefix_mass >= 1.0 - mass_tol:  # a NaN tolerance fails too
         raise TruncationTooSmall(
-            f"captured first-passage mass {mass:.12g} below 1 - {mass_tol:g}; "
+            f"captured first-passage mass {f.prefix_mass:.12g} below 1 - {mass_tol:g}; "
             "increase the horizon or loosen mass_tol"
         )
-    return FirstPassageLaw(i, j, f, mass)
+    return f
 
 
 def _moment_finite(chain, i: int, j: int, gamma: float) -> bool:
@@ -627,13 +626,13 @@ def _moment_tail_estimate(chain, f: FirstPassageLaw, gamma: float) -> float:
     return last * n ** gamma * q / (1.0 - q) if q < 1.0 else math.inf
 
 
-def moment(chain, i: int, j: int, gamma: float, trunc: int | None = None) -> MomentValue:
+def moment(chain, i: int, j: int, gamma: float) -> MomentValue:
     """Truncated moment ``sum_n n^gamma f^n_{ij}`` with a declared-tail
     estimate of the missing mass and a finiteness flag derived from the
     law's tail family (never from underflow)."""
     if not math.isfinite(gamma):
         raise PreconditionViolated(f"the moment order must be finite, got {gamma!r}")
-    f = first_passage(chain, i, j, trunc=trunc, mass_tol=math.inf)
+    f = first_passage(chain, i, j, mass_tol=math.inf)
     n = np.arange(f.series.coeffs.size, dtype=float)
     n[0] = 1.0  # 0^gamma guard; coefficient there is zero anyway
     value = float(np.dot(n ** gamma, f.series.coeffs))
@@ -645,7 +644,7 @@ def moment(chain, i: int, j: int, gamma: float, trunc: int | None = None) -> Mom
     )
 
 
-def second_moment_identity(chain, i: int, trunc: int | None = None):
+def second_moment_identity(chain, i: int):
     """Two-route check of the second return-time moment at state ``i``.
 
     The direct route sums ``n^2 f^n_{ii}``; the closed route expresses the
@@ -667,8 +666,8 @@ def second_moment_identity(chain, i: int, trunc: int | None = None):
     i = _whole(i, "the state", least=1)
     if i > chain.truncation or chain.pi[i] == 0.0:
         raise PreconditionViolated(f"state {i} has no stored stationary mass")
-    lhs = moment(chain, i, i, 2.0, trunc=trunc).value
-    m2_11 = moment(chain, 1, 1, 2.0, trunc=trunc).value
+    lhs = moment(chain, i, i, 2.0).value
+    m2_11 = moment(chain, 1, 1, 2.0).value
     pi_i = chain.pi[i]
     head = float(np.dot(np.arange(1.0, i), chain.p[1:i]))
     rhs = (chain.pi1 / pi_i) * (m2_11 + 2.0 * head / pi_i)
@@ -696,9 +695,12 @@ def p_order(chain, nu: SignedDistribution) -> POrder:
 
     The chain contributes the ceiling ``degree + 1`` (through-state-1
     passages); ``nu`` contributes ``a - 1`` when its tail is declared as a
-    power ``l^-a``.
+    power ``l^-a``.  Mass beyond the prefix of ``nu`` without a declared
+    tail raises :class:`PreconditionViolated`: its order is unknown.
     """
     ceiling = chain.ergodic_degree + 1.0
+    if nu.tail is None and nu.tail_mass != 0.0:
+        raise PreconditionViolated("the order of nu's tail mass is unknown: declare its tail")
     decl = nu.tail if nu.tail is not None else TailDecl("finite")
     if decl.kind in ("finite", "geometric"):
         nu_part, nu_binding_log = math.inf, False

@@ -135,8 +135,11 @@ def _csv(header, columns) -> bytes:
 # ----------------------------------------------------------------------
 
 def _curve(curve) -> tuple:
-    """The ``n, value, tail_bound`` table of a curve; a curve without
-    bounds has zero ones."""
+    """The ``n, value, tail_bound`` table of a curve, 0 where it has no
+    bounds.  ``tail_bound`` holds truncation plus rounding for ``rates
+    distance|correlation|constant``; for ``rates lemma2|null`` its 0 means
+    no bound is reported; for ``map entrance`` its 0 is the truncation
+    part, and summary.json states the rounding factor."""
     bounds = np.zeros(curve.values.size) if curve.bounds is None else curve.bounds
     return ("n", "value", "tail_bound"), (curve.n_grid, curve.values, bounds)
 
@@ -253,10 +256,9 @@ def cmd_spectral_gf(cfg, chain):
 
 
 def cmd_map_simulate(cfg, chain):
-    sampler, i_max = cfg["sampler"], cfg["i_max"]
-    if not 1 <= i_max <= chain.truncation:
-        raise PreconditionViolated(f"i_max must lie in [1, {chain.truncation}], the stored "
-                                   f"prefix, got {i_max}")
+    sampler, i_max = cfg["sampler"], chain.within(cfg["i_max"], "the occupation table's i_max")
+    if i_max < 1:
+        raise PreconditionViolated(f"i_max must be at least 1, got {i_max}")
     states, censored = coded_states(chain, sampler, cfg["length"], cfg["seed"], cfg["burn_in"])
     valid = int(np.count_nonzero(states > 0))
     if valid == 0:
@@ -365,9 +367,8 @@ def cmd_series_probe(cfg, chain):
     prefix = cfg["prefix"]
     if prefix is None:  # the default depends on the chain
         prefix = min(chain.truncation, 2000)
-    if not 2 <= prefix <= chain.truncation:
-        raise ConfigError(f"'prefix' must lie in [2, {chain.truncation}], the truncation, "
-                          f"got {prefix}")
+    if chain.within(prefix, "the zeros probe's prefix") < 2:
+        raise ConfigError(f"'prefix' must be at least 2, got {prefix}")
     diag = zero_diagnostic(np.r_[1.0, -chain.p[1 : prefix + 1]],
                            radii=cfg["radii"], points=cfg["points"])
     return diag, {}, f"min |1 - F(z)| sampled: {diag['min_abs']!r}"

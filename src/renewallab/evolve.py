@@ -65,9 +65,11 @@ __all__ = [
 class RateCurve:
     """Values a_n on a strictly increasing integer grid.
 
-    ``bounds`` reports the truncation uncertainty of each value, plus the
-    rounding term of its sums, where the producing operation tracks one,
-    and is None for exact curves.
+    ``bounds`` reports the truncation uncertainty of each value plus the
+    rounding of its sums (distance, correlation and constant curves), or
+    the rounding alone (:func:`~renewallab.maps.entrance_tail`); None means
+    no bound is reported, not an exact curve (renewal sequence, lemma-2
+    and null-recurrent ratios).
     """
 
     n_grid: np.ndarray

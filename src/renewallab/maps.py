@@ -58,10 +58,10 @@ rule a step ``1 -> L`` returns to the top cell ``L`` steps later, so
 Kac's returns are the steps ``1 -> L`` whose return ends in the orbit.
 
 Randomness comes from the counter-based Philox generator; stream ``s`` of
-a run with the unsigned 64-bit seed ``seed`` uses the two-word key
-``seed | (s << 64)`` (Salmon et al., SC 2011), so no two (seed, stream)
-pairs share a key and every estimate is reproducible from its reported
-seed.  A seed or stream that is not a whole number in ``[0, 2**64)``, by
+the ``streams`` of :func:`mc_correlation` with the unsigned 64-bit seed
+``seed`` uses the key ``seed | (s << 64)`` (Salmon et al., SC 2011), an
+orbit the key ``seed``, so every estimate is reproducible from its
+reported seed.  A seed that is not a whole number in ``[0, 2**64)``, by
 the rule of :mod:`renewallab.series`, raises :class:`ConfigError` before
 anything is drawn, as do the orbit sizes.  Estimators burn in
 10^4 steps by default and report batch-mean standard errors over 100
@@ -159,15 +159,13 @@ _MAX_WORKERS = 2
 
 
 def _key(seed: int, stream: int = 0) -> int:
-    """The Philox key ``seed | (stream << 64)`` of ``stream`` of the run
-    ``seed``.  Seed and stream must be whole numbers in ``[0, 2**64)``;
-    anything else raises :class:`ConfigError`, so a caller that takes the
-    key first draws nothing from a bad one."""
+    """The Philox key ``seed | (stream << 64)`` of ``stream``, an index of
+    ``range(streams)``, of the run ``seed``.  A seed that is not a whole
+    number in ``[0, 2**64)`` raises :class:`ConfigError`, so a caller
+    that takes the key first draws nothing from a bad one."""
     seed = _whole(seed, "the seed", ConfigError)
-    stream = _whole(stream, "the stream", ConfigError)
-    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
-        raise ConfigError(f"seed and stream must be unsigned 64-bit integers, "
-                          f"got seed {seed}, stream {stream}")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed | (stream << 64)
 
 
@@ -227,19 +225,25 @@ class IntermittentMap:
     slopes : ndarray
         ``slopes[i] = p_i / p_{i-1}`` (entry 0 unused); branch ``i``
         expands by ``1/slopes[i]``.
-    symbol_cap : int
-        Largest resolvable partition index.
+    symbol_cap : int, read off ``breakpoints``
+        Largest resolvable partition index; ``terminal`` when ``d_B`` is 0.
     """
 
     chain: object
     breakpoints: np.ndarray
     slopes: np.ndarray
-    symbol_cap: int
-    terminal: bool
 
     def __post_init__(self):
         self.breakpoints.flags.writeable = False
         self.slopes.flags.writeable = False
+
+    @property
+    def symbol_cap(self) -> int:
+        return self.breakpoints.size - 1
+
+    @property
+    def terminal(self) -> bool:
+        return bool(self.breakpoints[-1] == 0.0)
 
 
 def build_map(chain) -> IntermittentMap:
@@ -254,12 +258,11 @@ def build_map(chain) -> IntermittentMap:
     cap = int(narrow[0]) if narrow.size else support
     if cap < 1:
         raise ZeroProbabilityBranch("no resolvable branch")
-    terminal = support == cap and chain.d[cap] == 0.0
     bp = chain.d[: cap + 1].copy()
     slopes = np.zeros(cap + 1)
     slopes[1] = chain.p[1]
     slopes[2:] = chain.p[2 : cap + 1] / chain.p[1:cap]
-    m = IntermittentMap(chain, bp, slopes, cap, terminal)
+    m = IntermittentMap(chain, bp, slopes)
 
     # apply() on the float just below the top of each cell i = 2 .. k, all at
     # once.  encode() puts it in cell i: every p_i >= DEPTH_RESOLUTION is
@@ -535,12 +538,12 @@ def _density_starts(m: IntermittentMap, rng):
     uniforms come from ``rng`` in batches of 256 and are used in order;
     the search and the arithmetic are those of ``np.searchsorted(...,
     side="left")`` and numpy scalars, on Python floats."""
-    bp = m.breakpoints.tolist()
+    bp, cap = m.breakpoints.tolist(), m.symbol_cap
     pi_cdf = np.cumsum(m.chain.pi[1:]).tolist()
     uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(256).tolist(), None))
     for u in uniforms:
         cell = bisect_left(pi_cdf, u) + 1
-        if cell <= m.symbol_cap:
+        if cell <= cap:
             yield bp[cell] + next(uniforms) * (bp[cell - 1] - bp[cell])
 
 
@@ -552,7 +555,7 @@ def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
     hold ``length`` states in all.  The public entries check the sizes, and
     :func:`_sampler` the float sampler's starts, before this draws."""
     total = burn_in + length
-    key = _key(seed, stream)  # refuses a bad seed or stream before drawing
+    key = _key(seed, stream)  # refuses a bad seed before drawing
     if isinstance(source, IntermittentMap):
         starts = _density_starts(source, _rng(key))
         raw = _float_orbit(source, next(starts), total, restart=starts.__next__)
@@ -609,8 +612,7 @@ def _sampler(source, sampler: str):
     return m
 
 
-def coded_states(source, sampler: str, length: int, seed: int,
-                 burn_in: int = BURN_IN, stream: int = 0):
+def coded_states(source, sampler: str, length: int, seed: int, burn_in: int = BURN_IN):
     """Coded orbit from the sampler named ``sampler``, ``"chain"`` or
     ``"float"``; ``source`` is a chain or its :class:`IntermittentMap`, and
     the map is built from a chain only when the float sampler needs it.
@@ -621,20 +623,18 @@ def coded_states(source, sampler: str, length: int, seed: int,
     ``burn_in >= 0``, whole numbers, and at most :data:`MAX_ORBIT` steps.
     """
     length, burn_in, _ = _check_orbit(length, burn_in)
-    return _fill(_blocks(_sampler(source, sampler), length, seed, burn_in, stream), length)
+    return _fill(_blocks(_sampler(source, sampler), length, seed, burn_in), length)
 
 
-def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN,
-                  stream: int = 0):
+def sample_states(chain, length: int, seed: int, burn_in: int = BURN_IN):
     """Exact coded orbit of ``chain``, a chain or its map: :func:`coded_states`
     with the chain sampler, its states int32.  A draw beyond the stored
     prefix (probability = the survival mass at the truncation) is a single
     ``-1`` sentinel step, counted in ``censored``."""
-    return coded_states(chain, "chain", length, seed, burn_in, stream)
+    return coded_states(chain, "chain", length, seed, burn_in)
 
 
-def map_states(m: IntermittentMap, length: int, seed: int,
-               burn_in: int = BURN_IN, stream: int = 0):
+def map_states(m: IntermittentMap, length: int, seed: int, burn_in: int = BURN_IN):
     """Float-orbit coded states of ``m``, a map or its chain:
     :func:`coded_states` with the float sampler, its states int32.  The
     orbit starts from an invariant-density sample; whenever it falls below
@@ -642,7 +642,7 @@ def map_states(m: IntermittentMap, length: int, seed: int,
     orbit restarts fresh.  A null-recurrent chain raises
     :class:`NotPositiveRecurrent`, cells below :data:`START_MASS_FLOOR`
     :class:`TruncationTooSmall`, before drawing."""
-    return coded_states(m, "float", length, seed, burn_in, stream)
+    return coded_states(m, "float", length, seed, burn_in)
 
 
 def _table(obs) -> np.ndarray:
@@ -877,9 +877,9 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
     map, against the exact chain entries.  The ``i_max``-square tables are
     capped at :data:`~renewallab.spectral.DENSE_LIMIT` cells a side."""
     chain = _sampler(source, "chain").stationary_law("occupations need the stationary law")
-    i_max = _whole(i_max, "i_max")
-    if i_max < 2 or i_max > chain.truncation - 1:
-        raise PreconditionViolated("i_max must fit inside the stored prefix")
+    i_max = chain.within(_whole(i_max, "i_max"), "the frequency table's i_max")
+    if i_max < 2:
+        raise PreconditionViolated("i_max must be at least 2")
     if i_max > DENSE_LIMIT:
         raise PreconditionViolated(f"dense cell matrices are capped at i_max = {DENSE_LIMIT}")
     size, burn_in, _ = _check_orbit(orbit_length, burn_in)

@@ -97,11 +97,6 @@ class SignedDistribution:
     def total_mass(self) -> float:
         return float(self.weights.sum() + self.tail_mass)
 
-    def check_probability(self):
-        if np.any(self.weights < 0.0) or self.tail_mass < 0.0:
-            raise NotNormalized("probability measure has negative entries")
-        return self
-
 
 def point_mass(state: int, size: int | None = None) -> SignedDistribution:
     """Unit mass at ``state``; prefix length defaults to the state itself."""
@@ -114,12 +109,11 @@ def point_mass(state: int, size: int | None = None) -> SignedDistribution:
     return SignedDistribution(w, tail_mass=0.0, tail=TailDecl("finite"))
 
 
-def from_weights(weights, tail_mass: float = 0.0, tail: TailDecl | None = None,
-                 probability: bool = True) -> SignedDistribution:
-    """Wrap an explicit weight vector (indexed from state 1) as a measure.
-
-    Total mass must be one either way; ``probability=False`` permits
-    negative entries.
+def from_weights(weights, tail_mass: float = 0.0, tail: TailDecl | None = None
+                 ) -> SignedDistribution:
+    """Wrap an explicit weight vector (indexed from state 1) as a probability
+    measure: total mass one and no negative entry.  A signed start is a
+    :class:`SignedDistribution` built directly.
     """
     w = np.asarray(weights, dtype=float)
     padded = np.zeros(w.size + 1)
@@ -127,8 +121,8 @@ def from_weights(weights, tail_mass: float = 0.0, tail: TailDecl | None = None,
     if tail is None and tail_mass == 0.0:
         tail = TailDecl("finite")
     nu = SignedDistribution(padded, tail_mass=float(tail_mass), tail=tail)
-    if probability:
-        nu.check_probability()
+    if np.any(nu.weights < 0.0) or nu.tail_mass < 0.0:
+        raise NotNormalized("probability measure has negative entries")
     return nu
 
 

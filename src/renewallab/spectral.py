@@ -100,10 +100,11 @@ def factorization_residual(chain, z: complex, n: int) -> float:
 class SpectralProbe:
     """Candidate eigenvector prefix for the transition operator.
 
-    residual is the l1 defect of the eigen relation on interior entries
-    (j <= N-1, where the truncated matrix is exact); tail_note is the
-    magnitude of the first coefficient beyond the prefix, the exact defect
-    the truncation introduces at the edge.
+    vector is complex, even at a real ``lam``, and subscript-aligned
+    (entry 0 unused); residual is the l1 defect of the eigen relation on
+    interior entries (j <= N-1, where the truncated matrix is exact);
+    tail_note is the magnitude of the first coefficient beyond the prefix,
+    the exact defect the truncation introduces at the edge.
     """
 
     lam: complex
@@ -123,6 +124,7 @@ def eigen_from_gf(chain, lam: complex, n: int) -> SpectralProbe:
     x_{k+1} = lam x_k - p_k.  At lam = 1 this gives x_k = d_{k-1}, the
     invariant vector; inside the unit disk the prefix is summable and the
     edge defect decays with N; a ``lam`` outside the closed disk is refused.
+    At a real ``lam`` the complex recursion keeps the bits of a real one.
     """
     n = chain.within(_whole(n, "the coefficient count"), "the coefficient recursion")
     if n < 3:
@@ -130,19 +132,14 @@ def eigen_from_gf(chain, lam: complex, n: int) -> SpectralProbe:
     lam = complex(lam)
     if not abs(lam) <= 1.0 + 1e-12:  # outside, the recursion grows like lam^k
         raise PreconditionViolated("eigenvector candidates are probed on the closed unit disk")
-    real = lam.imag == 0.0
-    x = np.empty(n + 1, dtype=float if real else complex)
-    x[0] = 0.0
+    x = np.zeros(n + 1, dtype=complex)
     x[1] = 1.0
-    lam_s = lam.real if real else lam
     for k in range(1, n):
-        x[k + 1] = lam_s * x[k] - chain.p[k]
-    edge = abs(lam_s * x[n] - chain.p[n])
-
+        x[k + 1] = lam * x[k] - chain.p[k]
     # interior residual of the row action: (xP)_j = x_1 p_j + x_{j+1}
-    defect = lam_s * x[1 : n] - (x[1] * chain.p[1 : n] + x[2 : n + 1])
-    residual = float(np.abs(defect).sum())
-    return SpectralProbe(lam=lam, vector=x, residual=residual, tail_note=float(edge))
+    defect = lam * x[1 : n] - (x[1] * chain.p[1 : n] + x[2 : n + 1])
+    return SpectralProbe(lam=lam, vector=x, residual=float(np.abs(defect).sum()),
+                         tail_note=float(abs(lam * x[n] - chain.p[n])))
 
 
 def partial_norm_scan(chain, lam: complex, n_list) -> np.ndarray:
@@ -163,14 +160,8 @@ def disk_scan(chain, lams, n: int) -> list:
 
     Returns rows ``(re, im, residual, l1_partial_norm)``; diagnostic only.
     """
-    out = []
-    for lam in lams:
-        probe = eigen_from_gf(chain, lam, n)
-        lam = complex(lam)
-        out.append(
-            (lam.real, lam.imag, probe.residual, float(np.abs(probe.vector).sum()))
-        )
-    return out
+    probes = (eigen_from_gf(chain, lam, n) for lam in lams)
+    return [(p.lam.real, p.lam.imag, p.residual, float(np.abs(p.vector).sum())) for p in probes]
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from renewallab import (
     p_order,
     second_moment_identity,
 )
-from renewallab.chain import _hurwitz, _weight_tail
+from renewallab.chain import _hurwitz, _tail_integral, _weight_tail
 from renewallab.config import measure_from_config
 
 # mean return time of the degree-1 zeta law, from two independent
@@ -193,12 +193,41 @@ TAIL_INTEGRAL_3_170 = 2.424670542883407192842269e+255
 def test_log_power_tail_integral_is_quiet_and_good_to_rounding():
     # quad reports roundoff here although its result is good to rounding:
     # the warning is silenced and quad's own error estimate passes
-    from renewallab.chain import _tail_integral
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = _tail_integral(3.0, 170.0, 100001.0)
     assert value == pytest.approx(TAIL_INTEGRAL_3_170, rel=1e-15, abs=0.0)
+
+
+def test_an_unresolved_log_power_tail_integral_raises(monkeypatch):
+    # quad's error estimate decides: one too large for the result refuses it
+    import scipy.integrate
+
+    monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **kw: (1.0, 1.0))
+    with pytest.raises(BadExponent, match="is not resolved"):
+        _tail_integral(3.0, 1.0, 100001.0)
+
+
+class OffMassLaw:
+    """A duck-typed law whose prefix and tail add up to 0.9."""
+
+    def prefix(self, n):
+        return np.r_[0.0, 0.9, np.zeros(n - 1)]
+
+    def tail_beyond(self, n):
+        return 0.0
+
+    def mean_return(self):
+        return 1.0
+
+    def degree(self):
+        return math.inf
+
+
+def test_a_law_whose_mass_is_not_one_is_refused():
+    # the law classes check their own mass; build_chain checks any law's
+    with pytest.raises(NotNormalized, match="prefix plus tail sums to 0.9, not 1"):
+        build_chain(OffMassLaw(), 10)
 
 
 def test_nan_reals_are_refused_by_the_entry_that_reads_them():
@@ -450,6 +479,16 @@ def test_p_order_point_mass_hits_chain_ceiling():
     assert p_order(ch, rl.point_mass(5)).value == 2.0
 
 
+def test_p_order_refuses_tail_mass_without_a_declared_tail():
+    # it read the undeclared tail as finite and answered POrder(2.0, False)
+    ch = build_chain(ZetaTailLaw(1.0), 1000)
+    with pytest.raises(PreconditionViolated, match="declare its tail"):
+        p_order(ch, rl.from_weights([0.5, 0.4], tail_mass=0.1))
+    # no mass past the prefix needs no declaration
+    nu = rl.SignedDistribution(np.array([0.0, 0.5, 0.5]))
+    assert p_order(ch, nu) == rl.POrder(value=2.0, boundary=False)
+
+
 def test_p_order_geometric_everything():
     ch = geo_chain()
     nu = rl.from_weights(
@@ -491,7 +530,9 @@ def test_codivergence_probe_pairs_every_start_below_i_at_its_default_horizon(i):
     probe = codivergence_probe(ch, 0.5, i)
     n = ch.truncation - i + 1
     assert probe.partial_direct.size == probe.partial_paired.size == n + 1
-    terms = [0.0] + [ch.pi[l] * moment(ch, l, i, 0.5, trunc=n).value for l in range(1, i)]
+    # the 0.5-moments of l -> i at horizon n
+    terms = [0.0] + [ch.pi[l] * np.dot(np.arange(n + 1.0) ** 0.5, first_passage(
+        ch, l, i, trunc=n, mass_tol=math.inf).series.coeffs) for l in range(1, i)]
     assert probe.partial_paired[:i] == pytest.approx(np.cumsum(terms), rel=1e-13, abs=0.0)
     with pytest.raises(TruncationTooSmall):
         codivergence_probe(ch, 0.5, i, n + 1)

@@ -4,6 +4,7 @@ rejection, deterministic artifacts."""
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -416,16 +417,24 @@ def test_float_sampler_refuses_cells_without_stationary_mass(tmp_path, capsys, c
     assert len(err) == 1 and "TruncationTooSmall" in err[0]
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("map simulate", {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 500},
-                      "length": 20000, "i_max": 1000, "seed": 1}),
-    ("map simulate", {**GEO, "length": 1000, "i_max": 0, "seed": 1}),
-    ("map frequency", {**GEO, **ORBIT, "i_max": 1001}),
-], ids=["simulate-past-the-prefix", "simulate-empty-table", "frequency-past-the-dense-cap"])
-def test_i_max_out_of_range_exits_3_before_drawing(tmp_path, capsys, monkeypatch, command,
-                                                   payload):
-    # a table past the stored prefix or with no row, or i_max^2 cells past
-    # the dense cap
+ZETA_500 = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 500}}
+
+
+@pytest.mark.parametrize("command, payload, exit_code", [
+    ("map simulate", {**ZETA_500, "length": 20000, "i_max": 1000, "seed": 1}, 4),
+    ("map simulate", {**ZETA_500, "length": 20000, "i_max": 501, "seed": 1}, 4),
+    ("map frequency", {**ZETA_500, **ORBIT, "i_max": 501}, 4),
+    ("map simulate", {**GEO, "length": 1000, "i_max": 0, "seed": 1}, 3),
+    ("map frequency", {**GEO, **ORBIT, "i_max": 1}, 3),
+    ("map frequency", {**GEO, **ORBIT, "i_max": 1001}, 3),
+], ids=["simulate-past-the-prefix", "simulate-one-past-the-prefix",
+        "frequency-one-past-the-prefix", "simulate-empty-table", "frequency-one-row",
+        "frequency-past-the-dense-cap"])
+def test_i_max_out_of_range_exits_before_drawing(tmp_path, capsys, monkeypatch, command,
+                                                 payload, exit_code):
+    # a table past the stored prefix exits 4 as every request there does;
+    # one with no row (a single row for frequencies), or i_max^2 cells past
+    # the dense cap, exits 3
     def refuse(*args):
         raise AssertionError("the orbit was drawn before i_max was checked")
 
@@ -433,9 +442,25 @@ def test_i_max_out_of_range_exits_3_before_drawing(tmp_path, capsys, monkeypatch
     monkeypatch.setattr("renewallab.maps.coded_states", refuse)
     monkeypatch.setattr("renewallab.maps._rng", refuse)
     code, _ = run(tmp_path, command.split(), payload)
-    assert code == 3
+    assert code == exit_code
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "PreconditionViolated" in err[0] and "i_max" in err[0]
+    assert len(err) == 1 and "i_max" in err[0]
+    if exit_code == 4:
+        n = payload["i_max"]
+        assert "TruncationTooSmall" in err[0]
+        assert f"reads state {n}, past the stored prefix of 500 states" in err[0]
+    else:
+        assert "PreconditionViolated" in err[0]
+
+
+def test_frequency_reads_i_max_up_to_the_truncation(tmp_path):
+    # i_max = N reads states up to N, all stored; it exited 3
+    code, out = run(tmp_path, ["map", "frequency"],
+                    {"chain": {"law": {"type": "geometric", "q": 0.5}, "truncation": 20},
+                     **ORBIT, "i_max": 20})
+    assert code == 0
+    rows = (out / "map_frequency_occupation.csv").read_text().splitlines()
+    assert len(rows) == 21 and rows[-1].startswith("20,")
 
 
 GAP = {"chain": {"law": {"type": "finite", "probs": [0.5, 0.0, 0.5]}, "truncation": 100}}
@@ -679,6 +704,18 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def test_a_leftover_temporary_file_is_skipped(tmp_path, monkeypatch):
+    # a file of an earlier process with this pid holds the first name
+    leftover = tmp_path / f".tmp-{os.getpid()}-7"
+    leftover.write_bytes(b"old")
+    monkeypatch.setattr(cli, "_TMP", itertools.count(7))
+    cli._atomic_bytes(str(tmp_path / "a.csv"), b"x\n")
+    assert (tmp_path / "a.csv").read_bytes() == b"x\n"
+    assert leftover.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name, "a.csv"]
+    assert next(cli._TMP) == 9
+
+
 def test_console_module_entry(tmp_path):
     cfg = write_cfg(tmp_path, GEO)
     proc = subprocess.run(
@@ -857,13 +894,25 @@ def test_summary_keys_of_the_recorded_reports(tmp_path, command):
         assert set(res["fit"]) == FIT_KEYS
 
 
-@pytest.mark.parametrize("prefix", [0, 1, 20001])
-def test_series_probe_zeros_prefix_out_of_range_exits_2(tmp_path, capsys, prefix):
+@pytest.mark.parametrize("prefix", [0, 1])
+def test_series_probe_zeros_prefix_below_2_exits_2(tmp_path, capsys, prefix):
     # a zero modulus needs a polynomial of degree one at least
     code, _ = run(tmp_path, ["series", "probe"], {**ZETA, "probe": "zeros", "prefix": prefix})
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "'prefix' must lie in [2, 20000]" in err[0]
+    assert len(err) == 1 and f"'prefix' must be at least 2, got {prefix}" in err[0]
+
+
+@pytest.mark.parametrize("chain, prefix", [(ZETA_500, 501), (ZETA, 20001)],
+                         ids=["N500", "N20000"])
+def test_series_probe_zeros_prefix_past_the_prefix_exits_4(tmp_path, capsys, chain, prefix):
+    # it exited 2, unlike every other request past the stored prefix
+    code, _ = run(tmp_path, ["series", "probe"], {**chain, "probe": "zeros", "prefix": prefix})
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    n = chain["chain"]["truncation"]
+    assert len(err) == 1 and "TruncationTooSmall" in err[0]
+    assert f"reads state {prefix}, past the stored prefix of {n} states" in err[0]
 
 
 def test_quiet_flag_suppresses_stdout(tmp_path, capsys):

@@ -26,7 +26,6 @@ from renewallab import (
     correlation_curve,
     deviation_tail_ratio,
     distance_curve,
-    from_weights,
     indicator,
     log_grid,
     nonuniformity_probe,
@@ -44,6 +43,13 @@ from renewallab import (
 
 def geo_chain(n=500):
     return build_chain(GeometricLaw(0.5), n)
+
+
+def signed(weights, tail_mass=0.0):
+    """A signed start with ``weights`` from state 1 on, as ``from_weights``
+    wraps a probability vector."""
+    tail = rl.TailDecl("finite") if tail_mass == 0.0 else None
+    return rl.SignedDistribution(np.r_[0.0, weights], tail_mass=tail_mass, tail=tail)
 
 
 # ----------------------------------------------------------------------
@@ -145,8 +151,7 @@ def test_distance_hand_value_half_half():
 
 @pytest.mark.parametrize("law, nu", [(FiniteLaw((0.5, 0.5)), point_mass(1)),
                                      (ZetaTailLaw(1.0), point_mass(3)),
-                                     (ZetaTailLaw(3.0), from_weights([0.5, -0.25, 0.75],
-                                                                  probability=False))])
+                                     (ZetaTailLaw(3.0), signed([0.5, -0.25, 0.75]))])
 def test_distance_bound_counts_the_l1_sum_of_the_entries(law, nu):
     # past the rounding of the convolutions, the bound counts the roundings
     # that assemble each entry and those of the l1 sum over the prefix
@@ -238,8 +243,8 @@ def test_correlation_linear_in_signed_deviation():
     w = np.zeros(5)
     w[0], w[2] = 0.05, -0.05
     base = stationary(ch).weights[1:6]
-    nu1 = from_weights(base + w, probability=False)
-    nu2 = from_weights(base + 2.0 * w, probability=False)
+    nu1 = signed(base + w)
+    nu2 = signed(base + 2.0 * w)
     u = indicator([1, 3], size=4)
     grid = [1, 2, 5, 10]
     c1 = correlation_curve(ch, nu1, u, grid).values
@@ -465,7 +470,7 @@ def test_engine_matches_iterated_step(law, n, data):
     w = np.array(data.draw(st.lists(unit, min_size=1, max_size=max(8, n // 4))))
     tail_mass = data.draw(st.floats(0.05, 0.5)) * data.draw(sign)
     w[0] += (1.0 - tail_mass) - w.sum()
-    nu = from_weights(w, tail_mass=tail_mass, probability=False)
+    nu = signed(w, tail_mass=tail_mass)
     # observables stored past the prefix: refused where they differ from
     # u_inf there, read up to the prefix where they do not
     size = data.draw(st.integers(1, n + 20))
@@ -534,9 +539,8 @@ def test_distance_resolves_a_zero_on_both_routes_and_refuses_lost_digits():
     d = distance_curve(ch, point_mass(1), [10, 1000])
     assert np.all(d.values < 1e-300) and np.all(d.bounds < 1e-17)
     # +-1e8 weights leave rounding of 1e-11 on a value that is zero
-    signed = from_weights([-1e8, 1.0 + 1e8], probability=False)
     with pytest.raises(TruncationTooSmall, match="rounding"):
-        distance_curve(build_chain(GeometricLaw(0.3), 400), signed, [10])
+        distance_curve(build_chain(GeometricLaw(0.3), 400), signed([-1e8, 1.0 + 1e8]), [10])
 
 
 def test_distance_returns_a_zero_its_rounding_accounts_for():
@@ -564,8 +568,7 @@ def test_block_route_agrees_with_the_direct_route_across_direct_work(degree, mon
     n_chain = 20001
     switch = evolve.DIRECT_WORK // n_chain  # n N just below, then just above
     grid = [switch - 1, switch, switch + 1, switch + 2, 4000, 9000]
-    starts = [point_mass(1), point_mass(3), from_weights([0.5, -0.25, 0.75],
-                                                         probability=False)]
+    starts = [point_mass(1), point_mass(3), signed([0.5, -0.25, 0.75])]
     ch = build_chain(ZetaTailLaw(degree), n_chain)
     blocked = [distance_curve(ch, nu, grid) for nu in starts]
     monkeypatch.setattr(evolve, "DIRECT_WORK", 1 << 40)

@@ -137,7 +137,7 @@ def build_map_loop(chain):
     slopes = np.zeros(cap + 1)
     slopes[1] = chain.p[1]
     slopes[2:] = chain.p[2 : cap + 1] / chain.p[1:cap]
-    m = maps.IntermittentMap(chain, bp, slopes, cap, support == cap and chain.d[cap] == 0.0)
+    m = maps.IntermittentMap(chain, bp, slopes)
     for i in range(2, min(cap, 200) + 1):
         top = np.nextafter(bp[i - 1], 0.0)
         if abs(apply(m, top) - bp[i - 2]) > 1e-12:
@@ -237,7 +237,7 @@ def test_orbit_needs_interior_start(geo_map):
 def test_chain_sampler_is_reproducible_and_stationary(geo):
     s1, c1 = sample_states(geo, 200_000, seed=7)
     s2, _ = sample_states(geo, 200_000, seed=7)
-    s3, _ = sample_states(geo, 200_000, seed=7, stream=1)
+    s3, _ = sample_states(geo, 200_000, seed=8)
     assert np.array_equal(s1, s2)
     assert not np.array_equal(s1, s3)
     assert c1 == 0
@@ -247,7 +247,7 @@ def test_chain_sampler_is_reproducible_and_stationary(geo):
 
 def test_streams_are_disjoint_across_seeds(geo):
     # stream 1 of seed 7 was stream 0 of seed 8 when keys were seed + stream
-    s71, _ = sample_states(geo, 10_000, seed=7, stream=1)
+    s71, _ = stream_states(geo, "chain", 10_000, 7, maps.BURN_IN, 1)
     s80, _ = sample_states(geo, 10_000, seed=8)
     assert not np.array_equal(s71, s80)
     # stream 0 is keyed by the seed alone
@@ -258,34 +258,29 @@ def test_streams_are_disjoint_across_seeds(geo):
             sample_states(geo, 10, seed=bad)
 
 
-#: Seeds and streams that are not whole numbers in [0, 2**64).
-BAD_KEYS = [(1.5, 0), (-0.5, 0), (3.9, 0), (-1, 0), (2 ** 64, 0), (float("nan"), 0),
-            (10 ** 400, 0), ("1", 0), (True, 0), (np.True_, 0), (1, 1.5), (1, -1),
-            (1, 2 ** 64), (1, "1"), (1, True)]
+#: Seeds that are not whole numbers in [0, 2**64).
+BAD_SEEDS = [1.5, -0.5, 3.9, -1, 2 ** 64, float("nan"), 10 ** 400, "1", True, np.True_]
 
 
-@pytest.mark.parametrize("seed, stream", BAD_KEYS)
+@pytest.mark.parametrize("seed", BAD_SEEDS)
 @pytest.mark.parametrize("sampler", ["chain", "float"])
-def test_bad_seeds_and_streams_are_refused_before_drawing(geo_map, monkeypatch, sampler,
-                                                          seed, stream):
+def test_bad_seeds_are_refused_before_drawing(geo_map, monkeypatch, sampler, seed):
     # they were truncated by int(): seed 1.5 drew seed 1's orbit
     monkeypatch.setattr(maps, "_cells", no_draw)
     monkeypatch.setattr(maps, "_density_starts", no_draw)
-    with pytest.raises(ConfigError, match="seed|stream"):
-        coded_states(geo_map, sampler, 10, seed, stream=stream)
-    if stream == 0:
-        u = centered_top_indicator(geo_map.chain)
-        for call in (lambda: mc_correlation(geo_map, u, u, [1], 1000, seed, sampler=sampler),
-                     lambda: kac_check(geo_map, 1000, seed, sampler=sampler),
-                     lambda: markov_frequency_check(geo_map, 1000, seed, sampler=sampler),
-                     lambda: entrance_tail(geo_map, geo_map.chain.d[1], 10, 1000, seed)):
-            with pytest.raises(ConfigError, match="seed"):
-                call()
+    u = centered_top_indicator(geo_map.chain)
+    for call in (lambda: coded_states(geo_map, sampler, 10, seed),
+                 lambda: mc_correlation(geo_map, u, u, [1], 1000, seed, sampler=sampler,
+                                        streams=2),
+                 lambda: kac_check(geo_map, 1000, seed, sampler=sampler),
+                 lambda: markov_frequency_check(geo_map, 1000, seed, sampler=sampler),
+                 lambda: entrance_tail(geo_map, geo_map.chain.d[1], 10, 1000, seed)):
+        with pytest.raises(ConfigError, match="seed"):
+            call()
 
 
 def test_whole_float_seeds_act_as_ints(geo_map):
-    assert same_states(sample_states(geo_map, 100, 3.0, stream=2.0),
-                       sample_states(geo_map, 100, 3, stream=2))
+    assert same_states(sample_states(geo_map, 100, 3.0), sample_states(geo_map, 100, 3))
     u = centered_top_indicator(geo_map.chain)
     est = mc_correlation(geo_map, u, u, [1], 1000, np.float64(3.0))
     assert est == mc_correlation(geo_map, u, u, [1], 1000, 3)
@@ -789,6 +784,13 @@ def ref_mc_correlation(m, u, v, lags, orbit_length, seed, burn_in, sampler, stre
     return out
 
 
+def stream_states(source, sampler, length, seed, burn_in, stream):
+    """``(states, censored)`` of stream ``stream`` of the run ``seed``, as
+    :func:`mc_correlation` draws it for ``streams > stream``."""
+    blocks = maps._blocks(maps._sampler(source, sampler), length, seed, burn_in, stream)
+    return maps._fill(blocks, length)
+
+
 def same_states(got, want):
     (states, censored), (want_states, want_censored) = got, want
     return (states.dtype == want_states.dtype and states.tobytes() == want_states.tobytes()
@@ -839,8 +841,10 @@ def test_float_sampler_matches_the_per_step_loop(name, seed, burn_in, length, st
     m = oracle_map(name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_BLOCK", block)
-        got = map_states(m, length, seed, burn_in=burn_in, stream=stream)
+        got = stream_states(m, "float", length, seed, burn_in, stream)
     assert same_states(got, ref_float_states(m, length, seed, burn_in, stream))
+    if stream == 0:
+        assert same_states(map_states(m, length, seed, burn_in=burn_in), got)
 
 
 def assert_same_orbit(m, x0, n):
@@ -881,7 +885,7 @@ def test_float_sampler_refills_its_restart_uniforms(block, monkeypatch):
     # them from several batches of the start routine
     m = oracle_map("geometric-0.5")
     monkeypatch.setattr(maps, "_BLOCK", block)
-    got = map_states(m, 20_000, 12, burn_in=5, stream=3)
+    got = stream_states(m, "float", 20_000, 12, 5, 3)
     assert same_states(got, ref_float_states(m, 20_000, 12, 5, stream=3))
     assert got[1] > 300
 
@@ -896,7 +900,9 @@ def test_chain_sampler_matches_the_repeat_construction(name, seed, burn_in, leng
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_BLOCK", block)
         mp.setattr(maps, "_workers", lambda: threads)
-        got = sample_states(chain, length, seed, burn_in=burn_in, stream=stream)
+        got = stream_states(chain, "chain", length, seed, burn_in, stream)
+        if stream == 0:
+            assert same_states(sample_states(chain, length, seed, burn_in=burn_in), got)
     assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream))
 
 
@@ -1090,7 +1096,7 @@ def censoring_chain():
 def test_chain_sampler_matches_across_block_edges(name, length, burn_in):
     chain = oracle_map(name).chain
     for seed in (3, 2 ** 63 + 5):
-        got = sample_states(chain, length, seed, burn_in=burn_in, stream=1)
+        got = stream_states(chain, "chain", length, seed, burn_in, 1)
         assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream=1))
 
 
@@ -1110,7 +1116,7 @@ def test_censored_steps_on_block_edges_survive_the_copy():
 def test_float_sampler_matches_across_block_edges(name):
     # the dyadic map restarts every ~53 steps, so restarts straddle edges
     m = oracle_map(name)
-    got = map_states(m, B + 5, 2, burn_in=B - 3, stream=1)
+    got = stream_states(m, "float", B + 5, 2, B - 3, 1)
     assert same_states(got, ref_float_states(m, B + 5, 2, B - 3, stream=1))
     assert name != "geometric-0.5" or got[1] > 1000
 
@@ -1266,7 +1272,7 @@ def test_orbits_and_reports_do_not_depend_on_the_worker_count(monkeypatch, block
     monkeypatch.setattr(maps, "_BLOCK", block)
 
     def outputs():
-        return [sample_states(chain, length, 5, burn_in=block + 3, stream=2),
+        return [stream_states(chain, "chain", length, 5, block + 3, 2),
                 sample_states(censoring, length, 2 ** 64 - 1, burn_in=0),
                 mc_correlation(chain, u, v, [0, 1, 17], length, 5, burn_in=block - 1,
                                streams=2),

@@ -41,10 +41,11 @@ def test_total_mass_must_be_one():
 
 
 def test_signed_entries_allowed_when_total_is_one():
-    nu = from_weights([1.5, -0.5], probability=False)
+    nu = SignedDistribution(np.array([0.0, 1.5, -0.5]))
     assert nu.total_mass == 1.0
+    # from_weights wraps probability vectors only
     with pytest.raises(NotNormalized):
-        from_weights([1.5, -0.5], probability=True)
+        from_weights([1.5, -0.5])
 
 
 def test_sentinel_entry_enforced():

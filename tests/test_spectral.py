@@ -212,6 +212,36 @@ def test_eigen_complex_interior_point(geometric):
     assert probe.tail_note < 1e-50
 
 
+def ref_real_eigen(chain, lam, n):
+    """The recursion of :func:`eigen_from_gf` in real arithmetic: ``(x,
+    residual, tail_note)``."""
+    x = np.zeros(n + 1)
+    x[1] = 1.0
+    for k in range(1, n):
+        x[k + 1] = lam * x[k] - chain.p[k]
+    defect = lam * x[1:n] - (x[1] * chain.p[1:n] + x[2 : n + 1])
+    return x, float(np.abs(defect).sum()), float(abs(lam * x[n] - chain.p[n]))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.9, 0.5, 0.0, -0.25, -0.999, -1.0])
+@pytest.mark.parametrize("n", [3, 200, 2000])
+def test_eigen_at_a_real_point_keeps_the_bits_of_real_arithmetic(geometric, zeta_one, lam, n):
+    # the one complex recursion: zero imaginary parts, and real parts,
+    # residuals, edge notes and norms as the real recursion gives them
+    finite = build_chain(FiniteLaw((0.2, 0.3, 0.5)), 2000)
+    for chain in (geometric, zeta_one, finite):
+        x, residual, note = ref_real_eigen(chain, lam, n)
+        probe = eigen_from_gf(chain, lam, n)
+        assert probe.vector.dtype == complex and not probe.vector.imag.any()
+        assert np.array_equal(probe.vector.real, x)
+        assert np.abs(probe.vector).tobytes() == np.abs(x).tobytes()
+        assert (probe.residual, probe.tail_note) == (residual, note)
+        lengths = sorted({0, 1, n // 2, n})
+        assert (partial_norm_scan(chain, lam, lengths).tobytes()
+                == np.cumsum(np.abs(x))[lengths].tobytes())
+        assert disk_scan(chain, [lam], n) == [(lam, 0.0, residual, float(np.abs(x).sum()))]
+
+
 def test_eigen_size_gates(geometric):
     with pytest.raises(TruncationTooSmall):
         eigen_from_gf(geometric, 0.5, 2)
