@@ -10,10 +10,10 @@ computes one artifact set, and writes it under ``--out``:
 
 A command's handler computes its results and returns its tables; only
 :func:`_run` writes, once the handler has returned, so a command that
-exits nonzero leaves ``--out`` without artifacts.  Re-running a command
-with the same config and seed reproduces every output byte for byte;
-floats are written with full round-trip precision and nothing time- or
-host-dependent is recorded.  Writes go through a
+exits nonzero leaves ``--out`` without artifacts.  The config sets every
+value of a run, so the same config reproduces every output byte for byte,
+whatever ``--out`` and ``--quiet`` say; floats are written with full
+round-trip precision and nothing time- or host-dependent is recorded.  Writes go through a
 temporary file in the target directory followed by an atomic rename; the
 file is created with mode ``0o666`` less the process umask, as
 ``open(path, "w")`` would create it.  An ``--out`` that cannot be made a
@@ -128,8 +128,8 @@ def _csv(header, columns) -> bytes:
 # the ``results`` block of summary.json, the tables as ``{csv name:
 # (header, columns)}`` and the progress line (or None).  A handler writes
 # and prints nothing; :func:`_run` does, once it has returned.  ``cfg`` is
-# read by the handler's schema in COMMANDS, with the resolved seed under
-# ``seed``, and ``chain`` is built from its chain block (None without one).
+# read by the handler's schema in COMMANDS, and ``chain`` is built from its
+# chain block (None without one).
 # A report's results are its scalar fields (:func:`_record`), so a field
 # added to a report enters summary.json.
 # ----------------------------------------------------------------------
@@ -159,10 +159,8 @@ def _record(report, **extras) -> dict:
 
 
 def cmd_chain_info(cfg, chain):
-    info = chain.describe()
-    info["degree"] = chain.ergodic_degree
-    info["positive_recurrent"] = chain.positive_recurrent
-    return info, {}, f"{chain.classification} chain, m1={chain.m1!r}, pi1={chain.pi1!r}"
+    line = f"{chain.classification} chain, m1={chain.m1!r}, pi1={chain.pi1!r}"
+    return chain.describe(), {}, line
 
 
 def _fitted_curve(cfg, what: str, curve):
@@ -284,11 +282,11 @@ def cmd_map_correlate(cfg, chain):
     estimates = mc_correlation(
         chain, observable_from_config(cfg["u"]), observable_from_config(cfg["v"]),
         cfg["lags"], cfg["orbit_length"], cfg["seed"],
-        burn_in=cfg["burn_in"], sampler=cfg["sampler"], streams=cfg["streams"],
+        burn_in=cfg["burn_in"], sampler=cfg["sampler"],
     )
     rows = [(n, est.mean, est.stderr, est.censored) for n, est in sorted(estimates.items())]
     results = {"estimates": {str(n): _record(est) for n, est in estimates.items()},
-               "sampler": cfg["sampler"], "streams": cfg["streams"]}
+               "sampler": cfg["sampler"]}
     return (results, {"map_correlate.csv": (("n", "mean", "stderr", "censored"), zip(*rows))},
             f"estimated {len(rows)} lags from {cfg['orbit_length']}-step orbits")
 
@@ -425,7 +423,7 @@ COMMANDS = {
         _keys(length=Leaf(integer), i_max=Leaf(bounded, 10), **_ORBIT)),
     "map correlate": (
         cmd_map_correlate,
-        _keys(orbit_length=Leaf(integer), streams=Leaf(integer, 1), **_ORBIT,
+        _keys(orbit_length=Leaf(integer), **_ORBIT,
               u=OBSERVABLE_SCHEMA, v=OBSERVABLE_SCHEMA, lags=GRID)),
     "map entrance": (
         cmd_map_entrance,
@@ -457,10 +455,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="path to the JSON descriptor")
     parser.add_argument("--out", default=".",
                         help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (unsigned 64-bit)")
-    parser.add_argument("--truncation", type=int, default=None,
-                        help="override the chain prefix length")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress lines on stdout")
     return parser
@@ -473,15 +467,14 @@ def _run(command: str, args) -> int:
     handler, schema = COMMANDS[command]
     raw = load_config(args.config)
     cfg = read(raw, schema)
-    # a command without a seed key records seed 0
-    seed = cfg["seed"] = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = cfg.get("seed", 0)  # a command without a seed key records seed 0
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:  # a file in the way, no permission, ...
         raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
-    chain = chain_from_config(cfg, args.truncation) if "chain" in cfg else None
+    chain = chain_from_config(cfg) if "chain" in cfg else None
     results, tables, line = handler(cfg, chain)
     say = (lambda text: None) if args.quiet else print
     meta = {"command": command, "config_sha256": config_hash(raw), "seed": seed,

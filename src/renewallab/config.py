@@ -248,9 +248,8 @@ LAW_SCHEMA = Kinds("type", {
 CHAIN_SCHEMA = {"law": LAW_SCHEMA, "truncation": Leaf(integer)}
 
 
-def chain_from_config(cfg: dict, truncation_override=None):
-    """The chain of a read descriptor's ``chain`` block; ``truncation_override``
-    replaces its truncation."""
+def chain_from_config(cfg: dict):
+    """The chain of a read descriptor's ``chain`` block."""
     block = cfg["chain"]
     spec = block["law"]
     if spec["type"] == "geometric":
@@ -259,10 +258,7 @@ def chain_from_config(cfg: dict, truncation_override=None):
         law = ZetaTailLaw(spec["degree"], spec["log_power"])
     else:  # the keys of a finite or custom law are FiniteLaw's arguments
         law = FiniteLaw(**{key: v for key, v in spec.items() if key != "type"})
-    truncation = block["truncation"]
-    if truncation_override is not None:
-        truncation = int(truncation_override)
-    return build_chain(law, truncation)
+    return build_chain(law, block["truncation"])
 
 
 MEASURE_SCHEMA = Kinds("kind", {

@@ -57,15 +57,14 @@ batches long that slides along the orbit, and
 rule a step ``1 -> L`` returns to the top cell ``L`` steps later, so
 Kac's returns are the steps ``1 -> L`` whose return ends in the orbit.
 
-Randomness comes from the counter-based Philox generator; stream ``s`` of
-the ``streams`` of :func:`mc_correlation` with the unsigned 64-bit seed
-``seed`` uses the key ``seed | (s << 64)`` (Salmon et al., SC 2011), an
-orbit the key ``seed``, so every estimate is reproducible from its
-reported seed.  A seed that is not a whole number in ``[0, 2**64)``, by
-the rule of :mod:`renewallab.series`, raises :class:`ConfigError` before
-anything is drawn, as do the orbit sizes.  Estimators burn in
-10^4 steps by default and report batch-mean standard errors over 100
-batches.
+Randomness comes from the counter-based Philox generator (Salmon et al.,
+SC 2011): an orbit drawn with the unsigned 64-bit seed ``seed`` uses the
+key ``seed``, so every estimate is reproducible from its reported seed,
+and independent orbits are those of different seeds.  A seed that is not
+a whole number in ``[0, 2**64)``, by the rule of :mod:`renewallab.series`,
+raises :class:`ConfigError` before anything is drawn, as do the orbit
+sizes.  Estimators burn in 10^4 steps by default and report batch-mean
+standard errors over 100 batches.
 """
 
 from __future__ import annotations
@@ -138,12 +137,12 @@ _BLOCK = 2 ** 16
 #: :func:`_cells`).
 _GUIDE_BITS = 12
 
-#: Most orbit steps (burn-in included, summed over streams) one call
-#: accepts, and the most ``samples`` :func:`entrance_tail` accepts.  Checked
-#: before anything is allocated.  The orbit arrays that
-#: :func:`sample_states`, :func:`map_states` and :func:`coded_states` return
-#: take 400 MB of int32 states at the cap; the estimators read orbits in
-#: blocks and hold none of them whole.
+#: Most orbit steps (burn-in included) one call accepts, and the most
+#: ``samples`` :func:`entrance_tail` accepts.  Checked before anything is
+#: allocated.  The orbit arrays that :func:`sample_states`,
+#: :func:`map_states` and :func:`coded_states` return take 400 MB of int32
+#: states at the cap; the estimators read orbits in blocks and hold none of
+#: them whole.
 MAX_ORBIT = 100_000_000
 
 #: Relative rounding bound of the curve of :func:`entrance_tail`, two
@@ -158,15 +157,14 @@ ENTRANCE_ROUNDING = 1.5 * EPS / (1.0 - 1.5 * EPS)
 _MAX_WORKERS = 2
 
 
-def _key(seed: int, stream: int = 0) -> int:
-    """The Philox key ``seed | (stream << 64)`` of ``stream``, an index of
-    ``range(streams)``, of the run ``seed``.  A seed that is not a whole
-    number in ``[0, 2**64)`` raises :class:`ConfigError`, so a caller
-    that takes the key first draws nothing from a bad one."""
+def _key(seed: int) -> int:
+    """The Philox key of the run ``seed``, the seed itself.  A seed that is
+    not a whole number in ``[0, 2**64)`` raises :class:`ConfigError`, so a
+    caller that takes the key first draws nothing from a bad one."""
     seed = _whole(seed, "the seed", ConfigError)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed | (stream << 64)
+    return seed
 
 
 def _rng(key: int, offset: int = 0) -> np.random.Generator:
@@ -191,17 +189,15 @@ def _workers() -> int:
     return max(1, min(cpus, _MAX_WORKERS))
 
 
-def _check_orbit(length, burn_in=0, streams=1) -> tuple:
-    """Refuse an empty orbit (or sample), a negative burn-in, no streams, a
-    size that is not a whole number, or more than :data:`MAX_ORBIT` steps in
-    all.  Returns ``(length, burn_in, streams)`` as ints."""
-    length, burn_in, streams = (_whole(v, what, ConfigError, least) for v, what, least in
-                                ((length, "the orbit length", 1), (burn_in, "the burn-in", 0),
-                                 (streams, "the stream count", 1)))
-    if streams * (burn_in + length) > MAX_ORBIT:
-        raise ConfigError(
-            f"{streams} x ({burn_in} + {length}) orbit steps exceed the cap of {MAX_ORBIT}")
-    return length, burn_in, streams
+def _check_orbit(length, burn_in=0) -> tuple:
+    """Refuse an empty orbit (or sample), a negative burn-in, a size that
+    is not a whole number, or more than :data:`MAX_ORBIT` steps in all.
+    Returns ``(length, burn_in)`` as ints."""
+    length = _whole(length, "the orbit length", ConfigError, least=1)
+    burn_in = _whole(burn_in, "the burn-in", ConfigError, least=0)
+    if burn_in + length > MAX_ORBIT:
+        raise ConfigError(f"{burn_in} + {length} orbit steps exceed the cap of {MAX_ORBIT}")
+    return length, burn_in
 
 
 def _support_length(chain) -> int:
@@ -547,7 +543,7 @@ def _density_starts(m: IntermittentMap, rng):
             yield bp[cell] + next(uniforms) * (bp[cell - 1] - bp[cell])
 
 
-def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
+def _blocks(source, length: int, seed: int, burn_in: int):
     """The coded orbit of ``source`` as successive blocks of states: a
     chain draws excursions (the chain sampler), an :class:`IntermittentMap`
     iterates its float orbit from invariant-density starts (the float
@@ -555,7 +551,7 @@ def _blocks(source, length: int, seed: int, burn_in: int, stream: int = 0):
     hold ``length`` states in all.  The public entries check the sizes, and
     :func:`_sampler` the float sampler's starts, before this draws."""
     total = burn_in + length
-    key = _key(seed, stream)  # refuses a bad seed before drawing
+    key = _key(seed)  # refuses a bad seed before drawing
     if isinstance(source, IntermittentMap):
         starts = _density_starts(source, _rng(key))
         raw = _float_orbit(source, next(starts), total, restart=starts.__next__)
@@ -622,7 +618,7 @@ def coded_states(source, sampler: str, length: int, seed: int, burn_in: int = BU
     Sizes are checked before anything is drawn: ``length >= 1``,
     ``burn_in >= 0``, whole numbers, and at most :data:`MAX_ORBIT` steps.
     """
-    length, burn_in, _ = _check_orbit(length, burn_in)
+    length, burn_in = _check_orbit(length, burn_in)
     return _fill(_blocks(_sampler(source, sampler), length, seed, burn_in), length)
 
 
@@ -687,7 +683,7 @@ def _pair_counts(sentinels: np.ndarray, n: int, edges) -> np.ndarray:
 
 
 def _lag_pass(blocks, u, v, n_list, edges):
-    """One stream's batch-major lag sums, read block by block.
+    """The orbit's batch-major lag sums, read block by block.
 
     Returns ``(sums, u_sum, v_sum, sentinels)``: ``sums[j, k]`` is the dot
     of batch ``k`` of lag ``n_list[j]``, whose pairs ``(t, t + n)`` have
@@ -737,21 +733,19 @@ def _lag_pass(blocks, u, v, n_list, edges):
 
 
 def mc_correlation(source, u, v, n_list, orbit_length: int,
-                   seed: int, burn_in: int = BURN_IN, sampler: str = SAMPLER,
-                   streams: int = 1) -> dict:
+                   seed: int, burn_in: int = BURN_IN, sampler: str = SAMPLER) -> dict:
     """Time-average estimates of the lag-n covariance of two cell
     observables along a coded orbit of ``source``, a chain or its map (the
     float sampler builds the map from a chain once per call).
 
     For each n the estimator is mean(u(s_{t+n}) v(s_t)) - mean(u) mean(v)
     with batch-mean standard errors; pairs that straddle a censored step
-    are skipped and counted.  Streams use disjoint generator keys and
-    merge by inverse-variance-free weighted average (weights = sample
-    counts).  Each stream is read block by block through a window of about
-    two batches, so memory stays O(batch), not O(orbit).  Returns
-    ``{n: McEstimate}``.
+    are skipped and counted.  The orbit is read block by block through a
+    window of about two batches, so memory stays O(batch), not O(orbit).
+    More samples take a longer orbit, independent estimates other seeds.
+    Returns ``{n: McEstimate}``.
     """
-    size, burn_in, streams = _check_orbit(orbit_length, burn_in, streams)
+    size, burn_in = _check_orbit(orbit_length, burn_in)
     n_list = [_whole(n, "a lag", least=0) for n in n_list]
     if not n_list:
         raise PreconditionViolated("need at least one lag")
@@ -759,34 +753,19 @@ def mc_correlation(source, u, v, n_list, orbit_length: int,
         raise PreconditionViolated("largest lag must be well inside the orbit length")
     source = _sampler(source, sampler)
     edges = np.array([np.linspace(0, size - n, BATCHES + 1).astype(int) for n in n_list])
-    per_stream = []
-    for s in range(streams):
-        sums, u_sum, v_sum, sentinels = _lag_pass(
-            _blocks(source, size, seed, burn_in, s), u, v, n_list, edges)
-        n_valid = size - sentinels.size
-        u_mean, v_mean = u_sum / n_valid, v_sum / n_valid
-        rows = {}
-        for n, e, batch_sums in zip(n_list, edges, sums):
-            counts = _pair_counts(sentinels, n, e)
-            count = int(counts.sum())
-            means = batch_sums[counts > 0] / counts[counts > 0]
-            stderr = np.std(means, ddof=1) / math.sqrt(means.size) if means.size > 1 else math.inf
-            rows[n] = (float(np.sum(batch_sums) / count - u_mean * v_mean), float(stderr),
-                       count, size - n - count)
-        per_stream.append(rows)
-
+    sums, u_sum, v_sum, sentinels = _lag_pass(
+        _blocks(source, size, seed, burn_in), u, v, n_list, edges)
+    n_valid = size - sentinels.size
+    u_mean, v_mean = u_sum / n_valid, v_sum / n_valid
     out = {}
-    for n in n_list:
-        w = np.array([st[n][2] for st in per_stream], dtype=float)
-        mean = float(np.dot(w, [st[n][0] for st in per_stream]) / w.sum())
-        var = float(np.dot(w ** 2, [st[n][1] ** 2 for st in per_stream]) / w.sum() ** 2)
-        out[n] = McEstimate(
-            mean=mean,
-            stderr=math.sqrt(var),
-            n_samples=int(w.sum()),
-            seed=int(seed),
-            censored=sum(st[n][3] for st in per_stream),
-        )
+    for n, e, batch_sums in zip(n_list, edges, sums):
+        counts = _pair_counts(sentinels, n, e)
+        count = int(counts.sum())
+        means = batch_sums[counts > 0] / counts[counts > 0]
+        stderr = np.std(means, ddof=1) / math.sqrt(means.size) if means.size > 1 else math.inf
+        out[n] = McEstimate(mean=float(np.sum(batch_sums) / count - u_mean * v_mean),
+                            stderr=float(stderr), n_samples=count, seed=int(seed),
+                            censored=size - n - count)
     return out
 
 
@@ -816,7 +795,7 @@ def kac_check(source, orbit_length: int, seed: int,
     chain, whose mean return is infinite, raises before drawing.  A step
     ``1 -> L`` is a completed return when its ``L`` steps end in the orbit."""
     _sampler(source, "chain").stationary_law("Kac's identity needs a finite mean return")
-    size, burn_in, _ = _check_orbit(orbit_length, burn_in)
+    size, burn_in = _check_orbit(orbit_length, burn_in)
     blocks = _blocks(_sampler(source, sampler), size, seed, burn_in)
     ones = valid = censored = 0
     histogram = np.zeros(0, dtype=np.intp)
@@ -882,7 +861,7 @@ def markov_frequency_check(source, orbit_length: int, seed: int,
         raise PreconditionViolated("i_max must be at least 2")
     if i_max > DENSE_LIMIT:
         raise PreconditionViolated(f"dense cell matrices are capped at i_max = {DENSE_LIMIT}")
-    size, burn_in, _ = _check_orbit(orbit_length, burn_in)
+    size, burn_in = _check_orbit(orbit_length, burn_in)
     blocks = _blocks(_sampler(source, sampler), size, seed, burn_in)
 
     # one count keyed by batch and cell, over BATCHES equal batches of the

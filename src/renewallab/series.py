@@ -582,11 +582,14 @@ def zero_diagnostic(d, radii=None, points: int = 720):
     ``|z| < r_0``, ``|F(z)| <= F(|z|) < |d_0|``, so no zero lies inside that
     circle, and ``r_0`` itself is one (Pringsheim's argument).
 
-    The scan evaluates its ``len(radii) * points`` samples in chunks of at
-    most :data:`_SCAN_CHUNK`, so it holds O(chunk) memory beyond the angle
-    grid at any ``points``.  Returns a dict with ``min_abs`` (smallest
-    sampled ``|D(z)|``, a NaN value from an overflow skipped), ``argmin``
-    (the first sample point attaining it, radii in their given order) and
+    The scan evaluates its ``len(radii) * points`` samples in radius-major
+    order (sample ``k`` at radius ``k // points``, angle ``k % points``), in
+    flat chunks of at most :data:`_SCAN_CHUNK`, so it holds O(chunk) memory
+    beyond the angle grid at any ``points``.  It keeps the first sample of
+    smallest ``np.abs`` modulus, a NaN value from an overflow skipped; a
+    later chunk replaces it only when strictly smaller, so the pick does not
+    depend on the chunk size.  Returns a dict with ``min_abs`` (``abs`` of
+    the value there), ``argmin`` (that sample, radii in their given order) and
     ``smallest_root_modulus`` (None for any other prefix, a constant one
     included).  Empty ``radii``, a radius past :data:`EVAL_RADIUS` or NaN,
     and ``points`` not a whole number of at least 1 raise :class:`OutOfDomain`.
@@ -601,29 +604,17 @@ def zero_diagnostic(d, radii=None, points: int = 720):
         raise OutOfDomain(f"every radius must lie in the disk |z| <= {EVAL_RADIUS}")
     radii = np.asarray(radii)
     angles = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    best = (np.inf, 0.0 + 0.0j)
-    # one polyval per group of whole circles, or per piece of one circle.
-    # Each circle keeps its value at the first smallest array modulus, and
-    # the first circle whose value has the smallest scalar modulus abs(v)
-    # wins, as in a scan of one circle at a time: the two moduli can differ
-    # in the last bit
-    step, group = min(points, _SCAN_CHUNK), max(1, _SCAN_CHUNK // points)
-    for i in range(0, radii.size, group):
-        rs = radii[i : i + group, None]
-        rows = np.arange(rs.size)
-        low, at_low = np.full(rs.size, np.inf), np.full(rs.size, np.inf + 0j)
-        z_low = np.zeros(rs.size, dtype=complex)
-        for j in range(0, points, step):
-            zs = rs * np.exp(1j * angles[j : j + step])
-            vals = np.polynomial.polynomial.polyval(zs, d.coeffs)
-            mods = np.abs(vals)
-            mods[np.isnan(mods)] = np.inf  # an overflowed value is no minimum
-            k = (rows, np.argmin(mods, axis=1))
-            new = mods[k] < low
-            low[new], at_low[new], z_low[new] = mods[k][new], vals[k][new], zs[k][new]
-        for v, z in zip(at_low, z_low):
-            if abs(v) < best[0]:
-                best = (float(abs(v)), complex(z))
+    size = radii.size * points
+    best, low = (np.inf, 0.0 + 0.0j), np.inf
+    for lo in range(0, size, _SCAN_CHUNK):
+        k = np.arange(lo, min(lo + _SCAN_CHUNK, size))
+        zs = radii[k // points] * np.exp(1j * angles[k % points])
+        vals = np.polynomial.polynomial.polyval(zs, d.coeffs)
+        mods = np.abs(vals)
+        mods[np.isnan(mods)] = np.inf  # an overflowed value is no minimum
+        at = np.argmin(mods)
+        if mods[at] < low:
+            low, best = mods[at], (abs(complex(vals[at])), complex(zs[at]))
     smallest_root = None
     trimmed = np.trim_zeros(d.coeffs, "b")
     if trimmed.size > 1:

@@ -3,7 +3,8 @@
 Everything here is diagnostic: dense matrices at desk scale to verify the
 exact operator factorization, an O(N) recursion for eigenvector candidates
 read off the generating function, and pointwise generating-function
-evaluation in closed form.
+evaluation in closed form.  Each probe admits |z| <= ``EVAL_RADIUS``, the
+closed disk of :mod:`renewallab.series`, and refuses a point past it.
 
 Vectors act on matrices from the right, (xT)_j = sum_i x_i t_ij, matching
 how distributions evolve.  The dense builders return plain N-by-N arrays
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated, SingularPoint, TruncationTooSmall
-from .series import _as_grid, _whole
+from .series import EVAL_RADIUS, _as_grid, _whole
 
 __all__ = [
     "SpectralProbe",
@@ -75,7 +76,7 @@ def factorization_residual(chain, z: complex, n: int) -> float:
     truncated shift has nowhere to send the last state).
 
     Row i of (I - zQ)X is X_i - z X_{i-1}, so the product costs O(N^2)."""
-    if not abs(z) <= 1.0 + 1e-12:
+    if not abs(z) <= EVAL_RADIUS:
         raise PreconditionViolated("factorization is probed on the closed unit disk")
     n = _check_dense_size(chain, n)
     # I - M as -M plus one on the diagonal, in place, with no identity
@@ -130,7 +131,7 @@ def eigen_from_gf(chain, lam: complex, n: int) -> SpectralProbe:
     if n < 3:
         raise TruncationTooSmall("need at least three coefficients")
     lam = complex(lam)
-    if not abs(lam) <= 1.0 + 1e-12:  # outside, the recursion grows like lam^k
+    if not abs(lam) <= EVAL_RADIUS:  # outside, the recursion grows like lam^k
         raise PreconditionViolated("eigenvector candidates are probed on the closed unit disk")
     x = np.zeros(n + 1, dtype=complex)
     x[1] = 1.0
@@ -200,7 +201,7 @@ def gf_evaluate(chain, i: int, j: int, z):
     values = []
     for point in np.atleast_1d(z):
         point = complex(point)
-        if not abs(point) <= 1.0 + 1e-12:
+        if not abs(point) <= EVAL_RADIUS:
             raise PreconditionViolated("generating functions are evaluated on the closed disk")
         if point == 1.0:
             raise SingularPoint("z = 1 is the singular point of the pair-visit function")

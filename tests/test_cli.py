@@ -58,8 +58,15 @@ def test_chain_info_reports_invariants(tmp_path):
     res = summary(out)["results"]
     assert res["m1"] == 2.0
     assert res["pi1"] == 0.5
-    assert res["degree"] == "inf"
+    assert res["ergodic_degree"] == "inf"
     assert res["classification"] == "positive-recurrent"
+
+
+def test_chain_info_reports_the_chain_description_alone(tmp_path):
+    code, out = run(tmp_path, ["chain", "info"], ZETA)
+    assert code == 0
+    assert set(summary(out)["results"]) == {
+        "law", "truncation", "classification", "ergodic_degree", "m1", "pi1"}
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.replace(" ", "-"))
@@ -101,7 +108,6 @@ MALFORMED = [
     ("map simulate", {**GEO, "length": 0}),
     ("map simulate", {**GEO, "length": -5}),
     ("map frequency", {**GEO, "orbit_length": 0}),
-    ("map correlate", {**GEO, **CORRELATE, "orbit_length": 1000, "streams": 0}),
     ("chain info", {"chain": {"law": {"type": "zeta", "degree": 1e15}, "truncation": 100}}),
     ("chain info", {"chain": {"law": {"type": "zeta", "degree": 2 ** 63},
                               "truncation": 100}}),
@@ -168,7 +174,7 @@ MALFORMED_IDS = [
     "huge-truncation", "huge-length", "huge-kac-orbit",
     "huge-correlate-orbit", "huge-samples", "negative-burn-in",
     "negative-samples", "negative-n-max", "zero-length",
-    "negative-length", "zero-frequency-orbit", "zero-streams", "degree-1e15",
+    "negative-length", "zero-frequency-orbit", "degree-1e15",
     "degree-2^63", "degree-1e308", "degree-next-to-minus-1", "n-list-below-2", "negative-points",
     "u-size-2^63", "u-state-2^63", "grid-point-2^63", "j-2^63", "i-max-2^63",
     "j-2^62", "empty-n-list", "empty-radii", "nan-z-point", "nan-gf-point",
@@ -647,15 +653,14 @@ def test_main_builds_at_most_one_parser(tmp_path, monkeypatch):
     assert len(built) <= 1
 
 
-def test_flags_do_not_carry_to_the_next_call(tmp_path):
-    payload = {**GEO, "orbit_length": 1000, "seed": 11}
-    _, out1 = run(tmp_path, ["map", "kac"], payload, "--seed", "7", sub="o1")
-    _, out2 = run(tmp_path, ["map", "kac"], payload, sub="o2")
-    assert summary(out1)["seed"] == 7 and summary(out2)["seed"] == 11
-    _, out3 = run(tmp_path, ["chain", "info"], GEO, "--truncation", "64", sub="o3")
-    _, out4 = run(tmp_path, ["chain", "info"], GEO, sub="o4")
-    assert summary(out3)["results"]["truncation"] == 64
-    assert summary(out4)["results"]["truncation"] == GEO["chain"]["truncation"]
+def test_flags_do_not_carry_to_the_next_call(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GEO)
+    assert main(["chain", "info", "--config", cfg, "--out", str(tmp_path / "o1"),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["chain", "info", "--config", cfg, "--out", str(tmp_path / "o2")]) == 0
+    assert f"wrote {tmp_path / 'o2' / 'summary.json'}" in capsys.readouterr().out
+    assert not (tmp_path / "o1" / "o2").exists()
 
 
 def test_usage_errors_after_a_warm_parser(tmp_path, capsys):
@@ -757,19 +762,23 @@ def test_map_kac_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_seed_flag_overrides_config_seed(tmp_path):
-    payload = {**GEO, "orbit_length": 120_000, "seed": 11}
-    _, out1 = run(tmp_path, ["map", "kac"], payload, sub="o1")
-    _, out2 = run(tmp_path, ["map", "kac"], payload, "--seed", "99", sub="o2")
-    s1, s2 = summary(out1), summary(out2)
-    assert s1["seed"] == 11 and s2["seed"] == 99
-    assert s1["results"]["product"] != s2["results"]["product"]
+@pytest.mark.parametrize("flag", [["--seed", "7"], ["--truncation", "64"]])
+def test_no_flag_overrides_the_config(tmp_path, capsys, flag):
+    # the config hash names a run's artifacts, so no flag may set a value
+    # of the run that the artifacts would not record
+    cfg = write_cfg(tmp_path, {**GEO, "orbit_length": 1000, "seed": 11})
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "kac", "--config", cfg, "--out", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2 and flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-def test_truncation_flag_overrides_config(tmp_path):
-    code, out = run(tmp_path, ["chain", "info"], GEO, "--truncation", "64")
-    assert code == 0
-    assert summary(out)["results"]["truncation"] == 64
+def test_map_correlate_refuses_a_streams_key(tmp_path, capsys):
+    payload = {**GEO, **CORRELATE, "orbit_length": 1000, "streams": 2}
+    code, out = run(tmp_path, ["map", "correlate"], payload)
+    err = capsys.readouterr().err
+    assert code == 2 and "UnknownConfigKey" in err and "'streams'" in err
+    assert not out.exists()
 
 
 def test_estimator_csv_columns(tmp_path):
@@ -866,7 +875,7 @@ ESTIMATE_KEYS = {"mean", "stderr", "n_samples", "censored"}
 FIT_KEYS = {"exponent", "intercept", "window", "rms_residual"}
 RECORDED = {
     "map correlate": ({**GEO, **CORRELATE, "orbit_length": 5000},
-                      {"estimates", "sampler", "streams"}),
+                      {"estimates", "sampler"}),
     "map entrance": ({**GEO, "a": 0.5, "n_max": 100, "samples": 1000},
                      {"a_effective", "k", "rounding_rel_bound", "fit"}),
     "map kac": ({**GEO, "orbit_length": 5000},
@@ -998,7 +1007,7 @@ FUZZ_BASES = {
     "spectral gf": {**ZETA_2000, "i": 1, "j": 2, "z_points": [0.5, [0.3, 0.2]]},
     "map simulate": {**ZETA_2000, "length": 20_000, "i_max": 10, "burn_in": 100, "seed": 3,
                      "sampler": "float"},
-    "map correlate": {**ZETA_2000, "orbit_length": 20_000, "streams": 2, "burn_in": 100,
+    "map correlate": {**ZETA_2000, "orbit_length": 20_000, "burn_in": 100,
                       "seed": 3, "u": IND_1,
                       "v": {"kind": "values", "values": [0.5, -1.0], "limit": 0.25},
                       "lags": {"points": [1, 5]}},
@@ -1011,6 +1020,24 @@ FUZZ_BASES = {
     "series probe": {**ZETA_2000, "probe": "zeros", "radii": [0.5, 0.9], "points": 360,
                      "prefix": 500},
 }
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.replace(" ", "-"))
+def test_argv_besides_the_config_changes_no_artifact_byte(tmp_path, capsys, command):
+    # --out picks the directory and --quiet the progress lines; neither
+    # reaches an artifact
+    cfg = write_cfg(tmp_path, FUZZ_BASES[command])
+    loud, quiet = tmp_path / "loud", tmp_path / "quiet" / "nested"
+    assert main([*command.split(), "--config", cfg, "--out", str(loud)]) == 0
+    assert "wrote" in capsys.readouterr().out
+    assert main([*command.split(), "--config", cfg, "--out", str(quiet), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    names = sorted(path.name for path in loud.iterdir())
+    assert "summary.json" in names and names == sorted(path.name for path in quiet.iterdir())
+    for name in names:
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes(), name
+
+
 EDGES = (0, 1, -1, 1e-300, 1e-9, 0.999999, 1e6)
 #: keys that size an orbit: edge values above 4e4 would only make runs slow
 ORBIT_SIZES = {"length", "orbit_length", "samples", "burn_in"}

@@ -245,19 +245,6 @@ def test_chain_sampler_is_reproducible_and_stationary(geo):
     assert abs(s1.mean() - 2.0) < 0.02
 
 
-def test_streams_are_disjoint_across_seeds(geo):
-    # stream 1 of seed 7 was stream 0 of seed 8 when keys were seed + stream
-    s71, _ = stream_states(geo, "chain", 10_000, 7, maps.BURN_IN, 1)
-    s80, _ = sample_states(geo, 10_000, seed=8)
-    assert not np.array_equal(s71, s80)
-    # stream 0 is keyed by the seed alone
-    direct = np.random.Generator(np.random.Philox(key=7)).random(8)
-    assert np.array_equal(maps._rng(7).random(8), direct)
-    for bad in (-1, 2 ** 64):
-        with pytest.raises(ConfigError):
-            sample_states(geo, 10, seed=bad)
-
-
 #: Seeds that are not whole numbers in [0, 2**64).
 BAD_SEEDS = [1.5, -0.5, 3.9, -1, 2 ** 64, float("nan"), 10 ** 400, "1", True, np.True_]
 
@@ -270,8 +257,7 @@ def test_bad_seeds_are_refused_before_drawing(geo_map, monkeypatch, sampler, see
     monkeypatch.setattr(maps, "_density_starts", no_draw)
     u = centered_top_indicator(geo_map.chain)
     for call in (lambda: coded_states(geo_map, sampler, 10, seed),
-                 lambda: mc_correlation(geo_map, u, u, [1], 1000, seed, sampler=sampler,
-                                        streams=2),
+                 lambda: mc_correlation(geo_map, u, u, [1], 1000, seed, sampler=sampler),
                  lambda: kac_check(geo_map, 1000, seed, sampler=sampler),
                  lambda: markov_frequency_check(geo_map, 1000, seed, sampler=sampler),
                  lambda: entrance_tail(geo_map, geo_map.chain.d[1], 10, 1000, seed)):
@@ -285,11 +271,14 @@ def test_whole_float_seeds_act_as_ints(geo_map):
     est = mc_correlation(geo_map, u, u, [1], 1000, np.float64(3.0))
     assert est == mc_correlation(geo_map, u, u, [1], 1000, 3)
     assert type(est[1].seed) is int and est[1].seed == 3
-    # the top seed and stream are exact, not rounded through a double
+    # an orbit is keyed by its seed alone, and the top seed is exact, not
+    # rounded through a double
+    direct = np.random.Generator(np.random.Philox(key=7)).random(8)
+    assert np.array_equal(maps._rng(maps._key(7)).random(8), direct)
     top = 2 ** 64 - 1
-    for key, words in (((top, top), [top, top]), ((np.uint64(top),), [top, 0])):
-        rng = maps._rng(maps._key(*key))
-        assert rng.bit_generator.state["state"]["key"].tolist() == words
+    for seed in (top, np.uint64(top)):
+        rng = maps._rng(maps._key(seed))
+        assert rng.bit_generator.state["state"]["key"].tolist() == [top, 0]
 
 
 def test_coded_states_dispatches_by_sampler_name(geo, geo_map):
@@ -439,14 +428,6 @@ def test_power_law_correlation_slope(zeta, zeta_map):
     assert np.all(vals > 0.0)
     coef = np.polynomial.polynomial.polyfit(np.log(grid), np.log(vals), 1)
     assert abs(coef[1] - (-1.0)) < 0.25
-
-
-def test_stream_merging_pools_samples(geo, geo_map):
-    u = centered_top_indicator(geo)
-    one = mc_correlation(geo_map, u, u, [1], 100_000, seed=7)[1]
-    two = mc_correlation(geo_map, u, u, [1], 100_000, seed=7, streams=2)[1]
-    assert two.n_samples == 2 * one.n_samples
-    assert two.stderr < one.stderr
 
 
 def test_lag_gate(geo_map):
@@ -655,9 +636,9 @@ def ref_density_start(m, rng, pi_cdf):
             return float(m.breakpoints[cell] + rng.random() * width)
 
 
-def ref_float_states(m, length, seed, burn_in, stream=0):
+def ref_float_states(m, length, seed, burn_in):
     """Float orbit one step at a time: encode, then the branch image."""
-    rng = maps._rng(maps._key(seed, stream))
+    rng = maps._rng(maps._key(seed))
     pi_cdf = np.cumsum(m.chain.pi[1:])
     out = np.empty(burn_in + length, dtype=np.int32)
     x = ref_density_start(m, rng, pi_cdf)
@@ -682,9 +663,9 @@ def ref_orbit_symbols(m, x, n):
     return np.array(out, dtype=np.int32)
 
 
-def ref_chain_states(chain, length, seed, burn_in, stream=0):
+def ref_chain_states(chain, length, seed, burn_in):
     """Excursions spelled out with np.repeat: L, L-1, ..., 1 each."""
-    rng = maps._rng(maps._key(seed, stream))
+    rng = maps._rng(maps._key(seed))
     cdf = np.cumsum(chain.p[1:])
     total = burn_in + length
     chunks, have = [], 0
@@ -702,10 +683,10 @@ def ref_chain_states(chain, length, seed, burn_in, stream=0):
     return states, int(np.count_nonzero(states == -1))
 
 
-def ref_states(m, sampler, length, seed, burn_in, stream=0):
+def ref_states(m, sampler, length, seed, burn_in):
     if sampler == "float":
-        return ref_float_states(m, length, seed, burn_in, stream)
-    return ref_chain_states(m.chain, length, seed, burn_in, stream)
+        return ref_float_states(m, length, seed, burn_in)
+    return ref_chain_states(m.chain, length, seed, burn_in)
 
 
 def ref_observe(obs, states):
@@ -730,7 +711,7 @@ def ref_batch_stderr(y, batches=maps.BATCHES):
 
 
 def ref_lag_row(uu, vv, n):
-    """One stream's lag-``n`` estimate by nanmean on NaN-marked streams, and
+    """The lag-``n`` estimate by nanmean on the NaN-marked orbit values, and
     how far any other order of its sums may round it away.
 
     A sum of ``k`` products is off its exact value by at most ``_gamma(k)``
@@ -760,35 +741,12 @@ def ref_lag_row(uu, vv, n):
     return mean, stderr, valid, y.size - valid, mean_tol, stderr_tol
 
 
-def ref_mc_correlation(m, u, v, lags, orbit_length, seed, burn_in, sampler, streams):
-    """Per-lag nanmean estimator on NaN-marked streams, merged by counts,
-    with the rounding bounds of the merged mean and stderr."""
-    per_stream = []
-    for s in range(streams):
-        states, _ = ref_states(m, sampler, orbit_length, seed, burn_in, s)
-        uu, vv = ref_observe(u, states), ref_observe(v, states)
-        per_stream.append({n: ref_lag_row(uu, vv, n) for n in lags})
-    out = {}
-    for n in lags:
-        mean, stderr, w, censored, mean_tol, stderr_tol = np.array(
-            [rows[n] for rows in per_stream]).T
-        merged_mean = float(np.dot(w, mean) / w.sum())
-        merged_stderr = math.sqrt(float(np.dot(w ** 2, stderr ** 2) / w.sum() ** 2))
-        # each merge is a dot product of `streams` terms and a division
-        spread = 2 * _gamma(streams + 2) * np.dot(w, np.abs(mean) + mean_tol)
-        merged_mean_tol = (np.dot(w, mean_tol) + spread) / w.sum()
-        merged_stderr_tol = (np.dot(w, stderr_tol) / w.sum()
-                             + 4 * _gamma(streams + 5) * merged_stderr)
-        out[n] = (merged_mean, merged_stderr, int(w.sum()), int(censored.sum()),
-                  float(merged_mean_tol), float(merged_stderr_tol))
-    return out
-
-
-def stream_states(source, sampler, length, seed, burn_in, stream):
-    """``(states, censored)`` of stream ``stream`` of the run ``seed``, as
-    :func:`mc_correlation` draws it for ``streams > stream``."""
-    blocks = maps._blocks(maps._sampler(source, sampler), length, seed, burn_in, stream)
-    return maps._fill(blocks, length)
+def ref_mc_correlation(m, u, v, lags, orbit_length, seed, burn_in, sampler):
+    """Per-lag nanmean estimator on the NaN-marked orbit values, with the
+    rounding bounds of its mean and stderr."""
+    states, _ = ref_states(m, sampler, orbit_length, seed, burn_in)
+    uu, vv = ref_observe(u, states), ref_observe(v, states)
+    return {n: ref_lag_row(uu, vv, n) for n in lags}
 
 
 def same_states(got, want):
@@ -835,16 +793,14 @@ workers = st.sampled_from([1, 2, 3])
 
 @given(name=st.sampled_from(sorted(ORACLE_LAWS)), seed=seeds,
        burn_in=st.integers(0, 300), length=st.integers(1, 2500),
-       stream=st.integers(0, 3), block=blocks)
+       block=blocks)
 @settings(max_examples=40, deadline=None)
-def test_float_sampler_matches_the_per_step_loop(name, seed, burn_in, length, stream, block):
+def test_float_sampler_matches_the_per_step_loop(name, seed, burn_in, length, block):
     m = oracle_map(name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_BLOCK", block)
-        got = stream_states(m, "float", length, seed, burn_in, stream)
-    assert same_states(got, ref_float_states(m, length, seed, burn_in, stream))
-    if stream == 0:
-        assert same_states(map_states(m, length, seed, burn_in=burn_in), got)
+        got = map_states(m, length, seed, burn_in=burn_in)
+    assert same_states(got, ref_float_states(m, length, seed, burn_in))
 
 
 def assert_same_orbit(m, x0, n):
@@ -885,25 +841,23 @@ def test_float_sampler_refills_its_restart_uniforms(block, monkeypatch):
     # them from several batches of the start routine
     m = oracle_map("geometric-0.5")
     monkeypatch.setattr(maps, "_BLOCK", block)
-    got = stream_states(m, "float", 20_000, 12, 5, 3)
-    assert same_states(got, ref_float_states(m, 20_000, 12, 5, stream=3))
+    got = map_states(m, 20_000, 15, burn_in=5)
+    assert same_states(got, ref_float_states(m, 20_000, 15, 5))
     assert got[1] > 300
 
 
 @given(name=st.sampled_from(sorted({**ORACLE_LAWS, **NULL_LAWS})), seed=seeds,
        burn_in=st.integers(0, 3000), length=st.integers(1, 20_000),
-       stream=st.integers(0, 3), block=blocks, threads=workers)
+       block=blocks, threads=workers)
 @settings(max_examples=60, deadline=None)
-def test_chain_sampler_matches_the_repeat_construction(name, seed, burn_in, length, stream,
-                                                       block, threads):
+def test_chain_sampler_matches_the_repeat_construction(name, seed, burn_in, length, block,
+                                                       threads):
     chain = oracle_map(name).chain
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maps, "_BLOCK", block)
         mp.setattr(maps, "_workers", lambda: threads)
-        got = stream_states(chain, "chain", length, seed, burn_in, stream)
-        if stream == 0:
-            assert same_states(sample_states(chain, length, seed, burn_in=burn_in), got)
-    assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream))
+        got = sample_states(chain, length, seed, burn_in=burn_in)
+    assert same_states(got, ref_chain_states(chain, length, seed, burn_in))
 
 
 values = st.floats(-2.0, 2.0, allow_subnormal=False)
@@ -920,11 +874,10 @@ def resolve(obs, chain):
 
 @given(name=st.sampled_from(sorted(ORACLE_LAWS)), sampler=st.sampled_from(["chain", "float"]),
        seed=seeds, burn_in=st.integers(0, 200), orbit_length=st.integers(200, 3000),
-       streams=st.integers(1, 3), u=observables, v=st.one_of(st.just("u"), observables),
-       data=st.data())
+       u=observables, v=st.one_of(st.just("u"), observables), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_lag_estimator_matches_the_nanmean_route(name, sampler, seed, burn_in, orbit_length,
-                                                  streams, u, v, data):
+                                                  u, v, data):
     # the estimator sums batch by batch, the oracle whole: their means and
     # stderrs agree within the rounding bound of the two orders, the counts
     # exactly
@@ -933,9 +886,8 @@ def test_lag_estimator_matches_the_nanmean_route(name, sampler, seed, burn_in, o
     v = u if v == "u" else resolve(v, m.chain)
     lags = data.draw(st.lists(st.integers(0, orbit_length // 2 - 1), min_size=1, max_size=4,
                               unique=True).map(lambda xs: [0, *xs]))
-    got = mc_correlation(m, u, v, lags, orbit_length, seed, burn_in=burn_in,
-                         sampler=sampler, streams=streams)
-    want = ref_mc_correlation(m, u, v, lags, orbit_length, seed, burn_in, sampler, streams)
+    got = mc_correlation(m, u, v, lags, orbit_length, seed, burn_in=burn_in, sampler=sampler)
+    want = ref_mc_correlation(m, u, v, lags, orbit_length, seed, burn_in, sampler)
     for n in lags:
         e = got[n]
         mean, stderr, n_samples, censored, mean_tol, stderr_tol = want[n]
@@ -961,7 +913,7 @@ def test_pair_counts_from_sentinels_match_the_mask_route(same, monkeypatch):
     cuts = [0, 1, 299, 300, 301, 302, 600, 637, 638, 999, 1000]
     monkeypatch.setattr(maps, "_BLOCK", 1)
     for states in (canned, clean):
-        def blocks(source, length, seed, burn_in, stream, states=states):
+        def blocks(source, length, seed, burn_in, states=states):
             return (states[a:b].copy() for a, b in zip(cuts[:-1], cuts[1:]))
 
         monkeypatch.setattr(maps, "_sampler", lambda source, sampler: source)
@@ -1067,9 +1019,9 @@ def test_float_sampler_builds_the_map_once_per_call(geo, monkeypatch):
 
     monkeypatch.setattr(maps, "build_map", counted)
     u = centered_top_indicator(geo)
-    mc_correlation(geo, u, u, [1], 2000, seed=5, burn_in=100, sampler="float", streams=3)
+    mc_correlation(geo, u, u, [1], 2000, seed=5, burn_in=100, sampler="float")
     assert calls == [geo]
-    mc_correlation(geo, u, u, [1], 2000, seed=5, burn_in=100, streams=3)
+    mc_correlation(geo, u, u, [1], 2000, seed=5, burn_in=100)
     assert calls == [geo]
 
 
@@ -1096,8 +1048,8 @@ def censoring_chain():
 def test_chain_sampler_matches_across_block_edges(name, length, burn_in):
     chain = oracle_map(name).chain
     for seed in (3, 2 ** 63 + 5):
-        got = stream_states(chain, "chain", length, seed, burn_in, 1)
-        assert same_states(got, ref_chain_states(chain, length, seed, burn_in, stream=1))
+        got = sample_states(chain, length, seed, burn_in=burn_in)
+        assert same_states(got, ref_chain_states(chain, length, seed, burn_in))
 
 
 def test_censored_steps_on_block_edges_survive_the_copy():
@@ -1116,8 +1068,8 @@ def test_censored_steps_on_block_edges_survive_the_copy():
 def test_float_sampler_matches_across_block_edges(name):
     # the dyadic map restarts every ~53 steps, so restarts straddle edges
     m = oracle_map(name)
-    got = stream_states(m, "float", B + 5, 2, B - 3, 1)
-    assert same_states(got, ref_float_states(m, B + 5, 2, B - 3, stream=1))
+    got = map_states(m, B + 5, 9, burn_in=B - 3)
+    assert same_states(got, ref_float_states(m, B + 5, 9, B - 3))
     assert name != "geometric-0.5" or got[1] > 1000
 
 
@@ -1272,16 +1224,15 @@ def test_orbits_and_reports_do_not_depend_on_the_worker_count(monkeypatch, block
     monkeypatch.setattr(maps, "_BLOCK", block)
 
     def outputs():
-        return [stream_states(chain, "chain", length, 5, block + 3, 2),
+        return [sample_states(chain, length, 6, burn_in=block + 3),
                 sample_states(censoring, length, 2 ** 64 - 1, burn_in=0),
-                mc_correlation(chain, u, v, [0, 1, 17], length, 5, burn_in=block - 1,
-                               streams=2),
+                mc_correlation(chain, u, v, [0, 1, 17], length, 6, burn_in=block - 1),
                 vars(kac_check(chain, length, 5, burn_in=7)),
                 vars(markov_frequency_check(chain, length, 5, i_max=6, burn_in=2))]
 
     monkeypatch.setattr(maps, "_workers", lambda: 1)
     want = outputs()
-    assert same_states(want[0], ref_chain_states(chain, length, 5, block + 3, stream=2))
+    assert same_states(want[0], ref_chain_states(chain, length, 6, block + 3))
     assert same_states(want[1], ref_chain_states(censoring, length, 2 ** 64 - 1, 0))
     for threads in (2, 3):
         monkeypatch.setattr(maps, "_workers", lambda: threads)
@@ -1304,6 +1255,15 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     assert maps._workers() == maps._MAX_WORKERS == 2
+
+
+@pytest.mark.parametrize("cpus, workers", [(8, 2), (1, 1), (None, 1)])
+def test_worker_count_without_affinity_masks(monkeypatch, cpus, workers):
+    # a platform without sched_getaffinity falls back on the CPU count, and
+    # on one thread when that is unknown
+    monkeypatch.delattr(maps.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(maps.os, "cpu_count", lambda: cpus)
+    assert maps._workers() == workers
 
 
 def serial_loop_draws(chain, total, seed):
@@ -1494,9 +1454,8 @@ def test_streamed_lag_estimator_matches_the_nanmean_route(geo_map, zeta_map, mon
         v = Observable(np.array([0.0, 0.5, -1.0, 2.0]), limit=0.25)
         for vv in (u, v):
             lags = [0, 1, 30, 300] if length > 10_000 else [0, 3, 29]
-            got = mc_correlation(m, u, vv, lags, length, 12, burn_in=150, sampler=sampler,
-                                 streams=2)
-            want = ref_mc_correlation(m, u, vv, lags, length, 12, 150, sampler, 2)
+            got = mc_correlation(m, u, vv, lags, length, 12, burn_in=150, sampler=sampler)
+            want = ref_mc_correlation(m, u, vv, lags, length, 12, 150, sampler)
             for n in lags:
                 mean, stderr, n_samples, censored, mean_tol, stderr_tol = want[n]
                 assert (got[n].n_samples, got[n].censored) == (n_samples, censored)

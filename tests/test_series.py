@@ -525,6 +525,22 @@ def test_zero_diagnostic_routes(zeta_chains, monkeypatch):
         assert root_modulus(coeffs) is None
 
 
+@pytest.mark.parametrize("c0, k, a", [
+    (1.0, [1.0, 2.0], [0.5, 0.5]),  # root 1
+    (1.0, [3.0], [1e-9]),  # root 1000
+    (2.0, [1.0, 5.0, 40.0], [0.01, 0.2, 1e-30]),
+    (1e-300, [10.0], [1.0]),
+])
+def test_positive_root_at_its_step_cap_returns_a_bracket_end(monkeypatch, c0, k, a):
+    k, a = np.array(k), np.array(a)
+    root = series._positive_root(c0, k, a)
+    monkeypatch.setattr(series, "_ROOT_STEPS", 0)
+    end = series._positive_root(c0, k, a)
+    # the bracket [lo, 2 lo] holds the root, and no step refines it
+    assert end == 2.0 ** round(math.log2(end))
+    assert root / 2.0 <= end <= 2.0 * root
+
+
 def ref_circle_scan(coeffs, radii, points):
     """The circle scan one radius at a time: the first smallest ``|D(z)|``."""
     angles = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
@@ -541,8 +557,8 @@ def ref_circle_scan(coeffs, radii, points):
 @pytest.mark.parametrize("radii, points, chunk", [
     ([0.3, 0.9, 1.0], 50_000, series._SCAN_CHUNK),  # chunk edges inside circles
     (np.linspace(0.1, 1.0, 10), 720, series._SCAN_CHUNK),  # the default scan
-    ([1.0, 0.5, 0.5, 0.7], 360, 7),  # pieces of a circle
-    ([1.0, 0.5, 0.5, 0.7, 0.2], 360, 1000),  # groups of two circles
+    ([1.0, 0.5, 0.5, 0.7], 360, 7),  # many chunks per circle
+    ([1.0, 0.5, 0.5, 0.7, 0.2], 360, 1000),  # chunks across circle edges
     ([0.8], 1, 1),
 ])
 def test_zero_diagnostic_scan_matches_the_per_radius_loop(zeta_chains, monkeypatch, radii,

@@ -18,7 +18,7 @@ from renewallab.errors import (
     SingularPoint,
     TruncationTooSmall,
 )
-from renewallab.series import _quotient
+from renewallab.series import EVAL_RADIUS, TruncatedSeries, _quotient, zero_diagnostic
 from renewallab.spectral import (
     disk_scan,
     eigen_from_gf,
@@ -406,3 +406,32 @@ def test_visit_reciprocal_relation_random_points(q, x, y):
     ch = build_chain(GeometricLaw(q), truncation=1200)
     p11, f11 = gf_evaluate(ch, 1, 1, z)
     assert abs(p11 - 1.0 / (1.0 - f11)) < 1e-10 * max(1.0, abs(p11))
+
+
+# ----------------------------------------------------------------------
+# one closed-disk rule
+# ----------------------------------------------------------------------
+
+def test_every_disk_entry_shares_the_evaluation_radius(geometric):
+    # series refuses with OutOfDomain and spectral with PreconditionViolated,
+    # past EVAL_RADIUS = 1 + 1e-9, and both admit the points short of it
+    assert EVAL_RADIUS == 1.0 + 1e-9
+    entries = {
+        "evaluate": (lambda z: TruncatedSeries([1.0, -0.5]).evaluate(z), OutOfDomain),
+        "zero_diagnostic": (lambda z: zero_diagnostic([1.0, -0.5], radii=[abs(z)], points=4),
+                            OutOfDomain),
+        "factorization_residual": (lambda z: factorization_residual(geometric, z, 20),
+                                   PreconditionViolated),
+        "eigen_from_gf": (lambda z: eigen_from_gf(geometric, z, 20), PreconditionViolated),
+        "gf_evaluate": (lambda z: gf_evaluate(geometric, 1, 2, z), PreconditionViolated),
+    }
+    angle = np.exp(0.7j)
+    for name, (entry, error) in entries.items():
+        for r in (1.0 + 5e-10, 1.0 + 2e-9):
+            for z in (r, r * angle):
+                if r < EVAL_RADIUS:
+                    entry(z)
+                else:
+                    with pytest.raises(error) as exc:
+                        entry(z)
+                    assert type(exc.value) is error, name

@@ -27,7 +27,8 @@ from renewallab.maps import IntermittentMap
 
 @pytest.mark.parametrize("entry, gone", [
     (maps.coded_states, "stream"), (maps.sample_states, "stream"), (maps.map_states, "stream"),
-    (moment, "trunc"), (second_moment_identity, "trunc"), (from_weights, "probability")])
+    (maps.mc_correlation, "streams"), (moment, "trunc"), (second_moment_identity, "trunc"),
+    (from_weights, "probability")])
 def test_no_setting_that_only_the_tests_used(entry, gone):
     assert gone not in inspect.signature(entry).parameters
 
