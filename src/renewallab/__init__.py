@@ -18,10 +18,6 @@ from .maps import *
 from .spectral import *
 from .evolve import *
 
-# the package spells the one-step map ``apply_map``
-apply_map = apply
-del apply
-
 __version__ = "0.1.0"
 
 #: Every public name of the submodules: the exception classes and each
@@ -31,8 +27,7 @@ __all__ = [
     *series.__all__,
     *measures.__all__,
     *chain.__all__,
-    *(name for name in maps.__all__ if name != "apply"),
-    "apply_map",
+    *maps.__all__,
     *spectral.__all__,
     *evolve.__all__,
     "__version__",

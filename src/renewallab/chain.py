@@ -39,14 +39,13 @@ from .errors import (
     TruncationTooSmall,
     ZeroProbabilityBranch,
 )
-from .measures import SignedDistribution, TailDecl
+from .measures import MASS_TOL, SignedDistribution, TailDecl
 from .series import TruncatedSeries, _quotient, _tail_sums, _whole
 
 __all__ = [
     "GeometricLaw",
     "ZetaTailLaw",
     "FiniteLaw",
-    "CustomLaw",
     "RenewalChain",
     "FirstPassageLaw",
     "MomentValue",
@@ -59,9 +58,6 @@ __all__ = [
     "p_order",
     "codivergence_probe",
 ]
-
-#: Mass tolerance for "the return law is a probability law".
-NORMALIZATION_TOL = 1e-10
 
 #: Largest stored prefix :func:`build_chain` accepts: about 80 MB per
 #: stored array, checked before anything is allocated.
@@ -243,8 +239,7 @@ class FiniteLaw:
     :func:`_zeta_tail`: a Hurwitz zeta value without a log power
     (:func:`_hurwitz`, which loads no scipy module), with one direct partial
     sums of 1e5 terms plus analytic tail integrals.
-    :class:`CustomLaw` is the same class, :class:`ZetaTailLaw` its case
-    with an empty prefix.
+    :class:`ZetaTailLaw` is its case with an empty prefix.
     """
 
     probs: tuple
@@ -257,13 +252,13 @@ class FiniteLaw:
         if arr.ndim != 1 or np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
             raise NotNormalized("probabilities must be a vector of finite nonnegative numbers")
         total, tailed = float(arr.sum()), tail_exponent != math.inf
-        if tailed and not 1.0 - total > NORMALIZATION_TOL:
+        if tailed and not 1.0 - total > MASS_TOL:
             raise NotNormalized(f"probabilities sum to {total!r}, leaving no tail mass")
         if not tailed:
             if tail_log_power != 0.0:
                 raise ConfigError(f"a tail_log_power ({tail_log_power!r}) needs a "
                                   f"tail_exponent")
-            if abs(total - 1.0) > NORMALIZATION_TOL:
+            if abs(total - 1.0) > MASS_TOL:
                 raise NotNormalized(f"probabilities sum to {total!r}, not 1")
             gcd = np.gcd.reduce(np.nonzero(arr)[0] + 1)
             if gcd != 1:
@@ -348,10 +343,6 @@ class FiniteLaw:
                 "tail_log_power": self.tail_log_power}
 
 
-#: The explicit-prefix law under the name the ``"custom"`` config type uses.
-CustomLaw = FiniteLaw
-
-
 class ZetaTailLaw(FiniteLaw):
     """``p_n`` proportional to ``n^-(degree+2) log(n+1)^log_power``: the
     explicit-prefix law with an empty prefix and all its mass in the tail.
@@ -365,14 +356,10 @@ class ZetaTailLaw(FiniteLaw):
         self._realize((), degree_ + 2.0, degree_, log_power, 1.0)
 
     def __repr__(self) -> str:
-        return f"ZetaTailLaw(degree_={self.degree_!r}, log_power={self.log_power!r})"
-
-    @property
-    def log_power(self) -> float:
-        return self.tail_log_power
+        return f"ZetaTailLaw(degree_={self.degree_!r}, log_power={self.tail_log_power!r})"
 
     def describe(self) -> dict:
-        return {"type": "zeta", "degree": self.degree_, "log_power": self.log_power}
+        return {"type": "zeta", "degree": self.degree_, "log_power": self.tail_log_power}
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +501,7 @@ def build_chain(law, truncation: int) -> RenewalChain:
     # telescoping from the analytic tail rather than a closed form (q^k for
     # a geometric law) keeps d[k] == d[k+1] + p[k+1] exact in floats
     d = _tail_sums(p[1:], tail)
-    if abs(d[0] - 1.0) > NORMALIZATION_TOL:
+    if abs(d[0] - 1.0) > MASS_TOL:
         raise NotNormalized(f"prefix plus tail sums to {float(d[0])!r}, not 1")
     d[0] = 1.0
 
@@ -609,7 +596,7 @@ def _moment_tail_estimate(chain, f: FirstPassageLaw, gamma: float) -> float:
     the ratio of their last two positive coefficients."""
     fam = chain.law.tail_family()
     c = f.series.coeffs
-    n = f.series.truncation_order
+    n = c.size - 1
     last = float(c[-1])
     if last <= 0.0 or f.i > f.j:
         return 0.0

@@ -385,7 +385,7 @@ def _keys(**keys) -> dict:
 _SEED = {"seed": Leaf(integer, 0)}
 #: keys of the commands that draw coded orbits
 _ORBIT = {"burn_in": Leaf(integer, BURN_IN), "sampler": Leaf(string, SAMPLER), **_SEED}
-_FIT = {"fit_window": Leaf(interval(int), None, nullable=True)}
+_FIT = {"fit_window": Leaf(interval(int), None)}
 #: blocks of the rates commands that pair an evolved measure with an observable
 _PAIR = {"nu": MEASURE_SCHEMA, "u": OBSERVABLE_SCHEMA, "grid": GRID}
 _POINTS = {"z_points": Leaf(complex_points)}
@@ -394,7 +394,7 @@ PROBE_SCHEMA = Kinds("probe", {
     "convolution": {"gamma": Leaf(number), "n_list": Leaf(list_of(bounded, nonempty=True))},
     "kaluza": _keys(),
     # the prefix defaults to min(truncation, 2000), read off the chain
-    "zeros": _keys(radii=Leaf(list_of(number, nonempty=True), None, nullable=True),
+    "zeros": _keys(radii=Leaf(list_of(number, nonempty=True), None),
                    points=Leaf(bounded, 720), prefix=Leaf(bounded, None)),
 })
 
@@ -406,7 +406,7 @@ COMMANDS = {
     "rates correlation": (cmd_rates_correlation, _keys(**_FIT, **_PAIR)),
     "rates lemma2": (
         cmd_rates_lemma2,
-        _keys(band=Leaf(interval(float), (0.9, 1.1), nullable=True), grid=GRID)),
+        _keys(band=Leaf(interval(float), (0.9, 1.1)), grid=GRID)),
     "rates constant": (
         cmd_rates_constant, _keys(rel_tolerance=Leaf(number, 0.2), **_PAIR)),
     "rates null": (cmd_rates_null, _keys(**_PAIR)),

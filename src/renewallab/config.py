@@ -174,13 +174,11 @@ REQUIRED = object()
 
 class Leaf(NamedTuple):
     """A key that holds a value: ``read(value, dotted_path)`` checks and
-    converts it, ``default`` stands in when it is absent (:data:`REQUIRED`:
-    it must be present), and with ``nullable`` a JSON ``null`` means absent
-    too."""
+    converts it, and ``default`` stands in when it is absent
+    (:data:`REQUIRED`: it must be present)."""
 
     read: Callable
     default: object = REQUIRED
-    nullable: bool = False
 
 
 class Kinds(NamedTuple):
@@ -224,7 +222,7 @@ def read(cfg, schema, path: str = "") -> dict:
     for key, sub in schema.items():
         here = _join(path, key)
         leaf = isinstance(sub, Leaf)
-        if key in cfg and not (leaf and sub.nullable and cfg[key] is None):
+        if key in cfg:
             out[key] = sub.read(cfg[key], here) if leaf else read(cfg[key], sub, here)
         elif leaf and sub.default is not REQUIRED:
             out[key] = sub.default
@@ -263,8 +261,7 @@ def chain_from_config(cfg: dict):
 
 MEASURE_SCHEMA = Kinds("kind", {
     "point": {"state": Leaf(bounded)},
-    # the stationary law's size defaults to the chain's truncation
-    "stationary": {"size": Leaf(bounded, None)},
+    "stationary": {},
     "weights": {"weights": Leaf(list_of(number)), "tail_mass": Leaf(number, 0.0)},
 })
 
@@ -273,9 +270,9 @@ def measure_from_config(block: dict, chain):
     """The initial measure of a read ``nu`` block, on ``chain``'s prefix."""
     kind = block["kind"]
     if kind == "point":
-        return point_mass(chain.within(block["state"], "nu.state"), size=chain.truncation)
+        return point_mass(chain.within(block["state"], "nu.state"))
     if kind == "stationary":
-        return stationary(chain, size=block["size"])
+        return stationary(chain)
     return from_weights(block["weights"], tail_mass=block["tail_mass"])
 
 

@@ -98,7 +98,7 @@ __all__ = [
     "EntranceReport",
     "TransferReport",
     "build_map",
-    "apply",
+    "apply_map",
     "encode",
     "orbit_symbols",
     "sample_states",
@@ -254,13 +254,13 @@ def build_map(chain) -> IntermittentMap:
     cap = int(narrow[0]) if narrow.size else support
     if cap < 1:
         raise ZeroProbabilityBranch("no resolvable branch")
-    bp = chain.d[: cap + 1].copy()
+    bp = chain.d[: cap + 1]  # a view: chain.d is read-only
     slopes = np.zeros(cap + 1)
     slopes[1] = chain.p[1]
     slopes[2:] = chain.p[2 : cap + 1] / chain.p[1:cap]
     m = IntermittentMap(chain, bp, slopes)
 
-    # apply() on the float just below the top of each cell i = 2 .. k, all at
+    # apply_map() on the float just below the top of each cell i = 2 .. k, all at
     # once.  encode() puts it in cell i: every p_i >= DEPTH_RESOLUTION is
     # more than half an ulp of d_i <= 1, so the cells are not empty.  The
     # image is _image's affine step and clamps, the upper clamp 1 for i = 2.
@@ -296,7 +296,7 @@ def encode(m: IntermittentMap, x: float) -> int:
     return sym
 
 
-def apply(m: IntermittentMap, x: float) -> float:
+def apply_map(m: IntermittentMap, x: float) -> float:
     """One step of the map.
 
     The branch holding ``x`` is found by binary search; its affine image
@@ -449,7 +449,8 @@ def _excursion_block(chain, cdf, guide, rng, count: int, limit: int):
     states = np.zeros(min(size, limit), dtype=np.int32)
     states[starts] = last + 1
     np.maximum.accumulate(states, out=states)
-    states -= np.arange(states.size, dtype=np.int32)
+    for lo in range(0, states.size, _BLOCK):  # no position array as long as the block
+        states[lo : lo + _BLOCK] -= np.arange(lo, min(lo + _BLOCK, states.size), dtype=np.int32)
     np.maximum(states, 1, out=states)
     states[starts[over]] = -1
     return states

@@ -26,6 +26,7 @@ __all__ = [
     "ones",
 ]
 
+#: Tolerance of "the total mass is one", of a measure or of a return law.
 MASS_TOL = 1e-10
 
 
@@ -98,48 +99,40 @@ class SignedDistribution:
         return float(self.weights.sum() + self.tail_mass)
 
 
-def point_mass(state: int, size: int | None = None) -> SignedDistribution:
-    """Unit mass at ``state``; prefix length defaults to the state itself."""
+def point_mass(state: int) -> SignedDistribution:
+    """Unit mass at ``state``, on the prefix of states 1 .. ``state``."""
     state = _whole(state, "the state", least=1)
-    n = state if size is None else _whole(size, "the prefix length")
-    if n < state:
-        raise PreconditionViolated(f"prefix length {n} cannot hold state {state}")
-    w = np.zeros(n + 1)
+    w = np.zeros(state + 1)
     w[state] = 1.0
     return SignedDistribution(w, tail_mass=0.0, tail=TailDecl("finite"))
 
 
-def from_weights(weights, tail_mass: float = 0.0, tail: TailDecl | None = None
-                 ) -> SignedDistribution:
+def from_weights(weights, tail_mass: float = 0.0) -> SignedDistribution:
     """Wrap an explicit weight vector (indexed from state 1) as a probability
-    measure: total mass one and no negative entry.  A signed start is a
-    :class:`SignedDistribution` built directly.
+    measure: total mass one, no negative entry and no declared tail.  A
+    signed start, or one with a declared tail, is a :class:`SignedDistribution`.
     """
     w = np.asarray(weights, dtype=float)
     padded = np.zeros(w.size + 1)
     padded[1:] = w
-    if tail is None and tail_mass == 0.0:
-        tail = TailDecl("finite")
+    tail = TailDecl("finite") if tail_mass == 0.0 else None
     nu = SignedDistribution(padded, tail_mass=float(tail_mass), tail=tail)
     if np.any(nu.weights < 0.0) or nu.tail_mass < 0.0:
         raise NotNormalized("probability measure has negative entries")
     return nu
 
 
-def stationary(chain, size: int | None = None) -> SignedDistribution:
-    """Stationary law of a positive-recurrent chain as a declared-tail
-    distribution: the power exponent is one below the return law's, with
-    the same logarithmic correction."""
+def stationary(chain) -> SignedDistribution:
+    """Stationary law of a positive-recurrent chain, its weights the chain's
+    read-only ``pi``, with a declared tail: the power exponent is one below
+    the return law's, with the same logarithmic correction."""
     chain.stationary_law("a stationary start needs the stationary law")
-    n = chain.truncation if size is None else chain.within(
-        _whole(size, "the prefix length"), "the stationary law's prefix")
     fam = chain.law.tail_family()
     if fam.kind == "power":
         decl = TailDecl("power", exponent=fam.exponent - 1.0, log_power=fam.log_power)
     else:
         decl = fam
-    w = chain.pi[: n + 1].copy()
-    return SignedDistribution(w, tail_mass=chain.stationary_mass_beyond(n), tail=decl)
+    return SignedDistribution(chain.pi, chain.stationary_mass_beyond(chain.truncation), decl)
 
 
 @dataclass(frozen=True)

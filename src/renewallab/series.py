@@ -88,25 +88,8 @@ class TruncatedSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
-    @property
-    def truncation_order(self) -> int:
-        return self.coeffs.size - 1
-
     def __len__(self) -> int:
         return self.coeffs.size
-
-    def evaluate(self, z):
-        """Evaluate the prefix polynomial at ``z`` by Horner's rule.
-
-        ``z`` may be real or complex but must satisfy ``|z| <= 1 + 1e-9``;
-        outside that disk the truncated prefix carries no information about
-        the series and evaluation refuses with :class:`OutOfDomain`.
-        """
-        z = complex(z)
-        if not abs(z) <= EVAL_RADIUS:
-            raise OutOfDomain(f"|z| = {abs(z):.6g} exceeds {EVAL_RADIUS}")
-        value = complex(np.polynomial.polynomial.polyval(z, self.coeffs))
-        return value.real if z.imag == 0.0 else value
 
 
 def _as_series(x) -> TruncatedSeries:

@@ -38,6 +38,10 @@ __all__ = [
 #: :mod:`renewallab.maps`; larger probes use structured actions.
 DENSE_LIMIT = 1000
 
+#: Largest share of ``|1 - F(z)|``, ``F`` the return law's transform over the
+#: stored prefix, that the return mass past it may weigh in :func:`gf_evaluate`.
+GF_TAIL_SHARE = 1e-6
+
 
 def _check_dense_size(chain, n) -> int:
     """``n`` as a dense dimension on ``chain``'s stored prefix."""
@@ -182,9 +186,11 @@ def gf_evaluate(chain, i: int, j: int, z):
 
     Closed forms from the chain structure: descents are monomials, ascents
     go through the return row.  The renewal identity
-    P_ij = F_ij P_jj + delta_ij couples the two values.  The tests check
-    them against the series of P_ij, first passage over the return-renewal
-    denominator, summed at points well inside the disk.
+    P_ij = F_ij P_jj + delta_ij couples the two values.  They read ``p``
+    over the stored prefix; the mass past it moves ``F`` by at most ``d_N
+    |z|^(N+1)``, which must stay within ``GF_TAIL_SHARE * |1 - F(z)|``.
+    The tests check them against the series of P_ij, first passage over
+    the return-renewal denominator, summed at points well inside the disk.
 
     Raises
     ------
@@ -194,7 +200,9 @@ def gf_evaluate(chain, i: int, j: int, z):
     OutOfDomain via PreconditionViolated
         Outside the closed unit disk.
     TruncationTooSmall
-        If ``j`` lies past the stored prefix, which has no returns to it.
+        If ``j`` lies past the stored prefix, which has no returns to it,
+        or near z = 1, where the return mass past the prefix is not
+        negligible against ``1 - F(z)``.
     """
     i = _whole(i, "state i", least=1)  # a state i past the prefix descends to j without a draw
     j = chain.within(_whole(j, "state j", least=1), "the return to state j")
@@ -210,7 +218,13 @@ def gf_evaluate(chain, i: int, j: int, z):
             continue
 
         head = _law_transform(chain, point, 1, j)
-        f_jj = _law_transform(chain, point, j, chain.truncation + 1) / (1.0 - head)
+        rest = _law_transform(chain, point, j, chain.truncation + 1)
+        missing = chain.d[-1] * abs(point) ** (chain.truncation + 1)
+        if missing > GF_TAIL_SHARE * abs(1.0 - head - rest):
+            raise TruncationTooSmall(
+                f"at z = {point!r} the return mass past the prefix ({missing:.3g}) is not "
+                f"negligible against |1 - F(z)| = {abs(1.0 - head - rest):.3g}")
+        f_jj = rest / (1.0 - head)
         if i > j:
             f_ij = point ** (i - j)
         else:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import renewallab as rl
 from renewallab import (
     BadExponent,
-    CustomLaw,
     DegreeTooSmall,
     FiniteLaw,
     GeometricLaw,
@@ -262,7 +261,6 @@ PAST_THE_PREFIX = {
     "renewal_sequence": lambda c, x: rl.renewal_sequence(c, x),
     "deviation_tail_ratio": lambda c, x: rl.deviation_tail_ratio(c, [x]),
     "nonuniformity_probe": lambda c, x: rl.nonuniformity_probe(c, [x], 5),
-    "stationary": lambda c, x: rl.stationary(c, x),
     "transition_operator": lambda c, x: rl.transition_operator(c, x),
     "eigen_from_gf": lambda c, x: rl.eigen_from_gf(c, 0.5, x),
     "gf_evaluate": lambda c, x: rl.gf_evaluate(c, 3, x, 0.5),
@@ -323,8 +321,8 @@ SECOND_TAIL_LAWS = {
     "geometric": GeometricLaw(0.5), "zeta": ZetaTailLaw(1.5), "zeta-log": ZetaTailLaw(1.0, 1.0),
     "finite": FiniteLaw(NINE_TERMS),
     # the last term's 0.01 becomes a tail past the eighth state
-    "custom": CustomLaw(NINE_TERMS[:-1], tail_exponent=3.5),
-    "custom-log": CustomLaw(NINE_TERMS[:-1], tail_exponent=3.5, tail_log_power=1.0)}
+    "custom": FiniteLaw(NINE_TERMS[:-1], tail_exponent=3.5),
+    "custom-log": FiniteLaw(NINE_TERMS[:-1], tail_exponent=3.5, tail_log_power=1.0)}
 
 
 @pytest.mark.parametrize("name", sorted(SECOND_TAIL_LAWS))
@@ -343,11 +341,11 @@ def test_unnormalized_law_rejected():
     with pytest.raises(NotNormalized):
         FiniteLaw((0.5, 0.4))
     with pytest.raises(NotNormalized):
-        CustomLaw((0.6, 0.6), tail_exponent=3.0)
+        FiniteLaw((0.6, 0.6), tail_exponent=3.0)
     with pytest.raises(NotNormalized, match="leaving no tail mass"):
-        CustomLaw((0.5, 0.3, 0.2), tail_exponent=3.5)
+        FiniteLaw((0.5, 0.3, 0.2), tail_exponent=3.5)
     with pytest.raises(rl.ZeroProbabilityBranch):
-        CustomLaw((0.5, 0.3, 0.1), tail_exponent=3.5, tail_log_power=-1.0)
+        FiniteLaw((0.5, 0.3, 0.1), tail_exponent=3.5, tail_log_power=-1.0)
     # a log power without a tail was accepted and dropped from describe()
     with pytest.raises(rl.ConfigError, match="needs a tail_exponent"):
         FiniteLaw((0.5, 0.5), tail_log_power=2.0)
@@ -491,8 +489,8 @@ def test_p_order_refuses_tail_mass_without_a_declared_tail():
 
 def test_p_order_geometric_everything():
     ch = geo_chain()
-    nu = rl.from_weights(
-        [0.5, 0.25, 0.125],
+    nu = rl.SignedDistribution(
+        [0.0, 0.5, 0.25, 0.125],
         tail_mass=0.125,
         tail=rl.TailDecl("geometric", ratio=0.5),
     )
@@ -540,7 +538,7 @@ def test_codivergence_probe_pairs_every_start_below_i_at_its_default_horizon(i):
 
 def test_custom_law_uses_declared_tail():
     # the leftover mass 0.1 is spread as c n^-3.5 over n > 3
-    law = CustomLaw((0.5, 0.3, 0.1), tail_exponent=3.5)
+    law = FiniteLaw((0.5, 0.3, 0.1), tail_exponent=3.5)
     ch = build_chain(law, 50)
     c = 0.1 / (_hurwitz(3.5, 1.0) - 1.0 - 2.0 ** -3.5 - 3.0 ** -3.5)
     assert law.tail_family().amplitude == pytest.approx(c, rel=1e-14)
@@ -549,7 +547,7 @@ def test_custom_law_uses_declared_tail():
     assert moment(ch, 1, 1, 2.0).finite
     assert not moment(ch, 1, 1, 3.0).finite
     # a tail of degree -0.5 makes the chain null-recurrent
-    ch = build_chain(CustomLaw((0.5, 0.3, 0.1), tail_exponent=1.5), 200)
+    ch = build_chain(FiniteLaw((0.5, 0.3, 0.1), tail_exponent=1.5), 200)
     assert ch.classification == "null-recurrent" and ch.ergodic_degree == -0.5
 
 
@@ -582,7 +580,7 @@ def _timed_verdicts(chain, d):
 def test_a_realized_tail_passes_the_checks_its_zeta_law_passes(d):
     # probs (0.5, 0.3, 0.1) leave 0.1 for the tail
     n = 200_001
-    custom = build_chain(CustomLaw((0.5, 0.3, 0.1), tail_exponent=d + 2.0), n)
+    custom = build_chain(FiniteLaw((0.5, 0.3, 0.1), tail_exponent=d + 2.0), n)
     zeta = _timed_verdicts(build_chain(ZetaTailLaw(d), n), d)
     for name, (passed, seconds) in _timed_verdicts(custom, d).items():
         assert passed or not zeta[name][0], name
@@ -597,9 +595,8 @@ def test_a_realized_tail_passes_the_checks_its_zeta_law_passes(d):
 
 
 def test_one_explicit_prefix_class_describes_itself_by_its_tail():
-    assert CustomLaw is FiniteLaw and isinstance(ZetaTailLaw(1.0), FiniteLaw)
+    assert isinstance(ZetaTailLaw(1.0), FiniteLaw)
     assert FiniteLaw((0.5, 0.5)).describe() == {"type": "finite", "probs": [0.5, 0.5]}
-    assert CustomLaw((0.5, 0.5)).describe()["type"] == "finite"
     assert FiniteLaw((0.5, 0.4), tail_exponent=3.0).describe() == {
         "type": "custom", "probs": [0.5, 0.4], "tail_exponent": 3.0, "tail_log_power": 0.0}
     assert ZetaTailLaw(1.0, 2.0).describe() == {"type": "zeta", "degree": 1.0, "log_power": 2.0}

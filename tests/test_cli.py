@@ -586,12 +586,10 @@ def test_observable_past_the_prefix_exits_4(tmp_path, capsys, command, degree):
     assert len(err) == 1 and "TruncationTooSmall" in err[0]
 
 
-@pytest.mark.parametrize("nu", [{"kind": "stationary", "size": 3000},
-                                {"kind": "point", "state": 3000}], ids=["stationary", "point"])
-def test_initial_measure_past_the_prefix_exits_4(tmp_path, capsys, nu):
-    # both exited 3 (PreconditionViolated), though a larger truncation mends them
+def test_initial_measure_past_the_prefix_exits_4(tmp_path, capsys):
+    # it exited 3 (PreconditionViolated), though a larger truncation mends it
     payload = {"chain": {"law": {"type": "zeta", "degree": 1.0}, "truncation": 2000},
-               "nu": nu, "grid": {"points": [10, 100]}}
+               "nu": {"kind": "point", "state": 3000}, "grid": {"points": [10, 100]}}
     code, _ = run(tmp_path, ["rates", "distance"], payload)
     assert code == 4
     err = capsys.readouterr().err.splitlines()
@@ -633,6 +631,19 @@ def test_gf_target_past_the_prefix_exits_4(tmp_path, capsys, i, j):
     code, _ = run(tmp_path, ["spectral", "gf"], payload)
     assert code == 4
     assert "TruncationTooSmall" in capsys.readouterr().err
+
+
+def test_gf_where_the_return_mass_past_the_prefix_counts_exits_4(tmp_path, capsys):
+    # zeta(1) at N = 2000 leaves 1.04e-7 of return mass past the prefix,
+    # not negligible against |1 - F(z)| = 1.4e-3 at z = 0.999
+    payload = {**ZETA_2000, "z_points": [0.5, 0.999]}
+    code, out = run(tmp_path, ["spectral", "gf"], payload)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4 and len(err) == 1 and "TruncationTooSmall" in err[0]
+    assert "return mass past the prefix" in err[0]
+    assert not any(out.iterdir())  # the handler raised before any artifact
+    payload["z_points"] = [0.5, 0.99]
+    assert run(tmp_path, ["spectral", "gf"], payload, sub="inside")[0] == 0
 
 
 # ----------------------------------------------------------------------
@@ -779,6 +790,33 @@ def test_map_correlate_refuses_a_streams_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and "UnknownConfigKey" in err and "'streams'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("rates distance", "fit_window"), ("rates correlation", "fit_window"),
+    ("map entrance", "fit_window"), ("rates lemma2", "band"), ("series probe", "radii"),
+], ids=["distance-fit_window", "correlation-fit_window", "entrance-fit_window",
+        "lemma2-band", "probe-radii"])
+def test_null_is_no_spelling_of_an_absent_key(tmp_path, capsys, command, key):
+    # an absent key takes its default; a JSON null is a value of the wrong type
+    payload = {k: v for k, v in FUZZ_BASES[command].items() if k != key}
+    code, _ = run(tmp_path, command.split(), payload, sub="absent")
+    assert code == 0
+    code, out = run(tmp_path, command.split(), {**payload, key: None}, sub="null")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and f"config key '{key}' must be" in err[0]
+    assert not out.exists()
+
+
+def test_a_stationary_start_takes_no_size(tmp_path, capsys):
+    payload = {**ZETA_2000, "nu": {"kind": "stationary", "size": 1000},
+               "grid": {"points": [10, 100]}}
+    code, out = run(tmp_path, ["rates", "distance"], payload)
+    err = capsys.readouterr().err
+    assert code == 2 and "UnknownConfigKey" in err and "'nu.size'" in err
+    assert not out.exists()
+    del payload["nu"]["size"]
+    assert run(tmp_path, ["rates", "distance"], payload)[0] == 0
 
 
 def test_estimator_csv_columns(tmp_path):

@@ -31,7 +31,7 @@ from renewallab.errors import (
 )
 from renewallab.maps import (
     McEstimate,
-    apply,
+    apply_map,
     build_map,
     coded_states,
     encode,
@@ -118,13 +118,13 @@ def test_branch_images_meet_the_next_cell(geo_map, zeta_map):
     for m in (geo_map, zeta_map):
         for i in range(3, 40):
             top = np.nextafter(m.breakpoints[i - 1], 0.0)
-            assert abs(apply(m, top) - m.breakpoints[i - 2]) < 1e-12
+            assert abs(apply_map(m, top) - m.breakpoints[i - 2]) < 1e-12
 
 
 def build_map_loop(chain):
     """:func:`build_map` as two scalar loops: the deepest resolvable branch
     found cell by cell, then each of the first 200 branch images checked
-    with :func:`apply`."""
+    with :func:`apply_map`."""
     support = maps._support_length(chain)
     cap = support
     for i in range(1, support + 1):
@@ -140,7 +140,7 @@ def build_map_loop(chain):
     m = maps.IntermittentMap(chain, bp, slopes)
     for i in range(2, min(cap, 200) + 1):
         top = np.nextafter(bp[i - 1], 0.0)
-        if abs(apply(m, top) - bp[i - 2]) > 1e-12:
+        if abs(apply_map(m, top) - bp[i - 2]) > 1e-12:
             raise PreconditionViolated(
                 f"branch {i} image misses the next cell edge; law too irregular")
     return m
@@ -176,14 +176,14 @@ def test_build_map_matches_its_scalar_loops():
 # ----------------------------------------------------------------------
 
 def test_apply_hand_values(geo_map, half_map):
-    assert apply(geo_map, 0.3) == pytest.approx(0.6, abs=1e-15)
-    assert apply(geo_map, 0.8) == pytest.approx(0.6, abs=1e-15)
-    assert apply(geo_map, 0.5) == 0.0  # first-branch endpoint
-    assert apply(geo_map, 1.0) == 1.0
-    assert apply(geo_map, 0.0) == 0.0
-    assert apply(half_map, 0.2) == pytest.approx(0.7, abs=1e-15)
-    assert apply(half_map, 0.75) == pytest.approx(0.5, abs=1e-15)
-    assert apply(half_map, 0.0) == 0.5
+    assert apply_map(geo_map, 0.3) == pytest.approx(0.6, abs=1e-15)
+    assert apply_map(geo_map, 0.8) == pytest.approx(0.6, abs=1e-15)
+    assert apply_map(geo_map, 0.5) == 0.0  # first-branch endpoint
+    assert apply_map(geo_map, 1.0) == 1.0
+    assert apply_map(geo_map, 0.0) == 0.0
+    assert apply_map(half_map, 0.2) == pytest.approx(0.7, abs=1e-15)
+    assert apply_map(half_map, 0.75) == pytest.approx(0.5, abs=1e-15)
+    assert apply_map(half_map, 0.0) == 0.5
 
 
 def test_encode_cells(geo_map):
@@ -364,7 +364,7 @@ def test_float_orbit_steps_match_encode_then_apply(geo_map, zeta_map):
         for _ in range(3000):
             try:
                 want.append(encode(m, x))
-                x = apply(m, x)
+                x = apply_map(m, x)
             except SymbolCapExceeded:
                 want.append(-1)
                 x = ref_density_start(m, rng, pi_cdf)
@@ -1169,6 +1169,20 @@ def test_a_cut_block_is_the_prefix_of_the_whole_expansion(name):
                 got = maps._excursion_block(chain, cdf, guide, maps._rng(seed, offset), count,
                                             limit)
                 assert got.dtype == want.dtype and got.tobytes() == want[:limit].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_a_block_subtracts_its_positions_one_slice_at_a_time(monkeypatch, name):
+    # at _BLOCK = 7 a block spans many slices, the last one partial or whole
+    monkeypatch.setattr(maps, "_BLOCK", 7)
+    chain = BLOCK_CHAINS[name]()
+    cdf = np.cumsum(chain.p[1:])
+    guide = maps._guide(cdf)
+    for count in (1, 17, 1024):
+        want = ref_excursion_block(chain, cdf, maps._rng(3, 0), count)
+        for limit in sorted({1, 7, 8, 14, 15, want.size - 1, want.size} - {0}):
+            got = maps._excursion_block(chain, cdf, guide, maps._rng(3, 0), count, limit)
+            assert got.tobytes() == want[:limit].tobytes()
 
 
 def guide_edges(cdf):

@@ -29,8 +29,6 @@ def test_point_mass_layout():
 def test_point_mass_rejects_bad_state():
     with pytest.raises(PreconditionViolated):
         point_mass(0)
-    with pytest.raises(PreconditionViolated):
-        point_mass(5, size=3)
 
 
 def test_total_mass_must_be_one():

@@ -59,7 +59,7 @@ def test_convolve_delta_is_identity():
 def test_convolve_truncates_to_shorter_operand():
     a = TruncatedSeries([1.0, 1.0])
     b = TruncatedSeries([1.0, 1.0, 1.0, 1.0])
-    assert convolve(a, b).truncation_order == 1
+    assert len(convolve(a, b)) == 2
 
 
 def test_convolve_hand_value():
@@ -282,52 +282,18 @@ def test_partial_sums_of_geometric_reciprocal():
     assert np.allclose(out.coeffs[1:], 0.5, atol=1e-15)
 
 
-# -- evaluate ----------------------------------------------------------
+# -- the prefix polynomial near and on the circle ----------------------
 
 def test_evaluate_geometric_reciprocal_near_one():
     c = reciprocal(geometric_tail_series(50))
-    assert c.evaluate(0.99) == pytest.approx(1.0 - 0.495, abs=1e-12)
+    value = np.polynomial.polynomial.polyval(0.99, c.coeffs)
+    assert value == pytest.approx(1.0 - 0.495, abs=1e-12)
 
 
 def test_evaluate_tail_series_at_one_gives_mean():
     # p = (1/2, 1/2): D(1) = 1 + 1/2 = 3/2, the mean return time.
     d = tail_sums([0.5, 0.5])
-    assert d.evaluate(1.0) == pytest.approx(1.5, abs=1e-15)
-
-
-def test_evaluate_complex_point():
-    s = TruncatedSeries([1.0, 1.0])
-    assert s.evaluate(0.5j) == pytest.approx(1.0 + 0.5j)
-
-
-def test_evaluate_outside_disk():
-    s = TruncatedSeries([1.0, 1.0])
-    with pytest.raises(OutOfDomain):
-        s.evaluate(1.001)
-    with pytest.raises(OutOfDomain):
-        s.evaluate(complex(math.nan, 0.0))
-
-
-def horner(coeffs, z):
-    """Reference for ``evaluate``: the plain Horner loop, on Python scalars."""
-    z = complex(z)
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    if z.imag == 0.0:
-        return acc.real
-    return acc
-
-
-@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=500),
-       st.floats(0.0, 1.0), st.floats(-math.pi, math.pi), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_evaluate_is_bit_identical_to_the_horner_loop(coeffs, r, angle, real):
-    z = r * (math.copysign(1.0, angle) if real else complex(math.cos(angle), math.sin(angle)))
-    series = TruncatedSeries(coeffs)
-    got, want = series.evaluate(z), horner(series.coeffs, z)
-    assert type(got) is type(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.polynomial.polynomial.polyval(1.0, d.coeffs) == pytest.approx(1.5, abs=1e-15)
 
 
 # -- kaluza_check ------------------------------------------------------
@@ -870,8 +836,6 @@ WHOLE_ENTRIES = {
     "gf_evaluate j": lambda c, x: rl.gf_evaluate(c.z, 3, x, 0.5),
     # measures
     "point_mass state": lambda c, x: rl.point_mass(x),
-    "point_mass size": lambda c, x: rl.point_mass(3, x),
-    "stationary": lambda c, x: rl.stationary(c.z, x),
     "indicator state": lambda c, x: rl.indicator([1, x], 20),
     "indicator size": lambda c, x: rl.indicator([1], x),
     "ones": lambda c, x: rl.ones(x),

@@ -18,7 +18,7 @@ from renewallab.errors import (
     SingularPoint,
     TruncationTooSmall,
 )
-from renewallab.series import EVAL_RADIUS, TruncatedSeries, _quotient, zero_diagnostic
+from renewallab.series import EVAL_RADIUS, _quotient, zero_diagnostic
 from renewallab.spectral import (
     disk_scan,
     eigen_from_gf,
@@ -386,6 +386,22 @@ def test_visit_function_refuses_targets_past_the_prefix(zeta_one):
     assert p_far == pytest.approx(f_far * gf_evaluate(zeta_one, 1, 1, 0.5)[0], rel=1e-15)
 
 
+def test_visit_function_refuses_points_where_the_missing_return_mass_counts(zeta_one):
+    # zeta(1) at N = 2000 leaves d_N = 1.04e-7 of return mass past the
+    # prefix: near z = 1 it is not negligible against |1 - F(z)|, and the
+    # values read off the prefix alone were off by orders of magnitude
+    assert zeta_one.d[-1] == pytest.approx(1.04e-7, rel=0.01)
+    for z in (1.0 - 5e-10, 0.999, [0.5, 0.999]):
+        with pytest.raises(TruncationTooSmall, match="return mass past the prefix"):
+            gf_evaluate(zeta_one, 1, 1, z)
+    # a point it admits agrees with a 100 times longer prefix to the share
+    longer = build_chain(ZetaTailLaw(1.0), truncation=200_000)
+    for z in (0.99, 0.998, -1.0, 1j, 0.9):
+        for i, j in ((1, 1), (3, 2)):
+            (got, _), (want, _) = gf_evaluate(zeta_one, i, j, z), gf_evaluate(longer, i, j, z)
+            assert abs(got - want) <= 2.0 * spectral.GF_TAIL_SHARE * abs(want)
+
+
 def test_visit_function_circle_point(zeta_one):
     # away from z = 1 the closed forms stay finite on the circle
     p11, f11 = gf_evaluate(zeta_one, 1, 1, -1.0)
@@ -417,7 +433,6 @@ def test_every_disk_entry_shares_the_evaluation_radius(geometric):
     # past EVAL_RADIUS = 1 + 1e-9, and both admit the points short of it
     assert EVAL_RADIUS == 1.0 + 1e-9
     entries = {
-        "evaluate": (lambda z: TruncatedSeries([1.0, -0.5]).evaluate(z), OutOfDomain),
         "zero_diagnostic": (lambda z: zero_diagnostic([1.0, -0.5], radii=[abs(z)], points=4),
                             OutOfDomain),
         "factorization_residual": (lambda z: factorization_residual(geometric, z, 20),

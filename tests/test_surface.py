@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import renewallab as rl
 from renewallab import (
     FiniteLaw,
     GeometricLaw,
@@ -19,7 +20,9 @@ from renewallab import (
     from_weights,
     maps,
     moment,
+    point_mass,
     second_moment_identity,
+    stationary,
 )
 from renewallab.chain import FirstPassageLaw, RenewalChain
 from renewallab.maps import IntermittentMap
@@ -28,9 +31,22 @@ from renewallab.maps import IntermittentMap
 @pytest.mark.parametrize("entry, gone", [
     (maps.coded_states, "stream"), (maps.sample_states, "stream"), (maps.map_states, "stream"),
     (maps.mc_correlation, "streams"), (moment, "trunc"), (second_moment_identity, "trunc"),
-    (from_weights, "probability")])
+    (from_weights, "probability"), (from_weights, "tail"), (point_mass, "size"),
+    (stationary, "size")])
 def test_no_setting_that_only_the_tests_used(entry, gone):
     assert gone not in inspect.signature(entry).parameters
+
+
+def test_every_public_object_has_one_name():
+    objects = [getattr(rl, name) for name in rl.__all__]
+    assert len({id(obj) for obj in objects}) == len(objects) == len(set(rl.__all__))
+
+
+@pytest.mark.parametrize("module", ["series", "measures", "chain", "maps", "spectral", "evolve"])
+def test_a_module_names_its_objects_as_the_package_does(module):
+    module = getattr(rl, module)
+    for name in module.__all__:
+        assert name in rl.__all__ and getattr(rl, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("record, stored", [
